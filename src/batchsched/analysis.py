@@ -32,7 +32,7 @@ from .objective import (
     objective_logdet,
 )
 from .prior import build_prior_information
-from .scheduler import GreedyOptions, greedy_schedule
+from .scheduler import greedy_schedule
 
 RATIO_TOL = 1e-9
 DEGENERATE_SPREAD = 1e-12
@@ -157,43 +157,19 @@ def brute_force_opt(
     return best_schedule, best_value
 
 
-def worst_value(
-    ev: ObjectiveEvaluator,
-    model: SystemModel,
-    cap: int | None = None,
-    verify: bool = True,
-) -> float:
+def worst_value(ev: ObjectiveEvaluator, model: SystemModel) -> float:
     """Worst feasible objective value.
 
     Adding sensors never increases the objective, so the maximum sits at the
-    empty schedule and costs one evaluation. When ``verify`` is set and the
-    instance fits under the enumeration cap, the shortcut is cross-checked
-    against the exhaustive maximum.
+    empty schedule and costs no evaluation: it is minus the prior
+    log-determinant.
     """
     model.require_validated()
-    analytic = -ev.prior_logdet
-    if verify:
-        count = feasible_schedule_count(model)
-        if count <= enumeration_cap(cap):
-            worst = max(objective_logdet(ev, s) for s in iter_feasible_schedules(model))
-            if abs(worst - analytic) > RATIO_TOL:
-                raise PropertyViolated(
-                    "empty-schedule shortcut disagrees with the exhaustive maximum",
-                    counterexample={
-                        "analytic": analytic,
-                        "exhaustive": worst,
-                        "model": model_to_dict(model),
-                    },
-                )
-    return analytic
+    return -ev.prior_logdet
 
 
 def certify_ratio(
-    ev: ObjectiveEvaluator,
-    model: SystemModel,
-    opts: GreedyOptions | None = None,
-    cap: int | None = None,
-    verify_worst: bool = False,
+    ev: ObjectiveEvaluator, model: SystemModel, cap: int | None = None
 ) -> RatioCertificate:
     """Certify (greedy - opt) / (max - opt) <= 1/2 by exhaustive search.
 
@@ -201,10 +177,10 @@ def certify_ratio(
     fails; that signals a bug in this library, not a tight instance.
     """
     model.require_validated()
-    greedy, _ = greedy_schedule(ev, model, opts if opts is not None else GreedyOptions())
+    greedy, _ = greedy_schedule(ev, model)
     greedy_value = objective_logdet(ev, greedy)
     opt_schedule, opt_value = brute_force_opt(ev, model, cap)
-    max_value = worst_value(ev, model, cap=cap, verify=verify_worst)
+    max_value = worst_value(ev, model)
     fingerprint = model_fingerprint(model)
 
     def _details(ratio=None):

@@ -190,7 +190,7 @@ def _is_sequence(value: Any) -> bool:
 def _as_matrix(value: Any, name: str) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DimensionMismatch(f"{name} is not a numeric matrix") from None
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be a non-empty 2-D matrix")
@@ -238,16 +238,17 @@ def _interval_label(base: str, j: int, variant: bool) -> str:
 def _as_sensor(obj: Any, index: int) -> Sensor:
     if isinstance(obj, Sensor):
         c_raw, v_raw = obj.C, obj.V
-    elif isinstance(obj, dict):
-        if set(obj) != {"C", "V"}:
-            raise DimensionMismatch(f"sensors[{index}] must have exactly the keys C and V")
+    elif isinstance(obj, dict) and set(obj) == {"C", "V"}:
         c_raw, v_raw = obj["C"], obj["V"]
-    elif _is_sequence(obj) and len(obj) == 2:
-        c_raw, v_raw = obj
     else:
-        raise DimensionMismatch(f"sensors[{index}] must be a Sensor, a {{C, V}} mapping, or a (C, V) pair")
-    c = _as_matrix(c_raw, f"C_{index + 1}")
-    v = _as_matrix(v_raw, f"V_{index + 1}")
+        raise DimensionMismatch(
+            f"sensors[{index}] must be a Sensor or an object with exactly the keys C and V"
+        )
+    try:
+        c = _as_matrix(c_raw, f"sensors[{index}].C")
+        v = _as_matrix(v_raw, f"sensors[{index}].V")
+    except DimensionMismatch as exc:
+        raise InvalidArgument(str(exc)) from None
     return Sensor(C=c, V=v)
 
 
@@ -286,10 +287,15 @@ def validate_model(model: SystemModel) -> SystemModel:
     if not _is_sequence(times_raw) or len(times_raw) < 1:
         raise DimensionMismatch("measurement_times must be a non-empty list")
     times = []
-    for t in times_raw:
-        tf = float(t)
+    for k, t in enumerate(times_raw):
+        if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)):
+            raise DimensionMismatch(f"measurement_times[{k}] must be a number, got {t!r}")
+        try:
+            tf = float(t)
+        except OverflowError:
+            tf = np.inf
         if not np.isfinite(tf):
-            raise DimensionMismatch("measurement_times must contain only finite values")
+            raise DimensionMismatch(f"measurement_times[{k}] must be finite")
         times.append(tf)
     for a, b in zip(times, times[1:]):
         if not b > a:
@@ -488,7 +494,8 @@ def model_to_dict(model: SystemModel) -> dict:
 def model_from_dict(data: dict) -> SystemModel:
     """Build and validate a model from a scenario dictionary.
 
-    Rejection messages name the offending JSON path, e.g. "sensors[0].V".
+    Rejection messages name the offending JSON path, e.g. "sensors[0].V" or
+    "measurement_times[2]".
     """
     if not isinstance(data, dict):
         raise InvalidArgument("scenario must be a JSON object")
@@ -499,18 +506,6 @@ def model_from_dict(data: dict) -> SystemModel:
     for key in SCENARIO_KEYS:
         if key not in data:
             raise InvalidArgument(f"missing required key {key!r} in scenario")
-    if not isinstance(data["sensors"], list):
-        raise InvalidArgument("sensors must be a JSON array")
-    sensors = []
-    for idx, entry in enumerate(data["sensors"]):
-        if not isinstance(entry, dict) or set(entry) != {"C", "V"}:
-            raise InvalidArgument(f"sensors[{idx}] must be an object with exactly the keys C and V")
-        try:
-            c = _as_matrix(entry["C"], f"sensors[{idx}].C")
-            v = _as_matrix(entry["V"], f"sensors[{idx}].V")
-        except DimensionMismatch as exc:
-            raise InvalidArgument(str(exc)) from None
-        sensors.append(Sensor(C=c, V=v))
     model = SystemModel(
         kind=data["kind"],
         state_dim=data["state_dim"],
@@ -519,7 +514,7 @@ def model_from_dict(data: dict) -> SystemModel:
         process_noise_cov=data["process_noise_cov"],
         initial_state_cov=data["initial_state_cov"],
         measurement_times=data["measurement_times"],
-        sensors=tuple(sensors),
+        sensors=data["sensors"],
         budgets=data["budgets"],
         input_matrix=data.get("input_matrix"),
         input_signal=data.get("input_signal"),
@@ -543,7 +538,7 @@ def load_scenario(path: str) -> SystemModel:
         text = fh.read()
     try:
         data = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to convert
         raise InvalidArgument(f"invalid JSON in scenario file: {exc}") from None
     return model_from_dict(data)
 

@@ -3,13 +3,15 @@
 A per-time outer loop fills the slot at each measurement time in order,
 conditioning on all earlier selections; each slot is filled by a single-step
 greedy that repeatedly accepts the candidate with the largest marginal gain.
-The lazy variant keeps stale gains in a max-priority queue and re-evaluates
-only what the current step needs; its output is identical to the eager path.
+Eager and lazy share that step and differ only in how many stale gains it
+refreshes: eager re-scores every remaining candidate each round, lazy only
+those whose stale gain could still win; their outputs are identical.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidArgument
@@ -25,10 +27,6 @@ GAIN_TIE_TOL = 1e-12
 @dataclass(frozen=True)
 class GreedyOptions:
     lazy: bool = True
-    record_trace: bool = True
-    # The single-step greedy as specified fills the budget even with sensors
-    # whose gain is zero; set skip_zero_gain to stop a slot early instead.
-    skip_zero_gain: bool = False
 
 
 @dataclass(frozen=True)
@@ -74,77 +72,31 @@ def greedy_step(
     return outcome.schedule.selections[k]
 
 
-def _check_step_args(ev, prefix, k, budget):
+def _greedy_step(ev, prefix, k, budget, opts, base_objective) -> _StepOutcome:
     if not 0 <= k < ev.horizon:
         raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
     if budget < 0:
         raise InvalidArgument(f"budget must be nonnegative, got {budget}")
     if prefix.selections[k]:
         raise InvalidArgument(f"slot {k} must be empty before the greedy step")
-
-
-def _greedy_step(ev, prefix, k, budget, opts, base_objective) -> _StepOutcome:
-    _check_step_args(ev, prefix, k, budget)
-    if opts.lazy:
-        return _greedy_step_lazy(ev, prefix, k, budget, opts, base_objective)
-    return _greedy_step_eager(ev, prefix, k, budget, opts, base_objective)
-
-
-def _greedy_step_eager(ev, prefix, k, budget, opts, base_objective) -> _StepOutcome:
     current = prefix
     value = base_objective
     accepted: list[tuple[int, float, float]] = []
     evaluations = 0
-    candidates = list(range(ev.sensor_count))
-    while candidates and len(accepted) < budget:
-        scored = []
-        for i in candidates:
-            with_i = objective_logdet(ev, current.with_added(k, i))
-            evaluations += 1
-            scored.append((value - with_i, with_i, i))
-        best = max(entry[0] for entry in scored)
-        if opts.skip_zero_gain and best <= GAIN_TIE_TOL:
-            break
-        gain, with_value, winner = next(e for e in scored if e[0] >= best - GAIN_TIE_TOL)
-        # A candidate that no longer fits the budget would be discarded here
-        # and the search restarted; every sensor occupies exactly one slot,
-        # so with the loop guard above this branch cannot trigger. Kept to
-        # mirror the single-step greedy's published shape.
-        if len(accepted) + 1 > budget:
-            candidates.remove(winner)
-            continue
-        current = current.with_added(k, winner)
-        value = with_value
-        accepted.append((winner, gain, with_value))
-        candidates.remove(winner)
-    return _StepOutcome(current, value, accepted, evaluations)
-
-
-def _greedy_step_lazy(ev, prefix, k, budget, opts, base_objective) -> _StepOutcome:
-    current = prefix
-    value = base_objective
-    accepted: list[tuple[int, float, float]] = []
-    evaluations = 0
-    if budget <= 0 or ev.sensor_count == 0:
-        return _StepOutcome(current, value, accepted, evaluations)
 
     # Heap entries: (-gain, sensor, stamp, objective with the sensor added).
-    # A stamp older than the current inner iteration marks the gain as stale.
-    heap = []
-    for i in range(ev.sensor_count):
-        with_i = objective_logdet(ev, current.with_added(k, i))
-        evaluations += 1
-        heap.append((-(value - with_i), i, 1, with_i))
-    heapq.heapify(heap)
-
+    # A stamp older than the current inner iteration marks the gain as stale;
+    # stamp 0 with an infinite key means not yet scored.
+    heap = [(-math.inf, i, 0, math.nan) for i in range(ev.sensor_count)]
     step = 1
     while heap and len(accepted) < budget:
-        # Refresh until every entry that could still tie with the best fresh
-        # gain is fresh; stale keys only ever overestimate, so anything below
-        # the tie band cannot win this iteration.
+        # Eager re-scores every remaining candidate. Lazy refreshes only until
+        # every entry that could still tie with the best fresh gain is fresh;
+        # stale keys only ever overestimate, so anything below the tie band
+        # cannot win this iteration.
         pool: list[tuple[float, int, float]] = []
-        best = -float("inf")
-        while heap and (not pool or -heap[0][0] >= best - GAIN_TIE_TOL):
+        best = -math.inf
+        while heap and (not opts.lazy or not pool or -heap[0][0] >= best - GAIN_TIE_TOL):
             neg, i, stamp, with_value = heapq.heappop(heap)
             if stamp == step:
                 gain = -neg
@@ -153,10 +105,7 @@ def _greedy_step_lazy(ev, prefix, k, budget, opts, base_objective) -> _StepOutco
                 evaluations += 1
                 gain = value - with_value
             pool.append((gain, i, with_value))
-            if gain > best:
-                best = gain
-        if opts.skip_zero_gain and best <= GAIN_TIE_TOL:
-            break
+            best = max(best, gain)
         pool.sort(key=lambda entry: entry[1])
         gain, winner, with_value = next(e for e in pool if e[0] >= best - GAIN_TIE_TOL)
         for other_gain, other, other_value in pool:
@@ -190,9 +139,8 @@ def greedy_schedule(
         schedule = outcome.schedule
         value = outcome.objective
         trace.gain_evaluations += outcome.evaluations
-        if opts.record_trace:
-            trace.entries.extend(
-                TraceEntry(time_index=k, sensor=i, gain=g, objective=v)
-                for i, g, v in outcome.accepted
-            )
+        trace.entries.extend(
+            TraceEntry(time_index=k, sensor=i, gain=g, objective=v)
+            for i, g, v in outcome.accepted
+        )
     return schedule, trace

@@ -76,19 +76,6 @@ def measurement_form_covariance(model, schedule):
     return cov_x - cov_x @ observed.T @ np.linalg.inv(mid) @ observed @ cov_x
 
 
-def random_feasible_schedule(rng, model):
-    """Uniform slot sizes in [0, r_k], then a uniform subset of that size."""
-    slots = []
-    for r in model.budgets:
-        size = int(rng.integers(0, r + 1))
-        if size:
-            picked = rng.choice(model.sensor_count, size=size, replace=False)
-            slots.append(tuple(sorted(int(i) for i in picked)))
-        else:
-            slots.append(())
-    return bs.Schedule(selections=tuple(slots))
-
-
 def random_block_tridiagonal_pd(rng, block_dim, block_count):
     """Random symmetric positive-definite matrix with block tri-diagonal sparsity."""
     diag = [rng.standard_normal((block_dim, block_dim)) for _ in range(block_count)]

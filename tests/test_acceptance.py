@@ -11,12 +11,12 @@ from contextlib import contextmanager
 import numpy as np
 
 import batchsched as bs
+from batchsched.analysis import _random_feasible
 from batchsched.cli import main as cli_main
 from helpers import (
     dense_logdet,
     measurement_form_covariance,
     random_block_tridiagonal_pd,
-    random_feasible_schedule,
     scenario_stream,
 )
 
@@ -59,7 +59,7 @@ def test_criterion_2_measurement_form_equivalence():
             assert model.state_dim * model.horizon <= 60
             assert sum(s.C.shape[0] for s in model.sensors) * model.horizon <= 60
             ev = bs.build_evaluator(model)
-            schedule = random_feasible_schedule(rng, model)
+            schedule = _random_feasible(rng, model)
             info = bs.assemble_information(ev, schedule).to_dense()
             from_information = np.linalg.inv(info)
             from_measurements = measurement_form_covariance(model, schedule)

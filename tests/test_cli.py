@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import batchsched as bs
 from batchsched.cli import main
 
@@ -220,3 +222,15 @@ def test_pipeline_reproducible(tmp_path):
             )
         )
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("entry", ["x", None, [1.0], 10**400])
+def test_schedule_malformed_measurement_time_exits_2(tmp_path, capsys, entry):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario, seed=4, K=3))
+    data = json.loads(scenario.read_text())
+    data["measurement_times"][1] = entry
+    scenario.write_text(json.dumps(data))
+    code = run(["schedule", "--config", str(scenario), "--algorithm", "empty", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "measurement_times[1]" in capsys.readouterr().err

@@ -207,6 +207,20 @@ def test_loader_rejects_non_finite(tmp_path):
         bs.load_scenario(str(path))
 
 
+def test_loader_rejects_numbers_out_of_range(tmp_path):
+    model = bs.random_scenario(seed=5, n=2, m=2, K=1, r=1)
+    data = bs.model_to_dict(model)
+    data["initial_state_cov"][0][0] = 10**400  # beyond the double range
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(bs.DimensionMismatch, match="P_1"):
+        bs.load_scenario(str(path))
+    # Beyond the JSON parser's integer digit limit.
+    path.write_text(json.dumps(data).replace(str(10**400), "1" * 5000))
+    with pytest.raises(bs.InvalidArgument, match="invalid JSON"):
+        bs.load_scenario(str(path))
+
+
 def test_loader_rejects_unknown_and_missing_keys(tmp_path):
     model = bs.random_scenario(seed=5, n=2, m=2, K=1, r=1)
     data = bs.model_to_dict(model)

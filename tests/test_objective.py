@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import batchsched as bs
+from batchsched.analysis import _random_feasible
 from helpers import (
     dense_logdet,
     measurement_form_covariance,
     random_block_tridiagonal_pd,
-    random_feasible_schedule,
     scenario_stream,
 )
 
@@ -137,7 +137,7 @@ def test_adding_a_sensor_never_increases_objective():
     rng = np.random.default_rng(55)
     for model in scenario_stream(12, seed0=19):
         ev = bs.build_evaluator(model)
-        schedule = random_feasible_schedule(rng, model)
+        schedule = _random_feasible(rng, model)
         value = bs.objective_logdet(ev, schedule)
         for k in range(model.horizon):
             for i in range(model.sensor_count):
@@ -175,7 +175,7 @@ def test_marginal_gains_nonnegative_up_to_roundoff():
     for model in scenario_stream(10, seed0=66):
         ev = bs.build_evaluator(model)
         for _ in range(10):
-            schedule = random_feasible_schedule(rng, model)
+            schedule = _random_feasible(rng, model)
             k = int(rng.integers(0, model.horizon))
             free = [i for i in range(model.sensor_count) if not schedule.contains(k, i)]
             if not free:
@@ -218,7 +218,7 @@ def test_measurement_form_equivalence_sample():
     rng = np.random.default_rng(71)
     for model in scenario_stream(15, seed0=99, n_max=3, k_max=4):
         ev = bs.build_evaluator(model)
-        schedule = random_feasible_schedule(rng, model)
+        schedule = _random_feasible(rng, model)
         info = bs.assemble_information(ev, schedule).to_dense()
         from_information = np.linalg.inv(info)
         from_measurements = measurement_form_covariance(model, schedule)

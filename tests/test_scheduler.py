@@ -179,24 +179,19 @@ def test_zero_gain_sensors_fill_budget_by_default():
     blank = bs.Sensor(C=np.zeros((1, 2)), V=np.eye(1))
     model = one_shot_model([blank, blank], budget=2)
     ev = bs.build_evaluator(model)
-    schedule, _ = bs.greedy_schedule(ev, model)
-    assert schedule.to_lists() == [[0, 1]]
-    skipping, _ = bs.greedy_schedule(ev, model, bs.GreedyOptions(skip_zero_gain=True))
-    assert skipping.to_lists() == [[]]
-    skipping_lazy, _ = bs.greedy_schedule(
-        ev, model, bs.GreedyOptions(lazy=True, skip_zero_gain=True)
-    )
-    assert skipping_lazy == skipping
+    for lazy in (False, True):
+        schedule, _ = bs.greedy_schedule(ev, model, bs.GreedyOptions(lazy=lazy))
+        assert schedule.to_lists() == [[0, 1]]
 
 
-def test_trace_recording_can_be_disabled():
-    model = bs.random_scenario(seed=17, n=2, m=3, K=2, r=2)
-    ev = bs.build_evaluator(model)
-    schedule, trace = bs.greedy_schedule(ev, model, bs.GreedyOptions(record_trace=False))
-    recorded, full_trace = bs.greedy_schedule(ev, model)
-    assert schedule == recorded
-    assert trace.entries == []
-    assert trace.gain_evaluations == full_trace.gain_evaluations
+def test_eager_rescores_every_remaining_candidate():
+    # Each accepted sensor costs one evaluation per candidate still left, so
+    # a lazy refresh rule leaking into the eager path shows up as a smaller count.
+    for model in scenario_stream(200, seed0=4242, m_max=4, r_max=3):
+        ev = bs.build_evaluator(model)
+        _, trace = bs.greedy_schedule(ev, model, bs.GreedyOptions(lazy=False))
+        m = model.sensor_count
+        assert trace.gain_evaluations == sum(m - j for r in model.budgets for j in range(r))
 
 
 def test_greedy_step_requires_empty_slot():
