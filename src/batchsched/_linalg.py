@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -28,6 +30,11 @@ def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
     if not np.all(pivots > PD_PIVOT_RTOL * max(float(np.diagonal(a).max()), 0.0)):
         raise NotPositiveDefinite(name)
     return lower
+
+
+def logdet_from_cholesky(lower: np.ndarray) -> float:
+    """Log-determinant of L L.T from the lower factor L."""
+    return 2.0 * sum(map(math.log, lower.diagonal().tolist()))
 
 
 def pd_inverse(a: np.ndarray, name: str) -> np.ndarray:

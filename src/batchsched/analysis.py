@@ -30,6 +30,8 @@ from .objective import (
     build_evaluator,
     marginal_gain,
     objective_logdet,
+    predict,
+    slot_step,
 )
 from .prior import build_prior_information
 from .scheduler import greedy_schedule
@@ -142,18 +144,35 @@ def brute_force_opt(
 ) -> tuple[Schedule, float]:
     """Exhaustive minimizer over all feasible schedules.
 
-    Ties break toward the lexicographically smallest schedule, which the
-    enumeration order provides for free.
+    Walks ``iter_feasible_schedules`` depth first: ``entering[k]`` holds the
+    filter covariance and objective entering slot k under the current
+    schedule's first k slots, and stays valid while those slots do. A
+    schedule thus costs one slot update per slot after the prefix it shares
+    with the previous one, and its value is bit-identical to
+    ``objective_logdet``. Ties break toward the lexicographically smallest
+    schedule, the first one enumerated.
     """
     model.require_validated()
     _check_enumeration_cap(model, cap)
     best_schedule = None
     best_value = math.inf
+    entering = [(ev.initial_cov, -ev.prior_logdet)]
+    previous = None
     for schedule in iter_feasible_schedules(model):
-        value = objective_logdet(ev, schedule)
+        slots = schedule.selections
+        if previous is not None:
+            changed = next(k for k, (a, b) in enumerate(zip(slots, previous)) if a != b)
+            del entering[changed + 1:]
+        for k in range(len(entering), len(slots)):
+            cov, value = entering[k - 1]
+            gain, cov = slot_step(ev, cov, slots[k - 1])
+            entering.append((predict(ev, cov, k - 1), value - gain))
+        cov, value = entering[-1]
+        value -= slot_step(ev, cov, slots[-1])[0]
         if value < best_value:
             best_value = value
             best_schedule = schedule
+        previous = slots
     return best_schedule, best_value
 
 
@@ -332,10 +351,14 @@ def fuzz_supermodularity(model: SystemModel, trials: int, seed: int) -> FuzzRepo
     )
 
 
-def bound_inputs(model: SystemModel) -> BoundInputs:
-    """Scalars entering the error-variance limits; schedule-independent."""
+def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
+    """Scalars entering the error-variance limits; schedule-independent.
+
+    The prior information comes from the evaluator's intervals, so no
+    interval is discretized again.
+    """
     model.require_validated()
-    prior = build_prior_information(model)
+    prior = build_prior_information(ev.initial_cov, ev.propagations)
     sigma_w_inv = float(prior.main_diagonal().max())
     if model.sensor_count:
         sigma_v_inv = max(
@@ -356,20 +379,20 @@ def bound_inputs(model: SystemModel) -> BoundInputs:
     )
 
 
-def error_lower_bound(model: SystemModel) -> float:
+def error_lower_bound(ev: ObjectiveEvaluator, model: SystemModel) -> float:
     """Lower bound on the total error variance of any feasible schedule."""
-    b = bound_inputs(model)
+    b = bound_inputs(ev, model)
     return b.state_dim / (b.sigma_v_inv * b.r_max * b.c_norm_sq + b.sigma_w_inv / b.horizon)
 
 
-def min_sensors_for_error(model: SystemModel, alpha: float) -> float:
+def min_sensors_for_error(ev: ObjectiveEvaluator, model: SystemModel, alpha: float) -> float:
     """Least per-time sensor count compatible with total error variance alpha.
 
     May be nonpositive (the constraint is vacuous); returned as-is.
     """
     if not alpha > 0:
         raise InvalidArgument(f"alpha must be positive, got {alpha!r}")
-    b = bound_inputs(model)
+    b = bound_inputs(ev, model)
     numerator = b.state_dim / alpha - b.sigma_w_inv / b.horizon
     denominator = b.sigma_v_inv * b.c_norm_sq
     if denominator == 0.0:

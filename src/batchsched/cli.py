@@ -82,6 +82,8 @@ def _load_model(path: str):
         return load_scenario(path)
     except FileNotFoundError:
         raise _ConfigError(f"scenario file not found: {path}") from None
+    except OSError as exc:  # a directory, or no permission to read
+        raise _ConfigError(f"cannot read scenario file {path}: {exc.strerror}") from None
     except BatchSchedError as exc:
         raise _ConfigError(str(exc)) from exc
 
@@ -210,10 +212,10 @@ def cmd_bounds(args) -> int:
     with timer.time("solve"):
         report = {
             "fingerprint": model_fingerprint(model),
-            "lower_bound": error_lower_bound(model),
+            "lower_bound": error_lower_bound(ev, model),
         }
         if args.alpha is not None:
-            report["min_sensors"] = min_sensors_for_error(model, args.alpha)
+            report["min_sensors"] = min_sensors_for_error(ev, model, args.alpha)
         schedule, _ = greedy_schedule(ev, model)
         report["trace_greedy"] = batch_error_trace(ev, schedule)
         report["trace_empty"] = batch_error_trace(ev, Schedule.empty(model.horizon))

@@ -18,6 +18,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -187,7 +188,19 @@ def _is_sequence(value: Any) -> bool:
     return isinstance(value, (list, tuple, np.ndarray))
 
 
+def _has_bool(value: Any) -> bool:
+    """Whether a matrix-like value holds booleans, which NumPy would turn into 1.0 and 0.0."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool
+    try:
+        return bool in set(map(type, chain.from_iterable(value)))
+    except TypeError:  # not a sequence of rows; the shape check rejects it
+        return False
+
+
 def _as_matrix(value: Any, name: str) -> np.ndarray:
+    if _has_bool(value):
+        raise DimensionMismatch(f"{name} must contain numbers, not booleans")
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -534,8 +547,13 @@ def _reject_constant(token: str):
 
 def load_scenario(path: str) -> SystemModel:
     """Read, parse, and validate a scenario JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(
+            f"scenario file {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
     try:
         data = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:  # malformed JSON, or an integer too long to convert

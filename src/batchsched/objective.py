@@ -1,9 +1,18 @@
-"""Objective evaluation in information form.
+"""Objective evaluation as one Kalman-filter sweep.
 
 The quantity being minimized is the log-determinant of the batch
-estimation-error covariance. Its inverse is the prior information matrix
-plus, per scheduled sensor, a block-diagonal increment, so every evaluation
-runs in one forward pass over the block tri-diagonal structure.
+estimation-error covariance. By the prediction-error decomposition
+(Schweppe, IEEE Trans. IT 1965), with W_i = L_i^-1 C_i for V_i = L_i L_i.T
+and P the filter covariance just before each sequential update,
+
+    objective(S) = logdet P_1 + sum_j logdet Q_j
+                   - sum_k sum_{i in S_k} logdet(I + W_i P W_i.T),
+
+so an evaluation is one forward sweep of measurement and time updates, and
+a sensor's gain with later slots empty is a single small log-determinant.
+The information form (block tri-diagonal prior plus sensor increments)
+stays as the oracle the sweep is checked against, and as the dense input of
+the error trace.
 """
 
 from __future__ import annotations
@@ -12,116 +21,151 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from ._linalg import chol_pd, chol_solve, sym
+from ._linalg import chol_pd, chol_solve, logdet_from_cholesky, sym
 from .caps import dense_cap
-from .errors import InvalidArgument, OracleCapExceeded, SensorAlreadySelected
+from .errors import (
+    InvalidArgument,
+    NotPositiveDefinite,
+    OracleCapExceeded,
+    SensorAlreadySelected,
+)
 from .model import Schedule, SystemModel
-from .prior import BlockTridiagonal, build_prior_information
-
-
-@dataclass(frozen=True, eq=False)
-class SensorInfoBlock:
-    """Information added by one sensor at one time: C.T V^-1 C (n x n, PSD)."""
-
-    sensor: int
-    info: np.ndarray
+from .prior import (
+    BlockTridiagonal,
+    IntervalPropagation,
+    build_prior_information,
+    discretize_intervals,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveEvaluator:
-    """Immutable per-model cache: prior information plus per-sensor increments.
+    """Immutable per-model cache: the discretized prior and whitened sensors.
 
     Built once per model and shared by every schedule evaluation; safe to use
-    from concurrent workers.
+    from concurrent workers. ``prior_logdet`` is the log-determinant of the
+    prior information matrix, so the empty schedule's objective is its
+    negation.
     """
 
-    prior: BlockTridiagonal
-    sensor_info: tuple[SensorInfoBlock, ...]
+    initial_cov: np.ndarray
+    propagations: tuple[IntervalPropagation, ...]
+    whitened: tuple[np.ndarray, ...]
     prior_logdet: float
 
     @property
     def state_dim(self) -> int:
-        return self.prior.block_dim
+        return self.initial_cov.shape[0]
 
     @property
     def horizon(self) -> int:
-        return self.prior.block_count
+        return len(self.propagations) + 1
 
     @property
     def sensor_count(self) -> int:
-        return len(self.sensor_info)
+        return len(self.whitened)
 
 
 def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
-    """Compute the prior information once, plus every sensor's increment."""
+    """Discretize every interval once and whiten every sensor."""
     model.require_validated()
-    prior = build_prior_information(model)
-    blocks = []
+    propagations = discretize_intervals(model)
+    cov_logdet = logdet_from_cholesky(chol_pd(model.initial_state_cov, "P_1"))
+    for p in propagations:
+        cov_logdet += p.noise_logdet
+    whitened = []
     for i, sensor in enumerate(model.sensors):
         lower = chol_pd(sensor.V, f"V_{i + 1}")
         white = solve_triangular(lower, sensor.C, lower=True)
-        info = sym(white.T @ white)
-        info.setflags(write=False)
-        blocks.append(SensorInfoBlock(sensor=i, info=info))
+        white.setflags(write=False)
+        whitened.append(white)
+    initial_cov = sym(model.initial_state_cov)
+    initial_cov.setflags(write=False)
     return ObjectiveEvaluator(
-        prior=prior,
-        sensor_info=tuple(blocks),
-        prior_logdet=block_tridiag_logdet(prior),
+        initial_cov=initial_cov,
+        propagations=propagations,
+        whitened=tuple(whitened),
+        prior_logdet=-cov_logdet,
     )
 
 
-def assemble_information(ev: ObjectiveEvaluator, schedule: Schedule) -> BlockTridiagonal:
-    """Prior information plus the increments of every scheduled sensor."""
+def slot_step(
+    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...]
+) -> tuple[float, np.ndarray]:
+    """Measurement update of the filter covariance P by every sensor of one slot.
+
+    Returns the slot's gain logdet(I + W P W.T), with W the sensors' stacked
+    whitened matrices, and the conditioned covariance. The gain equals the
+    sum of the sensors' sequential gains. Every evaluation path (sweep,
+    greedy candidate, exhaustive search) conditions through here, so equal
+    calls give bit-identical values.
+    """
+    if not sensors:
+        return 0.0, cov
+    white = np.concatenate([ev.whitened[i] for i in sensors])
+    projected = white @ cov
+    innovation = projected @ white.T
+    for j in range(len(innovation)):
+        innovation[j, j] += 1.0
+    # I plus a PSD matrix has pivots of at least 1 in exact arithmetic, so
+    # no pivot ratio test applies; this fails only once the filter covariance
+    # has lost its precision. Raw LAPACK calls: the matrix is a few rows
+    # square, where wrapper overhead would be most of the cost.
+    lower, info = dpotrf(innovation, lower=1, clean=1)
+    if info:
+        raise NotPositiveDefinite(
+            f"innovation covariance of sensors {list(sensors)}: the filter covariance lost "
+            "precision (unstable dynamics over a long stretch without measurements?)"
+        )
+    factor, _ = dtrtrs(lower, projected, lower=1)
+    # factor.T @ factor is computed as a symmetric rank-d product, so the
+    # covariance stays exactly symmetric.
+    return logdet_from_cholesky(lower), cov - factor.T @ factor
+
+
+def predict(ev: ObjectiveEvaluator, cov: np.ndarray, k: int) -> np.ndarray:
+    """Filter covariance at time index k+1 from the conditioned one at k."""
+    p = ev.propagations[k]
+    return sym(p.transition @ cov @ p.transition.T + p.noise_cov)
+
+
+def _check_schedule(ev: ObjectiveEvaluator, schedule: Schedule) -> None:
     if len(schedule) != ev.horizon:
         raise InvalidArgument(
             f"schedule has {len(schedule)} slots, evaluator expects {ev.horizon}"
         )
-    diag = []
     for k, slot in enumerate(schedule.selections):
-        block = ev.prior.diag[k]
-        if slot:
-            total = block.copy()
-            for i in slot:
-                if not 0 <= i < ev.sensor_count:
-                    raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
-                total += ev.sensor_info[i].info
-            block = sym(total)
-            block.setflags(write=False)
-        diag.append(block)
-    return BlockTridiagonal(diag=tuple(diag), upper=ev.prior.upper)
-
-
-def block_tridiag_logdet(j: BlockTridiagonal) -> float:
-    """Log-determinant of a positive-definite block tri-diagonal matrix.
-
-    Forward block Schur recursion: D_1 = diag_1 and
-    D_k = diag_k - upper_{k-1}.T D_{k-1}^-1 upper_{k-1}; the log determinant
-    is the sum of the D_k log determinants, each read off a Cholesky factor.
-    Single pass, K block operations.
-    """
-    total = 0.0
-    d = j.diag[0]
-    for k in range(j.block_count):
-        lower = chol_pd(d, f"D_{k + 1}")
-        total += 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-        if k + 1 < j.block_count:
-            u = j.upper[k]
-            d = sym(j.diag[k + 1] - u.T @ chol_solve(lower, u))
-    return total
+        for i in slot:
+            if not 0 <= i < ev.sensor_count:
+                raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
 
 
 def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
-    """Log-determinant of the batch error covariance under ``schedule``."""
-    return -block_tridiag_logdet(assemble_information(ev, schedule))
+    """Log-determinant of the batch error covariance under ``schedule``.
+
+    One filter sweep; it stops at the last slot with a measurement, since
+    later time updates change no term.
+    """
+    _check_schedule(ev, schedule)
+    slots = schedule.selections
+    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
+    cov, value = ev.initial_cov, -ev.prior_logdet
+    for k in range(last + 1):
+        if k:
+            cov = predict(ev, cov, k - 1)
+        gain, cov = slot_step(ev, cov, slots[k])
+        value -= gain
+    return value
 
 
 def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
     """Objective decrease from adding sensor i at time index k.
 
     Nonnegative up to roundoff: activating a sensor never hurts. Computed as
-    two full evaluations; at the sizes this library targets that is cheaper
-    to trust than a low-rank update.
+    the difference of two sweeps, so it holds for any schedule, including
+    ones with measurements after slot k.
     """
     if not 0 <= k < ev.horizon:
         raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
@@ -131,6 +175,44 @@ def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) ->
         raise SensorAlreadySelected(f"sensor {i} already selected at time index {k}")
     base = objective_logdet(ev, schedule)
     return base - objective_logdet(ev, schedule.with_added(k, i))
+
+
+def assemble_information(ev: ObjectiveEvaluator, schedule: Schedule) -> BlockTridiagonal:
+    """Prior information plus C_i.T V_i^-1 C_i = W_i.T W_i per scheduled sensor.
+
+    The information-form oracle: built from the evaluator's stored
+    intervals, so no interval is discretized again.
+    """
+    _check_schedule(ev, schedule)
+    prior = build_prior_information(ev.initial_cov, ev.propagations)
+    diag = list(prior.diag)
+    for k, slot in enumerate(schedule.selections):
+        if slot:
+            total = diag[k].copy()
+            for i in slot:
+                total += ev.whitened[i].T @ ev.whitened[i]
+            diag[k] = sym(total)
+            diag[k].setflags(write=False)
+    return BlockTridiagonal(diag=tuple(diag), upper=prior.upper)
+
+
+def block_tridiag_logdet(j: BlockTridiagonal) -> float:
+    """Log-determinant of a positive-definite block tri-diagonal matrix.
+
+    Forward block Schur recursion: D_1 = diag_1 and
+    D_k = diag_k - upper_{k-1}.T D_{k-1}^-1 upper_{k-1}; the log determinant
+    is the sum of the D_k log determinants, each read off a Cholesky factor.
+    Single pass, K block operations. Kept as the oracle for the sweep.
+    """
+    total = 0.0
+    d = j.diag[0]
+    for k in range(j.block_count):
+        lower = chol_pd(d, f"D_{k + 1}")
+        total += logdet_from_cholesky(lower)
+        if k + 1 < j.block_count:
+            u = j.upper[k]
+            d = sym(j.diag[k + 1] - u.T @ chol_solve(lower, u))
+    return total
 
 
 def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule, cap: int | None = None) -> float:

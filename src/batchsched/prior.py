@@ -1,9 +1,10 @@
 """Batch prior for the stacked state sequence.
 
-Discretizes the dynamics per inter-measurement interval and assembles the
-information matrix (inverse covariance) of the stacked state, which is
-symmetric block tri-diagonal. A dense propagation oracle serves as ground
-truth for the block formulas.
+Discretizes the dynamics per inter-measurement interval. The information
+matrix (inverse covariance) of the stacked state, symmetric block
+tri-diagonal, is assembled from those intervals on demand; it and a dense
+propagation oracle are the ground truth the filter-form objective is
+checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import chol_pd, pd_inverse, sym
+from ._linalg import chol_pd, logdet_from_cholesky, pd_inverse, sym
 from .caps import dense_cap
 from .errors import DimensionMismatch, InvalidArgument, OracleCapExceeded
 from .model import SystemModel
@@ -21,10 +22,11 @@ from .model import SystemModel
 
 @dataclass(frozen=True, eq=False)
 class IntervalPropagation:
-    """Transition matrix and accumulated process-noise covariance for one interval."""
+    """Transition matrix, accumulated process-noise covariance and its log-determinant for one interval."""
 
     transition: np.ndarray
     noise_cov: np.ndarray
+    noise_logdet: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,17 +114,25 @@ def discretize_interval(model: SystemModel, j: int) -> IntervalPropagation:
     else:
         phi = np.array(a)
         q = sym(f @ w @ f.T)
-    chol_pd(q, label)
+    lower = chol_pd(q, label)
     phi.setflags(write=False)
     q.setflags(write=False)
-    return IntervalPropagation(transition=phi, noise_cov=q)
+    return IntervalPropagation(transition=phi, noise_cov=q, noise_logdet=logdet_from_cholesky(lower))
 
 
-def build_prior_information(model: SystemModel) -> BlockTridiagonal:
+def discretize_intervals(model: SystemModel) -> tuple[IntervalPropagation, ...]:
+    """``discretize_interval`` for every interval of the horizon, in order."""
+    model.require_validated()
+    return tuple(discretize_interval(model, j) for j in range(model.horizon - 1))
+
+
+def build_prior_information(
+    initial_cov: np.ndarray, props: tuple[IntervalPropagation, ...]
+) -> BlockTridiagonal:
     """Information matrix of the stacked state (x(t_1), ..., x(t_K)).
 
-    With Phi_j, Q_j from ``discretize_interval`` and P_1 the initial
-    covariance, the blocks are (1-based j over intervals):
+    With Phi_j, Q_j from ``props`` (``discretize_intervals``) and P_1 the
+    initial covariance, the blocks are (1-based j over intervals):
 
         diag_1 = P_1^-1 + Phi_1.T Q_1^-1 Phi_1
         diag_k = Q_{k-1}^-1 + Phi_k.T Q_k^-1 Phi_k     for 1 < k < K
@@ -132,12 +142,10 @@ def build_prior_information(model: SystemModel) -> BlockTridiagonal:
     The dense form of the result inverts ``dense_prior_covariance(model)``;
     that oracle, not the formulas above, is the correctness contract.
     """
-    model.require_validated()
-    horizon = model.horizon
-    p1_inv = pd_inverse(model.initial_state_cov, "P_1")
-    if horizon == 1:
+    p1_inv = pd_inverse(initial_cov, "P_1")
+    if not props:
         return BlockTridiagonal.from_blocks([p1_inv], [])
-    props = [discretize_interval(model, j) for j in range(horizon - 1)]
+    horizon = len(props) + 1
     q_inv = [pd_inverse(p.noise_cov, f"Q_{j + 1}") for j, p in enumerate(props)]
     diag = []
     for k in range(horizon):
@@ -164,7 +172,7 @@ def dense_prior_covariance(model: SystemModel, cap: int | None = None) -> np.nda
     limit = dense_cap(cap)
     if n * horizon > limit:
         raise OracleCapExceeded(f"n*K = {n * horizon} exceeds dense cap {limit}")
-    props = [discretize_interval(model, j) for j in range(horizon - 1)]
+    props = discretize_intervals(model)
     variances = [np.array(model.initial_state_cov)]
     for p in props:
         variances.append(sym(p.transition @ variances[-1] @ p.transition.T + p.noise_cov))

@@ -1,8 +1,12 @@
 """Greedy sensor scheduling.
 
 A per-time outer loop fills the slot at each measurement time in order,
-conditioning on all earlier selections; each slot is filled by a single-step
-greedy that repeatedly accepts the candidate with the largest marginal gain.
+carrying the filter covariance conditioned on all earlier selections; each
+slot is filled by a single-step greedy that repeatedly accepts the candidate
+with the largest marginal gain. With later slots still empty, a candidate's
+gain is one measurement update of that covariance, so a whole schedule costs
+time linear in the horizon.
+
 Eager and lazy share that step and differ only in how many stale gains it
 refreshes: eager re-scores every remaining candidate each round, lazy only
 those whose stale gain could still win; their outputs are identical.
@@ -14,9 +18,11 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidArgument
 from .model import Schedule, SystemModel
-from .objective import ObjectiveEvaluator, objective_logdet
+from .objective import ObjectiveEvaluator, objective_logdet, predict, slot_step
 
 # Gains within this absolute distance of the step's best gain count as tied;
 # ties resolve to the smallest sensor index so runs are reproducible and the
@@ -48,7 +54,7 @@ class GreedyTrace:
 
 @dataclass
 class _StepOutcome:
-    schedule: Schedule
+    cov: np.ndarray  # filter covariance conditioned on the filled slot
     objective: float
     accepted: list[tuple[int, float, float]]  # (sensor, gain, objective after)
     evaluations: int
@@ -63,59 +69,53 @@ def greedy_step(
 ) -> tuple[int, ...]:
     """Fill the slot at time index k greedily, given earlier selections.
 
-    ``prefix`` must leave slot k empty; slots after k are ignored by the
-    greedy logic but participate in the objective, so they are normally
-    empty too.
+    ``prefix`` must leave slot k and every later slot empty: a candidate's
+    gain is then its measurement update's log-determinant at the filter
+    covariance, which later measurements would change.
     """
-    base = objective_logdet(ev, prefix)
-    outcome = _greedy_step(ev, prefix, k, budget, opts, base)
-    return outcome.schedule.selections[k]
-
-
-def _greedy_step(ev, prefix, k, budget, opts, base_objective) -> _StepOutcome:
     if not 0 <= k < ev.horizon:
         raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
     if budget < 0:
         raise InvalidArgument(f"budget must be nonnegative, got {budget}")
-    if prefix.selections[k]:
-        raise InvalidArgument(f"slot {k} must be empty before the greedy step")
-    current = prefix
-    value = base_objective
+    if any(prefix.selections[k:]):
+        raise InvalidArgument(f"slot {k} and every later slot must be empty before the greedy step")
+    value = objective_logdet(ev, prefix)  # also validates the prefix
+    cov = ev.initial_cov
+    for j in range(k):
+        cov = predict(ev, slot_step(ev, cov, prefix.selections[j])[1], j)
+    outcome = _greedy_step(ev, cov, value, budget, opts)
+    return tuple(sorted(i for i, _, _ in outcome.accepted))
+
+
+def _greedy_step(ev, cov, value, budget, opts) -> _StepOutcome:
     accepted: list[tuple[int, float, float]] = []
     evaluations = 0
 
-    # Heap entries: (-gain, sensor, stamp, objective with the sensor added).
-    # A stamp older than the current inner iteration marks the gain as stale;
-    # stamp 0 with an infinite key means not yet scored.
-    heap = [(-math.inf, i, 0, math.nan) for i in range(ev.sensor_count)]
-    step = 1
+    # Heap entries: (-gain, sensor). Every key in the heap was scored before
+    # the latest acceptance, so it is stale; an infinite key means not yet
+    # scored. Stale gains only ever overestimate: conditioning on more
+    # measurements shrinks the covariance.
+    heap = [(-math.inf, i) for i in range(ev.sensor_count)]
     while heap and len(accepted) < budget:
         # Eager re-scores every remaining candidate. Lazy refreshes only until
         # every entry that could still tie with the best fresh gain is fresh;
-        # stale keys only ever overestimate, so anything below the tie band
-        # cannot win this iteration.
-        pool: list[tuple[float, int, float]] = []
+        # anything whose stale key is below the tie band cannot win.
+        pool: list[tuple[float, int, np.ndarray]] = []
         best = -math.inf
         while heap and (not opts.lazy or not pool or -heap[0][0] >= best - GAIN_TIE_TOL):
-            neg, i, stamp, with_value = heapq.heappop(heap)
-            if stamp == step:
-                gain = -neg
-            else:
-                with_value = objective_logdet(ev, current.with_added(k, i))
-                evaluations += 1
-                gain = value - with_value
-            pool.append((gain, i, with_value))
+            _, i = heapq.heappop(heap)
+            gain, with_cov = slot_step(ev, cov, (i,))
+            evaluations += 1
+            pool.append((gain, i, with_cov))
             best = max(best, gain)
         pool.sort(key=lambda entry: entry[1])
-        gain, winner, with_value = next(e for e in pool if e[0] >= best - GAIN_TIE_TOL)
-        for other_gain, other, other_value in pool:
+        gain, winner, cov = next(e for e in pool if e[0] >= best - GAIN_TIE_TOL)
+        for other_gain, other, _ in pool:
             if other != winner:
-                heapq.heappush(heap, (-other_gain, other, step, other_value))
-        current = current.with_added(k, winner)
-        value = with_value
-        accepted.append((winner, gain, with_value))
-        step += 1
-    return _StepOutcome(current, value, accepted, evaluations)
+                heapq.heappush(heap, (-other_gain, other))
+        value -= gain
+        accepted.append((winner, gain, value))
+    return _StepOutcome(cov, value, accepted, evaluations)
 
 
 def greedy_schedule(
@@ -131,16 +131,20 @@ def greedy_schedule(
     model.require_validated()
     if ev.horizon != model.horizon or ev.sensor_count != model.sensor_count:
         raise InvalidArgument("evaluator does not match the model")
-    schedule = Schedule.empty(model.horizon)
-    value = objective_logdet(ev, schedule)
+    value = objective_logdet(ev, Schedule.empty(model.horizon))
     trace = GreedyTrace(start_objective=value)
+    cov = ev.initial_cov
+    slots = []
     for k in range(model.horizon):
-        outcome = _greedy_step(ev, schedule, k, model.budgets[k], opts, value)
-        schedule = outcome.schedule
+        if k:
+            cov = predict(ev, cov, k - 1)
+        outcome = _greedy_step(ev, cov, value, model.budgets[k], opts)
+        cov = outcome.cov
         value = outcome.objective
         trace.gain_evaluations += outcome.evaluations
         trace.entries.extend(
             TraceEntry(time_index=k, sensor=i, gain=g, objective=v)
             for i, g, v in outcome.accepted
         )
-    return schedule, trace
+        slots.append(tuple(sorted(i for i, _, _ in outcome.accepted)))
+    return Schedule(selections=tuple(slots)), trace

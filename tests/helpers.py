@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 from scipy.linalg import block_diag
 
@@ -24,6 +27,31 @@ def scenario_stream(count, seed0=0, n_max=3, m_max=4, k_max=3, r_max=2, kinds=AL
             bs.random_scenario(seed=seed0 * 100_003 + idx, n=n, m=m, K=k, r=r, kind=kind)
         )
     return models
+
+
+def prior_information(model):
+    """Block tri-diagonal prior information of a model, every interval discretized."""
+    return bs.build_prior_information(model.initial_state_cov, bs.discretize_intervals(model))
+
+
+def stable_model(horizon, n=8, m=3, r=2, seed=99):
+    """Discrete-invariant model with contracting dynamics, for timings over the horizon."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sensors = tuple(bs.Sensor(C=rng.standard_normal((1, n)), V=np.eye(1)) for _ in range(m))
+    return bs.validate_model(
+        bs.SystemModel(
+            kind="discrete-invariant",
+            state_dim=n,
+            dynamics=0.95 * q,
+            noise_input=np.eye(n),
+            process_noise_cov=np.eye(n),
+            initial_state_cov=np.eye(n),
+            measurement_times=tuple(float(k + 1) for k in range(horizon)),
+            sensors=sensors,
+            budgets=tuple(r for _ in range(horizon)),
+        )
+    )
 
 
 def dense_logdet(matrix):
@@ -87,3 +115,41 @@ def random_block_tridiagonal_pd(rng, block_dim, block_count):
     shift = abs(smallest) + 0.5
     shifted = [b + shift * np.eye(block_dim) for b in candidate.diag]
     return bs.BlockTridiagonal.from_blocks(shifted, upper)
+
+
+def oracle_objective(ev, schedule):
+    """Objective through the information form: block Schur recursion on the assembled matrix."""
+    return -bs.block_tridiag_logdet(bs.assemble_information(ev, schedule))
+
+
+def two_pass_greedy(ev, model, lazy):
+    """Greedy whose every gain is the difference of two full oracle evaluations.
+
+    The same heap, refresh rule and tie-break as ``greedy_schedule``, on the
+    information form. Returns the schedule, the trace as (time index,
+    sensor, gain, objective after) tuples, and the number of gain evaluations.
+    """
+    tol = bs.scheduler.GAIN_TIE_TOL
+    schedule = bs.Schedule.empty(model.horizon)
+    value = oracle_objective(ev, schedule)
+    trace = []
+    evaluations = 0
+    for k, budget in enumerate(model.budgets):
+        heap = [(-math.inf, i) for i in range(model.sensor_count)]
+        while heap and len(schedule.selections[k]) < budget:
+            pool = []
+            best = -math.inf
+            while heap and (not lazy or not pool or -heap[0][0] >= best - tol):
+                _, i = heapq.heappop(heap)
+                with_value = oracle_objective(ev, schedule.with_added(k, i))
+                evaluations += 1
+                pool.append((value - with_value, i, with_value))
+                best = max(best, value - with_value)
+            pool.sort(key=lambda entry: entry[1])
+            gain, winner, value = next(e for e in pool if e[0] >= best - tol)
+            for other_gain, other, _ in pool:
+                if other != winner:
+                    heapq.heappush(heap, (-other_gain, other))
+            schedule = schedule.with_added(k, winner)
+            trace.append((k, winner, gain, value))
+    return schedule, trace, evaluations

@@ -16,8 +16,10 @@ from batchsched.cli import main as cli_main
 from helpers import (
     dense_logdet,
     measurement_form_covariance,
+    prior_information,
     random_block_tridiagonal_pd,
     scenario_stream,
+    stable_model,
 )
 
 
@@ -73,7 +75,7 @@ def test_criterion_2_measurement_form_equivalence():
 def test_criterion_3_sparsity_correctness():
     with criterion(3, "block formulas invert the dense prior; sparse log det matches dense"):
         for model in scenario_stream(100, seed0=777, n_max=4, k_max=6):
-            dense_info = bs.build_prior_information(model).to_dense()
+            dense_info = prior_information(model).to_dense()
             oracle = np.linalg.inv(bs.dense_prior_covariance(model))
             rel = np.linalg.norm(dense_info - oracle) / np.linalg.norm(oracle)
             assert rel < 1e-8
@@ -99,8 +101,8 @@ def test_criterion_4_monotonicity_and_supermodularity():
 def test_criterion_5_fundamental_limits():
     with criterion(5, "error trace of every feasible schedule respects the lower bound"):
         for model in scenario_stream(20, seed0=135, n_max=3, m_max=3, k_max=2, r_max=2):
-            bound = bs.error_lower_bound(model)
             ev = bs.build_evaluator(model)
+            bound = bs.error_lower_bound(ev, model)
             for schedule in bs.iter_feasible_schedules(model):
                 assert bs.batch_error_trace(ev, schedule) >= bound - 1e-9
         scalar = bs.validate_model(
@@ -118,9 +120,9 @@ def test_criterion_5_fundamental_limits():
         )
         ev = bs.build_evaluator(scalar)
         achieved = bs.batch_error_trace(ev, bs.Schedule.from_sets([[0]]))
-        assert abs(bs.error_lower_bound(scalar) - 0.5) <= 1e-12
+        assert abs(bs.error_lower_bound(ev, scalar) - 0.5) <= 1e-12
         assert abs(achieved - 0.5) <= 1e-12
-        assert abs(bs.min_sensors_for_error(scalar, 0.5) - 1.0) <= 1e-12
+        assert abs(bs.min_sensors_for_error(ev, scalar, 0.5) - 1.0) <= 1e-12
 
 
 def test_criterion_6_lazy_evaluation_fidelity():
@@ -142,25 +144,6 @@ def test_criterion_6_lazy_evaluation_fidelity():
             assert lazy_trace.gain_evaluations <= eager_trace.gain_evaluations
 
 
-def _stable_benchmark_model(horizon, n=8, m=3, r=2, seed=99):
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    sensors = tuple(bs.Sensor(C=rng.standard_normal((1, n)), V=np.eye(1)) for _ in range(m))
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=n,
-            dynamics=0.95 * q,
-            noise_input=np.eye(n),
-            process_noise_cov=np.eye(n),
-            initial_state_cov=np.eye(n),
-            measurement_times=tuple(float(k + 1) for k in range(horizon)),
-            sensors=sensors,
-            budgets=tuple(r for _ in range(horizon)),
-        )
-    )
-
-
 def test_criterion_7_linear_in_horizon_scaling():
     with criterion(7, "objective evaluation time grows at most like K^1.3 for fixed n=8"):
         deadline = 120.0
@@ -168,7 +151,7 @@ def test_criterion_7_linear_in_horizon_scaling():
         horizons = [64, 128, 256, 512]
         medians = []
         for horizon in horizons:
-            model = _stable_benchmark_model(horizon)
+            model = stable_model(horizon)
             ev = bs.build_evaluator(model)
             rng = np.random.default_rng(5)
             slots = tuple(

@@ -193,7 +193,8 @@ def test_fuzz_supermodularity_skips_when_no_room():
 
 
 def test_bound_inputs_scalar():
-    b = bs.bound_inputs(scalar_model())
+    model = scalar_model()
+    b = bs.bound_inputs(bs.build_evaluator(model), model)
     assert b.sigma_w_inv == pytest.approx(1.0, abs=1e-12)
     assert b.sigma_v_inv == pytest.approx(1.0, abs=1e-12)
     assert b.c_norm_sq == pytest.approx(1.0, abs=1e-12)
@@ -202,26 +203,26 @@ def test_bound_inputs_scalar():
 
 def test_error_lower_bound_scalar_tight():
     model = scalar_model()
-    assert bs.error_lower_bound(model) == pytest.approx(0.5, abs=1e-12)
     ev = bs.build_evaluator(model)
+    assert bs.error_lower_bound(ev, model) == pytest.approx(0.5, abs=1e-12)
     achieved = bs.batch_error_trace(ev, bs.Schedule.from_sets([[0]]))
     assert achieved == pytest.approx(0.5, abs=1e-12)
 
 
 def test_error_lower_bound_zero_budget():
     model = bs.random_scenario(seed=3, n=2, m=2, K=3, r=0)
-    bound = bs.error_lower_bound(model)
-    b = bs.bound_inputs(model)
-    assert bound == pytest.approx(b.state_dim / (b.sigma_w_inv / b.horizon), rel=1e-12)
     ev = bs.build_evaluator(model)
+    bound = bs.error_lower_bound(ev, model)
+    b = bs.bound_inputs(ev, model)
+    assert bound == pytest.approx(b.state_dim / (b.sigma_w_inv / b.horizon), rel=1e-12)
     assert bs.batch_error_trace(ev, bs.Schedule.empty(3)) >= bound - 1e-9
 
 
 def test_error_lower_bound_holds_for_random_schedules():
     rng = np.random.default_rng(11)
     for model in scenario_stream(20, seed0=404):
-        bound = bs.error_lower_bound(model)
         ev = bs.build_evaluator(model)
+        bound = bs.error_lower_bound(ev, model)
         for _ in range(5):
             schedule = _random_feasible(rng, model)
             assert bs.batch_error_trace(ev, schedule) >= bound - 1e-9
@@ -229,14 +230,15 @@ def test_error_lower_bound_holds_for_random_schedules():
 
 def test_min_sensors_scalar():
     model = scalar_model()
-    assert bs.min_sensors_for_error(model, 0.5) == pytest.approx(1.0, abs=1e-12)
+    ev = bs.build_evaluator(model)
+    assert bs.min_sensors_for_error(ev, model, 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_sensors_vacuous_at_prior_trace():
     model = bs.random_scenario(seed=9, n=2, m=3, K=2, r=1)
     ev = bs.build_evaluator(model)
     prior_trace = bs.batch_error_trace(ev, bs.Schedule.empty(2))
-    assert bs.min_sensors_for_error(model, prior_trace) <= 0.0
+    assert bs.min_sensors_for_error(ev, model, prior_trace) <= 0.0
 
 
 def test_min_sensors_consistent_with_achieved_error():
@@ -244,13 +246,14 @@ def test_min_sensors_consistent_with_achieved_error():
         ev = bs.build_evaluator(model)
         schedule, _ = bs.greedy_schedule(ev, model)
         achieved = bs.batch_error_trace(ev, schedule)
-        needed = bs.min_sensors_for_error(model, achieved)
+        needed = bs.min_sensors_for_error(ev, model, achieved)
         assert needed <= max(schedule.sizes()) + 1e-9
 
 
 def test_min_sensors_rejects_bad_alpha():
+    model = scalar_model()
     with pytest.raises(bs.InvalidArgument):
-        bs.min_sensors_for_error(scalar_model(), 0.0)
+        bs.min_sensors_for_error(bs.build_evaluator(model), model, 0.0)
 
 
 def test_ellipsoid_log_volume_values():
@@ -263,3 +266,41 @@ def test_ellipsoid_log_volume_values():
         bs.ellipsoid_log_volume(0.0, 0.0, 2)
     with pytest.raises(bs.InvalidArgument):
         bs.ellipsoid_log_volume(0.0, 1.0, 0)
+
+
+def _plain_minimum(ev, model):
+    best_schedule, best_value = None, math.inf
+    for schedule in bs.iter_feasible_schedules(model):
+        value = bs.objective_logdet(ev, schedule)
+        if value < best_value:
+            best_schedule, best_value = schedule, value
+    return best_schedule, best_value
+
+
+def test_brute_force_matches_plain_enumeration():
+    duplicate = bs.Sensor(C=np.array([[1.0, 0.5]]), V=np.eye(1))
+    tied = bs.validate_model(
+        bs.SystemModel(
+            kind="discrete-invariant",
+            state_dim=2,
+            dynamics=np.eye(2),
+            noise_input=np.eye(2),
+            process_noise_cov=np.eye(2),
+            initial_state_cov=np.eye(2),
+            measurement_times=(1.0, 2.0),
+            sensors=(duplicate, duplicate, duplicate),
+            budgets=(1, 2),
+        )
+    )
+    medium = [
+        bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
+        for seed, kind in enumerate(bs.ModelKind)
+    ]
+    models = scenario_stream(100, seed0=1234, n_max=3, m_max=4, k_max=3, r_max=2) + medium + [tied]
+    for model in models:
+        ev = bs.build_evaluator(model)
+        schedule, value = bs.brute_force_opt(ev, model)
+        assert (schedule, value) == _plain_minimum(ev, model)
+        assert value == bs.objective_logdet(ev, schedule)
+    # Identical sensors tie exactly; the first schedule enumerated wins.
+    assert schedule.to_lists() == [[0], [0, 1]]

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, report files, reproducibility."""
 
+import errno
 import json
+import math
+import os
+from pathlib import Path
 
 import pytest
 
 import batchsched as bs
+from batchsched import cli, prior
 from batchsched.cli import main
 
 
@@ -234,3 +239,66 @@ def test_schedule_malformed_measurement_time_exits_2(tmp_path, capsys, entry):
     code = run(["schedule", "--config", str(scenario), "--algorithm", "empty", "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "measurement_times[1]" in capsys.readouterr().err
+
+
+def test_schedule_non_utf8_config_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario))
+    scenario.write_bytes(b"\xff\xfe" + scenario.read_bytes())
+    code = run(["schedule", "--config", str(scenario), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert str(scenario) in capsys.readouterr().err
+
+
+def test_schedule_directory_config_exits_2(tmp_path, capsys):
+    code = run(["schedule", "--config", str(tmp_path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_schedule_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
+    # Permission bits do not stop a superuser, so the read error is injected.
+    scenario = tmp_path / "s.json"
+
+    def unreadable(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(cli, "load_scenario", unreadable)
+    code = run(["schedule", "--config", str(scenario), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(scenario) in err and "Permission denied" in err
+
+
+def test_bounds_discretizes_each_interval_once(tmp_path, monkeypatch):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario, K=6, kind="continuous-variant"))
+    calls = []
+    original = prior.discretize_interval
+
+    def counting(model, j):
+        calls.append(j)
+        return original(model, j)
+
+    monkeypatch.setattr(prior, "discretize_interval", counting)
+    out = tmp_path / "b.json"
+    assert run(["bounds", "--config", str(scenario), "--out", str(out), "--alpha", "0.5"]) == 0
+    assert sorted(calls) == list(range(5))
+
+
+@pytest.mark.parametrize("K", [128, 256])
+@pytest.mark.parametrize("kind", ["continuous-invariant", "discrete-invariant"])
+def test_long_horizon_invariant_scenarios_evaluate(tmp_path, kind, K):
+    # These scenarios have unobserved unstable modes, on which a block Schur
+    # pass over the prior information fails with NotPositiveDefinite at D_K.
+    scenario = tmp_path / "s.json"
+    out = str(tmp_path / "r.json")
+    assert run(gen_args(scenario, seed=0, n=6, m=10, K=K, r=3, kind=kind)) == 0
+    config = ["--config", str(scenario), "--out", out]
+    for algorithm in ("greedy", "random", "empty"):
+        assert run(["schedule", *config, "--algorithm", algorithm, "--seed", "1"]) == 0
+        assert math.isfinite(json.loads(Path(out).read_text())["objective"])
+    assert run(["fuzz", *config, "--property", "super", "--trials", "4", "--seed", "1"]) == 0
+    assert json.loads(Path(out).read_text())["violations"] == 0
+    # The error trace is still dense, and n*K exceeds its cap of 400.
+    assert run(["bounds", *config]) == 3

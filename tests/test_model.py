@@ -221,6 +221,24 @@ def test_loader_rejects_numbers_out_of_range(tmp_path):
         bs.load_scenario(str(path))
 
 
+def test_loader_rejects_booleans_in_matrices(tmp_path):
+    model = bs.random_scenario(seed=5, n=2, m=2, K=2, r=1)
+    path = tmp_path / "bool.json"
+    for field, label in (("dynamics", "dynamics"), ("initial_state_cov", "P_1")):
+        data = bs.model_to_dict(model)
+        data[field][0][0] = True
+        path.write_text(json.dumps(data))
+        with pytest.raises(bs.DimensionMismatch, match=f"{label}.*booleans"):
+            bs.load_scenario(str(path))
+    data = bs.model_to_dict(model)
+    data["sensors"][0]["C"][0][1] = False
+    path.write_text(json.dumps(data))
+    with pytest.raises(bs.InvalidArgument, match=r"sensors\[0\].C.*booleans"):
+        bs.load_scenario(str(path))
+    with pytest.raises(bs.DimensionMismatch, match="P_1"):
+        bs.validate_model(tiny_model(initial_state_cov=np.eye(2, dtype=bool)))
+
+
 def test_loader_rejects_unknown_and_missing_keys(tmp_path):
     model = bs.random_scenario(seed=5, n=2, m=2, K=1, r=1)
     data = bs.model_to_dict(model)

@@ -11,6 +11,8 @@ from batchsched.analysis import _random_feasible
 from helpers import (
     dense_logdet,
     measurement_form_covariance,
+    oracle_objective,
+    prior_information,
     random_block_tridiagonal_pd,
     scenario_stream,
 )
@@ -48,36 +50,40 @@ def planar_model(sensors, budgets=(2,)):
     )
 
 
+def sensor_information(ev, i):
+    return ev.whitened[i].T @ ev.whitened[i]
+
+
 def test_identity_sensor_info_block():
     model = planar_model([bs.Sensor(C=np.eye(2), V=np.eye(2))], budgets=(1,))
     ev = bs.build_evaluator(model)
-    np.testing.assert_allclose(ev.sensor_info[0].info, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(sensor_information(ev, 0), np.eye(2), atol=1e-15)
 
 
 def test_rank_one_sensor_info_block():
     model = planar_model([bs.Sensor(C=np.array([[1.0, 0.0]]), V=np.array([[4.0]]))], budgets=(1,))
     ev = bs.build_evaluator(model)
     np.testing.assert_allclose(
-        ev.sensor_info[0].info, np.array([[0.25, 0.0], [0.0, 0.0]]), atol=1e-15
+        sensor_information(ev, 0), np.array([[0.25, 0.0], [0.0, 0.0]]), atol=1e-15
     )
 
 
 def test_sensor_info_blocks_are_psd():
     for model in scenario_stream(20, seed0=31):
         ev = bs.build_evaluator(model)
-        for block in ev.sensor_info:
-            eigs = np.linalg.eigvalsh(block.info)
+        for i, sensor in enumerate(model.sensors):
+            info = sensor_information(ev, i)
+            eigs = np.linalg.eigvalsh(info)
             assert eigs.min() >= -1e-10
-            assert np.linalg.matrix_rank(block.info) <= model.sensors[block.sensor].C.shape[0]
+            assert np.linalg.matrix_rank(info) <= sensor.C.shape[0]
 
 
 def test_empty_schedule_assembles_prior():
     model = bs.random_scenario(seed=2, n=2, m=3, K=3, r=2)
     ev = bs.build_evaluator(model)
     assembled = bs.assemble_information(ev, bs.Schedule.empty(3))
-    for a, b in zip(assembled.diag, ev.prior.diag):
-        assert a is b
-    assert assembled.upper is ev.prior.upper
+    prior = prior_information(model)
+    np.testing.assert_array_equal(assembled.to_dense(), prior.to_dense())
 
 
 def test_scalar_assembly():
@@ -232,3 +238,36 @@ def test_assemble_rejects_wrong_horizon():
     ev = bs.build_evaluator(scalar_model())
     with pytest.raises(bs.InvalidArgument):
         bs.assemble_information(ev, bs.Schedule.empty(2))
+
+
+def _criterion_2_models():
+    # The draws of acceptance criterion 2, so the sweep is checked on its stream.
+    rng = np.random.default_rng(321)
+    for count in range(100):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, min(6, 60 // n) + 1))
+        m = int(rng.integers(1, 5))
+        r = int(rng.integers(1, min(2, m) + 1))
+        kind = list(bs.ModelKind)[count % 4]
+        yield bs.random_scenario(seed=9000 + count, n=n, m=m, K=k, r=r, kind=kind)
+
+
+def test_sweep_matches_information_form_oracle():
+    rng = np.random.default_rng(2)
+    models = list(_criterion_2_models()) + scenario_stream(100, seed0=777, n_max=4, k_max=6)
+    assert {model.kind for model in models} == set(bs.ModelKind)
+    for model in models:
+        ev = bs.build_evaluator(model)
+        full = bs.Schedule(tuple(tuple(range(r)) for r in model.budgets))
+        schedules = [bs.Schedule.empty(model.horizon), full]
+        schedules += [_random_feasible(rng, model) for _ in range(3)]
+        for schedule in schedules:
+            oracle = oracle_objective(ev, schedule)
+            assert abs(bs.objective_logdet(ev, schedule) - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+def test_prior_logdet_matches_information_form_oracle():
+    for model in scenario_stream(40, seed0=12, n_max=4, k_max=6):
+        ev = bs.build_evaluator(model)
+        oracle = bs.block_tridiag_logdet(prior_information(model))
+        assert abs(ev.prior_logdet - oracle) <= 1e-12 * max(1.0, abs(oracle))

@@ -8,7 +8,7 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import batchsched as bs
-from helpers import scenario_stream
+from helpers import prior_information, scenario_stream
 
 
 def make_continuous(A, F, W, P1, times, sensors=None, budgets=None):
@@ -103,7 +103,7 @@ def test_discrete_singular_noise_rejected():
     with pytest.raises(bs.NotPositiveDefinite, match="Q_1"):
         bs.discretize_interval(model, 0)
     with pytest.raises(bs.NotPositiveDefinite, match="Q_1"):
-        bs.build_prior_information(model)
+        prior_information(model)
 
 
 def test_interval_index_range():
@@ -131,7 +131,7 @@ def scalar_two_step_model():
 
 
 def test_two_step_scalar_information_blocks():
-    info = bs.build_prior_information(scalar_two_step_model())
+    info = prior_information(scalar_two_step_model())
     np.testing.assert_allclose(info.to_dense(), np.array([[2.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_two_step_scalar_dense_covariance():
 
 def test_single_time_prior_is_initial_information():
     model = bs.random_scenario(seed=4, n=3, m=2, K=1, r=1)
-    info = bs.build_prior_information(model)
+    info = prior_information(model)
     assert info.block_count == 1 and info.upper == ()
     np.testing.assert_allclose(
         info.diag[0] @ model.initial_state_cov, np.eye(3), atol=1e-10
@@ -152,7 +152,7 @@ def test_single_time_prior_is_initial_information():
 
 def test_information_matches_dense_oracle():
     model = bs.random_scenario(seed=21, n=3, m=2, K=4, r=1, kind="continuous-invariant")
-    dense_info = bs.build_prior_information(model).to_dense()
+    dense_info = prior_information(model).to_dense()
     oracle = np.linalg.inv(bs.dense_prior_covariance(model))
     rel = np.linalg.norm(dense_info - oracle) / np.linalg.norm(oracle)
     assert rel < 1e-8
@@ -160,7 +160,7 @@ def test_information_matches_dense_oracle():
 
 def test_inverse_consistency_hundred_scenarios():
     for model in scenario_stream(100, seed0=77, n_max=4, k_max=6):
-        dense_info = bs.build_prior_information(model).to_dense()
+        dense_info = prior_information(model).to_dense()
         cov = bs.dense_prior_covariance(model)
         size = dense_info.shape[0]
         residual = np.linalg.norm(dense_info @ cov - np.eye(size)) / math.sqrt(size)
@@ -169,7 +169,7 @@ def test_inverse_consistency_hundred_scenarios():
 
 def test_prior_information_is_positive_definite():
     for model in scenario_stream(40, seed0=5, n_max=4, k_max=6):
-        info = bs.build_prior_information(model)
+        info = prior_information(model)
         value = bs.block_tridiag_logdet(info)  # raises if any pivot fails
         assert math.isfinite(value)
 
@@ -193,8 +193,8 @@ def test_continuous_discrete_agreement():
             budgets=(1, 1, 1),
         )
     )
-    info_c = bs.build_prior_information(cont)
-    info_d = bs.build_prior_information(disc)
+    info_c = prior_information(cont)
+    info_d = prior_information(disc)
     np.testing.assert_allclose(info_c.to_dense(), info_d.to_dense(), atol=1e-12)
 
 
@@ -221,7 +221,7 @@ def test_block_tridiagonal_shape_validation():
 def test_variant_kinds_match_dense_oracle():
     for kind in ("continuous-variant", "discrete-variant"):
         model = bs.random_scenario(seed=13, n=2, m=2, K=4, r=1, kind=kind)
-        dense_info = bs.build_prior_information(model).to_dense()
+        dense_info = prior_information(model).to_dense()
         oracle = np.linalg.inv(bs.dense_prior_covariance(model))
         rel = np.linalg.norm(dense_info - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-8

@@ -1,12 +1,13 @@
 """Greedy scheduling: worked examples, tie-breaking, lazy/eager fidelity."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import batchsched as bs
-from helpers import scenario_stream
+from helpers import scenario_stream, stable_model, two_pass_greedy
 
 
 def one_shot_model(sensors, budget):
@@ -208,3 +209,40 @@ def test_greedy_step_prefix_conditioning():
     prefix = bs.Schedule(selections=(schedule.selections[0], ()))
     step = bs.greedy_step(ev, prefix, 1, model.budgets[1])
     assert step == schedule.selections[1]
+
+
+def test_greedy_matches_two_pass_information_form_greedy():
+    # The criterion-1 stream, against a greedy whose every gain is the
+    # difference of two full information-form evaluations.
+    for model in scenario_stream(200, seed0=1234, n_max=3, m_max=4, k_max=3, r_max=2):
+        ev = bs.build_evaluator(model)
+        for lazy in (False, True):
+            schedule, trace = bs.greedy_schedule(ev, model, bs.GreedyOptions(lazy=lazy))
+            oracle_schedule, oracle_trace, oracle_evaluations = two_pass_greedy(ev, model, lazy)
+            assert schedule == oracle_schedule
+            assert trace.gain_evaluations == oracle_evaluations
+            assert [(e.time_index, e.sensor) for e in trace.entries] == [
+                (k, i) for k, i, _, _ in oracle_trace
+            ]
+            for entry, (_, _, gain, value) in zip(trace.entries, oracle_trace):
+                assert abs(entry.gain - gain) <= 1e-12 * max(1.0, abs(gain))
+                assert abs(entry.objective - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_greedy_time_linear_in_horizon():
+    # Each gain is one measurement update, so a lazy run grows like K; two
+    # full objective passes per gain would grow like K^2.
+    horizons = [64, 128, 256, 512]
+    medians = []
+    for horizon in horizons:
+        model = stable_model(horizon)
+        ev = bs.build_evaluator(model)
+        bs.greedy_schedule(ev, model)  # warm-up
+        samples = []
+        for _ in range(5):
+            start = time.perf_counter()
+            bs.greedy_schedule(ev, model)
+            samples.append(time.perf_counter() - start)
+        medians.append(float(np.median(samples)))
+    exponent = float(np.polyfit(np.log(horizons), np.log(medians), 1)[0])
+    assert exponent <= 1.3, f"fitted exponent {exponent} with medians {medians}"
