@@ -27,11 +27,11 @@ from .errors import (
 from .model import Schedule, SystemModel, model_fingerprint, model_to_dict
 from .objective import (
     ObjectiveEvaluator,
+    SweepState,
+    advance,
     build_evaluator,
     marginal_gain,
     objective_logdet,
-    predict,
-    slot_step,
 )
 from .prior import build_prior_information
 from .scheduler import greedy_schedule
@@ -144,31 +144,28 @@ def brute_force_opt(
 ) -> tuple[Schedule, float]:
     """Exhaustive minimizer over all feasible schedules.
 
-    Walks ``iter_feasible_schedules`` depth first: ``entering[k]`` holds the
-    filter covariance and objective entering slot k under the current
-    schedule's first k slots, and stays valid while those slots do. A
-    schedule thus costs one slot update per slot after the prefix it shares
-    with the previous one, and its value is bit-identical to
-    ``objective_logdet``. Ties break toward the lexicographically smallest
-    schedule, the first one enumerated.
+    Walks ``iter_feasible_schedules`` depth first: ``entering[k]`` is the
+    sweep state entering slot k under the current schedule's first k slots,
+    and stays valid while those slots do. A schedule thus costs one slot
+    update per slot after the prefix it shares with the previous one, and
+    its value, ``objective_logdet`` resumed from the last state, is
+    bit-identical to a full sweep. Ties break toward the lexicographically
+    smallest schedule, the first one enumerated.
     """
     model.require_validated()
     _check_enumeration_cap(model, cap)
     best_schedule = None
     best_value = math.inf
-    entering = [(ev.initial_cov, -ev.prior_logdet)]
+    entering = [SweepState.initial(ev)]
     previous = None
     for schedule in iter_feasible_schedules(model):
         slots = schedule.selections
         if previous is not None:
             changed = next(k for k, (a, b) in enumerate(zip(slots, previous)) if a != b)
             del entering[changed + 1:]
-        for k in range(len(entering), len(slots)):
-            cov, value = entering[k - 1]
-            gain, cov = slot_step(ev, cov, slots[k - 1])
-            entering.append((predict(ev, cov, k - 1), value - gain))
-        cov, value = entering[-1]
-        value -= slot_step(ev, cov, slots[-1])[0]
+        while len(entering) < len(slots):
+            entering.append(advance(ev, slots, entering[-1], len(entering)))
+        value = objective_logdet(ev, schedule, entering[-1])
         if value < best_value:
             best_value = value
             best_schedule = schedule
@@ -358,6 +355,8 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
     interval is discretized again.
     """
     model.require_validated()
+    if ev.horizon != model.horizon or ev.sensor_count != model.sensor_count:
+        raise InvalidArgument("evaluator does not match the model")
     prior = build_prior_information(ev.initial_cov, ev.propagations)
     sigma_w_inv = float(prior.main_diagonal().max())
     if model.sensor_count:

@@ -78,7 +78,8 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     whitened = []
     for i, sensor in enumerate(model.sensors):
         lower = chol_pd(sensor.V, f"V_{i + 1}")
-        white = solve_triangular(lower, sensor.C, lower=True)
+        # Row-major, like the stacked matrix of a multi-sensor slot.
+        white = np.ascontiguousarray(solve_triangular(lower, sensor.C, lower=True))
         white.setflags(write=False)
         whitened.append(white)
     initial_cov = sym(model.initial_state_cov)
@@ -104,7 +105,10 @@ def slot_step(
     """
     if not sensors:
         return 0.0, cov
-    white = np.concatenate([ev.whitened[i] for i in sensors])
+    if len(sensors) == 1:
+        white = ev.whitened[sensors[0]]
+    else:
+        white = np.concatenate([ev.whitened[i] for i in sensors])
     projected = white @ cov
     innovation = projected @ white.T
     for j in range(len(innovation)):
@@ -131,33 +135,73 @@ def predict(ev: ObjectiveEvaluator, cov: np.ndarray, k: int) -> np.ndarray:
     return sym(p.transition @ cov @ p.transition.T + p.noise_cov)
 
 
-def _check_schedule(ev: ObjectiveEvaluator, schedule: Schedule) -> None:
+def check_schedule(ev: ObjectiveEvaluator, schedule: Schedule) -> None:
+    """Raise InvalidArgument unless ``schedule`` fits the evaluator's horizon and sensors."""
     if len(schedule) != ev.horizon:
         raise InvalidArgument(
             f"schedule has {len(schedule)} slots, evaluator expects {ev.horizon}"
         )
+    count = ev.sensor_count
     for k, slot in enumerate(schedule.selections):
-        for i in slot:
-            if not 0 <= i < ev.sensor_count:
-                raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
+        if slot and (min(slot) < 0 or max(slot) >= count):
+            i = next(i for i in slot if not 0 <= i < count)
+            raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
 
 
-def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
+@dataclass(frozen=True, eq=False)
+class SweepState:
+    """The sweep entering time index ``k``: the filter covariance given slots
+    0..k-1, and the objective with only those slots selected. Schedules that
+    share their first k slots share it."""
+
+    k: int
+    cov: np.ndarray
+    value: float
+
+    @classmethod
+    def initial(cls, ev: ObjectiveEvaluator) -> SweepState:
+        return cls(0, ev.initial_cov, -ev.prior_logdet)
+
+
+def advance(
+    ev: ObjectiveEvaluator, slots: tuple[tuple[int, ...], ...], start: SweepState, stop: int
+) -> SweepState:
+    """The state entering slot ``stop`` >= ``start.k``: a measurement update
+    by ``slots[k]`` and a time update for each slot in between.
+
+    Sensor indices are not checked; ``check_schedule`` does that.
+    """
+    cov, value = start.cov, start.value
+    for k in range(start.k, stop):
+        gain, cov = slot_step(ev, cov, slots[k])
+        cov = predict(ev, cov, k)
+        value -= gain
+    return SweepState(stop, cov, value)
+
+
+def objective_logdet(
+    ev: ObjectiveEvaluator, schedule: Schedule, start: SweepState | None = None
+) -> float:
     """Log-determinant of the batch error covariance under ``schedule``.
 
     One filter sweep; it stops at the last slot with a measurement, since
-    later time updates change no term.
+    later time updates change no term. ``start`` resumes the sweep from a
+    state that ``advance`` returned for this schedule's own first slots;
+    the value is bit-identical to a sweep from time index 0.
     """
-    _check_schedule(ev, schedule)
+    check_schedule(ev, schedule)
+    start = start or SweepState.initial(ev)
+    if not 0 <= start.k < ev.horizon:
+        raise InvalidArgument(f"sweep state at time index {start.k} outside horizon {ev.horizon}")
     slots = schedule.selections
-    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
-    cov, value = ev.initial_cov, -ev.prior_logdet
-    for k in range(last + 1):
-        if k:
-            cov = predict(ev, cov, k - 1)
-        gain, cov = slot_step(ev, cov, slots[k])
-        value -= gain
-    return value
+    last = len(slots) - 1
+    while last >= start.k and not slots[last]:
+        last -= 1
+    if last < start.k:
+        return start.value
+    if last > start.k:
+        start = advance(ev, slots, start, last)
+    return start.value - slot_step(ev, start.cov, slots[last])[0]
 
 
 def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
@@ -183,7 +227,7 @@ def assemble_information(ev: ObjectiveEvaluator, schedule: Schedule) -> BlockTri
     The information-form oracle: built from the evaluator's stored
     intervals, so no interval is discretized again.
     """
-    _check_schedule(ev, schedule)
+    check_schedule(ev, schedule)
     prior = build_prior_information(ev.initial_cov, ev.propagations)
     diag = list(prior.diag)
     for k, slot in enumerate(schedule.selections):

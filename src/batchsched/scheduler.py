@@ -22,7 +22,15 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .model import Schedule, SystemModel
-from .objective import ObjectiveEvaluator, objective_logdet, predict, slot_step
+from .objective import (
+    ObjectiveEvaluator,
+    SweepState,
+    advance,
+    check_schedule,
+    objective_logdet,
+    predict,
+    slot_step,
+)
 
 # Gains within this absolute distance of the step's best gain count as tied;
 # ties resolve to the smallest sensor index so runs are reproducible and the
@@ -79,11 +87,9 @@ def greedy_step(
         raise InvalidArgument(f"budget must be nonnegative, got {budget}")
     if any(prefix.selections[k:]):
         raise InvalidArgument(f"slot {k} and every later slot must be empty before the greedy step")
-    value = objective_logdet(ev, prefix)  # also validates the prefix
-    cov = ev.initial_cov
-    for j in range(k):
-        cov = predict(ev, slot_step(ev, cov, prefix.selections[j])[1], j)
-    outcome = _greedy_step(ev, cov, value, budget, opts)
+    check_schedule(ev, prefix)
+    state = advance(ev, prefix.selections, SweepState.initial(ev), k)
+    outcome = _greedy_step(ev, state.cov, state.value, budget, opts)
     return tuple(sorted(i for i, _, _ in outcome.accepted))
 
 

@@ -201,6 +201,14 @@ def test_bound_inputs_scalar():
     assert b.r_max == 1 and b.state_dim == 1 and b.horizon == 1
 
 
+
+def test_bound_inputs_rejects_mismatched_evaluator():
+    model = bs.random_scenario(seed=3, n=2, m=2, K=3, r=1)
+    other = bs.random_scenario(seed=3, n=2, m=2, K=4, r=1)
+    with pytest.raises(bs.InvalidArgument):
+        bs.bound_inputs(bs.build_evaluator(other), model)
+
+
 def test_error_lower_bound_scalar_tight():
     model = scalar_model()
     ev = bs.build_evaluator(model)

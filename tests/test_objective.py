@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import batchsched as bs
+from batchsched import objective
 from batchsched.analysis import _random_feasible
 from helpers import (
     dense_logdet,
@@ -15,6 +16,7 @@ from helpers import (
     prior_information,
     random_block_tridiagonal_pd,
     scenario_stream,
+    stable_model,
 )
 
 
@@ -256,14 +258,35 @@ def test_sweep_matches_information_form_oracle():
     rng = np.random.default_rng(2)
     models = list(_criterion_2_models()) + scenario_stream(100, seed0=777, n_max=4, k_max=6)
     assert {model.kind for model in models} == set(bs.ModelKind)
-    for model in models:
+    # Roundoff grows with the horizon in both forms: at K=256 they agree to
+    # 1.5e-12 relative, and a sweep whose updates lose precision drifts far
+    # past the looser bound.
+    long_models = [stable_model(horizon, seed=seed) for horizon in (128, 256) for seed in (99, 2)]
+    for group, tol in ((models, 1e-12), (long_models, 1e-11)):
+        for model in group:
+            ev = bs.build_evaluator(model)
+            full = bs.Schedule(tuple(tuple(range(r)) for r in model.budgets))
+            schedules = [bs.Schedule.empty(model.horizon), full]
+            schedules += [_random_feasible(rng, model) for _ in range(3)]
+            for schedule in schedules:
+                oracle = oracle_objective(ev, schedule)
+                error = abs(bs.objective_logdet(ev, schedule) - oracle)
+                assert error <= tol * max(1.0, abs(oracle))
+
+
+def test_sweep_resumes_from_a_shared_prefix_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for model in scenario_stream(30, seed0=55, n_max=4, k_max=5):
         ev = bs.build_evaluator(model)
-        full = bs.Schedule(tuple(tuple(range(r)) for r in model.budgets))
-        schedules = [bs.Schedule.empty(model.horizon), full]
-        schedules += [_random_feasible(rng, model) for _ in range(3)]
-        for schedule in schedules:
-            oracle = oracle_objective(ev, schedule)
-            assert abs(bs.objective_logdet(ev, schedule) - oracle) <= 1e-12 * max(1.0, abs(oracle))
+        schedule = _random_feasible(rng, model)
+        value = bs.objective_logdet(ev, schedule)
+        state = objective.SweepState.initial(ev)
+        for k in range(model.horizon):
+            state = objective.advance(ev, schedule.selections, state, k)
+            assert bs.objective_logdet(ev, schedule, state) == value
+        past_end = objective.SweepState(model.horizon, ev.initial_cov, 0.0)
+        with pytest.raises(bs.InvalidArgument):
+            bs.objective_logdet(ev, schedule, past_end)
 
 
 def test_prior_logdet_matches_information_form_oracle():
