@@ -25,10 +25,18 @@ def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(name) from None
+        raise NotPositiveDefinite(
+            f"{name} is not positive definite: its Cholesky factorization meets a pivot <= 0 "
+            f"(pivot ratio <= 0, PD_PIVOT_RTOL = {PD_PIVOT_RTOL:g})"
+        ) from None
     pivots = np.diagonal(lower) ** 2
-    if not np.all(pivots > PD_PIVOT_RTOL * max(float(np.diagonal(a).max()), 0.0)):
-        raise NotPositiveDefinite(name)
+    # The factorization succeeded, so every diagonal entry is positive.
+    scale = float(np.diagonal(a).max())
+    if not np.all(pivots > PD_PIVOT_RTOL * scale):
+        raise NotPositiveDefinite(
+            f"{name} is not positive definite: smallest Cholesky pivot ratio "
+            f"{float(pivots.min()) / scale:.3g} <= PD_PIVOT_RTOL = {PD_PIVOT_RTOL:g}"
+        )
     return lower
 
 
@@ -41,15 +49,3 @@ def pd_inverse(a: np.ndarray, name: str) -> np.ndarray:
     lower = chol_pd(a, name)
     inv_lower = solve_triangular(lower, np.eye(a.shape[0]), lower=True)
     return sym(inv_lower.T @ inv_lower)
-
-
-def chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L.T) x = b given the lower factor L."""
-    y = solve_triangular(lower, b, lower=True)
-    return solve_triangular(lower.T, y, lower=False)
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))

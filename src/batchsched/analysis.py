@@ -9,6 +9,7 @@ error variance for any feasible schedule.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, product
@@ -16,8 +17,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ._linalg import spectral_norm
-from .caps import enumeration_cap
 from .errors import (
     EnumerationCapExceeded,
     GuaranteeViolated,
@@ -35,6 +34,12 @@ from .objective import (
 )
 from .prior import build_prior_information
 from .scheduler import greedy_schedule
+
+# Largest number of feasible schedules exhaustive search may enumerate; an
+# explicit ``cap`` argument, then the CAP_ENV_VAR environment variable,
+# override it.
+ENUMERATION_CAP_DEFAULT = 2_000_000
+CAP_ENV_VAR = "BATCHSCHED_ORACLE_CAP"
 
 RATIO_TOL = 1e-9
 DEGENERATE_SPREAD = 1e-12
@@ -131,12 +136,17 @@ def iter_feasible_schedules(model: SystemModel) -> Iterator[Schedule]:
         yield Schedule(selections=slots)
 
 
-def _check_enumeration_cap(model: SystemModel, cap: int | None) -> int:
+def _check_enumeration_cap(model: SystemModel, cap: int | None) -> None:
     count = feasible_schedule_count(model)
-    limit = enumeration_cap(cap)
+    limit = cap
+    if limit is None:
+        raw = os.environ.get(CAP_ENV_VAR)
+        try:
+            limit = ENUMERATION_CAP_DEFAULT if raw is None else int(raw)
+        except ValueError:
+            raise InvalidArgument(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if count > limit:
         raise EnumerationCapExceeded(f"{count} feasible schedules exceed cap {limit}")
-    return count
 
 
 def brute_force_opt(
@@ -358,13 +368,13 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
     if ev.horizon != model.horizon or ev.sensor_count != model.sensor_count:
         raise InvalidArgument("evaluator does not match the model")
     prior = build_prior_information(ev.initial_cov, ev.propagations)
-    sigma_w_inv = float(prior.main_diagonal().max())
+    sigma_w_inv = max(float(np.diagonal(block).max()) for block in prior.diag)
     if model.sensor_count:
         sigma_v_inv = max(
             1.0 / float(np.linalg.eigvalsh(sensor.V)[0]) for sensor in model.sensors
         )
         stacked = np.vstack([sensor.C for sensor in model.sensors])
-        c_norm_sq = spectral_norm(stacked) ** 2
+        c_norm_sq = float(np.linalg.norm(stacked, 2)) ** 2
     else:
         sigma_v_inv = 0.0
         c_norm_sq = 0.0

@@ -7,8 +7,8 @@ the property fuzzers. Every command reads and writes JSON; output files are
 written atomically. All randomness flows through an explicit --seed.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 invalid configuration
-or flags, 3 size cap exceeded, 4 certified guarantee or fuzzed property
-violated (an implementation-bug signal).
+or flags, 3 exhaustive-search enumeration cap exceeded, 4 certified
+guarantee or fuzzed property violated (an implementation-bug signal).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     EnumerationCapExceeded,
     GuaranteeViolated,
     InvalidArgument,
-    OracleCapExceeded,
     PropertyViolated,
 )
 from .model import (
@@ -323,7 +322,7 @@ def main(argv=None) -> int:
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OracleCapExceeded, EnumerationCapExceeded) as exc:
+    except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except BatchSchedError as exc:

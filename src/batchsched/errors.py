@@ -31,10 +31,6 @@ class SensorAlreadySelected(BatchSchedError):
     """Attempt to add a sensor to a time slot that already contains it."""
 
 
-class OracleCapExceeded(BatchSchedError):
-    """A dense-oracle computation was requested above the configured size cap."""
-
-
 class EnumerationCapExceeded(BatchSchedError):
     """Exhaustive schedule enumeration was requested above the configured cap."""
 

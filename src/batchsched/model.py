@@ -168,15 +168,19 @@ class Schedule:
     def to_lists(self) -> list[list[int]]:
         return [list(s) for s in self.selections]
 
-    def validate_for(self, model: SystemModel) -> "Schedule":
-        if len(self.selections) != model.horizon:
-            raise InvalidArgument(
-                f"schedule has {len(self.selections)} slots, model expects {model.horizon}"
-            )
+    def check_shape(self, horizon: int, sensor_count: int) -> None:
+        """Raise InvalidArgument unless the schedule has ``horizon`` slots
+        and every sensor index lies in [0, sensor_count)."""
+        if len(self.selections) != horizon:
+            raise InvalidArgument(f"schedule has {len(self.selections)} slots, expected {horizon}")
         for k, slot in enumerate(self.selections):
-            for i in slot:
-                if not 0 <= i < model.sensor_count:
-                    raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
+            if slot and (min(slot) < 0 or max(slot) >= sensor_count):
+                i = next(i for i in slot if not 0 <= i < sensor_count)
+                raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
+
+    def validate_for(self, model: SystemModel) -> "Schedule":
+        self.check_shape(model.horizon, model.sensor_count)
+        for k, slot in enumerate(self.selections):
             if len(slot) > model.budgets[k]:
                 raise BudgetOutOfRange(
                     f"time index {k} selects {len(slot)} sensors, budget is {model.budgets[k]}"

@@ -1,4 +1,4 @@
-"""Objective evaluation as one Kalman-filter sweep.
+"""Objective and error trace from one Kalman-filter sweep.
 
 The quantity being minimized is the log-determinant of the batch
 estimation-error covariance. By the prediction-error decomposition
@@ -10,9 +10,8 @@ and P the filter covariance just before each sequential update,
 
 so an evaluation is one forward sweep of measurement and time updates, and
 a sensor's gain with later slots empty is a single small log-determinant.
-The information form (block tri-diagonal prior plus sensor increments)
-stays as the oracle the sweep is checked against, and as the dense input of
-the error trace.
+The error trace adds one backward pass to the same sweep. The information
+form (``prior``) is the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -23,21 +22,13 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from ._linalg import chol_pd, chol_solve, logdet_from_cholesky, sym
-from .caps import dense_cap
-from .errors import (
-    InvalidArgument,
-    NotPositiveDefinite,
-    OracleCapExceeded,
-    SensorAlreadySelected,
-)
+from ._linalg import chol_pd, logdet_from_cholesky, sym
+from .errors import InvalidArgument, NotPositiveDefinite, SensorAlreadySelected
 from .model import Schedule, SystemModel
-from .prior import (
-    BlockTridiagonal,
-    IntervalPropagation,
-    build_prior_information,
-    discretize_intervals,
-)
+# Nothing here uses the information form: build_prior_information stays
+# importable from this module only because bench/tracing.py lists it as a
+# wrap point and bench/test_bench.py requires every wrap point to exist.
+from .prior import IntervalPropagation, build_prior_information, discretize_intervals  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,19 +83,15 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     )
 
 
-def slot_step(
+def _measure(
     ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...]
-) -> tuple[float, np.ndarray]:
-    """Measurement update of the filter covariance P by every sensor of one slot.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measurement update of the filter covariance P by a nonempty slot.
 
-    Returns the slot's gain logdet(I + W P W.T), with W the sensors' stacked
-    whitened matrices, and the conditioned covariance. The gain equals the
-    sum of the sensors' sequential gains. Every evaluation path (sweep,
-    greedy candidate, exhaustive search) conditions through here, so equal
-    calls give bit-identical values.
+    Returns W, the sensors' stacked whitened matrices; the lower Cholesky
+    factor L of the innovation covariance I + W P W.T; and the conditioned
+    covariance P - (L^-1 W P).T (L^-1 W P).
     """
-    if not sensors:
-        return 0.0, cov
     if len(sensors) == 1:
         white = ev.whitened[sensors[0]]
     else:
@@ -126,26 +113,30 @@ def slot_step(
     factor, _ = dtrtrs(lower, projected, lower=1)
     # factor.T @ factor is computed as a symmetric rank-d product, so the
     # covariance stays exactly symmetric.
-    return logdet_from_cholesky(lower), cov - factor.T @ factor
+    return white, lower, cov - factor.T @ factor
+
+
+def slot_step(
+    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...]
+) -> tuple[float, np.ndarray]:
+    """Measurement update of the filter covariance P by every sensor of one slot.
+
+    Returns the slot's gain logdet(I + W P W.T), with W the sensors' stacked
+    whitened matrices, and the conditioned covariance. The gain equals the
+    sum of the sensors' sequential gains. Every evaluation path (sweep,
+    greedy candidate, exhaustive search, error trace) conditions through
+    ``_measure``, so equal calls give bit-identical values.
+    """
+    if not sensors:
+        return 0.0, cov
+    _, lower, cov = _measure(ev, cov, sensors)
+    return logdet_from_cholesky(lower), cov
 
 
 def predict(ev: ObjectiveEvaluator, cov: np.ndarray, k: int) -> np.ndarray:
     """Filter covariance at time index k+1 from the conditioned one at k."""
     p = ev.propagations[k]
     return sym(p.transition @ cov @ p.transition.T + p.noise_cov)
-
-
-def check_schedule(ev: ObjectiveEvaluator, schedule: Schedule) -> None:
-    """Raise InvalidArgument unless ``schedule`` fits the evaluator's horizon and sensors."""
-    if len(schedule) != ev.horizon:
-        raise InvalidArgument(
-            f"schedule has {len(schedule)} slots, evaluator expects {ev.horizon}"
-        )
-    count = ev.sensor_count
-    for k, slot in enumerate(schedule.selections):
-        if slot and (min(slot) < 0 or max(slot) >= count):
-            i = next(i for i in slot if not 0 <= i < count)
-            raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +160,7 @@ def advance(
     """The state entering slot ``stop`` >= ``start.k``: a measurement update
     by ``slots[k]`` and a time update for each slot in between.
 
-    Sensor indices are not checked; ``check_schedule`` does that.
+    Sensor indices are not checked; ``Schedule.check_shape`` does that.
     """
     cov, value = start.cov, start.value
     for k in range(start.k, stop):
@@ -189,7 +180,7 @@ def objective_logdet(
     state that ``advance`` returned for this schedule's own first slots;
     the value is bit-identical to a sweep from time index 0.
     """
-    check_schedule(ev, schedule)
+    schedule.check_shape(ev.horizon, ev.sensor_count)
     start = start or SweepState.initial(ev)
     if not 0 <= start.k < ev.horizon:
         raise InvalidArgument(f"sweep state at time index {start.k} outside horizon {ev.horizon}")
@@ -221,55 +212,50 @@ def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) ->
     return base - objective_logdet(ev, schedule.with_added(k, i))
 
 
-def assemble_information(ev: ObjectiveEvaluator, schedule: Schedule) -> BlockTridiagonal:
-    """Prior information plus C_i.T V_i^-1 C_i = W_i.T W_i per scheduled sensor.
-
-    The information-form oracle: built from the evaluator's stored
-    intervals, so no interval is discretized again.
-    """
-    check_schedule(ev, schedule)
-    prior = build_prior_information(ev.initial_cov, ev.propagations)
-    diag = list(prior.diag)
-    for k, slot in enumerate(schedule.selections):
-        if slot:
-            total = diag[k].copy()
-            for i in slot:
-                total += ev.whitened[i].T @ ev.whitened[i]
-            diag[k] = sym(total)
-            diag[k].setflags(write=False)
-    return BlockTridiagonal(diag=tuple(diag), upper=prior.upper)
-
-
-def block_tridiag_logdet(j: BlockTridiagonal) -> float:
-    """Log-determinant of a positive-definite block tri-diagonal matrix.
-
-    Forward block Schur recursion: D_1 = diag_1 and
-    D_k = diag_k - upper_{k-1}.T D_{k-1}^-1 upper_{k-1}; the log determinant
-    is the sum of the D_k log determinants, each read off a Cholesky factor.
-    Single pass, K block operations. Kept as the oracle for the sweep.
-    """
-    total = 0.0
-    d = j.diag[0]
-    for k in range(j.block_count):
-        lower = chol_pd(d, f"D_{k + 1}")
-        total += logdet_from_cholesky(lower)
-        if k + 1 < j.block_count:
-            u = j.upper[k]
-            d = sym(j.diag[k + 1] - u.T @ chol_solve(lower, u))
-    return total
-
-
-def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule, cap: int | None = None) -> float:
+def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """Trace of the batch error covariance, i.e. the total error variance.
 
-    Densifies the information matrix, so it is gated by the dense cap; the
-    trace of the inverse comes from triangular solves against the identity.
+    The forward sweep keeps each slot's predicted covariance P and, for a
+    measured slot, G = L^-1 W from the innovation factor. A modified
+    Bryson-Frazier backward pass (Bierman, Factorization Methods for
+    Discrete Sequential Estimation, 1977) then carries the adjoint
+    covariance Lambda, zero after the last measured slot:
+
+        Lambda <- G.T G + (I - P G.T G).T Lambda (I - P G.T G)   at a measured slot,
+        tr Sigma_kk = tr P - tr(P Lambda P),
+        Lambda <- Phi.T Lambda Phi                                between slots.
+
+    No covariance is inverted. The cost is O(K n^3), like one sweep.
     """
-    size = ev.state_dim * ev.horizon
-    limit = dense_cap(cap)
-    if size > limit:
-        raise OracleCapExceeded(f"n*K = {size} exceeds dense cap {limit}")
-    dense = assemble_information(ev, schedule).to_dense()
-    lower = chol_pd(dense, "information")
-    inv_lower = solve_triangular(lower, np.eye(size), lower=True)
-    return float(np.sum(inv_lower * inv_lower))
+    schedule.check_shape(ev.horizon, ev.sensor_count)
+    slots = schedule.selections
+    last = len(slots) - 1
+    while last >= 0 and not slots[last]:
+        last -= 1
+    steps = []  # (P, G or None) for each slot up to the last measured one
+    cov = ev.initial_cov
+    total = 0.0
+    for k in range(ev.horizon):
+        if k > last:
+            # No later measurement: the smoothed covariance is the predicted one.
+            total += float(np.trace(cov))
+        elif slots[k]:
+            white, lower, conditioned = _measure(ev, cov, slots[k])
+            steps.append((cov, dtrtrs(lower, white, lower=1)[0]))
+            cov = conditioned
+        else:
+            steps.append((cov, None))
+        if k + 1 < ev.horizon:
+            cov = predict(ev, cov, k)
+    adjoint = np.zeros((ev.state_dim, ev.state_dim))
+    for k in range(last, -1, -1):
+        cov, g = steps[k]
+        if g is not None:
+            info = g.T @ g
+            keep = np.eye(ev.state_dim) - cov @ info
+            adjoint = sym(info + keep.T @ adjoint @ keep)
+        total += float(np.trace(cov)) - float(np.sum((cov @ adjoint) * cov))
+        if k:
+            phi = ev.propagations[k - 1].transition
+            adjoint = phi.T @ adjoint @ phi
+    return total

@@ -1,23 +1,26 @@
-"""Batch prior for the stacked state sequence.
+"""Batch prior and the information form of the stacked state sequence.
 
 Discretizes the dynamics per inter-measurement interval. The information
 matrix (inverse covariance) of the stacked state, symmetric block
-tri-diagonal, is assembled from those intervals on demand; it and a dense
-propagation oracle are the ground truth the filter-form objective is
-checked against.
+tri-diagonal, is assembled from those intervals on demand, with or without
+a schedule's sensor information; it and its block Schur log-determinant are
+the oracle the filter-form objective and error trace are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
 
 from ._linalg import chol_pd, logdet_from_cholesky, pd_inverse, sym
-from .caps import dense_cap
-from .errors import DimensionMismatch, InvalidArgument, OracleCapExceeded
-from .model import SystemModel
+from .errors import DimensionMismatch, InvalidArgument
+from .model import Schedule, SystemModel
+
+if TYPE_CHECKING:
+    from .objective import ObjectiveEvaluator
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +82,6 @@ class BlockTridiagonal:
             out[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = b.T
         return out
 
-    def main_diagonal(self) -> np.ndarray:
-        return np.concatenate([np.diagonal(b) for b in self.diag])
-
 
 def discretize_interval(model: SystemModel, j: int) -> IntervalPropagation:
     """Transition and accumulated noise covariance over interval j (0-based).
@@ -139,8 +139,9 @@ def build_prior_information(
         diag_K = Q_{K-1}^-1
         upper_j = -Phi_j.T Q_j^-1
 
-    The dense form of the result inverts ``dense_prior_covariance(model)``;
-    that oracle, not the formulas above, is the correctness contract.
+    The dense form of the result inverts the stacked state's covariance from
+    direct propagation; that oracle (in the tests), not the formulas above,
+    is the correctness contract.
     """
     p1_inv = pd_inverse(initial_cov, "P_1")
     if not props:
@@ -160,28 +161,40 @@ def build_prior_information(
     return BlockTridiagonal.from_blocks(diag, upper)
 
 
-def dense_prior_covariance(model: SystemModel, cap: int | None = None) -> np.ndarray:
-    """Dense covariance of the stacked state, by direct propagation.
+def assemble_information(ev: ObjectiveEvaluator, schedule: Schedule) -> BlockTridiagonal:
+    """Prior information plus C_i.T V_i^-1 C_i = W_i.T W_i per scheduled sensor.
 
-    Block (j, k) with j >= k equals Phi(t_j, t_k) Var(x(t_k)), where the
-    per-time variances follow Var(x(t_{k+1})) = Phi_k Var(x(t_k)) Phi_k.T + Q_k
-    from Var(x(t_1)) = P_1. Refuses stacked dimensions above the dense cap.
+    Built from the evaluator's stored intervals, so no interval is
+    discretized again.
     """
-    model.require_validated()
-    n, horizon = model.state_dim, model.horizon
-    limit = dense_cap(cap)
-    if n * horizon > limit:
-        raise OracleCapExceeded(f"n*K = {n * horizon} exceeds dense cap {limit}")
-    props = discretize_intervals(model)
-    variances = [np.array(model.initial_state_cov)]
-    for p in props:
-        variances.append(sym(p.transition @ variances[-1] @ p.transition.T + p.noise_cov))
-    out = np.zeros((n * horizon, n * horizon))
-    for k in range(horizon):
-        out[k * n:(k + 1) * n, k * n:(k + 1) * n] = variances[k]
-        cross = variances[k]
-        for j in range(k + 1, horizon):
-            cross = props[j - 1].transition @ cross
-            out[j * n:(j + 1) * n, k * n:(k + 1) * n] = cross
-            out[k * n:(k + 1) * n, j * n:(j + 1) * n] = cross.T
-    return sym(out)
+    schedule.check_shape(ev.horizon, ev.sensor_count)
+    prior = build_prior_information(ev.initial_cov, ev.propagations)
+    diag = list(prior.diag)
+    for k, slot in enumerate(schedule.selections):
+        if slot:
+            total = diag[k].copy()
+            for i in slot:
+                total += ev.whitened[i].T @ ev.whitened[i]
+            diag[k] = sym(total)
+            diag[k].setflags(write=False)
+    return BlockTridiagonal(diag=tuple(diag), upper=prior.upper)
+
+
+def block_tridiag_logdet(j: BlockTridiagonal) -> float:
+    """Log-determinant of a positive-definite block tri-diagonal matrix.
+
+    Forward block Schur recursion: D_1 = diag_1 and
+    D_k = diag_k - upper_{k-1}.T D_{k-1}^-1 upper_{k-1}; the log determinant
+    is the sum of the D_k log determinants, each read off a Cholesky factor.
+    Single pass, K block operations.
+    """
+    total = 0.0
+    d = j.diag[0]
+    for k in range(j.block_count):
+        lower = chol_pd(d, f"D_{k + 1}")
+        total += logdet_from_cholesky(lower)
+        if k + 1 < j.block_count:
+            # lower^-1 upper_k, so that D_{k+1} subtracts its Gram matrix.
+            half = solve_triangular(lower, j.upper[k], lower=True)
+            d = sym(j.diag[k + 1] - half.T @ half)
+    return total

@@ -26,7 +26,6 @@ from .objective import (
     ObjectiveEvaluator,
     SweepState,
     advance,
-    check_schedule,
     objective_logdet,
     predict,
     slot_step,
@@ -87,7 +86,7 @@ def greedy_step(
         raise InvalidArgument(f"budget must be nonnegative, got {budget}")
     if any(prefix.selections[k:]):
         raise InvalidArgument(f"slot {k} and every later slot must be empty before the greedy step")
-    check_schedule(ev, prefix)
+    prefix.check_shape(ev.horizon, ev.sensor_count)
     state = advance(ev, prefix.selections, SweepState.initial(ev), k)
     outcome = _greedy_step(ev, state.cov, state.value, budget, opts)
     return tuple(sorted(i for i, _, _ in outcome.accepted))

@@ -6,9 +6,10 @@ import heapq
 import math
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
 
 import batchsched as bs
+from batchsched._linalg import sym
 
 ALL_KINDS = tuple(bs.ModelKind)
 
@@ -61,6 +62,37 @@ def dense_logdet(matrix):
     return float(value)
 
 
+def dense_prior_covariance(model):
+    """Dense covariance of the stacked state, by direct propagation.
+
+    Block (j, k) with j >= k equals Phi(t_j, t_k) Var(x(t_k)), where the
+    per-time variances follow Var(x(t_{k+1})) = Phi_k Var(x(t_k)) Phi_k.T + Q_k
+    from Var(x(t_1)) = P_1.
+    """
+    n, horizon = model.state_dim, model.horizon
+    props = bs.discretize_intervals(model)
+    variances = [np.array(model.initial_state_cov)]
+    for p in props:
+        variances.append(sym(p.transition @ variances[-1] @ p.transition.T + p.noise_cov))
+    out = np.zeros((n * horizon, n * horizon))
+    for k in range(horizon):
+        out[k * n:(k + 1) * n, k * n:(k + 1) * n] = variances[k]
+        cross = variances[k]
+        for j in range(k + 1, horizon):
+            cross = props[j - 1].transition @ cross
+            out[j * n:(j + 1) * n, k * n:(k + 1) * n] = cross
+            out[k * n:(k + 1) * n, j * n:(j + 1) * n] = cross.T
+    return sym(out)
+
+
+def dense_error_trace(ev, schedule):
+    """Trace of the batch error covariance by inverting the dense information matrix."""
+    dense = bs.assemble_information(ev, schedule).to_dense()
+    lower = np.linalg.cholesky(dense)
+    inv_lower = solve_triangular(lower, np.eye(len(dense)), lower=True)
+    return float(np.sum(inv_lower * inv_lower))
+
+
 def measurement_form_covariance(model, schedule):
     """Batch error covariance assembled literally from stacked selection matrices.
 
@@ -94,7 +126,7 @@ def measurement_form_covariance(model, schedule):
     if selection.size == 0:
         selection = selection.reshape(0, total * horizon)
 
-    cov_x = bs.dense_prior_covariance(model)
+    cov_x = dense_prior_covariance(model)
     c_full = np.kron(np.eye(horizon), stacked_c)
     v_full = np.kron(np.eye(horizon), stacked_v)
     observed = selection @ c_full

@@ -15,6 +15,7 @@ from batchsched.analysis import _random_feasible
 from batchsched.cli import main as cli_main
 from helpers import (
     dense_logdet,
+    dense_prior_covariance,
     measurement_form_covariance,
     prior_information,
     random_block_tridiagonal_pd,
@@ -76,7 +77,7 @@ def test_criterion_3_sparsity_correctness():
     with criterion(3, "block formulas invert the dense prior; sparse log det matches dense"):
         for model in scenario_stream(100, seed0=777, n_max=4, k_max=6):
             dense_info = prior_information(model).to_dense()
-            oracle = np.linalg.inv(bs.dense_prior_covariance(model))
+            oracle = np.linalg.inv(dense_prior_covariance(model))
             rel = np.linalg.norm(dense_info - oracle) / np.linalg.norm(oracle)
             assert rel < 1e-8
         rng = np.random.default_rng(888)

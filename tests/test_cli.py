@@ -300,5 +300,34 @@ def test_long_horizon_invariant_scenarios_evaluate(tmp_path, kind, K):
         assert math.isfinite(json.loads(Path(out).read_text())["objective"])
     assert run(["fuzz", *config, "--property", "super", "--trials", "4", "--seed", "1"]) == 0
     assert json.loads(Path(out).read_text())["violations"] == 0
-    # The error trace is still dense, and n*K exceeds its cap of 400.
-    assert run(["bounds", *config]) == 3
+    assert run(["bounds", *config]) == 0
+    _assert_bounds_ordered(json.loads(Path(out).read_text()))
+
+
+def _assert_bounds_ordered(report):
+    values = [report["lower_bound"], report["trace_greedy"], report["trace_empty"]]
+    assert all(math.isfinite(v) for v in values)
+    assert values == sorted(values)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bounds_evaluates_the_trace_where_the_dense_inverse_failed(tmp_path, seed):
+    # n*K = 384: the dense information matrix of these scenarios failed its
+    # Cholesky factorization.
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "b.json"
+    assert run(gen_args(scenario, seed=seed, n=6, m=10, K=64, r=3)) == 0
+    assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 0
+    _assert_bounds_ordered(json.loads(out.read_text()))
+
+
+def test_non_positive_definite_sensor_noise_exits_2_with_its_pivot_ratio(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario, seed=4))
+    data = json.loads(scenario.read_text())
+    data["sensors"][0]["V"] = [[1.0, 0.0], [0.0, 1e-15]]
+    scenario.write_text(json.dumps(data))
+    assert run(["schedule", "--config", str(scenario), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "V_1 is not positive definite: smallest Cholesky pivot ratio 1e-15" in err
+    assert "PD_PIVOT_RTOL = 1e-12" in err

@@ -10,7 +10,9 @@ import batchsched as bs
 from batchsched import objective
 from batchsched.analysis import _random_feasible
 from helpers import (
+    dense_error_trace,
     dense_logdet,
+    dense_prior_covariance,
     measurement_form_covariance,
     oracle_objective,
     prior_information,
@@ -135,7 +137,7 @@ def test_objective_empty_equals_prior_logdet():
     for model in scenario_stream(10, seed0=8):
         ev = bs.build_evaluator(model)
         empty = bs.Schedule.empty(model.horizon)
-        cov_logdet = dense_logdet(bs.dense_prior_covariance(model))
+        cov_logdet = dense_logdet(dense_prior_covariance(model))
         assert bs.objective_logdet(ev, empty) == pytest.approx(cov_logdet, abs=1e-8)
         # The cached prior log-determinant comes from the identical code path.
         assert bs.objective_logdet(ev, empty) == -ev.prior_logdet
@@ -211,15 +213,41 @@ def test_batch_error_trace_scalar():
 def test_batch_error_trace_empty_equals_prior_trace():
     model = bs.random_scenario(seed=6, n=3, m=2, K=3, r=1)
     ev = bs.build_evaluator(model)
-    expected = float(np.trace(bs.dense_prior_covariance(model)))
+    expected = float(np.trace(dense_prior_covariance(model)))
     assert bs.batch_error_trace(ev, bs.Schedule.empty(3)) == pytest.approx(expected, rel=1e-9)
 
 
-def test_batch_error_trace_cap():
-    model = bs.random_scenario(seed=6, n=3, m=2, K=3, r=1)
+@pytest.mark.parametrize("K", [16, 32, 64])
+@pytest.mark.parametrize("kind", [k.value for k in bs.ModelKind])
+def test_batch_error_trace_empty_is_exact_prior_trace(kind, K):
+    # With nothing measured the backward pass adds nothing: the trace is the
+    # forward propagation of the prior, sum_k tr Var(x_k).
+    model = bs.random_scenario(seed=0, n=6, m=10, K=K, r=3, kind=kind)
     ev = bs.build_evaluator(model)
-    with pytest.raises(bs.OracleCapExceeded):
-        bs.batch_error_trace(ev, bs.Schedule.empty(3), cap=8)
+    expected = float(np.trace(dense_prior_covariance(model)))
+    assert abs(bs.batch_error_trace(ev, bs.Schedule.empty(K)) - expected) <= 1e-12 * expected
+
+
+def test_batch_error_trace_matches_dense_oracle():
+    # The streams of acceptance criteria 2, 3 and 5.
+    rng = np.random.default_rng(5)
+    models = list(_criterion_2_models())
+    models += scenario_stream(100, seed0=777, n_max=4, k_max=6)
+    models += scenario_stream(20, seed0=135, n_max=3, m_max=3, k_max=2, r_max=2)
+    for model in models:
+        ev = bs.build_evaluator(model)
+        greedy, _ = bs.greedy_schedule(ev, model)
+        for schedule in (bs.Schedule.empty(model.horizon), _random_feasible(rng, model), greedy):
+            oracle = dense_error_trace(ev, schedule)
+            assert abs(bs.batch_error_trace(ev, schedule) - oracle) <= 1e-10 * oracle
+
+
+def test_batch_error_trace_rejects_a_mismatched_schedule():
+    ev = bs.build_evaluator(scalar_model())
+    with pytest.raises(bs.InvalidArgument):
+        bs.batch_error_trace(ev, bs.Schedule.empty(2))
+    with pytest.raises(bs.InvalidArgument):
+        bs.batch_error_trace(ev, bs.Schedule.from_sets([[3]]))
 
 
 def test_measurement_form_equivalence_sample():

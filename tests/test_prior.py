@@ -8,7 +8,7 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import batchsched as bs
-from helpers import prior_information, scenario_stream
+from helpers import dense_prior_covariance, prior_information, scenario_stream
 
 
 def make_continuous(A, F, W, P1, times, sensors=None, budgets=None):
@@ -136,7 +136,7 @@ def test_two_step_scalar_information_blocks():
 
 
 def test_two_step_scalar_dense_covariance():
-    cov = bs.dense_prior_covariance(scalar_two_step_model())
+    cov = dense_prior_covariance(scalar_two_step_model())
     np.testing.assert_allclose(cov, np.array([[1.0, 1.0], [1.0, 2.0]]), atol=1e-12)
 
 
@@ -147,13 +147,13 @@ def test_single_time_prior_is_initial_information():
     np.testing.assert_allclose(
         info.diag[0] @ model.initial_state_cov, np.eye(3), atol=1e-10
     )
-    np.testing.assert_array_equal(bs.dense_prior_covariance(model), model.initial_state_cov)
+    np.testing.assert_array_equal(dense_prior_covariance(model), model.initial_state_cov)
 
 
 def test_information_matches_dense_oracle():
     model = bs.random_scenario(seed=21, n=3, m=2, K=4, r=1, kind="continuous-invariant")
     dense_info = prior_information(model).to_dense()
-    oracle = np.linalg.inv(bs.dense_prior_covariance(model))
+    oracle = np.linalg.inv(dense_prior_covariance(model))
     rel = np.linalg.norm(dense_info - oracle) / np.linalg.norm(oracle)
     assert rel < 1e-8
 
@@ -161,7 +161,7 @@ def test_information_matches_dense_oracle():
 def test_inverse_consistency_hundred_scenarios():
     for model in scenario_stream(100, seed0=77, n_max=4, k_max=6):
         dense_info = prior_information(model).to_dense()
-        cov = bs.dense_prior_covariance(model)
+        cov = dense_prior_covariance(model)
         size = dense_info.shape[0]
         residual = np.linalg.norm(dense_info @ cov - np.eye(size)) / math.sqrt(size)
         assert residual < 1e-6
@@ -198,17 +198,6 @@ def test_continuous_discrete_agreement():
     np.testing.assert_allclose(info_c.to_dense(), info_d.to_dense(), atol=1e-12)
 
 
-def test_dense_oracle_cap(monkeypatch):
-    model = bs.random_scenario(seed=0, n=3, m=1, K=4, r=1)
-    with pytest.raises(bs.OracleCapExceeded):
-        bs.dense_prior_covariance(model, cap=11)
-    monkeypatch.setenv("BATCHSCHED_ORACLE_CAP", "11")
-    with pytest.raises(bs.OracleCapExceeded):
-        bs.dense_prior_covariance(model)
-    # explicit argument beats the environment
-    assert bs.dense_prior_covariance(model, cap=12).shape == (12, 12)
-
-
 def test_block_tridiagonal_shape_validation():
     with pytest.raises(bs.DimensionMismatch):
         bs.BlockTridiagonal.from_blocks([np.eye(2), np.eye(3)], [np.eye(2)])
@@ -222,6 +211,6 @@ def test_variant_kinds_match_dense_oracle():
     for kind in ("continuous-variant", "discrete-variant"):
         model = bs.random_scenario(seed=13, n=2, m=2, K=4, r=1, kind=kind)
         dense_info = prior_information(model).to_dense()
-        oracle = np.linalg.inv(bs.dense_prior_covariance(model))
+        oracle = np.linalg.inv(dense_prior_covariance(model))
         rel = np.linalg.norm(dense_info - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-8
