@@ -16,6 +16,7 @@ from itertools import chain, combinations, product
 from typing import Iterator
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import (
     EnumerationCapExceeded,
@@ -31,6 +32,7 @@ from .objective import (
     build_evaluator,
     marginal_gain,
     objective_logdet,
+    predict,
 )
 from .prior import build_prior_information
 from .scheduler import greedy_schedule
@@ -44,6 +46,11 @@ CAP_ENV_VAR = "BATCHSCHED_ORACLE_CAP"
 RATIO_TOL = 1e-9
 DEGENERATE_SPREAD = 1e-12
 PROPERTY_TOL = 1e-9
+# Branch and bound prunes a subtree only when its lower bound exceeds the
+# incumbent by more than this fraction of max(1, |prior log-det|, |greedy
+# value|), which bounds the magnitudes the sweep sums; a mere roundoff
+# difference never prunes the optimum or an exact tie.
+BOUND_SLACK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,37 +156,109 @@ def _check_enumeration_cap(model: SystemModel, cap: int | None) -> None:
         raise EnumerationCapExceeded(f"{count} feasible schedules exceed cap {limit}")
 
 
+class _SingletonGains:
+    """Every sensor's gain logdet(I + W_i P W_i.T) alone at one covariance P.
+
+    One product with the stacked whitened matrices gives all the blocks
+    W_i P W_j.T; keeping the diagonal blocks and factoring I plus them gives
+    each sensor's log-determinant from its rows of one Cholesky factor.
+    """
+
+    def __init__(self, ev: ObjectiveEvaluator):
+        self.stacked = np.concatenate(ev.whitened)
+        owner = np.repeat(np.arange(ev.sensor_count), [len(w) for w in ev.whitened])
+        self.diagonal_blocks = (owner[:, None] == owner[None, :]).astype(float)
+        self.identity = np.eye(len(owner))
+        self.starts = np.searchsorted(owner, np.arange(ev.sensor_count))
+
+    def __call__(self, cov: np.ndarray) -> np.ndarray | None:
+        """The gains, or None if roundoff broke the factorization."""
+        inner = self.stacked @ cov @ self.stacked.T
+        lower, info = dpotrf(inner * self.diagonal_blocks + self.identity, lower=1)
+        if info:
+            return None
+        return 2.0 * np.add.reduceat(np.log(np.diagonal(lower)), self.starts)
+
+
+def _completion_bound(
+    ev: ObjectiveEvaluator, model: SystemModel, gains: _SingletonGains, state: SweepState, last: int
+) -> float:
+    """Lower bound on the objective of every schedule through ``state``.
+
+    A slot's gain never exceeds the sum of its sensors' singleton gains, and
+    a gain only shrinks as earlier slots measure more. So the gains of slots
+    k..last are at most the top r_k singleton gains at the covariance
+    predicted from ``state`` with those slots left empty; slots after
+    ``last``, the last one with a nonzero budget, add nothing. Returns
+    -inf, which prunes nothing, if a singleton factorization fails.
+    """
+    bound = state.value
+    cov = state.cov
+    for k in range(state.k, last + 1):
+        if k > state.k:
+            cov = predict(ev, cov, k - 1)
+        budget = model.budgets[k]
+        if budget:
+            slot_gains = gains(cov)
+            if slot_gains is None:
+                return -math.inf
+            bound -= float(np.sort(slot_gains)[-budget:].sum())
+    return bound
+
+
 def brute_force_opt(
     ev: ObjectiveEvaluator, model: SystemModel, cap: int | None = None
 ) -> tuple[Schedule, float]:
-    """Exhaustive minimizer over all feasible schedules.
+    """Exhaustive minimizer over all feasible schedules, by branch and bound.
 
-    Walks ``iter_feasible_schedules`` depth first: ``entering[k]`` is the
-    sweep state entering slot k under the current schedule's first k slots,
-    and stays valid while those slots do. A schedule thus costs one slot
-    update per slot after the prefix it shares with the previous one, and
-    its value, ``objective_logdet`` resumed from the last state, is
-    bit-identical to a full sweep. Ties break toward the lexicographically
-    smallest schedule, the first one enumerated.
+    Walks the tree of ``iter_feasible_schedules`` depth first and
+    iteratively: ``entering[k]`` is the sweep state entering slot k under the
+    current schedule's first k slots, so a schedule costs one slot update
+    per slot after the prefix it shares with the previous one. A node that
+    branches (slot budget above 0) is skipped with its whole subtree when
+    ``_completion_bound`` exceeds the incumbent, the best value so far or
+    the greedy schedule's, by more than ``BOUND_SLACK_RTOL`` of the values'
+    scale, which roundoff cannot bridge. Every visited schedule is scored by
+    ``objective_logdet`` resumed from the last state (bit-identical to a
+    full sweep) and replaces the best only if strictly lower, so ties break
+    toward the lexicographically smallest schedule, the first one enumerated.
     """
     model.require_validated()
     _check_enumeration_cap(model, cap)
+    _, trace = greedy_schedule(ev, model)
+    incumbent = trace.entries[-1].objective if trace.entries else trace.start_objective
+    slack = BOUND_SLACK_RTOL * max(1.0, abs(ev.prior_logdet), abs(incumbent))
+    horizon = model.horizon
+    choices = [_slot_subsets(model.sensor_count, r) for r in model.budgets]
+    last = max((k for k, r in enumerate(model.budgets) if r), default=-1)
+    gains = _SingletonGains(ev) if last >= 0 else None  # None: no slot branches
+    slots = [()] * horizon
+    picked = [-1] * horizon  # index of slot k's current subset; -1 on arrival
+    entering = [SweepState.initial(ev)]
     best_schedule = None
     best_value = math.inf
-    entering = [SweepState.initial(ev)]
-    previous = None
-    for schedule in iter_feasible_schedules(model):
-        slots = schedule.selections
-        if previous is not None:
-            changed = next(k for k, (a, b) in enumerate(zip(slots, previous)) if a != b)
-            del entering[changed + 1:]
-        while len(entering) < len(slots):
-            entering.append(advance(ev, slots, entering[-1], len(entering)))
-        value = objective_logdet(ev, schedule, entering[-1])
-        if value < best_value:
-            best_value = value
-            best_schedule = schedule
-        previous = slots
+    k = 0
+    while k >= 0:
+        if picked[k] < 0 and model.budgets[k]:
+            if _completion_bound(ev, model, gains, entering[k], last) > incumbent + slack:
+                picked[k] = len(choices[k])  # pruned: as if every child were done
+        picked[k] += 1
+        if picked[k] >= len(choices[k]):
+            picked[k] = -1
+            del entering[k]
+            k -= 1
+            continue
+        slots[k] = choices[k][picked[k]]
+        if k < horizon - 1:
+            entering.append(advance(ev, slots, entering[k], k + 1))
+            k += 1
+        else:
+            schedule = Schedule(selections=tuple(slots))
+            value = objective_logdet(ev, schedule, entering[k])
+            if value < best_value:
+                best_value = value
+                best_schedule = schedule
+                incumbent = min(incumbent, value)
     return best_schedule, best_value
 
 

@@ -15,6 +15,10 @@ class NotPositiveDefinite(BatchSchedError):
     """A matrix that must be symmetric positive definite is not; the message names it."""
 
 
+class NumericOverflow(BatchSchedError):
+    """A computed quantity left the double range; the message names it and its time index."""
+
+
 class NonIncreasingTimes(BatchSchedError):
     """Measurement times are not strictly increasing."""
 

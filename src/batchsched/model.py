@@ -477,14 +477,10 @@ def random_scenario(
     return validate_model(model)
 
 
-def _matrix_to_lists(arr: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in arr]
-
-
 def _interval_field_to_json(mats: Sequence[np.ndarray], variant: bool):
     if variant:
-        return [_matrix_to_lists(m) for m in mats]
-    return _matrix_to_lists(mats[0])
+        return [m.tolist() for m in mats]
+    return mats[0].tolist()
 
 
 def model_to_dict(model: SystemModel) -> dict:
@@ -496,13 +492,13 @@ def model_to_dict(model: SystemModel) -> dict:
         "dynamics": _interval_field_to_json(model.dynamics, kind.variant),
         "noise_input": _interval_field_to_json(model.noise_input, kind.variant),
         "process_noise_cov": _interval_field_to_json(model.process_noise_cov, kind.variant),
-        "initial_state_cov": _matrix_to_lists(model.initial_state_cov),
+        "initial_state_cov": model.initial_state_cov.tolist(),
         "measurement_times": [float(t) for t in model.measurement_times],
-        "sensors": [{"C": _matrix_to_lists(s.C), "V": _matrix_to_lists(s.V)} for s in model.sensors],
+        "sensors": [{"C": s.C.tolist(), "V": s.V.tolist()} for s in model.sensors],
         "budgets": [int(r) for r in model.budgets],
     }
     if model.input_matrix is not None:
-        data["input_matrix"] = _matrix_to_lists(model.input_matrix)
+        data["input_matrix"] = model.input_matrix.tolist()
     if model.input_signal is not None:
         data["input_signal"] = model.input_signal
     return data

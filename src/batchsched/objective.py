@@ -16,6 +16,7 @@ form (``prior``) is the oracle both are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from ._linalg import chol_pd, logdet_from_cholesky, sym
-from .errors import InvalidArgument, NotPositiveDefinite, SensorAlreadySelected
+from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow, SensorAlreadySelected
 from .model import Schedule, SystemModel
 # Nothing here uses the information form: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
@@ -199,19 +200,24 @@ def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) ->
     """Objective decrease from adding sensor i at time index k.
 
     Nonnegative up to roundoff: activating a sensor never hurts. Computed as
-    the difference of two sweeps, so it holds for any schedule, including
-    ones with measurements after slot k.
+    the difference of two sweeps that share the one through slots before k,
+    so it holds for any schedule, including ones with measurements after
+    slot k.
     """
     if not 0 <= k < ev.horizon:
         raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
     if not 0 <= i < ev.sensor_count:
         raise InvalidArgument(f"sensor index {i} out of range")
+    schedule.check_shape(ev.horizon, ev.sensor_count)
     if schedule.contains(k, i):
         raise SensorAlreadySelected(f"sensor {i} already selected at time index {k}")
-    base = objective_logdet(ev, schedule)
-    return base - objective_logdet(ev, schedule.with_added(k, i))
+    shared = advance(ev, schedule.selections, SweepState.initial(ev), k)
+    base = objective_logdet(ev, schedule, shared)
+    return base - objective_logdet(ev, schedule.with_added(k, i), shared)
 
 
+# Overflow shows as a non-finite covariance, reported below as an error.
+@np.errstate(over="ignore", invalid="ignore")
 def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """Trace of the batch error covariance, i.e. the total error variance.
 
@@ -225,7 +231,9 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
         tr Sigma_kk = tr P - tr(P Lambda P),
         Lambda <- Phi.T Lambda Phi                                between slots.
 
-    No covariance is inverted. The cost is O(K n^3), like one sweep.
+    No covariance is inverted. The cost is O(K n^3), like one sweep. Raises
+    NumericOverflow, naming the time index, once the predicted covariance
+    leaves the double range, and if the backward pass does.
     """
     schedule.check_shape(ev.horizon, ev.sensor_count)
     slots = schedule.selections
@@ -247,6 +255,12 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
             steps.append((cov, None))
         if k + 1 < ev.horizon:
             cov = predict(ev, cov, k)
+            if not np.isfinite(cov).all():
+                raise NumericOverflow(
+                    f"predicted covariance at time index {k + 1} is not finite: the error "
+                    "variance exceeds the double range (unstable dynamics over a long stretch "
+                    "without measurements?)"
+                )
     adjoint = np.zeros((ev.state_dim, ev.state_dim))
     for k in range(last, -1, -1):
         cov, g = steps[k]
@@ -258,4 +272,8 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
         if k:
             phi = ev.propagations[k - 1].transition
             adjoint = phi.T @ adjoint @ phi
+    if not math.isfinite(total):
+        raise NumericOverflow(
+            "total error variance is not finite: the backward pass left the double range"
+        )
     return total

@@ -55,6 +55,38 @@ def stable_model(horizon, n=8, m=3, r=2, seed=99):
     )
 
 
+def exploding_scalar_model(horizon, growth=2.0):
+    """Scalar model whose variance grows by growth**2 per unmeasured step.
+
+    One sensor, budget 1 per slot: a measured slot holds the variance
+    near 1, while the empty schedule's variance leaves the double range at
+    ``overflow_index(growth)``.
+    """
+    return bs.validate_model(
+        bs.SystemModel(
+            kind="discrete-invariant",
+            state_dim=1,
+            dynamics=np.array([[growth]]),
+            noise_input=np.eye(1),
+            process_noise_cov=np.eye(1),
+            initial_state_cov=np.eye(1),
+            measurement_times=tuple(float(k + 1) for k in range(horizon)),
+            sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
+            budgets=(1,) * horizon,
+        )
+    )
+
+
+def overflow_index(growth=2.0):
+    """First time index at which the unmeasured variance of
+    ``exploding_scalar_model`` is not a finite double."""
+    variance, k = 1.0, 0
+    while math.isfinite(variance):
+        variance = growth * variance * growth + 1.0
+        k += 1
+    return k
+
+
 def dense_logdet(matrix):
     """Positive-definite log-determinant through numpy's slogdet."""
     sign, value = np.linalg.slogdet(matrix)

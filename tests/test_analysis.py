@@ -1,13 +1,17 @@
 """Exhaustive certification, property fuzzers, and error-variance limits."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
 import batchsched as bs
+from batchsched import analysis, objective, scheduler
 from batchsched.analysis import _random_feasible
-from helpers import scenario_stream
+from batchsched.objective import SweepState, advance
+from helpers import scenario_stream, stable_model
 
 
 def scalar_model():
@@ -66,6 +70,9 @@ def test_brute_force_zero_budget():
     schedule, value = bs.brute_force_opt(ev, model)
     assert schedule == bs.Schedule.empty(2)
     assert value == bs.objective_logdet(ev, schedule)
+    sensorless = bs.validate_model(dataclasses.replace(model, sensors=()))
+    ev = bs.build_evaluator(sensorless)
+    assert bs.brute_force_opt(ev, sensorless) == (bs.Schedule.empty(2), -ev.prior_logdet)
 
 
 def test_brute_force_single_sensor():
@@ -304,7 +311,10 @@ def test_brute_force_matches_plain_enumeration():
         bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
         for seed, kind in enumerate(bs.ModelKind)
     ]
-    models = scenario_stream(100, seed0=1234, n_max=3, m_max=4, k_max=3, r_max=2) + medium + [tied]
+    large = bs.random_scenario(seed=4, n=3, m=4, K=4, r=2, kind="continuous-variant")
+    assert bs.feasible_schedule_count(large) == 14_641
+    models = scenario_stream(100, seed0=1234, n_max=3, m_max=4, k_max=3, r_max=2)
+    models += medium + [large, tied]
     for model in models:
         ev = bs.build_evaluator(model)
         schedule, value = bs.brute_force_opt(ev, model)
@@ -312,3 +322,91 @@ def test_brute_force_matches_plain_enumeration():
         assert value == bs.objective_logdet(ev, schedule)
     # Identical sensors tie exactly; the first schedule enumerated wins.
     assert schedule.to_lists() == [[0], [0, 1]]
+
+
+def _count_visited(monkeypatch):
+    """Schedules the search scores: its calls to objective_logdet."""
+    visited = []
+    original = analysis.objective_logdet
+
+    def counted(ev, schedule, start=None):
+        visited.append(schedule)
+        return original(ev, schedule, start)
+
+    monkeypatch.setattr(analysis, "objective_logdet", counted)
+    return visited
+
+
+def test_branch_and_bound_visits_a_fraction_of_the_schedules(monkeypatch):
+    visited = _count_visited(monkeypatch)
+    for seed, kind in enumerate(bs.ModelKind):
+        model = bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
+        visited.clear()
+        bs.brute_force_opt(bs.build_evaluator(model), model)
+        assert 0 < len(visited) < bs.feasible_schedule_count(model) / 4
+
+
+def test_search_is_iterative_and_linear_along_zero_budget_slots(monkeypatch):
+    # One branching slot at the end of a long chain: a recursive walk would
+    # overflow the stack, and bounding every chain node would cost O(K^2).
+    horizon = 1500
+    model = bs.validate_model(
+        dataclasses.replace(stable_model(horizon, n=4), budgets=(0,) * (horizon - 1) + (2,))
+    )
+    ev = bs.build_evaluator(model)
+    predictions = []
+
+    def counted(original):
+        def predict(ev, cov, k):
+            predictions.append(k)
+            return original(ev, cov, k)
+
+        return predict
+
+    for module in (analysis, objective, scheduler):
+        monkeypatch.setattr(module, "predict", counted(module.predict))
+    start = time.perf_counter()
+    schedule, value = bs.brute_force_opt(ev, model)
+    elapsed = time.perf_counter() - start
+    # The greedy seed and the walk each predict through the horizon once.
+    assert len(predictions) <= 2 * horizon
+    assert elapsed < 2e-3 * horizon
+    assert (schedule, value) == _plain_minimum(ev, model)
+
+
+def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
+    model = bs.random_scenario(seed=0, n=3, m=5, K=3, r=2)
+    ev = bs.build_evaluator(model)
+    count = bs.feasible_schedule_count(model)
+    visited = _count_visited(monkeypatch)
+    greedy_runs = []
+    original = analysis.greedy_schedule
+
+    def counted_greedy(ev, model):
+        greedy_runs.append(model)
+        return original(ev, model)
+
+    monkeypatch.setattr(analysis, "greedy_schedule", counted_greedy)
+    with pytest.raises(bs.EnumerationCapExceeded, match=f"{count} feasible schedules exceed cap {count - 1}"):
+        bs.brute_force_opt(ev, model, cap=count - 1)
+    monkeypatch.setenv(analysis.CAP_ENV_VAR, str(count - 1))
+    with pytest.raises(bs.EnumerationCapExceeded):
+        bs.brute_force_opt(ev, model)
+    assert visited == [] and greedy_runs == []
+    # The cap bounds the feasible count, not the (smaller) number visited.
+    bs.brute_force_opt(ev, model, cap=count)
+    assert 0 < len(visited) < count
+
+
+def test_singleton_gains_match_one_slot_step_per_sensor():
+    # The bound's stacked computation against the sweep's own update; 1- and
+    # 2-row sensors, and covariances conditioned by earlier slots.
+    rng = np.random.default_rng(8)
+    for model in scenario_stream(40, seed0=5, n_max=4, m_max=5, k_max=3):
+        ev = bs.build_evaluator(model)
+        gains = analysis._SingletonGains(ev)
+        slots = _random_feasible(rng, model).selections
+        state = advance(ev, slots, SweepState.initial(ev), model.horizon - 1)
+        for cov in (ev.initial_cov, state.cov):
+            reference = [objective.slot_step(ev, cov, (i,))[0] for i in range(model.sensor_count)]
+            np.testing.assert_allclose(gains(cov), reference, rtol=1e-12, atol=1e-14)

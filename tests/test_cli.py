@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import batchsched as bs
 from batchsched import cli, prior
 from batchsched.cli import main
+from helpers import exploding_scalar_model, overflow_index
 
 
 def run(argv):
@@ -331,3 +333,19 @@ def test_non_positive_definite_sensor_noise_exits_2_with_its_pivot_ratio(tmp_pat
     err = capsys.readouterr().err
     assert "V_1 is not positive definite: smallest Cholesky pivot ratio 1e-15" in err
     assert "PD_PIVOT_RTOL = 1e-12" in err
+
+
+def test_bounds_exits_1_naming_where_the_covariance_overflows(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "b.json"
+    index = overflow_index()
+    bs.save_scenario(exploding_scalar_model(horizon=index + 1), str(scenario))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: predicted covariance at time index {index} is not finite: the error variance exceeds "
+        "the double range (unstable dynamics over a long stretch without measurements?)"
+    ]
+    assert not out.exists()

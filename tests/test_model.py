@@ -1,5 +1,6 @@
 """Model validation, random scenario generation, and serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -181,6 +182,37 @@ def test_scenario_file_round_trip(tmp_path):
     bs.save_scenario(model, str(path))
     loaded = bs.load_scenario(str(path))
     assert bs.model_fingerprint(loaded) == bs.model_fingerprint(model)
+
+
+def _with_input(model):
+    data = bs.model_to_dict(model)
+    data["input_matrix"] = [[0.5], [-0.0], [1e-300]]
+    data["input_signal"] = [1.0, 2.0]
+    return bs.model_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "model_of, fingerprint, file_sha256",
+    [
+        (
+            lambda: _with_input(bs.random_scenario(seed=17, n=3, m=2, K=3, r=1, kind="continuous-variant")),
+            "16ce1ae86da910e49909a22738b259d5edc68ec4666479ea240f7a7ac8db7aed",
+            "53b40111cc154c0463e1f9ad43b3745264b0e9842af99156bb5b8b401834d02e",
+        ),
+        (
+            lambda: bs.random_scenario(seed=17, n=2, m=3, K=2, r=2, kind="discrete-invariant"),
+            "260f03e987bce6307ba1f781b00cface335e8a24a779d8a973ab23e92e6fc8cc",
+            "a42f7050ebb5e514bebea733544f61ab562313665a5ac7425da8fbca239ed6f0",
+        ),
+    ],
+)
+def test_fingerprint_and_saved_bytes_are_pinned(tmp_path, model_of, fingerprint, file_sha256):
+    # Any change to the canonical serialization changes every report's fingerprint.
+    model = model_of()
+    path = tmp_path / "scenario.json"
+    bs.save_scenario(model, str(path))
+    assert bs.model_fingerprint(model) == fingerprint
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha256
 
 
 def test_loader_names_json_path(tmp_path):

@@ -2,6 +2,7 @@
 marginal gains, and the error-variance trace."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from helpers import (
     dense_error_trace,
     dense_logdet,
     dense_prior_covariance,
+    exploding_scalar_model,
     measurement_form_covariance,
+    overflow_index,
     oracle_objective,
     prior_information,
     random_block_tridiagonal_pd,
@@ -194,6 +197,23 @@ def test_marginal_gains_nonnegative_up_to_roundoff():
             assert bs.marginal_gain(ev, schedule, k, i) >= -1e-10
 
 
+def test_marginal_gain_is_the_difference_of_two_full_sweeps_bit_for_bit():
+    # The two sweeps share the state entering slot k; that must not change a bit.
+    rng = np.random.default_rng(17)
+    models = scenario_stream(40, seed0=71, k_max=5) + [stable_model(64, seed=s) for s in range(2)]
+    for model in models:
+        ev = bs.build_evaluator(model)
+        for _ in range(4):
+            schedule = _random_feasible(rng, model)
+            k = int(rng.integers(0, model.horizon))
+            free = [i for i in range(model.sensor_count) if i not in schedule.selections[k]]
+            if not free:
+                continue
+            i = free[int(rng.integers(0, len(free)))]
+            full = bs.objective_logdet(ev, schedule) - bs.objective_logdet(ev, schedule.with_added(k, i))
+            assert bs.marginal_gain(ev, schedule, k, i) == full
+
+
 def test_marginal_gain_rejects_duplicates_and_bad_indices():
     ev = bs.build_evaluator(scalar_model())
     with pytest.raises(bs.SensorAlreadySelected):
@@ -248,6 +268,24 @@ def test_batch_error_trace_rejects_a_mismatched_schedule():
         bs.batch_error_trace(ev, bs.Schedule.empty(2))
     with pytest.raises(bs.InvalidArgument):
         bs.batch_error_trace(ev, bs.Schedule.from_sets([[3]]))
+
+
+def test_batch_error_trace_names_the_time_index_where_the_covariance_overflows():
+    index = overflow_index()
+    finite = exploding_scalar_model(horizon=index)
+    assert math.isfinite(bs.batch_error_trace(bs.build_evaluator(finite), bs.Schedule.empty(index)))
+    model = exploding_scalar_model(horizon=index + 1)
+    ev = bs.build_evaluator(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bs.NumericOverflow, match=f"predicted covariance at time index {index} "):
+            bs.batch_error_trace(ev, bs.Schedule.empty(model.horizon))
+        greedy, _ = bs.greedy_schedule(ev, model)
+        assert math.isfinite(bs.batch_error_trace(ev, greedy))
+        # The forward sweep stays finite; P Lambda P overflows going back.
+        steep = exploding_scalar_model(horizon=3, growth=1e100)
+        with pytest.raises(bs.NumericOverflow, match="total error variance is not finite"):
+            bs.batch_error_trace(bs.build_evaluator(steep), bs.Schedule(((0,),) * 3))
 
 
 def test_measurement_form_equivalence_sample():
