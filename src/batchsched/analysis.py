@@ -16,12 +16,12 @@ from itertools import chain, combinations, product
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .errors import (
     EnumerationCapExceeded,
     GuaranteeViolated,
     InvalidArgument,
+    NotPositiveDefinite,
     PropertyViolated,
 )
 from .model import Schedule, SystemModel, model_fingerprint, model_to_dict
@@ -156,32 +156,8 @@ def _check_enumeration_cap(model: SystemModel, cap: int | None) -> None:
         raise EnumerationCapExceeded(f"{count} feasible schedules exceed cap {limit}")
 
 
-class _SingletonGains:
-    """Every sensor's gain logdet(I + W_i P W_i.T) alone at one covariance P.
-
-    One product with the stacked whitened matrices gives all the blocks
-    W_i P W_j.T; keeping the diagonal blocks and factoring I plus them gives
-    each sensor's log-determinant from its rows of one Cholesky factor.
-    """
-
-    def __init__(self, ev: ObjectiveEvaluator):
-        self.stacked = np.concatenate(ev.whitened)
-        owner = np.repeat(np.arange(ev.sensor_count), [len(w) for w in ev.whitened])
-        self.diagonal_blocks = (owner[:, None] == owner[None, :]).astype(float)
-        self.identity = np.eye(len(owner))
-        self.starts = np.searchsorted(owner, np.arange(ev.sensor_count))
-
-    def __call__(self, cov: np.ndarray) -> np.ndarray | None:
-        """The gains, or None if roundoff broke the factorization."""
-        inner = self.stacked @ cov @ self.stacked.T
-        lower, info = dpotrf(inner * self.diagonal_blocks + self.identity, lower=1)
-        if info:
-            return None
-        return 2.0 * np.add.reduceat(np.log(np.diagonal(lower)), self.starts)
-
-
 def _completion_bound(
-    ev: ObjectiveEvaluator, model: SystemModel, gains: _SingletonGains, state: SweepState, last: int
+    ev: ObjectiveEvaluator, model: SystemModel, state: SweepState, last: int
 ) -> float:
     """Lower bound on the objective of every schedule through ``state``.
 
@@ -189,8 +165,9 @@ def _completion_bound(
     a gain only shrinks as earlier slots measure more. So the gains of slots
     k..last are at most the top r_k singleton gains at the covariance
     predicted from ``state`` with those slots left empty; slots after
-    ``last``, the last one with a nonzero budget, add nothing. Returns
-    -inf, which prunes nothing, if a singleton factorization fails.
+    ``last``, the last one with a nonzero budget, add nothing. The singleton
+    gains come from the evaluator's ``SingletonScorer``. Returns -inf, which
+    prunes nothing, if a singleton factorization fails.
     """
     bound = state.value
     cov = state.cov
@@ -199,8 +176,9 @@ def _completion_bound(
             cov = predict(ev, cov, k - 1)
         budget = model.budgets[k]
         if budget:
-            slot_gains = gains(cov)
-            if slot_gains is None:
+            try:
+                slot_gains = ev.scorer(cov)
+            except NotPositiveDefinite:
                 return -math.inf
             bound -= float(np.sort(slot_gains)[-budget:].sum())
     return bound
@@ -214,7 +192,9 @@ def brute_force_opt(
     Walks the tree of ``iter_feasible_schedules`` depth first and
     iteratively: ``entering[k]`` is the sweep state entering slot k under the
     current schedule's first k slots, so a schedule costs one slot update
-    per slot after the prefix it shares with the previous one. A node that
+    per slot after the prefix it shares with the previous one. The walk
+    stops at the last slot with a nonzero budget: later slots are empty in
+    every feasible schedule and change no term. A node that
     branches (slot budget above 0) is skipped with its whole subtree when
     ``_completion_bound`` exceeds the incumbent, the best value so far or
     the greedy schedule's, by more than ``BOUND_SLACK_RTOL`` of the values'
@@ -228,19 +208,18 @@ def brute_force_opt(
     _, trace = greedy_schedule(ev, model)
     incumbent = trace.entries[-1].objective if trace.entries else trace.start_objective
     slack = BOUND_SLACK_RTOL * max(1.0, abs(ev.prior_logdet), abs(incumbent))
-    horizon = model.horizon
     choices = [_slot_subsets(model.sensor_count, r) for r in model.budgets]
     last = max((k for k, r in enumerate(model.budgets) if r), default=-1)
-    gains = _SingletonGains(ev) if last >= 0 else None  # None: no slot branches
-    slots = [()] * horizon
-    picked = [-1] * horizon  # index of slot k's current subset; -1 on arrival
+    leaf = max(last, 0)
+    slots = [()] * model.horizon
+    picked = [-1] * (leaf + 1)  # index of slot k's current subset; -1 on arrival
     entering = [SweepState.initial(ev)]
     best_schedule = None
     best_value = math.inf
     k = 0
     while k >= 0:
         if picked[k] < 0 and model.budgets[k]:
-            if _completion_bound(ev, model, gains, entering[k], last) > incumbent + slack:
+            if _completion_bound(ev, model, entering[k], last) > incumbent + slack:
                 picked[k] = len(choices[k])  # pruned: as if every child were done
         picked[k] += 1
         if picked[k] >= len(choices[k]):
@@ -249,7 +228,7 @@ def brute_force_opt(
             k -= 1
             continue
         slots[k] = choices[k][picked[k]]
-        if k < horizon - 1:
+        if k < leaf:
             entering.append(advance(ev, slots, entering[k], k + 1))
             k += 1
         else:

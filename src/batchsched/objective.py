@@ -9,15 +9,18 @@ and P the filter covariance just before each sequential update,
                    - sum_k sum_{i in S_k} logdet(I + W_i P W_i.T),
 
 so an evaluation is one forward sweep of measurement and time updates, and
-a sensor's gain with later slots empty is a single small log-determinant.
-The error trace adds one backward pass to the same sweep. The information
-form (``prior``) is the oracle both are checked against.
+a sensor's gain with later slots empty is a single small log-determinant;
+``SingletonScorer`` computes every sensor's at once for the greedy and the
+exhaustive search's bound. The error trace adds one backward pass to the
+same sweep. The information form (``prior``) is the oracle both are
+checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -31,6 +34,76 @@ from .model import Schedule, SystemModel
 # wrap point and bench/test_bench.py requires every wrap point to exist.
 from .prior import IntervalPropagation, build_prior_information, discretize_intervals  # noqa: F401
 
+# The singleton scorer packs sensors whole, in index order, into groups of at
+# most this many whitened rows (a larger sensor forms a group alone). Each
+# group costs one product and one Cholesky factorization of its rows, so
+# scoring every sensor costs time linear in the sensor count.
+SCORER_GROUP_ROWS = 32
+
+
+def _lost_precision(what: str, k: int | None) -> NotPositiveDefinite:
+    where = "" if k is None else f" at time index {k}"
+    return NotPositiveDefinite(
+        f"innovation covariance of {what}{where}: the filter covariance lost precision "
+        "(unstable dynamics over a long stretch without measurements?)"
+    )
+
+
+class _ScorerGroup(NamedTuple):
+    first: int  # first sensor
+    stop: int  # one past the last sensor
+    stacked: np.ndarray  # the sensors' whitened rows
+    blocks: np.ndarray  # 1 on each sensor's diagonal block, 0 elsewhere
+    identity: np.ndarray
+    starts: np.ndarray  # each sensor's first row
+    owner: np.ndarray  # each row's sensor
+
+
+class SingletonScorer:
+    """Every sensor's gain logdet(I + W_i P W_i.T) alone at one covariance P.
+
+    Per group, one product with the stacked whitened matrices gives all the
+    blocks W_i P W_j.T; keeping the diagonal blocks and factoring I plus them
+    gives each sensor's log-determinant from its rows of one Cholesky
+    factor. The groups are fixed, so a sensor's value never depends on which
+    other sensors are still candidates.
+    """
+
+    def __init__(self, whitened: tuple[np.ndarray, ...]):
+        self.sensor_count = len(whitened)
+        self.groups: list[_ScorerGroup] = []
+        first = 0
+        while first < len(whitened):
+            stop, rows = first + 1, len(whitened[first])
+            while stop < len(whitened) and rows + len(whitened[stop]) <= SCORER_GROUP_ROWS:
+                rows += len(whitened[stop])
+                stop += 1
+            owner = np.repeat(np.arange(first, stop), [len(w) for w in whitened[first:stop]])
+            self.groups.append(_ScorerGroup(
+                first=first,
+                stop=stop,
+                stacked=np.concatenate(whitened[first:stop]),
+                blocks=(owner[:, None] == owner[None, :]).astype(float),
+                identity=np.eye(rows),
+                starts=np.searchsorted(owner, np.arange(first, stop)),
+                owner=owner,
+            ))
+            first = stop
+
+    def __call__(self, cov: np.ndarray, k: int | None = None) -> np.ndarray:
+        """The gains, indexed by sensor. Raises NotPositiveDefinite, naming the
+        sensor and the time index ``k``, if roundoff breaks a factorization."""
+        gains = np.empty(self.sensor_count)
+        for first, stop, stacked, blocks, identity, starts, owner in self.groups:
+            inner = stacked @ cov @ stacked.T
+            inner *= blocks
+            inner += identity
+            lower, info = dpotrf(inner, lower=1)
+            if info:
+                raise _lost_precision(f"sensor {int(owner[info - 1])}", k)
+            gains[first:stop] = 2.0 * np.add.reduceat(np.log(lower.diagonal()), starts)
+        return gains
+
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveEvaluator:
@@ -39,13 +112,14 @@ class ObjectiveEvaluator:
     Built once per model and shared by every schedule evaluation; safe to use
     from concurrent workers. ``prior_logdet`` is the log-determinant of the
     prior information matrix, so the empty schedule's objective is its
-    negation.
+    negation. ``scorer`` scores every whitened sensor alone at one covariance.
     """
 
     initial_cov: np.ndarray
     propagations: tuple[IntervalPropagation, ...]
     whitened: tuple[np.ndarray, ...]
     prior_logdet: float
+    scorer: SingletonScorer
 
     @property
     def state_dim(self) -> int:
@@ -76,22 +150,25 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
         whitened.append(white)
     initial_cov = sym(model.initial_state_cov)
     initial_cov.setflags(write=False)
+    whitened = tuple(whitened)
     return ObjectiveEvaluator(
         initial_cov=initial_cov,
         propagations=propagations,
-        whitened=tuple(whitened),
+        whitened=whitened,
         prior_logdet=-cov_logdet,
+        scorer=SingletonScorer(whitened),
     )
 
 
 def _measure(
-    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...]
+    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measurement update of the filter covariance P by a nonempty slot.
 
     Returns W, the sensors' stacked whitened matrices; the lower Cholesky
     factor L of the innovation covariance I + W P W.T; and the conditioned
-    covariance P - (L^-1 W P).T (L^-1 W P).
+    covariance P - (L^-1 W P).T (L^-1 W P). ``k``, the slot's time index,
+    only names the slot in an error.
     """
     if len(sensors) == 1:
         white = ev.whitened[sensors[0]]
@@ -107,10 +184,7 @@ def _measure(
     # square, where wrapper overhead would be most of the cost.
     lower, info = dpotrf(innovation, lower=1, clean=1)
     if info:
-        raise NotPositiveDefinite(
-            f"innovation covariance of sensors {list(sensors)}: the filter covariance lost "
-            "precision (unstable dynamics over a long stretch without measurements?)"
-        )
+        raise _lost_precision(f"sensors {list(sensors)}", k)
     factor, _ = dtrtrs(lower, projected, lower=1)
     # factor.T @ factor is computed as a symmetric rank-d product, so the
     # covariance stays exactly symmetric.
@@ -118,7 +192,7 @@ def _measure(
 
 
 def slot_step(
-    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...]
+    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int | None = None
 ) -> tuple[float, np.ndarray]:
     """Measurement update of the filter covariance P by every sensor of one slot.
 
@@ -126,11 +200,12 @@ def slot_step(
     whitened matrices, and the conditioned covariance. The gain equals the
     sum of the sensors' sequential gains. Every evaluation path (sweep,
     greedy candidate, exhaustive search, error trace) conditions through
-    ``_measure``, so equal calls give bit-identical values.
+    ``_measure``, so equal calls give bit-identical values. ``k``, the
+    slot's time index, only names the slot in an error.
     """
     if not sensors:
         return 0.0, cov
-    _, lower, cov = _measure(ev, cov, sensors)
+    _, lower, cov = _measure(ev, cov, sensors, k)
     return logdet_from_cholesky(lower), cov
 
 
@@ -165,7 +240,7 @@ def advance(
     """
     cov, value = start.cov, start.value
     for k in range(start.k, stop):
-        gain, cov = slot_step(ev, cov, slots[k])
+        gain, cov = slot_step(ev, cov, slots[k], k)
         cov = predict(ev, cov, k)
         value -= gain
     return SweepState(stop, cov, value)
@@ -193,7 +268,7 @@ def objective_logdet(
         return start.value
     if last > start.k:
         start = advance(ev, slots, start, last)
-    return start.value - slot_step(ev, start.cov, slots[last])[0]
+    return start.value - slot_step(ev, start.cov, slots[last], last)[0]
 
 
 def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
@@ -248,7 +323,7 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
             # No later measurement: the smoothed covariance is the predicted one.
             total += float(np.trace(cov))
         elif slots[k]:
-            white, lower, conditioned = _measure(ev, cov, slots[k])
+            white, lower, conditioned = _measure(ev, cov, slots[k], k)
             steps.append((cov, dtrtrs(lower, white, lower=1)[0]))
             cov = conditioned
         else:

@@ -4,8 +4,10 @@ A per-time outer loop fills the slot at each measurement time in order,
 carrying the filter covariance conditioned on all earlier selections; each
 slot is filled by a single-step greedy that repeatedly accepts the candidate
 with the largest marginal gain. With later slots still empty, a candidate's
-gain is one measurement update of that covariance, so a whole schedule costs
-time linear in the horizon.
+gain is the log-determinant of one measurement update of that covariance:
+each round reads every candidate's from one ``SingletonScorer`` call and
+conditions on the winner alone, so a whole schedule costs time linear in the
+horizon and in the sensor count.
 
 Eager and lazy share that step and differ only in how many stale gains it
 refreshes: eager re-scores every remaining candidate each round, lazy only
@@ -88,11 +90,11 @@ def greedy_step(
         raise InvalidArgument(f"slot {k} and every later slot must be empty before the greedy step")
     prefix.check_shape(ev.horizon, ev.sensor_count)
     state = advance(ev, prefix.selections, SweepState.initial(ev), k)
-    outcome = _greedy_step(ev, state.cov, state.value, budget, opts)
+    outcome = _greedy_step(ev, state.cov, state.value, k, budget, opts)
     return tuple(sorted(i for i, _, _ in outcome.accepted))
 
 
-def _greedy_step(ev, cov, value, budget, opts) -> _StepOutcome:
+def _greedy_step(ev, cov, value, k, budget, opts) -> _StepOutcome:
     accepted: list[tuple[int, float, float]] = []
     evaluations = 0
 
@@ -102,22 +104,26 @@ def _greedy_step(ev, cov, value, budget, opts) -> _StepOutcome:
     # measurements shrinks the covariance.
     heap = [(-math.inf, i) for i in range(ev.sensor_count)]
     while heap and len(accepted) < budget:
-        # Eager re-scores every remaining candidate. Lazy refreshes only until
-        # every entry that could still tie with the best fresh gain is fresh;
-        # anything whose stale key is below the tie band cannot win.
-        pool: list[tuple[float, int, np.ndarray]] = []
+        # Every round refreshes at least one entry, so score every sensor at
+        # once; a refresh reads its fresh gain, and only refreshes count as
+        # evaluations. Eager refreshes every remaining candidate. Lazy
+        # refreshes only until every entry that could still tie with the best
+        # fresh gain is fresh; anything whose stale key is below the tie band
+        # cannot win.
+        fresh = ev.scorer(cov, k).tolist()
+        pool: list[tuple[float, int]] = []
         best = -math.inf
         while heap and (not opts.lazy or not pool or -heap[0][0] >= best - GAIN_TIE_TOL):
             _, i = heapq.heappop(heap)
-            gain, with_cov = slot_step(ev, cov, (i,))
             evaluations += 1
-            pool.append((gain, i, with_cov))
-            best = max(best, gain)
+            pool.append((fresh[i], i))
+            best = max(best, fresh[i])
         pool.sort(key=lambda entry: entry[1])
-        gain, winner, cov = next(e for e in pool if e[0] >= best - GAIN_TIE_TOL)
-        for other_gain, other, _ in pool:
+        winner = next(i for gain, i in pool if gain >= best - GAIN_TIE_TOL)
+        for other_gain, other in pool:
             if other != winner:
                 heapq.heappush(heap, (-other_gain, other))
+        gain, cov = slot_step(ev, cov, (winner,), k)
         value -= gain
         accepted.append((winner, gain, value))
     return _StepOutcome(cov, value, accepted, evaluations)
@@ -131,19 +137,22 @@ def greedy_schedule(
     """Greedy schedule over the whole horizon.
 
     Fills each time slot in order with the single-step greedy; the result is
-    always feasible, and two runs on equal inputs are bit-identical.
+    always feasible, and two runs on equal inputs are bit-identical. The
+    covariance is carried only to the last slot with a nonzero budget; later
+    slots stay empty.
     """
     model.require_validated()
     if ev.horizon != model.horizon or ev.sensor_count != model.sensor_count:
         raise InvalidArgument("evaluator does not match the model")
     value = objective_logdet(ev, Schedule.empty(model.horizon))
     trace = GreedyTrace(start_objective=value)
+    last = max((k for k, r in enumerate(model.budgets) if r), default=-1)
     cov = ev.initial_cov
-    slots = []
-    for k in range(model.horizon):
+    slots: list[tuple[int, ...]] = [()] * model.horizon
+    for k in range(last + 1):
         if k:
             cov = predict(ev, cov, k - 1)
-        outcome = _greedy_step(ev, cov, value, model.budgets[k], opts)
+        outcome = _greedy_step(ev, cov, value, k, model.budgets[k], opts)
         cov = outcome.cov
         value = outcome.objective
         trace.gain_evaluations += outcome.evaluations
@@ -151,5 +160,5 @@ def greedy_schedule(
             TraceEntry(time_index=k, sensor=i, gain=g, objective=v)
             for i, g, v in outcome.accepted
         )
-        slots.append(tuple(sorted(i for i, _, _ in outcome.accepted)))
+        slots[k] = tuple(sorted(i for i, _, _ in outcome.accepted))
     return Schedule(selections=tuple(slots)), trace

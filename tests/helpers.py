@@ -217,3 +217,42 @@ def two_pass_greedy(ev, model, lazy):
             schedule = schedule.with_added(k, winner)
             trace.append((k, winner, gain, value))
     return schedule, trace, evaluations
+
+
+def per_candidate_greedy(ev, model, lazy):
+    """Greedy that scores each candidate by its own measurement update.
+
+    The same heap, refresh rule and tie-break as ``greedy_schedule``, with
+    one ``slot_step`` per candidate instead of the batched scorer, and the
+    winner's covariance taken from its own update. Returns the schedule, the
+    trace as (time index, sensor, gain, objective after) tuples, and the
+    number of gain evaluations.
+    """
+    tol = bs.scheduler.GAIN_TIE_TOL
+    value = -ev.prior_logdet
+    cov = ev.initial_cov
+    slots, trace, evaluations = [], [], 0
+    for k, budget in enumerate(model.budgets):
+        if k:
+            cov = bs.objective.predict(ev, cov, k - 1)
+        heap = [(-math.inf, i) for i in range(model.sensor_count)]
+        accepted = []
+        while heap and len(accepted) < budget:
+            pool = []
+            best = -math.inf
+            while heap and (not lazy or not pool or -heap[0][0] >= best - tol):
+                _, i = heapq.heappop(heap)
+                gain, with_cov = bs.objective.slot_step(ev, cov, (i,))
+                evaluations += 1
+                pool.append((gain, i, with_cov))
+                best = max(best, gain)
+            pool.sort(key=lambda entry: entry[1])
+            gain, winner, cov = next(e for e in pool if e[0] >= best - tol)
+            for other_gain, other, _ in pool:
+                if other != winner:
+                    heapq.heappush(heap, (-other_gain, other))
+            value -= gain
+            accepted.append(winner)
+            trace.append((k, winner, gain, value))
+        slots.append(tuple(sorted(accepted)))
+    return bs.Schedule(selections=tuple(slots)), trace, evaluations

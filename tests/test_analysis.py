@@ -10,7 +10,6 @@ import pytest
 import batchsched as bs
 from batchsched import analysis, objective, scheduler
 from batchsched.analysis import _random_feasible
-from batchsched.objective import SweepState, advance
 from helpers import scenario_stream, stable_model
 
 
@@ -398,15 +397,9 @@ def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
     assert 0 < len(visited) < count
 
 
-def test_singleton_gains_match_one_slot_step_per_sensor():
-    # The bound's stacked computation against the sweep's own update; 1- and
-    # 2-row sensors, and covariances conditioned by earlier slots.
-    rng = np.random.default_rng(8)
-    for model in scenario_stream(40, seed0=5, n_max=4, m_max=5, k_max=3):
-        ev = bs.build_evaluator(model)
-        gains = analysis._SingletonGains(ev)
-        slots = _random_feasible(rng, model).selections
-        state = advance(ev, slots, SweepState.initial(ev), model.horizon - 1)
-        for cov in (ev.initial_cov, state.cov):
-            reference = [objective.slot_step(ev, cov, (i,))[0] for i in range(model.sensor_count)]
-            np.testing.assert_allclose(gains(cov), reference, rtol=1e-12, atol=1e-14)
+def test_completion_bound_prunes_nothing_when_the_scorer_fails():
+    # A covariance negative along one axis breaks that axis sensor's
+    # singleton factorization; the bound must then prune nothing.
+    model = axis_model()
+    state = objective.SweepState(0, np.diag([1.0, -2.0]), 0.0)
+    assert analysis._completion_bound(bs.build_evaluator(model), model, state, 0) == -math.inf

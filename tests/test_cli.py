@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report files, reproducibility."""
 
+import dataclasses
 import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -348,4 +351,39 @@ def test_bounds_exits_1_naming_where_the_covariance_overflows(tmp_path, capsys):
         f"error: predicted covariance at time index {index} is not finite: the error variance exceeds "
         "the double range (unstable dynamics over a long stretch without measurements?)"
     ]
+    assert not out.exists()
+
+
+def test_greedy_and_certify_print_no_warning_where_only_unbudgeted_slots_overflow(tmp_path):
+    # Every budget is zero and the unmeasured variance overflows at the last
+    # slot, which no command needs to reach. A fresh interpreter shows
+    # numpy's RuntimeWarnings on stderr as the console script would.
+    horizon = overflow_index() + 1
+    model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * horizon)
+    scenario = tmp_path / "s.json"
+    bs.save_scenario(bs.validate_model(model), str(scenario))
+    source = str(Path(bs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    for command in (["schedule", "--algorithm", "greedy"], ["certify"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "batchsched.cli", *command, "--config", str(scenario),
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+
+
+def test_greedy_error_names_the_time_index_where_the_filter_lost_precision(tmp_path, capsys):
+    # Measurements only at slots 0, 128 and 255 of an unstable model: the
+    # covariance form loses precision over the unmeasured stretches.
+    model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
+    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
+    scenario = tmp_path / "s.json"
+    bs.save_scenario(bs.validate_model(dataclasses.replace(model, budgets=budgets)), str(scenario))
+    out = tmp_path / "r.json"
+    assert run(["schedule", "--config", str(scenario), "--algorithm", "greedy", "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: innovation covariance of sensor")
+    assert " at time index " in line
     assert not out.exists()

@@ -224,6 +224,68 @@ def test_marginal_gain_rejects_duplicates_and_bad_indices():
         bs.marginal_gain(ev, bs.Schedule.empty(1), 0, 5)
 
 
+def axis_sensor_model(n):
+    """n one-row sensors, sensor i reading state i alone at unit noise."""
+    return bs.validate_model(
+        bs.SystemModel(
+            kind="discrete-invariant",
+            state_dim=n,
+            dynamics=np.eye(n),
+            noise_input=np.eye(n),
+            process_noise_cov=np.eye(n),
+            initial_state_cov=np.eye(n),
+            measurement_times=(1.0, 2.0),
+            sensors=tuple(bs.Sensor(C=np.eye(n)[i:i + 1], V=np.eye(1)) for i in range(n)),
+            budgets=(1, 1),
+        )
+    )
+
+
+def test_singleton_scorer_matches_one_slot_step_per_sensor(monkeypatch):
+    # The batched scorer against the sweep's own update: 1- and 2-row
+    # sensors, covariances conditioned by earlier slots, and a 60-sensor
+    # model whose rows fill several groups. No factorization may have more
+    # rows than a group, which keeps the scorer linear in the sensor count.
+    rng = np.random.default_rng(8)
+    models = scenario_stream(40, seed0=5, n_max=4, m_max=5, k_max=3)
+    wide = bs.random_scenario(seed=6, n=6, m=60, K=3, r=3)
+    models.append(wide)
+    factored_rows = []
+    original = objective.dpotrf
+
+    def counted(a, **kwargs):
+        factored_rows.append(len(a))
+        return original(a, **kwargs)
+
+    for model in models:
+        ev = bs.build_evaluator(model)
+        slots = _random_feasible(rng, model).selections
+        state = objective.advance(ev, slots, objective.SweepState.initial(ev), model.horizon - 1)
+        for cov in (ev.initial_cov, state.cov):
+            reference = [objective.slot_step(ev, cov, (i,))[0] for i in range(model.sensor_count)]
+            with monkeypatch.context() as patch:
+                patch.setattr(objective, "dpotrf", counted)
+                gains = ev.scorer(cov)
+            np.testing.assert_allclose(gains, reference, rtol=1e-12, atol=1e-14)
+    assert sum(len(w) for w in bs.build_evaluator(wide).whitened) > 2 * objective.SCORER_GROUP_ROWS
+    assert 0 < max(factored_rows) <= objective.SCORER_GROUP_ROWS
+
+
+def test_singleton_scorer_names_the_sensor_whose_factorization_fails():
+    # Sensor 35 sits in the second group: a covariance negative along its
+    # axis breaks its innovation covariance and no other sensor's.
+    ev = bs.build_evaluator(axis_sensor_model(40))
+    cov = np.eye(40)
+    cov[35, 35] = -2.0
+    with pytest.raises(
+        bs.NotPositiveDefinite,
+        match=r"^innovation covariance of sensor 35 at time index 1: the filter covariance lost",
+    ):
+        ev.scorer(cov, 1)
+    with pytest.raises(bs.NotPositiveDefinite, match=r"^innovation covariance of sensors \[35\] at"):
+        objective.slot_step(ev, cov, (35,), 1)
+
+
 def test_batch_error_trace_scalar():
     ev = bs.build_evaluator(scalar_model())
     assert bs.batch_error_trace(ev, bs.Schedule.from_sets([[0]])) == pytest.approx(0.5, abs=1e-12)

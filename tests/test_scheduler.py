@@ -1,13 +1,23 @@
 """Greedy scheduling: worked examples, tie-breaking, lazy/eager fidelity."""
 
+import dataclasses
+import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import batchsched as bs
-from helpers import scenario_stream, stable_model, two_pass_greedy
+from helpers import (
+    exploding_scalar_model,
+    overflow_index,
+    per_candidate_greedy,
+    scenario_stream,
+    stable_model,
+    two_pass_greedy,
+)
 
 
 def one_shot_model(sensors, budget):
@@ -227,6 +237,48 @@ def test_greedy_matches_two_pass_information_form_greedy():
             for entry, (_, _, gain, value) in zip(trace.entries, oracle_trace):
                 assert abs(entry.gain - gain) <= 1e-12 * max(1.0, abs(gain))
                 assert abs(entry.objective - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_batched_scoring_matches_one_update_per_candidate():
+    # Bit for bit against the loop that scores each candidate by its own
+    # slot_step: the criterion-1 and criterion-6 streams, the benchmark's
+    # greedy shapes for every kind, and 60 sensors whose rows fill several
+    # scorer groups.
+    models = scenario_stream(200, seed0=1234, n_max=3, m_max=4, k_max=3, r_max=2)
+    models += scenario_stream(200, seed0=4242, m_max=4, r_max=3)
+    models += [
+        bs.random_scenario(seed=seed, n=6, m=10, K=horizon, r=3, kind=kind)
+        for seed, (horizon, kind) in enumerate(itertools.product((8, 16, 32), bs.ModelKind))
+    ]
+    models.append(bs.random_scenario(seed=7, n=6, m=60, K=4, r=3))
+    for model in models:
+        ev = bs.build_evaluator(model)
+        for lazy in (False, True):
+            schedule, trace = bs.greedy_schedule(ev, model, bs.GreedyOptions(lazy=lazy))
+            oracle_schedule, oracle_trace, oracle_evaluations = per_candidate_greedy(ev, model, lazy)
+            assert schedule == oracle_schedule
+            assert [
+                (e.time_index, e.sensor, e.gain, e.objective) for e in trace.entries
+            ] == oracle_trace
+            assert trace.gain_evaluations == oracle_evaluations
+
+
+@pytest.mark.parametrize("first_budget", [0, 1])
+def test_greedy_carries_the_covariance_only_to_the_last_slot_with_a_budget(first_budget):
+    # The unmeasured variance overflows at the last slot, which has no
+    # budget; neither the greedy nor the search it seeds may predict there.
+    horizon = overflow_index() + 1
+    budgets = (first_budget,) + (0,) * (horizon - 1)
+    model = bs.validate_model(dataclasses.replace(exploding_scalar_model(horizon), budgets=budgets))
+    ev = bs.build_evaluator(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        schedule, trace = bs.greedy_schedule(ev, model)
+        opt_schedule, opt_value = bs.brute_force_opt(ev, model)
+    expected = bs.Schedule.from_sets([[0] * first_budget] + [[]] * (horizon - 1))
+    assert schedule == opt_schedule == expected
+    assert len(trace.entries) == first_budget
+    assert opt_value == bs.objective_logdet(ev, expected)
 
 
 def test_greedy_time_linear_in_horizon():
