@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -38,6 +39,23 @@ def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
             f"{float(pivots.min()) / scale:.3g} <= PD_PIVOT_RTOL = {PD_PIVOT_RTOL:g}"
         )
     return lower
+
+
+def chol_pd_stack(stack: np.ndarray, label: Callable[[int], str]) -> np.ndarray:
+    """``chol_pd`` of every matrix of a (J, n, n) stack by one factorization.
+
+    ``label(j)`` names matrix j; an error names the first matrix that fails.
+    """
+    try:
+        lower = np.linalg.cholesky(stack)
+        pivots = np.diagonal(lower, axis1=1, axis2=2) ** 2
+        scale = np.diagonal(stack, axis1=1, axis2=2).max(axis=1, keepdims=True)
+        if np.all(pivots > PD_PIVOT_RTOL * scale):
+            return lower
+    except np.linalg.LinAlgError:
+        pass
+    # Some matrix fails; factor them in order to raise for the first.
+    return np.stack([chol_pd(matrix, label(j)) for j, matrix in enumerate(stack)])
 
 
 def logdet_from_cholesky(lower: np.ndarray) -> float:

@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -260,6 +261,9 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: building costs far more than a parse, and parsing
+# leaves no state on the parser (each parse fills a fresh namespace).
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="batchsched",

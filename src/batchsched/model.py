@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import chol_pd
+from ._linalg import chol_pd_stack
 from .errors import (
     BudgetOutOfRange,
     DimensionMismatch,
@@ -80,16 +81,18 @@ class SystemModel:
 
     ``dynamics``, ``noise_input`` and ``process_noise_cov`` hold one matrix
     for time-invariant kinds and one matrix per inter-measurement interval
-    (K-1 of them) for time-variant kinds. Pass them to ``validate_model``
-    before using the model anywhere else; validated models are immutable and
-    safe to share across workers.
+    (K-1 of them) for time-variant kinds. ``validate_model`` stores each as
+    one (J, rows, cols) array, J = 1 or K-1, or as a tuple of J matrices
+    when the noise widths differ between intervals. Pass the model to
+    ``validate_model`` before using it anywhere else; validated models are
+    immutable and safe to share across workers.
     """
 
     kind: ModelKind
     state_dim: int
-    dynamics: tuple[np.ndarray, ...]
-    noise_input: tuple[np.ndarray, ...]
-    process_noise_cov: tuple[np.ndarray, ...]
+    dynamics: np.ndarray | tuple[np.ndarray, ...]
+    noise_input: np.ndarray | tuple[np.ndarray, ...]
+    process_noise_cov: np.ndarray | tuple[np.ndarray, ...]
     initial_state_cov: np.ndarray
     measurement_times: tuple[float, ...]
     sensors: tuple[Sensor, ...]
@@ -227,29 +230,76 @@ def _as_matrix_seq(value: Any, name: str) -> list[np.ndarray]:
     if _is_sequence(value):
         if len(value) == 0:
             return []
-        head = value[0]
-        if _is_sequence(head) and len(head) > 0 and _is_sequence(head[0]):
+        if _lists_matrices(value):
             return [_as_matrix(m, f"{name}[{j}]") for j, m in enumerate(value)]
         return [_as_matrix(value, name)]
     raise DimensionMismatch(f"{name} must be a matrix or a list of matrices")
 
 
-def _interval_field(value: Any, kind: ModelKind, horizon: int, name: str) -> tuple[np.ndarray, ...]:
-    mats = _as_matrix_seq(value, name)
+def _lists_matrices(value: Sequence) -> bool:
+    """Whether a nonempty sequence lists matrices rather than being one matrix's rows."""
+    head = value[0]
+    return _is_sequence(head) and len(head) > 0 and _is_sequence(head[0])
+
+
+def _as_stack(value: Any) -> np.ndarray | None:
+    """A per-interval field as one float array (J, rows, cols), in one conversion.
+
+    None unless the field converts whole into nonempty, finite matrices of
+    one shape, with no booleans; ``_as_matrix_seq`` then names the faulty
+    matrix, or takes matrices whose shapes differ.
+    """
+    if isinstance(value, np.ndarray):
+        single, has_bool = value.ndim == 2, value.dtype == bool
+    elif _is_sequence(value) and len(value) > 0:
+        single = not _lists_matrices(value)
+        has_bool = _has_bool(value) if single else any(map(_has_bool, value))
+    else:
+        return None
+    if has_bool:
+        return None
+    try:
+        stack = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if single:
+        stack = stack[None]
+    if stack.ndim != 3 or 0 in stack.shape or not np.isfinite(stack).all():
+        return None
+    return stack
+
+
+def _interval_field(value: Any, kind: ModelKind, horizon: int, name: str) -> np.ndarray | tuple[np.ndarray, ...]:
+    """The field as a (J, rows, cols) stack, or as a tuple of J matrices when their shapes differ."""
+    field = _as_stack(value)
+    if field is None:
+        mats = _as_matrix_seq(value, name)
+        field = np.stack(mats) if mats and len({m.shape for m in mats}) == 1 else tuple(mats)
     if kind.variant:
         expected = horizon - 1
-        if len(mats) != expected:
+        if len(field) != expected:
             raise DimensionMismatch(
-                f"{name} must list {expected} per-interval matrices for a time-variant model, got {len(mats)}"
+                f"{name} must list {expected} per-interval matrices for a time-variant model, got {len(field)}"
             )
     else:
-        if len(mats) != 1:
+        if len(field) != 1:
             raise DimensionMismatch(f"{name} must be a single matrix for a time-invariant model")
-    return tuple(mats)
+    return field
 
 
 def _interval_label(base: str, j: int, variant: bool) -> str:
     return f"{base}_{j + 1}" if variant else base
+
+
+def _check_interval_shapes(n: int, a_shape: tuple, f_shape: tuple, w_shape: tuple, j: int, variant: bool) -> None:
+    a_name, f_name, w_name = (_interval_label(base, j, variant) for base in "AFW")
+    if a_shape != (n, n):
+        raise DimensionMismatch(f"{a_name} must be {n}x{n}, got {a_shape[0]}x{a_shape[1]}")
+    if f_shape[0] != n:
+        raise DimensionMismatch(f"{f_name} must have {n} rows, got {f_shape[0]}")
+    p = f_shape[1]
+    if w_shape != (p, p):
+        raise DimensionMismatch(f"{w_name} must be {p}x{p} to match {f_name}, got {w_shape[0]}x{w_shape[1]}")
 
 
 def _as_sensor(obj: Any, index: int) -> Sensor:
@@ -274,12 +324,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_spd(matrix: np.ndarray, name: str) -> None:
+def _freeze_field(field: np.ndarray | tuple[np.ndarray, ...]):
+    return _freeze(field) if isinstance(field, np.ndarray) else tuple(map(_freeze, field))
+
+
+def _check_spd_stack(stack: np.ndarray, label: Callable[[int], str]) -> None:
+    """Check every matrix of a (J, p, p) stack is symmetric positive definite;
+    an error names the first that is not, as ``label(j)``."""
     # Cholesky only reads the lower triangle, so symmetry needs its own check.
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.T).max()) > 1e-9 * scale:
-        raise NotPositiveDefinite(f"{name} must be symmetric")
-    chol_pd(matrix, name)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    asymmetric = np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-9 * scale
+    first = int(asymmetric.argmax()) if asymmetric.any() else len(stack)
+    if first:
+        chol_pd_stack(stack[:first], label)
+    if first < len(stack):
+        raise NotPositiveDefinite(f"{label(first)} must be symmetric")
+
+
+def _check_spd(matrix: np.ndarray, name: str) -> None:
+    _check_spd_stack(matrix[None], lambda j: name)
 
 
 def validate_model(model: SystemModel) -> SystemModel:
@@ -311,7 +374,7 @@ def validate_model(model: SystemModel) -> SystemModel:
             tf = float(t)
         except OverflowError:
             tf = np.inf
-        if not np.isfinite(tf):
+        if not math.isfinite(tf):
             raise DimensionMismatch(f"measurement_times[{k}] must be finite")
         times.append(tf)
     for a, b in zip(times, times[1:]):
@@ -325,18 +388,14 @@ def validate_model(model: SystemModel) -> SystemModel:
     if len(noise_input) != len(dynamics) or len(process) != len(dynamics):
         raise DimensionMismatch("dynamics, noise_input, and process_noise_cov must align per interval")
 
-    for j, (a, f, w) in enumerate(zip(dynamics, noise_input, process)):
-        a_name = _interval_label("A", j, kind.variant)
-        f_name = _interval_label("F", j, kind.variant)
-        w_name = _interval_label("W", j, kind.variant)
-        if a.shape != (n, n):
-            raise DimensionMismatch(f"{a_name} must be {n}x{n}, got {a.shape[0]}x{a.shape[1]}")
-        if f.shape[0] != n:
-            raise DimensionMismatch(f"{f_name} must have {n} rows, got {f.shape[0]}")
-        p = f.shape[1]
-        if w.shape != (p, p):
-            raise DimensionMismatch(f"{w_name} must be {p}x{p} to match {f_name}, got {w.shape[0]}x{w.shape[1]}")
-        _check_spd(w, w_name)
+    if all(isinstance(field, np.ndarray) for field in (dynamics, noise_input, process)):
+        # Every interval has the first one's shapes; W is checked as one stack.
+        _check_interval_shapes(n, dynamics.shape[1:], noise_input.shape[1:], process.shape[1:], 0, kind.variant)
+        _check_spd_stack(process, lambda j: _interval_label("W", j, kind.variant))
+    else:  # the noise widths differ between intervals
+        for j, (a, f, w) in enumerate(zip(dynamics, noise_input, process)):
+            _check_interval_shapes(n, a.shape, f.shape, w.shape, j, kind.variant)
+            _check_spd(w, _interval_label("W", j, kind.variant))
 
     p1 = _as_matrix(model.initial_state_cov, "P_1")
     if p1.shape != (n, n):
@@ -379,9 +438,9 @@ def validate_model(model: SystemModel) -> SystemModel:
     validated = SystemModel(
         kind=kind,
         state_dim=n,
-        dynamics=tuple(_freeze(a) for a in dynamics),
-        noise_input=tuple(_freeze(f) for f in noise_input),
-        process_noise_cov=tuple(_freeze(w) for w in process),
+        dynamics=_freeze_field(dynamics),
+        noise_input=_freeze_field(noise_input),
+        process_noise_cov=_freeze_field(process),
         initial_state_cov=_freeze(p1),
         measurement_times=tuple(times),
         sensors=tuple(sensors),
@@ -477,10 +536,9 @@ def random_scenario(
     return validate_model(model)
 
 
-def _interval_field_to_json(mats: Sequence[np.ndarray], variant: bool):
-    if variant:
-        return [m.tolist() for m in mats]
-    return mats[0].tolist()
+def _interval_field_to_json(field: np.ndarray | tuple[np.ndarray, ...], variant: bool):
+    mats = field.tolist() if isinstance(field, np.ndarray) else [m.tolist() for m in field]
+    return mats if variant else mats[0]
 
 
 def model_to_dict(model: SystemModel) -> dict:

@@ -9,18 +9,26 @@ the oracle the filter-form objective and error trace are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import expm, solve_triangular
 
-from ._linalg import chol_pd, logdet_from_cholesky, pd_inverse, sym
+from ._linalg import chol_pd, chol_pd_stack, logdet_from_cholesky, pd_inverse, sym
 from .errors import DimensionMismatch, InvalidArgument
 from .model import Schedule, SystemModel
 
 if TYPE_CHECKING:
     from .objective import ObjectiveEvaluator
+
+
+# Intervals discretized per batch. A batch's stacked temporaries (augmented
+# matrices and their exponentials, 64 (2n)^2 doubles each) stay small, so a
+# long horizon discretizes with no more peak memory than one interval at a time.
+DISCRETIZE_BATCH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,47 +91,72 @@ class BlockTridiagonal:
         return out
 
 
-def discretize_interval(model: SystemModel, j: int) -> IntervalPropagation:
-    """Transition and accumulated noise covariance over interval j (0-based).
+def _discretize(model: SystemModel, first: int, stop: int) -> tuple[IntervalPropagation, ...]:
+    """Intervals first..stop-1 (at least one) discretized together, as stacks of matrices.
 
     Continuous kinds use the augmented-matrix-exponential construction: with
     M = [[-A, F W F.T], [0, A.T]] * dt, the exponential of M carries
     exp(A.T dt) in its lower-right block and a matrix G in the upper-right
     block such that Phi = exp(A dt) and Q = Phi @ G equals the integral of
-    exp(A s) F W F.T exp(A.T s) ds over [0, dt]. Discrete kinds take
-    Phi = A_j and Q = F W F.T directly; a singular discrete Q is rejected.
+    exp(A s) F W F.T exp(A.T s) ds over [0, dt]. One ``expm`` call takes
+    the M of every interval. Discrete kinds take Phi = A_j and Q = F W F.T
+    directly, computed once for the time-invariant kind; a singular
+    discrete Q is rejected, naming the first such interval.
     """
+    count = stop - first
+    # Time-invariant kinds store one matrix per field, for every interval.
+    pick = slice(first, stop) if model.kind.variant else slice(0, 1)
+    a = model.dynamics[pick]
+    f, w = model.noise_input[pick], model.process_noise_cov[pick]
+    if isinstance(f, np.ndarray):
+        qc = f @ w @ f.swapaxes(1, 2)
+    else:  # the noise widths differ between intervals
+        qc = np.stack([fj @ wj @ fj.T for fj, wj in zip(f, w)])
+    if model.kind.continuous:
+        n = model.state_dim
+        dt = np.diff(model.measurement_times[first:stop + 1])
+        aug = np.zeros((count, 2 * n, 2 * n))
+        aug[:, :n, :n] = -a
+        aug[:, :n, n:] = qc
+        aug[:, n:, n:] = a.swapaxes(1, 2)
+        aug *= dt[:, None, None]
+        e = expm(aug)
+        # Each Phi_j is F-contiguous, the layout a one-interval transpose copy
+        # has, so that every later product with it makes the same BLAS call.
+        phi = np.ascontiguousarray(e[:, n:, n:]).swapaxes(1, 2)
+        q = phi @ e[:, :n, n:]
+    else:
+        phi = np.array(a)
+        q = qc
+    q = (q + q.swapaxes(1, 2)) / 2.0  # sym of each matrix
+    lower = chol_pd_stack(q, lambda j: f"Q_{first + j + 1}")
+    phi.setflags(write=False)
+    q.setflags(write=False)
+    # noise_logdet sums scalar logs, as logdet_from_cholesky does.
+    props = tuple(
+        IntervalPropagation(transition=phi_j, noise_cov=q_j, noise_logdet=2.0 * sum(map(math.log, diag)))
+        for phi_j, q_j, diag in zip(phi, q, np.diagonal(lower, axis1=1, axis2=2).tolist())
+    )
+    # Discrete-invariant: one Phi and Q serve every interval.
+    return props * count if len(props) < count else props
+
+
+def discretize_interval(model: SystemModel, j: int) -> IntervalPropagation:
+    """Transition and accumulated noise covariance over interval j (0-based)."""
     model.require_validated()
     if not 0 <= j <= model.horizon - 2:
         raise InvalidArgument(f"interval index {j} out of range for horizon {model.horizon}")
-    a = model.interval_dynamics(j)
-    f = model.interval_noise_input(j)
-    w = model.interval_process_noise(j)
-    label = f"Q_{j + 1}"
-    if model.kind.continuous:
-        dt = model.interval_length(j)
-        n = model.state_dim
-        qc = f @ w @ f.T
-        aug = np.zeros((2 * n, 2 * n))
-        aug[:n, :n] = -a
-        aug[:n, n:] = qc
-        aug[n:, n:] = a.T
-        e = expm(aug * dt)
-        phi = np.array(e[n:, n:].T)
-        q = sym(phi @ e[:n, n:])
-    else:
-        phi = np.array(a)
-        q = sym(f @ w @ f.T)
-    lower = chol_pd(q, label)
-    phi.setflags(write=False)
-    q.setflags(write=False)
-    return IntervalPropagation(transition=phi, noise_cov=q, noise_logdet=logdet_from_cholesky(lower))
+    return _discretize(model, j, j + 1)[0]
 
 
 def discretize_intervals(model: SystemModel) -> tuple[IntervalPropagation, ...]:
-    """``discretize_interval`` for every interval of the horizon, in order."""
+    """Every interval of the horizon, in order, discretized in batches."""
     model.require_validated()
-    return tuple(discretize_interval(model, j) for j in range(model.horizon - 1))
+    stop = model.horizon - 1
+    batches = range(0, stop, DISCRETIZE_BATCH)
+    return tuple(chain.from_iterable(
+        _discretize(model, first, min(first + DISCRETIZE_BATCH, stop)) for first in batches
+    ))
 
 
 def build_prior_information(

@@ -6,10 +6,10 @@ import heapq
 import math
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import block_diag, expm, solve_triangular
 
 import batchsched as bs
-from batchsched._linalg import sym
+from batchsched._linalg import chol_pd, logdet_from_cholesky, sym
 
 ALL_KINDS = tuple(bs.ModelKind)
 
@@ -33,6 +33,32 @@ def scenario_stream(count, seed0=0, n_max=3, m_max=4, k_max=3, r_max=2, kinds=AL
 def prior_information(model):
     """Block tri-diagonal prior information of a model, every interval discretized."""
     return bs.build_prior_information(model.initial_state_cov, bs.discretize_intervals(model))
+
+
+def per_interval_discretization(model):
+    """Every interval discretized on its own, one ``expm`` and one Cholesky
+    factorization each: the oracle for the batched ``discretize_intervals``."""
+    props = []
+    for j in range(model.horizon - 1):
+        a = model.interval_dynamics(j)
+        f = model.interval_noise_input(j)
+        w = model.interval_process_noise(j)
+        if model.kind.continuous:
+            dt = model.interval_length(j)
+            n = model.state_dim
+            aug = np.zeros((2 * n, 2 * n))
+            aug[:n, :n] = -a
+            aug[:n, n:] = f @ w @ f.T
+            aug[n:, n:] = a.T
+            e = expm(aug * dt)
+            phi = np.array(e[n:, n:].T)
+            q = sym(phi @ e[:n, n:])
+        else:
+            phi = np.array(a)
+            q = sym(f @ w @ f.T)
+        lower = chol_pd(q, f"Q_{j + 1}")
+        props.append(bs.IntervalPropagation(phi, q, logdet_from_cholesky(lower)))
+    return tuple(props)
 
 
 def stable_model(horizon, n=8, m=3, r=2, seed=99):

@@ -275,17 +275,37 @@ def test_schedule_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
     assert str(scenario) in err and "Permission denied" in err
 
 
+def test_consecutive_calls_share_the_parser_but_no_parsed_state(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario, seed=4, n=2, m=3, K=3, r=1))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    argv = ["schedule", "--config", str(scenario), "--algorithm", "random", "--seed", "5", "--out", str(first)]
+    assert run(argv) == 0
+    assert run(["fuzz", "--config", str(scenario), "--property", "mono", "--trials", "2", "--seed", "9"]) == 0
+    assert run(["schedule", "--config", str(scenario), "--out", str(second)]) == 0
+    report = json.loads(second.read_text())
+    assert "seed" not in report and report["algorithm"] == "greedy"
+    assert json.loads(first.read_text())["seed"] == 5
+    # A rejected command line leaves the parser usable.
+    with pytest.raises(SystemExit):
+        run(["schedule", "--config", str(scenario)])
+    assert run(["schedule", "--config", str(scenario), "--algorithm", "empty", "--out", str(second)]) == 0
+    assert "seed" not in json.loads(second.read_text())
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_bounds_discretizes_each_interval_once(tmp_path, monkeypatch):
     scenario = tmp_path / "s.json"
     run(gen_args(scenario, K=6, kind="continuous-variant"))
     calls = []
-    original = prior.discretize_interval
+    original = prior._discretize
 
-    def counting(model, j):
-        calls.append(j)
-        return original(model, j)
+    def counting(model, first, stop):
+        calls.extend(range(first, stop))
+        return original(model, first, stop)
 
-    monkeypatch.setattr(prior, "discretize_interval", counting)
+    # The batched kernel that every discretization goes through.
+    monkeypatch.setattr(prior, "_discretize", counting)
     out = tmp_path / "b.json"
     assert run(["bounds", "--config", str(scenario), "--out", str(out), "--alpha", "0.5"]) == 0
     assert sorted(calls) == list(range(5))

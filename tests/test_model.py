@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -308,3 +309,60 @@ def test_schedule_validate_for():
         bs.Schedule.from_sets([[7], []]).validate_for(model)
     with pytest.raises(bs.InvalidArgument):
         bs.Schedule.from_sets([[0]]).validate_for(model)
+
+
+def _negated(m):
+    return [[-x for x in row] for row in m]
+
+
+# One fault in one interval's matrix of a five-interval model (n = 3, noise
+# width 3): the field, how the matrix changes, and the error it must raise,
+# with {j} the list index and {label} the 1-based interval.
+INTERVAL_FAULTS = {
+    "boolean": ("dynamics", lambda m: [[True] + m[0][1:]] + m[1:],
+                bs.DimensionMismatch, "dynamics[{j}] must contain numbers, not booleans"),
+    "nan": ("noise_input", lambda m: [m[0], [m[1][0], math.nan, m[1][2]], m[2]],
+            bs.DimensionMismatch, "noise_input[{j}] must contain only finite entries"),
+    "shape": ("dynamics", lambda m: [row[:2] for row in m],
+              bs.DimensionMismatch, "A_{label} must be 3x3, got 3x2"),
+    "rows": ("noise_input", lambda m: m[:2],
+             bs.DimensionMismatch, "F_{label} must have 3 rows, got 2"),
+    "asymmetric": ("process_noise_cov", lambda m: [[m[0][0], m[0][1] + 1.0, m[0][2]]] + m[1:],
+                   bs.NotPositiveDefinite, "W_{label} must be symmetric"),
+    "indefinite": ("process_noise_cov", _negated,
+                   bs.NotPositiveDefinite,
+                   "W_{label} is not positive definite: its Cholesky factorization meets a pivot "
+                   "<= 0 (pivot ratio <= 0, PD_PIVOT_RTOL = 1e-12)"),
+    "near_singular": ("process_noise_cov", lambda m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-14]],
+                      bs.NotPositiveDefinite,
+                      "W_{label} is not positive definite: smallest Cholesky pivot ratio 1e-14 "
+                      "<= PD_PIVOT_RTOL = 1e-12"),
+}
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+@pytest.mark.parametrize("fault", sorted(INTERVAL_FAULTS))
+def test_interval_fault_names_its_interval(fault, j):
+    field, change, error, message = INTERVAL_FAULTS[fault]
+    data = bs.model_to_dict(bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="discrete-variant"))
+    data[field][j] = change(data[field][j])
+    expected = message.format(j=j, label=j + 1)
+    with pytest.raises(error) as raised:
+        bs.model_from_dict(data)
+    assert type(raised.value) is error and str(raised.value) == expected
+    if fault in ("nan", "asymmetric", "indefinite", "near_singular"):
+        # The same fault inside one (intervals, rows, cols) array.
+        data[field] = np.array(data[field])
+        with pytest.raises(error) as raised:
+            bs.model_from_dict(data)
+        assert type(raised.value) is error and str(raised.value) == expected
+
+
+def test_interval_fields_are_stored_as_read_only_stacks():
+    model = bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="discrete-variant")
+    for field in (model.dynamics, model.noise_input, model.process_noise_cov):
+        assert isinstance(field, np.ndarray) and field.shape == (5, 3, 3)
+        assert not field.flags.writeable
+    invariant = bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="continuous-invariant")
+    assert invariant.dynamics.shape == (1, 3, 3)
+    np.testing.assert_array_equal(invariant.interval_dynamics(4), invariant.dynamics[0])

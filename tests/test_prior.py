@@ -8,7 +8,14 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import batchsched as bs
-from helpers import dense_prior_covariance, prior_information, scenario_stream
+from batchsched._linalg import chol_pd, logdet_from_cholesky
+from helpers import (
+    ALL_KINDS,
+    dense_prior_covariance,
+    per_interval_discretization,
+    prior_information,
+    scenario_stream,
+)
 
 
 def make_continuous(A, F, W, P1, times, sensors=None, budgets=None):
@@ -104,6 +111,81 @@ def test_discrete_singular_noise_rejected():
         bs.discretize_interval(model, 0)
     with pytest.raises(bs.NotPositiveDefinite, match="Q_1"):
         prior_information(model)
+
+
+def assert_matches_per_interval_oracle(model):
+    oracle = per_interval_discretization(model)
+    batched = bs.discretize_intervals(model)
+    singles = tuple(bs.discretize_interval(model, j) for j in range(model.horizon - 1))
+    assert len(batched) == len(singles) == len(oracle) == model.horizon - 1
+    for props in (batched, singles):
+        for prop, want in zip(props, oracle):
+            np.testing.assert_array_equal(prop.transition, want.transition)
+            np.testing.assert_array_equal(prop.noise_cov, want.noise_cov)
+            assert prop.noise_logdet == want.noise_logdet
+            # The layout decides the BLAS calls of every later product.
+            assert prop.transition.flags.f_contiguous == want.transition.flags.f_contiguous
+            assert prop.transition.flags.c_contiguous == want.transition.flags.c_contiguous
+    prior_logdet = logdet_from_cholesky(chol_pd(model.initial_state_cov, "P_1"))
+    for want in oracle:
+        prior_logdet += want.noise_logdet
+    assert bs.build_evaluator(model).prior_logdet == -prior_logdet
+
+
+# K = 200 spans several batches of DISCRETIZE_BATCH intervals, the last one partial.
+@pytest.mark.parametrize("K", [1, 2, 5, 64, 200])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batched_discretization_is_the_per_interval_loop_bit_for_bit(kind, K):
+    model = bs.random_scenario(seed=K, n=3, m=2, K=K, r=1, kind=kind)
+    assert_matches_per_interval_oracle(model)
+    # A scenario file holds lists, not arrays.
+    assert_matches_per_interval_oracle(bs.model_from_dict(bs.model_to_dict(model)))
+
+
+def variant_model(kind, noise_inputs, noise_covs, n=2):
+    intervals = len(noise_inputs)
+    rng = np.random.default_rng(intervals)
+    return bs.validate_model(
+        bs.SystemModel(
+            kind=kind,
+            state_dim=n,
+            dynamics=[0.3 * rng.standard_normal((n, n)) for _ in range(intervals)],
+            noise_input=noise_inputs,
+            process_noise_cov=noise_covs,
+            initial_state_cov=np.eye(n),
+            measurement_times=tuple(0.5 * k + 0.1 * k * k for k in range(intervals + 1)),
+            sensors=(bs.Sensor(C=np.eye(n), V=np.eye(n)),),
+            budgets=(1,) * (intervals + 1),
+        )
+    )
+
+
+@pytest.mark.parametrize("kind", ["continuous-variant", "discrete-variant"])
+def test_intervals_with_different_noise_widths_are_accepted_and_discretized(kind):
+    widths = (2, 3, 4, 2)
+    rng = np.random.default_rng(3)
+    noise_inputs = [rng.standard_normal((2, p)) for p in widths]
+    noise_covs = [np.eye(p) + 0.1 * np.ones((p, p)) for p in widths]
+    model = variant_model(kind, noise_inputs, noise_covs)
+    assert [f.shape[1] for f in model.noise_input] == list(widths)
+    assert_matches_per_interval_oracle(model)
+    assert bs.model_to_dict(bs.model_from_dict(bs.model_to_dict(model))) == bs.model_to_dict(model)
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_singular_discrete_noise_names_its_interval(ragged):
+    full = [np.eye(2)] * 4
+    singular = np.array([[1.0], [0.0]]) if ragged else np.array([[1.0, 0.0], [0.0, 0.0]])
+    noise_inputs = full[:2] + [singular] + full[3:]
+    noise_covs = [np.eye(2)] * 2 + [np.eye(singular.shape[1])] + [np.eye(2)]
+    model = variant_model("discrete-variant", noise_inputs, noise_covs)
+    assert isinstance(model.noise_input, tuple) == ragged
+    for props in (bs.discretize_intervals, per_interval_discretization):
+        with pytest.raises(bs.NotPositiveDefinite, match=r"^Q_3 is not positive definite"):
+            props(model)
+    bs.discretize_interval(model, 3)
+    with pytest.raises(bs.NotPositiveDefinite, match=r"^Q_3 "):
+        bs.discretize_interval(model, 2)
 
 
 def test_interval_index_range():

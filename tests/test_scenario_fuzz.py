@@ -12,8 +12,9 @@ import batchsched as bs
 from batchsched.cli import main
 
 BASES = tuple(
-    bs.model_to_dict(bs.random_scenario(seed=4, n=2, m=2, K=2, r=1, kind=kind))
-    for kind in ("discrete-invariant", "continuous-variant")
+    bs.model_to_dict(bs.random_scenario(seed=4, n=2, m=2, K=K, r=1, kind=kind))
+    # The K=4 base lists three matrices per interval field.
+    for kind, K in (("discrete-invariant", 2), ("continuous-variant", 2), ("discrete-variant", 4))
 )
 REPLACEMENTS = ("x", None, True, [], [1.0], {}, {"C": [[1.0]]})
 

@@ -284,17 +284,17 @@ def test_greedy_carries_the_covariance_only_to_the_last_slot_with_a_budget(first
 def test_greedy_time_linear_in_horizon():
     # Each gain is one measurement update, so a lazy run grows like K; two
     # full objective passes per gain would grow like K^2.
+    # Host noise only ever adds time, so each horizon keeps its fastest run;
+    # the rounds interleave the horizons, so a slow spell of the host falls
+    # on all of them alike. The first round doubles as the warm-up.
     horizons = [64, 128, 256, 512]
-    medians = []
-    for horizon in horizons:
-        model = stable_model(horizon)
-        ev = bs.build_evaluator(model)
-        bs.greedy_schedule(ev, model)  # warm-up
-        samples = []
-        for _ in range(5):
+    cases = [(model, bs.build_evaluator(model)) for model in map(stable_model, horizons)]
+    samples = [[] for _ in horizons]
+    for _ in range(7):
+        for (model, ev), times in zip(cases, samples):
             start = time.perf_counter()
             bs.greedy_schedule(ev, model)
-            samples.append(time.perf_counter() - start)
-        medians.append(float(np.median(samples)))
-    exponent = float(np.polyfit(np.log(horizons), np.log(medians), 1)[0])
-    assert exponent <= 1.3, f"fitted exponent {exponent} with medians {medians}"
+            times.append(time.perf_counter() - start)
+    fastest = [min(times) for times in samples]
+    exponent = float(np.polyfit(np.log(horizons), np.log(fastest), 1)[0])
+    assert exponent <= 1.3, f"fitted exponent {exponent} with fastest runs {fastest}"
