@@ -46,10 +46,11 @@ CAP_ENV_VAR = "BATCHSCHED_ORACLE_CAP"
 RATIO_TOL = 1e-9
 DEGENERATE_SPREAD = 1e-12
 PROPERTY_TOL = 1e-9
-# Branch and bound prunes a subtree only when its lower bound exceeds the
-# incumbent by more than this fraction of max(1, |prior log-det|, |greedy
-# value|), which bounds the magnitudes the sweep sums; a mere roundoff
-# difference never prunes the optimum or an exact tie.
+# Branch and bound skips a slot's subset, with every schedule through it,
+# only when its lower bound exceeds the incumbent by more than this fraction
+# of max(1, |prior log-det|, |incumbent value|), which bounds the magnitudes
+# the sweep sums; a mere roundoff difference never prunes the optimum or an
+# exact tie.
 BOUND_SLACK_RTOL = 1e-9
 
 
@@ -156,36 +157,54 @@ def _check_enumeration_cap(model: SystemModel, cap: int | None) -> None:
         raise EnumerationCapExceeded(f"{count} feasible schedules exceed cap {limit}")
 
 
-def _completion_bound(
+@lru_cache(maxsize=None)
+def _subset_incidence(m: int, r: int) -> np.ndarray:
+    """0/1 matrix whose row s marks the sensors of ``_slot_subsets(m, r)[s]``."""
+    subsets = _slot_subsets(m, r)
+    incidence = np.zeros((len(subsets), m))
+    for row, subset in enumerate(subsets):
+        incidence[row, list(subset)] = 1.0
+    incidence.setflags(write=False)
+    return incidence
+
+
+def _child_bounds(
     ev: ObjectiveEvaluator, model: SystemModel, state: SweepState, last: int
-) -> float:
-    """Lower bound on the objective of every schedule through ``state``.
+) -> np.ndarray:
+    """Lower bound on the objective of every schedule through ``state`` that
+    selects subset S at slot k = ``state.k``, for each S of ``_slot_subsets``.
 
     A slot's gain never exceeds the sum of its sensors' singleton gains, and
-    a gain only shrinks as earlier slots measure more. So the gains of slots
-    k..last are at most the top r_k singleton gains at the covariance
-    predicted from ``state`` with those slots left empty; slots after
-    ``last``, the last one with a nonzero budget, add nothing. The singleton
-    gains come from the evaluator's ``SingletonScorer``. Returns -inf, which
-    prunes nothing, if a singleton factorization fails.
+    a gain only shrinks as earlier slots measure more. So slot k adds at
+    most the sum over S of the singleton gains g at ``state.cov``, and each
+    later slot j up to ``last``, the last one with a nonzero budget, at most
+    the top r_j singleton gains at the covariance predicted from
+    ``state.cov`` with slots k..j-1 left empty. The singleton gains come
+    from the evaluator's ``SingletonScorer``, and one product with the
+    subsets' incidence matrix sums them for every S. Returns -inf for every
+    S, which prunes nothing, if a singleton factorization fails.
     """
-    bound = state.value
-    cov = state.cov
-    for k in range(state.k, last + 1):
-        if k > state.k:
-            cov = predict(ev, cov, k - 1)
-        budget = model.budgets[k]
-        if budget:
-            try:
-                slot_gains = ev.scorer(cov)
-            except NotPositiveDefinite:
-                return -math.inf
-            bound -= float(np.sort(slot_gains)[-budget:].sum())
-    return bound
+    k = state.k
+    incidence = _subset_incidence(model.sensor_count, model.budgets[k])
+    try:
+        gains = ev.scorer(state.cov)
+        rest = 0.0
+        cov = state.cov
+        for j in range(k + 1, last + 1):
+            cov = predict(ev, cov, j - 1)
+            budget = model.budgets[j]
+            if budget:
+                rest += float(np.sort(ev.scorer(cov))[-budget:].sum())
+    except NotPositiveDefinite:
+        return np.full(len(incidence), -math.inf)
+    return state.value - rest - incidence @ gains
 
 
 def brute_force_opt(
-    ev: ObjectiveEvaluator, model: SystemModel, cap: int | None = None
+    ev: ObjectiveEvaluator,
+    model: SystemModel,
+    cap: int | None = None,
+    incumbent: Schedule | None = None,
 ) -> tuple[Schedule, float]:
     """Exhaustive minimizer over all feasible schedules, by branch and bound.
 
@@ -194,50 +213,70 @@ def brute_force_opt(
     current schedule's first k slots, so a schedule costs one slot update
     per slot after the prefix it shares with the previous one. The walk
     stops at the last slot with a nonzero budget: later slots are empty in
-    every feasible schedule and change no term. A node that
-    branches (slot budget above 0) is skipped with its whole subtree when
-    ``_completion_bound`` exceeds the incumbent, the best value so far or
-    the greedy schedule's, by more than ``BOUND_SLACK_RTOL`` of the values'
-    scale, which roundoff cannot bridge. Every visited schedule is scored by
-    ``objective_logdet`` resumed from the last state (bit-identical to a
-    full sweep) and replaces the best only if strictly lower, so ties break
-    toward the lexicographically smallest schedule, the first one enumerated.
+    every feasible schedule and change no term.
+
+    On arriving at a slot with a nonzero budget, ``_child_bounds`` bounds
+    each of its subsets at once. A subset is skipped, before its slot
+    update or leaf evaluation, when its bound exceeds the best value so far
+    by more than ``BOUND_SLACK_RTOL`` of the values' scale, which roundoff
+    cannot bridge; the best value starts at the objective of ``incumbent``
+    (the greedy schedule when None), which ``Schedule.validate_for`` must
+    accept for the model. Every schedule
+    the walk reaches is scored by ``objective_logdet`` resumed from the last
+    state (bit-identical to a full sweep) and replaces the best only if
+    strictly lower, so ties break toward the lexicographically smallest
+    schedule, the first one enumerated.
     """
     model.require_validated()
     _check_enumeration_cap(model, cap)
-    _, trace = greedy_schedule(ev, model)
-    incumbent = trace.entries[-1].objective if trace.entries else trace.start_objective
-    slack = BOUND_SLACK_RTOL * max(1.0, abs(ev.prior_logdet), abs(incumbent))
+    if incumbent is None:
+        _, trace = greedy_schedule(ev, model)
+        ceiling = trace.entries[-1].objective if trace.entries else trace.start_objective
+    else:
+        ceiling = objective_logdet(ev, incumbent.validate_for(model))
+    # ceiling: the least objective known to be reachable. A subset whose
+    # bound exceeds it by more than the slack cannot hold the optimum.
+    slack = BOUND_SLACK_RTOL * max(1.0, abs(ev.prior_logdet), abs(ceiling))
     choices = [_slot_subsets(model.sensor_count, r) for r in model.budgets]
     last = max((k for k, r in enumerate(model.budgets) if r), default=-1)
     leaf = max(last, 0)
     slots = [()] * model.horizon
-    picked = [-1] * (leaf + 1)  # index of slot k's current subset; -1 on arrival
     entering = [SweepState.initial(ev)]
+
+    def children(k: int) -> list[tuple[float, int]]:
+        """Slot k's subsets not pruned on arrival, as (bound, index) pairs,
+        last subset first so that the next one pops off the end."""
+        if not model.budgets[k]:
+            return [(-math.inf, 0)]
+        bounds = _child_bounds(ev, model, entering[k], last)
+        # Written so that a NaN bound prunes nothing.
+        keep = np.flatnonzero(~(bounds > ceiling + slack))[::-1]
+        return list(zip(bounds[keep].tolist(), keep.tolist()))
+
+    pending = [children(0)]  # pending[k]: slot k's subsets still to walk
     best_schedule = None
     best_value = math.inf
     k = 0
     while k >= 0:
-        if picked[k] < 0 and model.budgets[k]:
-            if _completion_bound(ev, model, entering[k], last) > incumbent + slack:
-                picked[k] = len(choices[k])  # pruned: as if every child were done
-        picked[k] += 1
-        if picked[k] >= len(choices[k]):
-            picked[k] = -1
-            del entering[k]
+        if not pending[k]:
+            del pending[k], entering[k]
             k -= 1
             continue
-        slots[k] = choices[k][picked[k]]
+        bound, index = pending[k].pop()
+        if bound > ceiling + slack:
+            continue
+        slots[k] = choices[k][index]
         if k < leaf:
             entering.append(advance(ev, slots, entering[k], k + 1))
             k += 1
+            pending.append(children(k))
         else:
             schedule = Schedule(selections=tuple(slots))
             value = objective_logdet(ev, schedule, entering[k])
             if value < best_value:
                 best_value = value
                 best_schedule = schedule
-                incumbent = min(incumbent, value)
+                ceiling = min(ceiling, value)
     return best_schedule, best_value
 
 
@@ -257,13 +296,16 @@ def certify_ratio(
 ) -> RatioCertificate:
     """Certify (greedy - opt) / (max - opt) <= 1/2 by exhaustive search.
 
+    The enumeration cap is checked before any work. The greedy runs once:
+    its schedule is the certificate's and seeds the search's incumbent.
     Raises GuaranteeViolated, carrying the full instance, if the bound
     fails; that signals a bug in this library, not a tight instance.
     """
     model.require_validated()
+    _check_enumeration_cap(model, cap)
     greedy, _ = greedy_schedule(ev, model)
     greedy_value = objective_logdet(ev, greedy)
-    opt_schedule, opt_value = brute_force_opt(ev, model, cap)
+    opt_schedule, opt_value = brute_force_opt(ev, model, cap, incumbent=greedy)
     max_value = worst_value(ev, model)
     fingerprint = model_fingerprint(model)
 

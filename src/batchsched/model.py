@@ -157,17 +157,6 @@ class Schedule:
         new_slot = tuple(sorted(slot + (i,)))
         return Schedule(self.selections[:k] + (new_slot,) + self.selections[k + 1:])
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.selections)
-
-    def total_selected(self) -> int:
-        return sum(len(s) for s in self.selections)
-
-    def is_subschedule_of(self, other: "Schedule") -> bool:
-        if len(self) != len(other):
-            return False
-        return all(set(a) <= set(b) for a, b in zip(self.selections, other.selections))
-
     def to_lists(self) -> list[list[int]]:
         return [list(s) for s in self.selections]
 

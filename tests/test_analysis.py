@@ -261,7 +261,7 @@ def test_min_sensors_consistent_with_achieved_error():
         schedule, _ = bs.greedy_schedule(ev, model)
         achieved = bs.batch_error_trace(ev, schedule)
         needed = bs.min_sensors_for_error(ev, model, achieved)
-        assert needed <= max(schedule.sizes()) + 1e-9
+        assert needed <= max(map(len, schedule.selections)) + 1e-9
 
 
 def test_min_sensors_rejects_bad_alpha():
@@ -336,6 +336,19 @@ def _count_visited(monkeypatch):
     return visited
 
 
+def _greedy_runs(monkeypatch):
+    """Calls the analysis layer makes to greedy_schedule."""
+    runs = []
+    original = analysis.greedy_schedule
+
+    def counted(ev, model):
+        runs.append(model)
+        return original(ev, model)
+
+    monkeypatch.setattr(analysis, "greedy_schedule", counted)
+    return runs
+
+
 def test_branch_and_bound_visits_a_fraction_of_the_schedules(monkeypatch):
     visited = _count_visited(monkeypatch)
     for seed, kind in enumerate(bs.ModelKind):
@@ -343,6 +356,17 @@ def test_branch_and_bound_visits_a_fraction_of_the_schedules(monkeypatch):
         visited.clear()
         bs.brute_force_opt(bs.build_evaluator(model), model)
         assert 0 < len(visited) < bs.feasible_schedule_count(model) / 4
+
+
+def test_per_child_bounds_skip_most_schedules(monkeypatch):
+    # Bounding each subset of a slot before stepping into it leaves few
+    # schedules to score.
+    visited = _count_visited(monkeypatch)
+    for seed, kind in enumerate(bs.ModelKind):
+        model = bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
+        visited.clear()
+        bs.brute_force_opt(bs.build_evaluator(model), model)
+        assert 0 < len(visited) < bs.feasible_schedule_count(model) / 32
 
 
 def test_search_is_iterative_and_linear_along_zero_budget_slots(monkeypatch):
@@ -378,16 +402,11 @@ def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
     ev = bs.build_evaluator(model)
     count = bs.feasible_schedule_count(model)
     visited = _count_visited(monkeypatch)
-    greedy_runs = []
-    original = analysis.greedy_schedule
-
-    def counted_greedy(ev, model):
-        greedy_runs.append(model)
-        return original(ev, model)
-
-    monkeypatch.setattr(analysis, "greedy_schedule", counted_greedy)
+    greedy_runs = _greedy_runs(monkeypatch)
     with pytest.raises(bs.EnumerationCapExceeded, match=f"{count} feasible schedules exceed cap {count - 1}"):
         bs.brute_force_opt(ev, model, cap=count - 1)
+    with pytest.raises(bs.EnumerationCapExceeded):
+        bs.certify_ratio(ev, model, cap=count - 1)
     monkeypatch.setenv(analysis.CAP_ENV_VAR, str(count - 1))
     with pytest.raises(bs.EnumerationCapExceeded):
         bs.brute_force_opt(ev, model)
@@ -397,9 +416,52 @@ def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
     assert 0 < len(visited) < count
 
 
-def test_completion_bound_prunes_nothing_when_the_scorer_fails():
+def test_child_bounds_prune_nothing_when_the_scorer_fails():
     # A covariance negative along one axis breaks that axis sensor's
-    # singleton factorization; the bound must then prune nothing.
+    # singleton factorization; no child may then be pruned.
     model = axis_model()
     state = objective.SweepState(0, np.diag([1.0, -2.0]), 0.0)
-    assert analysis._completion_bound(bs.build_evaluator(model), model, state, 0) == -math.inf
+    bounds = analysis._child_bounds(bs.build_evaluator(model), model, state, 0)
+    assert len(bounds) == len(analysis._slot_subsets(2, 1))
+    assert (bounds == -math.inf).all()
+
+
+def test_child_bounds_hold_for_every_subset_of_the_slot():
+    rng = np.random.default_rng(3)
+    for model in scenario_stream(20, seed0=77, n_max=3, m_max=4, k_max=3, r_max=2):
+        ev = bs.build_evaluator(model)
+        last = max((k for k, r in enumerate(model.budgets) if r), default=-1)
+        for k in range(last + 1):
+            if not model.budgets[k]:
+                continue
+            prefix = _random_feasible(rng, model).selections[:k]
+            state = objective.advance(ev, prefix, objective.SweepState.initial(ev), k)
+            best = {}
+            for schedule in bs.iter_feasible_schedules(model):
+                if schedule.selections[:k] == prefix:
+                    subset = schedule.selections[k]
+                    value = bs.objective_logdet(ev, schedule)
+                    best[subset] = min(best.get(subset, math.inf), value)
+            bounds = analysis._child_bounds(ev, model, state, last)
+            subsets = analysis._slot_subsets(model.sensor_count, model.budgets[k])
+            assert len(bounds) == len(subsets) == len(best)
+            for bound, subset in zip(bounds, subsets):
+                assert bound <= best[subset] + 1e-9
+
+
+def test_certify_runs_the_greedy_once(monkeypatch):
+    runs = _greedy_runs(monkeypatch)
+    for model in scenario_stream(10, seed0=2711):
+        runs.clear()
+        bs.certify_ratio(bs.build_evaluator(model), model)
+        assert len(runs) == 1
+
+
+def test_brute_force_takes_a_feasible_incumbent():
+    model = bs.random_scenario(seed=2, n=2, m=3, K=2, r=1)
+    ev = bs.build_evaluator(model)
+    expected = bs.brute_force_opt(ev, model)
+    for incumbent in (bs.Schedule.empty(2), expected[0], bs.greedy_schedule(ev, model)[0]):
+        assert bs.brute_force_opt(ev, model, incumbent=incumbent) == expected
+    with pytest.raises(bs.BudgetOutOfRange):
+        bs.brute_force_opt(ev, model, incumbent=bs.Schedule.from_sets([[0, 1], []]))

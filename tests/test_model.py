@@ -294,10 +294,6 @@ def test_schedule_operations():
     assert s.contains(0, 2) and not s.contains(1, 2)
     with pytest.raises(bs.SensorAlreadySelected):
         s.with_added(0, 1)
-    assert s.is_subschedule_of(s.with_added(1, 0))
-    assert not s.with_added(1, 0).is_subschedule_of(s)
-    assert s.sizes() == (2, 0)
-    assert s.total_selected() == 2
 
 
 def test_schedule_validate_for():
