@@ -24,7 +24,7 @@ from .errors import (
     NotPositiveDefinite,
     PropertyViolated,
 )
-from .model import Schedule, SystemModel, model_fingerprint, model_to_dict
+from .model import Schedule, SystemModel, model_fingerprint, model_to_dict, sensor_stacks
 from .objective import (
     ObjectiveEvaluator,
     SweepState,
@@ -34,7 +34,11 @@ from .objective import (
     objective_logdet,
     predict,
 )
-from .prior import build_prior_information
+# bound_inputs reads the prior information's diagonal without assembling it;
+# build_prior_information stays importable from this module only because
+# bench/tracing.py lists it as a wrap point and bench/test_bench.py requires
+# every wrap point to exist.
+from .prior import build_prior_information  # noqa: F401
 from .scheduler import greedy_schedule
 
 # Largest number of feasible schedules exhaustive search may enumerate; an
@@ -342,23 +346,33 @@ def certify_ratio(
     )
 
 
+def random_schedule(rng: np.random.Generator, sensor_count: int, sizes) -> Schedule:
+    """A schedule with sizes[k] sensors at slot k, each slot's set uniform
+    among the sets of its size. One draw for every slot: the first sizes[k]
+    entries of an argsort of uniform keys are a uniform subset."""
+    sizes = np.asarray(sizes, dtype=int)
+    widest = int(sizes.max(initial=0))
+    picked = np.argsort(rng.random((len(sizes), sensor_count)), axis=1)[:, :widest]
+    # Past a slot's size, a sentinel that sorts last.
+    picked[np.arange(widest) >= sizes[:, None]] = sensor_count
+    picked.sort(axis=1)
+    return Schedule(selections=tuple(
+        tuple(row[:size]) for row, size in zip(picked.tolist(), sizes.tolist())
+    ))
+
+
 def _random_feasible(rng: np.random.Generator, model: SystemModel) -> Schedule:
-    slots = []
-    for r in model.budgets:
-        size = int(rng.integers(0, r + 1))
-        if size:
-            picked = rng.choice(model.sensor_count, size=size, replace=False)
-            slots.append(tuple(sorted(int(i) for i in picked)))
-        else:
-            slots.append(())
-    return Schedule(selections=tuple(slots))
+    """Slot k's size uniform over 0..r_k, then a uniform set of that size."""
+    sizes = rng.integers(0, np.asarray(model.budgets) + 1)
+    return random_schedule(rng, model.sensor_count, sizes)
 
 
 def _random_subschedule(rng: np.random.Generator, schedule: Schedule) -> Schedule:
-    slots = []
-    for slot in schedule.selections:
-        slots.append(tuple(i for i in slot if rng.random() < 0.5))
-    return Schedule(selections=tuple(slots))
+    """Each selected sensor kept with probability 1/2, from one draw."""
+    keep = iter((rng.random(sum(map(len, schedule.selections))) < 0.5).tolist())
+    return Schedule(selections=tuple(
+        tuple(i for i in slot if next(keep)) for slot in schedule.selections
+    ))
 
 
 def fuzz_monotonicity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
@@ -461,17 +475,36 @@ def fuzz_supermodularity(model: SystemModel, trials: int, seed: int) -> FuzzRepo
 def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
     """Scalars entering the error-variance limits; schedule-independent.
 
-    The prior information comes from the evaluator's intervals, so no
-    interval is discretized again.
+    sigma_w_inv needs only the diagonals of the prior information blocks
+    that ``build_prior_information`` assembles (its oracle in the tests):
+
+        diag_1 = P_1^-1 + Phi_1.T Q_1^-1 Phi_1
+        diag_k = Q_{k-1}^-1 + Phi_k.T Q_k^-1 Phi_k     for 1 < k < K
+        diag_K = Q_{K-1}^-1
+
+    With M = L L.T, diag(M^-1) is the column sums of squares of L^-1, and
+    diag(Phi.T M^-1 Phi) that of L^-1 Phi; one stacked factorization and
+    solve over the evaluator's intervals gives them all, so no interval is
+    discretized again and no block is formed.
     """
     model.require_validated()
     if ev.horizon != model.horizon or ev.sensor_count != model.sensor_count:
         raise InvalidArgument("evaluator does not match the model")
-    prior = build_prior_information(ev.initial_cov, ev.propagations)
-    sigma_w_inv = max(float(np.diagonal(block).max()) for block in prior.diag)
+    n = model.state_dim
+    eye = np.eye(n)
+    # Row k: the diagonal of block k.
+    diagonals = np.square(np.linalg.solve(np.linalg.cholesky(ev.initial_cov), eye)).sum(axis=0)[None]
+    if ev.propagations:
+        # Per interval j, the solve gives [L_j^-1, L_j^-1 Phi_j] for Q_j = L_j L_j.T.
+        rhs = np.stack([np.concatenate((eye, p.transition), axis=1) for p in ev.propagations])
+        lower = np.linalg.cholesky(np.stack([p.noise_cov for p in ev.propagations]))
+        sums = np.square(np.linalg.solve(lower, rhs)).sum(axis=1)
+        diagonals = np.concatenate((diagonals, sums[:, :n]))
+        diagonals[:-1] += sums[:, n:]
+    sigma_w_inv = float(diagonals.max())
     if model.sensor_count:
         sigma_v_inv = max(
-            1.0 / float(np.linalg.eigvalsh(sensor.V)[0]) for sensor in model.sensors
+            float((1.0 / np.linalg.eigvalsh(noise)[:, 0]).max()) for _, _, noise in sensor_stacks(model.sensors)
         )
         stacked = np.vstack([sensor.C for sensor in model.sensors])
         c_norm_sq = float(np.linalg.norm(stacked, 2)) ** 2

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -31,6 +32,7 @@ from .analysis import (
     fuzz_monotonicity,
     fuzz_supermodularity,
     min_sensors_for_error,
+    random_schedule,
 )
 from .errors import (
     BatchSchedError,
@@ -108,18 +110,6 @@ def _trace_csv(trace) -> str:
     return buffer.getvalue()
 
 
-def _random_schedule(model, seed: int) -> Schedule:
-    rng = np.random.default_rng(seed)
-    slots = []
-    for r in model.budgets:
-        if r:
-            picked = rng.choice(model.sensor_count, size=r, replace=False)
-            slots.append(tuple(sorted(int(i) for i in picked)))
-        else:
-            slots.append(())
-    return Schedule(selections=tuple(slots))
-
-
 def cmd_gen(args) -> int:
     model = random_scenario(
         seed=args.seed, n=args.n, m=args.m, K=args.K, r=args.r, kind=args.kind
@@ -149,7 +139,8 @@ def cmd_schedule(args) -> int:
         elif args.algorithm == "random":
             if args.seed is None:
                 raise InvalidArgument("--seed is required for --algorithm random")
-            schedule = _random_schedule(model, args.seed)
+            rng = np.random.default_rng(args.seed)
+            schedule = random_schedule(rng, model.sensor_count, model.budgets)
             objective = objective_logdet(ev, schedule)
         else:  # empty
             schedule = Schedule.empty(model.horizon)
@@ -215,7 +206,9 @@ def cmd_bounds(args) -> int:
             "lower_bound": error_lower_bound(ev, model),
         }
         if args.alpha is not None:
-            report["min_sensors"] = min_sensors_for_error(ev, model, args.alpha)
+            needed = min_sensors_for_error(ev, model, args.alpha)
+            # JSON has no infinity: with no sensors, no finite count exists.
+            report["min_sensors"] = needed if math.isfinite(needed) else None
         schedule, _ = greedy_schedule(ev, model)
         report["trace_greedy"] = batch_error_trace(ev, schedule)
         report["trace_empty"] = batch_error_trace(ev, Schedule.empty(model.horizon))

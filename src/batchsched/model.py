@@ -20,7 +20,7 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -165,10 +165,12 @@ class Schedule:
         and every sensor index lies in [0, sensor_count)."""
         if len(self.selections) != horizon:
             raise InvalidArgument(f"schedule has {len(self.selections)} slots, expected {horizon}")
-        for k, slot in enumerate(self.selections):
-            if slot and (min(slot) < 0 or max(slot) >= sensor_count):
-                i = next(i for i in slot if not 0 <= i < sensor_count)
-                raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
+        flat = list(chain.from_iterable(self.selections))
+        if flat and (min(flat) < 0 or max(flat) >= sensor_count):
+            k, i = next(
+                (k, i) for k, slot in enumerate(self.selections) for i in slot if not 0 <= i < sensor_count
+            )
+            raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
 
     def validate_for(self, model: SystemModel) -> "Schedule":
         self.check_shape(model.horizon, model.sensor_count)
@@ -239,13 +241,21 @@ def _as_stack(value: Any) -> np.ndarray | None:
     matrix, or takes matrices whose shapes differ.
     """
     if isinstance(value, np.ndarray):
-        single, has_bool = value.ndim == 2, value.dtype == bool
+        single = value.ndim == 2
+        if value.dtype == bool:
+            return None
     elif _is_sequence(value) and len(value) > 0:
         single = not _lists_matrices(value)
-        has_bool = _has_bool(value) if single else any(map(_has_bool, value))
+        # One scan of every entry of the field; a boolean ndarray among the
+        # matrices shows as np.bool_ entries.
+        rows = value if single else chain.from_iterable(value)
+        try:
+            types = set(map(type, chain.from_iterable(rows)))
+        except TypeError:  # not a sequence of matrices; _as_matrix_seq names the fault
+            return None
+        if bool in types or np.bool_ in types:
+            return None
     else:
-        return None
-    if has_bool:
         return None
     try:
         stack = np.array(value, dtype=float)
@@ -334,6 +344,30 @@ def _check_spd(matrix: np.ndarray, name: str) -> None:
     _check_spd_stack(matrix[None], lambda j: name)
 
 
+def sensor_stacks(sensors: Sequence[Sensor]) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Per row count d: the indices of the sensors with d rows, in index
+    order, and their C and V matrices stacked into (len, d, n) and
+    (len, d, d) arrays."""
+    groups: dict[int, list[int]] = {}
+    for i, sensor in enumerate(sensors):
+        groups.setdefault(len(sensor.C), []).append(i)
+    for group in groups.values():
+        yield group, np.stack([sensors[i].C for i in group]), np.stack([sensors[i].V for i in group])
+
+
+def _check_sensor_noise(sensors: Sequence[Sensor]) -> None:
+    """Check every V_i is symmetric positive definite, one stacked check per
+    row count; an error names the lowest-index V_i that fails."""
+    try:
+        for group, _, noise in sensor_stacks(sensors):
+            _check_spd_stack(noise, lambda j: f"V_{group[j] + 1}")
+    except NotPositiveDefinite:
+        # A later group may hold a lower-index failure; one at a time, in index order.
+        for i, sensor in enumerate(sensors):
+            _check_spd(sensor.V, f"V_{i + 1}")
+        raise
+
+
 def validate_model(model: SystemModel) -> SystemModel:
     """Check every model invariant and return an immutable, normalized copy.
 
@@ -401,8 +435,8 @@ def validate_model(model: SystemModel) -> SystemModel:
         d = sensor.C.shape[0]
         if sensor.V.shape != (d, d):
             raise DimensionMismatch(f"V_{idx + 1} must be {d}x{d} to match C_{idx + 1}")
-        _check_spd(sensor.V, f"V_{idx + 1}")
         sensors.append(Sensor(C=_freeze(sensor.C), V=_freeze(sensor.V)))
+    _check_sensor_noise(sensors)
     m = len(sensors)
 
     budgets_raw = model.budgets

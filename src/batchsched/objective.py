@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from ._linalg import chol_pd, logdet_from_cholesky, sym
 from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow, SensorAlreadySelected
-from .model import Schedule, SystemModel
+from .model import Schedule, SystemModel, sensor_stacks
 # Nothing here uses the information form: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
 # wrap point and bench/test_bench.py requires every wrap point to exist.
@@ -135,19 +134,21 @@ class ObjectiveEvaluator:
 
 
 def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
-    """Discretize every interval once and whiten every sensor."""
+    """Discretize every interval once and whiten every sensor, W_i = L_i^-1 C_i
+    for V_i = L_i L_i.T, with one stacked factorization and solve per row count."""
     model.require_validated()
     propagations = discretize_intervals(model)
     cov_logdet = logdet_from_cholesky(chol_pd(model.initial_state_cov, "P_1"))
     for p in propagations:
         cov_logdet += p.noise_logdet
-    whitened = []
-    for i, sensor in enumerate(model.sensors):
-        lower = chol_pd(sensor.V, f"V_{i + 1}")
+    whitened = [None] * model.sensor_count
+    for group, measurement, noise in sensor_stacks(model.sensors):
+        # validate_model has checked every V_i, so no pivot is checked again.
         # Row-major, like the stacked matrix of a multi-sensor slot.
-        white = np.ascontiguousarray(solve_triangular(lower, sensor.C, lower=True))
+        white = np.ascontiguousarray(np.linalg.solve(np.linalg.cholesky(noise), measurement))
         white.setflags(write=False)
-        whitened.append(white)
+        for i, white_i in zip(group, white):
+            whitened[i] = white_i
     initial_cov = sym(model.initial_state_cov)
     initial_cov.setflags(write=False)
     whitened = tuple(whitened)

@@ -10,6 +10,7 @@ from scipy.linalg import block_diag, expm, solve_triangular
 
 import batchsched as bs
 from batchsched._linalg import chol_pd, logdet_from_cholesky, sym
+from batchsched.model import _random_spd
 
 ALL_KINDS = tuple(bs.ModelKind)
 
@@ -79,6 +80,44 @@ def stable_model(horizon, n=8, m=3, r=2, seed=99):
             budgets=tuple(r for _ in range(horizon)),
         )
     )
+
+
+def stacking_models():
+    """(label, model) pairs for checking the stacked model preparation against
+    per-matrix oracles: every kind at K = 1, 2 and 64, a continuous-variant
+    model whose noise widths differ between intervals, and one with sensors
+    of 1, 2 and 3 rows in mixed index order."""
+    cases = [
+        (f"{kind.value}-K{K}", bs.random_scenario(seed=K, n=3, m=6, K=K, r=2, kind=kind))
+        for kind in ALL_KINDS
+        for K in (1, 2, 64)
+    ]
+    rng = np.random.default_rng(21)
+    n, widths = 3, (2, 3, 4, 2)
+    sensors = tuple(bs.Sensor(C=rng.standard_normal((d, n)), V=_random_spd(rng, d)) for d in (3, 1, 2, 1, 3, 2, 2))
+    cases.append(("widths-and-rows", bs.validate_model(bs.SystemModel(
+        kind="continuous-variant",
+        state_dim=n,
+        dynamics=[0.3 * rng.standard_normal((n, n)) for _ in widths],
+        noise_input=[rng.standard_normal((n, p)) for p in widths],
+        process_noise_cov=[_random_spd(rng, p) for p in widths],
+        initial_state_cov=_random_spd(rng, n),
+        measurement_times=tuple(0.5 * k + 0.1 * k * k for k in range(len(widths) + 1)),
+        sensors=sensors,
+        budgets=(2,) * (len(widths) + 1),
+    ))))
+    cases.append(("rows-1-2-3", bs.validate_model(bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=n,
+        dynamics=0.9 * np.eye(n),
+        noise_input=np.eye(n),
+        process_noise_cov=_random_spd(rng, n),
+        initial_state_cov=_random_spd(rng, n),
+        measurement_times=(1.0, 2.0, 3.0),
+        sensors=sensors[:3],
+        budgets=(1, 2, 3),
+    ))))
+    return cases
 
 
 def exploding_scalar_model(horizon, growth=2.0):

@@ -9,8 +9,8 @@ import pytest
 
 import batchsched as bs
 from batchsched import analysis, objective, scheduler
-from batchsched.analysis import _random_feasible
-from helpers import scenario_stream, stable_model
+from batchsched.analysis import _random_feasible, _random_subschedule, random_schedule
+from helpers import prior_information, scenario_stream, stable_model, stacking_models
 
 
 def scalar_model():
@@ -206,6 +206,34 @@ def test_bound_inputs_scalar():
     assert b.c_norm_sq == pytest.approx(1.0, abs=1e-12)
     assert b.r_max == 1 and b.state_dim == 1 and b.horizon == 1
 
+
+
+STACKING_MODELS = dict(stacking_models())
+
+
+@pytest.mark.parametrize("label", sorted(STACKING_MODELS))
+def test_bound_inputs_match_the_assembled_prior_information(label):
+    model = STACKING_MODELS[label]
+    b = bs.bound_inputs(bs.build_evaluator(model), model)
+    # Oracles: the assembled blocks' largest diagonal entry, and each V_i's
+    # smallest eigenvalue on its own.
+    assert b.sigma_w_inv == pytest.approx(
+        max(float(np.diagonal(block).max()) for block in prior_information(model).diag), rel=1e-12
+    )
+    assert b.sigma_v_inv == pytest.approx(
+        max(1.0 / float(np.linalg.eigvalsh(sensor.V)[0]) for sensor in model.sensors), rel=1e-12
+    )
+
+
+def test_bound_inputs_read_no_assembled_prior(monkeypatch):
+    model = bs.random_scenario(seed=4, n=3, m=4, K=5, r=2, kind="continuous-variant")
+    ev = bs.build_evaluator(model)
+
+    def assembled(*args):
+        raise AssertionError("bound_inputs assembled the prior information")
+
+    monkeypatch.setattr(analysis, "build_prior_information", assembled)
+    bs.bound_inputs(ev, model)
 
 
 def test_bound_inputs_rejects_mismatched_evaluator():
@@ -465,3 +493,61 @@ def test_brute_force_takes_a_feasible_incumbent():
         assert bs.brute_force_opt(ev, model, incumbent=incumbent) == expected
     with pytest.raises(bs.BudgetOutOfRange):
         bs.brute_force_opt(ev, model, incumbent=bs.Schedule.from_sets([[0, 1], []]))
+
+
+def _budgeted_model(budgets, m=5):
+    data = bs.model_to_dict(bs.random_scenario(seed=2, n=2, m=m, K=len(budgets), r=0))
+    data["budgets"] = list(budgets)
+    return bs.model_from_dict(data)
+
+
+def test_random_feasible_sizes_are_uniform_and_sets_sorted():
+    budgets = (0, 1, 2, 5)
+    model = _budgeted_model(budgets)
+    rng = np.random.default_rng(3)
+    draws = 4000
+    sizes = np.zeros((len(budgets), 6))
+    members = np.zeros((len(budgets), 5))
+    for _ in range(draws):
+        for k, slot in enumerate(_random_feasible(rng, model).selections):
+            assert list(slot) == sorted(set(slot)) and all(0 <= i < 5 for i in slot)
+            sizes[k, len(slot)] += 1
+            members[k, list(slot)] += 1
+    for k, r in enumerate(budgets):
+        assert not sizes[k, r + 1:].any()
+        expected = draws / (r + 1)
+        # Five standard deviations of a binomial count.
+        assert np.all(np.abs(sizes[k, :r + 1] - expected) <= 5 * math.sqrt(expected))
+        # Every sensor equally likely: r/2 expected members per draw.
+        expected = draws * r / 2 / 5
+        assert np.all(np.abs(members[k] - expected) <= 5 * math.sqrt(expected) + 1e-9)
+
+
+def test_random_subschedule_keeps_each_sensor_with_probability_half():
+    rng = np.random.default_rng(4)
+    big = bs.Schedule.from_sets([[0, 1, 2], [], [1, 4], [3]])
+    kept = dict.fromkeys(((k, i) for k, slot in enumerate(big.selections) for i in slot), 0)
+    draws = 4000
+    for _ in range(draws):
+        small = _random_subschedule(rng, big)
+        assert len(small) == len(big)
+        for k, slot in enumerate(small.selections):
+            assert set(slot) <= set(big.selections[k]) and list(slot) == sorted(slot)
+            for i in slot:
+                kept[k, i] += 1
+    assert all(abs(count - draws / 2) <= 5 * math.sqrt(draws / 4) for count in kept.values())
+
+
+def test_samplers_are_reproducible_per_seed():
+    model = _budgeted_model((3, 0, 1, 2, 3, 3))
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        return [(sup, _random_subschedule(rng, sup)) for sup in (_random_feasible(rng, model) for _ in range(20))]
+
+    assert draw(7) == draw(7)
+    assert draw(7) != draw(8)
+    full = random_schedule(np.random.default_rng(5), model.sensor_count, model.budgets)
+    assert full == random_schedule(np.random.default_rng(5), model.sensor_count, model.budgets)
+    assert [len(slot) for slot in full.selections] == list(model.budgets)
+

@@ -187,6 +187,45 @@ def test_bounds_without_alpha_omits_min_sensors(tmp_path):
     assert "min_sensors" not in json.loads(out.read_text())
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def test_bounds_writes_null_min_sensors_without_sensors(tmp_path):
+    # With no sensors no finite count reaches any alpha: the library returns
+    # +inf or -inf, and the report holds JSON null either way.
+    data = bs.model_to_dict(bs.random_scenario(seed=4, n=2, m=1, K=3, r=0))
+    data["sensors"] = []
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    model = bs.load_scenario(str(scenario))
+    ev = bs.build_evaluator(model)
+    for alpha, needed in (("1e-9", math.inf), ("0.5", None), ("1e9", -math.inf)):
+        if needed is not None:
+            assert bs.min_sensors_for_error(ev, model, float(alpha)) == needed
+        out = tmp_path / f"b{alpha}.json"
+        assert run(["bounds", "--config", str(scenario), "--out", str(out), "--alpha", alpha]) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert report["min_sensors"] is None
+        assert math.isfinite(report["lower_bound"])
+
+
+def test_schedule_random_fills_every_budget_exactly(tmp_path):
+    data = bs.model_to_dict(bs.random_scenario(seed=6, n=2, m=5, K=5, r=0))
+    data["budgets"] = [0, 5, 1, 3, 2]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    reports = []
+    for seed in ("1", "1", "2"):
+        out = tmp_path / f"r{len(reports)}.json"
+        assert run(["schedule", "--config", str(scenario), "--algorithm", "random", "--seed", seed, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    for report in reports:
+        assert [len(slot) for slot in report["schedule"]] == data["budgets"]
+        assert all(slot == sorted(set(slot)) for slot in report["schedule"])
+    assert reports[0]["schedule"] == reports[1]["schedule"] != reports[2]["schedule"]
+
+
 def test_fuzz_commands(tmp_path):
     scenario = tmp_path / "s.json"
     out = tmp_path / "f.json"

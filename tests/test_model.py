@@ -307,6 +307,45 @@ def test_schedule_validate_for():
         bs.Schedule.from_sets([[0]]).validate_for(model)
 
 
+def _noise_fault_model(faults):
+    # Sensors of 1, 2, 2 and 1 rows, so V_1 and V_4 stack in one group and
+    # V_2 and V_3 in the other; ``faults`` replaces some V_i (1-based).
+    rng = np.random.default_rng(2)
+    sensors = []
+    for index, d in enumerate((1, 2, 2, 1), start=1):
+        g = rng.standard_normal((d, d))
+        V = faults.get(index, g @ g.T + np.eye(d))
+        sensors.append(bs.Sensor(C=rng.standard_normal((d, 2)), V=V))
+    return tiny_model(sensors=tuple(sensors))
+
+
+def test_sensor_noise_fault_names_the_lowest_failing_sensor():
+    indefinite = "is not positive definite: its Cholesky factorization meets a pivot <= 0"
+    with pytest.raises(bs.NotPositiveDefinite) as raised:
+        bs.validate_model(_noise_fault_model({2: -np.eye(2), 4: np.array([[-1.0]])}))
+    assert str(raised.value).startswith(f"V_2 {indefinite}")
+    with pytest.raises(bs.NotPositiveDefinite) as raised:
+        bs.validate_model(_noise_fault_model({4: np.array([[0.0]])}))
+    assert str(raised.value).startswith(f"V_4 {indefinite}")
+    asymmetric = np.array([[2.0, 1.0], [0.0, 2.0]])
+    for faults in ({3: asymmetric}, {3: asymmetric, 4: np.array([[-1.0]])}):
+        with pytest.raises(bs.NotPositiveDefinite) as raised:
+            bs.validate_model(_noise_fault_model(faults))
+        assert str(raised.value) == "V_3 must be symmetric"
+    model = bs.validate_model(_noise_fault_model({}))
+    assert [s.V.shape for s in model.sensors] == [(1, 1), (2, 2), (2, 2), (1, 1)]
+
+
+def test_schedule_shape_names_the_first_index_out_of_range():
+    bs.Schedule.from_sets([[0, 2], [], [1]]).check_shape(3, 3)
+    for slots, message in (
+        ([[0, 2], [], [1, 3]], "sensor index 3 out of range at time index 2"),
+        ([[0], [-1, 5], []], "sensor index -1 out of range at time index 1"),
+    ):
+        with pytest.raises(bs.InvalidArgument, match=f"^{message}$"):
+            bs.Schedule(tuple(map(tuple, slots))).check_shape(3, 3)
+
+
 def _negated(m):
     return [[-x for x in row] for row in m]
 

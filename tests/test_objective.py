@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import batchsched as bs
 from batchsched import objective
@@ -22,6 +23,7 @@ from helpers import (
     random_block_tridiagonal_pd,
     scenario_stream,
     stable_model,
+    stacking_models,
 )
 
 
@@ -284,6 +286,23 @@ def test_singleton_scorer_names_the_sensor_whose_factorization_fails():
         ev.scorer(cov, 1)
     with pytest.raises(bs.NotPositiveDefinite, match=r"^innovation covariance of sensors \[35\] at"):
         objective.slot_step(ev, cov, (35,), 1)
+
+
+STACKING_MODELS = dict(stacking_models())
+
+
+@pytest.mark.parametrize("label", sorted(STACKING_MODELS))
+def test_whitened_sensors_match_the_per_sensor_solve(label):
+    # Whitening by one stacked factorization and solve per row count against
+    # each sensor's own triangular solve.
+    model = STACKING_MODELS[label]
+    ev = bs.build_evaluator(model)
+    assert len(ev.whitened) == model.sensor_count
+    for sensor, white in zip(model.sensors, ev.whitened):
+        expected = solve_triangular(np.linalg.cholesky(sensor.V), sensor.C, lower=True)
+        assert white.shape == sensor.C.shape
+        assert white.flags.c_contiguous and not white.flags.writeable
+        np.testing.assert_allclose(white, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_batch_error_trace_scalar():
