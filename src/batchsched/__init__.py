@@ -14,7 +14,6 @@ from .analysis import (
     bound_inputs,
     brute_force_opt,
     certify_ratio,
-    ellipsoid_log_volume,
     error_lower_bound,
     feasible_schedule_count,
     fuzz_monotonicity,
@@ -66,7 +65,6 @@ from .prior import (
     discretize_intervals,
 )
 from .scheduler import (
-    GreedyOptions,
     GreedyTrace,
     TraceEntry,
     greedy_schedule,
@@ -83,7 +81,6 @@ __all__ = [
     "DimensionMismatch",
     "EnumerationCapExceeded",
     "FuzzReport",
-    "GreedyOptions",
     "GreedyTrace",
     "GuaranteeViolated",
     "IntervalPropagation",
@@ -110,7 +107,6 @@ __all__ = [
     "certify_ratio",
     "discretize_interval",
     "discretize_intervals",
-    "ellipsoid_log_volume",
     "error_lower_bound",
     "feasible_schedule_count",
     "fuzz_monotonicity",

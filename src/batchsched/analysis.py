@@ -521,35 +521,20 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
     )
 
 
-def error_lower_bound(ev: ObjectiveEvaluator, model: SystemModel) -> float:
+def error_lower_bound(b: BoundInputs) -> float:
     """Lower bound on the total error variance of any feasible schedule."""
-    b = bound_inputs(ev, model)
     return b.state_dim / (b.sigma_v_inv * b.r_max * b.c_norm_sq + b.sigma_w_inv / b.horizon)
 
 
-def min_sensors_for_error(ev: ObjectiveEvaluator, model: SystemModel, alpha: float) -> float:
+def min_sensors_for_error(b: BoundInputs, alpha: float) -> float:
     """Least per-time sensor count compatible with total error variance alpha.
 
     May be nonpositive (the constraint is vacuous); returned as-is.
     """
     if not alpha > 0:
         raise InvalidArgument(f"alpha must be positive, got {alpha!r}")
-    b = bound_inputs(ev, model)
     numerator = b.state_dim / alpha - b.sigma_w_inv / b.horizon
     denominator = b.sigma_v_inv * b.c_norm_sq
     if denominator == 0.0:
         return -math.inf if numerator <= 0 else math.inf
     return numerator / denominator
-
-
-def ellipsoid_log_volume(logdet_sigma: float, epsilon: float, dim: int) -> float:
-    """Log volume of the confidence ellipsoid {x : x.T Sigma x <= eps}.
-
-    (dim/2) ln(eps pi) - ln Gamma(dim/2 + 1) + logdet_sigma / 2; the caller
-    supplies eps (a chi-squared quantile of the confidence level).
-    """
-    if not epsilon > 0:
-        raise InvalidArgument(f"epsilon must be positive, got {epsilon!r}")
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise InvalidArgument(f"dim must be a positive integer, got {dim!r}")
-    return 0.5 * dim * math.log(epsilon * math.pi) - math.lgamma(0.5 * dim + 1.0) + 0.5 * logdet_sigma

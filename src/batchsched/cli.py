@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import (
+    bound_inputs,
     brute_force_opt,
     certify_ratio,
     error_lower_bound,
@@ -51,7 +52,7 @@ from .model import (
     write_text_atomic,
 )
 from .objective import batch_error_trace, build_evaluator, objective_logdet
-from .scheduler import GreedyOptions, greedy_schedule
+from .scheduler import greedy_schedule
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -59,6 +60,7 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
+# "lazy-greedy" is an alias of "greedy", kept for scripts that name it.
 ALGORITHMS = ("greedy", "lazy-greedy", "brute", "random", "empty")
 
 
@@ -131,8 +133,7 @@ def cmd_schedule(args) -> int:
     trace = None
     with timer.time("solve"):
         if args.algorithm in ("greedy", "lazy-greedy"):
-            opts = GreedyOptions(lazy=(args.algorithm == "lazy-greedy"))
-            schedule, trace = greedy_schedule(ev, model, opts)
+            schedule, trace = greedy_schedule(ev, model)
             objective = objective_logdet(ev, schedule)
         elif args.algorithm == "brute":
             schedule, objective = brute_force_opt(ev, model)
@@ -201,12 +202,13 @@ def cmd_bounds(args) -> int:
     with timer.time("build"):
         ev = build_evaluator(model)
     with timer.time("solve"):
+        inputs = bound_inputs(ev, model)
         report = {
             "fingerprint": model_fingerprint(model),
-            "lower_bound": error_lower_bound(ev, model),
+            "lower_bound": error_lower_bound(inputs),
         }
         if args.alpha is not None:
-            needed = min_sensors_for_error(ev, model, args.alpha)
+            needed = min_sensors_for_error(inputs, args.alpha)
             # JSON has no infinity: with no sensors, no finite count exists.
             report["min_sensors"] = needed if math.isfinite(needed) else None
         schedule, _ = greedy_schedule(ev, model)

@@ -201,13 +201,21 @@ def slot_step(
     whitened matrices, and the conditioned covariance. The gain equals the
     sum of the sensors' sequential gains. Every evaluation path (sweep,
     greedy candidate, exhaustive search, error trace) conditions through
-    ``_measure``, so equal calls give bit-identical values. ``k``, the
-    slot's time index, only names the slot in an error.
+    ``_measure``, so equal calls give bit-identical values. Raises
+    NumericOverflow if the gain is not finite. ``k``, the slot's time index,
+    only names the slot in an error.
     """
     if not sensors:
         return 0.0, cov
     _, lower, cov = _measure(ev, cov, sensors, k)
-    return logdet_from_cholesky(lower), cov
+    gain = logdet_from_cholesky(lower)
+    if not math.isfinite(gain):
+        where = "" if k is None else f" at time index {k}"
+        raise NumericOverflow(
+            f"gain of sensors {list(sensors)}{where} is not finite: the predicted covariance "
+            "left the double range (unstable dynamics over a long stretch without measurements?)"
+        )
+    return gain, cov
 
 
 def predict(ev: ObjectiveEvaluator, cov: np.ndarray, k: int) -> np.ndarray:

@@ -8,16 +8,10 @@ gain is the log-determinant of one measurement update of that covariance:
 each round reads every candidate's from one ``SingletonScorer`` call and
 conditions on the winner alone, so a whole schedule costs time linear in the
 horizon and in the sensor count.
-
-Eager and lazy share that step and differ only in how many stale gains it
-refreshes: eager re-scores every remaining candidate each round, lazy only
-those whose stale gain could still win; their outputs are identical.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,15 +27,10 @@ from .objective import (
     slot_step,
 )
 
-# Gains within this absolute distance of the step's best gain count as tied;
-# ties resolve to the smallest sensor index so runs are reproducible and the
-# lazy and eager paths agree bit for bit.
+# Gains within this absolute distance of the round's best gain count as
+# tied; ties resolve to the smallest sensor index, so runs are reproducible
+# and roundoff in a gain never decides between near-equal candidates.
 GAIN_TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GreedyOptions:
-    lazy: bool = True
 
 
 @dataclass(frozen=True)
@@ -69,13 +58,7 @@ class _StepOutcome:
     evaluations: int
 
 
-def greedy_step(
-    ev: ObjectiveEvaluator,
-    prefix: Schedule,
-    k: int,
-    budget: int,
-    opts: GreedyOptions = GreedyOptions(),
-) -> tuple[int, ...]:
+def greedy_step(ev: ObjectiveEvaluator, prefix: Schedule, k: int, budget: int) -> tuple[int, ...]:
     """Fill the slot at time index k greedily, given earlier selections.
 
     ``prefix`` must leave slot k and every later slot empty: a candidate's
@@ -90,50 +73,32 @@ def greedy_step(
         raise InvalidArgument(f"slot {k} and every later slot must be empty before the greedy step")
     prefix.check_shape(ev.horizon, ev.sensor_count)
     state = advance(ev, prefix.selections, SweepState.initial(ev), k)
-    outcome = _greedy_step(ev, state.cov, state.value, k, budget, opts)
+    outcome = _greedy_step(ev, state.cov, state.value, k, budget)
     return tuple(sorted(i for i, _, _ in outcome.accepted))
 
 
-def _greedy_step(ev, cov, value, k, budget, opts) -> _StepOutcome:
+def _greedy_step(ev, cov, value, k, budget) -> _StepOutcome:
     accepted: list[tuple[int, float, float]] = []
     evaluations = 0
-
-    # Heap entries: (-gain, sensor). Every key in the heap was scored before
-    # the latest acceptance, so it is stale; an infinite key means not yet
-    # scored. Stale gains only ever overestimate: conditioning on more
-    # measurements shrinks the covariance.
-    heap = [(-math.inf, i) for i in range(ev.sensor_count)]
-    while heap and len(accepted) < budget:
-        # Every round refreshes at least one entry, so score every sensor at
-        # once; a refresh reads its fresh gain, and only refreshes count as
-        # evaluations. Eager refreshes every remaining candidate. Lazy
-        # refreshes only until every entry that could still tie with the best
-        # fresh gain is fresh; anything whose stale key is below the tie band
-        # cannot win.
-        fresh = ev.scorer(cov, k).tolist()
-        pool: list[tuple[float, int]] = []
-        best = -math.inf
-        while heap and (not opts.lazy or not pool or -heap[0][0] >= best - GAIN_TIE_TOL):
-            _, i = heapq.heappop(heap)
-            evaluations += 1
-            pool.append((fresh[i], i))
-            best = max(best, fresh[i])
-        pool.sort(key=lambda entry: entry[1])
-        winner = next(i for gain, i in pool if gain >= best - GAIN_TIE_TOL)
-        for other_gain, other in pool:
-            if other != winner:
-                heapq.heappush(heap, (-other_gain, other))
+    remaining = list(range(ev.sensor_count))  # candidates, in index order
+    while remaining and len(accepted) < budget:
+        # One scorer call gives every candidate's gain at the covariance
+        # conditioned on the sensors accepted so far; each counts as one
+        # evaluation. The winner is the first candidate within the tie band
+        # of the round's best gain. Plain lists: at the sensor counts in use,
+        # numpy's per-call overhead would cost more than the selection.
+        gains = ev.scorer(cov, k).tolist()
+        evaluations += len(remaining)
+        best = max([gains[i] for i in remaining])
+        winner = next(i for i in remaining if gains[i] >= best - GAIN_TIE_TOL)
+        remaining.remove(winner)
         gain, cov = slot_step(ev, cov, (winner,), k)
         value -= gain
         accepted.append((winner, gain, value))
     return _StepOutcome(cov, value, accepted, evaluations)
 
 
-def greedy_schedule(
-    ev: ObjectiveEvaluator,
-    model: SystemModel,
-    opts: GreedyOptions = GreedyOptions(),
-) -> tuple[Schedule, GreedyTrace]:
+def greedy_schedule(ev: ObjectiveEvaluator, model: SystemModel) -> tuple[Schedule, GreedyTrace]:
     """Greedy schedule over the whole horizon.
 
     Fills each time slot in order with the single-step greedy; the result is
@@ -152,7 +117,7 @@ def greedy_schedule(
     for k in range(last + 1):
         if k:
             cov = predict(ev, cov, k - 1)
-        outcome = _greedy_step(ev, cov, value, k, model.budgets[k], opts)
+        outcome = _greedy_step(ev, cov, value, k, model.budgets[k])
         cov = outcome.cov
         value = outcome.objective
         trace.gain_evaluations += outcome.evaluations

@@ -254,8 +254,10 @@ def oracle_objective(ev, schedule):
 def two_pass_greedy(ev, model, lazy):
     """Greedy whose every gain is the difference of two full oracle evaluations.
 
-    The same heap, refresh rule and tie-break as ``greedy_schedule``, on the
-    information form. Returns the schedule, the trace as (time index,
+    Stale gains kept in a heap and refreshed by the eager rule (every
+    remaining candidate each round) or the lazy one (only those whose stale
+    gain could still win), with the tie-break of ``greedy_schedule``, on
+    the information form. Returns the schedule, the trace as (time index,
     sensor, gain, objective after) tuples, and the number of gain evaluations.
     """
     tol = bs.scheduler.GAIN_TIE_TOL
@@ -287,11 +289,11 @@ def two_pass_greedy(ev, model, lazy):
 def per_candidate_greedy(ev, model, lazy):
     """Greedy that scores each candidate by its own measurement update.
 
-    The same heap, refresh rule and tie-break as ``greedy_schedule``, with
-    one ``slot_step`` per candidate instead of the batched scorer, and the
-    winner's covariance taken from its own update. Returns the schedule, the
-    trace as (time index, sensor, gain, objective after) tuples, and the
-    number of gain evaluations.
+    The heap and refresh rules of ``two_pass_greedy`` and the tie-break of
+    ``greedy_schedule``, with one ``slot_step`` per candidate instead of
+    the batched scorer, and the winner's covariance taken from its own
+    update. Returns the schedule, the trace as (time index, sensor, gain,
+    objective after) tuples, and the number of gain evaluations.
     """
     tol = bs.scheduler.GAIN_TIE_TOL
     value = -ev.prior_logdet

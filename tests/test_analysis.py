@@ -246,7 +246,7 @@ def test_bound_inputs_rejects_mismatched_evaluator():
 def test_error_lower_bound_scalar_tight():
     model = scalar_model()
     ev = bs.build_evaluator(model)
-    assert bs.error_lower_bound(ev, model) == pytest.approx(0.5, abs=1e-12)
+    assert bs.error_lower_bound(bs.bound_inputs(ev, model)) == pytest.approx(0.5, abs=1e-12)
     achieved = bs.batch_error_trace(ev, bs.Schedule.from_sets([[0]]))
     assert achieved == pytest.approx(0.5, abs=1e-12)
 
@@ -254,8 +254,8 @@ def test_error_lower_bound_scalar_tight():
 def test_error_lower_bound_zero_budget():
     model = bs.random_scenario(seed=3, n=2, m=2, K=3, r=0)
     ev = bs.build_evaluator(model)
-    bound = bs.error_lower_bound(ev, model)
     b = bs.bound_inputs(ev, model)
+    bound = bs.error_lower_bound(b)
     assert bound == pytest.approx(b.state_dim / (b.sigma_w_inv / b.horizon), rel=1e-12)
     assert bs.batch_error_trace(ev, bs.Schedule.empty(3)) >= bound - 1e-9
 
@@ -264,7 +264,7 @@ def test_error_lower_bound_holds_for_random_schedules():
     rng = np.random.default_rng(11)
     for model in scenario_stream(20, seed0=404):
         ev = bs.build_evaluator(model)
-        bound = bs.error_lower_bound(ev, model)
+        bound = bs.error_lower_bound(bs.bound_inputs(ev, model))
         for _ in range(5):
             schedule = _random_feasible(rng, model)
             assert bs.batch_error_trace(ev, schedule) >= bound - 1e-9
@@ -273,14 +273,14 @@ def test_error_lower_bound_holds_for_random_schedules():
 def test_min_sensors_scalar():
     model = scalar_model()
     ev = bs.build_evaluator(model)
-    assert bs.min_sensors_for_error(ev, model, 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert bs.min_sensors_for_error(bs.bound_inputs(ev, model), 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_sensors_vacuous_at_prior_trace():
     model = bs.random_scenario(seed=9, n=2, m=3, K=2, r=1)
     ev = bs.build_evaluator(model)
     prior_trace = bs.batch_error_trace(ev, bs.Schedule.empty(2))
-    assert bs.min_sensors_for_error(ev, model, prior_trace) <= 0.0
+    assert bs.min_sensors_for_error(bs.bound_inputs(ev, model), prior_trace) <= 0.0
 
 
 def test_min_sensors_consistent_with_achieved_error():
@@ -288,26 +288,14 @@ def test_min_sensors_consistent_with_achieved_error():
         ev = bs.build_evaluator(model)
         schedule, _ = bs.greedy_schedule(ev, model)
         achieved = bs.batch_error_trace(ev, schedule)
-        needed = bs.min_sensors_for_error(ev, model, achieved)
+        needed = bs.min_sensors_for_error(bs.bound_inputs(ev, model), achieved)
         assert needed <= max(map(len, schedule.selections)) + 1e-9
 
 
 def test_min_sensors_rejects_bad_alpha():
     model = scalar_model()
     with pytest.raises(bs.InvalidArgument):
-        bs.min_sensors_for_error(bs.build_evaluator(model), model, 0.0)
-
-
-def test_ellipsoid_log_volume_values():
-    assert bs.ellipsoid_log_volume(0.0, 1.0, 2) == pytest.approx(math.log(math.pi), abs=1e-12)
-    assert bs.ellipsoid_log_volume(0.0, 1.0, 1) == pytest.approx(math.log(2.0), abs=1e-12)
-    base = bs.ellipsoid_log_volume(1.3, 0.7, 5)
-    shifted = bs.ellipsoid_log_volume(1.3 + 0.4, 0.7, 5)
-    assert shifted - base == pytest.approx(0.2, abs=1e-12)
-    with pytest.raises(bs.InvalidArgument):
-        bs.ellipsoid_log_volume(0.0, 0.0, 2)
-    with pytest.raises(bs.InvalidArgument):
-        bs.ellipsoid_log_volume(0.0, 1.0, 0)
+        bs.min_sensors_for_error(bs.bound_inputs(bs.build_evaluator(model), model), 0.0)
 
 
 def _plain_minimum(ev, model):
@@ -550,4 +538,3 @@ def test_samplers_are_reproducible_per_seed():
     full = random_schedule(np.random.default_rng(5), model.sensor_count, model.budgets)
     assert full == random_schedule(np.random.default_rng(5), model.sensor_count, model.budgets)
     assert [len(slot) for slot in full.selections] == list(model.budgets)
-

@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import batchsched as bs
@@ -199,10 +200,10 @@ def test_bounds_writes_null_min_sensors_without_sensors(tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps(data))
     model = bs.load_scenario(str(scenario))
-    ev = bs.build_evaluator(model)
+    inputs = bs.bound_inputs(bs.build_evaluator(model), model)
     for alpha, needed in (("1e-9", math.inf), ("0.5", None), ("1e9", -math.inf)):
         if needed is not None:
-            assert bs.min_sensors_for_error(ev, model, float(alpha)) == needed
+            assert bs.min_sensors_for_error(inputs, float(alpha)) == needed
         out = tmp_path / f"b{alpha}.json"
         assert run(["bounds", "--config", str(scenario), "--out", str(out), "--alpha", alpha]) == 0
         report = json.loads(out.read_text(), parse_constant=_reject_constant)
@@ -411,6 +412,44 @@ def test_bounds_exits_1_naming_where_the_covariance_overflows(tmp_path, capsys):
         "the double range (unstable dynamics over a long stretch without measurements?)"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["schedule", "--algorithm", "greedy"],
+    ["schedule", "--algorithm", "lazy-greedy"],
+    ["schedule", "--algorithm", "random", "--seed", "1"],
+    ["schedule", "--algorithm", "brute"],
+    ["certify"],
+])
+def test_non_finite_gain_exits_1_naming_the_time_index(tmp_path, capsys, command):
+    # Only the last slot has a budget, one past the index where the
+    # unmeasured variance overflows: its gain is not finite, and no report
+    # may carry the value (JSON has no infinity or NaN).
+    horizon = overflow_index() + 2
+    model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * (horizon - 1) + (1,))
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "r.json"
+    bs.save_scenario(bs.validate_model(model), str(scenario))
+    with np.errstate(over="ignore"):
+        assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: gain of sensors [0] at time index {horizon - 1} is not finite")
+    assert not out.exists()
+
+
+def test_lazy_greedy_is_an_alias_of_greedy(tmp_path):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario, seed=9, n=3, m=5, K=4, r=2))
+    reports = {}
+    for algorithm in ("greedy", "lazy-greedy"):
+        out = tmp_path / f"{algorithm}.json"
+        assert run(["schedule", "--config", str(scenario), "--algorithm", algorithm, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report.pop("algorithm") == algorithm
+        del report["timings"]
+        reports[algorithm] = report
+    assert reports["greedy"] == reports["lazy-greedy"]
+    assert reports["greedy"]["trace"]
 
 
 def test_greedy_and_certify_print_no_warning_where_only_unbudgeted_slots_overflow(tmp_path):
