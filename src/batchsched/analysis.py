@@ -22,6 +22,7 @@ from .errors import (
     GuaranteeViolated,
     InvalidArgument,
     NotPositiveDefinite,
+    NumericOverflow,
     PropertyViolated,
 )
 from .model import Schedule, SystemModel, model_fingerprint, model_to_dict, sensor_stacks
@@ -30,14 +31,15 @@ from .objective import (
     SweepState,
     advance,
     build_evaluator,
-    marginal_gain,
     objective_logdet,
+    objective_values,
     predict,
 )
-# bound_inputs reads the prior information's diagonal without assembling it;
-# build_prior_information stays importable from this module only because
-# bench/tracing.py lists it as a wrap point and bench/test_bench.py requires
-# every wrap point to exist.
+# The fuzzers no longer call marginal_gain, and bound_inputs reads the prior
+# information's diagonal without assembling it; both names stay importable
+# from this module only because bench/tracing.py lists them as wrap points
+# and bench/test_bench.py requires every wrap point to exist.
+from .objective import marginal_gain  # noqa: F401
 from .prior import build_prior_information  # noqa: F401
 from .scheduler import greedy_schedule
 
@@ -204,6 +206,7 @@ def _child_bounds(
     return state.value - rest - incidence @ gains
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def brute_force_opt(
     ev: ObjectiveEvaluator,
     model: SystemModel,
@@ -375,6 +378,17 @@ def _random_subschedule(rng: np.random.Generator, schedule: Schedule) -> Schedul
     ))
 
 
+def _trial_values(ev: ObjectiveEvaluator, trials: list[tuple[Schedule, ...]]) -> Iterator[list[float]]:
+    """Each trial's objective values, from one ``objective_values`` call; if
+    that raises, from ``objective_logdet`` as the caller reaches each trial,
+    so the first trial in draw order to fail or violate decides."""
+    try:
+        values = iter(objective_values(ev, list(chain.from_iterable(trials))).tolist())
+    except (NotPositiveDefinite, NumericOverflow):
+        return ([objective_logdet(ev, schedule) for schedule in trial] for trial in trials)
+    return ([next(values) for _ in trial] for trial in trials)
+
+
 def fuzz_monotonicity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
     """Sample nested schedule pairs and check the objective never increases.
 
@@ -385,11 +399,11 @@ def fuzz_monotonicity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
     ev = build_evaluator(model)
     rng = np.random.default_rng(seed)
     fingerprint = model_fingerprint(model)
+    sups = (_random_feasible(rng, model) for _ in range(trials))
+    pairs = [(sup, _random_subschedule(rng, sup)) for sup in sups]
     max_excess = None
-    for _ in range(trials):
-        sup = _random_feasible(rng, model)
-        sub = _random_subschedule(rng, sup)
-        excess = objective_logdet(ev, sup) - objective_logdet(ev, sub)
+    for (sup, sub), (sup_value, sub_value) in zip(pairs, _trial_values(ev, pairs)):
+        excess = sup_value - sub_value
         if max_excess is None or excess > max_excess:
             max_excess = excess
         if excess > PROPERTY_TOL:
@@ -404,13 +418,8 @@ def fuzz_monotonicity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
                 },
             )
     return FuzzReport(
-        property_name="monotonicity",
-        trials=trials,
-        effective_trials=trials,
-        max_excess=max_excess,
-        tolerance=PROPERTY_TOL,
-        seed=seed,
-        fingerprint=fingerprint,
+        property_name="monotonicity", trials=trials, effective_trials=trials,
+        max_excess=max_excess, tolerance=PROPERTY_TOL, seed=seed, fingerprint=fingerprint,
     )
 
 
@@ -418,31 +427,29 @@ def fuzz_supermodularity(model: SystemModel, trials: int, seed: int) -> FuzzRepo
     """Sample nested schedules plus an addition and check diminishing returns.
 
     The gain of one extra sensor on the smaller schedule must be at least its
-    gain on the larger one. Trials where no slot has budget room are skipped
-    and counted out of ``effective_trials``.
+    gain on the larger one; each gain is the difference of two objective
+    values. Trials where no slot has budget room are skipped and counted out
+    of ``effective_trials``.
     """
     model.require_validated()
     ev = build_evaluator(model)
     rng = np.random.default_rng(seed)
     fingerprint = model_fingerprint(model)
-    max_excess = None
-    effective = 0
+    drawn = []  # (k, i, small, big) for each effective trial
     for _ in range(trials):
         big = _random_feasible(rng, model)
-        room = [
-            k
-            for k, slot in enumerate(big.selections)
-            if len(slot) < model.budgets[k]
-        ]
+        room = [k for k, slot in enumerate(big.selections) if len(slot) < model.budgets[k]]
         if not room:
             continue
         k = int(room[int(rng.integers(0, len(room)))])
         free = [i for i in range(model.sensor_count) if i not in big.selections[k]]
         i = int(free[int(rng.integers(0, len(free)))])
-        small = _random_subschedule(rng, big)
-        gain_small = marginal_gain(ev, small, k, i)
-        gain_big = marginal_gain(ev, big, k, i)
-        effective += 1
+        drawn.append((k, i, _random_subschedule(rng, big), big))
+    schedules = [(s, s.with_added(k, i), b, b.with_added(k, i)) for k, i, s, b in drawn]
+    max_excess = None
+    for (k, i, small, big), values in zip(drawn, _trial_values(ev, schedules)):
+        gain_small = values[0] - values[1]
+        gain_big = values[2] - values[3]
         excess = gain_big - gain_small
         if max_excess is None or excess > max_excess:
             max_excess = excess
@@ -462,13 +469,8 @@ def fuzz_supermodularity(model: SystemModel, trials: int, seed: int) -> FuzzRepo
                 },
             )
     return FuzzReport(
-        property_name="supermodularity",
-        trials=trials,
-        effective_trials=effective,
-        max_excess=max_excess,
-        tolerance=PROPERTY_TOL,
-        seed=seed,
-        fingerprint=fingerprint,
+        property_name="supermodularity", trials=trials, effective_trials=len(drawn),
+        max_excess=max_excess, tolerance=PROPERTY_TOL, seed=seed, fingerprint=fingerprint,
     )
 
 

@@ -11,16 +11,19 @@ and P the filter covariance just before each sequential update,
 so an evaluation is one forward sweep of measurement and time updates, and
 a sensor's gain with later slots empty is a single small log-determinant;
 ``SingletonScorer`` computes every sensor's at once for the greedy and the
-exhaustive search's bound. The error trace adds one backward pass to the
-same sweep. The information form (``prior``) is the oracle both are
-checked against.
+exhaustive search's bound. Schedules evaluated together, as by the fuzzers,
+take ``objective_values``: one sweep stacked over them, with
+``objective_logdet`` as its oracle. The error trace adds one backward pass
+to the same sweep; the information form (``prior``) is the sweeps' oracle.
+Public sweeps silence numpy's overflow warnings and raise on non-finite values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -38,6 +41,10 @@ from .prior import IntervalPropagation, build_prior_information, discretize_inte
 # group costs one product and one Cholesky factorization of its rows, so
 # scoring every sensor costs time linear in the sensor count.
 SCORER_GROUP_ROWS = 32
+
+# objective_values sweeps at most this many schedules together, so its
+# memory stays bounded however many schedules it is given.
+VALUES_CHUNK = 64
 
 
 def _lost_precision(what: str, k: int | None) -> NotPositiveDefinite:
@@ -255,6 +262,7 @@ def advance(
     return SweepState(stop, cov, value)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def objective_logdet(
     ev: ObjectiveEvaluator, schedule: Schedule, start: SweepState | None = None
 ) -> float:
@@ -280,6 +288,72 @@ def objective_logdet(
     return start.value - slot_step(ev, start.cov, slots[last], last)[0]
 
 
+def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
+    """Each schedule's objective from one sweep over a leading member axis;
+    raises LinAlgError if a stacked factorization fails. With W a member's
+    whitened rows and P its covariance at a slot, the Cholesky factor of
+    [[I + W P W.T, W P], [P W.T, P]] is [[L, 0], [F.T, R]]: L factors the
+    innovation covariance, so the gain is 2 sum log diag L, and R R.T is the
+    conditioned covariance P - F.T F, propagated as (Phi R)(Phi R).T + Q.
+    """
+    n = ev.state_dim
+    # Sensor i's whitened rows padded with zero rows, then an all-zero row that
+    # pads the narrower slots; a zero row changes no gain and no covariance.
+    table = np.zeros((ev.sensor_count + 1, max(map(len, ev.whitened), default=0), n))
+    for i, white in enumerate(ev.whitened):
+        table[i, :len(white)] = white
+    sizes = np.array([list(map(len, s.selections)) for s in schedules])
+    widths = sizes.max(axis=0)
+    index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
+    index[np.arange(widths.max()) < sizes[..., None]] = list(
+        chain.from_iterable(chain.from_iterable(s.selections for s in schedules))
+    )
+    last = int(np.flatnonzero(widths)[-1]) if widths.any() else -1
+    pivots = np.ones((last + 1, len(schedules), index.shape[2] * table.shape[1]))
+    cov = np.broadcast_to(ev.initial_cov, (len(schedules), n, n))
+    state_rows = np.broadcast_to(np.eye(n), cov.shape)
+    for k in range(last + 1):
+        white = table[index[:, k, :widths[k]]].reshape(len(schedules), -1, n)
+        d = white.shape[1]
+        rows = np.concatenate((white, state_rows), axis=1)
+        bordered = rows @ cov @ rows.transpose(0, 2, 1)
+        bordered[:, :d, :d] += np.eye(d)
+        lower = np.linalg.cholesky(bordered)
+        pivots[k, :, :d] = np.diagonal(lower, axis1=1, axis2=2)[:, :d]
+        if k < last:
+            root = ev.propagations[k].transition @ lower[:, d:, d:]
+            cov = root @ root.transpose(0, 2, 1) + ev.propagations[k].noise_cov
+    return -ev.prior_logdet - 2.0 * np.log(pivots).sum(axis=(0, 2))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def objective_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
+    """``objective_logdet`` of each schedule, to roundoff, in order.
+
+    Chunks of at most VALUES_CHUNK schedules are swept together, with one
+    gather of the members' whitened rows, one stacked product and one
+    stacked Cholesky factorization per slot. A chunk whose factorization
+    fails, or whose values are not all finite, is evaluated again one
+    schedule at a time through ``objective_logdet``, which then raises its
+    error for the chunk's first failing schedule.
+    """
+    for schedule in schedules:
+        schedule.check_shape(ev.horizon, ev.sensor_count)
+    values = np.empty(len(schedules))
+    for first in range(0, len(schedules), VALUES_CHUNK):
+        chunk = schedules[first:first + VALUES_CHUNK]
+        try:
+            part = _stacked_sweep(ev, chunk)
+            stacked = bool(np.isfinite(part).all())
+        except np.linalg.LinAlgError:
+            stacked = False
+        values[first:first + len(chunk)] = (
+            part if stacked else [objective_logdet(ev, schedule) for schedule in chunk]
+        )
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
     """Objective decrease from adding sensor i at time index k.
 

@@ -58,6 +58,7 @@ class _StepOutcome:
     evaluations: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def greedy_step(ev: ObjectiveEvaluator, prefix: Schedule, k: int, budget: int) -> tuple[int, ...]:
     """Fill the slot at time index k greedily, given earlier selections.
 
@@ -98,6 +99,7 @@ def _greedy_step(ev, cov, value, k, budget) -> _StepOutcome:
     return _StepOutcome(cov, value, accepted, evaluations)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def greedy_schedule(ev: ObjectiveEvaluator, model: SystemModel) -> tuple[Schedule, GreedyTrace]:
     """Greedy schedule over the whole horizon.
 

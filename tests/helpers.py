@@ -323,3 +323,49 @@ def per_candidate_greedy(ev, model, lazy):
             trace.append((k, winner, gain, value))
         slots.append(tuple(sorted(accepted)))
     return bs.Schedule(selections=tuple(slots)), trace, evaluations
+
+
+def per_trial_monotonicity(model, trials, seed):
+    """The monotonicity fuzzer one trial at a time, each schedule through its
+    own ``objective_logdet``: the oracle for ``fuzz_monotonicity``'s stacked
+    evaluation, with the same draws, checks and report."""
+    ev = bs.build_evaluator(model)
+    rng = np.random.default_rng(seed)
+    max_excess = None
+    for _ in range(trials):
+        sup = bs.analysis._random_feasible(rng, model)
+        sub = bs.analysis._random_subschedule(rng, sup)
+        excess = bs.objective_logdet(ev, sup) - bs.objective_logdet(ev, sub)
+        if max_excess is None or excess > max_excess:
+            max_excess = excess
+        if excess > bs.analysis.PROPERTY_TOL:
+            raise bs.PropertyViolated(f"objective increased by {excess} when sensors were added")
+    return trials, max_excess
+
+
+def per_trial_supermodularity(model, trials, seed):
+    """The supermodularity fuzzer one trial at a time, each gain from
+    ``marginal_gain``: the oracle for ``fuzz_supermodularity``'s stacked
+    evaluation, with the same draws and checks. Returns the effective
+    trials and the largest excess."""
+    ev = bs.build_evaluator(model)
+    rng = np.random.default_rng(seed)
+    max_excess = None
+    effective = 0
+    for _ in range(trials):
+        big = bs.analysis._random_feasible(rng, model)
+        room = [k for k, slot in enumerate(big.selections) if len(slot) < model.budgets[k]]
+        if not room:
+            continue
+        k = int(room[int(rng.integers(0, len(room)))])
+        free = [i for i in range(model.sensor_count) if i not in big.selections[k]]
+        i = int(free[int(rng.integers(0, len(free)))])
+        small = bs.analysis._random_subschedule(rng, big)
+        gain_small = bs.marginal_gain(ev, small, k, i)
+        excess = bs.marginal_gain(ev, big, k, i) - gain_small
+        effective += 1
+        if max_excess is None or excess > max_excess:
+            max_excess = excess
+        if excess > bs.analysis.PROPERTY_TOL:
+            raise bs.PropertyViolated(f"marginal gain grew by {excess} on the larger schedule")
+    return effective, max_excess

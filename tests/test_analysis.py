@@ -10,7 +10,14 @@ import pytest
 import batchsched as bs
 from batchsched import analysis, objective, scheduler
 from batchsched.analysis import _random_feasible, _random_subschedule, random_schedule
-from helpers import prior_information, scenario_stream, stable_model, stacking_models
+from helpers import (
+    per_trial_monotonicity,
+    per_trial_supermodularity,
+    prior_information,
+    scenario_stream,
+    stable_model,
+    stacking_models,
+)
 
 
 def scalar_model():
@@ -538,3 +545,52 @@ def test_samplers_are_reproducible_per_seed():
     full = random_schedule(np.random.default_rng(5), model.sensor_count, model.budgets)
     assert full == random_schedule(np.random.default_rng(5), model.sensor_count, model.budgets)
     assert [len(slot) for slot in full.selections] == list(model.budgets)
+
+
+# Fuzz reports against the per-trial oracles, absolute: each excess is a
+# difference of objective values that the stacked sweep reproduces to
+# within objective_values' tolerance (see test_objective.VALUES_ATOL).
+FUZZ_ATOL = 1e-10
+
+
+def test_fuzzers_match_the_per_trial_oracles_on_criterion_4s_scenarios():
+    for idx, model in enumerate(scenario_stream(20, seed0=555, m_max=4, r_max=3)):
+        mono = bs.fuzz_monotonicity(model, trials=1000, seed=100 + idx)
+        trials, max_excess = per_trial_monotonicity(model, 1000, 100 + idx)
+        assert mono.effective_trials == trials
+        assert abs(mono.max_excess - max_excess) <= FUZZ_ATOL
+        report = bs.fuzz_supermodularity(model, trials=1000, seed=200 + idx)
+        effective, max_excess = per_trial_supermodularity(model, 1000, 200 + idx)
+        assert report.effective_trials == effective
+        if effective:
+            assert abs(report.max_excess - max_excess) <= FUZZ_ATOL
+        else:
+            assert report.max_excess is None and max_excess is None
+
+
+@pytest.mark.parametrize("fuzzer, oracle", [
+    (bs.fuzz_monotonicity, per_trial_monotonicity),
+    (bs.fuzz_supermodularity, per_trial_supermodularity),
+])
+def test_the_first_trial_in_draw_order_decides_between_a_violation_and_an_error(
+    monkeypatch, fuzzer, oracle
+):
+    # Measurements only at slots 0, 128 and 255 of an unstable model: with
+    # seed 2 the first trial evaluates and the second fails. With every
+    # excess counted as a violation, the first trial must raise it, as the
+    # per-trial oracle does, although a later trial's evaluation fails.
+    model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
+    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
+    model = bs.validate_model(dataclasses.replace(model, budgets=budgets))
+    with pytest.raises(bs.NotPositiveDefinite) as failed:
+        fuzzer(model, trials=2, seed=2)
+    with pytest.raises(bs.NotPositiveDefinite) as oracle_failed:
+        oracle(model, 2, 2)
+    assert str(failed.value) == str(oracle_failed.value)
+    oracle(model, 1, 2)  # the first trial alone evaluates
+    monkeypatch.setattr(analysis, "PROPERTY_TOL", -math.inf)
+    with pytest.raises(bs.PropertyViolated) as violated:
+        fuzzer(model, trials=2, seed=2)
+    with pytest.raises(bs.PropertyViolated) as oracle_violated:
+        oracle(model, 2, 2)
+    assert str(violated.value).split(" by ")[0] == str(oracle_violated.value).split(" by ")[0]

@@ -10,7 +10,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import batchsched as bs
@@ -420,18 +419,24 @@ def test_bounds_exits_1_naming_where_the_covariance_overflows(tmp_path, capsys):
     ["schedule", "--algorithm", "random", "--seed", "1"],
     ["schedule", "--algorithm", "brute"],
     ["certify"],
+    ["bounds"],
+    ["fuzz", "--property", "super", "--trials", "4", "--seed", "0"],
+    ["fuzz", "--property", "mono", "--trials", "4", "--seed", "0"],
 ])
 def test_non_finite_gain_exits_1_naming_the_time_index(tmp_path, capsys, command):
     # Only the last slot has a budget, one past the index where the
     # unmeasured variance overflows: its gain is not finite, and no report
-    # may carry the value (JSON has no infinity or NaN).
+    # may carry the value (JSON has no infinity or NaN). Every trial of the
+    # supermodularity fuzzer adds the sensor at the last slot; the
+    # monotonicity fuzzer's first trial selects it there with this seed.
+    # Tier-1 turns a RuntimeWarning into an error, so the sweep past the
+    # overflow must print none.
     horizon = overflow_index() + 2
     model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * (horizon - 1) + (1,))
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
     bs.save_scenario(bs.validate_model(model), str(scenario))
-    with np.errstate(over="ignore"):
-        assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
+    assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: gain of sensors [0] at time index {horizon - 1} is not finite")
     assert not out.exists()
@@ -484,4 +489,25 @@ def test_greedy_error_names_the_time_index_where_the_filter_lost_precision(tmp_p
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: innovation covariance of sensor")
     assert " at time index " in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("prop, line", [
+    ("mono", "error: innovation covariance of sensors [1, 3] at time index 128: the filter covariance "
+             "lost precision (unstable dynamics over a long stretch without measurements?)"),
+    ("super", "error: innovation covariance of sensors [2] at time index 255: the filter covariance "
+              "lost precision (unstable dynamics over a long stretch without measurements?)"),
+])
+def test_fuzz_error_where_the_filter_lost_precision_is_unchanged(tmp_path, capsys, prop, line):
+    # The input of the greedy test above. The lines are the ones the fuzzers
+    # printed when every trial was evaluated on its own: the stacked
+    # evaluation must raise the same error for the same first failing trial.
+    model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
+    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
+    scenario = tmp_path / "s.json"
+    bs.save_scenario(bs.validate_model(dataclasses.replace(model, budgets=budgets)), str(scenario))
+    out = tmp_path / "r.json"
+    argv = ["fuzz", "--config", str(scenario), "--property", prop, "--trials", "8", "--seed", "1"]
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
     assert not out.exists()

@@ -1,6 +1,7 @@
 """Objective evaluation: information assembly, sparse log-determinant,
 marginal gains, and the error-variance trace."""
 
+import dataclasses
 import math
 import warnings
 
@@ -441,3 +442,121 @@ def test_prior_logdet_matches_information_form_oracle():
         ev = bs.build_evaluator(model)
         oracle = bs.block_tridiag_logdet(prior_information(model))
         assert abs(ev.prior_logdet - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+# objective_values against objective_logdet, absolute. The two sum the same
+# slot terms and differ only in roundoff, which the unstable models carry
+# forward through the covariance: over a K = 1024 sweep of n = 6 states,
+# where values reach 7e3, the largest difference seen is 2.8e-11 (12 models,
+# 16 schedules each); against a long-double version of the same sweep, the
+# stacked one is off by up to 2e-11 and objective_logdet by 6e-12. A dropped or
+# misplaced row changes a value by a whole sensor gain, orders of magnitude
+# more than this bound.
+VALUES_ATOL = 1e-10
+
+
+def _value_cases():
+    """(model, schedules) pairs: the criterion 2 and 3 streams (1- and 2-row
+    sensors) with empty, full and random schedules, random ones with their
+    last slots emptied, and models whose odd slots have a zero budget."""
+    rng = np.random.default_rng(8)
+    models = list(_criterion_2_models()) + scenario_stream(100, seed0=777, n_max=4, k_max=6)
+    for index, model in enumerate(models):
+        if index % 3 == 0:
+            budgets = tuple(0 if k % 2 else r for k, r in enumerate(model.budgets))
+            model = bs.validate_model(dataclasses.replace(model, budgets=budgets))
+        full = bs.Schedule(tuple(tuple(range(r)) for r in model.budgets))
+        schedules = [bs.Schedule.empty(model.horizon), full]
+        schedules += [_random_feasible(rng, model) for _ in range(4)]
+        cut = int(rng.integers(0, model.horizon))
+        schedules.append(bs.Schedule(schedules[-1].selections[:cut] + ((),) * (model.horizon - cut)))
+        yield model, schedules
+
+
+def _assert_values_match_the_oracle(ev, schedules, values):
+    oracle = [bs.objective_logdet(ev, schedule) for schedule in schedules]
+    assert len(values) == len(oracle)
+    assert np.abs(np.asarray(values) - oracle).max(initial=0.0) <= VALUES_ATOL
+
+
+def test_objective_values_match_objective_logdet_on_the_criterion_streams():
+    for model, schedules in _value_cases():
+        ev = bs.build_evaluator(model)
+        # The stacked sweep itself, not a fallback to the oracle.
+        _assert_values_match_the_oracle(ev, schedules, objective._stacked_sweep(ev, schedules))
+        _assert_values_match_the_oracle(ev, schedules, bs.objective_values(ev, schedules))
+        for schedule in schedules:
+            _assert_values_match_the_oracle(ev, [schedule], bs.objective_values(ev, [schedule]))
+
+
+def test_objective_values_of_the_empty_schedule_and_of_none():
+    model = bs.random_scenario(seed=3, n=3, m=4, K=5, r=2)
+    ev = bs.build_evaluator(model)
+    assert bs.objective_values(ev, [bs.Schedule.empty(5)]).tolist() == [-ev.prior_logdet]
+    assert bs.objective_values(ev, []).shape == (0,)
+
+
+def test_objective_values_span_several_chunks():
+    model = bs.random_scenario(seed=4, n=3, m=5, K=8, r=2, kind="continuous-variant")
+    ev = bs.build_evaluator(model)
+    rng = np.random.default_rng(9)
+    schedules = [_random_feasible(rng, model) for _ in range(2 * objective.VALUES_CHUNK + 3)]
+    _assert_values_match_the_oracle(ev, schedules, bs.objective_values(ev, schedules))
+
+
+@pytest.mark.parametrize("K", [128, 256, 1024])
+@pytest.mark.parametrize("kind", list(bs.ModelKind))
+def test_objective_values_match_objective_logdet_on_long_generated_models(kind, K):
+    model = bs.random_scenario(seed=K, n=6, m=10, K=K, r=3, kind=kind)
+    ev = bs.build_evaluator(model)
+    rng = np.random.default_rng(K)
+    schedules = [_random_feasible(rng, model) for _ in range(8)]
+    _assert_values_match_the_oracle(ev, schedules, objective._stacked_sweep(ev, schedules))
+
+
+def test_objective_values_evaluate_a_failed_chunk_one_schedule_at_a_time(monkeypatch):
+    model = bs.random_scenario(seed=5, n=3, m=4, K=6, r=2)
+    ev = bs.build_evaluator(model)
+    rng = np.random.default_rng(10)
+    schedules = [_random_feasible(rng, model) for _ in range(5)]
+
+    def failing(ev, schedules):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(objective, "_stacked_sweep", failing)
+    oracle = [bs.objective_logdet(ev, schedule) for schedule in schedules]
+    assert bs.objective_values(ev, schedules).tolist() == oracle
+
+
+def test_objective_values_raise_the_oracles_error_for_the_first_failing_schedule():
+    # Measurements only at slots 0, 128 and 255 of an unstable model: the
+    # stacked factorization fails like objective_logdet's, and the error is
+    # the one objective_logdet raises for the first failing schedule.
+    model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
+    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
+    model = bs.validate_model(dataclasses.replace(model, budgets=budgets))
+    ev = bs.build_evaluator(model)
+    rng = np.random.default_rng(1)
+    schedules = [_random_feasible(rng, model) for _ in range(6)]
+    errors = []
+    for schedule in schedules:
+        try:
+            bs.objective_logdet(ev, schedule)
+        except bs.NotPositiveDefinite as exc:
+            errors.append(str(exc))
+    assert errors
+    with pytest.raises(bs.NotPositiveDefinite) as caught:
+        bs.objective_values(ev, schedules)
+    assert str(caught.value) == errors[0]
+
+
+def test_objective_values_report_an_overflowing_gain_without_a_warning():
+    horizon = overflow_index() + 2
+    model = exploding_scalar_model(horizon)
+    ev = bs.build_evaluator(model)
+    late = bs.Schedule(((),) * (horizon - 1) + ((0,),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bs.NumericOverflow) as caught:
+            bs.objective_values(ev, [bs.Schedule.empty(horizon), late])
+    assert f"at time index {horizon - 1} is not finite" in str(caught.value)
