@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .model import Schedule, SystemModel, model_fingerprint, model_to_dict, sensor_stacks
 from .objective import (
+    VALUES_CHUNK,
     ObjectiveEvaluator,
     SweepState,
     advance,
@@ -34,6 +35,9 @@ from .objective import (
     objective_logdet,
     objective_values,
     predict,
+    slot_step,
+    stacked_measure,
+    stacked_time_update,
 )
 # The fuzzers no longer call marginal_gain, and bound_inputs reads the prior
 # information's diagonal without assembling it; both names stay importable
@@ -174,36 +178,153 @@ def _subset_incidence(m: int, r: int) -> np.ndarray:
     return incidence
 
 
+@lru_cache(maxsize=None)
+def _subset_members(m: int, r: int) -> np.ndarray:
+    """Row s lists the sensors of ``_slot_subsets(m, r)[s]``, then the
+    sentinel m (``ObjectiveEvaluator.padded``'s zero rows) up to r entries."""
+    subsets = _slot_subsets(m, r)
+    members = np.full((len(subsets), r), m)
+    for row, subset in enumerate(subsets):
+        members[row, :len(subset)] = subset
+    members.setflags(write=False)
+    return members
+
+
+def _predict_through(ev: ObjectiveEvaluator, cov: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """A stack of covariances entering slot ``start``, carried to slot
+    ``stop`` with the slots in between left empty."""
+    for k in range(start, stop):
+        p = ev.propagations[k]
+        cov = p.transition @ cov @ p.transition.T + p.noise_cov
+    return cov
+
+
 def _child_bounds(
-    ev: ObjectiveEvaluator, model: SystemModel, state: SweepState, last: int
+    ev: ObjectiveEvaluator, model: SystemModel, k: int, cov: np.ndarray, value: np.ndarray, last: int
 ) -> np.ndarray:
-    """Lower bound on the objective of every schedule through ``state`` that
-    selects subset S at slot k = ``state.k``, for each S of ``_slot_subsets``.
+    """Lower bound on the objective of every schedule through each prefix
+    that selects subset S at slot k, shape (prefixes, subsets of
+    ``_slot_subsets``). Prefix p enters slot k with covariance ``cov[p]``
+    and objective ``value[p]``.
 
     A slot's gain never exceeds the sum of its sensors' singleton gains, and
     a gain only shrinks as earlier slots measure more. So slot k adds at
-    most the sum over S of the singleton gains g at ``state.cov``, and each
+    most the sum over S of the singleton gains g at ``cov[p]``, and each
     later slot j up to ``last``, the last one with a nonzero budget, at most
-    the top r_j singleton gains at the covariance predicted from
-    ``state.cov`` with slots k..j-1 left empty. The singleton gains come
-    from the evaluator's ``SingletonScorer``, and one product with the
-    subsets' incidence matrix sums them for every S. Returns -inf for every
-    S, which prunes nothing, if a singleton factorization fails.
+    the top r_j singleton gains at the covariance predicted from ``cov[p]``
+    with slots k..j-1 left empty. One stacked ``SingletonScorer`` call over
+    every prefix and slot gives these singleton gains, and one product with
+    the subsets' incidence matrix sums them for every S. Returns -inf
+    throughout, which prunes nothing, if a singleton factorization fails.
     """
-    k = state.k
     incidence = _subset_incidence(model.sensor_count, model.budgets[k])
+    ahead = [j for j in range(k + 1, last + 1) if model.budgets[j]]
+    covs = [cov]
+    for start, stop in zip([k] + ahead, ahead):
+        covs.append(_predict_through(ev, covs[-1], start, stop))
     try:
-        gains = ev.scorer(state.cov)
-        rest = 0.0
-        cov = state.cov
-        for j in range(k + 1, last + 1):
-            cov = predict(ev, cov, j - 1)
-            budget = model.budgets[j]
-            if budget:
-                rest += float(np.sort(ev.scorer(cov))[-budget:].sum())
-    except NotPositiveDefinite:
-        return np.full(len(incidence), -math.inf)
-    return state.value - rest - incidence @ gains
+        gains = ev.scorer.stacked(np.concatenate(covs)).reshape(len(covs), len(value), model.sensor_count)
+    except np.linalg.LinAlgError:
+        return np.full((len(value), len(incidence)), -math.inf)
+    ranked = np.sort(gains[1:], axis=2)
+    rest = sum(ranked[l, :, -model.budgets[j]:].sum(axis=1) for l, j in enumerate(ahead))
+    return (value - rest)[:, None] - gains[0] @ incidence.T
+
+
+def _step(
+    ev: ObjectiveEvaluator, model: SystemModel, k: int, cov: np.ndarray, subsets: np.ndarray, propagate: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Slot k's gains of subsets ``subsets`` (indices into ``_slot_subsets``)
+    at covariances ``cov``, one pair per member, and, if ``propagate``, the
+    covariances entering slot k+1.
+
+    One ``stacked_measure`` and ``stacked_time_update`` serve every pair. If
+    the factorization fails or a gain is not finite, the pairs are stepped
+    again one at a time through ``slot_step`` and ``predict``, which raise
+    their usual errors naming the time index.
+    """
+    members = _subset_members(model.sensor_count, model.budgets[k])[subsets]
+    white = ev.padded[members].reshape(len(subsets), -1, ev.state_dim)
+    d = white.shape[1]
+    try:
+        lower = stacked_measure(white, cov)
+        gains = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)[:, :d]).sum(axis=1)
+        stacked = bool(np.isfinite(gains).all())
+    except np.linalg.LinAlgError:
+        stacked = False
+    if stacked:
+        return gains, stacked_time_update(ev, lower[:, d:, d:], k) if propagate else None
+    choices = _slot_subsets(model.sensor_count, model.budgets[k])
+    steps = [slot_step(ev, member_cov, choices[s], k) for member_cov, s in zip(cov, subsets.tolist())]
+    gains = np.array([gain for gain, _ in steps])
+    return gains, np.stack([predict(ev, c, k) for _, c in steps]) if propagate else None
+
+
+class _Frontier(NamedTuple):
+    """Prefixes entering one branching slot, stacked: ``picks[p, l]`` is
+    prefix p's subset index at the l-th branching slot before it, ``cov[p]``
+    its filter covariance and ``value[p]`` its objective, to roundoff."""
+
+    picks: np.ndarray
+    cov: np.ndarray
+    value: np.ndarray
+
+
+def _near_minimal_leaves(
+    ev: ObjectiveEvaluator, model: SystemModel, levels: list[int], ceiling: float, slack: float
+) -> list[tuple[int, ...]]:
+    """Subset indices at ``levels`` of every schedule whose stacked value is
+    within ``slack`` of the least one, in lexicographic order; schedules
+    whose bound exceeds ``ceiling``, or the least value found, by more than
+    ``slack`` are skipped. The search goes level by level over chunks of at
+    most ``VALUES_CHUNK`` prefixes or (prefix, subset) pairs, depth first
+    over chunks, so its memory stays bounded."""
+    best = math.inf
+    near: list[tuple[tuple[int, ...], float]] = []
+    pending = []  # (level, frontier, prefix rows, subsets, bounds) chunks, next last
+
+    def branch(level: int, frontier: _Frontier) -> None:
+        bounds = _child_bounds(ev, model, levels[level], frontier.cov, frontier.value, levels[-1])
+        # Written so that a NaN bound prunes nothing.
+        rows, subsets = np.nonzero(~(bounds > ceiling + slack))
+        for first in reversed(range(0, len(rows), VALUES_CHUNK)):
+            part = slice(first, first + VALUES_CHUNK)
+            pending.append((level, frontier, rows[part], subsets[part], bounds[rows[part], subsets[part]]))
+
+    root_cov = _predict_through(ev, ev.initial_cov[None], 0, levels[0])
+    branch(0, _Frontier(np.zeros((1, 0), dtype=int), root_cov, np.array([-ev.prior_logdet])))
+    while pending:
+        level, frontier, rows, subsets, bounds = pending.pop()
+        keep = ~(bounds > ceiling + slack)
+        rows, subsets = rows[keep], subsets[keep]
+        if not len(rows):
+            continue
+        k = levels[level]
+        leaf = level == len(levels) - 1
+        gains, cov = _step(ev, model, k, frontier.cov[rows], subsets, not leaf)
+        value = frontier.value[rows] - gains
+        picks = np.column_stack((frontier.picks[rows], subsets))
+        if not leaf:
+            branch(level + 1, _Frontier(picks, _predict_through(ev, cov, k + 1, levels[level + 1]), value))
+            continue
+        lowest = float(value.min())
+        if lowest < best:
+            best = lowest
+            ceiling = min(ceiling, best)
+            near = [(p, v) for p, v in near if v <= best + slack]
+        for row in np.flatnonzero(value <= best + slack).tolist():
+            near.append((tuple(picks[row].tolist()), float(value[row])))
+    return [p for p, _ in near]
+
+
+@lru_cache(maxsize=1)
+def _incumbent_value(ev: ObjectiveEvaluator, incumbent: Schedule) -> float:
+    """The exact objective of a search's incumbent. ``certify_ratio`` reads
+    the greedy value back from here after the search has swept the greedy
+    schedule, so that it is swept once and no caller-supplied value can
+    reach the search's bound. Only the last (evaluator, schedule) pair is
+    kept; a miss sweeps again, to the same value."""
+    return objective_logdet(ev, incumbent)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -213,26 +334,28 @@ def brute_force_opt(
     cap: int | None = None,
     incumbent: Schedule | None = None,
 ) -> tuple[Schedule, float]:
-    """Exhaustive minimizer over all feasible schedules, by branch and bound.
+    """Exhaustive minimizer over all feasible schedules, by branch and bound
+    over slot levels.
 
-    Walks the tree of ``iter_feasible_schedules`` depth first and
-    iteratively: ``entering[k]`` is the sweep state entering slot k under the
-    current schedule's first k slots, so a schedule costs one slot update
-    per slot after the prefix it shares with the previous one. The walk
-    stops at the last slot with a nonzero budget: later slots are empty in
-    every feasible schedule and change no term.
+    Only the slots with a nonzero budget branch; later slots are empty in
+    every feasible schedule and change no term. The search keeps, per
+    branching slot, a stack of the surviving prefixes' filter covariances
+    and values. At each, ``_child_bounds`` bounds every (prefix, subset)
+    pair in one stacked computation, and a pair is skipped when its bound
+    exceeds the best value known by more than ``BOUND_SLACK_RTOL`` of the
+    values' scale, which roundoff cannot bridge. The best value starts at
+    the objective of ``incumbent`` (the greedy schedule's, from its trace,
+    when None), which ``Schedule.validate_for`` must accept for the model.
+    The surviving pairs are stepped in one stacked bordered Cholesky
+    factorization and time update per chunk (``_near_minimal_leaves``).
 
-    On arriving at a slot with a nonzero budget, ``_child_bounds`` bounds
-    each of its subsets at once. A subset is skipped, before its slot
-    update or leaf evaluation, when its bound exceeds the best value so far
-    by more than ``BOUND_SLACK_RTOL`` of the values' scale, which roundoff
-    cannot bridge; the best value starts at the objective of ``incumbent``
-    (the greedy schedule when None), which ``Schedule.validate_for`` must
-    accept for the model. Every schedule
-    the walk reaches is scored by ``objective_logdet`` resumed from the last
-    state (bit-identical to a full sweep) and replaces the best only if
-    strictly lower, so ties break toward the lexicographically smallest
-    schedule, the first one enumerated.
+    At the last branching slot this gives each surviving schedule's value to
+    roundoff. Only the schedules within the slack of the least such value
+    are scored exactly, in lexicographic order, by ``objective_logdet``
+    resumed from states that ``advance`` builds once per shared prefix (so
+    bit-identical to a full sweep). A schedule replaces the best only if
+    strictly lower, so the result is the lexicographically first exact
+    minimizer, the one plain enumeration would return.
     """
     model.require_validated()
     _check_enumeration_cap(model, cap)
@@ -240,50 +363,37 @@ def brute_force_opt(
         _, trace = greedy_schedule(ev, model)
         ceiling = trace.entries[-1].objective if trace.entries else trace.start_objective
     else:
-        ceiling = objective_logdet(ev, incumbent.validate_for(model))
+        incumbent = incumbent.validate_for(model)
+        ceiling = _incumbent_value(ev, incumbent)
     # ceiling: the least objective known to be reachable. A subset whose
     # bound exceeds it by more than the slack cannot hold the optimum.
     slack = BOUND_SLACK_RTOL * max(1.0, abs(ev.prior_logdet), abs(ceiling))
-    choices = [_slot_subsets(model.sensor_count, r) for r in model.budgets]
-    last = max((k for k, r in enumerate(model.budgets) if r), default=-1)
-    leaf = max(last, 0)
-    slots = [()] * model.horizon
-    entering = [SweepState.initial(ev)]
-
-    def children(k: int) -> list[tuple[float, int]]:
-        """Slot k's subsets not pruned on arrival, as (bound, index) pairs,
-        last subset first so that the next one pops off the end."""
-        if not model.budgets[k]:
-            return [(-math.inf, 0)]
-        bounds = _child_bounds(ev, model, entering[k], last)
-        # Written so that a NaN bound prunes nothing.
-        keep = np.flatnonzero(~(bounds > ceiling + slack))[::-1]
-        return list(zip(bounds[keep].tolist(), keep.tolist()))
-
-    pending = [children(0)]  # pending[k]: slot k's subsets still to walk
+    # The branching slots; with no budget anywhere, slot 0 stands in, with
+    # the empty subset as its only choice.
+    levels = [k for k, r in enumerate(model.budgets) if r] or [0]
+    choices = [_slot_subsets(model.sensor_count, model.budgets[k]) for k in levels]
     best_schedule = None
     best_value = math.inf
-    k = 0
-    while k >= 0:
-        if not pending[k]:
-            del pending[k], entering[k]
-            k -= 1
-            continue
-        bound, index = pending[k].pop()
-        if bound > ceiling + slack:
-            continue
-        slots[k] = choices[k][index]
-        if k < leaf:
-            entering.append(advance(ev, slots, entering[k], k + 1))
-            k += 1
-            pending.append(children(k))
+    entering: list[SweepState] = []  # entering[l]: exact state at slot levels[l] for picks[:l]
+    previous: tuple[int, ...] = ()
+    for picks in _near_minimal_leaves(ev, model, levels, ceiling, slack):
+        slots = [()] * model.horizon
+        for k, subsets, pick in zip(levels, choices, picks):
+            slots[k] = subsets[pick]
+        schedule = Schedule(selections=tuple(slots))
+        if schedule == incumbent:  # swept already: ceiling is its exact value
+            value = ceiling
         else:
-            schedule = Schedule(selections=tuple(slots))
-            value = objective_logdet(ev, schedule, entering[k])
-            if value < best_value:
-                best_value = value
-                best_schedule = schedule
-                ceiling = min(ceiling, value)
+            shared = next((l for l, (a, b) in enumerate(zip(picks, previous)) if a != b), len(previous))
+            del entering[shared + 1:]
+            while len(entering) < len(levels):
+                start = entering[-1] if entering else SweepState.initial(ev)
+                entering.append(advance(ev, schedule.selections, start, levels[len(entering)]))
+            value = objective_logdet(ev, schedule, entering[-1])
+            previous = picks
+        if value < best_value:
+            best_value = value
+            best_schedule = schedule
     return best_schedule, best_value
 
 
@@ -304,15 +414,16 @@ def certify_ratio(
     """Certify (greedy - opt) / (max - opt) <= 1/2 by exhaustive search.
 
     The enumeration cap is checked before any work. The greedy runs once:
-    its schedule is the certificate's and seeds the search's incumbent.
-    Raises GuaranteeViolated, carrying the full instance, if the bound
-    fails; that signals a bug in this library, not a tight instance.
+    its schedule is the certificate's and the search's incumbent, and its
+    value is the one the search swept it for. Raises GuaranteeViolated,
+    carrying the full instance, if the bound fails; that signals a bug in
+    this library, not a tight instance.
     """
     model.require_validated()
     _check_enumeration_cap(model, cap)
     greedy, _ = greedy_schedule(ev, model)
-    greedy_value = objective_logdet(ev, greedy)
     opt_schedule, opt_value = brute_force_opt(ev, model, cap, incumbent=greedy)
+    greedy_value = _incumbent_value(ev, greedy)
     max_value = worst_value(ev, model)
     fingerprint = model_fingerprint(model)
 
@@ -509,7 +620,10 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
             float((1.0 / np.linalg.eigvalsh(noise)[:, 0]).max()) for _, _, noise in sensor_stacks(model.sensors)
         )
         stacked = np.vstack([sensor.C for sensor in model.sensors])
-        c_norm_sq = float(np.linalg.norm(stacked, 2)) ** 2
+        # Past the double range the square is inf, and the bounds built on it
+        # stay valid; a Python float power would raise OverflowError instead.
+        with np.errstate(over="ignore"):
+            c_norm_sq = float(np.square(np.linalg.norm(stacked, 2)))
     else:
         sigma_v_inv = 0.0
         c_norm_sq = 0.0
@@ -525,7 +639,9 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
 
 def error_lower_bound(b: BoundInputs) -> float:
     """Lower bound on the total error variance of any feasible schedule."""
-    return b.state_dim / (b.sigma_v_inv * b.r_max * b.c_norm_sq + b.sigma_w_inv / b.horizon)
+    # With no budget nothing is measured, however large c_norm_sq is (even inf).
+    measured = b.sigma_v_inv * b.r_max * b.c_norm_sq if b.r_max else 0.0
+    return b.state_dim / (measured + b.sigma_w_inv / b.horizon)
 
 
 def min_sensors_for_error(b: BoundInputs, alpha: float) -> float:

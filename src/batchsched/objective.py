@@ -13,7 +13,8 @@ a sensor's gain with later slots empty is a single small log-determinant;
 ``SingletonScorer`` computes every sensor's at once for the greedy and the
 exhaustive search's bound. Schedules evaluated together, as by the fuzzers,
 take ``objective_values``: one sweep stacked over them, with
-``objective_logdet`` as its oracle. The error trace adds one backward pass
+``objective_logdet`` as its oracle; the exhaustive search steps its
+prefixes with the same stacked kernel. The error trace adds one backward pass
 to the same sweep; the information form (``prior``) is the sweeps' oracle.
 Public sweeps silence numpy's overflow warnings and raise on non-finite values.
 """
@@ -110,6 +111,19 @@ class SingletonScorer:
             gains[first:stop] = 2.0 * np.add.reduceat(np.log(lower.diagonal()), starts)
         return gains
 
+    def stacked(self, covs: np.ndarray) -> np.ndarray:
+        """The gains at each of a stack of covariances, shape (members,
+        sensors), with one stacked product and Cholesky factorization per
+        group; raises LinAlgError if any factorization fails."""
+        gains = np.empty((len(covs), self.sensor_count))
+        for first, stop, stacked, blocks, identity, starts, _ in self.groups:
+            inner = stacked @ covs @ stacked.T
+            inner *= blocks
+            inner += identity
+            pivots = np.diagonal(np.linalg.cholesky(inner), axis1=1, axis2=2)
+            gains[:, first:stop] = 2.0 * np.add.reduceat(np.log(pivots), starts, axis=1)
+        return gains
+
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveEvaluator:
@@ -119,6 +133,10 @@ class ObjectiveEvaluator:
     from concurrent workers. ``prior_logdet`` is the log-determinant of the
     prior information matrix, so the empty schedule's objective is its
     negation. ``scorer`` scores every whitened sensor alone at one covariance.
+    ``padded[i]`` holds sensor i's whitened rows and then zero rows up to the
+    widest sensor's count; ``padded[sensor_count]`` is all zero. The stacked
+    sweeps gather slots from it, and a zero row changes no gain and no
+    covariance.
     """
 
     initial_cov: np.ndarray
@@ -126,6 +144,7 @@ class ObjectiveEvaluator:
     whitened: tuple[np.ndarray, ...]
     prior_logdet: float
     scorer: SingletonScorer
+    padded: np.ndarray
 
     @property
     def state_dim(self) -> int:
@@ -159,12 +178,17 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     initial_cov = sym(model.initial_state_cov)
     initial_cov.setflags(write=False)
     whitened = tuple(whitened)
+    padded = np.zeros((len(whitened) + 1, max(map(len, whitened), default=0), model.state_dim))
+    for i, white in enumerate(whitened):
+        padded[i, :len(white)] = white
+    padded.setflags(write=False)
     return ObjectiveEvaluator(
         initial_cov=initial_cov,
         propagations=propagations,
         whitened=whitened,
         prior_logdet=-cov_logdet,
         scorer=SingletonScorer(whitened),
+        padded=padded,
     )
 
 
@@ -288,20 +312,38 @@ def objective_logdet(
     return start.value - slot_step(ev, start.cov, slots[last], last)[0]
 
 
-def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
-    """Each schedule's objective from one sweep over a leading member axis;
-    raises LinAlgError if a stacked factorization fails. With W a member's
-    whitened rows and P its covariance at a slot, the Cholesky factor of
-    [[I + W P W.T, W P], [P W.T, P]] is [[L, 0], [F.T, R]]: L factors the
-    innovation covariance, so the gain is 2 sum log diag L, and R R.T is the
-    conditioned covariance P - F.T F, propagated as (Phi R)(Phi R).T + Q.
+def stacked_measure(white: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Measurement update of a stack of covariances, one per member.
+
+    With W a member's whitened rows (d of them, zero rows allowed) and P its
+    covariance, returns the lower Cholesky factor of
+    [[I + W P W.T, W P], [P W.T, P]], which is [[L, 0], [F.T, R]]: L factors
+    the innovation covariance, so the gain is 2 sum log diag L, and R R.T is
+    the conditioned covariance P - F.T F. Raises LinAlgError if a
+    factorization fails.
     """
+    n = cov.shape[-1]
+    d = white.shape[1]
+    rows = np.empty((len(white), d + n, n))
+    rows[:, :d] = white
+    rows[:, d:] = np.eye(n)
+    bordered = rows @ cov @ rows.transpose(0, 2, 1)
+    bordered[:, :d, :d] += np.eye(d)
+    return np.linalg.cholesky(bordered)
+
+
+def stacked_time_update(ev: ObjectiveEvaluator, root: np.ndarray, k: int) -> np.ndarray:
+    """Covariances at time index k+1 from factors R of the conditioned ones
+    at k: (Phi R)(Phi R).T + Q, for each member."""
+    root = ev.propagations[k].transition @ root
+    return root @ root.transpose(0, 2, 1) + ev.propagations[k].noise_cov
+
+
+def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
+    """Each schedule's objective from one sweep over a leading member axis,
+    one ``stacked_measure`` and ``stacked_time_update`` per slot; raises
+    LinAlgError if a stacked factorization fails."""
     n = ev.state_dim
-    # Sensor i's whitened rows padded with zero rows, then an all-zero row that
-    # pads the narrower slots; a zero row changes no gain and no covariance.
-    table = np.zeros((ev.sensor_count + 1, max(map(len, ev.whitened), default=0), n))
-    for i, white in enumerate(ev.whitened):
-        table[i, :len(white)] = white
     sizes = np.array([list(map(len, s.selections)) for s in schedules])
     widths = sizes.max(axis=0)
     index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
@@ -309,20 +351,15 @@ def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.
         chain.from_iterable(chain.from_iterable(s.selections for s in schedules))
     )
     last = int(np.flatnonzero(widths)[-1]) if widths.any() else -1
-    pivots = np.ones((last + 1, len(schedules), index.shape[2] * table.shape[1]))
+    pivots = np.ones((last + 1, len(schedules), index.shape[2] * ev.padded.shape[1]))
     cov = np.broadcast_to(ev.initial_cov, (len(schedules), n, n))
-    state_rows = np.broadcast_to(np.eye(n), cov.shape)
     for k in range(last + 1):
-        white = table[index[:, k, :widths[k]]].reshape(len(schedules), -1, n)
+        white = ev.padded[index[:, k, :widths[k]]].reshape(len(schedules), -1, n)
         d = white.shape[1]
-        rows = np.concatenate((white, state_rows), axis=1)
-        bordered = rows @ cov @ rows.transpose(0, 2, 1)
-        bordered[:, :d, :d] += np.eye(d)
-        lower = np.linalg.cholesky(bordered)
+        lower = stacked_measure(white, cov)
         pivots[k, :, :d] = np.diagonal(lower, axis1=1, axis2=2)[:, :d]
         if k < last:
-            root = ev.propagations[k].transition @ lower[:, d:, d:]
-            cov = root @ root.transpose(0, 2, 1) + ev.propagations[k].noise_cov
+            cov = stacked_time_update(ev, lower[:, d:, d:], k)
     return -ev.prior_logdet - 2.0 * np.log(pivots).sum(axis=(0, 2))
 
 

@@ -11,6 +11,8 @@ import batchsched as bs
 from batchsched import analysis, objective, scheduler
 from batchsched.analysis import _random_feasible, _random_subschedule, random_schedule
 from helpers import (
+    exploding_scalar_model,
+    overflow_index,
     per_trial_monotonicity,
     per_trial_supermodularity,
     prior_information,
@@ -346,6 +348,52 @@ def test_brute_force_matches_plain_enumeration():
     assert schedule.to_lists() == [[0], [0, 1]]
 
 
+def _search_stress_stream(count, seed0):
+    """Small models with 1- and 2-row sensors, budgets up to 3 with zero
+    budgets between branching slots, and a duplicated sensor."""
+    rng = np.random.default_rng(seed0)
+    models = []
+    for idx in range(count):
+        n, m, horizon = (int(v) for v in rng.integers((1, 2, 2), (4, 6, 6)))
+        kind = list(bs.ModelKind)[idx % len(bs.ModelKind)]
+        data = bs.model_to_dict(bs.random_scenario(seed=seed0 + idx, n=n, m=m, K=horizon, r=0, kind=kind))
+        budgets = rng.integers(1, min(3, m) + 1, size=horizon)
+        budgets[int(rng.integers(0, horizon - 1))] = 0
+        # Plain enumeration is the oracle, so keep each model's count small.
+        while math.prod(sum(math.comb(m, size) for size in range(r + 1)) for r in budgets.tolist()) > 3000:
+            budgets[int(np.argmax(budgets))] -= 1
+        data["budgets"] = budgets.tolist()
+        data["sensors"][-1] = data["sensors"][int(rng.integers(0, m - 1))]
+        models.append(bs.model_from_dict(data))
+    return models
+
+
+def test_brute_force_matches_plain_enumeration_on_interior_zero_budgets_and_duplicates():
+    models = _search_stress_stream(60, seed0=5150)
+    assert any(max(model.budgets) == 3 for model in models)
+    assert any(0 in model.budgets[1:-1] and any(model.budgets[1:-1]) for model in models)
+    assert any({len(sensor.C) for sensor in model.sensors} == {1, 2} for model in models)
+    for model in models:
+        ev = bs.build_evaluator(model)
+        schedule, value = bs.brute_force_opt(ev, model)
+        assert (schedule, value) == _plain_minimum(ev, model)
+        assert value == bs.objective_logdet(ev, schedule)
+
+
+def test_search_raises_the_sweeps_error_where_the_stacked_step_fails():
+    # Budgets at the first slots and at the last one, past the index where
+    # the unmeasured variance overflows: the stacked factorization fails
+    # there, and the slot's members are stepped one at a time.
+    horizon = overflow_index() + 2
+    budgets = (1, 1, 1) + (0,) * (horizon - 4) + (1,)
+    model = bs.validate_model(dataclasses.replace(exploding_scalar_model(horizon), budgets=budgets))
+    ev = bs.build_evaluator(model)
+    for incumbent in (None, bs.Schedule.empty(horizon)):
+        message = rf"gain of sensors \[0\] at time index {horizon - 1} is not finite"
+        with pytest.raises(bs.NumericOverflow, match=message):
+            bs.brute_force_opt(ev, model, incumbent=incumbent)
+
+
 def _count_visited(monkeypatch):
     """Schedules the search scores: its calls to objective_logdet."""
     visited = []
@@ -390,6 +438,19 @@ def test_per_child_bounds_skip_most_schedules(monkeypatch):
         visited.clear()
         bs.brute_force_opt(bs.build_evaluator(model), model)
         assert 0 < len(visited) < bs.feasible_schedule_count(model) / 32
+
+
+def test_search_scores_a_handful_of_schedules_exactly(monkeypatch):
+    # Only the leaves within the slack of the least stacked value are scored
+    # exactly, and the greedy incumbent at most once more.
+    visited = _count_visited(monkeypatch)
+    for seed, kind in enumerate(bs.ModelKind):
+        model = bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
+        ev = bs.build_evaluator(model)
+        for incumbent in (None, bs.greedy_schedule(ev, model)[0]):
+            visited.clear()
+            bs.brute_force_opt(ev, model, incumbent=incumbent)
+            assert 0 < len(visited) <= 2
 
 
 def test_search_is_iterative_and_linear_along_zero_budget_slots(monkeypatch):
@@ -444,7 +505,8 @@ def test_child_bounds_prune_nothing_when_the_scorer_fails():
     # singleton factorization; no child may then be pruned.
     model = axis_model()
     state = objective.SweepState(0, np.diag([1.0, -2.0]), 0.0)
-    bounds = analysis._child_bounds(bs.build_evaluator(model), model, state, 0)
+    ev = bs.build_evaluator(model)
+    (bounds,) = analysis._child_bounds(ev, model, 0, state.cov[None], np.array([state.value]), 0)
     assert len(bounds) == len(analysis._slot_subsets(2, 1))
     assert (bounds == -math.inf).all()
 
@@ -465,7 +527,7 @@ def test_child_bounds_hold_for_every_subset_of_the_slot():
                     subset = schedule.selections[k]
                     value = bs.objective_logdet(ev, schedule)
                     best[subset] = min(best.get(subset, math.inf), value)
-            bounds = analysis._child_bounds(ev, model, state, last)
+            (bounds,) = analysis._child_bounds(ev, model, k, state.cov[None], np.array([state.value]), last)
             subsets = analysis._slot_subsets(model.sensor_count, model.budgets[k])
             assert len(bounds) == len(subsets) == len(best)
             for bound, subset in zip(bounds, subsets):
@@ -478,6 +540,17 @@ def test_certify_runs_the_greedy_once(monkeypatch):
         runs.clear()
         bs.certify_ratio(bs.build_evaluator(model), model)
         assert len(runs) == 1
+
+
+def test_certify_sweeps_the_greedy_schedule_once(monkeypatch):
+    visited = _count_visited(monkeypatch)
+    for model in scenario_stream(10, seed0=2711) + [bs.random_scenario(seed=2, n=3, m=5, K=3, r=2)]:
+        ev = bs.build_evaluator(model)
+        greedy, _ = bs.greedy_schedule(ev, model)
+        visited.clear()
+        cert = bs.certify_ratio(ev, model)
+        assert visited.count(greedy) == 1
+        assert cert.greedy_value == bs.objective_logdet(ev, greedy)
 
 
 def test_brute_force_takes_a_feasible_incumbent():

@@ -442,6 +442,38 @@ def test_non_finite_gain_exits_1_naming_the_time_index(tmp_path, capsys, command
     assert not out.exists()
 
 
+def _huge_sensor_scenario(path, r):
+    # Valid doubles whose squared norm leaves the double range.
+    data = bs.model_to_dict(bs.random_scenario(seed=0, n=2, m=3, K=3, r=r))
+    data["sensors"][0]["C"] = [[1e308, 1e308]]
+    bs.save_scenario(bs.model_from_dict(data), str(path))
+
+
+@pytest.mark.parametrize("command", [["schedule"], ["certify"], ["bounds", "--alpha", "0.5"]])
+def test_sensor_entries_near_the_double_range_exit_1_with_one_line(tmp_path, capsys, command):
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "r.json"
+    _huge_sensor_scenario(scenario, r=1)
+    assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: gain of sensors [0] at time index 0 is not finite")
+    assert not out.exists()
+
+
+def test_bounds_with_no_budget_ignore_the_sensors_scale(tmp_path):
+    # Nothing is measured, so the lower bound is the prior's however large C is.
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "r.json"
+    _huge_sensor_scenario(scenario, r=0)
+    assert run(["bounds", "--config", str(scenario), "--alpha", "0.5", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    model = bs.load_scenario(str(scenario))
+    inputs = bs.bound_inputs(bs.build_evaluator(model), model)
+    assert inputs.c_norm_sq == math.inf
+    assert report["lower_bound"] == pytest.approx(model.state_dim * model.horizon / inputs.sigma_w_inv, rel=1e-12)
+    assert report["lower_bound"] <= report["trace_empty"]
+
+
 def test_lazy_greedy_is_an_alias_of_greedy(tmp_path):
     scenario = tmp_path / "s.json"
     run(gen_args(scenario, seed=9, n=3, m=5, K=4, r=2))
