@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -25,19 +25,24 @@ from .errors import (
     NumericOverflow,
     PropertyViolated,
 )
-from .model import Schedule, SystemModel, model_fingerprint, model_to_dict, sensor_stacks
+from .model import (
+    Schedule,
+    SystemModel,
+    model_fingerprint,
+    model_to_dict,
+    require_non_negative,
+    seeded_rng,
+    sensor_stacks,
+)
 from .objective import (
     VALUES_CHUNK,
     ObjectiveEvaluator,
-    SweepState,
-    advance,
     build_evaluator,
     objective_logdet,
     objective_values,
     predict,
     slot_step,
-    stacked_measure,
-    stacked_time_update,
+    stacked_step,
 )
 # The fuzzers no longer call marginal_gain, and bound_inputs reads the prior
 # information's diagonal without assembling it; both names stay importable
@@ -238,22 +243,19 @@ def _step(
     at covariances ``cov``, one pair per member, and, if ``propagate``, the
     covariances entering slot k+1.
 
-    One ``stacked_measure`` and ``stacked_time_update`` serve every pair. If
-    the factorization fails or a gain is not finite, the pairs are stepped
-    again one at a time through ``slot_step`` and ``predict``, which raise
-    their usual errors naming the time index.
+    One ``stacked_step`` serves every pair. If the factorization fails or a
+    gain is not finite, the pairs are stepped again one at a time through
+    ``slot_step`` and ``predict``, which raise their usual errors naming the
+    time index.
     """
     members = _subset_members(model.sensor_count, model.budgets[k])[subsets]
-    white = ev.padded[members].reshape(len(subsets), -1, ev.state_dim)
-    d = white.shape[1]
     try:
-        lower = stacked_measure(white, cov)
-        gains = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)[:, :d]).sum(axis=1)
-        stacked = bool(np.isfinite(gains).all())
+        pivots, ahead = stacked_step(ev, cov, members, k, propagate)
+        gains = 2.0 * np.log(pivots).sum(axis=1)
+        if np.isfinite(gains).all():
+            return gains, ahead
     except np.linalg.LinAlgError:
-        stacked = False
-    if stacked:
-        return gains, stacked_time_update(ev, lower[:, d:, d:], k) if propagate else None
+        pass
     choices = _slot_subsets(model.sensor_count, model.budgets[k])
     steps = [slot_step(ev, member_cov, choices[s], k) for member_cov, s in zip(cov, subsets.tolist())]
     gains = np.array([gain for gain, _ in steps])
@@ -351,9 +353,8 @@ def brute_force_opt(
 
     At the last branching slot this gives each surviving schedule's value to
     roundoff. Only the schedules within the slack of the least such value
-    are scored exactly, in lexicographic order, by ``objective_logdet``
-    resumed from states that ``advance`` builds once per shared prefix (so
-    bit-identical to a full sweep). A schedule replaces the best only if
+    are scored exactly, in lexicographic order, each by a plain
+    ``objective_logdet`` sweep. A schedule replaces the best only if
     strictly lower, so the result is the lexicographically first exact
     minimizer, the one plain enumeration would return.
     """
@@ -374,23 +375,13 @@ def brute_force_opt(
     choices = [_slot_subsets(model.sensor_count, model.budgets[k]) for k in levels]
     best_schedule = None
     best_value = math.inf
-    entering: list[SweepState] = []  # entering[l]: exact state at slot levels[l] for picks[:l]
-    previous: tuple[int, ...] = ()
     for picks in _near_minimal_leaves(ev, model, levels, ceiling, slack):
         slots = [()] * model.horizon
         for k, subsets, pick in zip(levels, choices, picks):
             slots[k] = subsets[pick]
         schedule = Schedule(selections=tuple(slots))
-        if schedule == incumbent:  # swept already: ceiling is its exact value
-            value = ceiling
-        else:
-            shared = next((l for l, (a, b) in enumerate(zip(picks, previous)) if a != b), len(previous))
-            del entering[shared + 1:]
-            while len(entering) < len(levels):
-                start = entering[-1] if entering else SweepState.initial(ev)
-                entering.append(advance(ev, schedule.selections, start, levels[len(entering)]))
-            value = objective_logdet(ev, schedule, entering[-1])
-            previous = picks
+        # The incumbent is swept already: the ceiling is its exact value.
+        value = ceiling if schedule == incumbent else objective_logdet(ev, schedule)
         if value < best_value:
             best_value = value
             best_schedule = schedule
@@ -489,15 +480,23 @@ def _random_subschedule(rng: np.random.Generator, schedule: Schedule) -> Schedul
     ))
 
 
-def _trial_values(ev: ObjectiveEvaluator, trials: list[tuple[Schedule, ...]]) -> Iterator[list[float]]:
-    """Each trial's objective values, from one ``objective_values`` call; if
-    that raises, from ``objective_logdet`` as the caller reaches each trial,
-    so the first trial in draw order to fail or violate decides."""
-    try:
-        values = iter(objective_values(ev, list(chain.from_iterable(trials))).tolist())
-    except (NotPositiveDefinite, NumericOverflow):
-        return ([objective_logdet(ev, schedule) for schedule in trial] for trial in trials)
-    return ([next(values) for _ in trial] for trial in trials)
+def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple], per_trial: int) -> Iterator[tuple]:
+    """(trial, its schedules' objective values) for each (trial, schedules)
+    pair that ``draws`` yields with ``per_trial`` schedules, in draw order.
+
+    Trials are drawn in batches whose schedules fill one ``VALUES_CHUNK``, so
+    memory stays bounded however many there are, and each batch is evaluated
+    by one ``objective_values`` call. If that raises, the batch's values come
+    from ``objective_logdet`` as the caller reaches each trial, so the first
+    trial in draw order to fail or violate decides.
+    """
+    while batch := list(islice(draws, VALUES_CHUNK // per_trial)):
+        try:
+            values = objective_values(ev, [s for _, schedules in batch for s in schedules])
+        except (NotPositiveDefinite, NumericOverflow):
+            yield from ((trial, [objective_logdet(ev, s) for s in schedules]) for trial, schedules in batch)
+        else:
+            yield from zip([trial for trial, _ in batch], values.reshape(len(batch), per_trial).tolist())
 
 
 def fuzz_monotonicity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
@@ -507,13 +506,14 @@ def fuzz_monotonicity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
     otherwise reports the largest observed excess (at most roundoff).
     """
     model.require_validated()
+    require_non_negative("trials", trials)
+    rng = seeded_rng(seed)
     ev = build_evaluator(model)
-    rng = np.random.default_rng(seed)
     fingerprint = model_fingerprint(model)
     sups = (_random_feasible(rng, model) for _ in range(trials))
-    pairs = [(sup, _random_subschedule(rng, sup)) for sup in sups]
+    pairs = ((sup, _random_subschedule(rng, sup)) for sup in sups)
     max_excess = None
-    for (sup, sub), (sup_value, sub_value) in zip(pairs, _trial_values(ev, pairs)):
+    for (sup, sub), (sup_value, sub_value) in _evaluated(ev, ((pair, pair) for pair in pairs), 2):
         excess = sup_value - sub_value
         if max_excess is None or excess > max_excess:
             max_excess = excess
@@ -543,22 +543,27 @@ def fuzz_supermodularity(model: SystemModel, trials: int, seed: int) -> FuzzRepo
     of ``effective_trials``.
     """
     model.require_validated()
+    require_non_negative("trials", trials)
+    rng = seeded_rng(seed)
     ev = build_evaluator(model)
-    rng = np.random.default_rng(seed)
     fingerprint = model_fingerprint(model)
-    drawn = []  # (k, i, small, big) for each effective trial
-    for _ in range(trials):
-        big = _random_feasible(rng, model)
-        room = [k for k, slot in enumerate(big.selections) if len(slot) < model.budgets[k]]
-        if not room:
-            continue
-        k = int(room[int(rng.integers(0, len(room)))])
-        free = [i for i in range(model.sensor_count) if i not in big.selections[k]]
-        i = int(free[int(rng.integers(0, len(free)))])
-        drawn.append((k, i, _random_subschedule(rng, big), big))
-    schedules = [(s, s.with_added(k, i), b, b.with_added(k, i)) for k, i, s, b in drawn]
+
+    def draws():
+        for _ in range(trials):
+            big = _random_feasible(rng, model)
+            room = [k for k, slot in enumerate(big.selections) if len(slot) < model.budgets[k]]
+            if not room:
+                continue
+            k = int(room[int(rng.integers(0, len(room)))])
+            free = [i for i in range(model.sensor_count) if i not in big.selections[k]]
+            i = int(free[int(rng.integers(0, len(free)))])
+            small = _random_subschedule(rng, big)
+            yield (k, i, small, big), (small, small.with_added(k, i), big, big.with_added(k, i))
+
+    effective = 0
     max_excess = None
-    for (k, i, small, big), values in zip(drawn, _trial_values(ev, schedules)):
+    for (k, i, small, big), values in _evaluated(ev, draws(), 4):
+        effective += 1
         gain_small = values[0] - values[1]
         gain_big = values[2] - values[3]
         excess = gain_big - gain_small
@@ -580,7 +585,7 @@ def fuzz_supermodularity(model: SystemModel, trials: int, seed: int) -> FuzzRepo
                 },
             )
     return FuzzReport(
-        property_name="supermodularity", trials=trials, effective_trials=len(drawn),
+        property_name="supermodularity", trials=trials, effective_trials=effective,
         max_excess=max_excess, tolerance=PROPERTY_TOL, seed=seed, fingerprint=fingerprint,
     )
 

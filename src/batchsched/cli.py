@@ -23,8 +23,6 @@ import time
 from contextlib import contextmanager
 from functools import lru_cache
 
-import numpy as np
-
 from .analysis import (
     bound_inputs,
     brute_force_opt,
@@ -49,6 +47,7 @@ from .model import (
     model_fingerprint,
     random_scenario,
     save_scenario,
+    seeded_rng,
     write_text_atomic,
 )
 from .objective import batch_error_trace, build_evaluator, objective_logdet
@@ -140,8 +139,7 @@ def cmd_schedule(args) -> int:
         elif args.algorithm == "random":
             if args.seed is None:
                 raise InvalidArgument("--seed is required for --algorithm random")
-            rng = np.random.default_rng(args.seed)
-            schedule = random_schedule(rng, model.sensor_count, model.budgets)
+            schedule = random_schedule(seeded_rng(args.seed), model.sensor_count, model.budgets)
             objective = objective_logdet(ev, schedule)
         else:  # empty
             schedule = Schedule.empty(model.horizon)

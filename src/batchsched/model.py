@@ -499,6 +499,19 @@ def _random_dynamics(rng: np.random.Generator, n: int, kind: ModelKind) -> np.nd
     return g
 
 
+def require_non_negative(label: str, value) -> None:
+    """Raise InvalidArgument, naming ``label``, unless ``value`` is a
+    non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidArgument(f"{label} must be a non-negative integer, got {value!r}")
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The random generator for ``seed``, a non-negative integer."""
+    require_non_negative("seed", seed)
+    return np.random.default_rng(seed)
+
+
 def random_scenario(
     seed: int,
     n: int,
@@ -527,7 +540,7 @@ def random_scenario(
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= m:
         raise InvalidArgument(f"r must be an integer in [0, {m}], got {r!r}")
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     intervals = (K - 1) if kind.variant else 1
     dynamics = [_random_dynamics(rng, n, kind) for _ in range(intervals)]
     noise_input = [_random_orthogonal(rng, n) for _ in range(intervals)]

@@ -14,8 +14,9 @@ a sensor's gain with later slots empty is a single small log-determinant;
 exhaustive search's bound. Schedules evaluated together, as by the fuzzers,
 take ``objective_values``: one sweep stacked over them, with
 ``objective_logdet`` as its oracle; the exhaustive search steps its
-prefixes with the same stacked kernel. The error trace adds one backward pass
-to the same sweep; the information form (``prior``) is the sweeps' oracle.
+prefixes with the same ``stacked_step``. The error trace adds one backward
+pass to the same sweep; the information form (``prior``) is the sweeps'
+oracle.
 Public sweeps silence numpy's overflow warnings and raise on non-finite values.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from ._linalg import chol_pd, logdet_from_cholesky, sym
-from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow, SensorAlreadySelected
+from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
 from .model import Schedule, SystemModel, sensor_stacks
 # Nothing here uses the information form: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
@@ -233,19 +234,24 @@ def slot_step(
     sum of the sensors' sequential gains. Every evaluation path (sweep,
     greedy candidate, exhaustive search, error trace) conditions through
     ``_measure``, so equal calls give bit-identical values. Raises
-    NumericOverflow if the gain is not finite. ``k``, the slot's time index,
-    only names the slot in an error.
+    NumericOverflow if the gain is not finite; its hint blames the sensors'
+    scale if W W.T alone overflows, and the covariance otherwise. ``k``, the
+    slot's time index, only names the slot in an error.
     """
     if not sensors:
         return 0.0, cov
-    _, lower, cov = _measure(ev, cov, sensors, k)
+    white, lower, cov = _measure(ev, cov, sensors, k)
     gain = logdet_from_cholesky(lower)
     if not math.isfinite(gain):
         where = "" if k is None else f" at time index {k}"
-        raise NumericOverflow(
-            f"gain of sensors {list(sensors)}{where} is not finite: the predicted covariance "
-            "left the double range (unstable dynamics over a long stretch without measurements?)"
-        )
+        # Callers silence overflow warnings, as the update above needs too.
+        if np.isfinite(white @ white.T).all():
+            cause = ("the predicted covariance left the double range (unstable dynamics over a "
+                     "long stretch without measurements?)")
+        else:
+            cause = ("the sensors' whitened rows left the double range (measurement matrix too "
+                     "large for its noise covariance?)")
+        raise NumericOverflow(f"gain of sensors {list(sensors)}{where} is not finite: {cause}")
     return gain, cov
 
 
@@ -255,95 +261,76 @@ def predict(ev: ObjectiveEvaluator, cov: np.ndarray, k: int) -> np.ndarray:
     return sym(p.transition @ cov @ p.transition.T + p.noise_cov)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepState:
-    """The sweep entering time index ``k``: the filter covariance given slots
-    0..k-1, and the objective with only those slots selected. Schedules that
-    share their first k slots share it."""
-
-    k: int
-    cov: np.ndarray
-    value: float
-
-    @classmethod
-    def initial(cls, ev: ObjectiveEvaluator) -> SweepState:
-        return cls(0, ev.initial_cov, -ev.prior_logdet)
-
-
 def advance(
-    ev: ObjectiveEvaluator, slots: tuple[tuple[int, ...], ...], start: SweepState, stop: int
-) -> SweepState:
-    """The state entering slot ``stop`` >= ``start.k``: a measurement update
-    by ``slots[k]`` and a time update for each slot in between.
+    ev: ObjectiveEvaluator, slots: tuple[tuple[int, ...], ...], stop: int
+) -> tuple[np.ndarray, float]:
+    """The filter covariance entering slot ``stop``, and the objective with
+    only slots 0..stop-1 selected: from time index 0, a measurement update
+    by ``slots[k]`` and a time update for each slot before ``stop``.
 
     Sensor indices are not checked; ``Schedule.check_shape`` does that.
     """
-    cov, value = start.cov, start.value
-    for k in range(start.k, stop):
+    cov, value = ev.initial_cov, -ev.prior_logdet
+    for k in range(stop):
         gain, cov = slot_step(ev, cov, slots[k], k)
         cov = predict(ev, cov, k)
         value -= gain
-    return SweepState(stop, cov, value)
+    return cov, value
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def objective_logdet(
-    ev: ObjectiveEvaluator, schedule: Schedule, start: SweepState | None = None
-) -> float:
+def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """Log-determinant of the batch error covariance under ``schedule``.
 
     One filter sweep; it stops at the last slot with a measurement, since
-    later time updates change no term. ``start`` resumes the sweep from a
-    state that ``advance`` returned for this schedule's own first slots;
-    the value is bit-identical to a sweep from time index 0.
+    later time updates change no term.
     """
     schedule.check_shape(ev.horizon, ev.sensor_count)
-    start = start or SweepState.initial(ev)
-    if not 0 <= start.k < ev.horizon:
-        raise InvalidArgument(f"sweep state at time index {start.k} outside horizon {ev.horizon}")
     slots = schedule.selections
     last = len(slots) - 1
-    while last >= start.k and not slots[last]:
+    while last >= 0 and not slots[last]:
         last -= 1
-    if last < start.k:
-        return start.value
-    if last > start.k:
-        start = advance(ev, slots, start, last)
-    return start.value - slot_step(ev, start.cov, slots[last], last)[0]
+    if last < 0:
+        return -ev.prior_logdet
+    cov, value = advance(ev, slots, last)
+    return value - slot_step(ev, cov, slots[last], last)[0]
 
 
-def stacked_measure(white: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Measurement update of a stack of covariances, one per member.
+def stacked_step(
+    ev: ObjectiveEvaluator, cov: np.ndarray, members: np.ndarray, k: int, propagate: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Measurement update at slot k of a stack of covariances, one per member.
 
-    With W a member's whitened rows (d of them, zero rows allowed) and P its
-    covariance, returns the lower Cholesky factor of
-    [[I + W P W.T, W P], [P W.T, P]], which is [[L, 0], [F.T, R]]: L factors
-    the innovation covariance, so the gain is 2 sum log diag L, and R R.T is
-    the conditioned covariance P - F.T F. Raises LinAlgError if a
-    factorization fails.
+    Row p of ``members`` lists member p's sensors, padded with
+    ``ev.sensor_count``, whose rows in ``ev.padded`` are zero. With W the
+    member's gathered whitened rows (d of them) and P its covariance, one
+    stacked Cholesky factorization of [[I + W P W.T, W P], [P W.T, P]] gives
+    [[L, 0], [F.T, R]]: L factors the innovation covariance, and R R.T is the
+    conditioned covariance P - F.T F. Returns the pivots diag L, shape
+    (members, d), whose logs sum to half the slot's gain, and, if
+    ``propagate``, the covariances entering slot k+1, (Phi R)(Phi R).T + Q.
+    Raises LinAlgError if a factorization fails.
     """
-    n = cov.shape[-1]
+    n = ev.state_dim
+    white = ev.padded[members].reshape(len(members), -1, n)
     d = white.shape[1]
     rows = np.empty((len(white), d + n, n))
     rows[:, :d] = white
     rows[:, d:] = np.eye(n)
     bordered = rows @ cov @ rows.transpose(0, 2, 1)
     bordered[:, :d, :d] += np.eye(d)
-    return np.linalg.cholesky(bordered)
-
-
-def stacked_time_update(ev: ObjectiveEvaluator, root: np.ndarray, k: int) -> np.ndarray:
-    """Covariances at time index k+1 from factors R of the conditioned ones
-    at k: (Phi R)(Phi R).T + Q, for each member."""
-    root = ev.propagations[k].transition @ root
-    return root @ root.transpose(0, 2, 1) + ev.propagations[k].noise_cov
+    lower = np.linalg.cholesky(bordered)
+    pivots = np.diagonal(lower, axis1=1, axis2=2)[:, :d]
+    if not propagate:
+        return pivots, None
+    root = ev.propagations[k].transition @ lower[:, d:, d:]
+    return pivots, root @ root.transpose(0, 2, 1) + ev.propagations[k].noise_cov
 
 
 def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
     """Each schedule's objective from one sweep over a leading member axis,
-    one ``stacked_measure`` and ``stacked_time_update`` per slot; raises
-    LinAlgError if a stacked factorization fails."""
-    n = ev.state_dim
+    one ``stacked_step`` per slot; raises LinAlgError if a stacked
+    factorization fails."""
     sizes = np.array([list(map(len, s.selections)) for s in schedules])
     widths = sizes.max(axis=0)
     index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
@@ -352,14 +339,10 @@ def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.
     )
     last = int(np.flatnonzero(widths)[-1]) if widths.any() else -1
     pivots = np.ones((last + 1, len(schedules), index.shape[2] * ev.padded.shape[1]))
-    cov = np.broadcast_to(ev.initial_cov, (len(schedules), n, n))
+    cov = np.broadcast_to(ev.initial_cov, (len(schedules), ev.state_dim, ev.state_dim))
     for k in range(last + 1):
-        white = ev.padded[index[:, k, :widths[k]]].reshape(len(schedules), -1, n)
-        d = white.shape[1]
-        lower = stacked_measure(white, cov)
-        pivots[k, :, :d] = np.diagonal(lower, axis1=1, axis2=2)[:, :d]
-        if k < last:
-            cov = stacked_time_update(ev, lower[:, d:, d:], k)
+        step_pivots, cov = stacked_step(ev, cov, index[:, k, :widths[k]], k, k < last)
+        pivots[k, :, :step_pivots.shape[1]] = step_pivots
     return -ev.prior_logdet - 2.0 * np.log(pivots).sum(axis=(0, 2))
 
 
@@ -395,20 +378,16 @@ def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) ->
     """Objective decrease from adding sensor i at time index k.
 
     Nonnegative up to roundoff: activating a sensor never hurts. Computed as
-    the difference of two sweeps that share the one through slots before k,
-    so it holds for any schedule, including ones with measurements after
-    slot k.
+    the difference of two full sweeps, so it holds for any schedule,
+    including ones with measurements after slot k.
     """
     if not 0 <= k < ev.horizon:
         raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
     if not 0 <= i < ev.sensor_count:
         raise InvalidArgument(f"sensor index {i} out of range")
     schedule.check_shape(ev.horizon, ev.sensor_count)
-    if schedule.contains(k, i):
-        raise SensorAlreadySelected(f"sensor {i} already selected at time index {k}")
-    shared = advance(ev, schedule.selections, SweepState.initial(ev), k)
-    base = objective_logdet(ev, schedule, shared)
-    return base - objective_logdet(ev, schedule.with_added(k, i), shared)
+    added = schedule.with_added(k, i)
+    return objective_logdet(ev, schedule) - objective_logdet(ev, added)
 
 
 # Overflow shows as a non-finite covariance, reported below as an error.

@@ -18,14 +18,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .model import Schedule, SystemModel
-from .objective import (
-    ObjectiveEvaluator,
-    SweepState,
-    advance,
-    objective_logdet,
-    predict,
-    slot_step,
-)
+from .objective import ObjectiveEvaluator, advance, objective_logdet, predict, slot_step
 
 # Gains within this absolute distance of the round's best gain count as
 # tied; ties resolve to the smallest sensor index, so runs are reproducible
@@ -73,8 +66,8 @@ def greedy_step(ev: ObjectiveEvaluator, prefix: Schedule, k: int, budget: int) -
     if any(prefix.selections[k:]):
         raise InvalidArgument(f"slot {k} and every later slot must be empty before the greedy step")
     prefix.check_shape(ev.horizon, ev.sensor_count)
-    state = advance(ev, prefix.selections, SweepState.initial(ev), k)
-    outcome = _greedy_step(ev, state.cov, state.value, k, budget)
+    cov, value = advance(ev, prefix.selections, k)
+    outcome = _greedy_step(ev, cov, value, k, budget)
     return tuple(sorted(i for i, _, _ in outcome.accepted))
 
 

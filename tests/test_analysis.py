@@ -399,9 +399,9 @@ def _count_visited(monkeypatch):
     visited = []
     original = analysis.objective_logdet
 
-    def counted(ev, schedule, start=None):
+    def counted(ev, schedule):
         visited.append(schedule)
-        return original(ev, schedule, start)
+        return original(ev, schedule)
 
     monkeypatch.setattr(analysis, "objective_logdet", counted)
     return visited
@@ -504,9 +504,9 @@ def test_child_bounds_prune_nothing_when_the_scorer_fails():
     # A covariance negative along one axis breaks that axis sensor's
     # singleton factorization; no child may then be pruned.
     model = axis_model()
-    state = objective.SweepState(0, np.diag([1.0, -2.0]), 0.0)
+    cov = np.diag([1.0, -2.0])
     ev = bs.build_evaluator(model)
-    (bounds,) = analysis._child_bounds(ev, model, 0, state.cov[None], np.array([state.value]), 0)
+    (bounds,) = analysis._child_bounds(ev, model, 0, cov[None], np.array([0.0]), 0)
     assert len(bounds) == len(analysis._slot_subsets(2, 1))
     assert (bounds == -math.inf).all()
 
@@ -520,14 +520,14 @@ def test_child_bounds_hold_for_every_subset_of_the_slot():
             if not model.budgets[k]:
                 continue
             prefix = _random_feasible(rng, model).selections[:k]
-            state = objective.advance(ev, prefix, objective.SweepState.initial(ev), k)
+            cov, value = objective.advance(ev, prefix, k)
             best = {}
             for schedule in bs.iter_feasible_schedules(model):
                 if schedule.selections[:k] == prefix:
                     subset = schedule.selections[k]
                     value = bs.objective_logdet(ev, schedule)
                     best[subset] = min(best.get(subset, math.inf), value)
-            (bounds,) = analysis._child_bounds(ev, model, k, state.cov[None], np.array([state.value]), last)
+            (bounds,) = analysis._child_bounds(ev, model, k, cov[None], np.array([value]), last)
             subsets = analysis._slot_subsets(model.sensor_count, model.budgets[k])
             assert len(bounds) == len(subsets) == len(best)
             for bound, subset in zip(bounds, subsets):
@@ -667,3 +667,38 @@ def test_the_first_trial_in_draw_order_decides_between_a_violation_and_an_error(
     with pytest.raises(bs.PropertyViolated) as oracle_violated:
         oracle(model, 2, 2)
     assert str(violated.value).split(" by ")[0] == str(oracle_violated.value).split(" by ")[0]
+
+
+@pytest.mark.parametrize("fuzzer", [bs.fuzz_monotonicity, bs.fuzz_supermodularity])
+def test_fuzzers_evaluate_at_most_one_chunk_of_schedules_per_call(monkeypatch, fuzzer):
+    # Trials are drawn and evaluated a chunk at a time, so memory does not
+    # grow with the trial count.
+    model = bs.random_scenario(seed=3, n=2, m=3, K=3, r=2)
+    sizes = []
+    original = analysis.objective_values
+
+    def counted(ev, schedules):
+        sizes.append(len(schedules))
+        return original(ev, schedules)
+
+    monkeypatch.setattr(analysis, "objective_values", counted)
+    report = fuzzer(model, trials=1000, seed=9)
+    assert 0 < max(sizes) <= objective.VALUES_CHUNK
+    assert sum(sizes) == (2 if fuzzer is bs.fuzz_monotonicity else 4) * report.effective_trials
+
+
+def test_search_matches_plain_enumeration_when_every_stacked_step_fails(monkeypatch):
+    # The search's per-pair fallback then steps every (prefix, subset) pair.
+    def failing(*args):
+        raise np.linalg.LinAlgError("stacked step disabled")
+
+    monkeypatch.setattr(analysis, "stacked_step", failing)
+    medium = [
+        bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
+        for seed, kind in enumerate(bs.ModelKind)
+    ]
+    for model in medium + _search_stress_stream(10, seed0=5150):
+        ev = bs.build_evaluator(model)
+        expected = _plain_minimum(ev, model)
+        for incumbent in (None, bs.greedy_schedule(ev, model)[0]):
+            assert bs.brute_force_opt(ev, model, incumbent=incumbent) == expected

@@ -93,6 +93,24 @@ def test_schedule_random_requires_seed(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["gen", "--n", "2", "--m", "3", "--K", "2", "--r", "1", "--seed", "-1"], "seed"),
+    (["schedule", "--config", "{scenario}", "--algorithm", "random", "--seed", "-1"], "seed"),
+    (["fuzz", "--config", "{scenario}", "--property", "super", "--trials", "4", "--seed", "-1"], "seed"),
+    (["fuzz", "--config", "{scenario}", "--property", "mono", "--trials", "-3", "--seed", "0"], "trials"),
+])
+def test_negative_seed_or_trials_exit_2_naming_the_flag(tmp_path, capsys, command, flag):
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "r.json"
+    run(gen_args(scenario, seed=4))
+    capsys.readouterr()
+    argv = [arg.format(scenario=scenario) for arg in command]
+    value = argv[argv.index(f"--{flag}") + 1]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be a non-negative integer, got {value}"]
+    assert not out.exists()
+
+
 def test_schedule_random_uses_full_budget(tmp_path):
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
@@ -439,6 +457,7 @@ def test_non_finite_gain_exits_1_naming_the_time_index(tmp_path, capsys, command
     assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: gain of sensors [0] at time index {horizon - 1} is not finite")
+    assert "(unstable dynamics over a long stretch without measurements?)" in line
     assert not out.exists()
 
 
@@ -456,7 +475,11 @@ def test_sensor_entries_near_the_double_range_exit_1_with_one_line(tmp_path, cap
     _huge_sensor_scenario(scenario, r=1)
     assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: gain of sensors [0] at time index 0 is not finite")
+    # Nothing was predicted before slot 0: the sensor's scale overflowed.
+    assert line == (
+        "error: gain of sensors [0] at time index 0 is not finite: the sensors' whitened rows "
+        "left the double range (measurement matrix too large for its noise covariance?)"
+    )
     assert not out.exists()
 
 

@@ -263,8 +263,8 @@ def test_singleton_scorer_matches_one_slot_step_per_sensor(monkeypatch):
     for model in models:
         ev = bs.build_evaluator(model)
         slots = _random_feasible(rng, model).selections
-        state = objective.advance(ev, slots, objective.SweepState.initial(ev), model.horizon - 1)
-        for cov in (ev.initial_cov, state.cov):
+        swept, _ = objective.advance(ev, slots, model.horizon - 1)
+        for cov in (ev.initial_cov, swept):
             reference = [objective.slot_step(ev, cov, (i,))[0] for i in range(model.sensor_count)]
             with monkeypatch.context() as patch:
                 patch.setattr(objective, "dpotrf", counted)
@@ -420,21 +420,6 @@ def test_sweep_matches_information_form_oracle():
                 oracle = oracle_objective(ev, schedule)
                 error = abs(bs.objective_logdet(ev, schedule) - oracle)
                 assert error <= tol * max(1.0, abs(oracle))
-
-
-def test_sweep_resumes_from_a_shared_prefix_bit_for_bit():
-    rng = np.random.default_rng(4)
-    for model in scenario_stream(30, seed0=55, n_max=4, k_max=5):
-        ev = bs.build_evaluator(model)
-        schedule = _random_feasible(rng, model)
-        value = bs.objective_logdet(ev, schedule)
-        state = objective.SweepState.initial(ev)
-        for k in range(model.horizon):
-            state = objective.advance(ev, schedule.selections, state, k)
-            assert bs.objective_logdet(ev, schedule, state) == value
-        past_end = objective.SweepState(model.horizon, ev.initial_cov, 0.0)
-        with pytest.raises(bs.InvalidArgument):
-            bs.objective_logdet(ev, schedule, past_end)
 
 
 def test_prior_logdet_matches_information_form_oracle():
