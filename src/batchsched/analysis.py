@@ -30,7 +30,7 @@ from .model import (
     SystemModel,
     model_fingerprint,
     model_to_dict,
-    require_non_negative,
+    require_int,
     seeded_rng,
     sensor_stacks,
 )
@@ -506,7 +506,7 @@ def fuzz_monotonicity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
     otherwise reports the largest observed excess (at most roundoff).
     """
     model.require_validated()
-    require_non_negative("trials", trials)
+    require_int("trials", trials, 0)
     rng = seeded_rng(seed)
     ev = build_evaluator(model)
     fingerprint = model_fingerprint(model)
@@ -543,7 +543,7 @@ def fuzz_supermodularity(model: SystemModel, trials: int, seed: int) -> FuzzRepo
     of ``effective_trials``.
     """
     model.require_validated()
-    require_non_negative("trials", trials)
+    require_int("trials", trials, 0)
     rng = seeded_rng(seed)
     ev = build_evaluator(model)
     fingerprint = model_fingerprint(model)

@@ -499,16 +499,17 @@ def _random_dynamics(rng: np.random.Generator, n: int, kind: ModelKind) -> np.nd
     return g
 
 
-def require_non_negative(label: str, value) -> None:
-    """Raise InvalidArgument, naming ``label``, unless ``value`` is a
-    non-negative integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise InvalidArgument(f"{label} must be a non-negative integer, got {value!r}")
+def require_int(label: str, value, low: int) -> None:
+    """Raise InvalidArgument, naming ``label``, unless ``value`` is an
+    integer of at least ``low`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        sign = "positive" if low == 1 else "non-negative"
+        raise InvalidArgument(f"{label} must be a {sign} integer, got {value!r}")
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """The random generator for ``seed``, a non-negative integer."""
-    require_non_negative("seed", seed)
+    require_int("seed", seed, 0)
     return np.random.default_rng(seed)
 
 
@@ -535,8 +536,7 @@ def random_scenario(
             f"kind must be one of {[k.value for k in ModelKind]}, got {kind!r}"
         ) from None
     for label, value in (("n", n), ("m", m), ("K", K)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise InvalidArgument(f"{label} must be a positive integer, got {value!r}")
+        require_int(label, value, 1)
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= m:
         raise InvalidArgument(f"r must be an integer in [0, {m}], got {r!r}")
 

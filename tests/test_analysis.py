@@ -520,14 +520,14 @@ def test_child_bounds_hold_for_every_subset_of_the_slot():
             if not model.budgets[k]:
                 continue
             prefix = _random_feasible(rng, model).selections[:k]
-            cov, value = objective.advance(ev, prefix, k)
+            cov, entering = objective.advance(ev, prefix, k)
             best = {}
             for schedule in bs.iter_feasible_schedules(model):
                 if schedule.selections[:k] == prefix:
                     subset = schedule.selections[k]
                     value = bs.objective_logdet(ev, schedule)
                     best[subset] = min(best.get(subset, math.inf), value)
-            (bounds,) = analysis._child_bounds(ev, model, k, cov[None], np.array([value]), last)
+            (bounds,) = analysis._child_bounds(ev, model, k, cov[None], np.array([entering]), last)
             subsets = analysis._slot_subsets(model.sensor_count, model.budgets[k])
             assert len(bounds) == len(subsets) == len(best)
             for bound, subset in zip(bounds, subsets):
