@@ -46,7 +46,6 @@ from .model import (
     model_to_dict,
     random_scenario,
     save_scenario,
-    validate_model,
 )
 from .objective import (
     ObjectiveEvaluator,
@@ -125,6 +124,5 @@ __all__ = [
     "objective_values",
     "random_scenario",
     "save_scenario",
-    "validate_model",
     "worst_value",
 ]

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice, product
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,18 +37,18 @@ from .model import (
 from .objective import (
     VALUES_CHUNK,
     ObjectiveEvaluator,
-    build_evaluator,
     objective_logdet,
     objective_values,
     predict,
     slot_step,
     stacked_step,
 )
-# The fuzzers no longer call marginal_gain, and bound_inputs reads the prior
-# information's diagonal without assembling it; both names stay importable
-# from this module only because bench/tracing.py lists them as wrap points
-# and bench/test_bench.py requires every wrap point to exist.
-from .objective import marginal_gain  # noqa: F401
+# The fuzzers no longer call marginal_gain or build their own evaluator, and
+# bound_inputs reads the prior information's diagonal without assembling it;
+# these names stay importable from this module only because bench/tracing.py
+# lists them as wrap points and bench/test_bench.py requires every wrap point
+# to exist.
+from .objective import build_evaluator, marginal_gain  # noqa: F401
 from .prior import build_prior_information  # noqa: F401
 from .scheduler import greedy_schedule
 
@@ -358,7 +358,6 @@ def brute_force_opt(
     strictly lower, so the result is the lexicographically first exact
     minimizer, the one plain enumeration would return.
     """
-    model.require_validated()
     _check_enumeration_cap(model, cap)
     if incumbent is None:
         _, trace = greedy_schedule(ev, model)
@@ -388,14 +387,13 @@ def brute_force_opt(
     return best_schedule, best_value
 
 
-def worst_value(ev: ObjectiveEvaluator, model: SystemModel) -> float:
+def worst_value(ev: ObjectiveEvaluator) -> float:
     """Worst feasible objective value.
 
     Adding sensors never increases the objective, so the maximum sits at the
     empty schedule and costs no evaluation: it is minus the prior
     log-determinant.
     """
-    model.require_validated()
     return -ev.prior_logdet
 
 
@@ -410,12 +408,11 @@ def certify_ratio(
     carrying the full instance, if the bound fails; that signals a bug in
     this library, not a tight instance.
     """
-    model.require_validated()
     _check_enumeration_cap(model, cap)
     greedy, _ = greedy_schedule(ev, model)
     opt_schedule, opt_value = brute_force_opt(ev, model, cap, incumbent=greedy)
     greedy_value = _incumbent_value(ev, greedy)
-    max_value = worst_value(ev, model)
+    max_value = worst_value(ev)
     fingerprint = model_fingerprint(model)
 
     def _details(ratio=None):
@@ -480,9 +477,10 @@ def _random_subschedule(rng: np.random.Generator, schedule: Schedule) -> Schedul
     ))
 
 
-def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple], per_trial: int) -> Iterator[tuple]:
+def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple]) -> Iterator[tuple]:
     """(trial, its schedules' objective values) for each (trial, schedules)
-    pair that ``draws`` yields with ``per_trial`` schedules, in draw order.
+    pair that ``draws`` yields, in draw order; every trial has as many
+    schedules as the first.
 
     Trials are drawn in batches whose schedules fill one ``VALUES_CHUNK``, so
     memory stays bounded however many there are, and each batch is evaluated
@@ -490,7 +488,9 @@ def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple], per_trial: int) -
     from ``objective_logdet`` as the caller reaches each trial, so the first
     trial in draw order to fail or violate decides.
     """
-    while batch := list(islice(draws, VALUES_CHUNK // per_trial)):
+    for first in draws:
+        per_trial = len(first[1])
+        batch = [first, *islice(draws, VALUES_CHUNK // per_trial - 1)]
         try:
             values = objective_values(ev, [s for _, schedules in batch for s in schedules])
         except (NotPositiveDefinite, NumericOverflow):
@@ -499,95 +499,86 @@ def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple], per_trial: int) -
             yield from zip([trial for trial, _ in batch], values.reshape(len(batch), per_trial).tolist())
 
 
-def fuzz_monotonicity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
-    """Sample nested schedule pairs and check the objective never increases.
+def _fuzz(
+    ev: ObjectiveEvaluator, model: SystemModel, trials: int, seed: int,
+    draw: Callable, judge: Callable, property_name: str, message: str,
+) -> FuzzReport:
+    """The trial loop both fuzzers share.
 
-    Raises PropertyViolated with the counterexample on the first failure;
-    otherwise reports the largest observed excess (at most roundoff).
+    ``draw(rng)`` gives one trial's counterexample fields and its schedules,
+    or None for a trial that is skipped and counted out of
+    ``effective_trials``; ``judge(values)`` gives, from the schedules'
+    objective values, the trial's excess and the counterexample fields those
+    values add. Raises PropertyViolated, with ``message`` formatted with the
+    excess, on the first trial in draw order whose excess exceeds
+    ``PROPERTY_TOL``; otherwise reports the largest excess observed (at most
+    roundoff).
     """
-    model.require_validated()
+    ev.check_model(model)
     require_int("trials", trials, 0)
     rng = seeded_rng(seed)
-    ev = build_evaluator(model)
     fingerprint = model_fingerprint(model)
-    sups = (_random_feasible(rng, model) for _ in range(trials))
-    pairs = ((sup, _random_subschedule(rng, sup)) for sup in sups)
+    drawn = (trial for trial in (draw(rng) for _ in range(trials)) if trial is not None)
+    effective = 0
     max_excess = None
-    for (sup, sub), (sup_value, sub_value) in _evaluated(ev, ((pair, pair) for pair in pairs), 2):
-        excess = sup_value - sub_value
+    for fields, values in _evaluated(ev, drawn):
+        effective += 1
+        excess, value_fields = judge(values)
         if max_excess is None or excess > max_excess:
             max_excess = excess
         if excess > PROPERTY_TOL:
-            raise PropertyViolated(
-                f"objective increased by {excess} when sensors were added",
-                counterexample={
-                    "subset": sub.to_lists(),
-                    "superset": sup.to_lists(),
-                    "excess": excess,
-                    "fingerprint": fingerprint,
-                    "model": model_to_dict(model),
-                },
-            )
+            counterexample = {key: v.to_lists() if isinstance(v, Schedule) else v for key, v in fields.items()}
+            counterexample.update(value_fields, excess=excess, fingerprint=fingerprint, model=model_to_dict(model))
+            raise PropertyViolated(message.format(excess), counterexample=counterexample)
     return FuzzReport(
-        property_name="monotonicity", trials=trials, effective_trials=trials,
+        property_name=property_name, trials=trials, effective_trials=effective,
         max_excess=max_excess, tolerance=PROPERTY_TOL, seed=seed, fingerprint=fingerprint,
     )
 
 
-def fuzz_supermodularity(model: SystemModel, trials: int, seed: int) -> FuzzReport:
+def fuzz_monotonicity(ev: ObjectiveEvaluator, model: SystemModel, trials: int, seed: int) -> FuzzReport:
+    """Sample nested schedule pairs and check the objective never increases."""
+
+    def draw(rng):
+        sup = _random_feasible(rng, model)
+        sub = _random_subschedule(rng, sup)
+        return {"subset": sub, "superset": sup}, (sup, sub)
+
+    def judge(values):
+        sup_value, sub_value = values
+        return sup_value - sub_value, {}
+
+    return _fuzz(ev, model, trials, seed, draw, judge,
+                 "monotonicity", "objective increased by {} when sensors were added")
+
+
+def fuzz_supermodularity(ev: ObjectiveEvaluator, model: SystemModel, trials: int, seed: int) -> FuzzReport:
     """Sample nested schedules plus an addition and check diminishing returns.
 
     The gain of one extra sensor on the smaller schedule must be at least its
     gain on the larger one; each gain is the difference of two objective
-    values. Trials where no slot has budget room are skipped and counted out
-    of ``effective_trials``.
+    values. Trials where no slot has budget room are skipped.
     """
-    model.require_validated()
-    require_int("trials", trials, 0)
-    rng = seeded_rng(seed)
-    ev = build_evaluator(model)
-    fingerprint = model_fingerprint(model)
 
-    def draws():
-        for _ in range(trials):
-            big = _random_feasible(rng, model)
-            room = [k for k, slot in enumerate(big.selections) if len(slot) < model.budgets[k]]
-            if not room:
-                continue
-            k = int(room[int(rng.integers(0, len(room)))])
-            free = [i for i in range(model.sensor_count) if i not in big.selections[k]]
-            i = int(free[int(rng.integers(0, len(free)))])
-            small = _random_subschedule(rng, big)
-            yield (k, i, small, big), (small, small.with_added(k, i), big, big.with_added(k, i))
+    def draw(rng):
+        big = _random_feasible(rng, model)
+        room = [k for k, slot in enumerate(big.selections) if len(slot) < model.budgets[k]]
+        if not room:
+            return None
+        k = int(room[int(rng.integers(0, len(room)))])
+        free = [i for i in range(model.sensor_count) if i not in big.selections[k]]
+        i = int(free[int(rng.integers(0, len(free)))])
+        small = _random_subschedule(rng, big)
+        fields = {"small": small, "big": big, "time_index": k, "sensor": i}
+        return fields, (small, small.with_added(k, i), big, big.with_added(k, i))
 
-    effective = 0
-    max_excess = None
-    for (k, i, small, big), values in _evaluated(ev, draws(), 4):
-        effective += 1
+    def judge(values):
         gain_small = values[0] - values[1]
         gain_big = values[2] - values[3]
-        excess = gain_big - gain_small
-        if max_excess is None or excess > max_excess:
-            max_excess = excess
-        if excess > PROPERTY_TOL:
-            raise PropertyViolated(
-                f"marginal gain grew by {excess} on the larger schedule",
-                counterexample={
-                    "small": small.to_lists(),
-                    "big": big.to_lists(),
-                    "time_index": k,
-                    "sensor": i,
-                    "gain_small": gain_small,
-                    "gain_big": gain_big,
-                    "excess": excess,
-                    "fingerprint": fingerprint,
-                    "model": model_to_dict(model),
-                },
-            )
-    return FuzzReport(
-        property_name="supermodularity", trials=trials, effective_trials=effective,
-        max_excess=max_excess, tolerance=PROPERTY_TOL, seed=seed, fingerprint=fingerprint,
-    )
+        return gain_big - gain_small, {"gain_small": gain_small, "gain_big": gain_big}
+
+    return _fuzz(ev, model, trials, seed, draw, judge,
+                 "supermodularity", "marginal gain grew by {} on the larger schedule")
 
 
 def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
@@ -605,9 +596,7 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
     solve over the evaluator's intervals gives them all, so no interval is
     discretized again and no block is formed.
     """
-    model.require_validated()
-    if ev.horizon != model.horizon or ev.sensor_count != model.sensor_count:
-        raise InvalidArgument("evaluator does not match the model")
+    ev.check_model(model)
     n = model.state_dim
     eye = np.eye(n)
     # Row k: the diagonal of block k.

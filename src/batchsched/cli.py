@@ -46,6 +46,7 @@ from .model import (
     load_scenario,
     model_fingerprint,
     random_scenario,
+    require_int,
     save_scenario,
     seeded_rng,
     write_text_atomic,
@@ -123,6 +124,9 @@ def cmd_gen(args) -> int:
 def cmd_schedule(args) -> int:
     if args.csv is not None and args.algorithm not in ("greedy", "lazy-greedy"):
         raise InvalidArgument("--csv requires a greedy algorithm with a trace")
+    if args.seed is not None:
+        # Only --algorithm random uses the seed, but every report records it.
+        require_int("seed", args.seed, 0)
     timer = _Timer()
     with timer.time("load"):
         model = _load_model(args.config)
@@ -223,10 +227,12 @@ def cmd_fuzz(args) -> int:
     timer = _Timer()
     with timer.time("load"):
         model = _load_model(args.config)
+    with timer.time("build"):
+        ev = build_evaluator(model)
     fuzzer = fuzz_monotonicity if args.property == "mono" else fuzz_supermodularity
     try:
         with timer.time("solve"):
-            report = fuzzer(model, args.trials, args.seed)
+            report = fuzzer(ev, model, args.trials, args.seed)
     except PropertyViolated as exc:
         payload = {
             "fingerprint": model_fingerprint(model),

@@ -1,8 +1,8 @@
 """System, sensor bank, horizon, and schedule definitions.
 
-Single source of truth for every other module: a validated SystemModel is
-immutable, serializes to a JSON scenario file, and can be generated
-pseudo-randomly for tests and benchmarks.
+Single source of truth for every other module: a SystemModel is valid by
+construction, immutable, serializes to a JSON scenario file, and can be
+generated pseudo-randomly for tests and benchmarks.
 
 Indexing conventions: sensor indices and time indices are 0-based
 everywhere in code and in JSON. Diagnostics name matrices in the
@@ -81,11 +81,11 @@ class SystemModel:
 
     ``dynamics``, ``noise_input`` and ``process_noise_cov`` hold one matrix
     for time-invariant kinds and one matrix per inter-measurement interval
-    (K-1 of them) for time-variant kinds. ``validate_model`` stores each as
-    one (J, rows, cols) array, J = 1 or K-1, or as a tuple of J matrices
-    when the noise widths differ between intervals. Pass the model to
-    ``validate_model`` before using it anywhere else; validated models are
-    immutable and safe to share across workers.
+    (K-1 of them) for time-variant kinds. Construction checks every
+    invariant and stores each as one (J, rows, cols) array, J = 1 or K-1,
+    or as a tuple of J matrices when the noise widths differ between
+    intervals. So every model is valid; models are immutable and safe to
+    share across workers.
     """
 
     kind: ModelKind
@@ -108,13 +108,10 @@ class SystemModel:
     def sensor_count(self) -> int:
         return len(self.sensors)
 
-    @property
-    def is_validated(self) -> bool:
-        return bool(getattr(self, "_validated", False))
-
-    def require_validated(self) -> None:
-        if not self.is_validated:
-            raise InvalidArgument("model must pass validate_model before use")
+    def __post_init__(self) -> None:
+        """Check every model invariant and normalize the fields in place."""
+        for name, value in _normalized_fields(self).items():
+            object.__setattr__(self, name, value)
 
     def interval_dynamics(self, j: int) -> np.ndarray:
         """Dynamics matrix governing interval j (0-based, j < K-1)."""
@@ -368,11 +365,13 @@ def _check_sensor_noise(sensors: Sequence[Sensor]) -> None:
         raise
 
 
-def validate_model(model: SystemModel) -> SystemModel:
-    """Check every model invariant and return an immutable, normalized copy.
+def _normalized_fields(model: SystemModel) -> dict[str, Any]:
+    """The model's fields checked and converted: frozen float arrays, plain
+    ints and floats, a ModelKind and tuples.
 
-    Raises DimensionMismatch, NotPositiveDefinite, NonIncreasingTimes, or
-    BudgetOutOfRange with a message naming the offending field.
+    Raises DimensionMismatch, NotPositiveDefinite, NonIncreasingTimes,
+    BudgetOutOfRange or InvalidArgument with a message naming the offending
+    field.
     """
     try:
         kind = ModelKind(model.kind)
@@ -458,21 +457,18 @@ def validate_model(model: SystemModel) -> SystemModel:
             raise DimensionMismatch(f"input_matrix must have {n} rows, got {input_matrix.shape[0]}")
         input_matrix = _freeze(input_matrix)
 
-    validated = SystemModel(
-        kind=kind,
-        state_dim=n,
-        dynamics=_freeze_field(dynamics),
-        noise_input=_freeze_field(noise_input),
-        process_noise_cov=_freeze_field(process),
-        initial_state_cov=_freeze(p1),
-        measurement_times=tuple(times),
-        sensors=tuple(sensors),
-        budgets=tuple(budgets),
-        input_matrix=input_matrix,
-        input_signal=model.input_signal,
-    )
-    object.__setattr__(validated, "_validated", True)
-    return validated
+    return {
+        "kind": kind,
+        "state_dim": n,
+        "dynamics": _freeze_field(dynamics),
+        "noise_input": _freeze_field(noise_input),
+        "process_noise_cov": _freeze_field(process),
+        "initial_state_cov": _freeze(p1),
+        "measurement_times": tuple(times),
+        "sensors": tuple(sensors),
+        "budgets": tuple(budgets),
+        "input_matrix": input_matrix,
+    }
 
 
 def _random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -558,7 +554,7 @@ def random_scenario(
         d = int(rng.integers(1, 3))
         sensors.append(Sensor(C=rng.standard_normal((d, n)), V=_random_spd(rng, d)))
 
-    model = SystemModel(
+    return SystemModel(
         kind=kind,
         state_dim=int(n),
         dynamics=tuple(dynamics),
@@ -569,7 +565,6 @@ def random_scenario(
         sensors=tuple(sensors),
         budgets=tuple(int(r) for _ in range(K)),
     )
-    return validate_model(model)
 
 
 def _interval_field_to_json(field: np.ndarray | tuple[np.ndarray, ...], variant: bool):
@@ -599,7 +594,7 @@ def model_to_dict(model: SystemModel) -> dict:
 
 
 def model_from_dict(data: dict) -> SystemModel:
-    """Build and validate a model from a scenario dictionary.
+    """Build a model from a scenario dictionary.
 
     Rejection messages name the offending JSON path, e.g. "sensors[0].V" or
     "measurement_times[2]".
@@ -613,7 +608,7 @@ def model_from_dict(data: dict) -> SystemModel:
     for key in SCENARIO_KEYS:
         if key not in data:
             raise InvalidArgument(f"missing required key {key!r} in scenario")
-    model = SystemModel(
+    return SystemModel(
         kind=data["kind"],
         state_dim=data["state_dim"],
         dynamics=data["dynamics"],
@@ -626,7 +621,6 @@ def model_from_dict(data: dict) -> SystemModel:
         input_matrix=data.get("input_matrix"),
         input_signal=data.get("input_signal"),
     )
-    return validate_model(model)
 
 
 def model_fingerprint(model: SystemModel) -> str:

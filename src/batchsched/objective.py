@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from ._linalg import chol_pd, logdet_from_cholesky, sym
+from ._linalg import logdet_from_cholesky, sym
 from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
 from .model import Schedule, SystemModel, sensor_stacks
 # Nothing here uses the information form: build_prior_information stays
@@ -159,18 +159,24 @@ class ObjectiveEvaluator:
     def sensor_count(self) -> int:
         return len(self.whitened)
 
+    def check_model(self, model: SystemModel) -> None:
+        """Raise InvalidArgument unless ``model`` has this evaluator's
+        horizon and sensor count."""
+        if self.horizon != model.horizon or self.sensor_count != model.sensor_count:
+            raise InvalidArgument("evaluator does not match the model")
+
 
 def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     """Discretize every interval once and whiten every sensor, W_i = L_i^-1 C_i
     for V_i = L_i L_i.T, with one stacked factorization and solve per row count."""
-    model.require_validated()
     propagations = discretize_intervals(model)
-    cov_logdet = logdet_from_cholesky(chol_pd(model.initial_state_cov, "P_1"))
+    # The model's construction has checked P_1 and every V_i, so no pivot is
+    # checked again.
+    cov_logdet = logdet_from_cholesky(np.linalg.cholesky(model.initial_state_cov))
     for p in propagations:
         cov_logdet += p.noise_logdet
     whitened = [None] * model.sensor_count
     for group, measurement, noise in sensor_stacks(model.sensors):
-        # validate_model has checked every V_i, so no pivot is checked again.
         # Row-major, like the stacked matrix of a multi-sensor slot.
         white = np.ascontiguousarray(np.linalg.solve(np.linalg.cholesky(noise), measurement))
         white.setflags(write=False)

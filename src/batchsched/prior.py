@@ -143,7 +143,6 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[IntervalProp
 
 def discretize_interval(model: SystemModel, j: int) -> IntervalPropagation:
     """Transition and accumulated noise covariance over interval j (0-based)."""
-    model.require_validated()
     if not 0 <= j <= model.horizon - 2:
         raise InvalidArgument(f"interval index {j} out of range for horizon {model.horizon}")
     return _discretize(model, j, j + 1)[0]
@@ -151,7 +150,6 @@ def discretize_interval(model: SystemModel, j: int) -> IntervalPropagation:
 
 def discretize_intervals(model: SystemModel) -> tuple[IntervalPropagation, ...]:
     """Every interval of the horizon, in order, discretized in batches."""
-    model.require_validated()
     stop = model.horizon - 1
     batches = range(0, stop, DISCRETIZE_BATCH)
     return tuple(chain.from_iterable(

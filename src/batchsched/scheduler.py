@@ -101,9 +101,7 @@ def greedy_schedule(ev: ObjectiveEvaluator, model: SystemModel) -> tuple[Schedul
     covariance is carried only to the last slot with a nonzero budget; later
     slots stay empty.
     """
-    model.require_validated()
-    if ev.horizon != model.horizon or ev.sensor_count != model.sensor_count:
-        raise InvalidArgument("evaluator does not match the model")
+    ev.check_model(model)
     value = objective_logdet(ev, Schedule.empty(model.horizon))
     trace = GreedyTrace(start_objective=value)
     last = max((k for k, r in enumerate(model.budgets) if r), default=-1)

@@ -67,18 +67,16 @@ def stable_model(horizon, n=8, m=3, r=2, seed=99):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     sensors = tuple(bs.Sensor(C=rng.standard_normal((1, n)), V=np.eye(1)) for _ in range(m))
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=n,
-            dynamics=0.95 * q,
-            noise_input=np.eye(n),
-            process_noise_cov=np.eye(n),
-            initial_state_cov=np.eye(n),
-            measurement_times=tuple(float(k + 1) for k in range(horizon)),
-            sensors=sensors,
-            budgets=tuple(r for _ in range(horizon)),
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=n,
+        dynamics=0.95 * q,
+        noise_input=np.eye(n),
+        process_noise_cov=np.eye(n),
+        initial_state_cov=np.eye(n),
+        measurement_times=tuple(float(k + 1) for k in range(horizon)),
+        sensors=sensors,
+        budgets=tuple(r for _ in range(horizon)),
     )
 
 
@@ -95,7 +93,7 @@ def stacking_models():
     rng = np.random.default_rng(21)
     n, widths = 3, (2, 3, 4, 2)
     sensors = tuple(bs.Sensor(C=rng.standard_normal((d, n)), V=_random_spd(rng, d)) for d in (3, 1, 2, 1, 3, 2, 2))
-    cases.append(("widths-and-rows", bs.validate_model(bs.SystemModel(
+    cases.append(("widths-and-rows", bs.SystemModel(
         kind="continuous-variant",
         state_dim=n,
         dynamics=[0.3 * rng.standard_normal((n, n)) for _ in widths],
@@ -105,8 +103,8 @@ def stacking_models():
         measurement_times=tuple(0.5 * k + 0.1 * k * k for k in range(len(widths) + 1)),
         sensors=sensors,
         budgets=(2,) * (len(widths) + 1),
-    ))))
-    cases.append(("rows-1-2-3", bs.validate_model(bs.SystemModel(
+    )))
+    cases.append(("rows-1-2-3", bs.SystemModel(
         kind="discrete-invariant",
         state_dim=n,
         dynamics=0.9 * np.eye(n),
@@ -116,7 +114,7 @@ def stacking_models():
         measurement_times=(1.0, 2.0, 3.0),
         sensors=sensors[:3],
         budgets=(1, 2, 3),
-    ))))
+    )))
     return cases
 
 
@@ -127,18 +125,16 @@ def exploding_scalar_model(horizon, growth=2.0):
     near 1, while the empty schedule's variance leaves the double range at
     ``overflow_index(growth)``.
     """
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=1,
-            dynamics=np.array([[growth]]),
-            noise_input=np.eye(1),
-            process_noise_cov=np.eye(1),
-            initial_state_cov=np.eye(1),
-            measurement_times=tuple(float(k + 1) for k in range(horizon)),
-            sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
-            budgets=(1,) * horizon,
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=1,
+        dynamics=np.array([[growth]]),
+        noise_input=np.eye(1),
+        process_noise_cov=np.eye(1),
+        initial_state_cov=np.eye(1),
+        measurement_times=tuple(float(k + 1) for k in range(horizon)),
+        sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
+        budgets=(1,) * horizon,
     )
 
 

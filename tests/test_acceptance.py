@@ -92,10 +92,11 @@ def test_criterion_3_sparsity_correctness():
 def test_criterion_4_monotonicity_and_supermodularity():
     with criterion(4, "fuzzers find zero violations in 1000 trials on each of 20 scenarios"):
         for idx, model in enumerate(scenario_stream(20, seed0=555, m_max=4, r_max=3)):
-            mono = bs.fuzz_monotonicity(model, trials=1000, seed=100 + idx)
+            ev = bs.build_evaluator(model)
+            mono = bs.fuzz_monotonicity(ev, model, trials=1000, seed=100 + idx)
             assert mono.violations == 0
             assert mono.max_excess <= 1e-9
-            super_report = bs.fuzz_supermodularity(model, trials=1000, seed=200 + idx)
+            super_report = bs.fuzz_supermodularity(ev, model, trials=1000, seed=200 + idx)
             assert super_report.violations == 0
             assert super_report.max_excess is None or super_report.max_excess <= 1e-9
 
@@ -107,18 +108,16 @@ def test_criterion_5_fundamental_limits():
             bound = bs.error_lower_bound(bs.bound_inputs(ev, model))
             for schedule in bs.iter_feasible_schedules(model):
                 assert bs.batch_error_trace(ev, schedule) >= bound - 1e-9
-        scalar = bs.validate_model(
-            bs.SystemModel(
-                kind="discrete-invariant",
-                state_dim=1,
-                dynamics=np.eye(1),
-                noise_input=np.eye(1),
-                process_noise_cov=np.eye(1),
-                initial_state_cov=np.eye(1),
-                measurement_times=(1.0,),
-                sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
-                budgets=(1,),
-            )
+        scalar = bs.SystemModel(
+            kind="discrete-invariant",
+            state_dim=1,
+            dynamics=np.eye(1),
+            noise_input=np.eye(1),
+            process_noise_cov=np.eye(1),
+            initial_state_cov=np.eye(1),
+            measurement_times=(1.0,),
+            sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
+            budgets=(1,),
         )
         ev = bs.build_evaluator(scalar)
         achieved = bs.batch_error_trace(ev, bs.Schedule.from_sets([[0]]))

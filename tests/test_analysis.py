@@ -23,39 +23,35 @@ from helpers import (
 
 
 def scalar_model():
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=1,
-            dynamics=np.eye(1),
-            noise_input=np.eye(1),
-            process_noise_cov=np.eye(1),
-            initial_state_cov=np.eye(1),
-            measurement_times=(1.0,),
-            sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
-            budgets=(1,),
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=1,
+        dynamics=np.eye(1),
+        noise_input=np.eye(1),
+        process_noise_cov=np.eye(1),
+        initial_state_cov=np.eye(1),
+        measurement_times=(1.0,),
+        sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
+        budgets=(1,),
     )
 
 
 def axis_model(budget=1):
     # Orthogonal rank-one sensors on a unit prior: a modular instance, so
     # greedy recovers the exhaustive optimum exactly.
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=2,
-            dynamics=np.eye(2),
-            noise_input=np.eye(2),
-            process_noise_cov=np.eye(2),
-            initial_state_cov=np.eye(2),
-            measurement_times=(1.0,),
-            sensors=(
-                bs.Sensor(C=np.array([[1.0, 0.0]]), V=np.eye(1)),
-                bs.Sensor(C=np.array([[0.0, 1.0]]), V=np.eye(1)),
-            ),
-            budgets=(budget,),
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=2,
+        dynamics=np.eye(2),
+        noise_input=np.eye(2),
+        process_noise_cov=np.eye(2),
+        initial_state_cov=np.eye(2),
+        measurement_times=(1.0,),
+        sensors=(
+            bs.Sensor(C=np.array([[1.0, 0.0]]), V=np.eye(1)),
+            bs.Sensor(C=np.array([[0.0, 1.0]]), V=np.eye(1)),
+        ),
+        budgets=(budget,),
     )
 
 
@@ -78,7 +74,7 @@ def test_brute_force_zero_budget():
     schedule, value = bs.brute_force_opt(ev, model)
     assert schedule == bs.Schedule.empty(2)
     assert value == bs.objective_logdet(ev, schedule)
-    sensorless = bs.validate_model(dataclasses.replace(model, sensors=()))
+    sensorless = dataclasses.replace(model, sensors=())
     ev = bs.build_evaluator(sensorless)
     assert bs.brute_force_opt(ev, sensorless) == (bs.Schedule.empty(2), -ev.prior_logdet)
 
@@ -109,13 +105,13 @@ def test_brute_force_cap():
 def test_worst_value_scalar():
     model = scalar_model()
     ev = bs.build_evaluator(model)
-    assert bs.worst_value(ev, model) == pytest.approx(0.0, abs=1e-12)
+    assert bs.worst_value(ev) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_worst_value_matches_exhaustive_maximum():
     for model in scenario_stream(60, seed0=910):
         ev = bs.build_evaluator(model)
-        analytic = bs.worst_value(ev, model)
+        analytic = bs.worst_value(ev)
         exhaustive = max(
             bs.objective_logdet(ev, s) for s in bs.iter_feasible_schedules(model)
         )
@@ -144,18 +140,16 @@ def test_certify_full_budget_selects_everything():
 
 def test_certify_degenerate_spread():
     blank = bs.Sensor(C=np.zeros((1, 1)), V=np.eye(1))
-    model = bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=1,
-            dynamics=np.eye(1),
-            noise_input=np.eye(1),
-            process_noise_cov=np.eye(1),
-            initial_state_cov=np.eye(1),
-            measurement_times=(1.0,),
-            sensors=(blank,),
-            budgets=(1,),
-        )
+    model = bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=1,
+        dynamics=np.eye(1),
+        noise_input=np.eye(1),
+        process_noise_cov=np.eye(1),
+        initial_state_cov=np.eye(1),
+        measurement_times=(1.0,),
+        sensors=(blank,),
+        budgets=(1,),
     )
     ev = bs.build_evaluator(model)
     cert = bs.certify_ratio(ev, model)
@@ -183,8 +177,9 @@ def test_certificate_serializes():
 
 def test_fuzz_monotonicity_clean_and_deterministic():
     model = bs.random_scenario(seed=31, n=2, m=3, K=2, r=2)
-    first = bs.fuzz_monotonicity(model, trials=300, seed=5)
-    second = bs.fuzz_monotonicity(model, trials=300, seed=5)
+    ev = bs.build_evaluator(model)
+    first = bs.fuzz_monotonicity(ev, model, trials=300, seed=5)
+    second = bs.fuzz_monotonicity(ev, model, trials=300, seed=5)
     assert first.violations == 0
     assert first.max_excess <= 1e-9
     assert first.to_dict() == second.to_dict()
@@ -192,8 +187,9 @@ def test_fuzz_monotonicity_clean_and_deterministic():
 
 def test_fuzz_supermodularity_clean_and_deterministic():
     model = bs.random_scenario(seed=37, n=2, m=3, K=2, r=2)
-    first = bs.fuzz_supermodularity(model, trials=300, seed=6)
-    second = bs.fuzz_supermodularity(model, trials=300, seed=6)
+    ev = bs.build_evaluator(model)
+    first = bs.fuzz_supermodularity(ev, model, trials=300, seed=6)
+    second = bs.fuzz_supermodularity(ev, model, trials=300, seed=6)
     assert first.violations == 0
     assert first.effective_trials > 0
     assert first.max_excess <= 1e-9
@@ -202,9 +198,22 @@ def test_fuzz_supermodularity_clean_and_deterministic():
 
 def test_fuzz_supermodularity_skips_when_no_room():
     model = bs.random_scenario(seed=37, n=2, m=3, K=2, r=0)
-    report = bs.fuzz_supermodularity(model, trials=50, seed=6)
+    report = bs.fuzz_supermodularity(bs.build_evaluator(model), model, trials=50, seed=6)
     assert report.effective_trials == 0
     assert report.max_excess is None
+
+
+@pytest.mark.parametrize("call", [
+    bs.greedy_schedule,
+    bs.bound_inputs,
+    lambda ev, model: bs.fuzz_monotonicity(ev, model, trials=1, seed=0),
+    lambda ev, model: bs.fuzz_supermodularity(ev, model, trials=1, seed=0),
+], ids=["greedy_schedule", "bound_inputs", "fuzz_monotonicity", "fuzz_supermodularity"])
+def test_an_evaluator_built_for_another_model_is_rejected(call):
+    model = bs.random_scenario(seed=1, n=2, m=3, K=3, r=1)
+    for other in (dataclasses.replace(model, sensors=model.sensors[:2]), bs.random_scenario(seed=1, n=2, m=3, K=2, r=1)):
+        with pytest.raises(bs.InvalidArgument, match="^evaluator does not match the model$"):
+            call(bs.build_evaluator(other), model)
 
 
 def test_bound_inputs_scalar():
@@ -318,18 +327,16 @@ def _plain_minimum(ev, model):
 
 def test_brute_force_matches_plain_enumeration():
     duplicate = bs.Sensor(C=np.array([[1.0, 0.5]]), V=np.eye(1))
-    tied = bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=2,
-            dynamics=np.eye(2),
-            noise_input=np.eye(2),
-            process_noise_cov=np.eye(2),
-            initial_state_cov=np.eye(2),
-            measurement_times=(1.0, 2.0),
-            sensors=(duplicate, duplicate, duplicate),
-            budgets=(1, 2),
-        )
+    tied = bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=2,
+        dynamics=np.eye(2),
+        noise_input=np.eye(2),
+        process_noise_cov=np.eye(2),
+        initial_state_cov=np.eye(2),
+        measurement_times=(1.0, 2.0),
+        sensors=(duplicate, duplicate, duplicate),
+        budgets=(1, 2),
     )
     medium = [
         bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
@@ -386,7 +393,7 @@ def test_search_raises_the_sweeps_error_where_the_stacked_step_fails():
     # there, and the slot's members are stepped one at a time.
     horizon = overflow_index() + 2
     budgets = (1, 1, 1) + (0,) * (horizon - 4) + (1,)
-    model = bs.validate_model(dataclasses.replace(exploding_scalar_model(horizon), budgets=budgets))
+    model = dataclasses.replace(exploding_scalar_model(horizon), budgets=budgets)
     ev = bs.build_evaluator(model)
     for incumbent in (None, bs.Schedule.empty(horizon)):
         message = rf"gain of sensors \[0\] at time index {horizon - 1} is not finite"
@@ -457,9 +464,7 @@ def test_search_is_iterative_and_linear_along_zero_budget_slots(monkeypatch):
     # One branching slot at the end of a long chain: a recursive walk would
     # overflow the stack, and bounding every chain node would cost O(K^2).
     horizon = 1500
-    model = bs.validate_model(
-        dataclasses.replace(stable_model(horizon, n=4), budgets=(0,) * (horizon - 1) + (2,))
-    )
+    model = dataclasses.replace(stable_model(horizon, n=4), budgets=(0,) * (horizon - 1) + (2,))
     ev = bs.build_evaluator(model)
     predictions = []
 
@@ -628,11 +633,12 @@ FUZZ_ATOL = 1e-10
 
 def test_fuzzers_match_the_per_trial_oracles_on_criterion_4s_scenarios():
     for idx, model in enumerate(scenario_stream(20, seed0=555, m_max=4, r_max=3)):
-        mono = bs.fuzz_monotonicity(model, trials=1000, seed=100 + idx)
+        ev = bs.build_evaluator(model)
+        mono = bs.fuzz_monotonicity(ev, model, trials=1000, seed=100 + idx)
         trials, max_excess = per_trial_monotonicity(model, 1000, 100 + idx)
         assert mono.effective_trials == trials
         assert abs(mono.max_excess - max_excess) <= FUZZ_ATOL
-        report = bs.fuzz_supermodularity(model, trials=1000, seed=200 + idx)
+        report = bs.fuzz_supermodularity(ev, model, trials=1000, seed=200 + idx)
         effective, max_excess = per_trial_supermodularity(model, 1000, 200 + idx)
         assert report.effective_trials == effective
         if effective:
@@ -654,16 +660,17 @@ def test_the_first_trial_in_draw_order_decides_between_a_violation_and_an_error(
     # per-trial oracle does, although a later trial's evaluation fails.
     model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
     budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
-    model = bs.validate_model(dataclasses.replace(model, budgets=budgets))
+    model = dataclasses.replace(model, budgets=budgets)
+    ev = bs.build_evaluator(model)
     with pytest.raises(bs.NotPositiveDefinite) as failed:
-        fuzzer(model, trials=2, seed=2)
+        fuzzer(ev, model, trials=2, seed=2)
     with pytest.raises(bs.NotPositiveDefinite) as oracle_failed:
         oracle(model, 2, 2)
     assert str(failed.value) == str(oracle_failed.value)
     oracle(model, 1, 2)  # the first trial alone evaluates
     monkeypatch.setattr(analysis, "PROPERTY_TOL", -math.inf)
     with pytest.raises(bs.PropertyViolated) as violated:
-        fuzzer(model, trials=2, seed=2)
+        fuzzer(ev, model, trials=2, seed=2)
     with pytest.raises(bs.PropertyViolated) as oracle_violated:
         oracle(model, 2, 2)
     assert str(violated.value).split(" by ")[0] == str(oracle_violated.value).split(" by ")[0]
@@ -682,7 +689,7 @@ def test_fuzzers_evaluate_at_most_one_chunk_of_schedules_per_call(monkeypatch, f
         return original(ev, schedules)
 
     monkeypatch.setattr(analysis, "objective_values", counted)
-    report = fuzzer(model, trials=1000, seed=9)
+    report = fuzzer(bs.build_evaluator(model), model, trials=1000, seed=9)
     assert 0 < max(sizes) <= objective.VALUES_CHUNK
     assert sum(sizes) == (2 if fuzzer is bs.fuzz_monotonicity else 4) * report.effective_trials
 

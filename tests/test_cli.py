@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import batchsched as bs
-from batchsched import cli, prior
+from batchsched import analysis, cli, prior
 from batchsched.cli import main
 from helpers import exploding_scalar_model, overflow_index
 
@@ -33,7 +33,7 @@ def test_gen_writes_valid_scenario(tmp_path):
     path = tmp_path / "s.json"
     assert run(gen_args(path)) == 0
     model = bs.load_scenario(str(path))
-    assert model.is_validated
+    assert (model.horizon, model.sensor_count) == (2, 3)
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -96,6 +96,9 @@ def test_schedule_random_requires_seed(tmp_path):
 @pytest.mark.parametrize("command, flag", [
     (["gen", "--n", "2", "--m", "3", "--K", "2", "--r", "1", "--seed", "-1"], "seed"),
     (["schedule", "--config", "{scenario}", "--algorithm", "random", "--seed", "-1"], "seed"),
+    (["schedule", "--config", "{scenario}", "--algorithm", "greedy", "--seed", "-1"], "seed"),
+    (["schedule", "--config", "{scenario}", "--algorithm", "brute", "--seed", "-1"], "seed"),
+    (["schedule", "--config", "{scenario}", "--algorithm", "empty", "--seed", "-1"], "seed"),
     (["fuzz", "--config", "{scenario}", "--property", "super", "--trials", "4", "--seed", "-1"], "seed"),
     (["fuzz", "--config", "{scenario}", "--property", "mono", "--trials", "-3", "--seed", "0"], "trials"),
 ])
@@ -184,6 +187,64 @@ def test_certify_over_cap_exits_3(tmp_path, monkeypatch):
     run(gen_args(scenario, seed=4, n=2, m=4, K=3, r=2))
     monkeypatch.setenv("BATCHSCHED_ORACLE_CAP", "10")
     assert run(["certify", "--config", str(scenario), "--out", str(tmp_path / "c.json")]) == 3
+
+
+def test_certify_oracle_cap_that_is_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "c.json"
+    run(gen_args(scenario, seed=4))
+    capsys.readouterr()
+    monkeypatch.setenv("BATCHSCHED_ORACLE_CAP", "abc")
+    assert run(["certify", "--config", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: BATCHSCHED_ORACLE_CAP must be an integer, got 'abc'"]
+    assert not out.exists()
+
+
+# A tolerance of -inf breaks the value ordering's upper end, max + tol. One
+# of -1 keeps the ordering (max - greedy is about 6.6 on this scenario) and
+# makes the ratio, 0, exceed 1/2 + tol.
+@pytest.mark.parametrize("tolerance, violation", [
+    (-math.inf, "value ordering broken: "),
+    (-1.0, "approximation ratio 0.0 exceeds 1/2"),
+])
+def test_certify_violation_exits_4_with_the_instance(tmp_path, capsys, monkeypatch, tolerance, violation):
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "c.json"
+    run(gen_args(scenario, seed=4))
+    capsys.readouterr()
+    monkeypatch.setattr(analysis, "RATIO_TOL", tolerance)
+    assert run(["certify", "--config", str(scenario), "--out", str(out)]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"guarantee violated: {violation}")
+    report = json.loads(out.read_text())
+    assert report["violation"].startswith(violation)
+    fingerprint = bs.model_fingerprint(bs.load_scenario(str(scenario)))
+    assert report["fingerprint"] == report["details"]["fingerprint"] == fingerprint
+    assert report["details"]["model"] == json.loads(scenario.read_text())
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_fuzz_violation_exits_4_with_the_counterexample(tmp_path, capsys, monkeypatch, to_file):
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "f.json"
+    run(gen_args(scenario, seed=4))
+    capsys.readouterr()
+    monkeypatch.setattr(analysis, "PROPERTY_TOL", -math.inf)
+    argv = ["fuzz", "--config", str(scenario), "--property", "mono", "--trials", "4", "--seed", "0"]
+    assert run([*argv, "--out", str(out)] if to_file else argv) == 4
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("property violated: objective increased by ")
+    if to_file:
+        assert captured.out == ""
+        payload = json.loads(out.read_text())
+    else:
+        assert not out.exists()
+        payload = json.loads(captured.out)
+    assert payload["property"] == "mono"
+    assert line == f"property violated: {payload['violation']}"
+    assert payload["fingerprint"] == payload["counterexample"]["fingerprint"]
+    assert payload["counterexample"]["model"] == json.loads(scenario.read_text())
 
 
 def test_bounds_report(tmp_path):
@@ -453,7 +514,7 @@ def test_non_finite_gain_exits_1_naming_the_time_index(tmp_path, capsys, command
     model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * (horizon - 1) + (1,))
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
-    bs.save_scenario(bs.validate_model(model), str(scenario))
+    bs.save_scenario(model, str(scenario))
     assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: gain of sensors [0] at time index {horizon - 1} is not finite")
@@ -519,7 +580,7 @@ def test_greedy_and_certify_print_no_warning_where_only_unbudgeted_slots_overflo
     horizon = overflow_index() + 1
     model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * horizon)
     scenario = tmp_path / "s.json"
-    bs.save_scenario(bs.validate_model(model), str(scenario))
+    bs.save_scenario(model, str(scenario))
     source = str(Path(bs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
     for command in (["schedule", "--algorithm", "greedy"], ["certify"]):
@@ -538,7 +599,7 @@ def test_greedy_error_names_the_time_index_where_the_filter_lost_precision(tmp_p
     model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
     budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
     scenario = tmp_path / "s.json"
-    bs.save_scenario(bs.validate_model(dataclasses.replace(model, budgets=budgets)), str(scenario))
+    bs.save_scenario(dataclasses.replace(model, budgets=budgets), str(scenario))
     out = tmp_path / "r.json"
     assert run(["schedule", "--config", str(scenario), "--algorithm", "greedy", "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
@@ -560,7 +621,7 @@ def test_fuzz_error_where_the_filter_lost_precision_is_unchanged(tmp_path, capsy
     model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
     budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
     scenario = tmp_path / "s.json"
-    bs.save_scenario(bs.validate_model(dataclasses.replace(model, budgets=budgets)), str(scenario))
+    bs.save_scenario(dataclasses.replace(model, budgets=budgets), str(scenario))
     out = tmp_path / "r.json"
     argv = ["fuzz", "--config", str(scenario), "--property", prop, "--trials", "8", "--seed", "1"]
     assert run([*argv, "--out", str(out)]) == 1

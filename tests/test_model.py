@@ -1,5 +1,6 @@
 """Model validation, random scenario generation, and serialization."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,91 +29,83 @@ def tiny_model(**overrides):
 
 
 def test_valid_tiny_model():
-    model = bs.validate_model(tiny_model())
-    assert model.is_validated
+    model = tiny_model()
+    assert model.kind is bs.ModelKind.DISCRETE_INVARIANT
     assert model.horizon == 1
     assert model.sensor_count == 1
 
 
 def test_zero_noise_covariance_rejected():
     with pytest.raises(bs.NotPositiveDefinite, match="V_1"):
-        bs.validate_model(
-            tiny_model(sensors=(bs.Sensor(C=np.array([[1.0, 0.0]]), V=np.array([[0.0]])),))
-        )
+        tiny_model(sensors=(bs.Sensor(C=np.array([[1.0, 0.0]]), V=np.array([[0.0]])),))
 
 
 def test_sensor_column_mismatch_rejected():
     with pytest.raises(bs.DimensionMismatch, match="C_1"):
-        bs.validate_model(
-            tiny_model(sensors=(bs.Sensor(C=np.ones((1, 3)), V=np.eye(1)),))
-        )
+        tiny_model(sensors=(bs.Sensor(C=np.ones((1, 3)), V=np.eye(1)),))
 
 
 def test_non_increasing_times_rejected():
     with pytest.raises(bs.NonIncreasingTimes):
-        bs.validate_model(
-            tiny_model(measurement_times=(1.0, 1.0), budgets=(1, 1))
-        )
+        tiny_model(measurement_times=(1.0, 1.0), budgets=(1, 1))
 
 
 @pytest.mark.parametrize("budget", [-1, 5])
 def test_budget_out_of_range_rejected(budget):
     with pytest.raises(bs.BudgetOutOfRange):
-        bs.validate_model(tiny_model(budgets=(budget,)))
+        tiny_model(budgets=(budget,))
 
 
 def test_indefinite_initial_covariance_rejected():
     with pytest.raises(bs.NotPositiveDefinite, match="P_1"):
-        bs.validate_model(tiny_model(initial_state_cov=np.array([[1.0, 2.0], [2.0, 1.0]])))
+        tiny_model(initial_state_cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_asymmetric_covariance_rejected():
     with pytest.raises(bs.NotPositiveDefinite, match="P_1 must be symmetric"):
-        bs.validate_model(tiny_model(initial_state_cov=np.array([[1.0, 0.5], [0.0, 1.0]])))
+        tiny_model(initial_state_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_indefinite_process_noise_rejected():
     with pytest.raises(bs.NotPositiveDefinite, match="W"):
-        bs.validate_model(tiny_model(process_noise_cov=-np.eye(2)))
+        tiny_model(process_noise_cov=-np.eye(2))
 
 
 def test_dynamics_shape_rejected():
     with pytest.raises(bs.DimensionMismatch, match="A"):
-        bs.validate_model(tiny_model(dynamics=np.ones((2, 3))))
+        tiny_model(dynamics=np.ones((2, 3)))
 
 
 def test_variant_interval_count_enforced():
     with pytest.raises(bs.DimensionMismatch, match="dynamics"):
-        bs.validate_model(
-            tiny_model(
-                kind="discrete-variant",
-                measurement_times=(1.0, 2.0, 3.0),
-                budgets=(1, 1, 1),
-                dynamics=[np.eye(2)],  # needs K-1 = 2 matrices
-                noise_input=[np.eye(2), np.eye(2)],
-                process_noise_cov=[np.eye(2), np.eye(2)],
-            )
+        tiny_model(
+            kind="discrete-variant",
+            measurement_times=(1.0, 2.0, 3.0),
+            budgets=(1, 1, 1),
+            dynamics=[np.eye(2)],  # needs K-1 = 2 matrices
+            noise_input=[np.eye(2), np.eye(2)],
+            process_noise_cov=[np.eye(2), np.eye(2)],
         )
 
 
 def test_bad_kind_rejected():
     with pytest.raises(bs.InvalidArgument, match="kind"):
-        bs.validate_model(tiny_model(kind="weekly"))
+        tiny_model(kind="weekly")
 
 
 def test_input_matrix_accepted_and_ignored():
-    with_b = bs.validate_model(tiny_model(input_matrix=np.ones((2, 1))))
-    without_b = bs.validate_model(tiny_model())
+    with_b = tiny_model(input_matrix=np.ones((2, 1)))
+    without_b = tiny_model()
     ev_b = bs.build_evaluator(with_b)
     ev = bs.build_evaluator(without_b)
     s = bs.Schedule.from_sets([[0]])
     assert bs.objective_logdet(ev_b, s) == bs.objective_logdet(ev, s)
     with pytest.raises(bs.DimensionMismatch, match="input_matrix"):
-        bs.validate_model(tiny_model(input_matrix=np.ones((3, 1))))
+        tiny_model(input_matrix=np.ones((3, 1)))
 
 
 def test_validated_model_is_immutable():
-    model = bs.validate_model(tiny_model())
+    model = tiny_model()
     with pytest.raises(ValueError):
         model.initial_state_cov[0, 0] = 5.0
 
@@ -132,9 +125,8 @@ def test_random_scenario_seed_sensitive():
 
 def test_random_scenario_output_validates():
     model = bs.random_scenario(seed=7, n=3, m=4, K=3, r=2)
-    assert model.is_validated
-    revalidated = bs.validate_model(model)
-    assert revalidated.is_validated
+    rebuilt = dataclasses.replace(model)
+    assert bs.model_to_dict(rebuilt) == bs.model_to_dict(model)
 
 
 @pytest.mark.parametrize(
@@ -160,7 +152,7 @@ def test_random_scenario_never_fails_validation_fuzzed():
         r = int(rng.integers(0, m + 1))
         kind = kinds[trial % len(kinds)]
         model = bs.random_scenario(seed=trial, n=n, m=m, K=k, r=r, kind=kind)
-        assert model.is_validated
+        assert model.horizon == k
 
 
 def test_round_trip_preserves_downstream_results():
@@ -269,7 +261,21 @@ def test_loader_rejects_booleans_in_matrices(tmp_path):
     with pytest.raises(bs.InvalidArgument, match=r"sensors\[0\].C.*booleans"):
         bs.load_scenario(str(path))
     with pytest.raises(bs.DimensionMismatch, match="P_1"):
-        bs.validate_model(tiny_model(initial_state_cov=np.eye(2, dtype=bool)))
+        tiny_model(initial_state_cov=np.eye(2, dtype=bool))
+
+
+def test_atomic_write_that_fails_to_rename_keeps_the_target_and_removes_its_temporary(tmp_path, monkeypatch):
+    target = tmp_path / "r.json"
+    target.write_text("before\n")
+
+    def failing(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(bs.model.os, "replace", failing)
+    with pytest.raises(OSError, match="rename refused"):
+        bs.model.write_text_atomic(str(target), "after\n")
+    assert target.read_text() == "before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_loader_rejects_unknown_and_missing_keys(tmp_path):
@@ -322,17 +328,17 @@ def _noise_fault_model(faults):
 def test_sensor_noise_fault_names_the_lowest_failing_sensor():
     indefinite = "is not positive definite: its Cholesky factorization meets a pivot <= 0"
     with pytest.raises(bs.NotPositiveDefinite) as raised:
-        bs.validate_model(_noise_fault_model({2: -np.eye(2), 4: np.array([[-1.0]])}))
+        _noise_fault_model({2: -np.eye(2), 4: np.array([[-1.0]])})
     assert str(raised.value).startswith(f"V_2 {indefinite}")
     with pytest.raises(bs.NotPositiveDefinite) as raised:
-        bs.validate_model(_noise_fault_model({4: np.array([[0.0]])}))
+        _noise_fault_model({4: np.array([[0.0]])})
     assert str(raised.value).startswith(f"V_4 {indefinite}")
     asymmetric = np.array([[2.0, 1.0], [0.0, 2.0]])
     for faults in ({3: asymmetric}, {3: asymmetric, 4: np.array([[-1.0]])}):
         with pytest.raises(bs.NotPositiveDefinite) as raised:
-            bs.validate_model(_noise_fault_model(faults))
+            _noise_fault_model(faults)
         assert str(raised.value) == "V_3 must be symmetric"
-    model = bs.validate_model(_noise_fault_model({}))
+    model = _noise_fault_model({})
     assert [s.V.shape for s in model.sensors] == [(1, 1), (2, 2), (2, 2), (1, 1)]
 
 

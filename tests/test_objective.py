@@ -29,34 +29,30 @@ from helpers import (
 
 
 def scalar_model(p1=1.0, c=1.0, v=1.0):
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=1,
-            dynamics=np.eye(1),
-            noise_input=np.eye(1),
-            process_noise_cov=np.eye(1),
-            initial_state_cov=np.array([[p1]]),
-            measurement_times=(1.0,),
-            sensors=(bs.Sensor(C=np.array([[c]]), V=np.array([[v]])),),
-            budgets=(1,),
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=1,
+        dynamics=np.eye(1),
+        noise_input=np.eye(1),
+        process_noise_cov=np.eye(1),
+        initial_state_cov=np.array([[p1]]),
+        measurement_times=(1.0,),
+        sensors=(bs.Sensor(C=np.array([[c]]), V=np.array([[v]])),),
+        budgets=(1,),
     )
 
 
 def planar_model(sensors, budgets=(2,)):
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=2,
-            dynamics=np.eye(2),
-            noise_input=np.eye(2),
-            process_noise_cov=np.eye(2),
-            initial_state_cov=np.eye(2),
-            measurement_times=(1.0,),
-            sensors=tuple(sensors),
-            budgets=budgets,
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=2,
+        dynamics=np.eye(2),
+        noise_input=np.eye(2),
+        process_noise_cov=np.eye(2),
+        initial_state_cov=np.eye(2),
+        measurement_times=(1.0,),
+        sensors=tuple(sensors),
+        budgets=budgets,
     )
 
 
@@ -229,18 +225,16 @@ def test_marginal_gain_rejects_duplicates_and_bad_indices():
 
 def axis_sensor_model(n):
     """n one-row sensors, sensor i reading state i alone at unit noise."""
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=n,
-            dynamics=np.eye(n),
-            noise_input=np.eye(n),
-            process_noise_cov=np.eye(n),
-            initial_state_cov=np.eye(n),
-            measurement_times=(1.0, 2.0),
-            sensors=tuple(bs.Sensor(C=np.eye(n)[i:i + 1], V=np.eye(1)) for i in range(n)),
-            budgets=(1, 1),
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=n,
+        dynamics=np.eye(n),
+        noise_input=np.eye(n),
+        process_noise_cov=np.eye(n),
+        initial_state_cov=np.eye(n),
+        measurement_times=(1.0, 2.0),
+        sensors=tuple(bs.Sensor(C=np.eye(n)[i:i + 1], V=np.eye(1)) for i in range(n)),
+        budgets=(1, 1),
     )
 
 
@@ -449,7 +443,7 @@ def _value_cases():
     for index, model in enumerate(models):
         if index % 3 == 0:
             budgets = tuple(0 if k % 2 else r for k, r in enumerate(model.budgets))
-            model = bs.validate_model(dataclasses.replace(model, budgets=budgets))
+            model = dataclasses.replace(model, budgets=budgets)
         full = bs.Schedule(tuple(tuple(range(r)) for r in model.budgets))
         schedules = [bs.Schedule.empty(model.horizon), full]
         schedules += [_random_feasible(rng, model) for _ in range(4)]
@@ -519,7 +513,7 @@ def test_objective_values_raise_the_oracles_error_for_the_first_failing_schedule
     # the one objective_logdet raises for the first failing schedule.
     model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
     budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
-    model = bs.validate_model(dataclasses.replace(model, budgets=budgets))
+    model = dataclasses.replace(model, budgets=budgets)
     ev = bs.build_evaluator(model)
     rng = np.random.default_rng(1)
     schedules = [_random_feasible(rng, model) for _ in range(6)]

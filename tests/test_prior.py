@@ -22,18 +22,16 @@ def make_continuous(A, F, W, P1, times, sensors=None, budgets=None):
     n = A.shape[0]
     sensors = sensors or (bs.Sensor(C=np.eye(n), V=np.eye(n)),)
     budgets = budgets or tuple(1 for _ in times)
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="continuous-invariant",
-            state_dim=n,
-            dynamics=A,
-            noise_input=F,
-            process_noise_cov=W,
-            initial_state_cov=P1,
-            measurement_times=tuple(times),
-            sensors=sensors,
-            budgets=budgets,
-        )
+    return bs.SystemModel(
+        kind="continuous-invariant",
+        state_dim=n,
+        dynamics=A,
+        noise_input=F,
+        process_noise_cov=W,
+        initial_state_cov=P1,
+        measurement_times=tuple(times),
+        sensors=sensors,
+        budgets=budgets,
     )
 
 
@@ -94,18 +92,16 @@ def test_discrete_transition_is_step_matrix():
 
 
 def test_discrete_singular_noise_rejected():
-    model = bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=2,
-            dynamics=np.eye(2),
-            noise_input=np.array([[1.0], [0.0]]),  # rank-1 injection
-            process_noise_cov=np.eye(1),
-            initial_state_cov=np.eye(2),
-            measurement_times=(1.0, 2.0),
-            sensors=(bs.Sensor(C=np.eye(2), V=np.eye(2)),),
-            budgets=(1, 1),
-        )
+    model = bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=2,
+        dynamics=np.eye(2),
+        noise_input=np.array([[1.0], [0.0]]),  # rank-1 injection
+        process_noise_cov=np.eye(1),
+        initial_state_cov=np.eye(2),
+        measurement_times=(1.0, 2.0),
+        sensors=(bs.Sensor(C=np.eye(2), V=np.eye(2)),),
+        budgets=(1, 1),
     )
     with pytest.raises(bs.NotPositiveDefinite, match="Q_1"):
         bs.discretize_interval(model, 0)
@@ -145,18 +141,16 @@ def test_batched_discretization_is_the_per_interval_loop_bit_for_bit(kind, K):
 def variant_model(kind, noise_inputs, noise_covs, n=2):
     intervals = len(noise_inputs)
     rng = np.random.default_rng(intervals)
-    return bs.validate_model(
-        bs.SystemModel(
-            kind=kind,
-            state_dim=n,
-            dynamics=[0.3 * rng.standard_normal((n, n)) for _ in range(intervals)],
-            noise_input=noise_inputs,
-            process_noise_cov=noise_covs,
-            initial_state_cov=np.eye(n),
-            measurement_times=tuple(0.5 * k + 0.1 * k * k for k in range(intervals + 1)),
-            sensors=(bs.Sensor(C=np.eye(n), V=np.eye(n)),),
-            budgets=(1,) * (intervals + 1),
-        )
+    return bs.SystemModel(
+        kind=kind,
+        state_dim=n,
+        dynamics=[0.3 * rng.standard_normal((n, n)) for _ in range(intervals)],
+        noise_input=noise_inputs,
+        process_noise_cov=noise_covs,
+        initial_state_cov=np.eye(n),
+        measurement_times=tuple(0.5 * k + 0.1 * k * k for k in range(intervals + 1)),
+        sensors=(bs.Sensor(C=np.eye(n), V=np.eye(n)),),
+        budgets=(1,) * (intervals + 1),
     )
 
 
@@ -197,18 +191,16 @@ def test_interval_index_range():
 
 
 def scalar_two_step_model():
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=1,
-            dynamics=np.eye(1),
-            noise_input=np.eye(1),
-            process_noise_cov=np.eye(1),
-            initial_state_cov=np.eye(1),
-            measurement_times=(1.0, 2.0),
-            sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
-            budgets=(1, 1),
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=1,
+        dynamics=np.eye(1),
+        noise_input=np.eye(1),
+        process_noise_cov=np.eye(1),
+        initial_state_cov=np.eye(1),
+        measurement_times=(1.0, 2.0),
+        sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
+        budgets=(1, 1),
     )
 
 
@@ -262,18 +254,16 @@ def test_continuous_discrete_agreement():
         np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2), times,
         budgets=(1, 1, 1),
     )
-    disc = bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=2,
-            dynamics=np.eye(2),
-            noise_input=np.eye(2),
-            process_noise_cov=np.eye(2),
-            initial_state_cov=np.eye(2),
-            measurement_times=times,
-            sensors=(bs.Sensor(C=np.eye(2), V=np.eye(2)),),
-            budgets=(1, 1, 1),
-        )
+    disc = bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=2,
+        dynamics=np.eye(2),
+        noise_input=np.eye(2),
+        process_noise_cov=np.eye(2),
+        initial_state_cov=np.eye(2),
+        measurement_times=times,
+        sensors=(bs.Sensor(C=np.eye(2), V=np.eye(2)),),
+        budgets=(1, 1, 1),
     )
     info_c = prior_information(cont)
     info_d = prior_information(disc)

@@ -21,18 +21,16 @@ from helpers import (
 
 
 def one_shot_model(sensors, budget):
-    return bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=2,
-            dynamics=np.eye(2),
-            noise_input=np.eye(2),
-            process_noise_cov=np.eye(2),
-            initial_state_cov=np.eye(2),
-            measurement_times=(1.0,),
-            sensors=tuple(sensors),
-            budgets=(budget,),
-        )
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=2,
+        dynamics=np.eye(2),
+        noise_input=np.eye(2),
+        process_noise_cov=np.eye(2),
+        initial_state_cov=np.eye(2),
+        measurement_times=(1.0,),
+        sensors=tuple(sensors),
+        budgets=(budget,),
     )
 
 
@@ -46,18 +44,16 @@ def test_zero_budgets_give_empty_schedule():
 
 
 def test_single_informative_sensor_selected_everywhere():
-    model = bs.validate_model(
-        bs.SystemModel(
-            kind="discrete-invariant",
-            state_dim=2,
-            dynamics=0.5 * np.eye(2),
-            noise_input=np.eye(2),
-            process_noise_cov=np.eye(2),
-            initial_state_cov=np.eye(2),
-            measurement_times=(1.0, 2.0, 3.0),
-            sensors=(bs.Sensor(C=np.array([[1.0, 1.0]]), V=np.array([[1.0]])),),
-            budgets=(1, 1, 1),
-        )
+    model = bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=2,
+        dynamics=0.5 * np.eye(2),
+        noise_input=np.eye(2),
+        process_noise_cov=np.eye(2),
+        initial_state_cov=np.eye(2),
+        measurement_times=(1.0, 2.0, 3.0),
+        sensors=(bs.Sensor(C=np.array([[1.0, 1.0]]), V=np.array([[1.0]])),),
+        budgets=(1, 1, 1),
     )
     ev = bs.build_evaluator(model)
     schedule, _ = bs.greedy_schedule(ev, model)
@@ -130,18 +126,16 @@ def test_sensor_relabeling_permutes_selection():
     rng = np.random.default_rng(7)
     for model in scenario_stream(10, seed0=606):
         perm = rng.permutation(model.sensor_count)
-        permuted = bs.validate_model(
-            bs.SystemModel(
-                kind=model.kind,
-                state_dim=model.state_dim,
-                dynamics=model.dynamics,
-                noise_input=model.noise_input,
-                process_noise_cov=model.process_noise_cov,
-                initial_state_cov=model.initial_state_cov,
-                measurement_times=model.measurement_times,
-                sensors=tuple(model.sensors[int(j)] for j in perm),
-                budgets=model.budgets,
-            )
+        permuted = bs.SystemModel(
+            kind=model.kind,
+            state_dim=model.state_dim,
+            dynamics=model.dynamics,
+            noise_input=model.noise_input,
+            process_noise_cov=model.process_noise_cov,
+            initial_state_cov=model.initial_state_cov,
+            measurement_times=model.measurement_times,
+            sensors=tuple(model.sensors[int(j)] for j in perm),
+            budgets=model.budgets,
         )
         # position of original sensor i in the permuted bank
         inverse = {int(orig): new for new, orig in enumerate(perm)}
@@ -187,6 +181,19 @@ def test_greedy_step_requires_empty_slot():
     ev = bs.build_evaluator(model)
     with pytest.raises(bs.InvalidArgument):
         bs.greedy_step(ev, bs.Schedule.from_sets([[0], []]), 0, 1)
+
+
+@pytest.mark.parametrize("k, budget, message", [
+    (2, 1, "time index 2 out of range for horizon 2"),
+    (-1, 1, "time index -1 out of range for horizon 2"),
+    (0, -1, "budget must be nonnegative, got -1"),
+])
+def test_greedy_step_rejects_a_time_index_out_of_range_and_a_negative_budget(k, budget, message):
+    model = bs.random_scenario(seed=1, n=2, m=2, K=2, r=1)
+    ev = bs.build_evaluator(model)
+    with pytest.raises(bs.InvalidArgument) as raised:
+        bs.greedy_step(ev, bs.Schedule.empty(2), k, budget)
+    assert str(raised.value) == message
 
 
 def test_greedy_step_prefix_conditioning():
@@ -251,7 +258,7 @@ def test_greedy_carries_the_covariance_only_to_the_last_slot_with_a_budget(first
     # budget; neither the greedy nor the search it seeds may predict there.
     horizon = overflow_index() + 1
     budgets = (first_budget,) + (0,) * (horizon - 1)
-    model = bs.validate_model(dataclasses.replace(exploding_scalar_model(horizon), budgets=budgets))
+    model = dataclasses.replace(exploding_scalar_model(horizon), budgets=budgets)
     ev = bs.build_evaluator(model)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
