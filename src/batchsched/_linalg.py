@@ -41,19 +41,26 @@ def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
     return lower
 
 
+def pd_factors(stack: np.ndarray) -> np.ndarray | None:
+    """``chol_pd`` of every matrix of a (J, n, n) stack, bit for bit, by one
+    factorization; None if it rejects any."""
+    try:
+        lower = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.square(lower.diagonal(0, 1, 2))
+    scale = stack.diagonal(0, 1, 2).max(axis=1)
+    return lower if (pivots > PD_PIVOT_RTOL * scale[:, None]).all() else None
+
+
 def chol_pd_stack(stack: np.ndarray, label: Callable[[int], str]) -> np.ndarray:
     """``chol_pd`` of every matrix of a (J, n, n) stack by one factorization.
 
     ``label(j)`` names matrix j; an error names the first matrix that fails.
     """
-    try:
-        lower = np.linalg.cholesky(stack)
-        pivots = np.diagonal(lower, axis1=1, axis2=2) ** 2
-        scale = np.diagonal(stack, axis1=1, axis2=2).max(axis=1, keepdims=True)
-        if np.all(pivots > PD_PIVOT_RTOL * scale):
-            return lower
-    except np.linalg.LinAlgError:
-        pass
+    lower = pd_factors(stack)
+    if lower is not None:
+        return lower
     # Some matrix fails; factor them in order to raise for the first.
     return np.stack([chol_pd(matrix, label(j)) for j, matrix in enumerate(stack)])
 

@@ -32,7 +32,6 @@ from .model import (
     model_to_dict,
     require_int,
     seeded_rng,
-    sensor_stacks,
 )
 from .objective import (
     VALUES_CHUNK,
@@ -611,7 +610,7 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
     sigma_w_inv = float(diagonals.max())
     if model.sensor_count:
         sigma_v_inv = max(
-            float((1.0 / np.linalg.eigvalsh(noise)[:, 0]).max()) for _, _, noise in sensor_stacks(model.sensors)
+            float((1.0 / np.linalg.eigvalsh(noise)[:, 0]).max()) for _, _, noise, _ in model._sensor_groups
         )
         stacked = np.vstack([sensor.C for sensor in model.sensors])
         # Past the double range the square is inf, and the bounds built on it

@@ -17,14 +17,14 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import chol_pd_stack
+from ._linalg import chol_pd, pd_factors
 from .errors import (
     BudgetOutOfRange,
     DimensionMismatch,
@@ -67,8 +67,25 @@ class ModelKind(str, Enum):
         return self in (ModelKind.CONTINUOUS_VARIANT, ModelKind.DISCRETE_VARIANT)
 
 
+def freeze_arrays(value: Any) -> None:
+    """Make every array in ``value``, through nested tuples and lists, read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            freeze_arrays(item)
+
+
+class ReadOnlyArrays:
+    """Base of immutable classes: NumPy does not pickle the write flag, so unpickling refreezes."""
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        freeze_arrays(list(state.values()))
+
+
 @dataclass(frozen=True, eq=False)
-class Sensor:
+class Sensor(ReadOnlyArrays):
     """One linear sensor: measurement matrix C (d x n), noise covariance V (d x d)."""
 
     C: np.ndarray
@@ -76,7 +93,7 @@ class Sensor:
 
 
 @dataclass(frozen=True, eq=False)
-class SystemModel:
+class SystemModel(ReadOnlyArrays):
     """Dynamical system, sensor bank, measurement grid, and per-time budgets.
 
     ``dynamics``, ``noise_input`` and ``process_noise_cov`` hold one matrix
@@ -99,6 +116,10 @@ class SystemModel:
     budgets: tuple[int, ...]
     input_matrix: np.ndarray | None = None
     input_signal: Any = None
+    # Kept from construction for build_evaluator: P_1's lower Cholesky factor and,
+    # per row count d, the sensors' indices and (len, d, n) C, (len, d, d) V and V-factor stacks.
+    _initial_factor: np.ndarray = field(init=False, repr=False)
+    _sensor_groups: tuple[tuple, ...] = field(init=False, repr=False)
 
     @property
     def horizon(self) -> int:
@@ -230,44 +251,38 @@ def _lists_matrices(value: Sequence) -> bool:
     return _is_sequence(head) and len(head) > 0 and _is_sequence(head[0])
 
 
-def _as_stack(value: Any) -> np.ndarray | None:
-    """A per-interval field as one float array (J, rows, cols), in one conversion.
-
-    None unless the field converts whole into nonempty, finite matrices of
-    one shape, with no booleans; ``_as_matrix_seq`` then names the faulty
-    matrix, or takes matrices whose shapes differ.
-    """
-    if isinstance(value, np.ndarray):
-        single = value.ndim == 2
-        if value.dtype == bool:
+def _float_stack(mats: Any) -> np.ndarray | None:
+    """A sequence of matrices as one read-only float array (len, rows, cols), in one
+    conversion; None unless they convert into nonempty, finite matrices of one shape, with no booleans."""
+    if isinstance(mats, np.ndarray):
+        if mats.dtype == bool:
             return None
-    elif _is_sequence(value) and len(value) > 0:
-        single = not _lists_matrices(value)
-        # One scan of every entry of the field; a boolean ndarray among the
-        # matrices shows as np.bool_ entries.
-        rows = value if single else chain.from_iterable(value)
+    else:
+        # One scan of every entry; a boolean ndarray among the matrices shows
+        # as np.bool_ entries.
         try:
-            types = set(map(type, chain.from_iterable(rows)))
-        except TypeError:  # not a sequence of matrices; _as_matrix_seq names the fault
+            types = set(map(type, chain.from_iterable(chain.from_iterable(mats))))
+        except TypeError:  # not a sequence of matrices
             return None
         if bool in types or np.bool_ in types:
             return None
-    else:
-        return None
     try:
-        stack = np.array(value, dtype=float)
+        stack = np.array(mats, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    if single:
-        stack = stack[None]
     if stack.ndim != 3 or 0 in stack.shape or not np.isfinite(stack).all():
         return None
+    stack.setflags(write=False)
     return stack
 
 
 def _interval_field(value: Any, kind: ModelKind, horizon: int, name: str) -> np.ndarray | tuple[np.ndarray, ...]:
     """The field as a (J, rows, cols) stack, or as a tuple of J matrices when their shapes differ."""
-    field = _as_stack(value)
+    field = None  # unless it converts whole; _as_matrix_seq then names a fault
+    if isinstance(value, np.ndarray):
+        field = _float_stack(value[None] if value.ndim == 2 else value)
+    elif _is_sequence(value) and len(value) > 0:
+        field = _float_stack(value if _lists_matrices(value) else [value])
     if field is None:
         mats = _as_matrix_seq(value, name)
         field = np.stack(mats) if mats and len({m.shape for m in mats}) == 1 else tuple(mats)
@@ -298,71 +313,95 @@ def _check_interval_shapes(n: int, a_shape: tuple, f_shape: tuple, w_shape: tupl
         raise DimensionMismatch(f"{w_name} must be {p}x{p} to match {f_name}, got {w_shape[0]}x{w_shape[1]}")
 
 
-def _as_sensor(obj: Any, index: int) -> Sensor:
+def _sensor_entries(obj: Any, index: int) -> tuple[Any, Any]:
     if isinstance(obj, Sensor):
-        c_raw, v_raw = obj.C, obj.V
-    elif isinstance(obj, dict) and set(obj) == {"C", "V"}:
-        c_raw, v_raw = obj["C"], obj["V"]
-    else:
-        raise DimensionMismatch(
-            f"sensors[{index}] must be a Sensor or an object with exactly the keys C and V"
-        )
+        return obj.C, obj.V
+    if isinstance(obj, dict) and set(obj) == {"C", "V"}:
+        return obj["C"], obj["V"]
+    raise DimensionMismatch(
+        f"sensors[{index}] must be a Sensor or an object with exactly the keys C and V"
+    )
+
+
+def _as_sensor(obj: Any, index: int, n: int) -> Sensor:
+    """One sensor converted and checked; the error names its first fault."""
+    c_raw, v_raw = _sensor_entries(obj, index)
     try:
         c = _as_matrix(c_raw, f"sensors[{index}].C")
         v = _as_matrix(v_raw, f"sensors[{index}].V")
     except DimensionMismatch as exc:
         raise InvalidArgument(str(exc)) from None
+    if c.shape[1] != n:
+        raise DimensionMismatch(f"C_{index + 1} must have {n} columns, got {c.shape[1]}")
+    d = c.shape[0]
+    if v.shape != (d, d):
+        raise DimensionMismatch(f"V_{index + 1} must be {d}x{d} to match C_{index + 1}")
     return Sensor(C=c, V=v)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _freeze_field(field: np.ndarray | tuple[np.ndarray, ...]):
-    return _freeze(field) if isinstance(field, np.ndarray) else tuple(map(_freeze, field))
-
-
-def _check_spd_stack(stack: np.ndarray, label: Callable[[int], str]) -> None:
-    """Check every matrix of a (J, p, p) stack is symmetric positive definite;
-    an error names the first that is not, as ``label(j)``."""
-    # Cholesky only reads the lower triangle, so symmetry needs its own check.
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    asymmetric = np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-9 * scale
-    first = int(asymmetric.argmax()) if asymmetric.any() else len(stack)
-    if first:
-        chol_pd_stack(stack[:first], label)
-    if first < len(stack):
-        raise NotPositiveDefinite(f"{label(first)} must be symmetric")
-
-
-def _check_spd(matrix: np.ndarray, name: str) -> None:
-    _check_spd_stack(matrix[None], lambda j: name)
-
-
-def sensor_stacks(sensors: Sequence[Sensor]) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Per row count d: the indices of the sensors with d rows, in index
-    order, and their C and V matrices stacked into (len, d, n) and
-    (len, d, d) arrays."""
-    groups: dict[int, list[int]] = {}
-    for i, sensor in enumerate(sensors):
-        groups.setdefault(len(sensor.C), []).append(i)
-    for group in groups.values():
-        yield group, np.stack([sensors[i].C for i in group]), np.stack([sensors[i].V for i in group])
-
-
-def _check_sensor_noise(sensors: Sequence[Sensor]) -> None:
-    """Check every V_i is symmetric positive definite, one stacked check per
-    row count; an error names the lowest-index V_i that fails."""
+def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] | None:
+    """Per row count d, in order of first appearance: the indices of the sensors
+    with d rows and their C and V as (len, d, n) and (len, d, d) float stacks,
+    one conversion each. None if a sensor is not valid; ``_as_sensor`` names its fault."""
+    groups: dict[int, list] = {}
     try:
-        for group, _, noise in sensor_stacks(sensors):
-            _check_spd_stack(noise, lambda j: f"V_{group[j] + 1}")
-    except NotPositiveDefinite:
-        # A later group may hold a lower-index failure; one at a time, in index order.
-        for i, sensor in enumerate(sensors):
-            _check_spd(sensor.V, f"V_{i + 1}")
-        raise
+        for i, obj in enumerate(sensors):
+            c, v = _sensor_entries(obj, i)
+            groups.setdefault(len(c), []).append((i, c, v))
+    except (DimensionMismatch, TypeError):  # TypeError: a C with no length
+        return None
+    stacks = []
+    for d, members in groups.items():
+        indices, cs, vs = zip(*members)
+        c, v = _float_stack(cs), _float_stack(vs)
+        if c is None or v is None or c.shape != (len(indices), d, n) or v.shape != (len(indices), d, d):
+            return None
+        stacks.append((indices, c, v))
+    return stacks
+
+
+def _symmetric(stack: np.ndarray) -> bool:
+    """Whether every matrix of a (J, p, p) stack is symmetric to 1e-9 of its largest
+    entry (at least 1); Cholesky only reads the lower triangle."""
+    if (stack == stack.swapaxes(1, 2)).all():
+        return True
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    return bool((np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-9 * scale).all())
+
+
+def _check_covariances(
+    process: np.ndarray | tuple[np.ndarray, ...], variant: bool, p1: np.ndarray, sensors: Sequence[Sensor]
+) -> None:
+    """Check each W_j, P_1 and V_i in that order; an error names the first that fails."""
+    names = [_interval_label("W", j, variant) for j in range(len(process))] + ["P_1"]
+    names += [f"V_{i + 1}" for i in range(len(sensors))]
+    for name, matrix in zip(names, [*process, p1, *(sensor.V for sensor in sensors)]):
+        if not _symmetric(matrix[None]):
+            raise NotPositiveDefinite(f"{name} must be symmetric")
+        chol_pd(matrix, name)
+
+
+def _spd_factors(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
+    """The read-only lower Cholesky factors of each (len, p, p) stack, or None
+    unless every matrix is symmetric positive definite. The stacks of one size
+    are checked and factored as one, each matrix alone, so each factor is the
+    one ``chol_pd`` gives."""
+    by_size: dict[int, list[int]] = {}
+    for index, stack in enumerate(stacks):
+        by_size.setdefault(stack.shape[1], []).append(index)
+    factors = [None] * len(stacks)
+    for members in by_size.values():
+        merged = np.concatenate([stacks[i] for i in members])
+        lower = pd_factors(merged) if _symmetric(merged) else None
+        if lower is None:
+            return None
+        start = 0
+        for i in members:
+            # A copy, so that a factor kept does not keep the others' memory.
+            factors[i] = lower[start:start + len(stacks[i])].copy()
+            start += len(stacks[i])
+    freeze_arrays(factors)
+    return factors
 
 
 def _normalized_fields(model: SystemModel) -> dict[str, Any]:
@@ -411,31 +450,30 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         raise DimensionMismatch("dynamics, noise_input, and process_noise_cov must align per interval")
 
     if all(isinstance(field, np.ndarray) for field in (dynamics, noise_input, process)):
-        # Every interval has the first one's shapes; W is checked as one stack.
+        # Every interval has the first one's shapes.
         _check_interval_shapes(n, dynamics.shape[1:], noise_input.shape[1:], process.shape[1:], 0, kind.variant)
-        _check_spd_stack(process, lambda j: _interval_label("W", j, kind.variant))
     else:  # the noise widths differ between intervals
         for j, (a, f, w) in enumerate(zip(dynamics, noise_input, process)):
             _check_interval_shapes(n, a.shape, f.shape, w.shape, j, kind.variant)
-            _check_spd(w, _interval_label("W", j, kind.variant))
 
     p1 = _as_matrix(model.initial_state_cov, "P_1")
     if p1.shape != (n, n):
         raise DimensionMismatch(f"P_1 must be {n}x{n}, got {p1.shape[0]}x{p1.shape[1]}")
-    _check_spd(p1, "P_1")
 
     if not _is_sequence(model.sensors):
         raise DimensionMismatch("sensors must be a list")
-    sensors = []
-    for idx, raw in enumerate(model.sensors):
-        sensor = _as_sensor(raw, idx)
-        if sensor.C.shape[1] != n:
-            raise DimensionMismatch(f"C_{idx + 1} must have {n} columns, got {sensor.C.shape[1]}")
-        d = sensor.C.shape[0]
-        if sensor.V.shape != (d, d):
-            raise DimensionMismatch(f"V_{idx + 1} must be {d}x{d} to match C_{idx + 1}")
-        sensors.append(Sensor(C=_freeze(sensor.C), V=_freeze(sensor.V)))
-    _check_sensor_noise(sensors)
+    stacks = _grouped_sensors(model.sensors, n)
+    if stacks is None:
+        stacks = _grouped_sensors([_as_sensor(raw, i, n) for i, raw in enumerate(model.sensors)], n)
+    sensors = [None] * len(model.sensors)
+    for indices, measurement, noise in stacks:
+        for i, c, v in zip(indices, measurement, noise):
+            sensors[i] = Sensor(C=c, V=v)
+    w_stacks = [process] if isinstance(process, np.ndarray) else [w[None] for w in process]
+    factors = _spd_factors([*w_stacks, p1[None], *(noise for _, _, noise in stacks)])
+    if factors is None:
+        _check_covariances(process, kind.variant, p1, sensors)
+    groups = tuple((*stack, factor) for stack, factor in zip(stacks, factors[len(w_stacks) + 1:]))
     m = len(sensors)
 
     budgets_raw = model.budgets
@@ -455,20 +493,24 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         input_matrix = _as_matrix(model.input_matrix, "input_matrix")
         if input_matrix.shape[0] != n:
             raise DimensionMismatch(f"input_matrix must have {n} rows, got {input_matrix.shape[0]}")
-        input_matrix = _freeze(input_matrix)
 
-    return {
+    fields = {
         "kind": kind,
         "state_dim": n,
-        "dynamics": _freeze_field(dynamics),
-        "noise_input": _freeze_field(noise_input),
-        "process_noise_cov": _freeze_field(process),
-        "initial_state_cov": _freeze(p1),
+        "dynamics": dynamics,
+        "noise_input": noise_input,
+        "process_noise_cov": process,
+        "initial_state_cov": p1,
         "measurement_times": tuple(times),
         "sensors": tuple(sensors),
         "budgets": tuple(budgets),
         "input_matrix": input_matrix,
+        "_initial_factor": factors[len(w_stacks)][0],
+        "_sensor_groups": groups,
     }
+    # The sensors, their groups and the factors are read-only already.
+    freeze_arrays([dynamics, noise_input, process, p1, input_matrix])
+    return fields
 
 
 def _random_spd(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from ._linalg import logdet_from_cholesky, sym
 from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
-from .model import Schedule, SystemModel, sensor_stacks
+from .model import ReadOnlyArrays, Schedule, SystemModel, freeze_arrays
 # Nothing here uses the information form: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
 # wrap point and bench/test_bench.py requires every wrap point to exist.
@@ -67,7 +67,7 @@ class _ScorerGroup(NamedTuple):
     owner: np.ndarray  # each row's sensor
 
 
-class SingletonScorer:
+class SingletonScorer(ReadOnlyArrays):
     """Every sensor's gain logdet(I + W_i P W_i.T) alone at one covariance P.
 
     Per group, one product with the stacked whitened matrices gives all the
@@ -97,6 +97,7 @@ class SingletonScorer:
                 owner=owner,
             ))
             first = stop
+        freeze_arrays(self.groups)
 
     def __call__(self, cov: np.ndarray, k: int | None = None) -> np.ndarray:
         """The gains, indexed by sensor. Raises NotPositiveDefinite, naming the
@@ -127,7 +128,7 @@ class SingletonScorer:
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectiveEvaluator:
+class ObjectiveEvaluator(ReadOnlyArrays):
     """Immutable per-model cache: the discretized prior and whitened sensors.
 
     Built once per model and shared by every schedule evaluation; safe to use
@@ -168,17 +169,16 @@ class ObjectiveEvaluator:
 
 def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     """Discretize every interval once and whiten every sensor, W_i = L_i^-1 C_i
-    for V_i = L_i L_i.T, with one stacked factorization and solve per row count."""
+    for V_i = L_i L_i.T, with one stacked solve per row count against the
+    V_i factors that the model kept, as it did P_1's, when it checked them."""
     propagations = discretize_intervals(model)
-    # The model's construction has checked P_1 and every V_i, so no pivot is
-    # checked again.
-    cov_logdet = logdet_from_cholesky(np.linalg.cholesky(model.initial_state_cov))
+    cov_logdet = logdet_from_cholesky(model._initial_factor)
     for p in propagations:
         cov_logdet += p.noise_logdet
     whitened = [None] * model.sensor_count
-    for group, measurement, noise in sensor_stacks(model.sensors):
+    for group, measurement, _, noise_factor in model._sensor_groups:
         # Row-major, like the stacked matrix of a multi-sensor slot.
-        white = np.ascontiguousarray(np.linalg.solve(np.linalg.cholesky(noise), measurement))
+        white = np.ascontiguousarray(np.linalg.solve(noise_factor, measurement))
         white.setflags(write=False)
         for i, white_i in zip(group, white):
             whitened[i] = white_i

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import expm, solve_triangular
 
 from ._linalg import chol_pd, chol_pd_stack, logdet_from_cholesky, pd_inverse, sym
-from .errors import DimensionMismatch, InvalidArgument
-from .model import Schedule, SystemModel
+from .errors import DimensionMismatch, InvalidArgument, NumericOverflow
+from .model import ReadOnlyArrays, Schedule, SystemModel
 
 if TYPE_CHECKING:
     from .objective import ObjectiveEvaluator
@@ -32,7 +32,7 @@ DISCRETIZE_BATCH = 64
 
 
 @dataclass(frozen=True, eq=False)
-class IntervalPropagation:
+class IntervalPropagation(ReadOnlyArrays):
     """Transition matrix, accumulated process-noise covariance and its log-determinant for one interval."""
 
     transition: np.ndarray
@@ -91,6 +91,8 @@ class BlockTridiagonal:
         return out
 
 
+# Overflow shows as a non-finite Phi_j or Q_j, reported below as an error.
+@np.errstate(over="ignore", invalid="ignore")
 def _discretize(model: SystemModel, first: int, stop: int) -> tuple[IntervalPropagation, ...]:
     """Intervals first..stop-1 (at least one) discretized together, as stacks of matrices.
 
@@ -100,8 +102,9 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[IntervalProp
     block such that Phi = exp(A dt) and Q = Phi @ G equals the integral of
     exp(A s) F W F.T exp(A.T s) ds over [0, dt]. One ``expm`` call takes
     the M of every interval. Discrete kinds take Phi = A_j and Q = F W F.T
-    directly, computed once for the time-invariant kind; a singular
-    discrete Q is rejected, naming the first such interval.
+    directly, computed once for the time-invariant kind. Raises
+    NumericOverflow if a Phi_j or Q_j is not finite, and NotPositiveDefinite
+    if a Q_j is singular, naming the first such interval.
     """
     count = stop - first
     # Time-invariant kinds store one matrix per field, for every interval.
@@ -129,6 +132,13 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[IntervalProp
         phi = np.array(a)
         q = qc
     q = (q + q.swapaxes(1, 2)) / 2.0  # sym of each matrix
+    finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
+    if not finite.all():
+        j = first + int(finite.argmin())
+        raise NumericOverflow(
+            f"discretization of interval {j + 1} (time index {j} to {j + 1}) is not finite: "
+            f"Phi_{j + 1} or Q_{j + 1} left the double range (dynamics or interval length too large?)"
+        )
     lower = chol_pd_stack(q, lambda j: f"Q_{first + j + 1}")
     phi.setflags(write=False)
     q.setflags(write=False)

@@ -544,6 +544,30 @@ def test_sensor_entries_near_the_double_range_exit_1_with_one_line(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["measurement_times", "dynamics"])
+def test_a_discretization_that_overflows_exits_1_with_one_line(tmp_path, capsys, field):
+    # An interval so long, or dynamics so fast, that exp(A dt) leaves the
+    # double range; before, numpy warned and Q_1 was blamed for not being
+    # positive definite.
+    data = bs.model_to_dict(bs.random_scenario(seed=1, n=2, m=3, K=3, r=1, kind="continuous-variant"))
+    if field == "measurement_times":
+        data["measurement_times"] = [0.0, 1e300, 1.7e308]
+    else:
+        data["dynamics"][0] = [[1e308, 0.0], [0.0, 1.0]]
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "r.json"
+    scenario.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["schedule", "--config", str(scenario), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: discretization of interval 1 (time index 0 to 1) is not finite: Phi_1 or Q_1 left "
+        "the double range (dynamics or interval length too large?)"
+    )
+    assert not out.exists()
+
+
 def test_bounds_with_no_budget_ignore_the_sensors_scale(tmp_path):
     # Nothing is measured, so the lower bound is the prior's however large C is.
     scenario = tmp_path / "s.json"

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -108,6 +109,40 @@ def test_validated_model_is_immutable():
     model = tiny_model()
     with pytest.raises(ValueError):
         model.initial_state_cov[0, 0] = 5.0
+
+
+def _reachable_arrays(value, seen):
+    """Every array reachable from ``value`` through attributes, tuples, lists and dicts."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _reachable_arrays(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _reachable_arrays(item, seen)
+    elif hasattr(value, "__dict__"):
+        yield from _reachable_arrays(vars(value), seen)
+
+
+def test_every_array_stays_read_only_through_a_pickle_round_trip():
+    # NumPy does not pickle the write flag.
+    model = dataclasses.replace(
+        bs.random_scenario(seed=1, n=2, m=3, K=3, r=1, kind="continuous-variant"), input_matrix=np.ones((2, 1))
+    )
+    ev = bs.build_evaluator(model)
+    for original in (model, ev):
+        arrays = list(_reachable_arrays(original, set()))
+        copy = pickle.loads(pickle.dumps(original))
+        copied = list(_reachable_arrays(copy, set()))
+        assert len(copied) == len(arrays) > 10
+        assert not any(a.flags.writeable for a in arrays + copied)
+    copy = pickle.loads(pickle.dumps(model))
+    schedule = bs.Schedule.from_sets([[0], [1, 2], []])
+    assert bs.objective_logdet(bs.build_evaluator(copy), schedule) == bs.objective_logdet(ev, schedule)
 
 
 def test_random_scenario_deterministic():
