@@ -57,7 +57,6 @@ from .objective import (
 )
 from .prior import (
     BlockTridiagonal,
-    IntervalPropagation,
     assemble_information,
     block_tridiag_logdet,
     build_prior_information,
@@ -83,7 +82,6 @@ __all__ = [
     "FuzzReport",
     "GreedyTrace",
     "GuaranteeViolated",
-    "IntervalPropagation",
     "InvalidArgument",
     "ModelKind",
     "NonIncreasingTimes",

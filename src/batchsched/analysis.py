@@ -198,8 +198,8 @@ def _predict_through(ev: ObjectiveEvaluator, cov: np.ndarray, start: int, stop: 
     """A stack of covariances entering slot ``start``, carried to slot
     ``stop`` with the slots in between left empty."""
     for k in range(start, stop):
-        p = ev.propagations[k]
-        cov = p.transition @ cov @ p.transition.T + p.noise_cov
+        phi = ev.transitions[k]
+        cov = phi @ cov @ phi.T + ev.noise_covs[k]
     return cov
 
 
@@ -591,20 +591,20 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
         diag_K = Q_{K-1}^-1
 
     With M = L L.T, diag(M^-1) is the column sums of squares of L^-1, and
-    diag(Phi.T M^-1 Phi) that of L^-1 Phi; one stacked factorization and
-    solve over the evaluator's intervals gives them all, so no interval is
-    discretized again and no block is formed.
+    diag(Phi.T M^-1 Phi) that of L^-1 Phi; one stacked solve against the
+    evaluator's kept Q_j factors gives them all, so no interval is
+    discretized or factored again and no block is formed.
     """
     ev.check_model(model)
     n = model.state_dim
     eye = np.eye(n)
     # Row k: the diagonal of block k.
     diagonals = np.square(np.linalg.solve(np.linalg.cholesky(ev.initial_cov), eye)).sum(axis=0)[None]
-    if ev.propagations:
-        # Per interval j, the solve gives [L_j^-1, L_j^-1 Phi_j] for Q_j = L_j L_j.T.
-        rhs = np.stack([np.concatenate((eye, p.transition), axis=1) for p in ev.propagations])
-        lower = np.linalg.cholesky(np.stack([p.noise_cov for p in ev.propagations]))
-        sums = np.square(np.linalg.solve(lower, rhs)).sum(axis=1)
+    if len(ev.transitions):
+        # Per interval j, the solve gives [L_j^-1, L_j^-1 Phi_j] for the kept
+        # factor L_j of Q_j = L_j L_j.T.
+        rhs = np.concatenate((np.broadcast_to(eye, ev.transitions.shape), ev.transitions), axis=2)
+        sums = np.square(np.linalg.solve(ev.noise_factors, rhs)).sum(axis=1)
         diagonals = np.concatenate((diagonals, sums[:, :n]))
         diagonals[:-1] += sums[:, n:]
     sigma_w_inv = float(diagonals.max())

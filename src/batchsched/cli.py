@@ -6,8 +6,8 @@ search, ``bounds`` reports the error-variance limits, and ``fuzz`` drives
 the property fuzzers. Every command reads and writes JSON; output files are
 written atomically. All randomness flows through an explicit --seed.
 
-Exit codes: 0 success, 1 internal numeric failure, 2 invalid configuration
-or flags, 3 exhaustive-search enumeration cap exceeded, 4 certified
+Exit codes: 0 success, 1 internal numeric failure, 2 invalid configuration,
+flags or output path, 3 exhaustive-search enumeration cap exceeded, 4 certified
 guarantee or fuzzed property violated (an implementation-bug signal).
 """
 
@@ -45,9 +45,9 @@ from .model import (
     Schedule,
     load_scenario,
     model_fingerprint,
+    model_to_dict,
     random_scenario,
     require_int,
-    save_scenario,
     seeded_rng,
     write_text_atomic,
 )
@@ -65,7 +65,7 @@ ALGORITHMS = ("greedy", "lazy-greedy", "brute", "random", "empty")
 
 
 class _ConfigError(Exception):
-    """Scenario file missing, unparseable, or invalid."""
+    """Scenario file missing, unparseable or invalid, or an output path that cannot be written."""
 
 
 class _Timer:
@@ -92,8 +92,15 @@ def _load_model(path: str):
         raise _ConfigError(str(exc)) from exc
 
 
-def _write_report(path: str, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
+def _write_text(path: str, text: str) -> None:
+    try:
+        write_text_atomic(path, text)
+    except OSError as exc:  # a missing directory, or a directory
+        raise _ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _trace_payload(trace) -> list[dict]:
@@ -116,7 +123,7 @@ def cmd_gen(args) -> int:
     model = random_scenario(
         seed=args.seed, n=args.n, m=args.m, K=args.K, r=args.r, kind=args.kind
     )
-    save_scenario(model, args.out)
+    _write_json(args.out, model_to_dict(model))
     print(f"wrote scenario {model_fingerprint(model)[:12]} to {args.out}")
     return EXIT_OK
 
@@ -163,9 +170,9 @@ def cmd_schedule(args) -> int:
         report["gain_evaluations"] = trace.gain_evaluations
     report["timings"] = timer.timings
     with timer.time("write"):
-        _write_report(args.out, report)
+        _write_json(args.out, report)
     if args.csv is not None:
-        write_text_atomic(args.csv, _trace_csv(trace))
+        _write_text(args.csv, _trace_csv(trace))
     print(f"{args.algorithm}: objective {objective:.9g}, schedule {schedule.to_lists()}")
     return EXIT_OK
 
@@ -186,13 +193,13 @@ def cmd_certify(args) -> int:
             "details": exc.details,
             "timings": timer.timings,
         }
-        _write_report(args.out, payload)
+        _write_json(args.out, payload)
         print(f"guarantee violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     payload = cert.to_dict()
     payload["timings"] = timer.timings
     with timer.time("write"):
-        _write_report(args.out, payload)
+        _write_json(args.out, payload)
     print(f"ratio {cert.ratio:.9g} (greedy {cert.greedy_value:.9g}, opt {cert.opt_value:.9g})")
     return EXIT_OK
 
@@ -218,7 +225,7 @@ def cmd_bounds(args) -> int:
         report["trace_empty"] = batch_error_trace(ev, Schedule.empty(model.horizon))
     report["timings"] = timer.timings
     with timer.time("write"):
-        _write_report(args.out, report)
+        _write_json(args.out, report)
     print(f"lower bound {report['lower_bound']:.9g}, greedy trace {report['trace_greedy']:.9g}")
     return EXIT_OK
 
@@ -242,7 +249,7 @@ def cmd_fuzz(args) -> int:
             "timings": timer.timings,
         }
         if args.out is not None:
-            _write_report(args.out, payload)
+            _write_json(args.out, payload)
         else:
             print(json.dumps(payload, indent=2))
         print(f"property violated: {exc}", file=sys.stderr)
@@ -250,7 +257,7 @@ def cmd_fuzz(args) -> int:
     payload = report.to_dict()
     payload["timings"] = timer.timings
     if args.out is not None:
-        _write_report(args.out, payload)
+        _write_json(args.out, payload)
     else:
         print(json.dumps(payload, indent=2))
     print(

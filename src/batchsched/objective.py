@@ -36,7 +36,7 @@ from .model import ReadOnlyArrays, Schedule, SystemModel, freeze_arrays
 # Nothing here uses the information form: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
 # wrap point and bench/test_bench.py requires every wrap point to exist.
-from .prior import IntervalPropagation, build_prior_information, discretize_intervals  # noqa: F401
+from .prior import build_prior_information, discretize_intervals  # noqa: F401
 
 # The singleton scorer packs sensors whole, in index order, into groups of at
 # most this many whitened rows (a larger sensor forms a group alone). Each
@@ -132,17 +132,21 @@ class ObjectiveEvaluator(ReadOnlyArrays):
     """Immutable per-model cache: the discretized prior and whitened sensors.
 
     Built once per model and shared by every schedule evaluation; safe to use
-    from concurrent workers. ``prior_logdet`` is the log-determinant of the
-    prior information matrix, so the empty schedule's objective is its
-    negation. ``scorer`` scores every whitened sensor alone at one covariance.
-    ``padded[i]`` holds sensor i's whitened rows and then zero rows up to the
-    widest sensor's count; ``padded[sensor_count]`` is all zero. The stacked
-    sweeps gather slots from it, and a zero row changes no gain and no
-    covariance.
+    from concurrent workers. ``transitions``, ``noise_covs`` and
+    ``noise_factors`` are the (K-1, n, n) stacks of ``discretize_intervals``:
+    Phi_j, Q_j and Q_j's lower Cholesky factor. ``prior_logdet`` is the
+    log-determinant of the prior information matrix, so the empty
+    schedule's objective is its negation. ``scorer`` scores every whitened
+    sensor alone at one covariance. ``padded[i]`` holds sensor i's whitened
+    rows and then zero rows up to the widest sensor's count;
+    ``padded[sensor_count]`` is all zero. The stacked sweeps gather slots
+    from it, and a zero row changes no gain and no covariance.
     """
 
     initial_cov: np.ndarray
-    propagations: tuple[IntervalPropagation, ...]
+    transitions: np.ndarray
+    noise_covs: np.ndarray
+    noise_factors: np.ndarray
     whitened: tuple[np.ndarray, ...]
     prior_logdet: float
     scorer: SingletonScorer
@@ -154,7 +158,7 @@ class ObjectiveEvaluator(ReadOnlyArrays):
 
     @property
     def horizon(self) -> int:
-        return len(self.propagations) + 1
+        return len(self.transitions) + 1
 
     @property
     def sensor_count(self) -> int:
@@ -171,10 +175,10 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     """Discretize every interval once and whiten every sensor, W_i = L_i^-1 C_i
     for V_i = L_i L_i.T, with one stacked solve per row count against the
     V_i factors that the model kept, as it did P_1's, when it checked them."""
-    propagations = discretize_intervals(model)
+    transitions, noise_covs, noise_factors = discretize_intervals(model)
     cov_logdet = logdet_from_cholesky(model._initial_factor)
-    for p in propagations:
-        cov_logdet += p.noise_logdet
+    for lower in noise_factors:
+        cov_logdet += logdet_from_cholesky(lower)
     whitened = [None] * model.sensor_count
     for group, measurement, _, noise_factor in model._sensor_groups:
         # Row-major, like the stacked matrix of a multi-sensor slot.
@@ -191,7 +195,9 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     padded.setflags(write=False)
     return ObjectiveEvaluator(
         initial_cov=initial_cov,
-        propagations=propagations,
+        transitions=transitions,
+        noise_covs=noise_covs,
+        noise_factors=noise_factors,
         whitened=whitened,
         prior_logdet=-cov_logdet,
         scorer=SingletonScorer(whitened),
@@ -263,8 +269,8 @@ def slot_step(
 
 def predict(ev: ObjectiveEvaluator, cov: np.ndarray, k: int) -> np.ndarray:
     """Filter covariance at time index k+1 from the conditioned one at k."""
-    p = ev.propagations[k]
-    return sym(p.transition @ cov @ p.transition.T + p.noise_cov)
+    phi = ev.transitions[k]
+    return sym(phi @ cov @ phi.T + ev.noise_covs[k])
 
 
 def advance(
@@ -329,8 +335,8 @@ def stacked_step(
     pivots = np.diagonal(lower, axis1=1, axis2=2)[:, :d]
     if not propagate:
         return pivots, None
-    root = ev.propagations[k].transition @ lower[:, d:, d:]
-    return pivots, root @ root.transpose(0, 2, 1) + ev.propagations[k].noise_cov
+    root = ev.transitions[k] @ lower[:, d:, d:]
+    return pivots, root @ root.transpose(0, 2, 1) + ev.noise_covs[k]
 
 
 def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
@@ -450,7 +456,7 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
             adjoint = sym(info + keep.T @ adjoint @ keep)
         total += float(np.trace(cov)) - float(np.sum((cov @ adjoint) * cov))
         if k:
-            phi = ev.propagations[k - 1].transition
+            phi = ev.transitions[k - 1]
             adjoint = phi.T @ adjoint @ phi
     if not math.isfinite(total):
         raise NumericOverflow(

@@ -9,9 +9,7 @@ the oracle the filter-form objective and error trace are checked against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,7 +17,7 @@ from scipy.linalg import expm, solve_triangular
 
 from ._linalg import chol_pd, chol_pd_stack, logdet_from_cholesky, pd_inverse, sym
 from .errors import DimensionMismatch, InvalidArgument, NumericOverflow
-from .model import ReadOnlyArrays, Schedule, SystemModel
+from .model import ModelKind, Schedule, SystemModel, freeze_arrays
 
 if TYPE_CHECKING:
     from .objective import ObjectiveEvaluator
@@ -29,15 +27,6 @@ if TYPE_CHECKING:
 # matrices and their exponentials, 64 (2n)^2 doubles each) stay small, so a
 # long horizon discretizes with no more peak memory than one interval at a time.
 DISCRETIZE_BATCH = 64
-
-
-@dataclass(frozen=True, eq=False)
-class IntervalPropagation(ReadOnlyArrays):
-    """Transition matrix, accumulated process-noise covariance and its log-determinant for one interval."""
-
-    transition: np.ndarray
-    noise_cov: np.ndarray
-    noise_logdet: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +82,9 @@ class BlockTridiagonal:
 
 # Overflow shows as a non-finite Phi_j or Q_j, reported below as an error.
 @np.errstate(over="ignore", invalid="ignore")
-def _discretize(model: SystemModel, first: int, stop: int) -> tuple[IntervalPropagation, ...]:
-    """Intervals first..stop-1 (at least one) discretized together, as stacks of matrices.
+def _discretize(model: SystemModel, first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals first..stop-1 (at least one) discretized together: the
+    stacks of their Phi_j, Q_j and Q_j's lower Cholesky factor.
 
     Continuous kinds use the augmented-matrix-exponential construction: with
     M = [[-A, F W F.T], [0, A.T]] * dt, the exponential of M carries
@@ -102,9 +92,8 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[IntervalProp
     block such that Phi = exp(A dt) and Q = Phi @ G equals the integral of
     exp(A s) F W F.T exp(A.T s) ds over [0, dt]. One ``expm`` call takes
     the M of every interval. Discrete kinds take Phi = A_j and Q = F W F.T
-    directly, computed once for the time-invariant kind. Raises
-    NumericOverflow if a Phi_j or Q_j is not finite, and NotPositiveDefinite
-    if a Q_j is singular, naming the first such interval.
+    directly. Raises NumericOverflow if a Phi_j or Q_j is not finite, and
+    NotPositiveDefinite if a Q_j is singular, naming the first such interval.
     """
     count = stop - first
     # Time-invariant kinds store one matrix per field, for every interval.
@@ -139,41 +128,45 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[IntervalProp
             f"discretization of interval {j + 1} (time index {j} to {j + 1}) is not finite: "
             f"Phi_{j + 1} or Q_{j + 1} left the double range (dynamics or interval length too large?)"
         )
-    lower = chol_pd_stack(q, lambda j: f"Q_{first + j + 1}")
-    phi.setflags(write=False)
-    q.setflags(write=False)
-    # noise_logdet sums scalar logs, as logdet_from_cholesky does.
-    props = tuple(
-        IntervalPropagation(transition=phi_j, noise_cov=q_j, noise_logdet=2.0 * sum(map(math.log, diag)))
-        for phi_j, q_j, diag in zip(phi, q, np.diagonal(lower, axis1=1, axis2=2).tolist())
-    )
-    # Discrete-invariant: one Phi and Q serve every interval.
-    return props * count if len(props) < count else props
+    return phi, q, chol_pd_stack(q, lambda j: f"Q_{first + j + 1}")
 
 
-def discretize_interval(model: SystemModel, j: int) -> IntervalPropagation:
-    """Transition and accumulated noise covariance over interval j (0-based)."""
+def discretize_intervals(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every interval of the horizon, in order, discretized in batches: the
+    read-only (K-1, n, n) stacks of Phi_j, Q_j and Q_j's lower Cholesky factor.
+
+    The discrete-invariant kind discretizes its one interval once; its three
+    stacks are zero-stride views of that interval's matrices.
+    """
+    count = model.horizon - 1
+    if count == 0:
+        stacks = [np.empty((0, model.state_dim, model.state_dim))] * 3
+    elif model.kind is ModelKind.DISCRETE_INVARIANT:
+        stacks = [np.broadcast_to(a, (count,) + a.shape[1:]) for a in _discretize(model, 0, 1)]
+    else:
+        batches = [_discretize(model, first, min(first + DISCRETIZE_BATCH, count))
+                   for first in range(0, count, DISCRETIZE_BATCH)]
+        # concatenate keeps each Phi_j's layout.
+        stacks = [np.concatenate(a) for a in zip(*batches)]
+    freeze_arrays(stacks)
+    return tuple(stacks)
+
+
+def discretize_interval(model: SystemModel, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phi_j, Q_j and Q_j's lower Cholesky factor for interval j (0-based),
+    bit for bit slice j of ``discretize_intervals``."""
     if not 0 <= j <= model.horizon - 2:
         raise InvalidArgument(f"interval index {j} out of range for horizon {model.horizon}")
-    return _discretize(model, j, j + 1)[0]
-
-
-def discretize_intervals(model: SystemModel) -> tuple[IntervalPropagation, ...]:
-    """Every interval of the horizon, in order, discretized in batches."""
-    stop = model.horizon - 1
-    batches = range(0, stop, DISCRETIZE_BATCH)
-    return tuple(chain.from_iterable(
-        _discretize(model, first, min(first + DISCRETIZE_BATCH, stop)) for first in batches
-    ))
+    return tuple(a[0] for a in _discretize(model, j, j + 1))
 
 
 def build_prior_information(
-    initial_cov: np.ndarray, props: tuple[IntervalPropagation, ...]
+    initial_cov: np.ndarray, transitions: np.ndarray, noise_covs: np.ndarray
 ) -> BlockTridiagonal:
     """Information matrix of the stacked state (x(t_1), ..., x(t_K)).
 
-    With Phi_j, Q_j from ``props`` (``discretize_intervals``) and P_1 the
-    initial covariance, the blocks are (1-based j over intervals):
+    With Phi_j, Q_j from ``discretize_intervals`` and P_1 the initial
+    covariance, the blocks are (1-based j over intervals):
 
         diag_1 = P_1^-1 + Phi_1.T Q_1^-1 Phi_1
         diag_k = Q_{k-1}^-1 + Phi_k.T Q_k^-1 Phi_k     for 1 < k < K
@@ -185,20 +178,12 @@ def build_prior_information(
     is the correctness contract.
     """
     p1_inv = pd_inverse(initial_cov, "P_1")
-    if not props:
-        return BlockTridiagonal.from_blocks([p1_inv], [])
-    horizon = len(props) + 1
-    q_inv = [pd_inverse(p.noise_cov, f"Q_{j + 1}") for j, p in enumerate(props)]
-    diag = []
-    for k in range(horizon):
-        if k == 0:
-            block = p1_inv + props[0].transition.T @ q_inv[0] @ props[0].transition
-        elif k < horizon - 1:
-            block = q_inv[k - 1] + props[k].transition.T @ q_inv[k] @ props[k].transition
-        else:
-            block = q_inv[horizon - 2]
-        diag.append(block)
-    upper = [-(props[j].transition.T @ q_inv[j]) for j in range(horizon - 1)]
+    q_inv = [pd_inverse(q, f"Q_{j + 1}") for j, q in enumerate(noise_covs)]
+    # Block k starts from P_1^-1 or Q_{k-1}^-1; interval k adds to it.
+    diag = [p1_inv] + q_inv
+    for k, (phi, q_inv_k) in enumerate(zip(transitions, q_inv)):
+        diag[k] = diag[k] + phi.T @ q_inv_k @ phi
+    upper = [-(phi.T @ q_inv_k) for phi, q_inv_k in zip(transitions, q_inv)]
     return BlockTridiagonal.from_blocks(diag, upper)
 
 
@@ -209,7 +194,7 @@ def assemble_information(ev: ObjectiveEvaluator, schedule: Schedule) -> BlockTri
     discretized again.
     """
     schedule.check_shape(ev.horizon, ev.sensor_count)
-    prior = build_prior_information(ev.initial_cov, ev.propagations)
+    prior = build_prior_information(ev.initial_cov, ev.transitions, ev.noise_covs)
     diag = list(prior.diag)
     for k, slot in enumerate(schedule.selections):
         if slot:

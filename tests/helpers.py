@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import block_diag, expm, solve_triangular
 
 import batchsched as bs
-from batchsched._linalg import chol_pd, logdet_from_cholesky, sym
+from batchsched._linalg import chol_pd, sym
 from batchsched.model import _random_spd
 
 ALL_KINDS = tuple(bs.ModelKind)
@@ -33,13 +33,15 @@ def scenario_stream(count, seed0=0, n_max=3, m_max=4, k_max=3, r_max=2, kinds=AL
 
 def prior_information(model):
     """Block tri-diagonal prior information of a model, every interval discretized."""
-    return bs.build_prior_information(model.initial_state_cov, bs.discretize_intervals(model))
+    transitions, noise_covs, _ = bs.discretize_intervals(model)
+    return bs.build_prior_information(model.initial_state_cov, transitions, noise_covs)
 
 
 def per_interval_discretization(model):
     """Every interval discretized on its own, one ``expm`` and one Cholesky
-    factorization each: the oracle for the batched ``discretize_intervals``."""
-    props = []
+    factorization each: the oracle for the batched ``discretize_intervals``.
+    One (Phi_j, Q_j, lower Cholesky factor of Q_j) triple per interval."""
+    intervals = []
     for j in range(model.horizon - 1):
         a = model.interval_dynamics(j)
         f = model.interval_noise_input(j)
@@ -57,9 +59,8 @@ def per_interval_discretization(model):
         else:
             phi = np.array(a)
             q = sym(f @ w @ f.T)
-        lower = chol_pd(q, f"Q_{j + 1}")
-        props.append(bs.IntervalPropagation(phi, q, logdet_from_cholesky(lower)))
-    return tuple(props)
+        intervals.append((phi, q, chol_pd(q, f"Q_{j + 1}")))
+    return tuple(intervals)
 
 
 def stable_model(horizon, n=8, m=3, r=2, seed=99):
@@ -163,16 +164,16 @@ def dense_prior_covariance(model):
     from Var(x(t_1)) = P_1.
     """
     n, horizon = model.state_dim, model.horizon
-    props = bs.discretize_intervals(model)
+    transitions, noise_covs, _ = bs.discretize_intervals(model)
     variances = [np.array(model.initial_state_cov)]
-    for p in props:
-        variances.append(sym(p.transition @ variances[-1] @ p.transition.T + p.noise_cov))
+    for phi, q in zip(transitions, noise_covs):
+        variances.append(sym(phi @ variances[-1] @ phi.T + q))
     out = np.zeros((n * horizon, n * horizon))
     for k in range(horizon):
         out[k * n:(k + 1) * n, k * n:(k + 1) * n] = variances[k]
         cross = variances[k]
         for j in range(k + 1, horizon):
-            cross = props[j - 1].transition @ cross
+            cross = transitions[j - 1] @ cross
             out[j * n:(j + 1) * n, k * n:(k + 1) * n] = cross
             out[k * n:(k + 1) * n, j * n:(j + 1) * n] = cross.T
     return sym(out)
@@ -184,6 +185,36 @@ def dense_error_trace(ev, schedule):
     lower = np.linalg.cholesky(dense)
     inv_lower = solve_triangular(lower, np.eye(len(dense)), lower=True)
     return float(np.sum(inv_lower * inv_lower))
+
+
+def refactoring_bound_inputs(ev, model):
+    """``bound_inputs`` with every Q_j stacked and factored again rather than
+    read from the evaluator's kept factors: the oracle for its fields."""
+    n = model.state_dim
+    eye = np.eye(n)
+    diagonals = np.square(np.linalg.solve(np.linalg.cholesky(ev.initial_cov), eye)).sum(axis=0)[None]
+    if model.horizon > 1:
+        rhs = np.stack([np.concatenate((eye, phi), axis=1) for phi in ev.transitions])
+        lower = np.linalg.cholesky(np.stack(list(ev.noise_covs)))
+        sums = np.square(np.linalg.solve(lower, rhs)).sum(axis=1)
+        diagonals = np.concatenate((diagonals, sums[:, :n]))
+        diagonals[:-1] += sums[:, n:]
+    if model.sensor_count:
+        sigma_v_inv = max(
+            float((1.0 / np.linalg.eigvalsh(noise)[:, 0]).max()) for _, _, noise, _ in model._sensor_groups
+        )
+        with np.errstate(over="ignore"):
+            c_norm_sq = float(np.square(np.linalg.norm(np.vstack([s.C for s in model.sensors]), 2)))
+    else:
+        sigma_v_inv = c_norm_sq = 0.0
+    return bs.BoundInputs(
+        sigma_w_inv=float(diagonals.max()),
+        sigma_v_inv=sigma_v_inv,
+        c_norm_sq=c_norm_sq,
+        r_max=max(model.budgets),
+        state_dim=n,
+        horizon=model.horizon,
+    )
 
 
 def measurement_form_covariance(model, schedule):

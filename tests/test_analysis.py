@@ -11,11 +11,13 @@ import batchsched as bs
 from batchsched import analysis, objective, scheduler
 from batchsched.analysis import _random_feasible, _random_subschedule, random_schedule
 from helpers import (
+    ALL_KINDS,
     exploding_scalar_model,
     overflow_index,
     per_trial_monotonicity,
     per_trial_supermodularity,
     prior_information,
+    refactoring_bound_inputs,
     scenario_stream,
     stable_model,
     stacking_models,
@@ -252,6 +254,33 @@ def test_bound_inputs_read_no_assembled_prior(monkeypatch):
 
     monkeypatch.setattr(analysis, "build_prior_information", assembled)
     bs.bound_inputs(ev, model)
+
+
+# K = 70 spans two discretization batches; K = 1 has no interval.
+@pytest.mark.parametrize("K", [1, 2, 7, 70])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_bound_inputs_factor_no_noise_covariance(monkeypatch, kind, K):
+    model = bs.random_scenario(seed=K, n=3, m=4, K=K, r=2, kind=kind)
+    ev = bs.build_evaluator(model)
+    if K > 2:
+        # The discrete-invariant kind keeps one factor for every interval.
+        assert (ev.noise_factors.strides[0] == 0) == (kind == "discrete-invariant")
+    cholesky = np.linalg.cholesky
+    shapes = []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    want = refactoring_bound_inputs(ev, model)
+    oracle_shapes, shapes[:] = shapes[:], []
+    got = bs.bound_inputs(ev, model)
+    monkeypatch.undo()
+    noise_stack = (K - 1, 3, 3)
+    assert (noise_stack in oracle_shapes) == (K > 1)
+    assert noise_stack not in shapes and all(len(shape) == 2 for shape in shapes)
+    assert [float(v).hex() for v in dataclasses.astuple(got)] == [float(v).hex() for v in dataclasses.astuple(want)]
 
 
 def test_bound_inputs_rejects_mismatched_evaluator():

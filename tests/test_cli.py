@@ -393,6 +393,33 @@ def test_schedule_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
     assert str(scenario) in err and "Permission denied" in err
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "working-directory"])
+@pytest.mark.parametrize("command", ["gen", "schedule", "schedule-csv", "certify", "bounds", "fuzz"])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, target):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    path = {"missing-directory": str(tmp_path / "missing" / "r.json"), "directory": str(work), "working-directory": "."}[target]
+    out, csv = (str(tmp_path / "r.json"), path) if command == "schedule-csv" else (path, None)
+    argv = {
+        "gen": gen_args(out),
+        "schedule": ["schedule", "--config", str(scenario), "--out", out],
+        "schedule-csv": ["schedule", "--config", str(scenario), "--out", out, "--csv", csv],
+        "certify": ["certify", "--config", str(scenario), "--out", out],
+        "bounds": ["bounds", "--config", str(scenario), "--out", out, "--alpha", "0.5"],
+        "fuzz": ["fuzz", "--config", str(scenario), "--property", "mono", "--trials", "2", "--seed", "0", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    # Renaming onto the working directory fails with a platform's own reason (EBUSY on Linux).
+    reason = {"missing-directory": "No such file or directory", "directory": "Is a directory"}.get(target, "")
+    assert line.startswith(f"error: cannot write {path}: {reason}")
+    assert not list(tmp_path.rglob(".batchsched-*.tmp"))
+
+
 def test_consecutive_calls_share_the_parser_but_no_parsed_state(tmp_path, capsys):
     scenario = tmp_path / "s.json"
     run(gen_args(scenario, seed=4, n=2, m=3, K=3, r=1))

@@ -378,6 +378,20 @@ def test_measurement_form_equivalence_sample():
         assert rel < 1e-6
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the covariance-form measurement update cancels when the predicted variance dwarfs the "
+    "noise (CHANGES.md FOUND line 22); the square-root core of ROADMAP item 1 flips this",
+)
+@pytest.mark.parametrize("growth", [1e6, 1e8, 1e12])
+def test_error_trace_where_the_predicted_variance_dwarfs_the_noise(growth):
+    model = exploding_scalar_model(6, growth=growth)
+    ev = bs.build_evaluator(model)
+    every_slot = bs.Schedule.from_sets([[0]] * 6)
+    exact = dense_error_trace(ev, every_slot)
+    assert abs(bs.batch_error_trace(ev, every_slot) - exact) <= 1e-12 * abs(exact)
+
+
 def test_assemble_rejects_wrong_horizon():
     ev = bs.build_evaluator(scalar_model())
     with pytest.raises(bs.InvalidArgument):

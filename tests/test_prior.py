@@ -49,9 +49,9 @@ def quadrature_noise_cov(A, F, W, dt):
 
 def test_zero_dynamics_unit_interval():
     model = make_continuous(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2), [0.0, 1.0])
-    prop = bs.discretize_interval(model, 0)
-    np.testing.assert_allclose(prop.transition, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(prop.noise_cov, np.eye(2), atol=1e-12)
+    phi, q, _ = bs.discretize_interval(model, 0)
+    np.testing.assert_allclose(phi, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(q, np.eye(2), atol=1e-12)
 
 
 def test_scalar_closed_form():
@@ -60,10 +60,10 @@ def test_scalar_closed_form():
         np.array([[a]]), np.eye(1), np.eye(1), np.eye(1), [0.0, dt],
         sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
     )
-    prop = bs.discretize_interval(model, 0)
-    assert prop.transition[0, 0] == pytest.approx(math.exp(a * dt), rel=1e-12)
+    phi, q, _ = bs.discretize_interval(model, 0)
+    assert phi[0, 0] == pytest.approx(math.exp(a * dt), rel=1e-12)
     expected_q = (math.exp(2 * a * dt) - 1.0) / (2 * a)
-    assert prop.noise_cov[0, 0] == pytest.approx(expected_q, rel=1e-10)
+    assert q[0, 0] == pytest.approx(expected_q, rel=1e-10)
 
 
 def test_matrix_noise_against_quadrature():
@@ -77,18 +77,16 @@ def test_matrix_noise_against_quadrature():
         A, F, W, np.eye(3), [0.0, dt],
         sensors=(bs.Sensor(C=np.eye(3), V=np.eye(3)),),
     )
-    prop = bs.discretize_interval(model, 0)
-    np.testing.assert_allclose(prop.transition, expm(A * dt), rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(
-        prop.noise_cov, quadrature_noise_cov(A, F, W, dt), rtol=1e-8, atol=1e-10
-    )
+    phi, q, _ = bs.discretize_interval(model, 0)
+    np.testing.assert_allclose(phi, expm(A * dt), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(q, quadrature_noise_cov(A, F, W, dt), rtol=1e-8, atol=1e-10)
 
 
 def test_discrete_transition_is_step_matrix():
     model = bs.random_scenario(seed=9, n=3, m=2, K=4, r=1, kind="discrete-variant")
     for j in range(model.horizon - 1):
-        prop = bs.discretize_interval(model, j)
-        np.testing.assert_array_equal(prop.transition, model.interval_dynamics(j))
+        phi, _, _ = bs.discretize_interval(model, j)
+        np.testing.assert_array_equal(phi, model.interval_dynamics(j))
 
 
 def test_discrete_singular_noise_rejected():
@@ -111,21 +109,32 @@ def test_discrete_singular_noise_rejected():
 
 def assert_matches_per_interval_oracle(model):
     oracle = per_interval_discretization(model)
-    batched = bs.discretize_intervals(model)
-    singles = tuple(bs.discretize_interval(model, j) for j in range(model.horizon - 1))
-    assert len(batched) == len(singles) == len(oracle) == model.horizon - 1
-    for props in (batched, singles):
-        for prop, want in zip(props, oracle):
-            np.testing.assert_array_equal(prop.transition, want.transition)
-            np.testing.assert_array_equal(prop.noise_cov, want.noise_cov)
-            assert prop.noise_logdet == want.noise_logdet
+    stacks = bs.discretize_intervals(model)
+    ev = bs.build_evaluator(model)
+    shape = (model.horizon - 1, model.state_dim, model.state_dim)
+    for stack, kept in zip(stacks, (ev.transitions, ev.noise_covs, ev.noise_factors)):
+        assert stack.shape == kept.shape == shape
+        assert not stack.flags.writeable and not kept.flags.writeable
+        if len(stack) > 1:
+            # The discrete-invariant kind's stacks repeat one matrix with no copies.
+            assert (stack.strides[0] == 0) == (model.kind is bs.ModelKind.DISCRETE_INVARIANT)
+    batched = zip(*stacks)
+    singles = (bs.discretize_interval(model, j) for j in range(model.horizon - 1))
+    for intervals in (batched, singles, zip(ev.transitions, ev.noise_covs, ev.noise_factors)):
+        intervals = tuple(intervals)
+        assert len(intervals) == len(oracle)
+        for (phi, q, lower), (phi_want, q_want, lower_want) in zip(intervals, oracle):
+            np.testing.assert_array_equal(phi, phi_want)
+            np.testing.assert_array_equal(q, q_want)
+            np.testing.assert_array_equal(lower, lower_want)
+            assert logdet_from_cholesky(lower) == logdet_from_cholesky(lower_want)
             # The layout decides the BLAS calls of every later product.
-            assert prop.transition.flags.f_contiguous == want.transition.flags.f_contiguous
-            assert prop.transition.flags.c_contiguous == want.transition.flags.c_contiguous
+            assert phi.flags.f_contiguous == phi_want.flags.f_contiguous
+            assert phi.flags.c_contiguous == phi_want.flags.c_contiguous
     prior_logdet = logdet_from_cholesky(chol_pd(model.initial_state_cov, "P_1"))
-    for want in oracle:
-        prior_logdet += want.noise_logdet
-    assert bs.build_evaluator(model).prior_logdet == -prior_logdet
+    for _, _, lower in oracle:
+        prior_logdet += logdet_from_cholesky(lower)
+    assert ev.prior_logdet == -prior_logdet
 
 
 # K = 200 spans several batches of DISCRETIZE_BATCH intervals, the last one partial.
@@ -174,9 +183,9 @@ def test_singular_discrete_noise_names_its_interval(ragged):
     noise_covs = [np.eye(2)] * 2 + [np.eye(singular.shape[1])] + [np.eye(2)]
     model = variant_model("discrete-variant", noise_inputs, noise_covs)
     assert isinstance(model.noise_input, tuple) == ragged
-    for props in (bs.discretize_intervals, per_interval_discretization):
+    for discretize in (bs.discretize_intervals, per_interval_discretization):
         with pytest.raises(bs.NotPositiveDefinite, match=r"^Q_3 is not positive definite"):
-            props(model)
+            discretize(model)
     bs.discretize_interval(model, 3)
     with pytest.raises(bs.NotPositiveDefinite, match=r"^Q_3 "):
         bs.discretize_interval(model, 2)
