@@ -56,9 +56,6 @@ from .objective import (
     objective_values,
 )
 from .prior import (
-    BlockTridiagonal,
-    assemble_information,
-    block_tridiag_logdet,
     build_prior_information,
     discretize_interval,
     discretize_intervals,
@@ -74,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchSchedError",
-    "BlockTridiagonal",
     "BoundInputs",
     "BudgetOutOfRange",
     "DimensionMismatch",
@@ -95,9 +91,7 @@ __all__ = [
     "SensorAlreadySelected",
     "SystemModel",
     "TraceEntry",
-    "assemble_information",
     "batch_error_trace",
-    "block_tridiag_logdet",
     "bound_inputs",
     "brute_force_opt",
     "build_evaluator",

@@ -6,7 +6,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefinite
 
@@ -69,8 +68,3 @@ def logdet_from_cholesky(lower: np.ndarray) -> float:
     """Log-determinant of L L.T from the lower factor L."""
     return 2.0 * sum(map(math.log, lower.diagonal().tolist()))
 
-
-def pd_inverse(a: np.ndarray, name: str) -> np.ndarray:
-    lower = chol_pd(a, name)
-    inv_lower = solve_triangular(lower, np.eye(a.shape[0]), lower=True)
-    return sym(inv_lower.T @ inv_lower)

@@ -4,7 +4,8 @@ Subcommands: ``gen`` writes a scenario file, ``schedule`` runs a scheduling
 algorithm, ``certify`` checks the approximation guarantee by exhaustive
 search, ``bounds`` reports the error-variance limits, and ``fuzz`` drives
 the property fuzzers. Every command reads and writes JSON; output files are
-written atomically. All randomness flows through an explicit --seed.
+written atomically, and ``schedule --csv`` writes both its files or neither.
+All randomness flows through an explicit --seed.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 invalid configuration,
 flags or output path, 3 exhaustive-search enumeration cap exceeded, 4 certified
@@ -49,7 +50,7 @@ from .model import (
     random_scenario,
     require_int,
     seeded_rng,
-    write_text_atomic,
+    write_texts_atomic,
 )
 from .objective import batch_error_trace, build_evaluator, objective_logdet
 from .scheduler import greedy_schedule
@@ -68,17 +69,13 @@ class _ConfigError(Exception):
     """Scenario file missing, unparseable or invalid, or an output path that cannot be written."""
 
 
-class _Timer:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    @contextmanager
-    def time(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timings[name] = time.perf_counter() - start
+@contextmanager
+def _timed(timings: dict[str, float], name: str):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - start
 
 
 def _load_model(path: str):
@@ -92,15 +89,27 @@ def _load_model(path: str):
         raise _ConfigError(str(exc)) from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _load_and_build(path: str):
+    """The timings, the model loaded from ``path`` and its evaluator."""
+    timings: dict[str, float] = {}
+    with _timed(timings, "load"):
+        model = _load_model(path)
+    with _timed(timings, "build"):
+        ev = build_evaluator(model)
+    return timings, model, ev
+
+
+def _write_files(files: dict[str, str]) -> None:
+    """Write every path's text, or no path if one cannot be written."""
     try:
-        write_text_atomic(path, text)
+        write_texts_atomic(files)
     except OSError as exc:  # a missing directory, or a directory
-        raise _ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        # A failed rename names the path second, after its temporary file.
+        raise _ConfigError(f"cannot write {exc.filename2 or exc.filename}: {exc.strerror}") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_files({path: json.dumps(payload, indent=2) + "\n"})
 
 
 def _trace_payload(trace) -> list[dict]:
@@ -134,14 +143,10 @@ def cmd_schedule(args) -> int:
     if args.seed is not None:
         # Only --algorithm random uses the seed, but every report records it.
         require_int("seed", args.seed, 0)
-    timer = _Timer()
-    with timer.time("load"):
-        model = _load_model(args.config)
-    with timer.time("build"):
-        ev = build_evaluator(model)
+    timings, model, ev = _load_and_build(args.config)
 
     trace = None
-    with timer.time("solve"):
+    with _timed(timings, "solve"):
         if args.algorithm in ("greedy", "lazy-greedy"):
             schedule, trace = greedy_schedule(ev, model)
             objective = objective_logdet(ev, schedule)
@@ -168,49 +173,40 @@ def cmd_schedule(args) -> int:
         report["start_objective"] = trace.start_objective
         report["trace"] = _trace_payload(trace)
         report["gain_evaluations"] = trace.gain_evaluations
-    report["timings"] = timer.timings
-    with timer.time("write"):
-        _write_json(args.out, report)
+    report["timings"] = timings
+    files = {args.out: json.dumps(report, indent=2) + "\n"}
     if args.csv is not None:
-        _write_text(args.csv, _trace_csv(trace))
+        files[args.csv] = _trace_csv(trace)
+    _write_files(files)
     print(f"{args.algorithm}: objective {objective:.9g}, schedule {schedule.to_lists()}")
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    timer = _Timer()
-    with timer.time("load"):
-        model = _load_model(args.config)
-    with timer.time("build"):
-        ev = build_evaluator(model)
+    timings, model, ev = _load_and_build(args.config)
     try:
-        with timer.time("solve"):
+        with _timed(timings, "solve"):
             cert = certify_ratio(ev, model)
     except GuaranteeViolated as exc:
         payload = {
-            "fingerprint": model_fingerprint(model),
+            "fingerprint": exc.details["fingerprint"],
             "violation": str(exc),
             "details": exc.details,
-            "timings": timer.timings,
+            "timings": timings,
         }
         _write_json(args.out, payload)
         print(f"guarantee violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     payload = cert.to_dict()
-    payload["timings"] = timer.timings
-    with timer.time("write"):
-        _write_json(args.out, payload)
+    payload["timings"] = timings
+    _write_json(args.out, payload)
     print(f"ratio {cert.ratio:.9g} (greedy {cert.greedy_value:.9g}, opt {cert.opt_value:.9g})")
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    timer = _Timer()
-    with timer.time("load"):
-        model = _load_model(args.config)
-    with timer.time("build"):
-        ev = build_evaluator(model)
-    with timer.time("solve"):
+    timings, model, ev = _load_and_build(args.config)
+    with _timed(timings, "solve"):
         inputs = bound_inputs(ev, model)
         report = {
             "fingerprint": model_fingerprint(model),
@@ -223,30 +219,25 @@ def cmd_bounds(args) -> int:
         schedule, _ = greedy_schedule(ev, model)
         report["trace_greedy"] = batch_error_trace(ev, schedule)
         report["trace_empty"] = batch_error_trace(ev, Schedule.empty(model.horizon))
-    report["timings"] = timer.timings
-    with timer.time("write"):
-        _write_json(args.out, report)
+    report["timings"] = timings
+    _write_json(args.out, report)
     print(f"lower bound {report['lower_bound']:.9g}, greedy trace {report['trace_greedy']:.9g}")
     return EXIT_OK
 
 
 def cmd_fuzz(args) -> int:
-    timer = _Timer()
-    with timer.time("load"):
-        model = _load_model(args.config)
-    with timer.time("build"):
-        ev = build_evaluator(model)
+    timings, model, ev = _load_and_build(args.config)
     fuzzer = fuzz_monotonicity if args.property == "mono" else fuzz_supermodularity
     try:
-        with timer.time("solve"):
+        with _timed(timings, "solve"):
             report = fuzzer(ev, model, args.trials, args.seed)
     except PropertyViolated as exc:
         payload = {
-            "fingerprint": model_fingerprint(model),
+            "fingerprint": exc.counterexample["fingerprint"],
             "property": args.property,
             "violation": str(exc),
             "counterexample": exc.counterexample,
-            "timings": timer.timings,
+            "timings": timings,
         }
         if args.out is not None:
             _write_json(args.out, payload)
@@ -255,7 +246,7 @@ def cmd_fuzz(args) -> int:
         print(f"property violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     payload = report.to_dict()
-    payload["timings"] = timer.timings
+    payload["timings"] = timings
     if args.out is not None:
         _write_json(args.out, payload)
     else:
@@ -326,10 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidArgument as exc:
+    except (_ConfigError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnumerationCapExceeded as exc:

@@ -12,6 +12,7 @@ covariance is "V_1").
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -134,19 +135,6 @@ class SystemModel(ReadOnlyArrays):
         for name, value in _normalized_fields(self).items():
             object.__setattr__(self, name, value)
 
-    def interval_dynamics(self, j: int) -> np.ndarray:
-        """Dynamics matrix governing interval j (0-based, j < K-1)."""
-        return self.dynamics[j] if self.kind.variant else self.dynamics[0]
-
-    def interval_noise_input(self, j: int) -> np.ndarray:
-        return self.noise_input[j] if self.kind.variant else self.noise_input[0]
-
-    def interval_process_noise(self, j: int) -> np.ndarray:
-        return self.process_noise_cov[j] if self.kind.variant else self.process_noise_cov[0]
-
-    def interval_length(self, j: int) -> float:
-        return self.measurement_times[j + 1] - self.measurement_times[j]
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -158,15 +146,8 @@ class Schedule:
     def empty(cls, horizon: int) -> "Schedule":
         return cls(tuple(() for _ in range(horizon)))
 
-    @classmethod
-    def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Schedule":
-        return cls(tuple(tuple(sorted({int(i) for i in s})) for s in sets))
-
     def __len__(self) -> int:
         return len(self.selections)
-
-    def contains(self, k: int, i: int) -> bool:
-        return i in self.selections[k]
 
     def with_added(self, k: int, i: int) -> "Schedule":
         slot = self.selections[k]
@@ -691,19 +672,31 @@ def load_scenario(path: str) -> SystemModel:
     return model_from_dict(data)
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temporary file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".batchsched-", suffix=".tmp")
+def write_texts_atomic(files: dict[str, str]) -> None:
+    """Write each path's text via a temporary file in the same directory, then
+    rename. With several paths, all are written, and none may be a directory,
+    before any is renamed: such a failure writes no path, and its OSError names it."""
+    staged = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_path, path)
+        for path, text in files.items():
+            try:
+                if len(files) > 1 and os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                directory = os.path.dirname(os.path.abspath(path))
+                fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".batchsched-", suffix=".tmp")
+                staged.append(tmp_path)
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for tmp_path, path in zip(staged, files):
+            os.replace(tmp_path, path)
     except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        for tmp_path in staged:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
         raise
 
 
 def save_scenario(model: SystemModel, path: str) -> None:
-    write_text_atomic(path, json.dumps(model_to_dict(model), indent=2) + "\n")
+    write_texts_atomic({path: json.dumps(model_to_dict(model), indent=2) + "\n"})

@@ -15,8 +15,8 @@ exhaustive search's bound. Schedules evaluated together, as by the fuzzers,
 take ``objective_values``: one sweep stacked over them, with
 ``objective_logdet`` as its oracle; the exhaustive search steps its
 prefixes with the same ``stacked_step``. The error trace adds one backward
-pass to the same sweep; the information form (``prior``) is the sweeps'
-oracle.
+pass to the same sweep; the tests check the sweeps against the information
+form.
 Public sweeps silence numpy's overflow warnings and raise on non-finite values.
 """
 

@@ -1,83 +1,26 @@
-"""Batch prior and the information form of the stacked state sequence.
+"""Batch prior: the dynamics discretized per inter-measurement interval, and
+the information form of the stacked state sequence.
 
-Discretizes the dynamics per inter-measurement interval. The information
-matrix (inverse covariance) of the stacked state, symmetric block
-tri-diagonal, is assembled from those intervals on demand, with or without
-a schedule's sensor information; it and its block Schur log-determinant are
-the oracle the filter-form objective and error trace are checked against.
+The information matrix (inverse covariance) of the stacked state is
+symmetric block tri-diagonal. The objective never forms it: the filter sweep
+of ``objective`` evaluates the same log-determinant. The tests build their
+information-form oracle on ``build_prior_information``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
-from scipy.linalg import expm, solve_triangular
+from scipy.linalg import expm
 
-from ._linalg import chol_pd, chol_pd_stack, logdet_from_cholesky, pd_inverse, sym
-from .errors import DimensionMismatch, InvalidArgument, NumericOverflow
-from .model import ModelKind, Schedule, SystemModel, freeze_arrays
-
-if TYPE_CHECKING:
-    from .objective import ObjectiveEvaluator
+from ._linalg import chol_pd_stack
+from .errors import InvalidArgument, NumericOverflow
+from .model import ModelKind, SystemModel, freeze_arrays
 
 
 # Intervals discretized per batch. A batch's stacked temporaries (augmented
 # matrices and their exponentials, 64 (2n)^2 doubles each) stay small, so a
 # long horizon discretizes with no more peak memory than one interval at a time.
 DISCRETIZE_BATCH = 64
-
-
-@dataclass(frozen=True, eq=False)
-class BlockTridiagonal:
-    """Symmetric block tri-diagonal matrix.
-
-    K diagonal blocks (n x n) and K-1 super-diagonal blocks; block (k+1, k)
-    is the transpose of ``upper[k]`` and is not stored. Construct through
-    ``from_blocks``, which symmetrizes the diagonal blocks.
-    """
-
-    diag: tuple[np.ndarray, ...]
-    upper: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_blocks(cls, diag, upper) -> "BlockTridiagonal":
-        diag = tuple(np.array(b, dtype=float) for b in diag)
-        upper = tuple(np.array(b, dtype=float) for b in upper)
-        if len(diag) < 1:
-            raise DimensionMismatch("diag must contain at least one block")
-        n = diag[0].shape[0] if diag[0].ndim == 2 else -1
-        for k, b in enumerate(diag):
-            if b.ndim != 2 or b.shape != (n, n):
-                raise DimensionMismatch(f"diag[{k}] must be {n}x{n}")
-        if len(upper) != len(diag) - 1:
-            raise DimensionMismatch(f"upper must contain {len(diag) - 1} blocks, got {len(upper)}")
-        for k, b in enumerate(upper):
-            if b.ndim != 2 or b.shape != (n, n):
-                raise DimensionMismatch(f"upper[{k}] must be {n}x{n}")
-        diag = tuple(sym(b) for b in diag)
-        for b in diag + upper:
-            b.setflags(write=False)
-        return cls(diag=diag, upper=upper)
-
-    @property
-    def block_dim(self) -> int:
-        return self.diag[0].shape[0]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.diag)
-
-    def to_dense(self) -> np.ndarray:
-        n, count = self.block_dim, self.block_count
-        out = np.zeros((n * count, n * count))
-        for k, b in enumerate(self.diag):
-            out[k * n:(k + 1) * n, k * n:(k + 1) * n] = b
-        for k, b in enumerate(self.upper):
-            out[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = b
-            out[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = b.T
-        return out
 
 
 # Overflow shows as a non-finite Phi_j or Q_j, reported below as an error.
@@ -160,10 +103,14 @@ def discretize_interval(model: SystemModel, j: int) -> tuple[np.ndarray, np.ndar
     return tuple(a[0] for a in _discretize(model, j, j + 1))
 
 
+
+
 def build_prior_information(
     initial_cov: np.ndarray, transitions: np.ndarray, noise_covs: np.ndarray
-) -> BlockTridiagonal:
-    """Information matrix of the stacked state (x(t_1), ..., x(t_K)).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Information matrix of the stacked state (x(t_1), ..., x(t_K)) as two
+    read-only stacks: its K diagonal blocks, (K, n, n), and its K-1
+    super-diagonal blocks, (K-1, n, n); block (k+1, k) is upper_k.T.
 
     With Phi_j, Q_j from ``discretize_intervals`` and P_1 the initial
     covariance, the blocks are (1-based j over intervals):
@@ -173,54 +120,20 @@ def build_prior_information(
         diag_K = Q_{K-1}^-1
         upper_j = -Phi_j.T Q_j^-1
 
-    The dense form of the result inverts the stacked state's covariance from
-    direct propagation; that oracle (in the tests), not the formulas above,
-    is the correctness contract.
+    One factorization of the stack [P_1, Q_1, ..., Q_{K-1}], which raises
+    NotPositiveDefinite naming the first matrix that fails, and one stacked
+    solve give every inverse. The dense form of the result inverts the
+    stacked state's covariance from direct propagation; that oracle (in the
+    tests), not the formulas above, is the correctness contract.
     """
-    p1_inv = pd_inverse(initial_cov, "P_1")
-    q_inv = [pd_inverse(q, f"Q_{j + 1}") for j, q in enumerate(noise_covs)]
-    # Block k starts from P_1^-1 or Q_{k-1}^-1; interval k adds to it.
-    diag = [p1_inv] + q_inv
-    for k, (phi, q_inv_k) in enumerate(zip(transitions, q_inv)):
-        diag[k] = diag[k] + phi.T @ q_inv_k @ phi
-    upper = [-(phi.T @ q_inv_k) for phi, q_inv_k in zip(transitions, q_inv)]
-    return BlockTridiagonal.from_blocks(diag, upper)
-
-
-def assemble_information(ev: ObjectiveEvaluator, schedule: Schedule) -> BlockTridiagonal:
-    """Prior information plus C_i.T V_i^-1 C_i = W_i.T W_i per scheduled sensor.
-
-    Built from the evaluator's stored intervals, so no interval is
-    discretized again.
-    """
-    schedule.check_shape(ev.horizon, ev.sensor_count)
-    prior = build_prior_information(ev.initial_cov, ev.transitions, ev.noise_covs)
-    diag = list(prior.diag)
-    for k, slot in enumerate(schedule.selections):
-        if slot:
-            total = diag[k].copy()
-            for i in slot:
-                total += ev.whitened[i].T @ ev.whitened[i]
-            diag[k] = sym(total)
-            diag[k].setflags(write=False)
-    return BlockTridiagonal(diag=tuple(diag), upper=prior.upper)
-
-
-def block_tridiag_logdet(j: BlockTridiagonal) -> float:
-    """Log-determinant of a positive-definite block tri-diagonal matrix.
-
-    Forward block Schur recursion: D_1 = diag_1 and
-    D_k = diag_k - upper_{k-1}.T D_{k-1}^-1 upper_{k-1}; the log determinant
-    is the sum of the D_k log determinants, each read off a Cholesky factor.
-    Single pass, K block operations.
-    """
-    total = 0.0
-    d = j.diag[0]
-    for k in range(j.block_count):
-        lower = chol_pd(d, f"D_{k + 1}")
-        total += logdet_from_cholesky(lower)
-        if k + 1 < j.block_count:
-            # lower^-1 upper_k, so that D_{k+1} subtracts its Gram matrix.
-            half = solve_triangular(lower, j.upper[k], lower=True)
-            d = sym(j.diag[k + 1] - half.T @ half)
-    return total
+    covs = np.concatenate((initial_cov[None], noise_covs))
+    lower = chol_pd_stack(covs, lambda j: f"Q_{j}" if j else "P_1")
+    inv_lower = np.linalg.solve(lower, np.broadcast_to(np.eye(len(initial_cov)), covs.shape))
+    inverses = inv_lower.swapaxes(1, 2) @ inv_lower
+    inverses = (inverses + inverses.swapaxes(1, 2)) / 2.0  # sym of each matrix
+    upper = -(transitions.swapaxes(1, 2) @ inverses[1:])
+    # Block k starts from P_1^-1 or Q_{k-1}^-1; interval k adds Phi_k.T Q_k^-1 Phi_k.
+    inverses[:-1] -= upper @ transitions
+    diag = (inverses + inverses.swapaxes(1, 2)) / 2.0
+    freeze_arrays([diag, upper])
+    return diag, upper

@@ -1,4 +1,5 @@
-"""Shared test utilities: deterministic scenario streams and dense oracles."""
+"""Shared test utilities: deterministic scenario streams, dense oracles and
+the information-form oracle on (diag, upper) stacks of blocks."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 from scipy.linalg import block_diag, expm, solve_triangular
 
 import batchsched as bs
-from batchsched._linalg import chol_pd, sym
+from batchsched._linalg import chol_pd, logdet_from_cholesky, sym
 from batchsched.model import _random_spd
 
 ALL_KINDS = tuple(bs.ModelKind)
@@ -31,10 +32,95 @@ def scenario_stream(count, seed0=0, n_max=3, m_max=4, k_max=3, r_max=2, kinds=AL
     return models
 
 
+def schedule_of(sets):
+    """The schedule selecting each slot's sensors, given in any order."""
+    return bs.Schedule(tuple(tuple(sorted({int(i) for i in s})) for s in sets))
+
+
+def interval_matrices(model, j):
+    """A, F and W of interval j (0-based); time-invariant kinds store one of each."""
+    fields = (model.dynamics, model.noise_input, model.process_noise_cov)
+    return tuple(field[j if model.kind.variant else 0] for field in fields)
+
+
 def prior_information(model):
-    """Block tri-diagonal prior information of a model, every interval discretized."""
+    """(diag, upper) stacks of a model's prior information, every interval discretized."""
     transitions, noise_covs, _ = bs.discretize_intervals(model)
     return bs.build_prior_information(model.initial_state_cov, transitions, noise_covs)
+
+
+def pd_inverse(a, name):
+    """Inverse of a positive-definite matrix; raises NotPositiveDefinite naming ``name``."""
+    lower = chol_pd(a, name)
+    inv_lower = solve_triangular(lower, np.eye(a.shape[0]), lower=True)
+    return sym(inv_lower.T @ inv_lower)
+
+
+def per_block_prior_information(initial_cov, transitions, noise_covs):
+    """``build_prior_information`` one block at a time, each P_1 and Q_j inverted
+    on its own: the oracle for its stacked factorization and solve."""
+    p1_inv = pd_inverse(initial_cov, "P_1")
+    q_inv = [pd_inverse(q, f"Q_{j + 1}") for j, q in enumerate(noise_covs)]
+    # Block k starts from P_1^-1 or Q_{k-1}^-1; interval k adds to it.
+    diag = [p1_inv] + q_inv
+    for k, (phi, q_inv_k) in enumerate(zip(transitions, q_inv)):
+        diag[k] = diag[k] + phi.T @ q_inv_k @ phi
+    upper = [-(phi.T @ q_inv_k) for phi, q_inv_k in zip(transitions, q_inv)]
+    return [sym(b) for b in diag], upper
+
+
+def to_dense(diag, upper):
+    """Dense form of the symmetric block tri-diagonal matrix with diagonal
+    blocks ``diag`` and super-diagonal blocks ``upper``; block (k+1, k) is
+    upper[k].T."""
+    n, count = len(diag[0]), len(diag)
+    out = np.zeros((n * count, n * count))
+    for k, b in enumerate(diag):
+        out[k * n:(k + 1) * n, k * n:(k + 1) * n] = b
+    for k, b in enumerate(upper):
+        out[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = b
+        out[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = b.T
+    return out
+
+
+def assemble_information(ev, schedule):
+    """(diag, upper) stacks of the prior information plus
+    C_i.T V_i^-1 C_i = W_i.T W_i per scheduled sensor.
+
+    Built from the evaluator's stored intervals, so no interval is
+    discretized again.
+    """
+    schedule.check_shape(ev.horizon, ev.sensor_count)
+    diag, upper = bs.build_prior_information(ev.initial_cov, ev.transitions, ev.noise_covs)
+    diag = diag.copy()
+    for k, slot in enumerate(schedule.selections):
+        if slot:
+            total = diag[k].copy()
+            for i in slot:
+                total += ev.whitened[i].T @ ev.whitened[i]
+            diag[k] = sym(total)
+    return diag, upper
+
+
+def block_tridiag_logdet(diag, upper):
+    """Log-determinant of a positive-definite symmetric block tri-diagonal matrix.
+
+    Forward block Schur recursion: D_1 = diag_1 and
+    D_k = diag_k - upper_{k-1}.T D_{k-1}^-1 upper_{k-1}; the log determinant
+    is the sum of the D_k log determinants, each read off a Cholesky factor,
+    which raises NotPositiveDefinite naming the first D_k that fails.
+    Single pass, K block operations.
+    """
+    total = 0.0
+    d = diag[0]
+    for k in range(len(diag)):
+        lower = chol_pd(d, f"D_{k + 1}")
+        total += logdet_from_cholesky(lower)
+        if k + 1 < len(diag):
+            # lower^-1 upper_k, so that D_{k+1} subtracts its Gram matrix.
+            half = solve_triangular(lower, upper[k], lower=True)
+            d = sym(diag[k + 1] - half.T @ half)
+    return total
 
 
 def per_interval_discretization(model):
@@ -43,11 +129,9 @@ def per_interval_discretization(model):
     One (Phi_j, Q_j, lower Cholesky factor of Q_j) triple per interval."""
     intervals = []
     for j in range(model.horizon - 1):
-        a = model.interval_dynamics(j)
-        f = model.interval_noise_input(j)
-        w = model.interval_process_noise(j)
+        a, f, w = interval_matrices(model, j)
         if model.kind.continuous:
-            dt = model.interval_length(j)
+            dt = model.measurement_times[j + 1] - model.measurement_times[j]
             n = model.state_dim
             aug = np.zeros((2 * n, 2 * n))
             aug[:n, :n] = -a
@@ -181,7 +265,7 @@ def dense_prior_covariance(model):
 
 def dense_error_trace(ev, schedule):
     """Trace of the batch error covariance by inverting the dense information matrix."""
-    dense = bs.assemble_information(ev, schedule).to_dense()
+    dense = to_dense(*assemble_information(ev, schedule))
     lower = np.linalg.cholesky(dense)
     inv_lower = solve_triangular(lower, np.eye(len(dense)), lower=True)
     return float(np.sum(inv_lower * inv_lower))
@@ -261,21 +345,19 @@ def measurement_form_covariance(model, schedule):
 
 
 def random_block_tridiagonal_pd(rng, block_dim, block_count):
-    """Random symmetric positive-definite matrix with block tri-diagonal sparsity."""
-    diag = [rng.standard_normal((block_dim, block_dim)) for _ in range(block_count)]
-    diag = [0.5 * (b + b.T) for b in diag]
-    upper = [rng.standard_normal((block_dim, block_dim)) for _ in range(block_count - 1)]
-    candidate = bs.BlockTridiagonal.from_blocks(diag, upper)
-    dense = candidate.to_dense()
-    smallest = float(np.linalg.eigvalsh(dense)[0])
+    """(diag, upper) stacks of a random symmetric positive-definite matrix with
+    block tri-diagonal sparsity."""
+    diag = rng.standard_normal((block_count, block_dim, block_dim))
+    diag = 0.5 * (diag + diag.transpose(0, 2, 1))
+    upper = rng.standard_normal((block_count - 1, block_dim, block_dim))
+    smallest = float(np.linalg.eigvalsh(to_dense(diag, upper))[0])
     shift = abs(smallest) + 0.5
-    shifted = [b + shift * np.eye(block_dim) for b in candidate.diag]
-    return bs.BlockTridiagonal.from_blocks(shifted, upper)
+    return diag + shift * np.eye(block_dim), upper
 
 
 def oracle_objective(ev, schedule):
     """Objective through the information form: block Schur recursion on the assembled matrix."""
-    return -bs.block_tridiag_logdet(bs.assemble_information(ev, schedule))
+    return -block_tridiag_logdet(*assemble_information(ev, schedule))
 
 
 def two_pass_greedy(ev, model, lazy):

@@ -18,6 +18,7 @@ from helpers import (
     per_trial_supermodularity,
     prior_information,
     refactoring_bound_inputs,
+    schedule_of,
     scenario_stream,
     stable_model,
     stacking_models,
@@ -238,7 +239,7 @@ def test_bound_inputs_match_the_assembled_prior_information(label):
     # Oracles: the assembled blocks' largest diagonal entry, and each V_i's
     # smallest eigenvalue on its own.
     assert b.sigma_w_inv == pytest.approx(
-        max(float(np.diagonal(block).max()) for block in prior_information(model).diag), rel=1e-12
+        max(float(np.diagonal(block).max()) for block in prior_information(model)[0]), rel=1e-12
     )
     assert b.sigma_v_inv == pytest.approx(
         max(1.0 / float(np.linalg.eigvalsh(sensor.V)[0]) for sensor in model.sensors), rel=1e-12
@@ -294,7 +295,7 @@ def test_error_lower_bound_scalar_tight():
     model = scalar_model()
     ev = bs.build_evaluator(model)
     assert bs.error_lower_bound(bs.bound_inputs(ev, model)) == pytest.approx(0.5, abs=1e-12)
-    achieved = bs.batch_error_trace(ev, bs.Schedule.from_sets([[0]]))
+    achieved = bs.batch_error_trace(ev, schedule_of([[0]]))
     assert achieved == pytest.approx(0.5, abs=1e-12)
 
 
@@ -594,7 +595,7 @@ def test_brute_force_takes_a_feasible_incumbent():
     for incumbent in (bs.Schedule.empty(2), expected[0], bs.greedy_schedule(ev, model)[0]):
         assert bs.brute_force_opt(ev, model, incumbent=incumbent) == expected
     with pytest.raises(bs.BudgetOutOfRange):
-        bs.brute_force_opt(ev, model, incumbent=bs.Schedule.from_sets([[0, 1], []]))
+        bs.brute_force_opt(ev, model, incumbent=schedule_of([[0, 1], []]))
 
 
 def _budgeted_model(budgets, m=5):
@@ -627,7 +628,7 @@ def test_random_feasible_sizes_are_uniform_and_sets_sorted():
 
 def test_random_subschedule_keeps_each_sensor_with_probability_half():
     rng = np.random.default_rng(4)
-    big = bs.Schedule.from_sets([[0, 1, 2], [], [1, 4], [3]])
+    big = schedule_of([[0, 1, 2], [], [1, 4], [3]])
     kept = dict.fromkeys(((k, i) for k, slot in enumerate(big.selections) for i in slot), 0)
     draws = 4000
     for _ in range(draws):

@@ -15,7 +15,7 @@ import pytest
 import batchsched as bs
 from batchsched import analysis, cli, prior
 from batchsched.cli import main
-from helpers import exploding_scalar_model, overflow_index
+from helpers import exploding_scalar_model, overflow_index, schedule_of
 
 
 def run(argv):
@@ -54,7 +54,7 @@ def test_schedule_greedy_report(tmp_path):
     assert run(["schedule", "--config", str(scenario), "--algorithm", "greedy", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     model = bs.load_scenario(str(scenario))
-    schedule = bs.Schedule.from_sets(report["schedule"])
+    schedule = schedule_of(report["schedule"])
     schedule.validate_for(model)
     ev = bs.build_evaluator(model)
     assert report["objective"] == bs.objective_logdet(ev, schedule)
@@ -247,6 +247,31 @@ def test_fuzz_violation_exits_4_with_the_counterexample(tmp_path, capsys, monkey
     assert payload["counterexample"]["model"] == json.loads(scenario.read_text())
 
 
+@pytest.mark.parametrize("command", ["certify", "fuzz"])
+def test_a_violation_fingerprints_the_model_once(tmp_path, capsys, monkeypatch, command):
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "v.json"
+    run(gen_args(scenario, seed=4))
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return bs.model_fingerprint(model)
+
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "model_fingerprint", counting)
+    monkeypatch.setattr(analysis, "RATIO_TOL", -1.0)
+    monkeypatch.setattr(analysis, "PROPERTY_TOL", -math.inf)
+    argv = {
+        "certify": ["certify", "--config", str(scenario), "--out", str(out)],
+        "fuzz": ["fuzz", "--config", str(scenario), "--property", "mono", "--trials", "4", "--seed", "0",
+                 "--out", str(out)],
+    }[command]
+    assert run(argv) == 4
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["fingerprint"] == bs.model_fingerprint(calls[0])
+
+
 def test_bounds_report(tmp_path):
     scenario = tmp_path / "s.json"
     out = tmp_path / "b.json"
@@ -394,7 +419,7 @@ def test_schedule_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory", "working-directory"])
-@pytest.mark.parametrize("command", ["gen", "schedule", "schedule-csv", "certify", "bounds", "fuzz"])
+@pytest.mark.parametrize("command", ["gen", "schedule", "schedule-csv", "schedule-out-with-csv", "certify", "bounds", "fuzz"])
 def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, target):
     scenario = tmp_path / "s.json"
     run(gen_args(scenario))
@@ -402,11 +427,12 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, monkeypatch,
     work.mkdir()
     monkeypatch.chdir(work)
     path = {"missing-directory": str(tmp_path / "missing" / "r.json"), "directory": str(work), "working-directory": "."}[target]
-    out, csv = (str(tmp_path / "r.json"), path) if command == "schedule-csv" else (path, None)
+    out, csv = (str(tmp_path / "r.json"), path) if command == "schedule-csv" else (path, str(tmp_path / "t.csv"))
     argv = {
         "gen": gen_args(out),
         "schedule": ["schedule", "--config", str(scenario), "--out", out],
         "schedule-csv": ["schedule", "--config", str(scenario), "--out", out, "--csv", csv],
+        "schedule-out-with-csv": ["schedule", "--config", str(scenario), "--out", out, "--csv", csv],
         "certify": ["certify", "--config", str(scenario), "--out", out],
         "bounds": ["bounds", "--config", str(scenario), "--out", out, "--alpha", "0.5"],
         "fuzz": ["fuzz", "--config", str(scenario), "--property", "mono", "--trials", "2", "--seed", "0", "--out", out],
@@ -418,6 +444,8 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, monkeypatch,
     reason = {"missing-directory": "No such file or directory", "directory": "Is a directory"}.get(target, "")
     assert line.startswith(f"error: cannot write {path}: {reason}")
     assert not list(tmp_path.rglob(".batchsched-*.tmp"))
+    # schedule writes neither of its two files when one cannot be written.
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "t.csv").exists()
 
 
 def test_consecutive_calls_share_the_parser_but_no_parsed_state(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import batchsched as bs
-from helpers import scenario_stream
+from helpers import interval_matrices, schedule_of, scenario_stream
 
 
 def tiny_model(**overrides):
@@ -99,7 +99,7 @@ def test_input_matrix_accepted_and_ignored():
     without_b = tiny_model()
     ev_b = bs.build_evaluator(with_b)
     ev = bs.build_evaluator(without_b)
-    s = bs.Schedule.from_sets([[0]])
+    s = schedule_of([[0]])
     assert bs.objective_logdet(ev_b, s) == bs.objective_logdet(ev, s)
     with pytest.raises(bs.DimensionMismatch, match="input_matrix"):
         tiny_model(input_matrix=np.ones((3, 1)))
@@ -141,7 +141,7 @@ def test_every_array_stays_read_only_through_a_pickle_round_trip():
         assert len(copied) == len(arrays) > 10
         assert not any(a.flags.writeable for a in arrays + copied)
     copy = pickle.loads(pickle.dumps(model))
-    schedule = bs.Schedule.from_sets([[0], [1, 2], []])
+    schedule = schedule_of([[0], [1, 2], []])
     assert bs.objective_logdet(bs.build_evaluator(copy), schedule) == bs.objective_logdet(ev, schedule)
 
 
@@ -308,7 +308,7 @@ def test_atomic_write_that_fails_to_rename_keeps_the_target_and_removes_its_temp
 
     monkeypatch.setattr(bs.model.os, "replace", failing)
     with pytest.raises(OSError, match="rename refused"):
-        bs.model.write_text_atomic(str(target), "after\n")
+        bs.model.write_texts_atomic({str(target): "after\n"})
     assert target.read_text() == "before\n"
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
@@ -332,20 +332,20 @@ def test_schedule_operations():
     s = bs.Schedule.empty(2)
     s = s.with_added(0, 2).with_added(0, 1)
     assert s.selections == ((1, 2), ())
-    assert s.contains(0, 2) and not s.contains(1, 2)
+    assert 2 in s.selections[0] and 2 not in s.selections[1]
     with pytest.raises(bs.SensorAlreadySelected):
         s.with_added(0, 1)
 
 
 def test_schedule_validate_for():
     model = bs.random_scenario(seed=0, n=2, m=3, K=2, r=1)
-    bs.Schedule.from_sets([[0], []]).validate_for(model)
+    schedule_of([[0], []]).validate_for(model)
     with pytest.raises(bs.BudgetOutOfRange):
-        bs.Schedule.from_sets([[0, 1], []]).validate_for(model)
+        schedule_of([[0, 1], []]).validate_for(model)
     with pytest.raises(bs.InvalidArgument):
-        bs.Schedule.from_sets([[7], []]).validate_for(model)
+        schedule_of([[7], []]).validate_for(model)
     with pytest.raises(bs.InvalidArgument):
-        bs.Schedule.from_sets([[0]]).validate_for(model)
+        schedule_of([[0]]).validate_for(model)
 
 
 def _noise_fault_model(faults):
@@ -378,7 +378,7 @@ def test_sensor_noise_fault_names_the_lowest_failing_sensor():
 
 
 def test_schedule_shape_names_the_first_index_out_of_range():
-    bs.Schedule.from_sets([[0, 2], [], [1]]).check_shape(3, 3)
+    schedule_of([[0, 2], [], [1]]).check_shape(3, 3)
     for slots, message in (
         ([[0, 2], [], [1, 3]], "sensor index 3 out of range at time index 2"),
         ([[0], [-1, 5], []], "sensor index -1 out of range at time index 1"),
@@ -441,4 +441,4 @@ def test_interval_fields_are_stored_as_read_only_stacks():
         assert not field.flags.writeable
     invariant = bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="continuous-invariant")
     assert invariant.dynamics.shape == (1, 3, 3)
-    np.testing.assert_array_equal(invariant.interval_dynamics(4), invariant.dynamics[0])
+    np.testing.assert_array_equal(interval_matrices(invariant, 4)[0], invariant.dynamics[0])

@@ -11,10 +11,13 @@ import batchsched as bs
 from batchsched._linalg import chol_pd, logdet_from_cholesky
 from helpers import (
     ALL_KINDS,
+    block_tridiag_logdet,
     dense_prior_covariance,
+    per_block_prior_information,
     per_interval_discretization,
     prior_information,
     scenario_stream,
+    to_dense,
 )
 
 
@@ -86,7 +89,7 @@ def test_discrete_transition_is_step_matrix():
     model = bs.random_scenario(seed=9, n=3, m=2, K=4, r=1, kind="discrete-variant")
     for j in range(model.horizon - 1):
         phi, _, _ = bs.discretize_interval(model, j)
-        np.testing.assert_array_equal(phi, model.interval_dynamics(j))
+        np.testing.assert_array_equal(phi, model.dynamics[j])
 
 
 def test_discrete_singular_noise_rejected():
@@ -215,7 +218,7 @@ def scalar_two_step_model():
 
 def test_two_step_scalar_information_blocks():
     info = prior_information(scalar_two_step_model())
-    np.testing.assert_allclose(info.to_dense(), np.array([[2.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
+    np.testing.assert_allclose(to_dense(*info), np.array([[2.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
 
 
 def test_two_step_scalar_dense_covariance():
@@ -225,17 +228,17 @@ def test_two_step_scalar_dense_covariance():
 
 def test_single_time_prior_is_initial_information():
     model = bs.random_scenario(seed=4, n=3, m=2, K=1, r=1)
-    info = prior_information(model)
-    assert info.block_count == 1 and info.upper == ()
+    diag, upper = prior_information(model)
+    assert len(diag) == 1 and len(upper) == 0
     np.testing.assert_allclose(
-        info.diag[0] @ model.initial_state_cov, np.eye(3), atol=1e-10
+        diag[0] @ model.initial_state_cov, np.eye(3), atol=1e-10
     )
     np.testing.assert_array_equal(dense_prior_covariance(model), model.initial_state_cov)
 
 
 def test_information_matches_dense_oracle():
     model = bs.random_scenario(seed=21, n=3, m=2, K=4, r=1, kind="continuous-invariant")
-    dense_info = prior_information(model).to_dense()
+    dense_info = to_dense(*prior_information(model))
     oracle = np.linalg.inv(dense_prior_covariance(model))
     rel = np.linalg.norm(dense_info - oracle) / np.linalg.norm(oracle)
     assert rel < 1e-8
@@ -243,7 +246,7 @@ def test_information_matches_dense_oracle():
 
 def test_inverse_consistency_hundred_scenarios():
     for model in scenario_stream(100, seed0=77, n_max=4, k_max=6):
-        dense_info = prior_information(model).to_dense()
+        dense_info = to_dense(*prior_information(model))
         cov = dense_prior_covariance(model)
         size = dense_info.shape[0]
         residual = np.linalg.norm(dense_info @ cov - np.eye(size)) / math.sqrt(size)
@@ -253,7 +256,7 @@ def test_inverse_consistency_hundred_scenarios():
 def test_prior_information_is_positive_definite():
     for model in scenario_stream(40, seed0=5, n_max=4, k_max=6):
         info = prior_information(model)
-        value = bs.block_tridiag_logdet(info)  # raises if any pivot fails
+        value = block_tridiag_logdet(*info)  # raises if any pivot fails
         assert math.isfinite(value)
 
 
@@ -276,22 +279,44 @@ def test_continuous_discrete_agreement():
     )
     info_c = prior_information(cont)
     info_d = prior_information(disc)
-    np.testing.assert_allclose(info_c.to_dense(), info_d.to_dense(), atol=1e-12)
-
-
-def test_block_tridiagonal_shape_validation():
-    with pytest.raises(bs.DimensionMismatch):
-        bs.BlockTridiagonal.from_blocks([np.eye(2), np.eye(3)], [np.eye(2)])
-    with pytest.raises(bs.DimensionMismatch):
-        bs.BlockTridiagonal.from_blocks([np.eye(2), np.eye(2)], [])
-    tri = bs.BlockTridiagonal.from_blocks([np.array([[1.0, 2.0], [0.0, 1.0]])], [])
-    np.testing.assert_allclose(tri.diag[0], np.array([[1.0, 1.0], [1.0, 1.0]]))
+    np.testing.assert_allclose(to_dense(*info_c), to_dense(*info_d), atol=1e-12)
 
 
 def test_variant_kinds_match_dense_oracle():
     for kind in ("continuous-variant", "discrete-variant"):
         model = bs.random_scenario(seed=13, n=2, m=2, K=4, r=1, kind=kind)
-        dense_info = prior_information(model).to_dense()
+        dense_info = to_dense(*prior_information(model))
         oracle = np.linalg.inv(dense_prior_covariance(model))
         rel = np.linalg.norm(dense_info - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-8
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 33])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stacked_prior_information_matches_the_per_block_formula(kind, K):
+    for n in (1, 2, 3, 4):
+        model = bs.random_scenario(seed=K + 10 * n, n=n, m=2, K=K, r=1, kind=kind)
+        ev = bs.build_evaluator(model)
+        diag, upper = bs.build_prior_information(ev.initial_cov, ev.transitions, ev.noise_covs)
+        assert diag.shape == (K, n, n) and upper.shape == (K - 1, n, n)
+        assert not diag.flags.writeable and not upper.flags.writeable
+        want_diag, want_upper = per_block_prior_information(ev.initial_cov, ev.transitions, ev.noise_covs)
+        for got, want in ((diag, want_diag), (upper, want_upper)):
+            want = np.reshape(want, got.shape)
+            if want.size:
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("singular", ["P_1", "Q_1", "Q_3"])
+def test_prior_information_names_its_singular_covariance(singular):
+    model = bs.random_scenario(seed=3, n=2, m=2, K=5, r=1, kind="continuous-variant")
+    ev = bs.build_evaluator(model)
+    initial_cov, noise_covs = ev.initial_cov, ev.noise_covs.copy()
+    rank_one = np.array([[1.0, 1.0], [1.0, 1.0]])
+    if singular == "P_1":
+        initial_cov = rank_one
+    else:
+        noise_covs[int(singular[2:]) - 1] = rank_one
+    for build in (bs.build_prior_information, per_block_prior_information):
+        with pytest.raises(bs.NotPositiveDefinite, match=rf"^{singular} is not positive definite"):
+            build(initial_cov, ev.transitions, noise_covs)

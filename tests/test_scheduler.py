@@ -14,6 +14,7 @@ from helpers import (
     exploding_scalar_model,
     overflow_index,
     per_candidate_greedy,
+    schedule_of,
     scenario_stream,
     stable_model,
     two_pass_greedy,
@@ -84,7 +85,7 @@ def test_two_slot_worked_example():
     assert trace.entries[1].gain == pytest.approx(math.log(2.0), abs=1e-12)
     # The runner-up gains as enumerated by hand: ln 2 for a or b first,
     # ln(4/3) for a after c.
-    gain_a_after_c = bs.marginal_gain(ev, bs.Schedule.from_sets([[2]]), 0, 0)
+    gain_a_after_c = bs.marginal_gain(ev, schedule_of([[2]]), 0, 0)
     assert gain_a_after_c == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
     # Exhaustive confirmation that greedy found the optimum here.
     opt_schedule, opt_value = bs.brute_force_opt(ev, model)
@@ -143,7 +144,7 @@ def test_sensor_relabeling_permutes_selection():
         ev_p = bs.build_evaluator(permuted)
         schedule, _ = bs.greedy_schedule(ev, model)
         schedule_p, _ = bs.greedy_schedule(ev_p, permuted)
-        mapped = bs.Schedule.from_sets(
+        mapped = schedule_of(
             [[inverse[i] for i in slot] for slot in schedule.selections]
         )
         assert schedule_p == mapped
@@ -180,7 +181,7 @@ def test_greedy_step_requires_empty_slot():
     model = bs.random_scenario(seed=1, n=2, m=2, K=2, r=1)
     ev = bs.build_evaluator(model)
     with pytest.raises(bs.InvalidArgument):
-        bs.greedy_step(ev, bs.Schedule.from_sets([[0], []]), 0, 1)
+        bs.greedy_step(ev, schedule_of([[0], []]), 0, 1)
 
 
 @pytest.mark.parametrize("k, budget, message", [
@@ -264,7 +265,7 @@ def test_greedy_carries_the_covariance_only_to_the_last_slot_with_a_budget(first
         warnings.simplefilter("error")
         schedule, trace = bs.greedy_schedule(ev, model)
         opt_schedule, opt_value = bs.brute_force_opt(ev, model)
-    expected = bs.Schedule.from_sets([[0] * first_budget] + [[]] * (horizon - 1))
+    expected = schedule_of([[0] * first_budget] + [[]] * (horizon - 1))
     assert schedule == opt_schedule == expected
     assert len(trace.entries) == first_budget
     assert opt_value == bs.objective_logdet(ev, expected)
