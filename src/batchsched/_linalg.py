@@ -16,8 +16,8 @@ PD_PIVOT_RTOL = 1e-12
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part (a + a.T) / 2."""
-    return (a + a.T) / 2.0
+    """Symmetric part (a + a.T) / 2 of a matrix, or of each matrix of a stack."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def chol_pd(a: np.ndarray, name: str) -> np.ndarray:

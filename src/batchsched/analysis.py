@@ -28,6 +28,7 @@ from .errors import (
 from .model import (
     Schedule,
     SystemModel,
+    freeze_arrays,
     model_fingerprint,
     model_to_dict,
     require_int,
@@ -51,9 +52,8 @@ from .objective import build_evaluator, marginal_gain  # noqa: F401
 from .prior import build_prior_information  # noqa: F401
 from .scheduler import greedy_schedule
 
-# Largest number of feasible schedules exhaustive search may enumerate; an
-# explicit ``cap`` argument, then the CAP_ENV_VAR environment variable,
-# override it.
+# Largest number of feasible schedules exhaustive search may enumerate; the
+# CAP_ENV_VAR environment variable, when set, overrides it.
 ENUMERATION_CAP_DEFAULT = 2_000_000
 CAP_ENV_VAR = "BATCHSCHED_ORACLE_CAP"
 
@@ -158,40 +158,32 @@ def iter_feasible_schedules(model: SystemModel) -> Iterator[Schedule]:
         yield Schedule(selections=slots)
 
 
-def _check_enumeration_cap(model: SystemModel, cap: int | None) -> None:
+def _check_enumeration_cap(model: SystemModel) -> None:
+    raw = os.environ.get(CAP_ENV_VAR)
+    try:
+        cap = ENUMERATION_CAP_DEFAULT if raw is None else int(raw)
+    except ValueError:
+        raise InvalidArgument(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise InvalidArgument(f"{CAP_ENV_VAR} must be a non-negative integer, got {raw!r}")
     count = feasible_schedule_count(model)
-    limit = cap
-    if limit is None:
-        raw = os.environ.get(CAP_ENV_VAR)
-        try:
-            limit = ENUMERATION_CAP_DEFAULT if raw is None else int(raw)
-        except ValueError:
-            raise InvalidArgument(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if count > limit:
-        raise EnumerationCapExceeded(f"{count} feasible schedules exceed cap {limit}")
+    if count > cap:
+        raise EnumerationCapExceeded(f"{count} feasible schedules exceed cap {cap}")
 
 
 @lru_cache(maxsize=None)
-def _subset_incidence(m: int, r: int) -> np.ndarray:
-    """0/1 matrix whose row s marks the sensors of ``_slot_subsets(m, r)[s]``."""
-    subsets = _slot_subsets(m, r)
-    incidence = np.zeros((len(subsets), m))
-    for row, subset in enumerate(subsets):
-        incidence[row, list(subset)] = 1.0
-    incidence.setflags(write=False)
-    return incidence
-
-
-@lru_cache(maxsize=None)
-def _subset_members(m: int, r: int) -> np.ndarray:
-    """Row s lists the sensors of ``_slot_subsets(m, r)[s]``, then the
-    sentinel m (``ObjectiveEvaluator.padded``'s zero rows) up to r entries."""
+def _subset_arrays(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two read-only arrays whose row s describes ``_slot_subsets(m, r)[s]``:
+    its sensors, then the sentinel m (``ObjectiveEvaluator.padded``'s zero
+    rows) up to r entries; and the 0/1 row marking its sensors."""
     subsets = _slot_subsets(m, r)
     members = np.full((len(subsets), r), m)
+    incidence = np.zeros((len(subsets), m))
     for row, subset in enumerate(subsets):
         members[row, :len(subset)] = subset
-    members.setflags(write=False)
-    return members
+        incidence[row, list(subset)] = 1.0
+    freeze_arrays([members, incidence])
+    return members, incidence
 
 
 def _predict_through(ev: ObjectiveEvaluator, cov: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -221,7 +213,7 @@ def _child_bounds(
     the subsets' incidence matrix sums them for every S. Returns -inf
     throughout, which prunes nothing, if a singleton factorization fails.
     """
-    incidence = _subset_incidence(model.sensor_count, model.budgets[k])
+    _, incidence = _subset_arrays(model.sensor_count, model.budgets[k])
     ahead = [j for j in range(k + 1, last + 1) if model.budgets[j]]
     covs = [cov]
     for start, stop in zip([k] + ahead, ahead):
@@ -247,7 +239,7 @@ def _step(
     ``slot_step`` and ``predict``, which raise their usual errors naming the
     time index.
     """
-    members = _subset_members(model.sensor_count, model.budgets[k])[subsets]
+    members = _subset_arrays(model.sensor_count, model.budgets[k])[0][subsets]
     try:
         pivots, ahead = stacked_step(ev, cov, members, k, propagate)
         gains = 2.0 * np.log(pivots).sum(axis=1)
@@ -330,10 +322,7 @@ def _incumbent_value(ev: ObjectiveEvaluator, incumbent: Schedule) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def brute_force_opt(
-    ev: ObjectiveEvaluator,
-    model: SystemModel,
-    cap: int | None = None,
-    incumbent: Schedule | None = None,
+    ev: ObjectiveEvaluator, model: SystemModel, incumbent: Schedule | None = None
 ) -> tuple[Schedule, float]:
     """Exhaustive minimizer over all feasible schedules, by branch and bound
     over slot levels.
@@ -357,7 +346,7 @@ def brute_force_opt(
     strictly lower, so the result is the lexicographically first exact
     minimizer, the one plain enumeration would return.
     """
-    _check_enumeration_cap(model, cap)
+    _check_enumeration_cap(model)
     if incumbent is None:
         _, trace = greedy_schedule(ev, model)
         ceiling = trace.entries[-1].objective if trace.entries else trace.start_objective
@@ -396,9 +385,7 @@ def worst_value(ev: ObjectiveEvaluator) -> float:
     return -ev.prior_logdet
 
 
-def certify_ratio(
-    ev: ObjectiveEvaluator, model: SystemModel, cap: int | None = None
-) -> RatioCertificate:
+def certify_ratio(ev: ObjectiveEvaluator, model: SystemModel) -> RatioCertificate:
     """Certify (greedy - opt) / (max - opt) <= 1/2 by exhaustive search.
 
     The enumeration cap is checked before any work. The greedy runs once:
@@ -407,9 +394,9 @@ def certify_ratio(
     carrying the full instance, if the bound fails; that signals a bug in
     this library, not a tight instance.
     """
-    _check_enumeration_cap(model, cap)
+    _check_enumeration_cap(model)
     greedy, _ = greedy_schedule(ev, model)
-    opt_schedule, opt_value = brute_force_opt(ev, model, cap, incumbent=greedy)
+    opt_schedule, opt_value = brute_force_opt(ev, model, incumbent=greedy)
     greedy_value = _incumbent_value(ev, greedy)
     max_value = worst_value(ev)
     fingerprint = model_fingerprint(model)

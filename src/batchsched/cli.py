@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -140,6 +141,8 @@ def cmd_gen(args) -> int:
 def cmd_schedule(args) -> int:
     if args.csv is not None and args.algorithm not in ("greedy", "lazy-greedy"):
         raise InvalidArgument("--csv requires a greedy algorithm with a trace")
+    if args.csv is not None and os.path.realpath(args.csv) == os.path.realpath(args.out):
+        raise InvalidArgument(f"--out {args.out} and --csv {args.csv} name the same file")
     if args.seed is not None:
         # Only --algorithm random uses the seed, but every report records it.
         require_int("seed", args.seed, 0)

@@ -146,9 +146,6 @@ class Schedule:
     def empty(cls, horizon: int) -> "Schedule":
         return cls(tuple(() for _ in range(horizon)))
 
-    def __len__(self) -> int:
-        return len(self.selections)
-
     def with_added(self, k: int, i: int) -> "Schedule":
         slot = self.selections[k]
         if i in slot:
@@ -185,14 +182,21 @@ def _is_sequence(value: Any) -> bool:
     return isinstance(value, (list, tuple, np.ndarray))
 
 
-def _has_bool(value: Any) -> bool:
-    """Whether a matrix-like value holds booleans, which NumPy would turn into 1.0 and 0.0."""
+def _has_bool(value: Any, ndim: int = 2) -> bool:
+    """Whether a matrix (``ndim`` 2) or a sequence of matrices (``ndim`` 3) holds
+    booleans, which NumPy would turn into 1.0 and 0.0: bool entries, or the
+    np.bool_ entries of a boolean ndarray among its rows or matrices. False if
+    the value is not a sequence that deep; the shape checks reject it."""
     if isinstance(value, np.ndarray):
         return value.dtype == bool
+    entries = value
     try:
-        return bool in set(map(type, chain.from_iterable(value)))
-    except TypeError:  # not a sequence of rows; the shape check rejects it
+        for _ in range(ndim - 1):
+            entries = chain.from_iterable(entries)
+        types = set(map(type, entries))
+    except TypeError:
         return False
+    return bool in types or np.bool_ in types
 
 
 def _as_matrix(value: Any, name: str) -> np.ndarray:
@@ -209,23 +213,6 @@ def _as_matrix(value: Any, name: str) -> np.ndarray:
     return arr
 
 
-def _as_matrix_seq(value: Any, name: str) -> list[np.ndarray]:
-    """Accept a single matrix, a 3-D array, or a sequence of matrices."""
-    if isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            return [_as_matrix(value, name)]
-        if value.ndim == 3:
-            return [_as_matrix(m, f"{name}[{j}]") for j, m in enumerate(value)]
-        raise DimensionMismatch(f"{name} must be a matrix or a list of matrices")
-    if _is_sequence(value):
-        if len(value) == 0:
-            return []
-        if _lists_matrices(value):
-            return [_as_matrix(m, f"{name}[{j}]") for j, m in enumerate(value)]
-        return [_as_matrix(value, name)]
-    raise DimensionMismatch(f"{name} must be a matrix or a list of matrices")
-
-
 def _lists_matrices(value: Sequence) -> bool:
     """Whether a nonempty sequence lists matrices rather than being one matrix's rows."""
     head = value[0]
@@ -235,18 +222,8 @@ def _lists_matrices(value: Sequence) -> bool:
 def _float_stack(mats: Any) -> np.ndarray | None:
     """A sequence of matrices as one read-only float array (len, rows, cols), in one
     conversion; None unless they convert into nonempty, finite matrices of one shape, with no booleans."""
-    if isinstance(mats, np.ndarray):
-        if mats.dtype == bool:
-            return None
-    else:
-        # One scan of every entry; a boolean ndarray among the matrices shows
-        # as np.bool_ entries.
-        try:
-            types = set(map(type, chain.from_iterable(chain.from_iterable(mats))))
-        except TypeError:  # not a sequence of matrices
-            return None
-        if bool in types or np.bool_ in types:
-            return None
+    if _has_bool(mats, 3):
+        return None
     try:
         stack = np.array(mats, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -258,14 +235,20 @@ def _float_stack(mats: Any) -> np.ndarray | None:
 
 
 def _interval_field(value: Any, kind: ModelKind, horizon: int, name: str) -> np.ndarray | tuple[np.ndarray, ...]:
-    """The field as a (J, rows, cols) stack, or as a tuple of J matrices when their shapes differ."""
-    field = None  # unless it converts whole; _as_matrix_seq then names a fault
-    if isinstance(value, np.ndarray):
-        field = _float_stack(value[None] if value.ndim == 2 else value)
-    elif _is_sequence(value) and len(value) > 0:
-        field = _float_stack(value if _lists_matrices(value) else [value])
-    if field is None:
-        mats = _as_matrix_seq(value, name)
+    """The field, one matrix or a list of matrices, as a (J, rows, cols) stack,
+    or as a tuple of J matrices when their shapes differ."""
+    if isinstance(value, np.ndarray) and value.ndim in (2, 3):
+        listed = value.ndim == 3
+        mats = value if listed else value[None]
+    elif isinstance(value, (list, tuple)):
+        listed = len(value) == 0 or _lists_matrices(value)
+        mats = value if listed else [value]
+    else:
+        raise DimensionMismatch(f"{name} must be a matrix or a list of matrices")
+    field = _float_stack(mats)
+    if field is None:  # it does not convert whole; name the first fault
+        names = [f"{name}[{j}]" for j in range(len(mats))] if listed else [name]
+        mats = [_as_matrix(m, label) for m, label in zip(mats, names)]
         field = np.stack(mats) if mats and len({m.shape for m in mats}) == 1 else tuple(mats)
     if kind.variant:
         expected = horizon - 1

@@ -49,10 +49,9 @@ SCORER_GROUP_ROWS = 32
 VALUES_CHUNK = 64
 
 
-def _lost_precision(what: str, k: int | None) -> NotPositiveDefinite:
-    where = "" if k is None else f" at time index {k}"
+def _lost_precision(what: str, k: int) -> NotPositiveDefinite:
     return NotPositiveDefinite(
-        f"innovation covariance of {what}{where}: the filter covariance lost precision "
+        f"innovation covariance of {what} at time index {k}: the filter covariance lost precision "
         "(unstable dynamics over a long stretch without measurements?)"
     )
 
@@ -99,7 +98,7 @@ class SingletonScorer(ReadOnlyArrays):
             first = stop
         freeze_arrays(self.groups)
 
-    def __call__(self, cov: np.ndarray, k: int | None = None) -> np.ndarray:
+    def __call__(self, cov: np.ndarray, k: int) -> np.ndarray:
         """The gains, indexed by sensor. Raises NotPositiveDefinite, naming the
         sensor and the time index ``k``, if roundoff breaks a factorization."""
         gains = np.empty(self.sensor_count)
@@ -206,7 +205,7 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
 
 
 def _measure(
-    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int | None = None
+    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measurement update of the filter covariance P by a nonempty slot.
 
@@ -237,7 +236,7 @@ def _measure(
 
 
 def slot_step(
-    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int | None = None
+    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int
 ) -> tuple[float, np.ndarray]:
     """Measurement update of the filter covariance P by every sensor of one slot.
 
@@ -255,7 +254,6 @@ def slot_step(
     white, lower, cov = _measure(ev, cov, sensors, k)
     gain = logdet_from_cholesky(lower)
     if not math.isfinite(gain):
-        where = "" if k is None else f" at time index {k}"
         # Callers silence overflow warnings, as the update above needs too.
         if np.isfinite(white @ white.T).all():
             cause = ("the predicted covariance left the double range (unstable dynamics over a "
@@ -263,7 +261,7 @@ def slot_step(
         else:
             cause = ("the sensors' whitened rows left the double range (measurement matrix too "
                      "large for its noise covariance?)")
-        raise NumericOverflow(f"gain of sensors {list(sensors)}{where} is not finite: {cause}")
+        raise NumericOverflow(f"gain of sensors {list(sensors)} at time index {k} is not finite: {cause}")
     return gain, cov
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import chol_pd_stack
+from ._linalg import chol_pd_stack, sym
 from .errors import InvalidArgument, NumericOverflow
 from .model import ModelKind, SystemModel, freeze_arrays
 
@@ -63,7 +63,7 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[np.ndarray, 
     else:
         phi = np.array(a)
         q = qc
-    q = (q + q.swapaxes(1, 2)) / 2.0  # sym of each matrix
+    q = sym(q)
     finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
     if not finite.all():
         j = first + int(finite.argmin())
@@ -130,10 +130,10 @@ def build_prior_information(
     lower = chol_pd_stack(covs, lambda j: f"Q_{j}" if j else "P_1")
     inv_lower = np.linalg.solve(lower, np.broadcast_to(np.eye(len(initial_cov)), covs.shape))
     inverses = inv_lower.swapaxes(1, 2) @ inv_lower
-    inverses = (inverses + inverses.swapaxes(1, 2)) / 2.0  # sym of each matrix
+    inverses = sym(inverses)
     upper = -(transitions.swapaxes(1, 2) @ inverses[1:])
     # Block k starts from P_1^-1 or Q_{k-1}^-1; interval k adds Phi_k.T Q_k^-1 Phi_k.
     inverses[:-1] -= upper @ transitions
-    diag = (inverses + inverses.swapaxes(1, 2)) / 2.0
+    diag = sym(inverses)
     freeze_arrays([diag, upper])
     return diag, upper

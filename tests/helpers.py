@@ -418,7 +418,7 @@ def per_candidate_greedy(ev, model, lazy):
             best = -math.inf
             while heap and (not lazy or not pool or -heap[0][0] >= best - tol):
                 _, i = heapq.heappop(heap)
-                gain, with_cov = bs.objective.slot_step(ev, cov, (i,))
+                gain, with_cov = bs.objective.slot_step(ev, cov, (i,), k)
                 evaluations += 1
                 pool.append((gain, i, with_cov))
                 best = max(best, gain)

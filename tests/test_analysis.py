@@ -98,11 +98,12 @@ def test_brute_force_upper_bounds_greedy():
         assert opt_value <= bs.objective_logdet(ev, greedy) + 1e-12
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
+    monkeypatch.setenv(analysis.CAP_ENV_VAR, "100")
     model = bs.random_scenario(seed=5, n=1, m=4, K=3, r=2)
     ev = bs.build_evaluator(model)
     with pytest.raises(bs.EnumerationCapExceeded):
-        bs.brute_force_opt(ev, model, cap=100)
+        bs.brute_force_opt(ev, model)
 
 
 def test_worst_value_scalar():
@@ -522,16 +523,15 @@ def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
     count = bs.feasible_schedule_count(model)
     visited = _count_visited(monkeypatch)
     greedy_runs = _greedy_runs(monkeypatch)
-    with pytest.raises(bs.EnumerationCapExceeded, match=f"{count} feasible schedules exceed cap {count - 1}"):
-        bs.brute_force_opt(ev, model, cap=count - 1)
-    with pytest.raises(bs.EnumerationCapExceeded):
-        bs.certify_ratio(ev, model, cap=count - 1)
     monkeypatch.setenv(analysis.CAP_ENV_VAR, str(count - 1))
-    with pytest.raises(bs.EnumerationCapExceeded):
+    with pytest.raises(bs.EnumerationCapExceeded, match=f"{count} feasible schedules exceed cap {count - 1}"):
         bs.brute_force_opt(ev, model)
+    with pytest.raises(bs.EnumerationCapExceeded):
+        bs.certify_ratio(ev, model)
     assert visited == [] and greedy_runs == []
     # The cap bounds the feasible count, not the (smaller) number visited.
-    bs.brute_force_opt(ev, model, cap=count)
+    monkeypatch.setenv(analysis.CAP_ENV_VAR, str(count))
+    bs.brute_force_opt(ev, model)
     assert 0 < len(visited) < count
 
 
@@ -544,6 +544,18 @@ def test_child_bounds_prune_nothing_when_the_scorer_fails():
     (bounds,) = analysis._child_bounds(ev, model, 0, cov[None], np.array([0.0]), 0)
     assert len(bounds) == len(analysis._slot_subsets(2, 1))
     assert (bounds == -math.inf).all()
+
+
+def test_subset_arrays_match_the_slot_subsets_row_by_row():
+    for m, r in ((1, 0), (1, 1), (4, 2), (5, 5)):
+        members, incidence = analysis._subset_arrays(m, r)
+        subsets = analysis._slot_subsets(m, r)
+        assert members.shape == (len(subsets), r) and incidence.shape == (len(subsets), m)
+        for subset, row, marks in zip(subsets, members.tolist(), incidence.tolist()):
+            assert row == list(subset) + [m] * (r - len(subset))
+            assert marks == [1.0 if i in subset else 0.0 for i in range(m)]
+        assert not members.flags.writeable and not incidence.flags.writeable
+        assert analysis._subset_arrays(m, r)[0] is members
 
 
 def test_child_bounds_hold_for_every_subset_of_the_slot():
@@ -633,7 +645,7 @@ def test_random_subschedule_keeps_each_sensor_with_probability_half():
     draws = 4000
     for _ in range(draws):
         small = _random_subschedule(rng, big)
-        assert len(small) == len(big)
+        assert len(small.selections) == len(big.selections)
         for k, slot in enumerate(small.selections):
             assert set(slot) <= set(big.selections[k]) and list(slot) == sorted(slot)
             for i in slot:

@@ -200,6 +200,22 @@ def test_certify_oracle_cap_that_is_not_an_integer_exits_2(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_certify_negative_oracle_cap_exits_2(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "c.json"
+    run(gen_args(scenario, seed=4))
+    capsys.readouterr()
+    monkeypatch.setenv("BATCHSCHED_ORACLE_CAP", "-1")
+    assert run(["certify", "--config", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: BATCHSCHED_ORACLE_CAP must be a non-negative integer, got '-1'"
+    ]
+    assert not out.exists()
+    # A cap of 0 is valid: every model has at least one feasible schedule.
+    monkeypatch.setenv("BATCHSCHED_ORACLE_CAP", "0")
+    assert run(["certify", "--config", str(scenario), "--out", str(out)]) == 3
+
+
 # A tolerance of -inf breaks the value ordering's upper end, max + tol. One
 # of -1 keeps the ordering (max - greedy is about 6.6 on this scenario) and
 # makes the ratio, 0, exceed 1/2 + tol.
@@ -446,6 +462,19 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.rglob(".batchsched-*.tmp"))
     # schedule writes neither of its two files when one cannot be written.
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("csv", ["r.json", "./r.json", "link.json"])
+def test_schedule_out_and_csv_naming_one_file_exits_2_writing_nothing(tmp_path, capsys, monkeypatch, csv):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario))
+    monkeypatch.chdir(tmp_path)
+    os.symlink("r.json", "link.json")
+    capsys.readouterr()
+    assert run(["schedule", "--config", str(scenario), "--out", "r.json", "--csv", csv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --out r.json and --csv {csv} name the same file"]
+    assert not (tmp_path / "r.json").exists()
+    assert not list(tmp_path.rglob(".batchsched-*.tmp"))
 
 
 def test_consecutive_calls_share_the_parser_but_no_parsed_state(tmp_path, capsys):

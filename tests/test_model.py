@@ -299,6 +299,29 @@ def test_loader_rejects_booleans_in_matrices(tmp_path):
         tiny_model(initial_state_cov=np.eye(2, dtype=bool))
 
 
+def _bool_row_first(matrix):
+    """The matrix as a list of rows whose first row is a boolean ndarray."""
+    rows = [list(row) for row in matrix]
+    return [np.array([bool(x) for x in rows[0]])] + rows[1:]
+
+
+@pytest.mark.parametrize("where", ["P_1", "C", "dynamics", "input_matrix"])
+def test_a_boolean_ndarray_row_is_rejected_naming_the_field(where):
+    # NumPy would read the row as 1.0 and 0.0; only Python callers can pass
+    # one. INTERVAL_FAULTS["boolean_row"] puts one in a time-variant list.
+    data = bs.model_to_dict(bs.random_scenario(seed=5, n=2, m=2, K=3, r=1))
+    error, message = bs.DimensionMismatch, f"^{where} must contain numbers, not booleans$"
+    if where == "P_1":
+        data["initial_state_cov"] = _bool_row_first(data["initial_state_cov"])
+    elif where == "C":
+        data["sensors"][1]["C"] = _bool_row_first(data["sensors"][1]["C"])
+        error, message = bs.InvalidArgument, r"^sensors\[1\]\.C must contain numbers, not booleans$"
+    else:
+        data[where] = _bool_row_first(np.eye(2) if where == "input_matrix" else data[where])
+    with pytest.raises(error, match=message):
+        bs.model_from_dict(data)
+
+
 def test_atomic_write_that_fails_to_rename_keeps_the_target_and_removes_its_temporary(tmp_path, monkeypatch):
     target = tmp_path / "r.json"
     target.write_text("before\n")
@@ -397,6 +420,8 @@ def _negated(m):
 INTERVAL_FAULTS = {
     "boolean": ("dynamics", lambda m: [[True] + m[0][1:]] + m[1:],
                 bs.DimensionMismatch, "dynamics[{j}] must contain numbers, not booleans"),
+    "boolean_row": ("dynamics", _bool_row_first,
+                    bs.DimensionMismatch, "dynamics[{j}] must contain numbers, not booleans"),
     "nan": ("noise_input", lambda m: [m[0], [m[1][0], math.nan, m[1][2]], m[2]],
             bs.DimensionMismatch, "noise_input[{j}] must contain only finite entries"),
     "shape": ("dynamics", lambda m: [row[:2] for row in m],

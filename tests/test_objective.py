@@ -258,11 +258,11 @@ def test_singleton_scorer_matches_one_slot_step_per_sensor(monkeypatch):
         ev = bs.build_evaluator(model)
         slots = _random_feasible(rng, model).selections
         swept, _ = objective.advance(ev, slots, model.horizon - 1)
-        for cov in (ev.initial_cov, swept):
-            reference = [objective.slot_step(ev, cov, (i,))[0] for i in range(model.sensor_count)]
+        for k, cov in ((0, ev.initial_cov), (model.horizon - 1, swept)):
+            reference = [objective.slot_step(ev, cov, (i,), k)[0] for i in range(model.sensor_count)]
             with monkeypatch.context() as patch:
                 patch.setattr(objective, "dpotrf", counted)
-                gains = ev.scorer(cov)
+                gains = ev.scorer(cov, k)
             np.testing.assert_allclose(gains, reference, rtol=1e-12, atol=1e-14)
     assert sum(len(w) for w in bs.build_evaluator(wide).whitened) > 2 * objective.SCORER_GROUP_ROWS
     assert 0 < max(factored_rows) <= objective.SCORER_GROUP_ROWS
