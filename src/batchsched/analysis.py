@@ -21,8 +21,6 @@ from .errors import (
     EnumerationCapExceeded,
     GuaranteeViolated,
     InvalidArgument,
-    NotPositiveDefinite,
-    NumericOverflow,
     PropertyViolated,
 )
 from .model import (
@@ -38,10 +36,9 @@ from .objective import (
     VALUES_CHUNK,
     ObjectiveEvaluator,
     objective_logdet,
-    objective_values,
-    predict,
-    slot_step,
+    predict_through,
     stacked_step,
+    values_in_order,
 )
 # The fuzzers no longer call marginal_gain or build their own evaluator, and
 # bound_inputs reads the prior information's diagonal without assembling it;
@@ -186,15 +183,6 @@ def _subset_arrays(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return members, incidence
 
 
-def _predict_through(ev: ObjectiveEvaluator, cov: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """A stack of covariances entering slot ``start``, carried to slot
-    ``stop`` with the slots in between left empty."""
-    for k in range(start, stop):
-        phi = ev.transitions[k]
-        cov = phi @ cov @ phi.T + ev.noise_covs[k]
-    return cov
-
-
 def _child_bounds(
     ev: ObjectiveEvaluator, model: SystemModel, k: int, cov: np.ndarray, value: np.ndarray, last: int
 ) -> np.ndarray:
@@ -217,7 +205,7 @@ def _child_bounds(
     ahead = [j for j in range(k + 1, last + 1) if model.budgets[j]]
     covs = [cov]
     for start, stop in zip([k] + ahead, ahead):
-        covs.append(_predict_through(ev, covs[-1], start, stop))
+        covs.append(predict_through(ev, covs[-1], start, stop))
     try:
         gains = ev.scorer.stacked(np.concatenate(covs)).reshape(len(covs), len(value), model.sensor_count)
     except np.linalg.LinAlgError:
@@ -225,32 +213,6 @@ def _child_bounds(
     ranked = np.sort(gains[1:], axis=2)
     rest = sum(ranked[l, :, -model.budgets[j]:].sum(axis=1) for l, j in enumerate(ahead))
     return (value - rest)[:, None] - gains[0] @ incidence.T
-
-
-def _step(
-    ev: ObjectiveEvaluator, model: SystemModel, k: int, cov: np.ndarray, subsets: np.ndarray, propagate: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Slot k's gains of subsets ``subsets`` (indices into ``_slot_subsets``)
-    at covariances ``cov``, one pair per member, and, if ``propagate``, the
-    covariances entering slot k+1.
-
-    One ``stacked_step`` serves every pair. If the factorization fails or a
-    gain is not finite, the pairs are stepped again one at a time through
-    ``slot_step`` and ``predict``, which raise their usual errors naming the
-    time index.
-    """
-    members = _subset_arrays(model.sensor_count, model.budgets[k])[0][subsets]
-    try:
-        pivots, ahead = stacked_step(ev, cov, members, k, propagate)
-        gains = 2.0 * np.log(pivots).sum(axis=1)
-        if np.isfinite(gains).all():
-            return gains, ahead
-    except np.linalg.LinAlgError:
-        pass
-    choices = _slot_subsets(model.sensor_count, model.budgets[k])
-    steps = [slot_step(ev, member_cov, choices[s], k) for member_cov, s in zip(cov, subsets.tolist())]
-    gains = np.array([gain for gain, _ in steps])
-    return gains, np.stack([predict(ev, c, k) for _, c in steps]) if propagate else None
 
 
 class _Frontier(NamedTuple):
@@ -284,7 +246,7 @@ def _near_minimal_leaves(
             part = slice(first, first + VALUES_CHUNK)
             pending.append((level, frontier, rows[part], subsets[part], bounds[rows[part], subsets[part]]))
 
-    root_cov = _predict_through(ev, ev.initial_cov[None], 0, levels[0])
+    root_cov = predict_through(ev, ev.initial_cov[None], 0, levels[0])
     branch(0, _Frontier(np.zeros((1, 0), dtype=int), root_cov, np.array([-ev.prior_logdet])))
     while pending:
         level, frontier, rows, subsets, bounds = pending.pop()
@@ -294,11 +256,12 @@ def _near_minimal_leaves(
             continue
         k = levels[level]
         leaf = level == len(levels) - 1
-        gains, cov = _step(ev, model, k, frontier.cov[rows], subsets, not leaf)
+        members = _subset_arrays(model.sensor_count, model.budgets[k])[0][subsets]
+        gains, cov = stacked_step(ev, frontier.cov[rows], members, k, not leaf)
         value = frontier.value[rows] - gains
         picks = np.column_stack((frontier.picks[rows], subsets))
         if not leaf:
-            branch(level + 1, _Frontier(picks, _predict_through(ev, cov, k + 1, levels[level + 1]), value))
+            branch(level + 1, _Frontier(picks, predict_through(ev, cov, k + 1, levels[level + 1]), value))
             continue
         lowest = float(value.min())
         if lowest < best:
@@ -469,22 +432,19 @@ def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple]) -> Iterator[tuple
     schedules as the first.
 
     Trials are drawn in batches whose schedules fill one ``VALUES_CHUNK``, so
-    memory stays bounded however many there are, and each batch is evaluated
-    by one ``objective_values`` call. If that raises, the batch's values come
-    from ``objective_logdet`` as the caller reaches each trial, so the first
-    trial in draw order to fail or violate decides.
+    memory stays bounded however many there are, and each batch's values
+    come from one ``values_in_order`` stream. The stream sweeps a failed
+    chunk one schedule at a time only as the caller reaches each trial, so
+    the first trial in draw order to fail or violate decides.
     """
     for first in draws:
         per_trial = len(first[1])
         batch = [first, *islice(draws, VALUES_CHUNK // per_trial - 1)]
-        try:
-            values = objective_values(ev, [s for _, schedules in batch for s in schedules])
-        except (NotPositiveDefinite, NumericOverflow):
-            yield from ((trial, [objective_logdet(ev, s) for s in schedules]) for trial, schedules in batch)
-        else:
-            yield from zip([trial for trial, _ in batch], values.reshape(len(batch), per_trial).tolist())
+        values = values_in_order(ev, [s for _, schedules in batch for s in schedules])
+        yield from ((trial, list(islice(values, per_trial))) for trial, _ in batch)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fuzz(
     ev: ObjectiveEvaluator, model: SystemModel, trials: int, seed: int,
     draw: Callable, judge: Callable, property_name: str, message: str,

@@ -185,18 +185,26 @@ def _is_sequence(value: Any) -> bool:
 def _has_bool(value: Any, ndim: int = 2) -> bool:
     """Whether a matrix (``ndim`` 2) or a sequence of matrices (``ndim`` 3) holds
     booleans, which NumPy would turn into 1.0 and 0.0: bool entries, or the
-    np.bool_ entries of a boolean ndarray among its rows or matrices. False if
+    np.bool_ entries of a boolean ndarray among its rows or matrices, or
+    boolean ndarray entries of any dimension, as in an object array. False if
     the value is not a sequence that deep; the shape checks reject it."""
     if isinstance(value, np.ndarray):
-        return value.dtype == bool
+        if value.dtype != object:
+            return value.dtype == bool
+        value = value.tolist()  # the entries themselves, not float copies
     entries = value
     try:
         for _ in range(ndim - 1):
             entries = chain.from_iterable(entries)
-        types = set(map(type, entries))
+        entries = list(entries)
     except TypeError:
         return False
-    return bool in types or np.bool_ in types
+    types = set(map(type, entries))
+    if bool in types or np.bool_ in types:
+        return True
+    return any(issubclass(t, np.ndarray) for t in types) and any(
+        isinstance(e, np.ndarray) and e.dtype == bool for e in entries
+    )
 
 
 def _as_matrix(value: Any, name: str) -> np.ndarray:
@@ -410,8 +418,6 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
     dynamics = _interval_field(model.dynamics, kind, horizon, "dynamics")
     noise_input = _interval_field(model.noise_input, kind, horizon, "noise_input")
     process = _interval_field(model.process_noise_cov, kind, horizon, "process_noise_cov")
-    if len(noise_input) != len(dynamics) or len(process) != len(dynamics):
-        raise DimensionMismatch("dynamics, noise_input, and process_noise_cov must align per interval")
 
     if all(isinstance(field, np.ndarray) for field in (dynamics, noise_input, process)):
         # Every interval has the first one's shapes.
@@ -614,19 +620,8 @@ def model_from_dict(data: dict) -> SystemModel:
     for key in SCENARIO_KEYS:
         if key not in data:
             raise InvalidArgument(f"missing required key {key!r} in scenario")
-    return SystemModel(
-        kind=data["kind"],
-        state_dim=data["state_dim"],
-        dynamics=data["dynamics"],
-        noise_input=data["noise_input"],
-        process_noise_cov=data["process_noise_cov"],
-        initial_state_cov=data["initial_state_cov"],
-        measurement_times=data["measurement_times"],
-        sensors=data["sensors"],
-        budgets=data["budgets"],
-        input_matrix=data.get("input_matrix"),
-        input_signal=data.get("input_signal"),
-    )
+    # The keys are exactly SystemModel's fields; a missing optional one takes its default.
+    return SystemModel(**data)
 
 
 def model_fingerprint(model: SystemModel) -> str:

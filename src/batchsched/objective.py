@@ -12,9 +12,10 @@ so an evaluation is one forward sweep of measurement and time updates, and
 a sensor's gain with later slots empty is a single small log-determinant;
 ``SingletonScorer`` computes every sensor's at once for the greedy and the
 exhaustive search's bound. Schedules evaluated together, as by the fuzzers,
-take ``objective_values``: one sweep stacked over them, with
+take ``values_in_order``: one sweep stacked over them, with
 ``objective_logdet`` as its oracle; the exhaustive search steps its
-prefixes with the same ``stacked_step``. The error trace adds one backward
+prefixes with ``stacked_step``. Both fall back to the single path here
+when a stacked factorization fails. The error trace adds one backward
 pass to the same sweep; the tests check the sweeps against the information
 form.
 Public sweeps silence numpy's overflow warnings and raise on non-finite values.
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -44,7 +45,7 @@ from .prior import build_prior_information, discretize_intervals  # noqa: F401
 # scoring every sensor costs time linear in the sensor count.
 SCORER_GROUP_ROWS = 32
 
-# objective_values sweeps at most this many schedules together, so its
+# values_in_order sweeps at most this many schedules together, so its
 # memory stays bounded however many schedules it is given.
 VALUES_CHUNK = 64
 
@@ -306,7 +307,16 @@ def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     return value - slot_step(ev, cov, slots[last], last)[0]
 
 
-def stacked_step(
+def predict_through(ev: ObjectiveEvaluator, cov: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """A stack of covariances entering slot ``start``, carried to slot
+    ``stop`` with the slots in between left empty."""
+    for k in range(start, stop):
+        phi = ev.transitions[k]
+        cov = phi @ cov @ phi.T + ev.noise_covs[k]
+    return cov
+
+
+def _bordered_step(
     ev: ObjectiveEvaluator, cov: np.ndarray, members: np.ndarray, k: int, propagate: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Measurement update at slot k of a stack of covariances, one per member.
@@ -337,9 +347,34 @@ def stacked_step(
     return pivots, root @ root.transpose(0, 2, 1) + ev.noise_covs[k]
 
 
+def stacked_step(
+    ev: ObjectiveEvaluator, cov: np.ndarray, members: np.ndarray, k: int, propagate: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Slot k's gain for each member, at covariance ``cov[p]`` with the
+    sensors of row p of ``members`` (padded with ``ev.sensor_count``), and,
+    if ``propagate``, the covariances entering slot k+1.
+
+    One ``_bordered_step`` serves every member. If its factorization fails
+    or a gain is not finite, the members are stepped again one at a time
+    through ``slot_step`` and ``predict``, which raise their usual errors
+    naming the time index.
+    """
+    try:
+        pivots, ahead = _bordered_step(ev, cov, members, k, propagate)
+        gains = 2.0 * np.log(pivots).sum(axis=1)
+        if np.isfinite(gains).all():
+            return gains, ahead
+    except np.linalg.LinAlgError:
+        pass
+    m = ev.sensor_count
+    steps = [slot_step(ev, c, tuple(i for i in row if i != m), k) for c, row in zip(cov, members.tolist())]
+    gains = np.array([gain for gain, _ in steps])
+    return gains, np.stack([predict(ev, c, k) for _, c in steps]) if propagate else None
+
+
 def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
     """Each schedule's objective from one sweep over a leading member axis,
-    one ``stacked_step`` per slot; raises LinAlgError if a stacked
+    one ``_bordered_step`` per slot; raises LinAlgError if a stacked
     factorization fails."""
     sizes = np.array([list(map(len, s.selections)) for s in schedules])
     widths = sizes.max(axis=0)
@@ -351,36 +386,42 @@ def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.
     pivots = np.ones((last + 1, len(schedules), index.shape[2] * ev.padded.shape[1]))
     cov = np.broadcast_to(ev.initial_cov, (len(schedules), ev.state_dim, ev.state_dim))
     for k in range(last + 1):
-        step_pivots, cov = stacked_step(ev, cov, index[:, k, :widths[k]], k, k < last)
+        step_pivots, cov = _bordered_step(ev, cov, index[:, k, :widths[k]], k, k < last)
         pivots[k, :, :step_pivots.shape[1]] = step_pivots
     return -ev.prior_logdet - 2.0 * np.log(pivots).sum(axis=(0, 2))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def objective_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
-    """``objective_logdet`` of each schedule, to roundoff, in order.
+def values_in_order(ev: ObjectiveEvaluator, schedules: Iterable[Schedule]) -> Iterator[float]:
+    """``objective_logdet`` of each schedule, to roundoff, in order, as the
+    consumer reads them; shapes are not checked.
 
     Chunks of at most VALUES_CHUNK schedules are swept together, with one
     gather of the members' whitened rows, one stacked product and one
     stacked Cholesky factorization per slot. A chunk whose factorization
-    fails, or whose values are not all finite, is evaluated again one
-    schedule at a time through ``objective_logdet``, which then raises its
-    error for the chunk's first failing schedule.
+    fails, or whose values are not all finite, yields ``objective_logdet``
+    of each schedule as it is read, so the first failing one raises its
+    error and no later one is swept. The consumer silences overflow warnings.
     """
-    for schedule in schedules:
-        schedule.check_shape(ev.horizon, ev.sensor_count)
-    values = np.empty(len(schedules))
-    for first in range(0, len(schedules), VALUES_CHUNK):
-        chunk = schedules[first:first + VALUES_CHUNK]
+    schedules = iter(schedules)
+    while chunk := list(islice(schedules, VALUES_CHUNK)):
         try:
-            part = _stacked_sweep(ev, chunk)
-            stacked = bool(np.isfinite(part).all())
+            values = _stacked_sweep(ev, chunk)
+            stacked = bool(np.isfinite(values).all())
         except np.linalg.LinAlgError:
             stacked = False
-        values[first:first + len(chunk)] = (
-            part if stacked else [objective_logdet(ev, schedule) for schedule in chunk]
-        )
-    return values
+        if stacked:
+            yield from values.tolist()
+        else:
+            yield from (objective_logdet(ev, schedule) for schedule in chunk)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def objective_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
+    """``objective_logdet`` of each schedule, to roundoff, in order, from
+    ``values_in_order``; every shape is checked before any sweep."""
+    for schedule in schedules:
+        schedule.check_shape(ev.horizon, ev.sensor_count)
+    return np.fromiter(values_in_order(ev, schedules), float, len(schedules))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -506,7 +506,7 @@ def test_search_is_iterative_and_linear_along_zero_budget_slots(monkeypatch):
 
         return predict
 
-    for module in (analysis, objective, scheduler):
+    for module in (objective, scheduler):
         monkeypatch.setattr(module, "predict", counted(module.predict))
     start = time.perf_counter()
     schedule, value = bs.brute_force_opt(ev, model)
@@ -718,19 +718,50 @@ def test_the_first_trial_in_draw_order_decides_between_a_violation_and_an_error(
     assert str(violated.value).split(" by ")[0] == str(oracle_violated.value).split(" by ")[0]
 
 
+@pytest.mark.parametrize("fuzzer, oracle, per_trial", [
+    (bs.fuzz_monotonicity, per_trial_monotonicity, 2),
+    (bs.fuzz_supermodularity, per_trial_supermodularity, 4),
+])
+def test_a_failing_fuzz_batch_sweeps_each_schedule_at_most_once(monkeypatch, fuzzer, oracle, per_trial):
+    # The stacked sweep of the batch fails, so its schedules are swept one at
+    # a time up to the first failing one; none is swept a second time.
+    model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
+    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
+    model = dataclasses.replace(model, budgets=budgets)
+    ev = bs.build_evaluator(model)
+    for seed in range(4):
+        with pytest.raises(bs.NotPositiveDefinite) as oracle_failed:
+            oracle(model, 64, seed)
+        swept = []
+        original = objective.objective_logdet
+
+        def counted(ev, schedule):
+            swept.append(schedule)
+            return original(ev, schedule)
+
+        monkeypatch.setattr(objective, "objective_logdet", counted)
+        monkeypatch.setattr(analysis, "objective_logdet", counted)
+        with pytest.raises(bs.NotPositiveDefinite) as failed:
+            fuzzer(ev, model, trials=64, seed=seed)
+        monkeypatch.undo()
+        assert str(failed.value) == str(oracle_failed.value)
+        assert 0 < len(swept) <= 64 * per_trial
+        assert len(swept) == len({id(schedule) for schedule in swept})
+
+
 @pytest.mark.parametrize("fuzzer", [bs.fuzz_monotonicity, bs.fuzz_supermodularity])
 def test_fuzzers_evaluate_at_most_one_chunk_of_schedules_per_call(monkeypatch, fuzzer):
     # Trials are drawn and evaluated a chunk at a time, so memory does not
     # grow with the trial count.
     model = bs.random_scenario(seed=3, n=2, m=3, K=3, r=2)
     sizes = []
-    original = analysis.objective_values
+    original = analysis.values_in_order
 
     def counted(ev, schedules):
         sizes.append(len(schedules))
         return original(ev, schedules)
 
-    monkeypatch.setattr(analysis, "objective_values", counted)
+    monkeypatch.setattr(analysis, "values_in_order", counted)
     report = fuzzer(bs.build_evaluator(model), model, trials=1000, seed=9)
     assert 0 < max(sizes) <= objective.VALUES_CHUNK
     assert sum(sizes) == (2 if fuzzer is bs.fuzz_monotonicity else 4) * report.effective_trials
@@ -741,7 +772,7 @@ def test_search_matches_plain_enumeration_when_every_stacked_step_fails(monkeypa
     def failing(*args):
         raise np.linalg.LinAlgError("stacked step disabled")
 
-    monkeypatch.setattr(analysis, "stacked_step", failing)
+    monkeypatch.setattr(objective, "_bordered_step", failing)
     medium = [
         bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
         for seed, kind in enumerate(bs.ModelKind)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,44 @@ def test_a_boolean_ndarray_row_is_rejected_naming_the_field(where):
     else:
         data[where] = _bool_row_first(np.eye(2) if where == "input_matrix" else data[where])
     with pytest.raises(error, match=message):
+        bs.model_from_dict(data)
+
+
+def _bool_in_object_array(matrix):
+    """The matrix as an object-dtype array whose first entry is True."""
+    array = np.array(matrix, dtype=object)
+    array[0, 0] = True
+    return array
+
+
+def _bool_0d_entry(matrix):
+    """The matrix as a list of rows whose first entry is a 0-d boolean array."""
+    rows = [list(row) for row in matrix]
+    rows[0][0] = np.array(True)
+    return rows
+
+
+@pytest.mark.parametrize("hide", [_bool_in_object_array, _bool_0d_entry])
+@pytest.mark.parametrize("where", ["P_1", "C", "dynamics[2]"])
+def test_a_boolean_hidden_in_an_object_array_or_a_0d_array_is_rejected(where, hide):
+    # NumPy would read either as 1.0; only Python callers can pass one.
+    data = bs.model_to_dict(bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="discrete-variant"))
+    error, message = bs.DimensionMismatch, rf"^{re.escape(where)} must contain numbers, not booleans$"
+    if where == "P_1":
+        data["initial_state_cov"] = hide(data["initial_state_cov"])
+    elif where == "C":
+        data["sensors"][1]["C"] = hide(data["sensors"][1]["C"])
+        error, message = bs.InvalidArgument, r"^sensors\[1\]\.C must contain numbers, not booleans$"
+    else:
+        data["dynamics"][2] = hide(data["dynamics"][2])
+    with pytest.raises(error, match=message):
+        bs.model_from_dict(data)
+
+
+def test_a_time_invariant_kind_rejects_a_list_of_interval_matrices():
+    data = bs.model_to_dict(bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="discrete-invariant"))
+    data["dynamics"] = [data["dynamics"], data["dynamics"]]
+    with pytest.raises(bs.DimensionMismatch, match="^dynamics must be a single matrix for a time-invariant model$"):
         bs.model_from_dict(data)
 
 
