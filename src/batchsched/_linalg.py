@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
@@ -40,28 +40,52 @@ def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
     return lower
 
 
-def pd_factors(stack: np.ndarray) -> np.ndarray | None:
-    """``chol_pd`` of every matrix of a (J, n, n) stack, bit for bit, by one
-    factorization; None if it rejects any."""
-    try:
-        lower = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        return None
-    pivots = np.square(lower.diagonal(0, 1, 2))
-    scale = stack.diagonal(0, 1, 2).max(axis=1)
-    return lower if (pivots > PD_PIVOT_RTOL * scale[:, None]).all() else None
+def _symmetric(stack: np.ndarray) -> bool:
+    """Whether every matrix of a (J, p, p) stack is symmetric to 1e-9 of its largest
+    entry (at least 1); Cholesky only reads the lower triangle."""
+    if (stack == stack.swapaxes(1, 2)).all():
+        return True
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    return bool((np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-9 * scale).all())
 
 
-def chol_pd_stack(stack: np.ndarray, label: Callable[[int], str]) -> np.ndarray:
-    """``chol_pd`` of every matrix of a (J, n, n) stack by one factorization.
+def pd_factors(stacks: list[np.ndarray], named: Iterable[tuple[str, np.ndarray]]) -> list[np.ndarray]:
+    """The read-only lower Cholesky factors of each (J, p, p) stack, the one gate
+    every covariance passes: each matrix must be symmetric (``_symmetric``) and
+    positive definite (``chol_pd``).
 
-    ``label(j)`` names matrix j; an error names the first matrix that fails.
+    The stacks of one size are checked and factored as one, each matrix alone,
+    so each factor is the one ``chol_pd`` gives. ``named`` lists the same
+    matrices as (name, matrix) pairs in naming order; it is read only if some
+    matrix fails, to raise NotPositiveDefinite naming the first that does.
     """
-    lower = pd_factors(stack)
-    if lower is not None:
-        return lower
-    # Some matrix fails; factor them in order to raise for the first.
-    return np.stack([chol_pd(matrix, label(j)) for j, matrix in enumerate(stack)])
+    by_size: dict[int, list[int]] = {}
+    for index, stack in enumerate(stacks):
+        by_size.setdefault(stack.shape[1], []).append(index)
+    factors = [None] * len(stacks)
+    for members in by_size.values():
+        merged = np.concatenate([stacks[i] for i in members]) if len(members) > 1 else stacks[members[0]]
+        try:
+            lower = np.linalg.cholesky(merged) if _symmetric(merged) else None
+        except np.linalg.LinAlgError:
+            lower = None
+        # chol_pd's pivot-ratio rule, matrix by matrix.
+        if lower is None or not (
+            np.square(lower.diagonal(0, 1, 2)) > PD_PIVOT_RTOL * merged.diagonal(0, 1, 2).max(axis=1)[:, None]
+        ).all():
+            for name, matrix in named:
+                if not _symmetric(matrix[None]):
+                    raise NotPositiveDefinite(f"{name} must be symmetric")
+                chol_pd(matrix, name)
+            raise AssertionError("a stacked check failed where every matrix passes alone")
+        start = 0
+        for i in members:
+            factor = lower[start:start + len(stacks[i])]
+            # A copy, so that a factor kept does not keep the others' memory.
+            factors[i] = factor.copy() if len(members) > 1 else factor
+            factors[i].setflags(write=False)
+            start += len(stacks[i])
+    return factors
 
 
 def logdet_from_cholesky(lower: np.ndarray) -> float:

@@ -309,6 +309,7 @@ def brute_force_opt(
     strictly lower, so the result is the lexicographically first exact
     minimizer, the one plain enumeration would return.
     """
+    ev.check_model(model)
     _check_enumeration_cap(model)
     if incumbent is None:
         _, trace = greedy_schedule(ev, model)
@@ -538,15 +539,16 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
         diag_K = Q_{K-1}^-1
 
     With M = L L.T, diag(M^-1) is the column sums of squares of L^-1, and
-    diag(Phi.T M^-1 Phi) that of L^-1 Phi; one stacked solve against the
-    evaluator's kept Q_j factors gives them all, so no interval is
-    discretized or factored again and no block is formed.
+    diag(Phi.T M^-1 Phi) that of L^-1 Phi. Solves against the factor of P_1
+    that the model kept and one stacked solve against the evaluator's kept Q_j
+    factors give them all, so no covariance is factored again, no interval is
+    discretized again and no block is formed.
     """
     ev.check_model(model)
     n = model.state_dim
     eye = np.eye(n)
     # Row k: the diagonal of block k.
-    diagonals = np.square(np.linalg.solve(np.linalg.cholesky(ev.initial_cov), eye)).sum(axis=0)[None]
+    diagonals = np.square(np.linalg.solve(model._initial_factor, eye)).sum(axis=0)[None]
     if len(ev.transitions):
         # Per interval j, the solve gives [L_j^-1, L_j^-1 Phi_j] for the kept
         # factor L_j of Q_j = L_j L_j.T.

@@ -25,13 +25,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ._linalg import chol_pd, pd_factors
+from ._linalg import pd_factors
 from .errors import (
     BudgetOutOfRange,
     DimensionMismatch,
     InvalidArgument,
     NonIncreasingTimes,
-    NotPositiveDefinite,
     SensorAlreadySelected,
 )
 
@@ -182,34 +181,47 @@ def _is_sequence(value: Any) -> bool:
     return isinstance(value, (list, tuple, np.ndarray))
 
 
-def _has_bool(value: Any, ndim: int = 2) -> bool:
-    """Whether a matrix (``ndim`` 2) or a sequence of matrices (``ndim`` 3) holds
-    booleans, which NumPy would turn into 1.0 and 0.0: bool entries, or the
-    np.bool_ entries of a boolean ndarray among its rows or matrices, or
-    boolean ndarray entries of any dimension, as in an object array. False if
-    the value is not a sequence that deep; the shape checks reject it."""
+# What a non-object ndarray dtype kind holds that NumPy would read as numbers.
+_NON_NUMBER_KINDS = {"b": "booleans", "U": "strings", "S": "strings"}
+
+
+def _non_numbers(value: Any, ndim: int = 2) -> str | None:
+    """What a matrix (``ndim`` 2) or a sequence of matrices (``ndim`` 3) holds
+    that NumPy would read as numbers although it is none: "booleans" (as 1.0
+    and 0.0) or "strings" (numeric text such as "2.0"). These are bool, str or
+    bytes entries, the entries of a boolean or string ndarray among its rows
+    or matrices, or boolean or string ndarray entries of any dimension, as in
+    an object array. None if it holds neither, or if the value is not a list,
+    tuple or ndarray, or not a sequence that deep; the conversion and the
+    shape checks reject it."""
     if isinstance(value, np.ndarray):
         if value.dtype != object:
-            return value.dtype == bool
+            return _NON_NUMBER_KINDS.get(value.dtype.kind)
         value = value.tolist()  # the entries themselves, not float copies
+    elif not _is_sequence(value):
+        return None  # a string or a mapping is no matrix, whatever it holds
     entries = value
     try:
         for _ in range(ndim - 1):
             entries = chain.from_iterable(entries)
         entries = list(entries)
     except TypeError:
-        return False
+        return None
     types = set(map(type, entries))
     if bool in types or np.bool_ in types:
-        return True
-    return any(issubclass(t, np.ndarray) for t in types) and any(
-        isinstance(e, np.ndarray) and e.dtype == bool for e in entries
-    )
+        return "booleans"
+    if any(issubclass(t, (str, bytes)) for t in types):
+        return "strings"
+    if any(issubclass(t, np.ndarray) for t in types):
+        kinds = {e.dtype.kind for e in entries if isinstance(e, np.ndarray)}
+        return "booleans" if "b" in kinds else "strings" if kinds & {"U", "S"} else None
+    return None
 
 
 def _as_matrix(value: Any, name: str) -> np.ndarray:
-    if _has_bool(value):
-        raise DimensionMismatch(f"{name} must contain numbers, not booleans")
+    non_numbers = _non_numbers(value)
+    if non_numbers:
+        raise DimensionMismatch(f"{name} must contain numbers, not {non_numbers}")
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -229,8 +241,8 @@ def _lists_matrices(value: Sequence) -> bool:
 
 def _float_stack(mats: Any) -> np.ndarray | None:
     """A sequence of matrices as one read-only float array (len, rows, cols), in one
-    conversion; None unless they convert into nonempty, finite matrices of one shape, with no booleans."""
-    if _has_bool(mats, 3):
+    conversion; None unless they convert into nonempty, finite matrices of one shape, with no booleans or strings."""
+    if _non_numbers(mats, 3):
         return None
     try:
         stack = np.array(mats, dtype=float)
@@ -332,50 +344,6 @@ def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], n
     return stacks
 
 
-def _symmetric(stack: np.ndarray) -> bool:
-    """Whether every matrix of a (J, p, p) stack is symmetric to 1e-9 of its largest
-    entry (at least 1); Cholesky only reads the lower triangle."""
-    if (stack == stack.swapaxes(1, 2)).all():
-        return True
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    return bool((np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-9 * scale).all())
-
-
-def _check_covariances(
-    process: np.ndarray | tuple[np.ndarray, ...], variant: bool, p1: np.ndarray, sensors: Sequence[Sensor]
-) -> None:
-    """Check each W_j, P_1 and V_i in that order; an error names the first that fails."""
-    names = [_interval_label("W", j, variant) for j in range(len(process))] + ["P_1"]
-    names += [f"V_{i + 1}" for i in range(len(sensors))]
-    for name, matrix in zip(names, [*process, p1, *(sensor.V for sensor in sensors)]):
-        if not _symmetric(matrix[None]):
-            raise NotPositiveDefinite(f"{name} must be symmetric")
-        chol_pd(matrix, name)
-
-
-def _spd_factors(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
-    """The read-only lower Cholesky factors of each (len, p, p) stack, or None
-    unless every matrix is symmetric positive definite. The stacks of one size
-    are checked and factored as one, each matrix alone, so each factor is the
-    one ``chol_pd`` gives."""
-    by_size: dict[int, list[int]] = {}
-    for index, stack in enumerate(stacks):
-        by_size.setdefault(stack.shape[1], []).append(index)
-    factors = [None] * len(stacks)
-    for members in by_size.values():
-        merged = np.concatenate([stacks[i] for i in members])
-        lower = pd_factors(merged) if _symmetric(merged) else None
-        if lower is None:
-            return None
-        start = 0
-        for i in members:
-            # A copy, so that a factor kept does not keep the others' memory.
-            factors[i] = lower[start:start + len(stacks[i])].copy()
-            start += len(stacks[i])
-    freeze_arrays(factors)
-    return factors
-
-
 def _normalized_fields(model: SystemModel) -> dict[str, Any]:
     """The model's fields checked and converted: frozen float arrays, plain
     ints and floats, a ModelKind and tuples.
@@ -439,12 +407,16 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
     for indices, measurement, noise in stacks:
         for i, c, v in zip(indices, measurement, noise):
             sensors[i] = Sensor(C=c, V=v)
-    w_stacks = [process] if isinstance(process, np.ndarray) else [w[None] for w in process]
-    factors = _spd_factors([*w_stacks, p1[None], *(noise for _, _, noise in stacks)])
-    if factors is None:
-        _check_covariances(process, kind.variant, p1, sensors)
-    groups = tuple((*stack, factor) for stack, factor in zip(stacks, factors[len(w_stacks) + 1:]))
     m = len(sensors)
+    w_stacks = [process] if isinstance(process, np.ndarray) else [w[None] for w in process]
+    names = chain(
+        (_interval_label("W", j, kind.variant) for j in range(len(process))), ["P_1"], (f"V_{i + 1}" for i in range(m))
+    )
+    factors = pd_factors(
+        [*w_stacks, p1[None], *(noise for _, _, noise in stacks)],
+        zip(names, chain(process, [p1], (sensor.V for sensor in sensors))),
+    )
+    groups = tuple((*stack, factor) for stack, factor in zip(stacks, factors[len(w_stacks) + 1:]))
 
     budgets_raw = model.budgets
     if not _is_sequence(budgets_raw) or len(budgets_raw) != horizon:

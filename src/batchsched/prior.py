@@ -12,15 +12,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import chol_pd_stack, sym
+from ._linalg import pd_factors, sym
 from .errors import InvalidArgument, NumericOverflow
 from .model import ModelKind, SystemModel, freeze_arrays
-
-
-# Intervals discretized per batch. A batch's stacked temporaries (augmented
-# matrices and their exponentials, 64 (2n)^2 doubles each) stay small, so a
-# long horizon discretizes with no more peak memory than one interval at a time.
-DISCRETIZE_BATCH = 64
 
 
 # Overflow shows as a non-finite Phi_j or Q_j, reported below as an error.
@@ -71,11 +65,11 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[np.ndarray, 
             f"discretization of interval {j + 1} (time index {j} to {j + 1}) is not finite: "
             f"Phi_{j + 1} or Q_{j + 1} left the double range (dynamics or interval length too large?)"
         )
-    return phi, q, chol_pd_stack(q, lambda j: f"Q_{first + j + 1}")
+    return phi, q, pd_factors([q], ((f"Q_{first + j + 1}", matrix) for j, matrix in enumerate(q)))[0]
 
 
 def discretize_intervals(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every interval of the horizon, in order, discretized in batches: the
+    """Every interval of the horizon, in order, discretized together: the
     read-only (K-1, n, n) stacks of Phi_j, Q_j and Q_j's lower Cholesky factor.
 
     The discrete-invariant kind discretizes its one interval once; its three
@@ -87,10 +81,7 @@ def discretize_intervals(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np
     elif model.kind is ModelKind.DISCRETE_INVARIANT:
         stacks = [np.broadcast_to(a, (count,) + a.shape[1:]) for a in _discretize(model, 0, 1)]
     else:
-        batches = [_discretize(model, first, min(first + DISCRETIZE_BATCH, count))
-                   for first in range(0, count, DISCRETIZE_BATCH)]
-        # concatenate keeps each Phi_j's layout.
-        stacks = [np.concatenate(a) for a in zip(*batches)]
+        stacks = _discretize(model, 0, count)
     freeze_arrays(stacks)
     return tuple(stacks)
 
@@ -120,14 +111,14 @@ def build_prior_information(
         diag_K = Q_{K-1}^-1
         upper_j = -Phi_j.T Q_j^-1
 
-    One factorization of the stack [P_1, Q_1, ..., Q_{K-1}], which raises
-    NotPositiveDefinite naming the first matrix that fails, and one stacked
-    solve give every inverse. The dense form of the result inverts the
+    One pass of the stack [P_1, Q_1, ..., Q_{K-1}] through ``pd_factors``,
+    which raises NotPositiveDefinite naming the first matrix that fails, and
+    one stacked solve give every inverse. The dense form of the result inverts the
     stacked state's covariance from direct propagation; that oracle (in the
     tests), not the formulas above, is the correctness contract.
     """
     covs = np.concatenate((initial_cov[None], noise_covs))
-    lower = chol_pd_stack(covs, lambda j: f"Q_{j}" if j else "P_1")
+    lower = pd_factors([covs], ((f"Q_{j}" if j else "P_1", cov) for j, cov in enumerate(covs)))[0]
     inv_lower = np.linalg.solve(lower, np.broadcast_to(np.eye(len(initial_cov)), covs.shape))
     inverses = inv_lower.swapaxes(1, 2) @ inv_lower
     inverses = sym(inverses)

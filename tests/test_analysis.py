@@ -212,7 +212,8 @@ def test_fuzz_supermodularity_skips_when_no_room():
     bs.bound_inputs,
     lambda ev, model: bs.fuzz_monotonicity(ev, model, trials=1, seed=0),
     lambda ev, model: bs.fuzz_supermodularity(ev, model, trials=1, seed=0),
-], ids=["greedy_schedule", "bound_inputs", "fuzz_monotonicity", "fuzz_supermodularity"])
+    lambda ev, model: bs.brute_force_opt(ev, model, incumbent=bs.Schedule.empty(model.horizon)),
+], ids=["greedy_schedule", "bound_inputs", "fuzz_monotonicity", "fuzz_supermodularity", "brute_force_opt"])
 def test_an_evaluator_built_for_another_model_is_rejected(call):
     model = bs.random_scenario(seed=1, n=2, m=3, K=3, r=1)
     for other in (dataclasses.replace(model, sensors=model.sensors[:2]), bs.random_scenario(seed=1, n=2, m=3, K=2, r=1)):
@@ -258,7 +259,7 @@ def test_bound_inputs_read_no_assembled_prior(monkeypatch):
     bs.bound_inputs(ev, model)
 
 
-# K = 70 spans two discretization batches; K = 1 has no interval.
+# K = 1 has no interval; K = 70 keeps 69 Q_j factors.
 @pytest.mark.parametrize("K", [1, 2, 7, 70])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_bound_inputs_factor_no_noise_covariance(monkeypatch, kind, K):
@@ -282,6 +283,8 @@ def test_bound_inputs_factor_no_noise_covariance(monkeypatch, kind, K):
     noise_stack = (K - 1, 3, 3)
     assert (noise_stack in oracle_shapes) == (K > 1)
     assert noise_stack not in shapes and all(len(shape) == 2 for shape in shapes)
+    # Nor P_1: bound_inputs solves against the factor the model kept.
+    assert shapes == []
     assert [float(v).hex() for v in dataclasses.astuple(got)] == [float(v).hex() for v in dataclasses.astuple(want)]
 
 

@@ -548,6 +548,17 @@ def test_bounds_evaluates_the_trace_where_the_dense_inverse_failed(tmp_path, see
     _assert_bounds_ordered(json.loads(out.read_text()))
 
 
+def test_a_numeric_string_in_a_matrix_exits_2_naming_the_field(tmp_path, capsys):
+    scenario, out = tmp_path / "s.json", tmp_path / "r.json"
+    run(gen_args(scenario, seed=4))
+    data = json.loads(scenario.read_text())
+    data["initial_state_cov"][0][0] = "2.0"
+    scenario.write_text(json.dumps(data))
+    assert run(["schedule", "--config", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: P_1 must contain numbers, not strings\n"
+    assert not out.exists()
+
+
 def test_non_positive_definite_sensor_noise_exits_2_with_its_pivot_ratio(tmp_path, capsys):
     scenario = tmp_path / "s.json"
     run(gen_args(scenario, seed=4))

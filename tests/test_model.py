@@ -354,6 +354,52 @@ def test_a_boolean_hidden_in_an_object_array_or_a_0d_array_is_rejected(where, hi
         bs.model_from_dict(data)
 
 
+def _string_entry(matrix):
+    """The matrix as a list of rows whose first entry is numeric text."""
+    rows = [list(row) for row in matrix]
+    rows[0][0] = str(rows[0][0])
+    return rows
+
+
+def _string_in_object_array(matrix):
+    """The matrix as an object-dtype array whose first entry is numeric text."""
+    array = np.array(matrix, dtype=object)
+    array[0, 0] = str(array[0, 0])
+    return array
+
+
+@pytest.mark.parametrize("hide", [
+    _string_entry,
+    lambda matrix: np.array(matrix).astype(str),
+    lambda matrix: np.array(matrix).astype(bytes),
+    _string_in_object_array,
+], ids=["entry", "str_array", "bytes_array", "object_array"])
+@pytest.mark.parametrize("where", ["P_1", "C", "dynamics[2]"])
+def test_numeric_strings_in_a_matrix_are_rejected_naming_the_field(where, hide):
+    # NumPy would parse "2.0" as 2.0; measurement_times and budgets reject text too.
+    data = bs.model_to_dict(bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="discrete-variant"))
+    error, message = bs.DimensionMismatch, rf"^{re.escape(where)} must contain numbers, not strings$"
+    if where == "P_1":
+        data["initial_state_cov"] = hide(data["initial_state_cov"])
+    elif where == "C":
+        data["sensors"][1]["C"] = hide(data["sensors"][1]["C"])
+        error, message = bs.InvalidArgument, r"^sensors\[1\]\.C must contain numbers, not strings$"
+    else:
+        data["dynamics"][2] = hide(data["dynamics"][2])
+    with pytest.raises(error, match=message):
+        bs.model_from_dict(data)
+
+
+@pytest.mark.parametrize("value, fault", [("2.0", "must be a non-empty 2-D matrix"),
+                                          ({"0": [1.0, 0.0]}, "is not a numeric matrix")])
+def test_a_string_or_a_mapping_in_place_of_a_matrix_is_no_matrix(value, fault):
+    # Not "must contain numbers, not strings": the value is no matrix at all.
+    data = bs.model_to_dict(bs.random_scenario(seed=8, n=2, m=2, K=3, r=1))
+    data["initial_state_cov"] = value
+    with pytest.raises(bs.DimensionMismatch, match=f"^P_1 {fault}$"):
+        bs.model_from_dict(data)
+
+
 def test_a_time_invariant_kind_rejects_a_list_of_interval_matrices():
     data = bs.model_to_dict(bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="discrete-invariant"))
     data["dynamics"] = [data["dynamics"], data["dynamics"]]

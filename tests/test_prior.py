@@ -140,7 +140,7 @@ def assert_matches_per_interval_oracle(model):
     assert ev.prior_logdet == -prior_logdet
 
 
-# K = 200 spans several batches of DISCRETIZE_BATCH intervals, the last one partial.
+# K = 200 discretizes 199 intervals in one stacked call.
 @pytest.mark.parametrize("K", [1, 2, 5, 64, 200])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batched_discretization_is_the_per_interval_loop_bit_for_bit(kind, K):
