@@ -109,8 +109,15 @@ def _write_files(files: dict[str, str]) -> None:
         raise _ConfigError(f"cannot write {exc.filename2 or exc.filename}: {exc.strerror}") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _write_files({path: json.dumps(payload, indent=2) + "\n"})
+def _write_report(out: str | None, report: dict, timings: dict, extra: dict | None = None) -> None:
+    """Write ``report`` as JSON with ``timings`` as its last key: to ``out``
+    with the ``extra`` files (every file or none), or to stdout if ``out`` is None."""
+    report["timings"] = timings
+    text = json.dumps(report, indent=2) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        _write_files({out: text, **(extra or {})})
 
 
 def _trace_payload(trace) -> list[dict]:
@@ -133,7 +140,7 @@ def cmd_gen(args) -> int:
     model = random_scenario(
         seed=args.seed, n=args.n, m=args.m, K=args.K, r=args.r, kind=args.kind
     )
-    _write_json(args.out, model_to_dict(model))
+    _write_files({args.out: json.dumps(model_to_dict(model), indent=2) + "\n"})
     print(f"wrote scenario {model_fingerprint(model)[:12]} to {args.out}")
     return EXIT_OK
 
@@ -176,11 +183,7 @@ def cmd_schedule(args) -> int:
         report["start_objective"] = trace.start_objective
         report["trace"] = _trace_payload(trace)
         report["gain_evaluations"] = trace.gain_evaluations
-    report["timings"] = timings
-    files = {args.out: json.dumps(report, indent=2) + "\n"}
-    if args.csv is not None:
-        files[args.csv] = _trace_csv(trace)
-    _write_files(files)
+    _write_report(args.out, report, timings, None if args.csv is None else {args.csv: _trace_csv(trace)})
     print(f"{args.algorithm}: objective {objective:.9g}, schedule {schedule.to_lists()}")
     return EXIT_OK
 
@@ -195,14 +198,11 @@ def cmd_certify(args) -> int:
             "fingerprint": exc.details["fingerprint"],
             "violation": str(exc),
             "details": exc.details,
-            "timings": timings,
         }
-        _write_json(args.out, payload)
+        _write_report(args.out, payload, timings)
         print(f"guarantee violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    payload = cert.to_dict()
-    payload["timings"] = timings
-    _write_json(args.out, payload)
+    _write_report(args.out, cert.to_dict(), timings)
     print(f"ratio {cert.ratio:.9g} (greedy {cert.greedy_value:.9g}, opt {cert.opt_value:.9g})")
     return EXIT_OK
 
@@ -222,8 +222,7 @@ def cmd_bounds(args) -> int:
         schedule, _ = greedy_schedule(ev, model)
         report["trace_greedy"] = batch_error_trace(ev, schedule)
         report["trace_empty"] = batch_error_trace(ev, Schedule.empty(model.horizon))
-    report["timings"] = timings
-    _write_json(args.out, report)
+    _write_report(args.out, report, timings)
     print(f"lower bound {report['lower_bound']:.9g}, greedy trace {report['trace_greedy']:.9g}")
     return EXIT_OK
 
@@ -240,20 +239,11 @@ def cmd_fuzz(args) -> int:
             "property": args.property,
             "violation": str(exc),
             "counterexample": exc.counterexample,
-            "timings": timings,
         }
-        if args.out is not None:
-            _write_json(args.out, payload)
-        else:
-            print(json.dumps(payload, indent=2))
+        _write_report(args.out, payload, timings)
         print(f"property violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    payload = report.to_dict()
-    payload["timings"] = timings
-    if args.out is not None:
-        _write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2))
+    _write_report(args.out, report.to_dict(), timings)
     print(
         f"{report.property_name}: {report.effective_trials}/{report.trials} trials, "
         f"max excess {report.max_excess}"

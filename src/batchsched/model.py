@@ -156,8 +156,9 @@ class Schedule:
         return [list(s) for s in self.selections]
 
     def check_shape(self, horizon: int, sensor_count: int) -> None:
-        """Raise InvalidArgument unless the schedule has ``horizon`` slots
-        and every sensor index lies in [0, sensor_count)."""
+        """Raise InvalidArgument unless the schedule has ``horizon`` slots,
+        every sensor index lies in [0, sensor_count) and no slot lists a
+        sensor twice (a slot's order does not matter)."""
         if len(self.selections) != horizon:
             raise InvalidArgument(f"schedule has {len(self.selections)} slots, expected {horizon}")
         flat = list(chain.from_iterable(self.selections))
@@ -166,6 +167,11 @@ class Schedule:
                 (k, i) for k, slot in enumerate(self.selections) for i in slot if not 0 <= i < sensor_count
             )
             raise InvalidArgument(f"sensor index {i} out of range at time index {k}")
+        if sum(map(len, map(set, self.selections))) != len(flat):
+            k, i = next(
+                (k, i) for k, slot in enumerate(self.selections) for j, i in enumerate(slot) if i in slot[:j]
+            )
+            raise InvalidArgument(f"time index {k} selects sensor {i} twice")
 
     def validate_for(self, model: SystemModel) -> "Schedule":
         self.check_shape(model.horizon, model.sensor_count)
@@ -191,9 +197,9 @@ def _non_numbers(value: Any, ndim: int = 2) -> str | None:
     and 0.0) or "strings" (numeric text such as "2.0"). These are bool, str or
     bytes entries, the entries of a boolean or string ndarray among its rows
     or matrices, or boolean or string ndarray entries of any dimension, as in
-    an object array. None if it holds neither, or if the value is not a list,
-    tuple or ndarray, or not a sequence that deep; the conversion and the
-    shape checks reject it."""
+    an object array. None if it holds neither, or if the value, one of its
+    rows or (for ``ndim`` 3) one of its matrices is not a list, tuple or
+    ndarray; the conversion and the shape checks reject it."""
     if isinstance(value, np.ndarray):
         if value.dtype != object:
             return _NON_NUMBER_KINDS.get(value.dtype.kind)
@@ -209,13 +215,22 @@ def _non_numbers(value: Any, ndim: int = 2) -> str | None:
         return None
     types = set(map(type, entries))
     if bool in types or np.bool_ in types:
-        return "booleans"
-    if any(issubclass(t, (str, bytes)) for t in types):
-        return "strings"
-    if any(issubclass(t, np.ndarray) for t in types):
+        found = "booleans"
+    elif any(issubclass(t, (str, bytes)) for t in types):
+        found = "strings"
+    elif any(issubclass(t, np.ndarray) for t in types):
         kinds = {e.dtype.kind for e in entries if isinstance(e, np.ndarray)}
-        return "booleans" if "b" in kinds else "strings" if kinds & {"U", "S"} else None
-    return None
+        found = "booleans" if "b" in kinds else "strings" if kinds & {"U", "S"} else None
+    else:
+        return None
+    # Checked only now, so valid input pays nothing: a row or matrix that is
+    # no sequence (a mapping gives its keys as entries) makes no matrix.
+    level = [value]
+    for _ in range(ndim - 1):
+        level = list(chain.from_iterable(level))
+        if not all(map(_is_sequence, level)):
+            return None
+    return found
 
 
 def _as_matrix(value: Any, name: str) -> np.ndarray:

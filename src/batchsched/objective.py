@@ -141,6 +141,7 @@ class ObjectiveEvaluator(ReadOnlyArrays):
     rows and then zero rows up to the widest sensor's count;
     ``padded[sensor_count]`` is all zero. The stacked sweeps gather slots
     from it, and a zero row changes no gain and no covariance.
+    ``whitened[i]`` is the read-only view of sensor i's rows in ``padded``.
     """
 
     initial_cov: np.ndarray
@@ -179,20 +180,16 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     cov_logdet = logdet_from_cholesky(model._initial_factor)
     for lower in noise_factors:
         cov_logdet += logdet_from_cholesky(lower)
-    whitened = [None] * model.sensor_count
+    width = max((len(sensor.C) for sensor in model.sensors), default=0)
+    padded = np.zeros((model.sensor_count + 1, width, model.state_dim))
     for group, measurement, _, noise_factor in model._sensor_groups:
-        # Row-major, like the stacked matrix of a multi-sensor slot.
-        white = np.ascontiguousarray(np.linalg.solve(noise_factor, measurement))
-        white.setflags(write=False)
-        for i, white_i in zip(group, white):
-            whitened[i] = white_i
+        padded[list(group), :measurement.shape[1]] = np.linalg.solve(noise_factor, measurement)
+    padded.setflags(write=False)
+    # Views taken after the freeze are read-only; each is row-major, like
+    # the stacked matrix of a multi-sensor slot.
+    whitened = tuple(padded[i, :len(sensor.C)] for i, sensor in enumerate(model.sensors))
     initial_cov = sym(model.initial_state_cov)
     initial_cov.setflags(write=False)
-    whitened = tuple(whitened)
-    padded = np.zeros((len(whitened) + 1, max(map(len, whitened), default=0), model.state_dim))
-    for i, white in enumerate(whitened):
-        padded[i, :len(white)] = white
-    padded.setflags(write=False)
     return ObjectiveEvaluator(
         initial_cov=initial_cov,
         transitions=transitions,

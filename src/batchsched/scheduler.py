@@ -43,14 +43,6 @@ class GreedyTrace:
     gain_evaluations: int = 0
 
 
-@dataclass
-class _StepOutcome:
-    cov: np.ndarray  # filter covariance conditioned on the filled slot
-    objective: float
-    accepted: list[tuple[int, float, float]]  # (sensor, gain, objective after)
-    evaluations: int
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def greedy_step(ev: ObjectiveEvaluator, prefix: Schedule, k: int, budget: int) -> tuple[int, ...]:
     """Fill the slot at time index k greedily, given earlier selections.
@@ -67,15 +59,17 @@ def greedy_step(ev: ObjectiveEvaluator, prefix: Schedule, k: int, budget: int) -
         raise InvalidArgument(f"slot {k} and every later slot must be empty before the greedy step")
     prefix.check_shape(ev.horizon, ev.sensor_count)
     cov, value = advance(ev, prefix.selections, k)
-    outcome = _greedy_step(ev, cov, value, k, budget)
-    return tuple(sorted(i for i, _, _ in outcome.accepted))
+    _, entries, _ = _greedy_step(ev, cov, value, k, budget)
+    return tuple(sorted(e.sensor for e in entries))
 
 
-def _greedy_step(ev, cov, value, k, budget) -> _StepOutcome:
-    accepted: list[tuple[int, float, float]] = []
+def _greedy_step(ev, cov, value, k, budget) -> tuple[np.ndarray, list[TraceEntry], int]:
+    """Fill slot k from covariance ``cov`` and objective ``value``: the conditioned
+    covariance, one trace entry per accepted sensor, and the gain evaluations."""
+    entries: list[TraceEntry] = []
     evaluations = 0
     remaining = list(range(ev.sensor_count))  # candidates, in index order
-    while remaining and len(accepted) < budget:
+    while remaining and len(entries) < budget:
         # One scorer call gives every candidate's gain at the covariance
         # conditioned on the sensors accepted so far; each counts as one
         # evaluation. The winner is the first candidate within the tie band
@@ -88,8 +82,8 @@ def _greedy_step(ev, cov, value, k, budget) -> _StepOutcome:
         remaining.remove(winner)
         gain, cov = slot_step(ev, cov, (winner,), k)
         value -= gain
-        accepted.append((winner, gain, value))
-    return _StepOutcome(cov, value, accepted, evaluations)
+        entries.append(TraceEntry(time_index=k, sensor=winner, gain=gain, objective=value))
+    return cov, entries, evaluations
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -110,13 +104,10 @@ def greedy_schedule(ev: ObjectiveEvaluator, model: SystemModel) -> tuple[Schedul
     for k in range(last + 1):
         if k:
             cov = predict(ev, cov, k - 1)
-        outcome = _greedy_step(ev, cov, value, k, model.budgets[k])
-        cov = outcome.cov
-        value = outcome.objective
-        trace.gain_evaluations += outcome.evaluations
-        trace.entries.extend(
-            TraceEntry(time_index=k, sensor=i, gain=g, objective=v)
-            for i, g, v in outcome.accepted
-        )
-        slots[k] = tuple(sorted(i for i, _, _ in outcome.accepted))
+        cov, entries, evaluations = _greedy_step(ev, cov, value, k, model.budgets[k])
+        if entries:
+            value = entries[-1].objective
+        trace.entries.extend(entries)
+        trace.gain_evaluations += evaluations
+        slots[k] = tuple(sorted(e.sensor for e in entries))
     return Schedule(selections=tuple(slots)), trace

@@ -613,6 +613,41 @@ def test_brute_force_takes_a_feasible_incumbent():
         bs.brute_force_opt(ev, model, incumbent=schedule_of([[0, 1], []]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda ev, model, s: bs.objective_logdet(ev, s),
+    lambda ev, model, s: bs.objective_values(ev, [s]),
+    lambda ev, model, s: bs.marginal_gain(ev, s, 1, 1),
+    lambda ev, model, s: bs.batch_error_trace(ev, s),
+    lambda ev, model, s: bs.greedy_step(ev, s, 1, 1),
+    lambda ev, model, s: bs.brute_force_opt(ev, model, incumbent=s),
+], ids=["objective_logdet", "objective_values", "marginal_gain", "batch_error_trace", "greedy_step",
+        "brute_force_opt"])
+def test_a_slot_that_lists_a_sensor_twice_is_rejected(call):
+    # Counted twice, sensor 0 would give the objective -5.536, where the
+    # schedule measuring it once gives -4.937.
+    model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
+    ev = bs.build_evaluator(model)
+    with pytest.raises(bs.InvalidArgument, match="^time index 0 selects sensor 0 twice$"):
+        call(ev, model, bs.Schedule(((0, 0), ())))
+    # A slot's order does not matter, so an unsorted slot stays accepted.
+    assert bs.objective_logdet(ev, bs.Schedule(((2, 0), ()))) == pytest.approx(
+        bs.objective_logdet(ev, schedule_of([[0, 2], []])), rel=1e-12, abs=1e-12
+    )
+
+
+def test_a_repeated_incumbent_cannot_prune_the_optimum():
+    # Sensor 0 three times in each slot reads -7.866, below the optimum, so
+    # as an incumbent it pruned every schedule and the search returned
+    # (None, inf).
+    model = bs.random_scenario(seed=8, n=2, m=3, K=2, r=3)
+    ev = bs.build_evaluator(model)
+    with pytest.raises(bs.InvalidArgument, match="^time index 0 selects sensor 0 twice$"):
+        bs.brute_force_opt(ev, model, incumbent=bs.Schedule(((0, 0, 0), (0, 0, 0))))
+    best, value = bs.brute_force_opt(ev, model, incumbent=bs.Schedule(((2, 0, 1), (1, 0))))
+    assert best == schedule_of([[0, 1, 2], [0, 1, 2]])
+    assert value == pytest.approx(-5.8598, abs=1e-4)
+
+
 def _budgeted_model(budgets, m=5):
     data = bs.model_to_dict(bs.random_scenario(seed=2, n=2, m=m, K=len(budgets), r=0))
     data["budgets"] = list(budgets)

@@ -366,6 +366,22 @@ def test_fuzz_commands(tmp_path):
     assert super_report["effective_trials"] > 0
 
 
+def test_fuzz_without_out_prints_the_report_then_one_summary_line(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario, seed=4))
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert run(["fuzz", "--config", str(scenario), "--property", "mono", "--trials", "4", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    *report_lines, summary = captured.out.splitlines()
+    report = json.loads("\n".join(report_lines))
+    assert report["property"] == "monotonicity" and list(report)[-1] == "timings"
+    assert summary.startswith("monotonicity: 4/4 trials, max excess ")
+    assert captured.out == json.dumps(report, indent=2) + "\n" + summary + "\n"
+    assert captured.err == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
 def strip_timings(payload):
     payload = dict(payload)
     payload.pop("timings", None)

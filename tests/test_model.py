@@ -400,6 +400,24 @@ def test_a_string_or_a_mapping_in_place_of_a_matrix_is_no_matrix(value, fault):
         bs.model_from_dict(data)
 
 
+@pytest.mark.parametrize("rows", [[{"a": 1.0}, {"b": 2.0}], [{True: 1.0}, {False: 2.0}]], ids=["text_keys", "bool_keys"])
+@pytest.mark.parametrize("where", ["P_1", "C", "dynamics[2]"])
+def test_a_matrix_whose_rows_are_mappings_is_no_numeric_matrix(where, rows):
+    # Not "must contain numbers, not strings" (or booleans): a mapping's
+    # keys are no entries of the matrix.
+    data = bs.model_to_dict(bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="discrete-variant"))
+    error, message = bs.DimensionMismatch, rf"^{re.escape(where)} is not a numeric matrix$"
+    if where == "P_1":
+        data["initial_state_cov"] = rows
+    elif where == "C":
+        data["sensors"][0]["C"] = rows
+        error, message = bs.InvalidArgument, r"^sensors\[0\]\.C is not a numeric matrix$"
+    else:
+        data["dynamics"][2] = rows
+    with pytest.raises(error, match=message):
+        bs.model_from_dict(data)
+
+
 def test_a_time_invariant_kind_rejects_a_list_of_interval_matrices():
     data = bs.model_to_dict(bs.random_scenario(seed=8, n=3, m=2, K=6, r=1, kind="discrete-invariant"))
     data["dynamics"] = [data["dynamics"], data["dynamics"]]

@@ -289,7 +289,8 @@ STACKING_MODELS = dict(stacking_models())
 @pytest.mark.parametrize("label", sorted(STACKING_MODELS))
 def test_whitened_sensors_match_the_per_sensor_solve(label):
     # Whitening by one stacked factorization and solve per row count against
-    # each sensor's own triangular solve.
+    # each sensor's own triangular solve. The evaluator keeps one copy of the
+    # rows: each sensor's are a view of padded.
     model = STACKING_MODELS[label]
     ev = bs.build_evaluator(model)
     assert len(ev.whitened) == model.sensor_count
@@ -297,6 +298,7 @@ def test_whitened_sensors_match_the_per_sensor_solve(label):
         expected = solve_triangular(np.linalg.cholesky(sensor.V), sensor.C, lower=True)
         assert white.shape == sensor.C.shape
         assert white.flags.c_contiguous and not white.flags.writeable
+        assert np.shares_memory(white, ev.padded)
         np.testing.assert_allclose(white, expected, rtol=1e-13, atol=1e-13)
 
 
