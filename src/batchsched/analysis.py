@@ -183,9 +183,7 @@ def _subset_arrays(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return members, incidence
 
 
-def _child_bounds(
-    ev: ObjectiveEvaluator, model: SystemModel, k: int, cov: np.ndarray, value: np.ndarray, last: int
-) -> np.ndarray:
+def _child_bounds(ev: ObjectiveEvaluator, k: int, cov: np.ndarray, value: np.ndarray, last: int) -> np.ndarray:
     """Lower bound on the objective of every schedule through each prefix
     that selects subset S at slot k, shape (prefixes, subsets of
     ``_slot_subsets``). Prefix p enters slot k with covariance ``cov[p]``
@@ -201,6 +199,7 @@ def _child_bounds(
     the subsets' incidence matrix sums them for every S. Returns -inf
     throughout, which prunes nothing, if a singleton factorization fails.
     """
+    model = ev.model
     _, incidence = _subset_arrays(model.sensor_count, model.budgets[k])
     ahead = [j for j in range(k + 1, last + 1) if model.budgets[j]]
     covs = [cov]
@@ -226,7 +225,7 @@ class _Frontier(NamedTuple):
 
 
 def _near_minimal_leaves(
-    ev: ObjectiveEvaluator, model: SystemModel, levels: list[int], ceiling: float, slack: float
+    ev: ObjectiveEvaluator, levels: list[int], ceiling: float, slack: float
 ) -> list[tuple[int, ...]]:
     """Subset indices at ``levels`` of every schedule whose stacked value is
     within ``slack`` of the least one, in lexicographic order; schedules
@@ -239,7 +238,7 @@ def _near_minimal_leaves(
     pending = []  # (level, frontier, prefix rows, subsets, bounds) chunks, next last
 
     def branch(level: int, frontier: _Frontier) -> None:
-        bounds = _child_bounds(ev, model, levels[level], frontier.cov, frontier.value, levels[-1])
+        bounds = _child_bounds(ev, levels[level], frontier.cov, frontier.value, levels[-1])
         # Written so that a NaN bound prunes nothing.
         rows, subsets = np.nonzero(~(bounds > ceiling + slack))
         for first in reversed(range(0, len(rows), VALUES_CHUNK)):
@@ -256,7 +255,7 @@ def _near_minimal_leaves(
             continue
         k = levels[level]
         leaf = level == len(levels) - 1
-        members = _subset_arrays(model.sensor_count, model.budgets[k])[0][subsets]
+        members = _subset_arrays(ev.sensor_count, ev.model.budgets[k])[0][subsets]
         gains, cov = stacked_step(ev, frontier.cov[rows], members, k, not leaf)
         value = frontier.value[rows] - gains
         picks = np.column_stack((frontier.picks[rows], subsets))
@@ -284,11 +283,9 @@ def _incumbent_value(ev: ObjectiveEvaluator, incumbent: Schedule) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def brute_force_opt(
-    ev: ObjectiveEvaluator, model: SystemModel, incumbent: Schedule | None = None
-) -> tuple[Schedule, float]:
-    """Exhaustive minimizer over all feasible schedules, by branch and bound
-    over slot levels.
+def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -> tuple[Schedule, float]:
+    """Exhaustive minimizer over all feasible schedules of ``ev.model``, by
+    branch and bound over slot levels.
 
     Only the slots with a nonzero budget branch; later slots are empty in
     every feasible schedule and change no term. The search keeps, per
@@ -309,10 +306,10 @@ def brute_force_opt(
     strictly lower, so the result is the lexicographically first exact
     minimizer, the one plain enumeration would return.
     """
-    ev.check_model(model)
+    model = ev.model
     _check_enumeration_cap(model)
     if incumbent is None:
-        _, trace = greedy_schedule(ev, model)
+        _, trace = greedy_schedule(ev)
         ceiling = trace.entries[-1].objective if trace.entries else trace.start_objective
     else:
         incumbent = incumbent.validate_for(model)
@@ -326,7 +323,7 @@ def brute_force_opt(
     choices = [_slot_subsets(model.sensor_count, model.budgets[k]) for k in levels]
     best_schedule = None
     best_value = math.inf
-    for picks in _near_minimal_leaves(ev, model, levels, ceiling, slack):
+    for picks in _near_minimal_leaves(ev, levels, ceiling, slack):
         slots = [()] * model.horizon
         for k, subsets, pick in zip(levels, choices, picks):
             slots[k] = subsets[pick]
@@ -349,7 +346,7 @@ def worst_value(ev: ObjectiveEvaluator) -> float:
     return -ev.prior_logdet
 
 
-def certify_ratio(ev: ObjectiveEvaluator, model: SystemModel) -> RatioCertificate:
+def certify_ratio(ev: ObjectiveEvaluator) -> RatioCertificate:
     """Certify (greedy - opt) / (max - opt) <= 1/2 by exhaustive search.
 
     The enumeration cap is checked before any work. The greedy runs once:
@@ -358,9 +355,10 @@ def certify_ratio(ev: ObjectiveEvaluator, model: SystemModel) -> RatioCertificat
     carrying the full instance, if the bound fails; that signals a bug in
     this library, not a tight instance.
     """
+    model = ev.model
     _check_enumeration_cap(model)
-    greedy, _ = greedy_schedule(ev, model)
-    opt_schedule, opt_value = brute_force_opt(ev, model, incumbent=greedy)
+    greedy, _ = greedy_schedule(ev)
+    opt_schedule, opt_value = brute_force_opt(ev, incumbent=greedy)
     greedy_value = _incumbent_value(ev, greedy)
     max_value = worst_value(ev)
     fingerprint = model_fingerprint(model)
@@ -447,7 +445,7 @@ def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple]) -> Iterator[tuple
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fuzz(
-    ev: ObjectiveEvaluator, model: SystemModel, trials: int, seed: int,
+    ev: ObjectiveEvaluator, trials: int, seed: int,
     draw: Callable, judge: Callable, property_name: str, message: str,
 ) -> FuzzReport:
     """The trial loop both fuzzers share.
@@ -461,10 +459,9 @@ def _fuzz(
     ``PROPERTY_TOL``; otherwise reports the largest excess observed (at most
     roundoff).
     """
-    ev.check_model(model)
     require_int("trials", trials, 0)
     rng = seeded_rng(seed)
-    fingerprint = model_fingerprint(model)
+    fingerprint = model_fingerprint(ev.model)
     drawn = (trial for trial in (draw(rng) for _ in range(trials)) if trial is not None)
     effective = 0
     max_excess = None
@@ -475,7 +472,7 @@ def _fuzz(
             max_excess = excess
         if excess > PROPERTY_TOL:
             counterexample = {key: v.to_lists() if isinstance(v, Schedule) else v for key, v in fields.items()}
-            counterexample.update(value_fields, excess=excess, fingerprint=fingerprint, model=model_to_dict(model))
+            counterexample.update(value_fields, excess=excess, fingerprint=fingerprint, model=model_to_dict(ev.model))
             raise PropertyViolated(message.format(excess), counterexample=counterexample)
     return FuzzReport(
         property_name=property_name, trials=trials, effective_trials=effective,
@@ -483,11 +480,11 @@ def _fuzz(
     )
 
 
-def fuzz_monotonicity(ev: ObjectiveEvaluator, model: SystemModel, trials: int, seed: int) -> FuzzReport:
+def fuzz_monotonicity(ev: ObjectiveEvaluator, trials: int, seed: int) -> FuzzReport:
     """Sample nested schedule pairs and check the objective never increases."""
 
     def draw(rng):
-        sup = _random_feasible(rng, model)
+        sup = _random_feasible(rng, ev.model)
         sub = _random_subschedule(rng, sup)
         return {"subset": sub, "superset": sup}, (sup, sub)
 
@@ -495,11 +492,11 @@ def fuzz_monotonicity(ev: ObjectiveEvaluator, model: SystemModel, trials: int, s
         sup_value, sub_value = values
         return sup_value - sub_value, {}
 
-    return _fuzz(ev, model, trials, seed, draw, judge,
+    return _fuzz(ev, trials, seed, draw, judge,
                  "monotonicity", "objective increased by {} when sensors were added")
 
 
-def fuzz_supermodularity(ev: ObjectiveEvaluator, model: SystemModel, trials: int, seed: int) -> FuzzReport:
+def fuzz_supermodularity(ev: ObjectiveEvaluator, trials: int, seed: int) -> FuzzReport:
     """Sample nested schedules plus an addition and check diminishing returns.
 
     The gain of one extra sensor on the smaller schedule must be at least its
@@ -508,12 +505,12 @@ def fuzz_supermodularity(ev: ObjectiveEvaluator, model: SystemModel, trials: int
     """
 
     def draw(rng):
-        big = _random_feasible(rng, model)
-        room = [k for k, slot in enumerate(big.selections) if len(slot) < model.budgets[k]]
+        big = _random_feasible(rng, ev.model)
+        room = [k for k, slot in enumerate(big.selections) if len(slot) < ev.model.budgets[k]]
         if not room:
             return None
         k = int(room[int(rng.integers(0, len(room)))])
-        free = [i for i in range(model.sensor_count) if i not in big.selections[k]]
+        free = [i for i in range(ev.sensor_count) if i not in big.selections[k]]
         i = int(free[int(rng.integers(0, len(free)))])
         small = _random_subschedule(rng, big)
         fields = {"small": small, "big": big, "time_index": k, "sensor": i}
@@ -524,11 +521,11 @@ def fuzz_supermodularity(ev: ObjectiveEvaluator, model: SystemModel, trials: int
         gain_big = values[2] - values[3]
         return gain_big - gain_small, {"gain_small": gain_small, "gain_big": gain_big}
 
-    return _fuzz(ev, model, trials, seed, draw, judge,
+    return _fuzz(ev, trials, seed, draw, judge,
                  "supermodularity", "marginal gain grew by {} on the larger schedule")
 
 
-def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
+def bound_inputs(ev: ObjectiveEvaluator) -> BoundInputs:
     """Scalars entering the error-variance limits; schedule-independent.
 
     sigma_w_inv needs only the diagonals of the prior information blocks
@@ -544,7 +541,7 @@ def bound_inputs(ev: ObjectiveEvaluator, model: SystemModel) -> BoundInputs:
     factors give them all, so no covariance is factored again, no interval is
     discretized again and no block is formed.
     """
-    ev.check_model(model)
+    model = ev.model
     n = model.state_dim
     eye = np.eye(n)
     # Row k: the diagonal of block k.

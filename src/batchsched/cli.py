@@ -91,13 +91,13 @@ def _load_model(path: str):
 
 
 def _load_and_build(path: str):
-    """The timings, the model loaded from ``path`` and its evaluator."""
+    """The timings and the evaluator of the model loaded from ``path``."""
     timings: dict[str, float] = {}
     with _timed(timings, "load"):
         model = _load_model(path)
     with _timed(timings, "build"):
         ev = build_evaluator(model)
-    return timings, model, ev
+    return timings, ev
 
 
 def _write_files(files: dict[str, str]) -> None:
@@ -153,26 +153,26 @@ def cmd_schedule(args) -> int:
     if args.seed is not None:
         # Only --algorithm random uses the seed, but every report records it.
         require_int("seed", args.seed, 0)
-    timings, model, ev = _load_and_build(args.config)
+    timings, ev = _load_and_build(args.config)
 
     trace = None
     with _timed(timings, "solve"):
         if args.algorithm in ("greedy", "lazy-greedy"):
-            schedule, trace = greedy_schedule(ev, model)
+            schedule, trace = greedy_schedule(ev)
             objective = objective_logdet(ev, schedule)
         elif args.algorithm == "brute":
-            schedule, objective = brute_force_opt(ev, model)
+            schedule, objective = brute_force_opt(ev)
         elif args.algorithm == "random":
             if args.seed is None:
                 raise InvalidArgument("--seed is required for --algorithm random")
-            schedule = random_schedule(seeded_rng(args.seed), model.sensor_count, model.budgets)
+            schedule = random_schedule(seeded_rng(args.seed), ev.sensor_count, ev.model.budgets)
             objective = objective_logdet(ev, schedule)
         else:  # empty
-            schedule = Schedule.empty(model.horizon)
+            schedule = Schedule.empty(ev.horizon)
             objective = objective_logdet(ev, schedule)
 
     report = {
-        "fingerprint": model_fingerprint(model),
+        "fingerprint": model_fingerprint(ev.model),
         "algorithm": args.algorithm,
         "schedule": schedule.to_lists(),
         "objective": objective,
@@ -189,10 +189,10 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    timings, model, ev = _load_and_build(args.config)
+    timings, ev = _load_and_build(args.config)
     try:
         with _timed(timings, "solve"):
-            cert = certify_ratio(ev, model)
+            cert = certify_ratio(ev)
     except GuaranteeViolated as exc:
         payload = {
             "fingerprint": exc.details["fingerprint"],
@@ -208,31 +208,31 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    timings, model, ev = _load_and_build(args.config)
+    timings, ev = _load_and_build(args.config)
     with _timed(timings, "solve"):
-        inputs = bound_inputs(ev, model)
+        inputs = bound_inputs(ev)
         report = {
-            "fingerprint": model_fingerprint(model),
+            "fingerprint": model_fingerprint(ev.model),
             "lower_bound": error_lower_bound(inputs),
         }
         if args.alpha is not None:
             needed = min_sensors_for_error(inputs, args.alpha)
             # JSON has no infinity: with no sensors, no finite count exists.
             report["min_sensors"] = needed if math.isfinite(needed) else None
-        schedule, _ = greedy_schedule(ev, model)
+        schedule, _ = greedy_schedule(ev)
         report["trace_greedy"] = batch_error_trace(ev, schedule)
-        report["trace_empty"] = batch_error_trace(ev, Schedule.empty(model.horizon))
+        report["trace_empty"] = batch_error_trace(ev, Schedule.empty(ev.horizon))
     _write_report(args.out, report, timings)
     print(f"lower bound {report['lower_bound']:.9g}, greedy trace {report['trace_greedy']:.9g}")
     return EXIT_OK
 
 
 def cmd_fuzz(args) -> int:
-    timings, model, ev = _load_and_build(args.config)
+    timings, ev = _load_and_build(args.config)
     fuzzer = fuzz_monotonicity if args.property == "mono" else fuzz_supermodularity
     try:
         with _timed(timings, "solve"):
-            report = fuzzer(ev, model, args.trials, args.seed)
+            report = fuzzer(ev, args.trials, args.seed)
     except PropertyViolated as exc:
         payload = {
             "fingerprint": exc.counterexample["fingerprint"],

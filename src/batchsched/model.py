@@ -157,11 +157,15 @@ class Schedule:
 
     def check_shape(self, horizon: int, sensor_count: int) -> None:
         """Raise InvalidArgument unless the schedule has ``horizon`` slots,
-        every sensor index lies in [0, sensor_count) and no slot lists a
-        sensor twice (a slot's order does not matter)."""
+        every sensor index is an integer (a bool is not) in [0, sensor_count)
+        and no slot lists a sensor twice (a slot's order does not matter)."""
         if len(self.selections) != horizon:
             raise InvalidArgument(f"schedule has {len(self.selections)} slots, expected {horizon}")
         flat = list(chain.from_iterable(self.selections))
+        wrong = [t for t in set(map(type, flat)) if issubclass(t, bool) or not issubclass(t, (int, np.integer))]
+        if wrong:
+            k, i = next((k, i) for k, slot in enumerate(self.selections) for i in slot if type(i) in wrong)
+            raise InvalidArgument(f"sensor index {i!r} at time index {k} is not an integer")
         if flat and (min(flat) < 0 or max(flat) >= sensor_count):
             k, i = next(
                 (k, i) for k, slot in enumerate(self.selections) for i in slot if not 0 <= i < sensor_count

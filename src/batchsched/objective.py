@@ -132,8 +132,9 @@ class ObjectiveEvaluator(ReadOnlyArrays):
     """Immutable per-model cache: the discretized prior and whitened sensors.
 
     Built once per model and shared by every schedule evaluation; safe to use
-    from concurrent workers. ``transitions``, ``noise_covs`` and
-    ``noise_factors`` are the (K-1, n, n) stacks of ``discretize_intervals``:
+    from concurrent workers. ``model`` is the model it was built for, whose
+    budgets and fingerprint every entry point reads from here. ``transitions``,
+    ``noise_covs`` and ``noise_factors`` are the (K-1, n, n) stacks of ``discretize_intervals``:
     Phi_j, Q_j and Q_j's lower Cholesky factor. ``prior_logdet`` is the
     log-determinant of the prior information matrix, so the empty
     schedule's objective is its negation. ``scorer`` scores every whitened
@@ -144,6 +145,7 @@ class ObjectiveEvaluator(ReadOnlyArrays):
     ``whitened[i]`` is the read-only view of sensor i's rows in ``padded``.
     """
 
+    model: SystemModel
     initial_cov: np.ndarray
     transitions: np.ndarray
     noise_covs: np.ndarray
@@ -165,12 +167,6 @@ class ObjectiveEvaluator(ReadOnlyArrays):
     def sensor_count(self) -> int:
         return len(self.whitened)
 
-    def check_model(self, model: SystemModel) -> None:
-        """Raise InvalidArgument unless ``model`` has this evaluator's
-        horizon and sensor count."""
-        if self.horizon != model.horizon or self.sensor_count != model.sensor_count:
-            raise InvalidArgument("evaluator does not match the model")
-
 
 def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     """Discretize every interval once and whiten every sensor, W_i = L_i^-1 C_i
@@ -191,6 +187,7 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     initial_cov = sym(model.initial_state_cov)
     initial_cov.setflags(write=False)
     return ObjectiveEvaluator(
+        model=model,
         initial_cov=initial_cov,
         transitions=transitions,
         noise_covs=noise_covs,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument
-from .model import Schedule, SystemModel
+from .model import Schedule
 from .objective import ObjectiveEvaluator, advance, objective_logdet, predict, slot_step
 
 # Gains within this absolute distance of the round's best gain count as
@@ -87,24 +87,23 @@ def _greedy_step(ev, cov, value, k, budget) -> tuple[np.ndarray, list[TraceEntry
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def greedy_schedule(ev: ObjectiveEvaluator, model: SystemModel) -> tuple[Schedule, GreedyTrace]:
-    """Greedy schedule over the whole horizon.
+def greedy_schedule(ev: ObjectiveEvaluator) -> tuple[Schedule, GreedyTrace]:
+    """Greedy schedule over the whole horizon, within ``ev.model``'s budgets.
 
     Fills each time slot in order with the single-step greedy; the result is
     always feasible, and two runs on equal inputs are bit-identical. The
     covariance is carried only to the last slot with a nonzero budget; later
     slots stay empty.
     """
-    ev.check_model(model)
-    value = objective_logdet(ev, Schedule.empty(model.horizon))
+    value = objective_logdet(ev, Schedule.empty(ev.horizon))
     trace = GreedyTrace(start_objective=value)
-    last = max((k for k, r in enumerate(model.budgets) if r), default=-1)
+    last = max((k for k, r in enumerate(ev.model.budgets) if r), default=-1)
     cov = ev.initial_cov
-    slots: list[tuple[int, ...]] = [()] * model.horizon
+    slots: list[tuple[int, ...]] = [()] * ev.horizon
     for k in range(last + 1):
         if k:
             cov = predict(ev, cov, k - 1)
-        cov, entries, evaluations = _greedy_step(ev, cov, value, k, model.budgets[k])
+        cov, entries, evaluations = _greedy_step(ev, cov, value, k, ev.model.budgets[k])
         if entries:
             value = entries[-1].objective
         trace.entries.extend(entries)

@@ -47,7 +47,7 @@ def test_criterion_1_approximation_guarantee():
         models = scenario_stream(500, seed0=1234, n_max=3, m_max=4, k_max=3, r_max=2)
         for model in models:
             ev = bs.build_evaluator(model)
-            cert = bs.certify_ratio(ev, model)
+            cert = bs.certify_ratio(ev)
             assert cert.ratio <= 0.5 + 1e-9
             assert cert.opt_value <= cert.greedy_value <= cert.max_value + 1e-9
         assert time.perf_counter() - start < deadline
@@ -97,10 +97,10 @@ def test_criterion_4_monotonicity_and_supermodularity():
     with criterion(4, "fuzzers find zero violations in 1000 trials on each of 20 scenarios"):
         for idx, model in enumerate(scenario_stream(20, seed0=555, m_max=4, r_max=3)):
             ev = bs.build_evaluator(model)
-            mono = bs.fuzz_monotonicity(ev, model, trials=1000, seed=100 + idx)
+            mono = bs.fuzz_monotonicity(ev, trials=1000, seed=100 + idx)
             assert mono.violations == 0
             assert mono.max_excess <= 1e-9
-            super_report = bs.fuzz_supermodularity(ev, model, trials=1000, seed=200 + idx)
+            super_report = bs.fuzz_supermodularity(ev, trials=1000, seed=200 + idx)
             assert super_report.violations == 0
             assert super_report.max_excess is None or super_report.max_excess <= 1e-9
 
@@ -109,7 +109,7 @@ def test_criterion_5_fundamental_limits():
     with criterion(5, "error trace of every feasible schedule respects the lower bound"):
         for model in scenario_stream(20, seed0=135, n_max=3, m_max=3, k_max=2, r_max=2):
             ev = bs.build_evaluator(model)
-            bound = bs.error_lower_bound(bs.bound_inputs(ev, model))
+            bound = bs.error_lower_bound(bs.bound_inputs(ev))
             for schedule in bs.iter_feasible_schedules(model):
                 assert bs.batch_error_trace(ev, schedule) >= bound - 1e-9
         scalar = bs.SystemModel(
@@ -125,7 +125,7 @@ def test_criterion_5_fundamental_limits():
         )
         ev = bs.build_evaluator(scalar)
         achieved = bs.batch_error_trace(ev, schedule_of([[0]]))
-        inputs = bs.bound_inputs(ev, scalar)
+        inputs = bs.bound_inputs(ev)
         assert abs(bs.error_lower_bound(inputs) - 0.5) <= 1e-12
         assert abs(achieved - 0.5) <= 1e-12
         assert abs(bs.min_sensors_for_error(inputs, 0.5) - 1.0) <= 1e-12
@@ -135,7 +135,7 @@ def test_criterion_6_lazy_evaluation_fidelity():
     with criterion(6, "the greedy is bit-identical to the lazy-refresh oracle (200 instances)"):
         for model in scenario_stream(200, seed0=4242, m_max=4, r_max=3):
             ev = bs.build_evaluator(model)
-            schedule, trace = bs.greedy_schedule(ev, model)
+            schedule, trace = bs.greedy_schedule(ev)
             oracle_schedule, oracle_trace, _ = per_candidate_greedy(ev, model, lazy=True)
             assert schedule == oracle_schedule
             assert [

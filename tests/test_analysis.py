@@ -74,18 +74,18 @@ def test_enumeration_is_lexicographic():
 def test_brute_force_zero_budget():
     model = bs.random_scenario(seed=5, n=2, m=3, K=2, r=0)
     ev = bs.build_evaluator(model)
-    schedule, value = bs.brute_force_opt(ev, model)
+    schedule, value = bs.brute_force_opt(ev)
     assert schedule == bs.Schedule.empty(2)
     assert value == bs.objective_logdet(ev, schedule)
     sensorless = dataclasses.replace(model, sensors=())
     ev = bs.build_evaluator(sensorless)
-    assert bs.brute_force_opt(ev, sensorless) == (bs.Schedule.empty(2), -ev.prior_logdet)
+    assert bs.brute_force_opt(ev) == (bs.Schedule.empty(2), -ev.prior_logdet)
 
 
 def test_brute_force_single_sensor():
     model = scalar_model()
     ev = bs.build_evaluator(model)
-    schedule, value = bs.brute_force_opt(ev, model)
+    schedule, value = bs.brute_force_opt(ev)
     assert schedule.to_lists() == [[0]]
     assert value == pytest.approx(math.log(0.5), abs=1e-12)
 
@@ -93,8 +93,8 @@ def test_brute_force_single_sensor():
 def test_brute_force_upper_bounds_greedy():
     for model in scenario_stream(15, seed0=12):
         ev = bs.build_evaluator(model)
-        greedy, _ = bs.greedy_schedule(ev, model)
-        _, opt_value = bs.brute_force_opt(ev, model)
+        greedy, _ = bs.greedy_schedule(ev)
+        _, opt_value = bs.brute_force_opt(ev)
         assert opt_value <= bs.objective_logdet(ev, greedy) + 1e-12
 
 
@@ -103,7 +103,7 @@ def test_brute_force_cap(monkeypatch):
     model = bs.random_scenario(seed=5, n=1, m=4, K=3, r=2)
     ev = bs.build_evaluator(model)
     with pytest.raises(bs.EnumerationCapExceeded):
-        bs.brute_force_opt(ev, model)
+        bs.brute_force_opt(ev)
 
 
 def test_worst_value_scalar():
@@ -127,7 +127,7 @@ def test_worst_value_matches_exhaustive_maximum():
 def test_certify_modular_instance_ratio_zero():
     model = axis_model(budget=1)
     ev = bs.build_evaluator(model)
-    cert = bs.certify_ratio(ev, model)
+    cert = bs.certify_ratio(ev)
     assert cert.ratio == pytest.approx(0.0, abs=1e-12)
     assert cert.opt_value <= cert.greedy_value <= cert.max_value + 1e-9
 
@@ -135,8 +135,8 @@ def test_certify_modular_instance_ratio_zero():
 def test_certify_full_budget_selects_everything():
     model = axis_model(budget=2)
     ev = bs.build_evaluator(model)
-    cert = bs.certify_ratio(ev, model)
-    greedy, _ = bs.greedy_schedule(ev, model)
+    cert = bs.certify_ratio(ev)
+    greedy, _ = bs.greedy_schedule(ev)
     assert greedy.to_lists() == [[0, 1]]
     assert cert.ratio == 0.0
     assert cert.opt_schedule == greedy
@@ -156,7 +156,7 @@ def test_certify_degenerate_spread():
         budgets=(1,),
     )
     ev = bs.build_evaluator(model)
-    cert = bs.certify_ratio(ev, model)
+    cert = bs.certify_ratio(ev)
     assert cert.ratio == 0.0
     assert cert.max_value == pytest.approx(cert.opt_value, abs=1e-12)
 
@@ -164,7 +164,7 @@ def test_certify_degenerate_spread():
 def test_certify_random_sample():
     for model in scenario_stream(50, seed0=2711):
         ev = bs.build_evaluator(model)
-        cert = bs.certify_ratio(ev, model)
+        cert = bs.certify_ratio(ev)
         assert cert.ratio <= 0.5 + 1e-9
         assert cert.opt_value <= cert.greedy_value <= cert.max_value + 1e-9
 
@@ -172,7 +172,7 @@ def test_certify_random_sample():
 def test_certificate_serializes():
     model = axis_model()
     ev = bs.build_evaluator(model)
-    payload = bs.certify_ratio(ev, model).to_dict()
+    payload = bs.certify_ratio(ev).to_dict()
     assert set(payload) == {
         "greedy_value", "opt_value", "max_value", "ratio", "opt_schedule", "fingerprint",
     }
@@ -182,8 +182,8 @@ def test_certificate_serializes():
 def test_fuzz_monotonicity_clean_and_deterministic():
     model = bs.random_scenario(seed=31, n=2, m=3, K=2, r=2)
     ev = bs.build_evaluator(model)
-    first = bs.fuzz_monotonicity(ev, model, trials=300, seed=5)
-    second = bs.fuzz_monotonicity(ev, model, trials=300, seed=5)
+    first = bs.fuzz_monotonicity(ev, trials=300, seed=5)
+    second = bs.fuzz_monotonicity(ev, trials=300, seed=5)
     assert first.violations == 0
     assert first.max_excess <= 1e-9
     assert first.to_dict() == second.to_dict()
@@ -192,8 +192,8 @@ def test_fuzz_monotonicity_clean_and_deterministic():
 def test_fuzz_supermodularity_clean_and_deterministic():
     model = bs.random_scenario(seed=37, n=2, m=3, K=2, r=2)
     ev = bs.build_evaluator(model)
-    first = bs.fuzz_supermodularity(ev, model, trials=300, seed=6)
-    second = bs.fuzz_supermodularity(ev, model, trials=300, seed=6)
+    first = bs.fuzz_supermodularity(ev, trials=300, seed=6)
+    second = bs.fuzz_supermodularity(ev, trials=300, seed=6)
     assert first.violations == 0
     assert first.effective_trials > 0
     assert first.max_excess <= 1e-9
@@ -202,28 +202,37 @@ def test_fuzz_supermodularity_clean_and_deterministic():
 
 def test_fuzz_supermodularity_skips_when_no_room():
     model = bs.random_scenario(seed=37, n=2, m=3, K=2, r=0)
-    report = bs.fuzz_supermodularity(bs.build_evaluator(model), model, trials=50, seed=6)
+    report = bs.fuzz_supermodularity(bs.build_evaluator(model), trials=50, seed=6)
     assert report.effective_trials == 0
     assert report.max_excess is None
 
 
-@pytest.mark.parametrize("call", [
-    bs.greedy_schedule,
-    bs.bound_inputs,
-    lambda ev, model: bs.fuzz_monotonicity(ev, model, trials=1, seed=0),
-    lambda ev, model: bs.fuzz_supermodularity(ev, model, trials=1, seed=0),
-    lambda ev, model: bs.brute_force_opt(ev, model, incumbent=bs.Schedule.empty(model.horizon)),
-], ids=["greedy_schedule", "bound_inputs", "fuzz_monotonicity", "fuzz_supermodularity", "brute_force_opt"])
-def test_an_evaluator_built_for_another_model_is_rejected(call):
-    model = bs.random_scenario(seed=1, n=2, m=3, K=3, r=1)
-    for other in (dataclasses.replace(model, sensors=model.sensors[:2]), bs.random_scenario(seed=1, n=2, m=3, K=2, r=1)):
-        with pytest.raises(bs.InvalidArgument, match="^evaluator does not match the model$"):
-            call(bs.build_evaluator(other), model)
+def test_every_entry_point_reads_the_evaluators_own_model():
+    # Each entry point once took a model beside the evaluator, and a model
+    # other than the evaluator's (same horizon and sensor count) gave a
+    # certificate with that model's fingerprint but the evaluator's values.
+    a = bs.random_scenario(seed=1, n=2, m=3, K=3, r=1)
+    b = bs.random_scenario(seed=2, n=2, m=3, K=3, r=1)
+    for model, opt_value in ((a, -11.5755), (b, -9.7120)):
+        ev = bs.build_evaluator(model)
+        assert ev.model is model
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.model = None
+        fingerprint = bs.model_fingerprint(model)
+        cert = bs.certify_ratio(ev)
+        assert cert.fingerprint == fingerprint
+        assert cert.opt_value == pytest.approx(opt_value, abs=1e-4)
+        assert (cert.opt_schedule, cert.opt_value) == _plain_minimum(ev, model)
+        assert bs.bound_inputs(ev).sigma_w_inv == pytest.approx(
+            max(float(np.diagonal(block).max()) for block in prior_information(model)[0]), rel=1e-12
+        )
+        assert bs.fuzz_monotonicity(ev, trials=1, seed=0).fingerprint == fingerprint
+        assert bs.fuzz_supermodularity(ev, trials=1, seed=0).fingerprint == fingerprint
 
 
 def test_bound_inputs_scalar():
     model = scalar_model()
-    b = bs.bound_inputs(bs.build_evaluator(model), model)
+    b = bs.bound_inputs(bs.build_evaluator(model))
     assert b.sigma_w_inv == pytest.approx(1.0, abs=1e-12)
     assert b.sigma_v_inv == pytest.approx(1.0, abs=1e-12)
     assert b.c_norm_sq == pytest.approx(1.0, abs=1e-12)
@@ -237,7 +246,7 @@ STACKING_MODELS = dict(stacking_models())
 @pytest.mark.parametrize("label", sorted(STACKING_MODELS))
 def test_bound_inputs_match_the_assembled_prior_information(label):
     model = STACKING_MODELS[label]
-    b = bs.bound_inputs(bs.build_evaluator(model), model)
+    b = bs.bound_inputs(bs.build_evaluator(model))
     # Oracles: the assembled blocks' largest diagonal entry, and each V_i's
     # smallest eigenvalue on its own.
     assert b.sigma_w_inv == pytest.approx(
@@ -256,7 +265,7 @@ def test_bound_inputs_read_no_assembled_prior(monkeypatch):
         raise AssertionError("bound_inputs assembled the prior information")
 
     monkeypatch.setattr(analysis, "build_prior_information", assembled)
-    bs.bound_inputs(ev, model)
+    bs.bound_inputs(ev)
 
 
 # K = 1 has no interval; K = 70 keeps 69 Q_j factors.
@@ -278,7 +287,7 @@ def test_bound_inputs_factor_no_noise_covariance(monkeypatch, kind, K):
     monkeypatch.setattr(np.linalg, "cholesky", recording)
     want = refactoring_bound_inputs(ev, model)
     oracle_shapes, shapes[:] = shapes[:], []
-    got = bs.bound_inputs(ev, model)
+    got = bs.bound_inputs(ev)
     monkeypatch.undo()
     noise_stack = (K - 1, 3, 3)
     assert (noise_stack in oracle_shapes) == (K > 1)
@@ -288,17 +297,10 @@ def test_bound_inputs_factor_no_noise_covariance(monkeypatch, kind, K):
     assert [float(v).hex() for v in dataclasses.astuple(got)] == [float(v).hex() for v in dataclasses.astuple(want)]
 
 
-def test_bound_inputs_rejects_mismatched_evaluator():
-    model = bs.random_scenario(seed=3, n=2, m=2, K=3, r=1)
-    other = bs.random_scenario(seed=3, n=2, m=2, K=4, r=1)
-    with pytest.raises(bs.InvalidArgument):
-        bs.bound_inputs(bs.build_evaluator(other), model)
-
-
 def test_error_lower_bound_scalar_tight():
     model = scalar_model()
     ev = bs.build_evaluator(model)
-    assert bs.error_lower_bound(bs.bound_inputs(ev, model)) == pytest.approx(0.5, abs=1e-12)
+    assert bs.error_lower_bound(bs.bound_inputs(ev)) == pytest.approx(0.5, abs=1e-12)
     achieved = bs.batch_error_trace(ev, schedule_of([[0]]))
     assert achieved == pytest.approx(0.5, abs=1e-12)
 
@@ -306,7 +308,7 @@ def test_error_lower_bound_scalar_tight():
 def test_error_lower_bound_zero_budget():
     model = bs.random_scenario(seed=3, n=2, m=2, K=3, r=0)
     ev = bs.build_evaluator(model)
-    b = bs.bound_inputs(ev, model)
+    b = bs.bound_inputs(ev)
     bound = bs.error_lower_bound(b)
     assert bound == pytest.approx(b.state_dim / (b.sigma_w_inv / b.horizon), rel=1e-12)
     assert bs.batch_error_trace(ev, bs.Schedule.empty(3)) >= bound - 1e-9
@@ -316,7 +318,7 @@ def test_error_lower_bound_holds_for_random_schedules():
     rng = np.random.default_rng(11)
     for model in scenario_stream(20, seed0=404):
         ev = bs.build_evaluator(model)
-        bound = bs.error_lower_bound(bs.bound_inputs(ev, model))
+        bound = bs.error_lower_bound(bs.bound_inputs(ev))
         for _ in range(5):
             schedule = _random_feasible(rng, model)
             assert bs.batch_error_trace(ev, schedule) >= bound - 1e-9
@@ -325,29 +327,29 @@ def test_error_lower_bound_holds_for_random_schedules():
 def test_min_sensors_scalar():
     model = scalar_model()
     ev = bs.build_evaluator(model)
-    assert bs.min_sensors_for_error(bs.bound_inputs(ev, model), 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert bs.min_sensors_for_error(bs.bound_inputs(ev), 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_sensors_vacuous_at_prior_trace():
     model = bs.random_scenario(seed=9, n=2, m=3, K=2, r=1)
     ev = bs.build_evaluator(model)
     prior_trace = bs.batch_error_trace(ev, bs.Schedule.empty(2))
-    assert bs.min_sensors_for_error(bs.bound_inputs(ev, model), prior_trace) <= 0.0
+    assert bs.min_sensors_for_error(bs.bound_inputs(ev), prior_trace) <= 0.0
 
 
 def test_min_sensors_consistent_with_achieved_error():
     for model in scenario_stream(15, seed0=515):
         ev = bs.build_evaluator(model)
-        schedule, _ = bs.greedy_schedule(ev, model)
+        schedule, _ = bs.greedy_schedule(ev)
         achieved = bs.batch_error_trace(ev, schedule)
-        needed = bs.min_sensors_for_error(bs.bound_inputs(ev, model), achieved)
+        needed = bs.min_sensors_for_error(bs.bound_inputs(ev), achieved)
         assert needed <= max(map(len, schedule.selections)) + 1e-9
 
 
 def test_min_sensors_rejects_bad_alpha():
     model = scalar_model()
     with pytest.raises(bs.InvalidArgument):
-        bs.min_sensors_for_error(bs.bound_inputs(bs.build_evaluator(model), model), 0.0)
+        bs.min_sensors_for_error(bs.bound_inputs(bs.build_evaluator(model)), 0.0)
 
 
 def _plain_minimum(ev, model):
@@ -382,7 +384,7 @@ def test_brute_force_matches_plain_enumeration():
     models += medium + [large, tied]
     for model in models:
         ev = bs.build_evaluator(model)
-        schedule, value = bs.brute_force_opt(ev, model)
+        schedule, value = bs.brute_force_opt(ev)
         assert (schedule, value) == _plain_minimum(ev, model)
         assert value == bs.objective_logdet(ev, schedule)
     # Identical sensors tie exactly; the first schedule enumerated wins.
@@ -416,7 +418,7 @@ def test_brute_force_matches_plain_enumeration_on_interior_zero_budgets_and_dupl
     assert any({len(sensor.C) for sensor in model.sensors} == {1, 2} for model in models)
     for model in models:
         ev = bs.build_evaluator(model)
-        schedule, value = bs.brute_force_opt(ev, model)
+        schedule, value = bs.brute_force_opt(ev)
         assert (schedule, value) == _plain_minimum(ev, model)
         assert value == bs.objective_logdet(ev, schedule)
 
@@ -432,7 +434,7 @@ def test_search_raises_the_sweeps_error_where_the_stacked_step_fails():
     for incumbent in (None, bs.Schedule.empty(horizon)):
         message = rf"gain of sensors \[0\] at time index {horizon - 1} is not finite"
         with pytest.raises(bs.NumericOverflow, match=message):
-            bs.brute_force_opt(ev, model, incumbent=incumbent)
+            bs.brute_force_opt(ev, incumbent=incumbent)
 
 
 def _count_visited(monkeypatch):
@@ -453,9 +455,9 @@ def _greedy_runs(monkeypatch):
     runs = []
     original = analysis.greedy_schedule
 
-    def counted(ev, model):
-        runs.append(model)
-        return original(ev, model)
+    def counted(ev):
+        runs.append(ev)
+        return original(ev)
 
     monkeypatch.setattr(analysis, "greedy_schedule", counted)
     return runs
@@ -466,7 +468,7 @@ def test_branch_and_bound_visits_a_fraction_of_the_schedules(monkeypatch):
     for seed, kind in enumerate(bs.ModelKind):
         model = bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
         visited.clear()
-        bs.brute_force_opt(bs.build_evaluator(model), model)
+        bs.brute_force_opt(bs.build_evaluator(model))
         assert 0 < len(visited) < bs.feasible_schedule_count(model) / 4
 
 
@@ -477,7 +479,7 @@ def test_per_child_bounds_skip_most_schedules(monkeypatch):
     for seed, kind in enumerate(bs.ModelKind):
         model = bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
         visited.clear()
-        bs.brute_force_opt(bs.build_evaluator(model), model)
+        bs.brute_force_opt(bs.build_evaluator(model))
         assert 0 < len(visited) < bs.feasible_schedule_count(model) / 32
 
 
@@ -488,9 +490,9 @@ def test_search_scores_a_handful_of_schedules_exactly(monkeypatch):
     for seed, kind in enumerate(bs.ModelKind):
         model = bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
         ev = bs.build_evaluator(model)
-        for incumbent in (None, bs.greedy_schedule(ev, model)[0]):
+        for incumbent in (None, bs.greedy_schedule(ev)[0]):
             visited.clear()
-            bs.brute_force_opt(ev, model, incumbent=incumbent)
+            bs.brute_force_opt(ev, incumbent=incumbent)
             assert 0 < len(visited) <= 2
 
 
@@ -512,7 +514,7 @@ def test_search_is_iterative_and_linear_along_zero_budget_slots(monkeypatch):
     for module in (objective, scheduler):
         monkeypatch.setattr(module, "predict", counted(module.predict))
     start = time.perf_counter()
-    schedule, value = bs.brute_force_opt(ev, model)
+    schedule, value = bs.brute_force_opt(ev)
     elapsed = time.perf_counter() - start
     # The greedy seed and the walk each predict through the horizon once.
     assert len(predictions) <= 2 * horizon
@@ -528,13 +530,13 @@ def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
     greedy_runs = _greedy_runs(monkeypatch)
     monkeypatch.setenv(analysis.CAP_ENV_VAR, str(count - 1))
     with pytest.raises(bs.EnumerationCapExceeded, match=f"{count} feasible schedules exceed cap {count - 1}"):
-        bs.brute_force_opt(ev, model)
+        bs.brute_force_opt(ev)
     with pytest.raises(bs.EnumerationCapExceeded):
-        bs.certify_ratio(ev, model)
+        bs.certify_ratio(ev)
     assert visited == [] and greedy_runs == []
     # The cap bounds the feasible count, not the (smaller) number visited.
     monkeypatch.setenv(analysis.CAP_ENV_VAR, str(count))
-    bs.brute_force_opt(ev, model)
+    bs.brute_force_opt(ev)
     assert 0 < len(visited) < count
 
 
@@ -544,7 +546,7 @@ def test_child_bounds_prune_nothing_when_the_scorer_fails():
     model = axis_model()
     cov = np.diag([1.0, -2.0])
     ev = bs.build_evaluator(model)
-    (bounds,) = analysis._child_bounds(ev, model, 0, cov[None], np.array([0.0]), 0)
+    (bounds,) = analysis._child_bounds(ev, 0, cov[None], np.array([0.0]), 0)
     assert len(bounds) == len(analysis._slot_subsets(2, 1))
     assert (bounds == -math.inf).all()
 
@@ -577,7 +579,7 @@ def test_child_bounds_hold_for_every_subset_of_the_slot():
                     subset = schedule.selections[k]
                     value = bs.objective_logdet(ev, schedule)
                     best[subset] = min(best.get(subset, math.inf), value)
-            (bounds,) = analysis._child_bounds(ev, model, k, cov[None], np.array([entering]), last)
+            (bounds,) = analysis._child_bounds(ev, k, cov[None], np.array([entering]), last)
             subsets = analysis._slot_subsets(model.sensor_count, model.budgets[k])
             assert len(bounds) == len(subsets) == len(best)
             for bound, subset in zip(bounds, subsets):
@@ -588,7 +590,7 @@ def test_certify_runs_the_greedy_once(monkeypatch):
     runs = _greedy_runs(monkeypatch)
     for model in scenario_stream(10, seed0=2711):
         runs.clear()
-        bs.certify_ratio(bs.build_evaluator(model), model)
+        bs.certify_ratio(bs.build_evaluator(model))
         assert len(runs) == 1
 
 
@@ -596,9 +598,9 @@ def test_certify_sweeps_the_greedy_schedule_once(monkeypatch):
     visited = _count_visited(monkeypatch)
     for model in scenario_stream(10, seed0=2711) + [bs.random_scenario(seed=2, n=3, m=5, K=3, r=2)]:
         ev = bs.build_evaluator(model)
-        greedy, _ = bs.greedy_schedule(ev, model)
+        greedy, _ = bs.greedy_schedule(ev)
         visited.clear()
-        cert = bs.certify_ratio(ev, model)
+        cert = bs.certify_ratio(ev)
         assert visited.count(greedy) == 1
         assert cert.greedy_value == bs.objective_logdet(ev, greedy)
 
@@ -606,33 +608,52 @@ def test_certify_sweeps_the_greedy_schedule_once(monkeypatch):
 def test_brute_force_takes_a_feasible_incumbent():
     model = bs.random_scenario(seed=2, n=2, m=3, K=2, r=1)
     ev = bs.build_evaluator(model)
-    expected = bs.brute_force_opt(ev, model)
-    for incumbent in (bs.Schedule.empty(2), expected[0], bs.greedy_schedule(ev, model)[0]):
-        assert bs.brute_force_opt(ev, model, incumbent=incumbent) == expected
+    expected = bs.brute_force_opt(ev)
+    for incumbent in (bs.Schedule.empty(2), expected[0], bs.greedy_schedule(ev)[0]):
+        assert bs.brute_force_opt(ev, incumbent=incumbent) == expected
     with pytest.raises(bs.BudgetOutOfRange):
-        bs.brute_force_opt(ev, model, incumbent=schedule_of([[0, 1], []]))
+        bs.brute_force_opt(ev, incumbent=schedule_of([[0, 1], []]))
 
 
-@pytest.mark.parametrize("call", [
-    lambda ev, model, s: bs.objective_logdet(ev, s),
-    lambda ev, model, s: bs.objective_values(ev, [s]),
-    lambda ev, model, s: bs.marginal_gain(ev, s, 1, 1),
-    lambda ev, model, s: bs.batch_error_trace(ev, s),
-    lambda ev, model, s: bs.greedy_step(ev, s, 1, 1),
-    lambda ev, model, s: bs.brute_force_opt(ev, model, incumbent=s),
-], ids=["objective_logdet", "objective_values", "marginal_gain", "batch_error_trace", "greedy_step",
-        "brute_force_opt"])
-def test_a_slot_that_lists_a_sensor_twice_is_rejected(call):
+# Every entry point that evaluates a caller's schedule, called on
+# (evaluator, schedule); each checks the schedule with Schedule.check_shape.
+SCHEDULE_ENTRY_POINTS = {
+    "objective_logdet": bs.objective_logdet,
+    "objective_values": lambda ev, s: bs.objective_values(ev, [s]),
+    "marginal_gain": lambda ev, s: bs.marginal_gain(ev, s, 1, 1),
+    "batch_error_trace": bs.batch_error_trace,
+    "greedy_step": lambda ev, s: bs.greedy_step(ev, s, 1, 1),
+    "brute_force_opt": lambda ev, s: bs.brute_force_opt(ev, incumbent=s),
+}
+
+
+@pytest.mark.parametrize("name", SCHEDULE_ENTRY_POINTS)
+def test_a_slot_that_lists_a_sensor_twice_is_rejected(name):
     # Counted twice, sensor 0 would give the objective -5.536, where the
     # schedule measuring it once gives -4.937.
     model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
     ev = bs.build_evaluator(model)
     with pytest.raises(bs.InvalidArgument, match="^time index 0 selects sensor 0 twice$"):
-        call(ev, model, bs.Schedule(((0, 0), ())))
+        SCHEDULE_ENTRY_POINTS[name](ev, bs.Schedule(((0, 0), ())))
     # A slot's order does not matter, so an unsorted slot stays accepted.
     assert bs.objective_logdet(ev, bs.Schedule(((2, 0), ()))) == pytest.approx(
         bs.objective_logdet(ev, schedule_of([[0, 2], []])), rel=1e-12, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("name", SCHEDULE_ENTRY_POINTS)
+def test_a_sensor_index_that_is_no_integer_is_rejected(name):
+    # 1.0 raised a raw TypeError from tuple indexing in most entry points,
+    # but objective_values read it as sensor 1; True was read as sensor 1
+    # everywhere.
+    model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
+    ev = bs.build_evaluator(model)
+    call = SCHEDULE_ENTRY_POINTS[name]
+    for index in (1.0, True, np.bool_(True), "1", None):
+        with pytest.raises(bs.InvalidArgument, match=r"^sensor index .+ at time index 0 is not an integer$"):
+            call(ev, bs.Schedule(((index,), ())))
+    # A NumPy integer is an integer.
+    assert call(ev, bs.Schedule(((np.int64(1),), ()))) == call(ev, schedule_of([[1], []]))
 
 
 def test_a_repeated_incumbent_cannot_prune_the_optimum():
@@ -642,8 +663,8 @@ def test_a_repeated_incumbent_cannot_prune_the_optimum():
     model = bs.random_scenario(seed=8, n=2, m=3, K=2, r=3)
     ev = bs.build_evaluator(model)
     with pytest.raises(bs.InvalidArgument, match="^time index 0 selects sensor 0 twice$"):
-        bs.brute_force_opt(ev, model, incumbent=bs.Schedule(((0, 0, 0), (0, 0, 0))))
-    best, value = bs.brute_force_opt(ev, model, incumbent=bs.Schedule(((2, 0, 1), (1, 0))))
+        bs.brute_force_opt(ev, incumbent=bs.Schedule(((0, 0, 0), (0, 0, 0))))
+    best, value = bs.brute_force_opt(ev, incumbent=bs.Schedule(((2, 0, 1), (1, 0))))
     assert best == schedule_of([[0, 1, 2], [0, 1, 2]])
     assert value == pytest.approx(-5.8598, abs=1e-4)
 
@@ -714,11 +735,11 @@ FUZZ_ATOL = 1e-10
 def test_fuzzers_match_the_per_trial_oracles_on_criterion_4s_scenarios():
     for idx, model in enumerate(scenario_stream(20, seed0=555, m_max=4, r_max=3)):
         ev = bs.build_evaluator(model)
-        mono = bs.fuzz_monotonicity(ev, model, trials=1000, seed=100 + idx)
+        mono = bs.fuzz_monotonicity(ev, trials=1000, seed=100 + idx)
         trials, max_excess = per_trial_monotonicity(model, 1000, 100 + idx)
         assert mono.effective_trials == trials
         assert abs(mono.max_excess - max_excess) <= FUZZ_ATOL
-        report = bs.fuzz_supermodularity(ev, model, trials=1000, seed=200 + idx)
+        report = bs.fuzz_supermodularity(ev, trials=1000, seed=200 + idx)
         effective, max_excess = per_trial_supermodularity(model, 1000, 200 + idx)
         assert report.effective_trials == effective
         if effective:
@@ -743,14 +764,14 @@ def test_the_first_trial_in_draw_order_decides_between_a_violation_and_an_error(
     model = dataclasses.replace(model, budgets=budgets)
     ev = bs.build_evaluator(model)
     with pytest.raises(bs.NotPositiveDefinite) as failed:
-        fuzzer(ev, model, trials=2, seed=2)
+        fuzzer(ev, trials=2, seed=2)
     with pytest.raises(bs.NotPositiveDefinite) as oracle_failed:
         oracle(model, 2, 2)
     assert str(failed.value) == str(oracle_failed.value)
     oracle(model, 1, 2)  # the first trial alone evaluates
     monkeypatch.setattr(analysis, "PROPERTY_TOL", -math.inf)
     with pytest.raises(bs.PropertyViolated) as violated:
-        fuzzer(ev, model, trials=2, seed=2)
+        fuzzer(ev, trials=2, seed=2)
     with pytest.raises(bs.PropertyViolated) as oracle_violated:
         oracle(model, 2, 2)
     assert str(violated.value).split(" by ")[0] == str(oracle_violated.value).split(" by ")[0]
@@ -780,7 +801,7 @@ def test_a_failing_fuzz_batch_sweeps_each_schedule_at_most_once(monkeypatch, fuz
         monkeypatch.setattr(objective, "objective_logdet", counted)
         monkeypatch.setattr(analysis, "objective_logdet", counted)
         with pytest.raises(bs.NotPositiveDefinite) as failed:
-            fuzzer(ev, model, trials=64, seed=seed)
+            fuzzer(ev, trials=64, seed=seed)
         monkeypatch.undo()
         assert str(failed.value) == str(oracle_failed.value)
         assert 0 < len(swept) <= 64 * per_trial
@@ -800,7 +821,7 @@ def test_fuzzers_evaluate_at_most_one_chunk_of_schedules_per_call(monkeypatch, f
         return original(ev, schedules)
 
     monkeypatch.setattr(analysis, "values_in_order", counted)
-    report = fuzzer(bs.build_evaluator(model), model, trials=1000, seed=9)
+    report = fuzzer(bs.build_evaluator(model), trials=1000, seed=9)
     assert 0 < max(sizes) <= objective.VALUES_CHUNK
     assert sum(sizes) == (2 if fuzzer is bs.fuzz_monotonicity else 4) * report.effective_trials
 
@@ -818,5 +839,5 @@ def test_search_matches_plain_enumeration_when_every_stacked_step_fails(monkeypa
     for model in medium + _search_stress_stream(10, seed0=5150):
         ev = bs.build_evaluator(model)
         expected = _plain_minimum(ev, model)
-        for incumbent in (None, bs.greedy_schedule(ev, model)[0]):
-            assert bs.brute_force_opt(ev, model, incumbent=incumbent) == expected
+        for incumbent in (None, bs.greedy_schedule(ev)[0]):
+            assert bs.brute_force_opt(ev, incumbent=incumbent) == expected

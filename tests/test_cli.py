@@ -319,7 +319,7 @@ def test_bounds_writes_null_min_sensors_without_sensors(tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps(data))
     model = bs.load_scenario(str(scenario))
-    inputs = bs.bound_inputs(bs.build_evaluator(model), model)
+    inputs = bs.bound_inputs(bs.build_evaluator(model))
     for alpha, needed in (("1e-9", math.inf), ("0.5", None), ("1e9", -math.inf)):
         if needed is not None:
             assert bs.min_sensors_for_error(inputs, float(alpha)) == needed
@@ -687,7 +687,7 @@ def test_bounds_with_no_budget_ignore_the_sensors_scale(tmp_path):
     assert run(["bounds", "--config", str(scenario), "--alpha", "0.5", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     model = bs.load_scenario(str(scenario))
-    inputs = bs.bound_inputs(bs.build_evaluator(model), model)
+    inputs = bs.bound_inputs(bs.build_evaluator(model))
     assert inputs.c_norm_sq == math.inf
     assert report["lower_bound"] == pytest.approx(model.state_dim * model.horizon / inputs.sigma_w_inv, rel=1e-12)
     assert report["lower_bound"] <= report["trace_empty"]

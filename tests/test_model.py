@@ -198,8 +198,8 @@ def test_round_trip_preserves_downstream_results():
         assert bs.model_fingerprint(restored) == bs.model_fingerprint(model)
         ev_a = bs.build_evaluator(model)
         ev_b = bs.build_evaluator(restored)
-        sched_a, trace_a = bs.greedy_schedule(ev_a, model)
-        sched_b, trace_b = bs.greedy_schedule(ev_b, restored)
+        sched_a, trace_a = bs.greedy_schedule(ev_a)
+        sched_b, trace_b = bs.greedy_schedule(ev_b)
         assert sched_a == sched_b
         assert bs.objective_logdet(ev_a, sched_a) == bs.objective_logdet(ev_b, sched_b)
         assert [e.objective for e in trace_a.entries] == [e.objective for e in trace_b.entries]

@@ -334,7 +334,7 @@ def test_batch_error_trace_matches_dense_oracle():
     models += scenario_stream(20, seed0=135, n_max=3, m_max=3, k_max=2, r_max=2)
     for model in models:
         ev = bs.build_evaluator(model)
-        greedy, _ = bs.greedy_schedule(ev, model)
+        greedy, _ = bs.greedy_schedule(ev)
         for schedule in (bs.Schedule.empty(model.horizon), _random_feasible(rng, model), greedy):
             oracle = dense_error_trace(ev, schedule)
             assert abs(bs.batch_error_trace(ev, schedule) - oracle) <= 1e-10 * oracle
@@ -358,7 +358,7 @@ def test_batch_error_trace_names_the_time_index_where_the_covariance_overflows()
         warnings.simplefilter("error")
         with pytest.raises(bs.NumericOverflow, match=f"predicted covariance at time index {index} "):
             bs.batch_error_trace(ev, bs.Schedule.empty(model.horizon))
-        greedy, _ = bs.greedy_schedule(ev, model)
+        greedy, _ = bs.greedy_schedule(ev)
         assert math.isfinite(bs.batch_error_trace(ev, greedy))
         # The forward sweep stays finite; P Lambda P overflows going back.
         steep = exploding_scalar_model(horizon=3, growth=1e100)

@@ -1,4 +1,8 @@
-"""The package's public surface: exactly the names it exports."""
+"""The package's public surface: exactly the names it exports, and the
+README's tour of it."""
+
+import re
+from pathlib import Path
 
 import batchsched as bs
 from batchsched import _linalg, objective, prior
@@ -75,3 +79,13 @@ def test_the_information_form_oracle_and_test_only_helpers_are_not_in_the_packag
     ):
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+
+def test_the_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme[readme.index("\n## Library tour\n"):]
+    code = re.search(r"^```python\n(.*?)^```$", tour, re.S | re.M).group(1)
+    namespace = {}
+    exec(compile(code, "README.md (Library tour)", "exec"), namespace)
+    assert namespace["cert"].ratio <= 0.5
+    assert namespace["bound"] <= namespace["achieved"]

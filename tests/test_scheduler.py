@@ -38,7 +38,7 @@ def one_shot_model(sensors, budget):
 def test_zero_budgets_give_empty_schedule():
     model = bs.random_scenario(seed=3, n=2, m=3, K=3, r=0)
     ev = bs.build_evaluator(model)
-    schedule, trace = bs.greedy_schedule(ev, model)
+    schedule, trace = bs.greedy_schedule(ev)
     assert schedule == bs.Schedule.empty(3)
     assert trace.entries == [] and trace.gain_evaluations == 0
     assert bs.objective_logdet(ev, schedule) == -ev.prior_logdet
@@ -57,7 +57,7 @@ def test_single_informative_sensor_selected_everywhere():
         budgets=(1, 1, 1),
     )
     ev = bs.build_evaluator(model)
-    schedule, _ = bs.greedy_schedule(ev, model)
+    schedule, _ = bs.greedy_schedule(ev)
     assert schedule.to_lists() == [[0], [0], [0]]
 
 
@@ -76,7 +76,7 @@ def test_two_slot_worked_example():
     c = bs.Sensor(C=np.array([[1.0, 0.0]]), V=np.array([[0.5]]))
     model = one_shot_model([a, b, c], budget=2)
     ev = bs.build_evaluator(model)
-    schedule, trace = bs.greedy_schedule(ev, model)
+    schedule, trace = bs.greedy_schedule(ev)
 
     assert schedule.to_lists() == [[1, 2]]
     assert trace.entries[0].sensor == 2
@@ -88,7 +88,7 @@ def test_two_slot_worked_example():
     gain_a_after_c = bs.marginal_gain(ev, schedule_of([[2]]), 0, 0)
     assert gain_a_after_c == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
     # Exhaustive confirmation that greedy found the optimum here.
-    opt_schedule, opt_value = bs.brute_force_opt(ev, model)
+    opt_schedule, opt_value = bs.brute_force_opt(ev)
     assert opt_schedule == schedule
     assert bs.objective_logdet(ev, schedule) == pytest.approx(opt_value, abs=1e-12)
 
@@ -96,7 +96,7 @@ def test_two_slot_worked_example():
 def test_schedules_are_feasible():
     for model in scenario_stream(30, seed0=404):
         ev = bs.build_evaluator(model)
-        schedule, _ = bs.greedy_schedule(ev, model)
+        schedule, _ = bs.greedy_schedule(ev)
         schedule.validate_for(model)
         for slot in schedule.selections:
             assert len(set(slot)) == len(slot)
@@ -105,7 +105,7 @@ def test_schedules_are_feasible():
 def test_within_step_gains_diminish():
     for model in scenario_stream(20, seed0=888, m_max=4, r_max=3):
         ev = bs.build_evaluator(model)
-        _, trace = bs.greedy_schedule(ev, model)
+        _, trace = bs.greedy_schedule(ev)
         by_time = {}
         for entry in trace.entries:
             by_time.setdefault(entry.time_index, []).append(entry.gain)
@@ -117,7 +117,7 @@ def test_within_step_gains_diminish():
 def test_trace_objectives_non_increasing():
     for model in scenario_stream(20, seed0=321):
         ev = bs.build_evaluator(model)
-        _, trace = bs.greedy_schedule(ev, model)
+        _, trace = bs.greedy_schedule(ev)
         values = [trace.start_objective] + [e.objective for e in trace.entries]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
@@ -142,8 +142,8 @@ def test_sensor_relabeling_permutes_selection():
         inverse = {int(orig): new for new, orig in enumerate(perm)}
         ev = bs.build_evaluator(model)
         ev_p = bs.build_evaluator(permuted)
-        schedule, _ = bs.greedy_schedule(ev, model)
-        schedule_p, _ = bs.greedy_schedule(ev_p, permuted)
+        schedule, _ = bs.greedy_schedule(ev)
+        schedule_p, _ = bs.greedy_schedule(ev_p)
         mapped = schedule_of(
             [[inverse[i] for i in slot] for slot in schedule.selections]
         )
@@ -153,8 +153,8 @@ def test_sensor_relabeling_permutes_selection():
 def test_repeat_runs_bit_identical():
     model = bs.random_scenario(seed=17, n=3, m=4, K=3, r=2)
     ev = bs.build_evaluator(model)
-    first = bs.greedy_schedule(ev, model)
-    second = bs.greedy_schedule(ev, model)
+    first = bs.greedy_schedule(ev)
+    second = bs.greedy_schedule(ev)
     assert first[0] == second[0]
     assert [e.objective for e in first[1].entries] == [e.objective for e in second[1].entries]
 
@@ -163,7 +163,7 @@ def test_zero_gain_sensors_fill_budget_by_default():
     blank = bs.Sensor(C=np.zeros((1, 2)), V=np.eye(1))
     model = one_shot_model([blank, blank], budget=2)
     ev = bs.build_evaluator(model)
-    schedule, _ = bs.greedy_schedule(ev, model)
+    schedule, _ = bs.greedy_schedule(ev)
     assert schedule.to_lists() == [[0, 1]]
 
 
@@ -172,7 +172,7 @@ def test_eager_rescores_every_remaining_candidate():
     # round scores every remaining candidate, however stale gains might rank.
     for model in scenario_stream(200, seed0=4242, m_max=4, r_max=3):
         ev = bs.build_evaluator(model)
-        _, trace = bs.greedy_schedule(ev, model)
+        _, trace = bs.greedy_schedule(ev)
         m = model.sensor_count
         assert trace.gain_evaluations == sum(m - j for r in model.budgets for j in range(r))
 
@@ -200,7 +200,7 @@ def test_greedy_step_rejects_a_time_index_out_of_range_and_a_negative_budget(k, 
 def test_greedy_step_prefix_conditioning():
     model = bs.random_scenario(seed=23, n=2, m=3, K=2, r=1)
     ev = bs.build_evaluator(model)
-    schedule, _ = bs.greedy_schedule(ev, model)
+    schedule, _ = bs.greedy_schedule(ev)
     prefix = bs.Schedule(selections=(schedule.selections[0], ()))
     step = bs.greedy_step(ev, prefix, 1, model.budgets[1])
     assert step == schedule.selections[1]
@@ -213,7 +213,7 @@ def test_greedy_matches_two_pass_information_form_greedy():
     # remaining candidate, so only its evaluation count is compared.
     for model in scenario_stream(200, seed0=1234, n_max=3, m_max=4, k_max=3, r_max=2):
         ev = bs.build_evaluator(model)
-        schedule, trace = bs.greedy_schedule(ev, model)
+        schedule, trace = bs.greedy_schedule(ev)
         for lazy in (False, True):
             oracle_schedule, oracle_trace, oracle_evaluations = two_pass_greedy(ev, model, lazy)
             assert schedule == oracle_schedule
@@ -242,7 +242,7 @@ def test_batched_scoring_matches_one_update_per_candidate():
     models.append(bs.random_scenario(seed=7, n=6, m=60, K=4, r=3))
     for model in models:
         ev = bs.build_evaluator(model)
-        schedule, trace = bs.greedy_schedule(ev, model)
+        schedule, trace = bs.greedy_schedule(ev)
         for lazy in (False, True):
             oracle_schedule, oracle_trace, oracle_evaluations = per_candidate_greedy(ev, model, lazy)
             assert schedule == oracle_schedule
@@ -263,8 +263,8 @@ def test_greedy_carries_the_covariance_only_to_the_last_slot_with_a_budget(first
     ev = bs.build_evaluator(model)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        schedule, trace = bs.greedy_schedule(ev, model)
-        opt_schedule, opt_value = bs.brute_force_opt(ev, model)
+        schedule, trace = bs.greedy_schedule(ev)
+        opt_schedule, opt_value = bs.brute_force_opt(ev)
     expected = schedule_of([[0] * first_budget] + [[]] * (horizon - 1))
     assert schedule == opt_schedule == expected
     assert len(trace.entries) == first_budget
@@ -283,7 +283,7 @@ def test_greedy_time_linear_in_horizon():
     for _ in range(7):
         for (model, ev), times in zip(cases, samples):
             start = time.perf_counter()
-            bs.greedy_schedule(ev, model)
+            bs.greedy_schedule(ev)
             times.append(time.perf_counter() - start)
     fastest = [min(times) for times in samples]
     exponent = float(np.polyfit(np.log(horizons), np.log(fastest), 1)[0])
@@ -301,5 +301,5 @@ def test_greedy_survives_a_long_unmeasured_unstable_stretch():
     budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
     model = dataclasses.replace(model, budgets=budgets)
     ev = bs.build_evaluator(model)
-    schedule, _ = bs.greedy_schedule(ev, model)
+    schedule, _ = bs.greedy_schedule(ev)
     assert [len(slot) for slot in schedule.selections] == list(budgets)
