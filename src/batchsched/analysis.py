@@ -327,7 +327,7 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
         slots = [()] * model.horizon
         for k, subsets, pick in zip(levels, choices, picks):
             slots[k] = subsets[pick]
-        schedule = Schedule(selections=tuple(slots))
+        schedule = Schedule(slots)
         # The incumbent is swept already: the ceiling is its exact value.
         value = ceiling if schedule == incumbent else objective_logdet(ev, schedule)
         if value < best_value:
@@ -406,9 +406,7 @@ def random_schedule(rng: np.random.Generator, sensor_count: int, sizes) -> Sched
     # Past a slot's size, a sentinel that sorts last.
     picked[np.arange(widest) >= sizes[:, None]] = sensor_count
     picked.sort(axis=1)
-    return Schedule(selections=tuple(
-        tuple(row[:size]) for row, size in zip(picked.tolist(), sizes.tolist())
-    ))
+    return Schedule([row[:size] for row, size in zip(picked.tolist(), sizes.tolist())])
 
 
 def _random_feasible(rng: np.random.Generator, model: SystemModel) -> Schedule:
@@ -420,9 +418,7 @@ def _random_feasible(rng: np.random.Generator, model: SystemModel) -> Schedule:
 def _random_subschedule(rng: np.random.Generator, schedule: Schedule) -> Schedule:
     """Each selected sensor kept with probability 1/2, from one draw."""
     keep = iter((rng.random(sum(map(len, schedule.selections))) < 0.5).tolist())
-    return Schedule(selections=tuple(
-        tuple(i for i in slot if next(keep)) for slot in schedule.selections
-    ))
+    return Schedule([[i for i in slot if next(keep)] for slot in schedule.selections])
 
 
 def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple]) -> Iterator[tuple]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -47,14 +48,14 @@ from .model import (
     Schedule,
     load_scenario,
     model_fingerprint,
-    model_to_dict,
     random_scenario,
     require_int,
+    save_scenario,
     seeded_rng,
     write_texts_atomic,
 )
 from .objective import batch_error_trace, build_evaluator, objective_logdet
-from .scheduler import greedy_schedule
+from .scheduler import TraceEntry, greedy_schedule
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -64,10 +65,6 @@ EXIT_VIOLATION = 4
 
 # "lazy-greedy" is an alias of "greedy", kept for scripts that name it.
 ALGORITHMS = ("greedy", "lazy-greedy", "brute", "random", "empty")
-
-
-class _ConfigError(Exception):
-    """Scenario file missing, unparseable or invalid, or an output path that cannot be written."""
 
 
 @contextmanager
@@ -83,11 +80,11 @@ def _load_model(path: str):
     try:
         return load_scenario(path)
     except FileNotFoundError:
-        raise _ConfigError(f"scenario file not found: {path}") from None
+        raise InvalidArgument(f"scenario file not found: {path}") from None
     except OSError as exc:  # a directory, or no permission to read
-        raise _ConfigError(f"cannot read scenario file {path}: {exc.strerror}") from None
-    except BatchSchedError as exc:
-        raise _ConfigError(str(exc)) from exc
+        raise InvalidArgument(f"cannot read scenario file {path}: {exc.strerror}") from None
+    except BatchSchedError as exc:  # any invalid scenario exits 2
+        raise InvalidArgument(str(exc)) from exc
 
 
 def _load_and_build(path: str):
@@ -100,13 +97,14 @@ def _load_and_build(path: str):
     return timings, ev
 
 
-def _write_files(files: dict[str, str]) -> None:
-    """Write every path's text, or no path if one cannot be written."""
+@contextmanager
+def _writing():
+    """Raise InvalidArgument, naming the path, for a file that cannot be written."""
     try:
-        write_texts_atomic(files)
+        yield
     except OSError as exc:  # a missing directory, or a directory
         # A failed rename names the path second, after its temporary file.
-        raise _ConfigError(f"cannot write {exc.filename2 or exc.filename}: {exc.strerror}") from None
+        raise InvalidArgument(f"cannot write {exc.filename2 or exc.filename}: {exc.strerror}") from None
 
 
 def _write_report(out: str | None, report: dict, timings: dict, extra: dict | None = None) -> None:
@@ -117,22 +115,23 @@ def _write_report(out: str | None, report: dict, timings: dict, extra: dict | No
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_files({out: text, **(extra or {})})
+        with _writing():
+            write_texts_atomic({out: text, **(extra or {})})
 
 
-def _trace_payload(trace) -> list[dict]:
-    return [
-        {"time_index": e.time_index, "sensor": e.sensor, "gain": e.gain, "objective": e.objective}
-        for e in trace.entries
-    ]
+def _violated(out: str | None, fingerprint: str, fields: dict, timings: dict, line: str) -> int:
+    """Report a violated guarantee or property: the report, then ``line`` on stderr."""
+    _write_report(out, {"fingerprint": fingerprint, **fields}, timings)
+    print(line, file=sys.stderr)
+    return EXIT_VIOLATION
 
 
 def _trace_csv(trace) -> str:
+    """One row per trace entry; csv writes each float as its repr."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["time_index", "sensor", "gain", "objective"])
-    for e in trace.entries:
-        writer.writerow([e.time_index, e.sensor, repr(e.gain), repr(e.objective)])
+    writer.writerow([f.name for f in dataclasses.fields(TraceEntry)])
+    writer.writerows(vars(e).values() for e in trace.entries)
     return buffer.getvalue()
 
 
@@ -140,7 +139,8 @@ def cmd_gen(args) -> int:
     model = random_scenario(
         seed=args.seed, n=args.n, m=args.m, K=args.K, r=args.r, kind=args.kind
     )
-    _write_files({args.out: json.dumps(model_to_dict(model), indent=2) + "\n"})
+    with _writing():
+        save_scenario(model, args.out)
     print(f"wrote scenario {model_fingerprint(model)[:12]} to {args.out}")
     return EXIT_OK
 
@@ -181,7 +181,7 @@ def cmd_schedule(args) -> int:
         report["seed"] = args.seed
     if trace is not None:
         report["start_objective"] = trace.start_objective
-        report["trace"] = _trace_payload(trace)
+        report["trace"] = [vars(e) for e in trace.entries]
         report["gain_evaluations"] = trace.gain_evaluations
     _write_report(args.out, report, timings, None if args.csv is None else {args.csv: _trace_csv(trace)})
     print(f"{args.algorithm}: objective {objective:.9g}, schedule {schedule.to_lists()}")
@@ -194,14 +194,8 @@ def cmd_certify(args) -> int:
         with _timed(timings, "solve"):
             cert = certify_ratio(ev)
     except GuaranteeViolated as exc:
-        payload = {
-            "fingerprint": exc.details["fingerprint"],
-            "violation": str(exc),
-            "details": exc.details,
-        }
-        _write_report(args.out, payload, timings)
-        print(f"guarantee violated: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        fields = {"violation": str(exc), "details": exc.details}
+        return _violated(args.out, exc.details["fingerprint"], fields, timings, f"guarantee violated: {exc}")
     _write_report(args.out, cert.to_dict(), timings)
     print(f"ratio {cert.ratio:.9g} (greedy {cert.greedy_value:.9g}, opt {cert.opt_value:.9g})")
     return EXIT_OK
@@ -234,15 +228,8 @@ def cmd_fuzz(args) -> int:
         with _timed(timings, "solve"):
             report = fuzzer(ev, args.trials, args.seed)
     except PropertyViolated as exc:
-        payload = {
-            "fingerprint": exc.counterexample["fingerprint"],
-            "property": args.property,
-            "violation": str(exc),
-            "counterexample": exc.counterexample,
-        }
-        _write_report(args.out, payload, timings)
-        print(f"property violated: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        fields = {"property": args.property, "violation": str(exc), "counterexample": exc.counterexample}
+        return _violated(args.out, exc.counterexample["fingerprint"], fields, timings, f"property violated: {exc}")
     _write_report(args.out, report.to_dict(), timings)
     print(
         f"{report.property_name}: {report.effective_trials}/{report.trials} trials, "
@@ -310,15 +297,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (_ConfigError, InvalidArgument) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except BatchSchedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(exc, InvalidArgument):
+            return EXIT_CONFIG
+        return EXIT_CAP if isinstance(exc, EnumerationCapExceeded) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -137,9 +137,13 @@ class SystemModel(ReadOnlyArrays):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Selected sensor index sets per measurement time, as sorted tuples."""
+    """Selected sensor index sets per measurement time, stored as tuples
+    whatever sequences they are given (as by ``to_lists``)."""
 
     selections: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "selections", tuple(map(tuple, self.selections)))
 
     @classmethod
     def empty(cls, horizon: int) -> "Schedule":
@@ -363,6 +367,13 @@ def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], n
     return stacks
 
 
+def _model_kind(value: Any) -> ModelKind:
+    try:
+        return ModelKind(value)
+    except ValueError:
+        raise InvalidArgument(f"kind must be one of {[k.value for k in ModelKind]}, got {value!r}") from None
+
+
 def _normalized_fields(model: SystemModel) -> dict[str, Any]:
     """The model's fields checked and converted: frozen float arrays, plain
     ints and floats, a ModelKind and tuples.
@@ -371,15 +382,9 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
     BudgetOutOfRange or InvalidArgument with a message naming the offending
     field.
     """
-    try:
-        kind = ModelKind(model.kind)
-    except ValueError:
-        raise InvalidArgument(
-            f"kind must be one of {[k.value for k in ModelKind]}, got {model.kind!r}"
-        ) from None
-
+    kind = _model_kind(model.kind)
     n = model.state_dim
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise DimensionMismatch("state_dim must be a positive integer")
     n = int(n)
 
@@ -442,7 +447,7 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         raise DimensionMismatch(f"budgets must be a list of {horizon} integers")
     budgets = []
     for k, r in enumerate(budgets_raw):
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        if not is_integer(r):
             raise DimensionMismatch(f"budgets[{k}] must be an integer")
         r = int(r)
         if not 0 <= r <= m:
@@ -498,10 +503,21 @@ def _random_dynamics(rng: np.random.Generator, n: int, kind: ModelKind) -> np.nd
     return g
 
 
+def is_integer(value: Any) -> bool:
+    """Whether ``value`` is an int or a NumPy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_integer(label: str, value: Any) -> None:
+    """Raise InvalidArgument, naming ``label``, unless ``value`` is an integer."""
+    if not is_integer(value):
+        raise InvalidArgument(f"{label} {value!r} is not an integer")
+
+
 def require_int(label: str, value, low: int) -> None:
     """Raise InvalidArgument, naming ``label``, unless ``value`` is an
     integer of at least ``low`` (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    if not is_integer(value) or value < low:
         sign = "positive" if low == 1 else "non-negative"
         raise InvalidArgument(f"{label} must be a {sign} integer, got {value!r}")
 
@@ -528,15 +544,10 @@ def random_scenario(
     construction; each sensor reads a random 1- or 2-dimensional linear
     functional of the state.
     """
-    try:
-        kind = ModelKind(kind)
-    except ValueError:
-        raise InvalidArgument(
-            f"kind must be one of {[k.value for k in ModelKind]}, got {kind!r}"
-        ) from None
+    kind = _model_kind(kind)
     for label, value in (("n", n), ("m", m), ("K", K)):
         require_int(label, value, 1)
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= m:
+    if not is_integer(r) or not 0 <= r <= m:
         raise InvalidArgument(f"r must be an integer in [0, {m}], got {r!r}")
 
     rng = seeded_rng(seed)

@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from ._linalg import logdet_from_cholesky, sym
 from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
-from .model import ReadOnlyArrays, Schedule, SystemModel, freeze_arrays
+from .model import ReadOnlyArrays, Schedule, SystemModel, freeze_arrays, require_integer
 # Nothing here uses the information form: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
 # wrap point and bench/test_bench.py requires every wrap point to exist.
@@ -128,7 +128,7 @@ class SingletonScorer(ReadOnlyArrays):
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectiveEvaluator(ReadOnlyArrays):
+class ObjectiveEvaluator:
     """Immutable per-model cache: the discretized prior and whitened sensors.
 
     Built once per model and shared by every schedule evaluation; safe to use
@@ -154,6 +154,10 @@ class ObjectiveEvaluator(ReadOnlyArrays):
     prior_logdet: float
     scorer: SingletonScorer
     padded: np.ndarray
+
+    def __reduce__(self):
+        # Pickled as its model, far smaller: the rebuild restores each stack's layout and flags.
+        return build_evaluator, (self.model,)
 
     @property
     def state_dim(self) -> int:
@@ -426,6 +430,8 @@ def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) ->
     the difference of two full sweeps, so it holds for any schedule,
     including ones with measurements after slot k.
     """
+    require_integer("time index", k)
+    require_integer("sensor index", i)
     if not 0 <= k < ev.horizon:
         raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
     if not 0 <= i < ev.sensor_count:

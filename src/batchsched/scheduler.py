@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument
-from .model import Schedule
+from .model import Schedule, require_integer
 from .objective import ObjectiveEvaluator, advance, objective_logdet, predict, slot_step
 
 # Gains within this absolute distance of the round's best gain count as
@@ -51,6 +51,8 @@ def greedy_step(ev: ObjectiveEvaluator, prefix: Schedule, k: int, budget: int) -
     gain is then its measurement update's log-determinant at the filter
     covariance, which later measurements would change.
     """
+    require_integer("time index", k)
+    require_integer("budget", budget)
     if not 0 <= k < ev.horizon:
         raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
     if budget < 0:
@@ -109,4 +111,4 @@ def greedy_schedule(ev: ObjectiveEvaluator) -> tuple[Schedule, GreedyTrace]:
         trace.entries.extend(entries)
         trace.gain_evaluations += evaluations
         slots[k] = tuple(sorted(e.sensor for e in entries))
-    return Schedule(selections=tuple(slots)), trace
+    return Schedule(slots), trace

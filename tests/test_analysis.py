@@ -656,6 +656,19 @@ def test_a_sensor_index_that_is_no_integer_is_rejected(name):
     assert call(ev, bs.Schedule(((np.int64(1),), ()))) == call(ev, schedule_of([[1], []]))
 
 
+@pytest.mark.parametrize("name", SCHEDULE_ENTRY_POINTS)
+def test_a_schedule_whose_slots_are_lists_evaluates_as_its_tuples(name):
+    # A report's to_lists() form: marginal_gain raised a raw TypeError
+    # concatenating a list and a tuple, and brute_force_opt one hashing it.
+    model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
+    ev = bs.build_evaluator(model)
+    listed = bs.Schedule(selections=[[0, 2], []])
+    tupled = bs.Schedule(((0, 2), ()))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    call = SCHEDULE_ENTRY_POINTS[name]
+    assert call(ev, listed) == call(ev, tupled)
+
+
 def test_a_repeated_incumbent_cannot_prune_the_optimum():
     # Sensor 0 three times in each slot reads -7.866, below the optimum, so
     # as an incumbent it pruned every schedule and the search returned

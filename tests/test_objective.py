@@ -3,6 +3,7 @@ marginal gains, and the error-variance trace."""
 
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -221,6 +222,29 @@ def test_marginal_gain_rejects_duplicates_and_bad_indices():
         bs.marginal_gain(ev, bs.Schedule.empty(1), 1, 0)
     with pytest.raises(bs.InvalidArgument):
         bs.marginal_gain(ev, bs.Schedule.empty(1), 0, 5)
+
+
+@pytest.mark.parametrize("kind", list(bs.ModelKind))
+def test_an_evaluator_pickles_as_its_model(kind):
+    # Pickled array by array, the discrete-invariant kind's zero-stride
+    # stacks came back as K-1 copies and each continuous Phi_j C- instead of
+    # F-contiguous.
+    ev = bs.build_evaluator(bs.random_scenario(seed=3, n=3, m=4, K=64, r=2, kind=kind))
+    blob = pickle.dumps(ev)
+    assert len(blob) < len(pickle.dumps(ev.model)) + 500
+    copy = pickle.loads(blob)
+    for name in ("initial_cov", "transitions", "noise_covs", "noise_factors", "padded"):
+        original, copied = getattr(ev, name), getattr(copy, name)
+        assert copied.strides == original.strides, name
+        assert copied.flags.f_contiguous == original.flags.f_contiguous, name
+        assert copied.flags.c_contiguous == original.flags.c_contiguous, name
+        assert not copied.flags.writeable, name
+        assert np.array_equal(copied, original), name
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        schedule = _random_feasible(rng, ev.model)
+        assert bs.objective_logdet(copy, schedule) == bs.objective_logdet(ev, schedule)
+        assert bs.batch_error_trace(copy, schedule) == bs.batch_error_trace(ev, schedule)
 
 
 def axis_sensor_model(n):

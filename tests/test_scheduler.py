@@ -197,6 +197,32 @@ def test_greedy_step_rejects_a_time_index_out_of_range_and_a_negative_budget(k, 
     assert str(raised.value) == message
 
 
+# Each was taken as an index or a budget, or raised a raw TypeError.
+@pytest.mark.parametrize("call, message", [
+    (lambda ev, s: bs.greedy_step(ev, s, 0, 1.5), "budget 1.5 is not an integer"),
+    (lambda ev, s: bs.greedy_step(ev, s, 0, True), "budget True is not an integer"),
+    (lambda ev, s: bs.greedy_step(ev, s, 1.0, 1), "time index 1.0 is not an integer"),
+    (lambda ev, s: bs.greedy_step(ev, s, True, 1), "time index True is not an integer"),
+    (lambda ev, s: bs.marginal_gain(ev, s, 1.0, 1), "time index 1.0 is not an integer"),
+    (lambda ev, s: bs.marginal_gain(ev, s, 0, 1.0), "sensor index 1.0 is not an integer"),
+    (lambda ev, s: bs.marginal_gain(ev, s, 0, False), "sensor index False is not an integer"),
+])
+def test_greedy_step_and_marginal_gain_reject_indices_that_are_not_integers(call, message):
+    model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
+    ev = bs.build_evaluator(model)
+    with pytest.raises(bs.InvalidArgument) as raised:
+        call(ev, bs.Schedule.empty(2))
+    assert str(raised.value) == message
+
+
+def test_greedy_step_and_marginal_gain_take_numpy_integers():
+    model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
+    ev = bs.build_evaluator(model)
+    empty = bs.Schedule.empty(2)
+    assert bs.greedy_step(ev, empty, np.int64(0), np.int64(1)) == bs.greedy_step(ev, empty, 0, 1)
+    assert bs.marginal_gain(ev, empty, np.int64(0), np.int64(1)) == bs.marginal_gain(ev, empty, 0, 1)
+
+
 def test_greedy_step_prefix_conditioning():
     model = bs.random_scenario(seed=23, n=2, m=3, K=2, r=1)
     ev = bs.build_evaluator(model)
