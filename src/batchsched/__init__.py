@@ -18,7 +18,6 @@ from .analysis import (
     feasible_schedule_count,
     fuzz_monotonicity,
     fuzz_supermodularity,
-    iter_feasible_schedules,
     min_sensors_for_error,
     worst_value,
 )
@@ -53,7 +52,6 @@ from .objective import (
     build_evaluator,
     marginal_gain,
     objective_logdet,
-    objective_values,
 )
 from .prior import (
     build_prior_information,
@@ -64,7 +62,6 @@ from .scheduler import (
     GreedyTrace,
     TraceEntry,
     greedy_schedule,
-    greedy_step,
 )
 
 __version__ = "0.1.0"
@@ -104,8 +101,6 @@ __all__ = [
     "fuzz_monotonicity",
     "fuzz_supermodularity",
     "greedy_schedule",
-    "greedy_step",
-    "iter_feasible_schedules",
     "load_scenario",
     "marginal_gain",
     "min_sensors_for_error",
@@ -113,7 +108,6 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "objective_logdet",
-    "objective_values",
     "random_scenario",
     "save_scenario",
     "worst_value",

@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -146,13 +146,6 @@ def _slot_subsets(m: int, r: int) -> tuple[tuple[int, ...], ...]:
 def feasible_schedule_count(model: SystemModel) -> int:
     m = model.sensor_count
     return math.prod(sum(math.comb(m, size) for size in range(r + 1)) for r in model.budgets)
-
-
-def iter_feasible_schedules(model: SystemModel) -> Iterator[Schedule]:
-    """Every feasible schedule, in lexicographic order of the slot tuples."""
-    per_slot = [_slot_subsets(model.sensor_count, r) for r in model.budgets]
-    for slots in product(*per_slot):
-        yield Schedule(selections=slots)
 
 
 def _check_enumeration_cap(model: SystemModel) -> None:

@@ -508,12 +508,6 @@ def is_integer(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_integer(label: str, value: Any) -> None:
-    """Raise InvalidArgument, naming ``label``, unless ``value`` is an integer."""
-    if not is_integer(value):
-        raise InvalidArgument(f"{label} {value!r} is not an integer")
-
-
 def require_int(label: str, value, low: int) -> None:
     """Raise InvalidArgument, naming ``label``, unless ``value`` is an
     integer of at least ``low`` (0 or 1)."""

@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from ._linalg import logdet_from_cholesky, sym
 from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
-from .model import ReadOnlyArrays, Schedule, SystemModel, freeze_arrays, require_integer
+from .model import ReadOnlyArrays, Schedule, SystemModel, freeze_arrays, require_int
 # Nothing here uses the information form: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
 # wrap point and bench/test_bench.py requires every wrap point to exist.
@@ -414,15 +414,6 @@ def values_in_order(ev: ObjectiveEvaluator, schedules: Iterable[Schedule]) -> It
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def objective_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
-    """``objective_logdet`` of each schedule, to roundoff, in order, from
-    ``values_in_order``; every shape is checked before any sweep."""
-    for schedule in schedules:
-        schedule.check_shape(ev.horizon, ev.sensor_count)
-    return np.fromiter(values_in_order(ev, schedules), float, len(schedules))
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
     """Objective decrease from adding sensor i at time index k.
 
@@ -430,11 +421,11 @@ def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) ->
     the difference of two full sweeps, so it holds for any schedule,
     including ones with measurements after slot k.
     """
-    require_integer("time index", k)
-    require_integer("sensor index", i)
-    if not 0 <= k < ev.horizon:
+    require_int("time index", k, 0)
+    require_int("sensor index", i, 0)
+    if k >= ev.horizon:
         raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
-    if not 0 <= i < ev.sensor_count:
+    if i >= ev.sensor_count:
         raise InvalidArgument(f"sensor index {i} out of range")
     schedule.check_shape(ev.horizon, ev.sensor_count)
     added = schedule.with_added(k, i)

@@ -3,8 +3,10 @@ the information-form oracle on (diag, upper) stacks of blocks."""
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from itertools import chain, combinations, product
 
 import numpy as np
 from scipy.linalg import block_diag, expm, solve_triangular
@@ -30,6 +32,16 @@ def scenario_stream(count, seed0=0, n_max=3, m_max=4, k_max=3, r_max=2, kinds=AL
             bs.random_scenario(seed=seed0 * 100_003 + idx, n=n, m=m, K=k, r=r, kind=kind)
         )
     return models
+
+
+def iter_feasible_schedules(model):
+    """Every feasible schedule, in lexicographic order of the slot tuples: the
+    plain enumeration that the exhaustive search and its count are checked against."""
+    per_slot = [
+        sorted(chain.from_iterable(combinations(range(model.sensor_count), size) for size in range(r + 1)))
+        for r in model.budgets
+    ]
+    return (bs.Schedule(slots) for slots in product(*per_slot))
 
 
 def schedule_of(sets):
@@ -145,6 +157,16 @@ def per_interval_discretization(model):
             q = sym(f @ w @ f.T)
         intervals.append((phi, q, chol_pd(q, f"Q_{j + 1}")))
     return tuple(intervals)
+
+
+@functools.lru_cache(maxsize=None)
+def generated_case(kind, K, seed):
+    """``random_scenario(seed, n=6, m=10, K, r=3, kind)``, its evaluator, and
+    their greedy schedule and trace; built once per test session and shared,
+    so none of them may be changed."""
+    model = bs.random_scenario(seed=seed, n=6, m=10, K=K, r=3, kind=kind)
+    ev = bs.build_evaluator(model)
+    return (model, ev, *bs.greedy_schedule(ev))
 
 
 def stable_model(horizon, n=8, m=3, r=2, seed=99):
@@ -269,6 +291,37 @@ def dense_error_trace(ev, schedule):
     lower = np.linalg.cholesky(dense)
     inv_lower = solve_triangular(lower, np.eye(len(dense)), lower=True)
     return float(np.sum(inv_lower * inv_lower))
+
+
+def selected_inversion_trace(ev, schedule):
+    """Trace of the batch error covariance J^-1, by selected inversion of the
+    assembled information matrix J (Takahashi, Fagan & Chin, 1973).
+
+    Block LDL.T by the forward Schur recursion S_1 = D_1 and
+    S_{k+1} = D_{k+1} - U_k.T S_k^-1 U_k, then backward Sigma_KK = S_K^-1 and
+    Sigma_kk = S_k^-1 + G_k Sigma_{k+1,k+1} G_k.T with G_k = S_k^-1 U_k; the
+    trace is the sum of the tr Sigma_kk. O(K n^3), and it shares nothing with
+    the filter's backward pass. Raises NotPositiveDefinite naming the first
+    S_k that fails.
+    """
+    diag, upper = assemble_information(ev, schedule)
+    inverses, gains = [], []
+    schur = diag[0]
+    for k in range(len(diag)):
+        # S_k = L L.T; the Schur complement subtracts the Gram matrix of
+        # L^-1 U_k, as block_tridiag_logdet does.
+        inv_lower = solve_triangular(chol_pd(schur, f"S_{k + 1}"), np.eye(len(schur)), lower=True)
+        inverses.append(inv_lower.T @ inv_lower)
+        if k + 1 < len(diag):
+            half = inv_lower @ upper[k]
+            gains.append(inv_lower.T @ half)
+            schur = sym(diag[k + 1] - half.T @ half)
+    sigma = inverses[-1]
+    total = float(np.trace(sigma))
+    for k in range(len(diag) - 2, -1, -1):
+        sigma = inverses[k] + gains[k] @ sigma @ gains[k].T
+        total += float(np.trace(sigma))
+    return total
 
 
 def refactoring_bound_inputs(ev, model):

@@ -18,6 +18,7 @@ from helpers import (
     block_tridiag_logdet,
     dense_logdet,
     dense_prior_covariance,
+    iter_feasible_schedules,
     measurement_form_covariance,
     per_candidate_greedy,
     prior_information,
@@ -110,7 +111,7 @@ def test_criterion_5_fundamental_limits():
         for model in scenario_stream(20, seed0=135, n_max=3, m_max=3, k_max=2, r_max=2):
             ev = bs.build_evaluator(model)
             bound = bs.error_lower_bound(bs.bound_inputs(ev))
-            for schedule in bs.iter_feasible_schedules(model):
+            for schedule in iter_feasible_schedules(model):
                 assert bs.batch_error_trace(ev, schedule) >= bound - 1e-9
         scalar = bs.SystemModel(
             kind="discrete-invariant",

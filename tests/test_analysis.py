@@ -13,6 +13,7 @@ from batchsched.analysis import _random_feasible, _random_subschedule, random_sc
 from helpers import (
     ALL_KINDS,
     exploding_scalar_model,
+    iter_feasible_schedules,
     overflow_index,
     per_trial_monotonicity,
     per_trial_supermodularity,
@@ -62,12 +63,12 @@ def test_feasible_schedule_count():
     model = bs.random_scenario(seed=0, n=2, m=4, K=3, r=2)
     per_time = 1 + 4 + 6
     assert bs.feasible_schedule_count(model) == per_time**3
-    assert sum(1 for _ in bs.iter_feasible_schedules(model)) == per_time**3
+    assert sum(1 for _ in iter_feasible_schedules(model)) == per_time**3
 
 
 def test_enumeration_is_lexicographic():
     model = bs.random_scenario(seed=0, n=1, m=2, K=1, r=2)
-    listed = [s.selections for s in bs.iter_feasible_schedules(model)]
+    listed = [s.selections for s in iter_feasible_schedules(model)]
     assert listed == [((),), ((0,),), ((0, 1),), ((1,),)]
 
 
@@ -117,7 +118,7 @@ def test_worst_value_matches_exhaustive_maximum():
         ev = bs.build_evaluator(model)
         analytic = bs.worst_value(ev)
         exhaustive = max(
-            bs.objective_logdet(ev, s) for s in bs.iter_feasible_schedules(model)
+            bs.objective_logdet(ev, s) for s in iter_feasible_schedules(model)
         )
         assert abs(analytic - exhaustive) <= 1e-9
         empty_value = bs.objective_logdet(ev, bs.Schedule.empty(model.horizon))
@@ -354,7 +355,7 @@ def test_min_sensors_rejects_bad_alpha():
 
 def _plain_minimum(ev, model):
     best_schedule, best_value = None, math.inf
-    for schedule in bs.iter_feasible_schedules(model):
+    for schedule in iter_feasible_schedules(model):
         value = bs.objective_logdet(ev, schedule)
         if value < best_value:
             best_schedule, best_value = schedule, value
@@ -574,7 +575,7 @@ def test_child_bounds_hold_for_every_subset_of_the_slot():
             prefix = _random_feasible(rng, model).selections[:k]
             cov, entering = objective.advance(ev, prefix, k)
             best = {}
-            for schedule in bs.iter_feasible_schedules(model):
+            for schedule in iter_feasible_schedules(model):
                 if schedule.selections[:k] == prefix:
                     subset = schedule.selections[k]
                     value = bs.objective_logdet(ev, schedule)
@@ -619,10 +620,8 @@ def test_brute_force_takes_a_feasible_incumbent():
 # (evaluator, schedule); each checks the schedule with Schedule.check_shape.
 SCHEDULE_ENTRY_POINTS = {
     "objective_logdet": bs.objective_logdet,
-    "objective_values": lambda ev, s: bs.objective_values(ev, [s]),
     "marginal_gain": lambda ev, s: bs.marginal_gain(ev, s, 1, 1),
     "batch_error_trace": bs.batch_error_trace,
-    "greedy_step": lambda ev, s: bs.greedy_step(ev, s, 1, 1),
     "brute_force_opt": lambda ev, s: bs.brute_force_opt(ev, incumbent=s),
 }
 
@@ -644,7 +643,7 @@ def test_a_slot_that_lists_a_sensor_twice_is_rejected(name):
 @pytest.mark.parametrize("name", SCHEDULE_ENTRY_POINTS)
 def test_a_sensor_index_that_is_no_integer_is_rejected(name):
     # 1.0 raised a raw TypeError from tuple indexing in most entry points,
-    # but objective_values read it as sensor 1; True was read as sensor 1
+    # but the stacked sweep read it as sensor 1; True was read as sensor 1
     # everywhere.
     model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
     ev = bs.build_evaluator(model)
@@ -741,7 +740,7 @@ def test_samplers_are_reproducible_per_seed():
 
 # Fuzz reports against the per-trial oracles, absolute: each excess is a
 # difference of objective values that the stacked sweep reproduces to
-# within objective_values' tolerance (see test_objective.VALUES_ATOL).
+# within values_in_order's tolerance (see test_objective.VALUES_ATOL).
 FUZZ_ATOL = 1e-10
 
 

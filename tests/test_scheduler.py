@@ -65,7 +65,8 @@ def test_identical_sensors_tie_breaks_to_smaller_index():
     sensor = bs.Sensor(C=np.array([[1.0, 0.0]]), V=np.array([[1.0]]))
     model = one_shot_model([sensor, sensor], budget=1)
     ev = bs.build_evaluator(model)
-    assert bs.greedy_step(ev, bs.Schedule.empty(1), 0, 1) == (0,)
+    schedule, _ = bs.greedy_schedule(ev)
+    assert schedule.to_lists() == [[0]]
 
 
 def test_two_slot_worked_example():
@@ -175,61 +176,6 @@ def test_eager_rescores_every_remaining_candidate():
         _, trace = bs.greedy_schedule(ev)
         m = model.sensor_count
         assert trace.gain_evaluations == sum(m - j for r in model.budgets for j in range(r))
-
-
-def test_greedy_step_requires_empty_slot():
-    model = bs.random_scenario(seed=1, n=2, m=2, K=2, r=1)
-    ev = bs.build_evaluator(model)
-    with pytest.raises(bs.InvalidArgument):
-        bs.greedy_step(ev, schedule_of([[0], []]), 0, 1)
-
-
-@pytest.mark.parametrize("k, budget, message", [
-    (2, 1, "time index 2 out of range for horizon 2"),
-    (-1, 1, "time index -1 out of range for horizon 2"),
-    (0, -1, "budget must be nonnegative, got -1"),
-])
-def test_greedy_step_rejects_a_time_index_out_of_range_and_a_negative_budget(k, budget, message):
-    model = bs.random_scenario(seed=1, n=2, m=2, K=2, r=1)
-    ev = bs.build_evaluator(model)
-    with pytest.raises(bs.InvalidArgument) as raised:
-        bs.greedy_step(ev, bs.Schedule.empty(2), k, budget)
-    assert str(raised.value) == message
-
-
-# Each was taken as an index or a budget, or raised a raw TypeError.
-@pytest.mark.parametrize("call, message", [
-    (lambda ev, s: bs.greedy_step(ev, s, 0, 1.5), "budget 1.5 is not an integer"),
-    (lambda ev, s: bs.greedy_step(ev, s, 0, True), "budget True is not an integer"),
-    (lambda ev, s: bs.greedy_step(ev, s, 1.0, 1), "time index 1.0 is not an integer"),
-    (lambda ev, s: bs.greedy_step(ev, s, True, 1), "time index True is not an integer"),
-    (lambda ev, s: bs.marginal_gain(ev, s, 1.0, 1), "time index 1.0 is not an integer"),
-    (lambda ev, s: bs.marginal_gain(ev, s, 0, 1.0), "sensor index 1.0 is not an integer"),
-    (lambda ev, s: bs.marginal_gain(ev, s, 0, False), "sensor index False is not an integer"),
-])
-def test_greedy_step_and_marginal_gain_reject_indices_that_are_not_integers(call, message):
-    model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
-    ev = bs.build_evaluator(model)
-    with pytest.raises(bs.InvalidArgument) as raised:
-        call(ev, bs.Schedule.empty(2))
-    assert str(raised.value) == message
-
-
-def test_greedy_step_and_marginal_gain_take_numpy_integers():
-    model = bs.random_scenario(seed=1, n=2, m=3, K=2, r=2)
-    ev = bs.build_evaluator(model)
-    empty = bs.Schedule.empty(2)
-    assert bs.greedy_step(ev, empty, np.int64(0), np.int64(1)) == bs.greedy_step(ev, empty, 0, 1)
-    assert bs.marginal_gain(ev, empty, np.int64(0), np.int64(1)) == bs.marginal_gain(ev, empty, 0, 1)
-
-
-def test_greedy_step_prefix_conditioning():
-    model = bs.random_scenario(seed=23, n=2, m=3, K=2, r=1)
-    ev = bs.build_evaluator(model)
-    schedule, _ = bs.greedy_schedule(ev)
-    prefix = bs.Schedule(selections=(schedule.selections[0], ()))
-    step = bs.greedy_step(ev, prefix, 1, model.budgets[1])
-    assert step == schedule.selections[1]
 
 
 def test_greedy_matches_two_pass_information_form_greedy():
