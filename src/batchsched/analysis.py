@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -40,11 +40,8 @@ from .objective import (
     stacked_step,
     values_in_order,
 )
-# The fuzzers no longer call marginal_gain or build their own evaluator, and
-# bound_inputs reads the prior information's diagonal without assembling it;
-# these names stay importable from this module only because bench/tracing.py
-# lists them as wrap points and bench/test_bench.py requires every wrap point
-# to exist.
+# Called nowhere in this module: bench/tracing.py lists these names as its
+# wrap points, and bench/test_bench.py requires every wrap point to exist.
 from .objective import build_evaluator, marginal_gain  # noqa: F401
 from .prior import build_prior_information  # noqa: F401
 from .scheduler import greedy_schedule
@@ -137,13 +134,12 @@ class FuzzReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _slot_subsets(m: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """All subsets of [0, m) with size at most r, in lexicographic order."""
-    return tuple(sorted(chain.from_iterable(combinations(range(m), size) for size in range(r + 1))))
-
-
 def feasible_schedule_count(model: SystemModel) -> int:
+    """The number of feasible schedules of ``model``: the product over slots
+    of the number of sensor subsets within the slot's budget. A slot with a
+    nonzero budget offers at least two subsets, the empty one and a single
+    sensor, so the count is at least 2 to the number of branching slots,
+    and the enumeration cap bounds the exhaustive search's depth."""
     m = model.sensor_count
     return math.prod(sum(math.comb(m, size) for size in range(r + 1)) for r in model.budgets)
 
@@ -162,59 +158,46 @@ def _check_enumeration_cap(model: SystemModel) -> None:
 
 
 @lru_cache(maxsize=None)
-def _subset_arrays(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two read-only arrays whose row s describes ``_slot_subsets(m, r)[s]``:
-    its sensors, then the sentinel m (``ObjectiveEvaluator.padded``'s zero
-    rows) up to r entries; and the 0/1 row marking its sensors."""
-    subsets = _slot_subsets(m, r)
-    members = np.full((len(subsets), r), m)
-    incidence = np.zeros((len(subsets), m))
-    for row, subset in enumerate(subsets):
-        members[row, :len(subset)] = subset
-        incidence[row, list(subset)] = 1.0
+def _subset_table(m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """All subsets of [0, m) with size at most r, in lexicographic order, and
+    two read-only arrays whose row s describes subset s: its sensors, then
+    the sentinel m (``ObjectiveEvaluator.padded``'s zero rows) up to r
+    entries; and the 0/1 row marking its sensors."""
+    subsets = tuple(sorted(chain.from_iterable(combinations(range(m), size) for size in range(r + 1))))
+    members = np.array([s + (m,) * (r - len(s)) for s in subsets], dtype=int).reshape(len(subsets), r)
+    incidence = (members[:, :, None] == np.arange(m)).any(axis=1).astype(float)
     freeze_arrays([members, incidence])
-    return members, incidence
+    return subsets, members, incidence
 
 
-def _child_bounds(ev: ObjectiveEvaluator, k: int, cov: np.ndarray, value: np.ndarray, last: int) -> np.ndarray:
+def _child_bounds(ev: ObjectiveEvaluator, levels: list[int], cov: np.ndarray, value: np.ndarray) -> np.ndarray:
     """Lower bound on the objective of every schedule through each prefix
-    that selects subset S at slot k, shape (prefixes, subsets of
-    ``_slot_subsets``). Prefix p enters slot k with covariance ``cov[p]``
-    and objective ``value[p]``.
+    that selects subset S at slot k = ``levels[0]``, shape (prefixes,
+    subsets); ``levels`` are the branching slots from k on. Prefix p enters
+    slot k with covariance ``cov[p]`` and objective ``value[p]``.
 
     A slot's gain never exceeds the sum of its sensors' singleton gains, and
     a gain only shrinks as earlier slots measure more. So slot k adds at
     most the sum over S of the singleton gains g at ``cov[p]``, and each
-    later slot j up to ``last``, the last one with a nonzero budget, at most
-    the top r_j singleton gains at the covariance predicted from ``cov[p]``
-    with slots k..j-1 left empty. One stacked ``SingletonScorer`` call over
-    every prefix and slot gives these singleton gains, and one product with
-    the subsets' incidence matrix sums them for every S. Returns -inf
-    throughout, which prunes nothing, if a singleton factorization fails.
+    later branching slot j at most the top r_j singleton gains at the
+    covariance predicted from ``cov[p]`` with slots k..j-1 left empty. One
+    stacked ``SingletonScorer`` call over every prefix and slot gives these
+    singleton gains, and one product with the subsets' incidence matrix sums
+    them for every S. Returns -inf throughout, which prunes nothing, if a
+    singleton factorization fails.
     """
     model = ev.model
-    _, incidence = _subset_arrays(model.sensor_count, model.budgets[k])
-    ahead = [j for j in range(k + 1, last + 1) if model.budgets[j]]
+    incidence = _subset_table(model.sensor_count, model.budgets[levels[0]])[2]
     covs = [cov]
-    for start, stop in zip([k] + ahead, ahead):
+    for start, stop in zip(levels, levels[1:]):
         covs.append(predict_through(ev, covs[-1], start, stop))
     try:
         gains = ev.scorer.stacked(np.concatenate(covs)).reshape(len(covs), len(value), model.sensor_count)
     except np.linalg.LinAlgError:
         return np.full((len(value), len(incidence)), -math.inf)
     ranked = np.sort(gains[1:], axis=2)
-    rest = sum(ranked[l, :, -model.budgets[j]:].sum(axis=1) for l, j in enumerate(ahead))
+    rest = sum(ranked[l, :, -model.budgets[j]:].sum(axis=1) for l, j in enumerate(levels[1:]))
     return (value - rest)[:, None] - gains[0] @ incidence.T
-
-
-class _Frontier(NamedTuple):
-    """Prefixes entering one branching slot, stacked: ``picks[p, l]`` is
-    prefix p's subset index at the l-th branching slot before it, ``cov[p]``
-    its filter covariance and ``value[p]`` its objective, to roundoff."""
-
-    picks: np.ndarray
-    cov: np.ndarray
-    value: np.ndarray
 
 
 def _near_minimal_leaves(
@@ -223,45 +206,51 @@ def _near_minimal_leaves(
     """Subset indices at ``levels`` of every schedule whose stacked value is
     within ``slack`` of the least one, in lexicographic order; schedules
     whose bound exceeds ``ceiling``, or the least value found, by more than
-    ``slack`` are skipped. The search goes level by level over chunks of at
-    most ``VALUES_CHUNK`` prefixes or (prefix, subset) pairs, depth first
-    over chunks, so its memory stays bounded."""
+    ``slack`` are skipped.
+
+    ``descend`` takes the prefixes entering one branching slot, stacked:
+    ``picks[p]`` holds prefix p's subset indices so far, ``cov[p]`` its
+    filter covariance and ``value[p]`` its objective, to roundoff. It bounds
+    every (prefix, subset) pair, then steps the survivors in chunks of at
+    most ``VALUES_CHUNK``, in order, each filtered again against the ceiling,
+    and recurses with each chunk into the next branching slot. Each
+    branching slot offers at least two subsets, so the enumeration cap,
+    checked first, keeps the depth at most log2(cap): 20 at the default;
+    the interpreter's 1,000-frame limit needs a cap above about 2^990.
+    """
     best = math.inf
     near: list[tuple[tuple[int, ...], float]] = []
-    pending = []  # (level, frontier, prefix rows, subsets, bounds) chunks, next last
 
-    def branch(level: int, frontier: _Frontier) -> None:
-        bounds = _child_bounds(ev, levels[level], frontier.cov, frontier.value, levels[-1])
-        # Written so that a NaN bound prunes nothing.
-        rows, subsets = np.nonzero(~(bounds > ceiling + slack))
-        for first in reversed(range(0, len(rows), VALUES_CHUNK)):
-            part = slice(first, first + VALUES_CHUNK)
-            pending.append((level, frontier, rows[part], subsets[part], bounds[rows[part], subsets[part]]))
-
-    root_cov = predict_through(ev, ev.initial_cov[None], 0, levels[0])
-    branch(0, _Frontier(np.zeros((1, 0), dtype=int), root_cov, np.array([-ev.prior_logdet])))
-    while pending:
-        level, frontier, rows, subsets, bounds = pending.pop()
-        keep = ~(bounds > ceiling + slack)
-        rows, subsets = rows[keep], subsets[keep]
-        if not len(rows):
-            continue
+    def descend(level: int, picks: np.ndarray, cov: np.ndarray, value: np.ndarray) -> None:
+        nonlocal best, ceiling, near
         k = levels[level]
         leaf = level == len(levels) - 1
-        members = _subset_arrays(ev.sensor_count, ev.model.budgets[k])[0][subsets]
-        gains, cov = stacked_step(ev, frontier.cov[rows], members, k, not leaf)
-        value = frontier.value[rows] - gains
-        picks = np.column_stack((frontier.picks[rows], subsets))
-        if not leaf:
-            branch(level + 1, _Frontier(picks, predict_through(ev, cov, k + 1, levels[level + 1]), value))
-            continue
-        lowest = float(value.min())
-        if lowest < best:
-            best = lowest
-            ceiling = min(ceiling, best)
-            near = [(p, v) for p, v in near if v <= best + slack]
-        for row in np.flatnonzero(value <= best + slack).tolist():
-            near.append((tuple(picks[row].tolist()), float(value[row])))
+        members = _subset_table(ev.sensor_count, ev.model.budgets[k])[1]
+        bounds = _child_bounds(ev, levels[level:], cov, value)
+        # Written so that a NaN bound prunes nothing.
+        pairs = np.argwhere(~(bounds > ceiling + slack))
+        for first in range(0, len(pairs), VALUES_CHUNK):
+            rows, subsets = pairs[first:first + VALUES_CHUNK].T
+            keep = ~(bounds[rows, subsets] > ceiling + slack)
+            rows, subsets = rows[keep], subsets[keep]
+            if not len(rows):
+                continue
+            gains, stepped = stacked_step(ev, cov[rows], members[subsets], k, not leaf)
+            values = value[rows] - gains
+            chosen = np.column_stack((picks[rows], subsets))
+            if not leaf:
+                descend(level + 1, chosen, predict_through(ev, stepped, k + 1, levels[level + 1]), values)
+                continue
+            lowest = float(values.min())
+            if lowest < best:
+                best = lowest
+                ceiling = min(ceiling, best)
+                near = [(p, v) for p, v in near if v <= best + slack]
+            for row in np.flatnonzero(values <= best + slack).tolist():
+                near.append((tuple(chosen[row].tolist()), float(values[row])))
+
+    root_cov = predict_through(ev, ev.initial_cov[None], 0, levels[0])
+    descend(0, np.zeros((1, 0), dtype=int), root_cov, np.array([-ev.prior_logdet]))
     return [p for p, _ in near]
 
 
@@ -278,19 +267,17 @@ def _incumbent_value(ev: ObjectiveEvaluator, incumbent: Schedule) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -> tuple[Schedule, float]:
     """Exhaustive minimizer over all feasible schedules of ``ev.model``, by
-    branch and bound over slot levels.
+    branch and bound over the slots with a nonzero budget; the others are
+    empty in every feasible schedule.
 
-    Only the slots with a nonzero budget branch; later slots are empty in
-    every feasible schedule and change no term. The search keeps, per
-    branching slot, a stack of the surviving prefixes' filter covariances
-    and values. At each, ``_child_bounds`` bounds every (prefix, subset)
+    At each branching slot, ``_child_bounds`` bounds every (prefix, subset)
     pair in one stacked computation, and a pair is skipped when its bound
     exceeds the best value known by more than ``BOUND_SLACK_RTOL`` of the
     values' scale, which roundoff cannot bridge. The best value starts at
     the objective of ``incumbent`` (the greedy schedule's, from its trace,
     when None), which ``Schedule.validate_for`` must accept for the model.
-    The surviving pairs are stepped in one stacked bordered Cholesky
-    factorization and time update per chunk (``_near_minimal_leaves``).
+    ``_near_minimal_leaves`` steps the surviving pairs in one stacked
+    bordered Cholesky factorization and time update per chunk.
 
     At the last branching slot this gives each surviving schedule's value to
     roundoff. Only the schedules within the slack of the least such value
@@ -313,7 +300,7 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
     # The branching slots; with no budget anywhere, slot 0 stands in, with
     # the empty subset as its only choice.
     levels = [k for k, r in enumerate(model.budgets) if r] or [0]
-    choices = [_slot_subsets(model.sensor_count, model.budgets[k]) for k in levels]
+    choices = [_subset_table(model.sensor_count, model.budgets[k])[0] for k in levels]
     best_schedule = None
     best_value = math.inf
     for picks in _near_minimal_leaves(ev, levels, ceiling, slack):
@@ -414,24 +401,6 @@ def _random_subschedule(rng: np.random.Generator, schedule: Schedule) -> Schedul
     return Schedule([[i for i in slot if next(keep)] for slot in schedule.selections])
 
 
-def _evaluated(ev: ObjectiveEvaluator, draws: Iterator[tuple]) -> Iterator[tuple]:
-    """(trial, its schedules' objective values) for each (trial, schedules)
-    pair that ``draws`` yields, in draw order; every trial has as many
-    schedules as the first.
-
-    Trials are drawn in batches whose schedules fill one ``VALUES_CHUNK``, so
-    memory stays bounded however many there are, and each batch's values
-    come from one ``values_in_order`` stream. The stream sweeps a failed
-    chunk one schedule at a time only as the caller reaches each trial, so
-    the first trial in draw order to fail or violate decides.
-    """
-    for first in draws:
-        per_trial = len(first[1])
-        batch = [first, *islice(draws, VALUES_CHUNK // per_trial - 1)]
-        values = values_in_order(ev, [s for _, schedules in batch for s in schedules])
-        yield from ((trial, list(islice(values, per_trial))) for trial, _ in batch)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _fuzz(
     ev: ObjectiveEvaluator, trials: int, seed: int,
@@ -446,7 +415,9 @@ def _fuzz(
     values add. Raises PropertyViolated, with ``message`` formatted with the
     excess, on the first trial in draw order whose excess exceeds
     ``PROPERTY_TOL``; otherwise reports the largest excess observed (at most
-    roundoff).
+    roundoff). Trials are drawn in batches that fill one ``VALUES_CHUNK``,
+    and each batch's ``values_in_order`` stream is read trial by trial, so a
+    failed chunk is swept one schedule at a time as each trial is reached.
     """
     require_int("trials", trials, 0)
     rng = seeded_rng(seed)
@@ -454,15 +425,19 @@ def _fuzz(
     drawn = (trial for trial in (draw(rng) for _ in range(trials)) if trial is not None)
     effective = 0
     max_excess = None
-    for fields, values in _evaluated(ev, drawn):
-        effective += 1
-        excess, value_fields = judge(values)
-        if max_excess is None or excess > max_excess:
-            max_excess = excess
-        if excess > PROPERTY_TOL:
-            counterexample = {key: v.to_lists() if isinstance(v, Schedule) else v for key, v in fields.items()}
-            counterexample.update(value_fields, excess=excess, fingerprint=fingerprint, model=model_to_dict(ev.model))
-            raise PropertyViolated(message.format(excess), counterexample=counterexample)
+    for first in drawn:
+        per_trial = len(first[1])
+        batch = [first, *islice(drawn, VALUES_CHUNK // per_trial - 1)]
+        values = values_in_order(ev, [s for _, schedules in batch for s in schedules])
+        for fields, _ in batch:
+            effective += 1
+            excess, value_fields = judge(list(islice(values, per_trial)))
+            if max_excess is None or excess > max_excess:
+                max_excess = excess
+            if excess > PROPERTY_TOL:
+                counterexample = {key: v.to_lists() if isinstance(v, Schedule) else v for key, v in fields.items()}
+                counterexample.update(value_fields, excess=excess, fingerprint=fingerprint, model=model_to_dict(ev.model))
+                raise PropertyViolated(message.format(excess), counterexample=counterexample)
     return FuzzReport(
         property_name=property_name, trials=trials, effective_trials=effective,
         max_excess=max_excess, tolerance=PROPERTY_TOL, seed=seed, fingerprint=fingerprint,

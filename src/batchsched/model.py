@@ -641,7 +641,7 @@ def load_scenario(path: str) -> SystemModel:
         ) from None
     try:
         data = json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:  # malformed JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # malformed, an integer too long, or nested too deep
         raise InvalidArgument(f"invalid JSON in scenario file: {exc}") from None
     return model_from_dict(data)
 

@@ -498,8 +498,9 @@ def test_search_scores_a_handful_of_schedules_exactly(monkeypatch):
 
 
 def test_search_is_iterative_and_linear_along_zero_budget_slots(monkeypatch):
-    # One branching slot at the end of a long chain: a recursive walk would
-    # overflow the stack, and bounding every chain node would cost O(K^2).
+    # One branching slot at the end of a long chain: a walk that recursed
+    # per slot would overflow the stack, and bounding every chain node would
+    # cost O(K^2).
     horizon = 1500
     model = dataclasses.replace(stable_model(horizon, n=4), budgets=(0,) * (horizon - 1) + (2,))
     ev = bs.build_evaluator(model)
@@ -541,37 +542,48 @@ def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
     assert 0 < len(visited) < count
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_search_reaches_the_depth_the_default_cap_allows(monkeypatch, n):
+    # 20 branching slots of two subsets each: 2^20 feasible schedules, under
+    # the default cap, and one recursion level per branching slot.
+    model = bs.random_scenario(seed=n, n=n, m=1, K=20, r=1, kind="continuous-variant")
+    assert bs.feasible_schedule_count(model) == 2**20 <= analysis.ENUMERATION_CAP_DEFAULT
+    ev = bs.build_evaluator(model)
+    visited = _count_visited(monkeypatch)
+    schedule, value = bs.brute_force_opt(ev)
+    assert 0 < len(visited) <= 2
+    assert schedule == schedule_of([[0]] * 20)
+    assert value == bs.objective_logdet(ev, schedule)
+
+
 def test_child_bounds_prune_nothing_when_the_scorer_fails():
     # A covariance negative along one axis breaks that axis sensor's
     # singleton factorization; no child may then be pruned.
     model = axis_model()
     cov = np.diag([1.0, -2.0])
     ev = bs.build_evaluator(model)
-    (bounds,) = analysis._child_bounds(ev, 0, cov[None], np.array([0.0]), 0)
-    assert len(bounds) == len(analysis._slot_subsets(2, 1))
+    (bounds,) = analysis._child_bounds(ev, [0], cov[None], np.array([0.0]))
+    assert len(bounds) == len(analysis._subset_table(2, 1)[0])
     assert (bounds == -math.inf).all()
 
 
 def test_subset_arrays_match_the_slot_subsets_row_by_row():
     for m, r in ((1, 0), (1, 1), (4, 2), (5, 5)):
-        members, incidence = analysis._subset_arrays(m, r)
-        subsets = analysis._slot_subsets(m, r)
+        subsets, members, incidence = analysis._subset_table(m, r)
         assert members.shape == (len(subsets), r) and incidence.shape == (len(subsets), m)
         for subset, row, marks in zip(subsets, members.tolist(), incidence.tolist()):
             assert row == list(subset) + [m] * (r - len(subset))
             assert marks == [1.0 if i in subset else 0.0 for i in range(m)]
         assert not members.flags.writeable and not incidence.flags.writeable
-        assert analysis._subset_arrays(m, r)[0] is members
+        assert analysis._subset_table(m, r)[1] is members
 
 
 def test_child_bounds_hold_for_every_subset_of_the_slot():
     rng = np.random.default_rng(3)
     for model in scenario_stream(20, seed0=77, n_max=3, m_max=4, k_max=3, r_max=2):
         ev = bs.build_evaluator(model)
-        last = max((k for k, r in enumerate(model.budgets) if r), default=-1)
-        for k in range(last + 1):
-            if not model.budgets[k]:
-                continue
+        levels = [k for k, r in enumerate(model.budgets) if r]
+        for level, k in enumerate(levels):
             prefix = _random_feasible(rng, model).selections[:k]
             cov, entering = objective.advance(ev, prefix, k)
             best = {}
@@ -580,8 +592,8 @@ def test_child_bounds_hold_for_every_subset_of_the_slot():
                     subset = schedule.selections[k]
                     value = bs.objective_logdet(ev, schedule)
                     best[subset] = min(best.get(subset, math.inf), value)
-            (bounds,) = analysis._child_bounds(ev, k, cov[None], np.array([entering]), last)
-            subsets = analysis._slot_subsets(model.sensor_count, model.budgets[k])
+            (bounds,) = analysis._child_bounds(ev, levels[level:], cov[None], np.array([entering]))
+            subsets = analysis._subset_table(model.sensor_count, model.budgets[k])[0]
             assert len(bounds) == len(subsets) == len(best)
             for bound, subset in zip(bounds, subsets):
                 assert bound <= best[subset] + 1e-9

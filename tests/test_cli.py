@@ -430,6 +430,27 @@ def test_schedule_non_utf8_config_exits_2(tmp_path, capsys):
     assert str(scenario) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nesting", ["brackets", "input_signal"])
+def test_a_deeply_nested_config_exits_2_with_one_error_line(tmp_path, capsys, nesting):
+    # Past the interpreter's recursion limit the JSON decoder raises
+    # RecursionError, which is a load failure like any malformed file.
+    scenario = tmp_path / "s.json"
+    if nesting == "brackets":
+        scenario.write_text("[" * 100_000)
+    else:
+        run(gen_args(scenario))
+        data = json.loads(scenario.read_text())
+        data["input_signal"] = 0
+        scenario.write_text(json.dumps(data).replace('"input_signal": 0', '"input_signal": ' + "[" * 1000 + "]" * 1000))
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    code = run(["schedule", "--config", str(scenario), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: invalid JSON in scenario file: ")
+    assert not out.exists()
+
+
 def test_schedule_directory_config_exits_2(tmp_path, capsys):
     code = run(["schedule", "--config", str(tmp_path), "--out", str(tmp_path / "r.json")])
     assert code == 2
