@@ -6,6 +6,13 @@ import math
 from typing import Iterable
 
 import numpy as np
+# The LAPACK gufuncs that np.linalg.cholesky and np.linalg.solve wrap, called
+# directly on the filter's hot paths: there every matrix is a few rows square,
+# and the public wrappers' checks cost 6-11 us a call against 1.5-3 us for the
+# kernel. A factorization that fails returns its factor filled with NaN and
+# sets the floating-point invalid flag instead of raising, so a caller
+# silences that flag and tests the factor.
+from numpy.linalg._umath_linalg import cholesky_lo as lapack_cholesky, solve as lapack_solve
 
 from .errors import NotPositiveDefinite
 

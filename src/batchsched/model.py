@@ -48,6 +48,10 @@ SCENARIO_KEYS = (
 # Accepted for fidelity to the full system description; never used by any
 # covariance computation (known inputs shift the estimate mean only).
 OPTIONAL_SCENARIO_KEYS = ("input_matrix", "input_signal")
+# The deepest nesting of lists and objects accepted in input_signal, far
+# below the interpreter's recursion limit, which the JSON encoder behind
+# model_fingerprint and save_scenario must stay under.
+INPUT_SIGNAL_MAX_DEPTH = 32
 
 
 class ModelKind(str, Enum):
@@ -367,6 +371,21 @@ def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], n
     return stacks
 
 
+def _check_signal_depth(signal: Any) -> None:
+    """Raise InvalidArgument if lists and objects nest in ``signal`` deeper
+    than INPUT_SIGNAL_MAX_DEPTH; measured level by level, without recursion."""
+    level = [signal]
+    for _ in range(INPUT_SIGNAL_MAX_DEPTH):
+        level = [
+            child
+            for item in level if isinstance(item, (list, tuple, dict))
+            for child in (item.values() if isinstance(item, dict) else item)
+        ]
+        if not level:
+            return
+    raise InvalidArgument(f"input_signal must nest lists and objects at most {INPUT_SIGNAL_MAX_DEPTH} deep")
+
+
 def _model_kind(value: Any) -> ModelKind:
     try:
         return ModelKind(value)
@@ -459,6 +478,7 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         input_matrix = _as_matrix(model.input_matrix, "input_matrix")
         if input_matrix.shape[0] != n:
             raise DimensionMismatch(f"input_matrix must have {n} rows, got {input_matrix.shape[0]}")
+    _check_signal_depth(model.input_signal)
 
     fields = {
         "kind": kind,

@@ -29,9 +29,8 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from ._linalg import logdet_from_cholesky, sym
+from ._linalg import lapack_cholesky, lapack_solve, logdet_from_cholesky, sym
 from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
 from .model import ReadOnlyArrays, Schedule, SystemModel, freeze_arrays, require_int
 # Nothing here uses the information form: build_prior_information stays
@@ -64,7 +63,6 @@ class _ScorerGroup(NamedTuple):
     blocks: np.ndarray  # 1 on each sensor's diagonal block, 0 elsewhere
     identity: np.ndarray
     starts: np.ndarray  # each sensor's first row
-    owner: np.ndarray  # each row's sensor
 
 
 class SingletonScorer(ReadOnlyArrays):
@@ -94,22 +92,26 @@ class SingletonScorer(ReadOnlyArrays):
                 blocks=(owner[:, None] == owner[None, :]).astype(float),
                 identity=np.eye(rows),
                 starts=np.searchsorted(owner, np.arange(first, stop)),
-                owner=owner,
             ))
             first = stop
         freeze_arrays(self.groups)
 
+    @np.errstate(invalid="ignore")  # a failed factorization is NaN, raised below
     def __call__(self, cov: np.ndarray, k: int) -> np.ndarray:
         """The gains, indexed by sensor. Raises NotPositiveDefinite, naming the
-        sensor and the time index ``k``, if roundoff breaks a factorization."""
+        sensor and the time index ``k``, if roundoff breaks a factorization:
+        the first sensor whose rows, with the group's rows before them, fail
+        to factor, as LAPACK would report the failing pivot."""
         gains = np.empty(self.sensor_count)
-        for first, stop, stacked, blocks, identity, starts, owner in self.groups:
+        for first, stop, stacked, blocks, identity, starts in self.groups:
             inner = stacked @ cov @ stacked.T
             inner *= blocks
             inner += identity
-            lower, info = dpotrf(inner, lower=1)
-            if info:
-                raise _lost_precision(f"sensor {int(owner[info - 1])}", k)
+            lower = lapack_cholesky(inner)
+            if lower[0, 0] != lower[0, 0]:  # NaN: the factorization failed
+                ends = [*starts[1:].tolist(), len(inner)]
+                failed = next(i for i, end in enumerate(ends) if np.isnan(lapack_cholesky(inner[:end, :end])).any())
+                raise _lost_precision(f"sensor {first + failed}", k)
             gains[first:stop] = 2.0 * np.add.reduceat(np.log(lower.diagonal()), starts)
         return gains
 
@@ -118,7 +120,7 @@ class SingletonScorer(ReadOnlyArrays):
         sensors), with one stacked product and Cholesky factorization per
         group; raises LinAlgError if any factorization fails."""
         gains = np.empty((len(covs), self.sensor_count))
-        for first, stop, stacked, blocks, identity, starts, _ in self.groups:
+        for first, stop, stacked, blocks, identity, starts in self.groups:
             inner = stacked @ covs @ stacked.T
             inner *= blocks
             inner += identity
@@ -203,6 +205,7 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     )
 
 
+@np.errstate(invalid="ignore")  # a failed factorization is NaN, raised below
 def _measure(
     ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,12 +226,11 @@ def _measure(
         innovation[j, j] += 1.0
     # I plus a PSD matrix has pivots of at least 1 in exact arithmetic, so
     # no pivot ratio test applies; this fails only once the filter covariance
-    # has lost its precision. Raw LAPACK calls: the matrix is a few rows
-    # square, where wrapper overhead would be most of the cost.
-    lower, info = dpotrf(innovation, lower=1, clean=1)
-    if info:
+    # has lost its precision.
+    lower = lapack_cholesky(innovation)
+    if lower[0, 0] != lower[0, 0]:  # NaN: the factorization failed
         raise _lost_precision(f"sensors {list(sensors)}", k)
-    factor, _ = dtrtrs(lower, projected, lower=1)
+    factor = lapack_solve(lower, projected)
     # factor.T @ factor is computed as a symmetric rank-d product, so the
     # covariance stays exactly symmetric.
     return white, lower, cov - factor.T @ factor
@@ -465,7 +467,7 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
             total += float(np.trace(cov))
         elif slots[k]:
             white, lower, conditioned = _measure(ev, cov, slots[k], k)
-            steps.append((cov, dtrtrs(lower, white, lower=1)[0]))
+            steps.append((cov, lapack_solve(lower, white)))
             cov = conditioned
         else:
             steps.append((cov, None))

@@ -9,12 +9,109 @@ information-form oracle on ``build_prior_information``.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import expm
+import math
 
-from ._linalg import pd_factors, sym
+import numpy as np
+
+from ._linalg import lapack_solve, pd_factors, sym
 from .errors import InvalidArgument, NumericOverflow
 from .model import ModelKind, SystemModel, freeze_arrays
+
+
+# Higham (SIAM J. Matrix Anal. Appl. 2005), Table 2.3: the largest 1-norm at
+# which the [m/m] Pade approximant of exp, for each degree m, is accurate to
+# double-precision unit roundoff.
+PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+              9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+
+def _pade_terms(m: int) -> np.ndarray:
+    """The coefficients b_j = (2m - j)! / (j! (m - j)!) of the [m/m] Pade
+    approximant of exp in Higham's degree-13 evaluation,
+
+        U = A [A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + b5 A^4 + b3 A^2 + b1 I],
+        V = A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I,
+
+    with b_j = 0 past m: row r holds the coefficients of I, A^2, A^4 and A^6
+    in U's outer (r = 0) and inner (1) sums and in V's (2 and 3)."""
+    terms = np.zeros((4, 4))
+    for j in range(m + 1):
+        inner = j >= 8
+        terms[2 * (j % 2 == 0) + inner, (j - 6 * inner) // 2] = (
+            math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+        )
+    return terms
+
+
+_THETAS = np.array(list(PADE_THETA.values()))
+_PADE_TERMS = np.stack([_pade_terms(m) for m in PADE_THETA])
+
+# _discretize exponentiates at most this many intervals' blocks together, so
+# the work arrays stay a few hundred kilobytes at any horizon.
+EXPM_CHUNK = 64
+
+
+# Overflow shows as a non-finite exponential, which the caller reports.
+@np.errstate(over="ignore", invalid="ignore")
+def expm(a: np.ndarray) -> np.ndarray:
+    """The exponential of each matrix of a (J, p, p) stack, by scaling and
+    squaring (Higham 2005).
+
+    Each matrix takes its Pade degree, the least m in PADE_THETA whose theta
+    bounds its 1-norm, from that norm alone; past theta_13 it is scaled by
+    2^-s, the least s that brings the norm under theta_13, and the degree-13
+    approximant is squared s times. One evaluation serves every degree (see
+    ``_pade_terms``), and a matrix's exponential is the same bits in any
+    stack. A matrix whose 1-norm is not finite gives NaN.
+    """
+    count, p = len(a), a.shape[-1]
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    finite = np.isfinite(norms)
+    norms = np.where(finite, norms, 0.0)
+    terms = _PADE_TERMS[np.searchsorted(_THETAS, norms).clip(max=len(_THETAS) - 1)]
+    squarings = np.ceil(np.log2(np.maximum(norms / _THETAS[-1], 1.0))).astype(int)
+    a = np.ldexp(a, -squarings[:, None, None])
+    powers = np.empty((count, 4, p, p))
+    powers[:, 0] = np.eye(p)
+    powers[:, 1] = a2 = a @ a
+    powers[:, 2] = a4 = a2 @ a2
+    powers[:, 3] = a6 = a4 @ a2
+    sums = (terms @ powers.reshape(count, 4, p * p)).reshape(count, 4, p, p)
+    u = a @ (a6 @ sums[:, 1] + sums[:, 0])
+    v = a6 @ sums[:, 3] + sums[:, 2]
+    power = lapack_solve(v - u, v + u)
+    for i in range(int(squarings.max(initial=0))):
+        live = squarings > i
+        root = power[live]
+        power[live] = root @ root
+    power[~finite] = np.nan
+    return power
+
+
+def van_loan(a: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi = exp(A) and Q, the integral of exp(A s) N exp(A.T s) ds over
+    [0, 1], for each pair of two (J, n, n) stacks of A and of symmetric N.
+
+    The exponential of M = [[-A, N], [0, A.T]] carries Phi.T in its
+    lower-right block and a matrix G in its upper-right block with Q = Phi G
+    (Van Loan, IEEE TAC 1978). Each Phi is F-contiguous, the layout a
+    one-matrix transpose copy has, so that every later product with it makes
+    the same BLAS call whatever the stack.
+    """
+    n = a.shape[-1]
+    # Balancing by D = diag(2^b I, I), exact in binary: exp(D^-1 M D) =
+    # D^-1 exp(M) D, so N goes in scaled by 2^-b and G comes out scaled by
+    # 2^b. b brings N's 1-norm down to about max(1, |A|), so a large noise
+    # forces no squarings, which would amplify the roundoff in Phi.
+    ratio = np.abs(noise).sum(axis=1).max(axis=1) / np.maximum(1.0, np.abs(a).sum(axis=1).max(axis=1))
+    shift = np.maximum(0, np.frexp(ratio)[1])[:, None, None]
+    aug = np.zeros((len(a), 2 * n, 2 * n))
+    aug[:, :n, :n] = -a
+    aug[:, :n, n:] = np.ldexp(noise, -shift)
+    aug[:, n:, n:] = a.swapaxes(1, 2)
+    e = expm(aug)
+    phi = np.ascontiguousarray(e[:, n:, n:]).swapaxes(1, 2)
+    return phi, phi @ np.ldexp(e[:, :n, n:], shift)
 
 
 # Overflow shows as a non-finite Phi_j or Q_j, reported below as an error.
@@ -23,14 +120,12 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[np.ndarray, 
     """Intervals first..stop-1 (at least one) discretized together: the
     stacks of their Phi_j, Q_j and Q_j's lower Cholesky factor.
 
-    Continuous kinds use the augmented-matrix-exponential construction: with
-    M = [[-A, F W F.T], [0, A.T]] * dt, the exponential of M carries
-    exp(A.T dt) in its lower-right block and a matrix G in the upper-right
-    block such that Phi = exp(A dt) and Q = Phi @ G equals the integral of
-    exp(A s) F W F.T exp(A.T s) ds over [0, dt]. One ``expm`` call takes
-    the M of every interval. Discrete kinds take Phi = A_j and Q = F W F.T
-    directly. Raises NumericOverflow if a Phi_j or Q_j is not finite, and
-    NotPositiveDefinite if a Q_j is singular, naming the first such interval.
+    Continuous kinds take Phi = exp(A dt) and Q, the integral of
+    exp(A s) F W F.T exp(A.T s) ds over [0, dt], from ``van_loan`` of A dt
+    and F W F.T dt, EXPM_CHUNK intervals at a time. Discrete kinds take
+    Phi = A_j and Q = F W F.T directly. Raises NumericOverflow if a Phi_j or
+    Q_j is not finite, and NotPositiveDefinite if a Q_j is singular, naming
+    the first such interval.
     """
     count = stop - first
     # Time-invariant kinds store one matrix per field, for every interval.
@@ -43,17 +138,13 @@ def _discretize(model: SystemModel, first: int, stop: int) -> tuple[np.ndarray, 
         qc = np.stack([fj @ wj @ fj.T for fj, wj in zip(f, w)])
     if model.kind.continuous:
         n = model.state_dim
-        dt = np.diff(model.measurement_times[first:stop + 1])
-        aug = np.zeros((count, 2 * n, 2 * n))
-        aug[:, :n, :n] = -a
-        aug[:, :n, n:] = qc
-        aug[:, n:, n:] = a.swapaxes(1, 2)
-        aug *= dt[:, None, None]
-        e = expm(aug)
-        # Each Phi_j is F-contiguous, the layout a one-interval transpose copy
-        # has, so that every later product with it makes the same BLAS call.
-        phi = np.ascontiguousarray(e[:, n:, n:]).swapaxes(1, 2)
-        q = phi @ e[:, :n, n:]
+        dt = np.diff(model.measurement_times[first:stop + 1])[:, None, None]
+        a, qc = a * dt, qc * dt
+        phi = np.empty((count, n, n)).swapaxes(1, 2)  # van_loan's F-contiguous layout
+        q = np.empty((count, n, n))
+        for lo in range(0, count, EXPM_CHUNK):
+            chunk = slice(lo, lo + EXPM_CHUNK)
+            phi[chunk], q[chunk] = van_loan(a[chunk], qc[chunk])
     else:
         phi = np.array(a)
         q = qc

@@ -9,11 +9,12 @@ import math
 from itertools import chain, combinations, product
 
 import numpy as np
-from scipy.linalg import block_diag, expm, solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 
 import batchsched as bs
 from batchsched._linalg import chol_pd, logdet_from_cholesky, sym
 from batchsched.model import _random_spd
+from batchsched.prior import van_loan
 
 ALL_KINDS = tuple(bs.ModelKind)
 
@@ -136,22 +137,17 @@ def block_tridiag_logdet(diag, upper):
 
 
 def per_interval_discretization(model):
-    """Every interval discretized on its own, one ``expm`` and one Cholesky
-    factorization each: the oracle for the batched ``discretize_intervals``.
-    One (Phi_j, Q_j, lower Cholesky factor of Q_j) triple per interval."""
+    """Every interval discretized on its own, one ``prior.van_loan`` and one
+    Cholesky factorization each: the oracle for the batched
+    ``discretize_intervals``. One (Phi_j, Q_j, lower Cholesky factor of Q_j)
+    triple per interval."""
     intervals = []
     for j in range(model.horizon - 1):
         a, f, w = interval_matrices(model, j)
         if model.kind.continuous:
             dt = model.measurement_times[j + 1] - model.measurement_times[j]
-            n = model.state_dim
-            aug = np.zeros((2 * n, 2 * n))
-            aug[:n, :n] = -a
-            aug[:n, n:] = f @ w @ f.T
-            aug[n:, n:] = a.T
-            e = expm(aug * dt)
-            phi = np.array(e[n:, n:].T)
-            q = sym(phi @ e[:n, n:])
+            phi, q = van_loan((a * dt)[None], (f @ w @ f.T * dt)[None])
+            phi, q = np.array(phi[0]), sym(q[0])
         else:
             phi = np.array(a)
             q = sym(f @ w @ f.T)

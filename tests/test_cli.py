@@ -15,7 +15,13 @@ import pytest
 import batchsched as bs
 from batchsched import analysis, cli, prior
 from batchsched.cli import main
-from helpers import exploding_scalar_model, overflow_index, schedule_of
+from helpers import (
+    exploding_scalar_model,
+    overflow_index,
+    per_trial_monotonicity,
+    per_trial_supermodularity,
+    schedule_of,
+)
 
 
 def run(argv):
@@ -729,6 +735,14 @@ def test_lazy_greedy_is_an_alias_of_greedy(tmp_path):
     assert reports["greedy"]["trace"]
 
 
+def fresh_interpreter(args):
+    """``python *args`` in a new interpreter that imports this batchsched,
+    as the console script would run; stdout and stderr are captured."""
+    source = str(Path(bs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=False)
+
+
 def test_greedy_and_certify_print_no_warning_where_only_unbudgeted_slots_overflow(tmp_path):
     # Every budget is zero and the unmeasured variance overflows at the last
     # slot, which no command needs to reach. A fresh interpreter shows
@@ -737,16 +751,70 @@ def test_greedy_and_certify_print_no_warning_where_only_unbudgeted_slots_overflo
     model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * horizon)
     scenario = tmp_path / "s.json"
     bs.save_scenario(model, str(scenario))
-    source = str(Path(bs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
     for command in (["schedule", "--algorithm", "greedy"], ["certify"]):
-        result = subprocess.run(
-            [sys.executable, "-m", "batchsched.cli", *command, "--config", str(scenario),
-             "--out", str(tmp_path / "r.json")],
-            capture_output=True, text=True, env=env, check=False,
+        result = fresh_interpreter(
+            ["-m", "batchsched.cli", *command, "--config", str(scenario), "--out", str(tmp_path / "r.json")]
         )
         assert result.returncode == 0, result.stderr
         assert "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("kind", ["continuous-variant", "discrete-invariant"])
+def test_every_command_runs_without_scipy(tmp_path, kind):
+    # The runtime needs numpy alone: with scipy made unimportable before the
+    # first import, every command and algorithm still exits 0.
+    scenario = str(tmp_path / "s.json")
+    out = ["--config", scenario, "--out", str(tmp_path / "r.json")]
+    argvs = [
+        ["gen", "--n", "3", "--m", "4", "--K", "4", "--r", "2", "--kind", kind, "--seed", "5", "--out", scenario],
+        *(["schedule", "--algorithm", algorithm, "--seed", "1", *out] for algorithm in cli.ALGORITHMS),
+        ["certify", *out],
+        ["bounds", "--alpha", "1.0", *out],
+        ["fuzz", "--property", "mono", "--trials", "8", "--seed", "0", *out],
+        ["fuzz", "--property", "super", "--trials", "8", "--seed", "0", *out],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from batchsched.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    result = fresh_interpreter(["-c", code, json.dumps(argvs)])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0] * len(argvs), result.stderr
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    result = fresh_interpreter(
+        ["-c", "import sys, batchsched.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]"]
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_input_signal_nested_past_its_bound_exits_2_naming_it(tmp_path, excess):
+    # Intake bounds the nesting far below the recursion limit, which the
+    # fuzzers' fingerprint used to meet a few frames after the load passed.
+    depth = bs.model.INPUT_SIGNAL_MAX_DEPTH + excess
+    signal = []
+    for _ in range(depth - 1):
+        signal = [signal, 0.5]
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario, seed=0, n=2, m=3, K=3, r=1))
+    scenario.write_text(json.dumps({**json.loads(scenario.read_text()), "input_signal": signal}))
+    out = tmp_path / "r.json"
+    for command in (["schedule"], ["fuzz", "--property", "super", "--trials", "4", "--seed", "0"]):
+        result = fresh_interpreter(["-m", "batchsched.cli", *command, "--config", str(scenario), "--out", str(out)])
+        if excess:
+            assert result.returncode == 2, result.stderr
+            assert result.stderr.splitlines() == [
+                f"error: input_signal must nest lists and objects at most {depth - 1} deep"
+            ]
+            assert not out.exists()
+        else:
+            assert result.returncode == 0, result.stderr
+            assert json.loads(out.read_text())["fingerprint"]
 
 
 def test_greedy_error_names_the_time_index_where_the_filter_lost_precision(tmp_path, capsys):
@@ -764,20 +832,20 @@ def test_greedy_error_names_the_time_index_where_the_filter_lost_precision(tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("prop, line", [
-    ("mono", "error: innovation covariance of sensors [1, 3] at time index 128: the filter covariance "
-             "lost precision (unstable dynamics over a long stretch without measurements?)"),
-    ("super", "error: innovation covariance of sensors [2] at time index 255: the filter covariance "
-              "lost precision (unstable dynamics over a long stretch without measurements?)"),
-])
-def test_fuzz_error_where_the_filter_lost_precision_is_unchanged(tmp_path, capsys, prop, line):
-    # The input of the greedy test above. The lines are the ones the fuzzers
-    # printed when every trial was evaluated on its own: the stacked
+@pytest.mark.parametrize("prop, per_trial", [("mono", per_trial_monotonicity), ("super", per_trial_supermodularity)])
+def test_fuzz_error_where_the_filter_lost_precision_is_unchanged(tmp_path, capsys, prop, per_trial):
+    # The input of the greedy test above. The expected line is the error the
+    # fuzzer raises when every trial is evaluated on its own: the stacked
     # evaluation must raise the same error for the same first failing trial.
-    model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
-    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
+    model = dataclasses.replace(
+        bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant"),
+        budgets=tuple(3 if k in (0, 128, 255) else 0 for k in range(256)),
+    )
+    with pytest.raises(bs.NotPositiveDefinite, match=" at time index ") as expected:
+        per_trial(model, 8, 1)
+    line = f"error: {expected.value}"
     scenario = tmp_path / "s.json"
-    bs.save_scenario(dataclasses.replace(model, budgets=budgets), str(scenario))
+    bs.save_scenario(model, str(scenario))
     out = tmp_path / "r.json"
     argv = ["fuzz", "--config", str(scenario), "--property", prop, "--trials", "8", "--seed", "1"]
     assert run([*argv, "--out", str(out)]) == 1

@@ -299,11 +299,11 @@ def test_singleton_scorer_matches_one_slot_step_per_sensor(monkeypatch):
     wide = bs.random_scenario(seed=6, n=6, m=60, K=3, r=3)
     models.append(wide)
     factored_rows = []
-    original = objective.dpotrf
+    original = objective.lapack_cholesky
 
-    def counted(a, **kwargs):
+    def counted(a):
         factored_rows.append(len(a))
-        return original(a, **kwargs)
+        return original(a)
 
     for model in models:
         ev = bs.build_evaluator(model)
@@ -312,7 +312,7 @@ def test_singleton_scorer_matches_one_slot_step_per_sensor(monkeypatch):
         for k, cov in ((0, ev.initial_cov), (model.horizon - 1, swept)):
             reference = [objective.slot_step(ev, cov, (i,), k)[0] for i in range(model.sensor_count)]
             with monkeypatch.context() as patch:
-                patch.setattr(objective, "dpotrf", counted)
+                patch.setattr(objective, "lapack_cholesky", counted)
                 gains = ev.scorer(cov, k)
             np.testing.assert_allclose(gains, reference, rtol=1e-12, atol=1e-14)
     assert sum(len(w) for w in bs.build_evaluator(wide).whitened) > 2 * objective.SCORER_GROUP_ROWS

@@ -2,17 +2,20 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import batchsched as bs
+from batchsched import prior
 from batchsched._linalg import chol_pd, logdet_from_cholesky
 from helpers import (
     ALL_KINDS,
     block_tridiag_logdet,
     dense_prior_covariance,
+    interval_matrices,
     per_block_prior_information,
     per_interval_discretization,
     prior_information,
@@ -320,3 +323,106 @@ def test_prior_information_names_its_singular_covariance(singular):
     for build in (bs.build_prior_information, per_block_prior_information):
         with pytest.raises(bs.NotPositiveDefinite, match=rf"^{singular} is not positive definite"):
             build(initial_cov, ev.transitions, noise_covs)
+
+
+def van_loan_blocks(model):
+    """M = [[-A, F W F.T], [0, A.T]] * dt of every interval of a continuous model."""
+    n = model.state_dim
+    blocks = []
+    for j in range(model.horizon - 1):
+        a, f, w = interval_matrices(model, j)
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n], block[:n, n:], block[n:, n:] = -a, f @ w @ f.T, a.T
+        blocks.append(block * (model.measurement_times[j + 1] - model.measurement_times[j]))
+    return np.array(blocks)
+
+
+def norm_gap(got, want):
+    """The 1-norm of the error of each matrix of a stack relative to the 1-norm of its reference."""
+    return np.abs(got - want).sum(axis=-2).max(axis=-1) / np.abs(want).sum(axis=-2).max(axis=-1)
+
+
+CONTINUOUS_KINDS = ("continuous-invariant", "continuous-variant")
+
+
+def test_exponential_matches_scipy_on_the_van_loan_blocks_of_the_continuous_streams():
+    # scipy.linalg.expm chooses its scaling by another rule (Al-Mohy and
+    # Higham 2009), and it is the less accurate of the two on some of these
+    # blocks (against 40-digit values): the gap is scipy's error as much as ours.
+    models = scenario_stream(100, seed0=3, n_max=5, k_max=6, kinds=CONTINUOUS_KINDS)
+    models += [bs.random_scenario(seed=s, n=6, m=2, K=16, r=1, kind=kind) for s in range(10) for kind in CONTINUOUS_KINDS]
+    gaps = []
+    for blocks in (van_loan_blocks(model) for model in models if model.horizon > 1):
+        gaps.extend(norm_gap(prior.expm(blocks), np.array([expm(block) for block in blocks])))
+    assert len(gaps) > 250
+    assert max(gaps) <= 2e-12
+
+
+def mp_expm(a):
+    """exp(a) from 40-digit arithmetic, rounded to doubles."""
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(a.tolist()), method="taylor")
+        return np.array(e.tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("norm, degree, squarings", [
+    (1e-3, 3, 0), (0.2, 5, 0), (0.9, 7, 0), (2.0, 9, 0), (5.0, 13, 0), (50.0, 13, 4), (700.0, 13, 8),
+])
+def test_exponential_against_40_digits_at_each_pade_degree(norm, degree, squarings):
+    # Each 1-norm falls in one degree's band of Higham's table (the last two
+    # past theta_13, so they are scaled and squared); the tolerance grows
+    # with the squarings, which amplify the roundoff.
+    rng = np.random.default_rng(int(norm * 1000))
+    stack = rng.standard_normal((3, 4, 4))
+    stack *= norm / np.abs(stack).sum(axis=1).max(axis=1)[:, None, None]
+    assert degree == next((m for m, theta in prior.PADE_THETA.items() if norm <= theta), 13)
+    assert squarings == max(0, math.ceil(math.log2(norm / prior.PADE_THETA[13])))
+    want = np.array([mp_expm(a) for a in stack])
+    assert norm_gap(prior.expm(stack), want).max() <= 4e-15 * 2 ** squarings
+
+
+def test_exponential_of_zero_diagonal_and_non_finite_matrices():
+    np.testing.assert_array_equal(prior.expm(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
+    diagonal = np.diag([-30.0, -3.0, 1e-9, 0.5, 2.0, 30.0])
+    got = prior.expm(diagonal[None])[0]
+    want = np.diag([math.exp(x) for x in np.diag(diagonal)])
+    assert np.all(got[want == 0] == 0)
+    np.testing.assert_allclose(np.diag(got), np.diag(want), rtol=1e-13)
+    # A matrix whose 1-norm is not finite gives NaN and spoils no other.
+    stack = np.stack([np.full((2, 2), 1e308), np.eye(2), np.array([[np.inf, 0], [0, 1]])])
+    got = prior.expm(stack)
+    assert np.isnan(got[0]).all() and np.isnan(got[2]).all()
+    np.testing.assert_array_equal(got[1], prior.expm(np.eye(2)[None])[0])
+
+
+def mp_van_loan(a, noise):
+    """Phi and Q of ``prior.van_loan`` from a 40-digit exponential of the
+    unbalanced block, rounded to doubles."""
+    n = len(a)
+    with mpmath.workdps(40):
+        block = mpmath.matrix(2 * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j], block[i, n + j], block[n + i, n + j] = -a[i, j], noise[i, j], a[j, i]
+        e = mpmath.expm(block, method="taylor")
+        phi = e[n:, n:].T
+        q = phi * e[:n, n:]
+        return np.array(phi.tolist(), dtype=float), np.array(q.tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("a_norm", [1e-3, 1.0])
+@pytest.mark.parametrize("ratio", [1.0, 1e2, 1e4, 1e6])
+def test_van_loan_against_40_digits_however_large_the_noise(a_norm, ratio):
+    # A noise block 10^6 times the dynamics would set 20 squarings by the
+    # block's own norm, and they would cost Phi five digits; balancing the
+    # block keeps both results at the roundoff of one exponential.
+    rng = np.random.default_rng(int(ratio))
+    a = rng.standard_normal((3, 3, 3))
+    a *= a_norm / np.abs(a).sum(axis=1).max(axis=1)[:, None, None]
+    g = rng.standard_normal((3, 3, 3))
+    noise = g @ g.swapaxes(1, 2)
+    noise *= a_norm * ratio / np.abs(noise).sum(axis=1).max(axis=1)[:, None, None]
+    phi, q = prior.van_loan(a, noise)
+    want = [mp_van_loan(*pair) for pair in zip(a, noise)]
+    assert norm_gap(phi, np.array([p for p, _ in want])).max() <= 2e-15
+    assert norm_gap(q, np.array([q for _, q in want])).max() <= 2e-15
