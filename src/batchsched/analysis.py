@@ -37,6 +37,7 @@ from .objective import (
     ObjectiveEvaluator,
     objective_logdet,
     predict_through,
+    singleton_gains,
     stacked_step,
     values_in_order,
 )
@@ -181,19 +182,19 @@ def _child_bounds(ev: ObjectiveEvaluator, levels: list[int], cov: np.ndarray, va
     most the sum over S of the singleton gains g at ``cov[p]``, and each
     later branching slot j at most the top r_j singleton gains at the
     covariance predicted from ``cov[p]`` with slots k..j-1 left empty. One
-    stacked ``SingletonScorer`` call over every prefix and slot gives these
-    singleton gains, and one product with the subsets' incidence matrix sums
-    them for every S. Returns -inf throughout, which prunes nothing, if a
-    singleton factorization fails.
+    ``singleton_gains`` call over the stack of every prefix and slot gives
+    these singleton gains, and one product with the subsets' incidence
+    matrix sums them for every S. Returns -inf throughout, which prunes
+    nothing, if any singleton factorization fails.
     """
     model = ev.model
     incidence = _subset_table(model.sensor_count, model.budgets[levels[0]])[2]
     covs = [cov]
     for start, stop in zip(levels, levels[1:]):
         covs.append(predict_through(ev, covs[-1], start, stop))
-    try:
-        gains = ev.scorer.stacked(np.concatenate(covs)).reshape(len(covs), len(value), model.sensor_count)
-    except np.linalg.LinAlgError:
+    with np.errstate(invalid="ignore"):  # a failed factorization is NaN
+        gains = singleton_gains(ev, np.concatenate(covs)).reshape(len(covs), len(value), model.sensor_count)
+    if np.isnan(gains).any():
         return np.full((len(value), len(incidence)), -math.inf)
     ranked = np.sort(gains[1:], axis=2)
     rest = sum(ranked[l, :, -model.budgets[j]:].sum(axis=1) for l, j in enumerate(levels[1:]))

@@ -20,7 +20,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Sequence
 
 import numpy as np
@@ -105,8 +105,9 @@ class SystemModel(ReadOnlyArrays):
     (K-1 of them) for time-variant kinds. Construction checks every
     invariant and stores each as one (J, rows, cols) array, J = 1 or K-1,
     or as a tuple of J matrices when the noise widths differ between
-    intervals. So every model is valid; models are immutable and safe to
-    share across workers.
+    intervals. ``input_signal`` is stored as a copy whose lists are tuples
+    and whose objects are new dicts. So every model is valid; models are
+    immutable and safe to share across workers.
     """
 
     kind: ModelKind
@@ -371,19 +372,30 @@ def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], n
     return stacks
 
 
-def _check_signal_depth(signal: Any) -> None:
-    """Raise InvalidArgument if lists and objects nest in ``signal`` deeper
-    than INPUT_SIGNAL_MAX_DEPTH; measured level by level, without recursion."""
-    level = [signal]
-    for _ in range(INPUT_SIGNAL_MAX_DEPTH):
-        level = [
-            child
-            for item in level if isinstance(item, (list, tuple, dict))
-            for child in (item.values() if isinstance(item, dict) else item)
+def _copied_signal(signal: Any) -> Any:
+    """``signal`` copied with each list or tuple a new tuple and each object a
+    new dict, level by level without recursion, so that the model keeps no
+    container its caller holds. Raises InvalidArgument if lists and objects
+    nest deeper than INPUT_SIGNAL_MAX_DEPTH."""
+    levels = [[signal]]
+    while below := [
+        child
+        for item in levels[-1] if isinstance(item, (list, tuple, dict))
+        for child in (item.values() if isinstance(item, dict) else item)
+    ]:
+        if len(levels) == INPUT_SIGNAL_MAX_DEPTH:
+            raise InvalidArgument(f"input_signal must nest lists and objects at most {INPUT_SIGNAL_MAX_DEPTH} deep")
+        levels.append(below)
+    copies: list = []
+    for level in reversed(levels):
+        children = iter(copies)  # the level below's copies, in the order its items were listed
+        copies = [
+            dict(zip(item, islice(children, len(item)))) if isinstance(item, dict)
+            else tuple(islice(children, len(item))) if isinstance(item, (list, tuple))
+            else item
+            for item in level
         ]
-        if not level:
-            return
-    raise InvalidArgument(f"input_signal must nest lists and objects at most {INPUT_SIGNAL_MAX_DEPTH} deep")
+    return copies[0]
 
 
 def _model_kind(value: Any) -> ModelKind:
@@ -478,7 +490,6 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         input_matrix = _as_matrix(model.input_matrix, "input_matrix")
         if input_matrix.shape[0] != n:
             raise DimensionMismatch(f"input_matrix must have {n} rows, got {input_matrix.shape[0]}")
-    _check_signal_depth(model.input_signal)
 
     fields = {
         "kind": kind,
@@ -491,6 +502,7 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         "sensors": tuple(sensors),
         "budgets": tuple(budgets),
         "input_matrix": input_matrix,
+        "input_signal": _copied_signal(model.input_signal),
         "_initial_factor": factors[len(w_stacks)][0],
         "_sensor_groups": groups,
     }

@@ -10,15 +10,17 @@ and P the filter covariance just before each sequential update,
 
 so an evaluation is one forward sweep of measurement and time updates, and
 a sensor's gain with later slots empty is a single small log-determinant;
-``SingletonScorer`` computes every sensor's at once for the greedy and the
-exhaustive search's bound. Schedules evaluated together, as by the fuzzers,
-take ``values_in_order``: one sweep stacked over them, with
-``objective_logdet`` as its oracle; the exhaustive search steps its
-prefixes with ``stacked_step``. Both fall back to the single path here
-when a stacked factorization fails. The error trace adds one backward
-pass to the same sweep; the tests check the sweeps against the information
-form.
-Public sweeps silence numpy's overflow warnings and raise on non-finite values.
+``singleton_gains`` computes every sensor's at once, at one covariance for
+the greedy or at a stack of them for the exhaustive search's bound.
+Schedules evaluated together, as by the fuzzers, take ``values_in_order``:
+one sweep stacked over them, with ``objective_logdet`` as its oracle; the
+exhaustive search steps its prefixes with ``stacked_step``. Both fall back
+to the single path here when a stacked factorization fails. The error trace
+adds one backward pass to the same sweep; the tests check the sweeps against
+the information form.
+The stacked kernels mark a failed factorization with NaN, the single path
+raises, naming the time index, and neither silences numpy: the public
+sweeps and entry points do, around their whole run.
 """
 
 from __future__ import annotations
@@ -26,23 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._linalg import lapack_cholesky, lapack_solve, logdet_from_cholesky, sym
 from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
-from .model import ReadOnlyArrays, Schedule, SystemModel, freeze_arrays, require_int
+from .model import Schedule, SystemModel, freeze_arrays, require_int
 # Nothing here uses the information form: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
 # wrap point and bench/test_bench.py requires every wrap point to exist.
 from .prior import build_prior_information, discretize_intervals  # noqa: F401
-
-# The singleton scorer packs sensors whole, in index order, into groups of at
-# most this many whitened rows (a larger sensor forms a group alone). Each
-# group costs one product and one Cholesky factorization of its rows, so
-# scoring every sensor costs time linear in the sensor count.
-SCORER_GROUP_ROWS = 32
 
 # values_in_order sweeps at most this many schedules together, so its
 # memory stays bounded however many schedules it is given.
@@ -56,79 +52,6 @@ def _lost_precision(what: str, k: int) -> NotPositiveDefinite:
     )
 
 
-class _ScorerGroup(NamedTuple):
-    first: int  # first sensor
-    stop: int  # one past the last sensor
-    stacked: np.ndarray  # the sensors' whitened rows
-    blocks: np.ndarray  # 1 on each sensor's diagonal block, 0 elsewhere
-    identity: np.ndarray
-    starts: np.ndarray  # each sensor's first row
-
-
-class SingletonScorer(ReadOnlyArrays):
-    """Every sensor's gain logdet(I + W_i P W_i.T) alone at one covariance P.
-
-    Per group, one product with the stacked whitened matrices gives all the
-    blocks W_i P W_j.T; keeping the diagonal blocks and factoring I plus them
-    gives each sensor's log-determinant from its rows of one Cholesky
-    factor. The groups are fixed, so a sensor's value never depends on which
-    other sensors are still candidates.
-    """
-
-    def __init__(self, whitened: tuple[np.ndarray, ...]):
-        self.sensor_count = len(whitened)
-        self.groups: list[_ScorerGroup] = []
-        first = 0
-        while first < len(whitened):
-            stop, rows = first + 1, len(whitened[first])
-            while stop < len(whitened) and rows + len(whitened[stop]) <= SCORER_GROUP_ROWS:
-                rows += len(whitened[stop])
-                stop += 1
-            owner = np.repeat(np.arange(first, stop), [len(w) for w in whitened[first:stop]])
-            self.groups.append(_ScorerGroup(
-                first=first,
-                stop=stop,
-                stacked=np.concatenate(whitened[first:stop]),
-                blocks=(owner[:, None] == owner[None, :]).astype(float),
-                identity=np.eye(rows),
-                starts=np.searchsorted(owner, np.arange(first, stop)),
-            ))
-            first = stop
-        freeze_arrays(self.groups)
-
-    @np.errstate(invalid="ignore")  # a failed factorization is NaN, raised below
-    def __call__(self, cov: np.ndarray, k: int) -> np.ndarray:
-        """The gains, indexed by sensor. Raises NotPositiveDefinite, naming the
-        sensor and the time index ``k``, if roundoff breaks a factorization:
-        the first sensor whose rows, with the group's rows before them, fail
-        to factor, as LAPACK would report the failing pivot."""
-        gains = np.empty(self.sensor_count)
-        for first, stop, stacked, blocks, identity, starts in self.groups:
-            inner = stacked @ cov @ stacked.T
-            inner *= blocks
-            inner += identity
-            lower = lapack_cholesky(inner)
-            if lower[0, 0] != lower[0, 0]:  # NaN: the factorization failed
-                ends = [*starts[1:].tolist(), len(inner)]
-                failed = next(i for i, end in enumerate(ends) if np.isnan(lapack_cholesky(inner[:end, :end])).any())
-                raise _lost_precision(f"sensor {first + failed}", k)
-            gains[first:stop] = 2.0 * np.add.reduceat(np.log(lower.diagonal()), starts)
-        return gains
-
-    def stacked(self, covs: np.ndarray) -> np.ndarray:
-        """The gains at each of a stack of covariances, shape (members,
-        sensors), with one stacked product and Cholesky factorization per
-        group; raises LinAlgError if any factorization fails."""
-        gains = np.empty((len(covs), self.sensor_count))
-        for first, stop, stacked, blocks, identity, starts in self.groups:
-            inner = stacked @ covs @ stacked.T
-            inner *= blocks
-            inner += identity
-            pivots = np.diagonal(np.linalg.cholesky(inner), axis1=1, axis2=2)
-            gains[:, first:stop] = 2.0 * np.add.reduceat(np.log(pivots), starts, axis=1)
-        return gains
-
-
 @dataclass(frozen=True, eq=False)
 class ObjectiveEvaluator:
     """Immutable per-model cache: the discretized prior and whitened sensors.
@@ -139,12 +62,14 @@ class ObjectiveEvaluator:
     ``noise_covs`` and ``noise_factors`` are the (K-1, n, n) stacks of ``discretize_intervals``:
     Phi_j, Q_j and Q_j's lower Cholesky factor. ``prior_logdet`` is the
     log-determinant of the prior information matrix, so the empty
-    schedule's objective is its negation. ``scorer`` scores every whitened
-    sensor alone at one covariance. ``padded[i]`` holds sensor i's whitened
-    rows and then zero rows up to the widest sensor's count;
+    schedule's objective is its negation. ``padded[i]`` holds sensor i's
+    whitened rows and then zero rows up to the widest sensor's count;
     ``padded[sensor_count]`` is all zero. The stacked sweeps gather slots
     from it, and a zero row changes no gain and no covariance.
     ``whitened[i]`` is the read-only view of sensor i's rows in ``padded``.
+    For ``singleton_gains``, ``sensor_rows`` views every sensor's padded rows
+    as one matrix, ``sensor_rows_t`` each sensor's block transposed, and
+    ``block_identity`` is the identity of one block.
     """
 
     model: SystemModel
@@ -154,8 +79,10 @@ class ObjectiveEvaluator:
     noise_factors: np.ndarray
     whitened: tuple[np.ndarray, ...]
     prior_logdet: float
-    scorer: SingletonScorer
     padded: np.ndarray
+    sensor_rows: np.ndarray
+    sensor_rows_t: np.ndarray
+    block_identity: np.ndarray
 
     def __reduce__(self):
         # Pickled as its model, far smaller: the rebuild restores each stack's layout and flags.
@@ -191,7 +118,8 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     # the stacked matrix of a multi-sensor slot.
     whitened = tuple(padded[i, :len(sensor.C)] for i, sensor in enumerate(model.sensors))
     initial_cov = sym(model.initial_state_cov)
-    initial_cov.setflags(write=False)
+    block_identity = np.eye(width)
+    freeze_arrays([initial_cov, block_identity])
     return ObjectiveEvaluator(
         model=model,
         initial_cov=initial_cov,
@@ -200,12 +128,28 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
         noise_factors=noise_factors,
         whitened=whitened,
         prior_logdet=-cov_logdet,
-        scorer=SingletonScorer(whitened),
         padded=padded,
+        sensor_rows=padded[:-1].reshape(-1, model.state_dim),
+        sensor_rows_t=padded[:-1].transpose(0, 2, 1),
+        block_identity=block_identity,
     )
 
 
-@np.errstate(invalid="ignore")  # a failed factorization is NaN, raised below
+def singleton_gains(ev: ObjectiveEvaluator, cov: np.ndarray) -> np.ndarray:
+    """Every sensor's gain logdet(I + W_i P W_i.T) alone at the covariance P
+    (n, n), shape (sensors,), or at each of a stack (..., n, n), shape
+    (..., sensors): one product of P with every sensor's padded rows, one
+    with each sensor's own, and one Cholesky factorization of each sensor's
+    padded block, whose zero rows add pivots of 1. The cost is linear in
+    the sensor count, each sensor costing as much as the widest. A sensor
+    whose factorization fails has the gain NaN."""
+    rows_t = ev.sensor_rows_t
+    m, n, w = rows_t.shape
+    inner = (ev.sensor_rows @ cov).reshape(cov.shape[:-2] + (m, w, n)) @ rows_t
+    inner += ev.block_identity
+    return 2.0 * np.add.reduce(np.log(lapack_cholesky(inner).diagonal(0, -2, -1)), axis=-1)
+
+
 def _measure(
     ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,9 +242,7 @@ def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """
     schedule.check_shape(ev.horizon, ev.sensor_count)
     slots = schedule.selections
-    last = len(slots) - 1
-    while last >= 0 and not slots[last]:
-        last -= 1
+    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
     if last < 0:
         return -ev.prior_logdet
     cov, value = advance(ev, slots, last)
@@ -329,7 +271,7 @@ def _bordered_step(
     conditioned covariance P - F.T F. Returns the pivots diag L, shape
     (members, d), whose logs sum to half the slot's gain, and, if
     ``propagate``, the covariances entering slot k+1, (Phi R)(Phi R).T + Q.
-    Raises LinAlgError if a factorization fails.
+    A member whose factorization fails has NaN pivots and covariance.
     """
     n = ev.state_dim
     white = ev.padded[members].reshape(len(members), -1, n)
@@ -339,7 +281,7 @@ def _bordered_step(
     rows[:, d:] = np.eye(n)
     bordered = rows @ cov @ rows.transpose(0, 2, 1)
     bordered[:, :d, :d] += np.eye(d)
-    lower = np.linalg.cholesky(bordered)
+    lower = lapack_cholesky(bordered)
     pivots = np.diagonal(lower, axis1=1, axis2=2)[:, :d]
     if not propagate:
         return pivots, None
@@ -354,18 +296,15 @@ def stacked_step(
     sensors of row p of ``members`` (padded with ``ev.sensor_count``), and,
     if ``propagate``, the covariances entering slot k+1.
 
-    One ``_bordered_step`` serves every member. If its factorization fails
-    or a gain is not finite, the members are stepped again one at a time
+    One ``_bordered_step`` serves every member. If a gain is not finite, as
+    when a factorization fails, the members are stepped again one at a time
     through ``slot_step`` and ``predict``, which raise their usual errors
     naming the time index.
     """
-    try:
-        pivots, ahead = _bordered_step(ev, cov, members, k, propagate)
-        gains = 2.0 * np.log(pivots).sum(axis=1)
-        if np.isfinite(gains).all():
-            return gains, ahead
-    except np.linalg.LinAlgError:
-        pass
+    pivots, ahead = _bordered_step(ev, cov, members, k, propagate)
+    gains = 2.0 * np.log(pivots).sum(axis=1)
+    if np.isfinite(gains).all():
+        return gains, ahead
     m = ev.sensor_count
     steps = [slot_step(ev, c, tuple(i for i in row if i != m), k) for c, row in zip(cov, members.tolist())]
     gains = np.array([gain for gain, _ in steps])
@@ -374,7 +313,7 @@ def stacked_step(
 
 def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
     """Each schedule's objective from one sweep over a leading member axis,
-    one ``_bordered_step`` per slot; raises LinAlgError if a stacked
+    one ``_bordered_step`` per slot; NaN for a schedule whose stacked
     factorization fails."""
     sizes = np.array([list(map(len, s.selections)) for s in schedules])
     widths = sizes.max(axis=0)
@@ -397,19 +336,15 @@ def values_in_order(ev: ObjectiveEvaluator, schedules: Iterable[Schedule]) -> It
 
     Chunks of at most VALUES_CHUNK schedules are swept together, with one
     gather of the members' whitened rows, one stacked product and one
-    stacked Cholesky factorization per slot. A chunk whose factorization
-    fails, or whose values are not all finite, yields ``objective_logdet``
-    of each schedule as it is read, so the first failing one raises its
-    error and no later one is swept. The consumer silences overflow warnings.
+    stacked Cholesky factorization per slot. A chunk whose values are not
+    all finite, as when a factorization fails, yields ``objective_logdet`` of
+    each schedule as it is read, so the first failing one raises its error
+    and no later one is swept. The consumer silences numpy's warnings.
     """
     schedules = iter(schedules)
     while chunk := list(islice(schedules, VALUES_CHUNK)):
-        try:
-            values = _stacked_sweep(ev, chunk)
-            stacked = bool(np.isfinite(values).all())
-        except np.linalg.LinAlgError:
-            stacked = False
-        if stacked:
+        values = _stacked_sweep(ev, chunk)
+        if np.isfinite(values).all():
             yield from values.tolist()
         else:
             yield from (objective_logdet(ev, schedule) for schedule in chunk)
@@ -455,9 +390,7 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """
     schedule.check_shape(ev.horizon, ev.sensor_count)
     slots = schedule.selections
-    last = len(slots) - 1
-    while last >= 0 and not slots[last]:
-        last -= 1
+    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
     steps = []  # (P, G or None) for each slot up to the last measured one
     cov = ev.initial_cov
     total = 0.0

@@ -5,19 +5,20 @@ carrying the filter covariance conditioned on all earlier selections; each
 slot is filled by a single-step greedy that repeatedly accepts the candidate
 with the largest marginal gain. With later slots still empty, a candidate's
 gain is the log-determinant of one measurement update of that covariance:
-each round reads every candidate's from one ``SingletonScorer`` call and
+each round reads every candidate's from one ``singleton_gains`` call and
 conditions on the winner alone, so a whole schedule costs time linear in the
 horizon and in the sensor count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import Schedule
-from .objective import ObjectiveEvaluator, objective_logdet, predict, slot_step
+from .objective import ObjectiveEvaluator, _lost_precision, objective_logdet, predict, singleton_gains, slot_step
 
 # Gains within this absolute distance of the round's best gain count as
 # tied; ties resolve to the smallest sensor index, so runs are reproducible
@@ -49,7 +50,8 @@ def greedy_schedule(ev: ObjectiveEvaluator) -> tuple[Schedule, GreedyTrace]:
     Fills each time slot in order with the single-step greedy; the result is
     always feasible, and two runs on equal inputs are bit-identical. The
     covariance is carried only to the last slot with a nonzero budget; later
-    slots stay empty.
+    slots stay empty. Raises NotPositiveDefinite, naming the first sensor
+    and the time index, if roundoff breaks a sensor's factorization.
     """
     value = objective_logdet(ev, Schedule.empty(ev.horizon))
     trace = GreedyTrace(start_objective=value)
@@ -62,12 +64,14 @@ def greedy_schedule(ev: ObjectiveEvaluator) -> tuple[Schedule, GreedyTrace]:
         remaining = list(range(ev.sensor_count))  # candidates, in index order
         accepted: list[int] = []
         while remaining and len(accepted) < ev.model.budgets[k]:
-            # One scorer call gives every candidate's gain at the covariance
-            # conditioned on the sensors accepted so far; each counts as one
+            # One call gives every sensor's gain at the covariance conditioned
+            # on the sensors accepted so far; each candidate's counts as one
             # evaluation. The winner is the first candidate within the tie band
             # of the round's best gain. Plain lists: at the sensor counts in use,
             # numpy's per-call overhead would cost more than the selection.
-            gains = ev.scorer(cov, k).tolist()
+            gains = singleton_gains(ev, cov).tolist()
+            if any(map(math.isnan, gains)):
+                raise _lost_precision(f"sensor {next(i for i, g in enumerate(gains) if math.isnan(g))}", k)
             trace.gain_evaluations += len(remaining)
             best = max([gains[i] for i in remaining])
             winner = next(i for i in remaining if gains[i] >= best - GAIN_TIE_TOL)

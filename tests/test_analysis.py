@@ -852,8 +852,10 @@ def test_fuzzers_evaluate_at_most_one_chunk_of_schedules_per_call(monkeypatch, f
 
 def test_search_matches_plain_enumeration_when_every_stacked_step_fails(monkeypatch):
     # The search's per-pair fallback then steps every (prefix, subset) pair.
-    def failing(*args):
-        raise np.linalg.LinAlgError("stacked step disabled")
+    def failing(ev, cov, members, k, propagate):
+        # Every member's factorization failed: NaN pivots and covariances.
+        ahead = np.full((len(members), ev.state_dim, ev.state_dim), np.nan)
+        return np.full((len(members), 1), np.nan), ahead if propagate else None
 
     monkeypatch.setattr(objective, "_bordered_step", failing)
     medium = [

@@ -112,6 +112,28 @@ def test_validated_model_is_immutable():
         model.initial_state_cov[0, 0] = 5.0
 
 
+def test_input_signal_is_kept_as_a_copy_the_caller_cannot_change():
+    # Lists become tuples and objects new dicts, at every level; appending
+    # to the caller's lists afterwards changes neither the stored signal nor
+    # the fingerprint.
+    inner = [3.0, {"u": [4.0]}]
+    signal = [1.0, 2.0, inner, {"w": inner}]
+    model = dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal=signal)
+    fingerprint = bs.model_fingerprint(model)
+    assert model.input_signal == (1.0, 2.0, (3.0, {"u": (4.0,)}), {"w": (3.0, {"u": (4.0,)})})
+    signal.append(9.0)
+    inner.append(5.0)
+    inner[1]["u"].append(6.0)
+    inner[1]["v"] = 7.0
+    assert isinstance(model.input_signal, tuple)
+    assert model.input_signal == (1.0, 2.0, (3.0, {"u": (4.0,)}), {"w": (3.0, {"u": (4.0,)})})
+    assert bs.model_fingerprint(model) == fingerprint
+    # The copy serializes as the signal did: the fingerprint of a model
+    # given the unchanged lists again is the same.
+    again = dataclasses.replace(model, input_signal=[1.0, 2.0, [3.0, {"u": [4.0]}], {"w": [3.0, {"u": [4.0]}]}])
+    assert bs.model_fingerprint(again) == fingerprint
+
+
 def _reachable_arrays(value, seen):
     """Every array reachable from ``value`` through attributes, tuples, lists and dicts."""
     if id(value) in seen:

@@ -290,51 +290,70 @@ def axis_sensor_model(n):
 
 
 def test_singleton_scorer_matches_one_slot_step_per_sensor(monkeypatch):
-    # The batched scorer against the sweep's own update: 1- and 2-row
-    # sensors, covariances conditioned by earlier slots, and a 60-sensor
-    # model whose rows fill several groups. No factorization may have more
-    # rows than a group, which keeps the scorer linear in the sensor count.
+    # singleton_gains against the sweep's own update: 1- and 2-row sensors,
+    # covariances conditioned by earlier slots, and a 60-sensor model. Every
+    # factorization is one sensor's block, as wide as the widest sensor, so
+    # the cost stays linear in the sensor count.
     rng = np.random.default_rng(8)
     models = scenario_stream(40, seed0=5, n_max=4, m_max=5, k_max=3)
-    wide = bs.random_scenario(seed=6, n=6, m=60, K=3, r=3)
-    models.append(wide)
-    factored_rows = []
+    models.append(bs.random_scenario(seed=6, n=6, m=60, K=3, r=3))
     original = objective.lapack_cholesky
-
-    def counted(a):
-        factored_rows.append(len(a))
-        return original(a)
 
     for model in models:
         ev = bs.build_evaluator(model)
+        widest = max(len(w) for w in ev.whitened)
         slots = _random_feasible(rng, model).selections
         swept, _ = objective.advance(ev, slots, model.horizon - 1)
         for k, cov in ((0, ev.initial_cov), (model.horizon - 1, swept)):
             reference = [objective.slot_step(ev, cov, (i,), k)[0] for i in range(model.sensor_count)]
+            factored = []
+
+            def counted(a):
+                factored.append(a.shape)
+                return original(a)
+
             with monkeypatch.context() as patch:
                 patch.setattr(objective, "lapack_cholesky", counted)
-                gains = ev.scorer(cov, k)
+                gains = objective.singleton_gains(ev, cov)
             np.testing.assert_allclose(gains, reference, rtol=1e-12, atol=1e-14)
-    assert sum(len(w) for w in bs.build_evaluator(wide).whitened) > 2 * objective.SCORER_GROUP_ROWS
-    assert 0 < max(factored_rows) <= objective.SCORER_GROUP_ROWS
+            assert factored == [(model.sensor_count, widest, widest)]
 
 
 def test_singleton_scorer_names_the_sensor_whose_factorization_fails():
-    # Sensor 35 sits in the second group: a covariance negative along its
-    # axis breaks its innovation covariance and no other sensor's.
+    # A covariance negative along sensor 35's axis breaks its innovation
+    # covariance and no other sensor's: its gain alone is NaN.
     ev = bs.build_evaluator(axis_sensor_model(40))
     cov = np.eye(40)
     cov[35, 35] = -2.0
-    with pytest.raises(
-        bs.NotPositiveDefinite,
-        match=r"^innovation covariance of sensor 35 at time index 1: the filter covariance lost",
-    ):
-        ev.scorer(cov, 1)
-    with pytest.raises(bs.NotPositiveDefinite, match=r"^innovation covariance of sensors \[35\] at"):
-        objective.slot_step(ev, cov, (35,), 1)
+    with np.errstate(invalid="ignore"):
+        gains = objective.singleton_gains(ev, cov)
+        with pytest.raises(bs.NotPositiveDefinite, match=r"^innovation covariance of sensors \[35\] at"):
+            objective.slot_step(ev, cov, (35,), 1)
+    assert np.isnan(gains[35])
+    assert np.isfinite(np.delete(gains, 35)).all()
 
 
 STACKING_MODELS = dict(stacking_models())
+
+
+@pytest.mark.parametrize("label", [*sorted(STACKING_MODELS), "m60"])
+def test_singleton_gains_on_a_stack_equal_the_one_covariance_calls(label):
+    # Sensors of 1, 2 and 3 rows in mixed order and a 60-sensor model: the
+    # gains at a (schedules, slots, n, n) stack of filter covariances equal,
+    # bit for bit, the one-covariance call at each member, and each sensor's
+    # gain is slot_step's to roundoff.
+    model = STACKING_MODELS.get(label) or bs.random_scenario(seed=6, n=6, m=60, K=3, r=3)
+    ev = bs.build_evaluator(model)
+    rng = np.random.default_rng(12)
+    slots = [_random_feasible(rng, model).selections for _ in range(3)]
+    covs = np.array([[objective.advance(ev, s, k)[0] for k in range(model.horizon)] for s in slots])
+    stacked = objective.singleton_gains(ev, covs)
+    assert stacked.shape == covs.shape[:2] + (model.sensor_count,)
+    for p in range(len(slots)):
+        for k in range(model.horizon):
+            np.testing.assert_array_equal(stacked[p, k], objective.singleton_gains(ev, covs[p, k]))
+            reference = [objective.slot_step(ev, covs[p, k], (i,), k)[0] for i in range(model.sensor_count)]
+            np.testing.assert_allclose(stacked[p, k], reference, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("label", sorted(STACKING_MODELS))
@@ -619,7 +638,10 @@ def test_values_in_order_evaluate_a_failed_chunk_one_schedule_at_a_time(monkeypa
     schedules = [_random_feasible(rng, model) for _ in range(5)]
 
     def failing(ev, schedules):
-        raise np.linalg.LinAlgError("not positive definite")
+        # A stacked factorization failed for one schedule.
+        values = np.zeros(len(schedules))
+        values[2] = np.nan
+        return values
 
     monkeypatch.setattr(objective, "_stacked_sweep", failing)
     oracle = [bs.objective_logdet(ev, schedule) for schedule in schedules]

@@ -76,7 +76,7 @@ def test_the_information_form_oracle_and_test_only_helpers_are_not_in_the_packag
         (bs.SystemModel, ("interval_dynamics", "interval_noise_input", "interval_process_noise", "interval_length")),
         (bs.Schedule, ("from_sets", "contains")),
         (scheduler, ("greedy_step", "_greedy_step")),
-        (objective, ("objective_values",)),
+        (objective, ("objective_values", "SingletonScorer", "SCORER_GROUP_ROWS")),
         (analysis, ("iter_feasible_schedules",)),
         (model, ("require_integer",)),
     ):
