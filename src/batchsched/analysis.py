@@ -33,13 +33,12 @@ from .model import (
     seeded_rng,
 )
 from .objective import (
-    VALUES_CHUNK,
     ObjectiveEvaluator,
     objective_logdet,
     predict_through,
     singleton_gains,
     stacked_step,
-    values_in_order,
+    stacked_values,
 )
 # Called nowhere in this module: bench/tracing.py lists these names as its
 # wrap points, and bench/test_bench.py requires every wrap point to exist.
@@ -55,6 +54,9 @@ CAP_ENV_VAR = "BATCHSCHED_ORACLE_CAP"
 RATIO_TOL = 1e-9
 DEGENERATE_SPREAD = 1e-12
 PROPERTY_TOL = 1e-9
+# The fuzzers sweep, and the search steps, at most this many schedules or
+# (prefix, subset) pairs together, so that their memory stays bounded.
+VALUES_CHUNK = 64
 # Branch and bound skips a slot's subset, with every schedule through it,
 # only when its lower bound exceeds the incumbent by more than this fraction
 # of max(1, |prior log-det|, |incumbent value|), which bounds the magnitudes
@@ -417,8 +419,10 @@ def _fuzz(
     excess, on the first trial in draw order whose excess exceeds
     ``PROPERTY_TOL``; otherwise reports the largest excess observed (at most
     roundoff). Trials are drawn in batches that fill one ``VALUES_CHUNK``,
-    and each batch's ``values_in_order`` stream is read trial by trial, so a
-    failed chunk is swept one schedule at a time as each trial is reached.
+    each swept by ``stacked_values``. A batch with a value that is not
+    finite, as when a stacked factorization fails, is swept with
+    ``objective_logdet`` one schedule at a time as each trial is reached, so
+    the first failing schedule in draw order raises its error.
     """
     require_int("trials", trials, 0)
     rng = seeded_rng(seed)
@@ -429,7 +433,9 @@ def _fuzz(
     for first in drawn:
         per_trial = len(first[1])
         batch = [first, *islice(drawn, VALUES_CHUNK // per_trial - 1)]
-        values = values_in_order(ev, [s for _, schedules in batch for s in schedules])
+        schedules = [s for _, trial in batch for s in trial]
+        values = stacked_values(ev, schedules)
+        values = iter(values.tolist()) if np.isfinite(values).all() else (objective_logdet(ev, s) for s in schedules)
         for fields, _ in batch:
             effective += 1
             excess, value_fields = judge(list(islice(values, per_trial)))

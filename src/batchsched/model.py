@@ -21,6 +21,7 @@ import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
+from types import MappingProxyType
 from typing import Any, Sequence
 
 import numpy as np
@@ -106,8 +107,8 @@ class SystemModel(ReadOnlyArrays):
     invariant and stores each as one (J, rows, cols) array, J = 1 or K-1,
     or as a tuple of J matrices when the noise widths differ between
     intervals. ``input_signal`` is stored as a copy whose lists are tuples
-    and whose objects are new dicts. So every model is valid; models are
-    immutable and safe to share across workers.
+    and whose objects are read-only mappings. So every model is valid;
+    models are immutable and safe to share across workers.
     """
 
     kind: ModelKind
@@ -138,6 +139,14 @@ class SystemModel(ReadOnlyArrays):
         """Check every model invariant and normalize the fields in place."""
         for name, value in _normalized_fields(self).items():
             object.__setattr__(self, name, value)
+
+    # A read-only mapping does not pickle: input_signal travels as plain
+    # lists and dicts and is copied back on arrival.
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "input_signal": _plain_signal(self.input_signal)}
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__({**state, "input_signal": _copied_signal(state["input_signal"])})
 
 
 @dataclass(frozen=True)
@@ -374,14 +383,15 @@ def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], n
 
 def _copied_signal(signal: Any) -> Any:
     """``signal`` copied with each list or tuple a new tuple and each object a
-    new dict, level by level without recursion, so that the model keeps no
-    container its caller holds. Raises InvalidArgument if lists and objects
-    nest deeper than INPUT_SIGNAL_MAX_DEPTH."""
+    read-only mapping of a new dict, level by level without recursion, so
+    that the model keeps no container its caller holds and hands out none
+    it can change. Raises InvalidArgument if lists and objects nest deeper
+    than INPUT_SIGNAL_MAX_DEPTH."""
     levels = [[signal]]
     while below := [
         child
-        for item in levels[-1] if isinstance(item, (list, tuple, dict))
-        for child in (item.values() if isinstance(item, dict) else item)
+        for item in levels[-1] if isinstance(item, (list, tuple, dict, MappingProxyType))
+        for child in (item.values() if isinstance(item, (dict, MappingProxyType)) else item)
     ]:
         if len(levels) == INPUT_SIGNAL_MAX_DEPTH:
             raise InvalidArgument(f"input_signal must nest lists and objects at most {INPUT_SIGNAL_MAX_DEPTH} deep")
@@ -390,12 +400,23 @@ def _copied_signal(signal: Any) -> Any:
     for level in reversed(levels):
         children = iter(copies)  # the level below's copies, in the order its items were listed
         copies = [
-            dict(zip(item, islice(children, len(item)))) if isinstance(item, dict)
+            MappingProxyType(dict(zip(item, islice(children, len(item)))))
+            if isinstance(item, (dict, MappingProxyType))
             else tuple(islice(children, len(item))) if isinstance(item, (list, tuple))
             else item
             for item in level
         ]
     return copies[0]
+
+
+def _plain_signal(signal: Any) -> Any:
+    """A stored ``input_signal`` as new plain lists and dicts, which JSON
+    writers take; it nests at most INPUT_SIGNAL_MAX_DEPTH deep."""
+    if isinstance(signal, tuple):
+        return [_plain_signal(item) for item in signal]
+    if isinstance(signal, MappingProxyType):
+        return {key: _plain_signal(item) for key, item in signal.items()}
+    return signal
 
 
 def _model_kind(value: Any) -> ModelKind:
@@ -629,7 +650,7 @@ def model_to_dict(model: SystemModel) -> dict:
     if model.input_matrix is not None:
         data["input_matrix"] = model.input_matrix.tolist()
     if model.input_signal is not None:
-        data["input_signal"] = model.input_signal
+        data["input_signal"] = _plain_signal(model.input_signal)
     return data
 
 

@@ -12,12 +12,13 @@ so an evaluation is one forward sweep of measurement and time updates, and
 a sensor's gain with later slots empty is a single small log-determinant;
 ``singleton_gains`` computes every sensor's at once, at one covariance for
 the greedy or at a stack of them for the exhaustive search's bound.
-Schedules evaluated together, as by the fuzzers, take ``values_in_order``:
+Schedules evaluated together, as by the fuzzers, take ``stacked_values``:
 one sweep stacked over them, with ``objective_logdet`` as its oracle; the
-exhaustive search steps its prefixes with ``stacked_step``. Both fall back
-to the single path here when a stacked factorization fails. The error trace
-adds one backward pass to the same sweep; the tests check the sweeps against
-the information form.
+exhaustive search steps its prefixes with ``stacked_step``. When a stacked
+factorization fails, ``stacked_step`` steps its members again on the single
+path here, and the fuzzers sweep their batch one schedule at a time with
+``objective_logdet``. The error trace adds one backward pass to the same
+sweep; the tests check the sweeps against the information form.
 The stacked kernels mark a failed factorization with NaN, the single path
 raises, naming the time index, and neither silences numpy: the public
 sweeps and entry points do, around their whole run.
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -39,10 +40,6 @@ from .model import Schedule, SystemModel, freeze_arrays, require_int
 # importable from this module only because bench/tracing.py lists it as a
 # wrap point and bench/test_bench.py requires every wrap point to exist.
 from .prior import build_prior_information, discretize_intervals  # noqa: F401
-
-# values_in_order sweeps at most this many schedules together, so its
-# memory stays bounded however many schedules it is given.
-VALUES_CHUNK = 64
 
 
 def _lost_precision(what: str, k: int) -> NotPositiveDefinite:
@@ -311,10 +308,10 @@ def stacked_step(
     return gains, np.stack([predict(ev, c, k) for _, c in steps]) if propagate else None
 
 
-def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
-    """Each schedule's objective from one sweep over a leading member axis,
-    one ``_bordered_step`` per slot; NaN for a schedule whose stacked
-    factorization fails."""
+def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
+    """Each schedule's objective, to roundoff, from one sweep stacked over
+    them, one ``_bordered_step`` per slot; NaN for a schedule whose stacked
+    factorization fails. Takes at least one schedule and checks no shape."""
     sizes = np.array([list(map(len, s.selections)) for s in schedules])
     widths = sizes.max(axis=0)
     index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
@@ -328,26 +325,6 @@ def _stacked_sweep(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.
         step_pivots, cov = _bordered_step(ev, cov, index[:, k, :widths[k]], k, k < last)
         pivots[k, :, :step_pivots.shape[1]] = step_pivots
     return -ev.prior_logdet - 2.0 * np.log(pivots).sum(axis=(0, 2))
-
-
-def values_in_order(ev: ObjectiveEvaluator, schedules: Iterable[Schedule]) -> Iterator[float]:
-    """``objective_logdet`` of each schedule, to roundoff, in order, as the
-    consumer reads them; shapes are not checked.
-
-    Chunks of at most VALUES_CHUNK schedules are swept together, with one
-    gather of the members' whitened rows, one stacked product and one
-    stacked Cholesky factorization per slot. A chunk whose values are not
-    all finite, as when a factorization fails, yields ``objective_logdet`` of
-    each schedule as it is read, so the first failing one raises its error
-    and no later one is swept. The consumer silences numpy's warnings.
-    """
-    schedules = iter(schedules)
-    while chunk := list(islice(schedules, VALUES_CHUNK)):
-        values = _stacked_sweep(ev, chunk)
-        if np.isfinite(values).all():
-            yield from values.tolist()
-        else:
-            yield from (objective_logdet(ev, schedule) for schedule in chunk)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -19,32 +19,30 @@ from .model import ModelKind, SystemModel, freeze_arrays
 
 
 # Higham (SIAM J. Matrix Anal. Appl. 2005), Table 2.3: the largest 1-norm at
-# which the [m/m] Pade approximant of exp, for each degree m, is accurate to
-# double-precision unit roundoff.
-PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-              9: 2.097847961257068e0, 13: 5.371920351148152e0}
+# which the [13/13] Pade approximant of exp is accurate to double-precision
+# unit roundoff.
+PADE_THETA = 5.371920351148152
 
 
-def _pade_terms(m: int) -> np.ndarray:
-    """The coefficients b_j = (2m - j)! / (j! (m - j)!) of the [m/m] Pade
-    approximant of exp in Higham's degree-13 evaluation,
+def _pade_terms() -> np.ndarray:
+    """The coefficients b_j = C(13, j) (26 - j)! / 26! of the [13/13] Pade
+    approximant of exp in Higham's evaluation,
 
         U = A [A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + b5 A^4 + b3 A^2 + b1 I],
-        V = A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I,
+        V = A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I:
 
-    with b_j = 0 past m: row r holds the coefficients of I, A^2, A^4 and A^6
-    in U's outer (r = 0) and inner (1) sums and in V's (2 and 3)."""
+    row r holds the coefficients of I, A^2, A^4 and A^6 in U's outer (r = 0)
+    and inner (1) sums and in V's (2 and 3). They are Higham's divided by his
+    b_0, so that b_0 = 1 and exp(0) = (V - U)^-1 (V + U) is exactly I."""
     terms = np.zeros((4, 4))
-    for j in range(m + 1):
+    for j in range(14):
         inner = j >= 8
-        terms[2 * (j % 2 == 0) + inner, (j - 6 * inner) // 2] = (
-            math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
-        )
+        b_j = math.comb(13, j) * math.factorial(26 - j) / math.factorial(26)
+        terms[2 * (j % 2 == 0) + inner, (j - 6 * inner) // 2] = b_j
     return terms
 
 
-_THETAS = np.array(list(PADE_THETA.values()))
-_PADE_TERMS = np.stack([_pade_terms(m) for m in PADE_THETA])
+_PADE_13 = _pade_terms()
 
 # _discretize exponentiates at most this many intervals' blocks together, so
 # the work arrays stay a few hundred kilobytes at any horizon.
@@ -57,26 +55,23 @@ def expm(a: np.ndarray) -> np.ndarray:
     """The exponential of each matrix of a (J, p, p) stack, by scaling and
     squaring (Higham 2005).
 
-    Each matrix takes its Pade degree, the least m in PADE_THETA whose theta
-    bounds its 1-norm, from that norm alone; past theta_13 it is scaled by
-    2^-s, the least s that brings the norm under theta_13, and the degree-13
-    approximant is squared s times. One evaluation serves every degree (see
-    ``_pade_terms``), and a matrix's exponential is the same bits in any
-    stack. A matrix whose 1-norm is not finite gives NaN.
+    Each matrix is scaled by 2^-s, the least s >= 0 that brings its 1-norm
+    under PADE_THETA, and the degree-13 Pade approximant of the scaled matrix
+    is squared s times. s depends on the matrix alone, so a matrix's
+    exponential is the same bits in any stack. A matrix whose 1-norm is not
+    finite gives NaN.
     """
     count, p = len(a), a.shape[-1]
     norms = np.abs(a).sum(axis=1).max(axis=1)
     finite = np.isfinite(norms)
-    norms = np.where(finite, norms, 0.0)
-    terms = _PADE_TERMS[np.searchsorted(_THETAS, norms).clip(max=len(_THETAS) - 1)]
-    squarings = np.ceil(np.log2(np.maximum(norms / _THETAS[-1], 1.0))).astype(int)
+    squarings = np.ceil(np.log2(np.maximum(np.where(finite, norms, 0.0) / PADE_THETA, 1.0))).astype(int)
     a = np.ldexp(a, -squarings[:, None, None])
     powers = np.empty((count, 4, p, p))
     powers[:, 0] = np.eye(p)
     powers[:, 1] = a2 = a @ a
     powers[:, 2] = a4 = a2 @ a2
     powers[:, 3] = a6 = a4 @ a2
-    sums = (terms @ powers.reshape(count, 4, p * p)).reshape(count, 4, p, p)
+    sums = (_PADE_13 @ powers.reshape(count, 4, p * p)).reshape(count, 4, p, p)
     u = a @ (a6 @ sums[:, 1] + sums[:, 0])
     v = a6 @ sums[:, 3] + sums[:, 2]
     power = lapack_solve(v - u, v + u)
@@ -183,8 +178,6 @@ def discretize_interval(model: SystemModel, j: int) -> tuple[np.ndarray, np.ndar
     if not 0 <= j <= model.horizon - 2:
         raise InvalidArgument(f"interval index {j} out of range for horizon {model.horizon}")
     return tuple(a[0] for a in _discretize(model, j, j + 1))
-
-
 
 
 def build_prior_information(

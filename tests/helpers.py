@@ -241,6 +241,25 @@ def exploding_scalar_model(horizon, growth=2.0):
     )
 
 
+def precise_sensor_model(p1, v):
+    """Scalar random walk (A = F = W = 1) with initial variance p1, watched by
+    three sensors C = 1 with noise variances v, 2v and 3v over K = 4 slots of
+    budget 1. Where p1 dwarfs v, the stacked kernels' bordered factorization
+    of a measured slot loses the conditioned variance and gives NaN, while
+    the single path evaluates."""
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=1,
+        dynamics=np.eye(1),
+        noise_input=np.eye(1),
+        process_noise_cov=np.eye(1),
+        initial_state_cov=np.array([[p1]]),
+        measurement_times=(1.0, 2.0, 3.0, 4.0),
+        sensors=tuple(bs.Sensor(C=np.eye(1), V=np.array([[v * (i + 1)]])) for i in range(3)),
+        budgets=(1,) * 4,
+    )
+
+
 def overflow_index(growth=2.0):
     """First time index at which the unmeasured variance of
     ``exploding_scalar_model`` is not a finite double."""

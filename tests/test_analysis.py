@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from helpers import (
     ALL_KINDS,
     exploding_scalar_model,
     iter_feasible_schedules,
+    oracle_objective,
     overflow_index,
     per_trial_monotonicity,
     per_trial_supermodularity,
+    precise_sensor_model,
     prior_information,
     refactoring_bound_inputs,
     schedule_of,
@@ -752,7 +755,7 @@ def test_samplers_are_reproducible_per_seed():
 
 # Fuzz reports against the per-trial oracles, absolute: each excess is a
 # difference of objective values that the stacked sweep reproduces to
-# within values_in_order's tolerance (see test_objective.VALUES_ATOL).
+# within stacked_values' tolerance (see test_objective.VALUES_ATOL).
 FUZZ_ATOL = 1e-10
 
 
@@ -832,22 +835,144 @@ def test_a_failing_fuzz_batch_sweeps_each_schedule_at_most_once(monkeypatch, fuz
         assert len(swept) == len({id(schedule) for schedule in swept})
 
 
+def _recorded_batches(monkeypatch, nan_at=None):
+    """Patch the fuzzers' batch sweep and single-path sweep to record the
+    batches and the schedules swept one at a time; with ``nan_at``, the
+    batch sweep gives NaN at that index, as when its factorization fails."""
+    batches, swept = [], []
+    original_sweep, original_single = analysis.stacked_values, analysis.objective_logdet
+
+    def sweep(ev, schedules):
+        batches.append(list(schedules))
+        values = original_sweep(ev, schedules)
+        if nan_at is not None:
+            values[nan_at] = np.nan
+        return values
+
+    def single(ev, schedule):
+        swept.append(schedule)
+        return original_single(ev, schedule)
+
+    monkeypatch.setattr(analysis, "stacked_values", sweep)
+    monkeypatch.setattr(analysis, "objective_logdet", single)
+    return batches, swept
+
+
 @pytest.mark.parametrize("fuzzer", [bs.fuzz_monotonicity, bs.fuzz_supermodularity])
 def test_fuzzers_evaluate_at_most_one_chunk_of_schedules_per_call(monkeypatch, fuzzer):
     # Trials are drawn and evaluated a chunk at a time, so memory does not
     # grow with the trial count.
     model = bs.random_scenario(seed=3, n=2, m=3, K=3, r=2)
-    sizes = []
-    original = analysis.values_in_order
-
-    def counted(ev, schedules):
-        sizes.append(len(schedules))
-        return original(ev, schedules)
-
-    monkeypatch.setattr(analysis, "values_in_order", counted)
+    batches, _ = _recorded_batches(monkeypatch)
     report = fuzzer(bs.build_evaluator(model), trials=1000, seed=9)
-    assert 0 < max(sizes) <= objective.VALUES_CHUNK
+    sizes = [len(batch) for batch in batches]
+    assert 0 < max(sizes) <= analysis.VALUES_CHUNK
     assert sum(sizes) == (2 if fuzzer is bs.fuzz_monotonicity else 4) * report.effective_trials
+
+
+def test_a_fuzz_batch_with_a_value_that_is_not_finite_is_swept_one_schedule_at_a_time(monkeypatch):
+    model = bs.random_scenario(seed=5, n=3, m=4, K=6, r=2)
+    ev = bs.build_evaluator(model)
+    batches, swept = _recorded_batches(monkeypatch, nan_at=2)
+    report = bs.fuzz_monotonicity(ev, trials=5, seed=10)
+    monkeypatch.undo()
+    assert len(batches) == 1 and swept == batches[0]
+    values = [bs.objective_logdet(ev, schedule) for schedule in swept]
+    assert report.max_excess == max(sup - sub for sup, sub in zip(values[::2], values[1::2]))
+
+
+@pytest.mark.parametrize("fuzzer", [bs.fuzz_monotonicity, bs.fuzz_supermodularity])
+def test_a_failing_fuzz_batch_raises_the_error_of_its_first_failing_schedule(monkeypatch, fuzzer):
+    # Measurements only at slots 0, 128 and 255 of an unstable model: the
+    # stacked factorization fails like objective_logdet's, and the error is
+    # the one objective_logdet raises for the first failing schedule in draw
+    # order, which is the last one swept.
+    model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
+    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
+    ev = bs.build_evaluator(dataclasses.replace(model, budgets=budgets))
+    batches, swept = _recorded_batches(monkeypatch)
+    with pytest.raises(bs.NotPositiveDefinite) as caught:
+        fuzzer(ev, trials=6, seed=1)
+    monkeypatch.undo()
+    assert swept == batches[-1][:len(swept)]
+    errors = []
+    for schedule in swept:
+        try:
+            bs.objective_logdet(ev, schedule)
+        except bs.NotPositiveDefinite as exc:
+            errors.append(str(exc))
+    assert errors == [str(caught.value)]
+
+
+def test_fuzz_reports_an_overflowing_gain_without_a_warning():
+    horizon = overflow_index() + 2
+    model = exploding_scalar_model(horizon)
+    model = dataclasses.replace(model, budgets=(0,) * (horizon - 1) + (1,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bs.NumericOverflow) as caught:
+            bs.fuzz_monotonicity(bs.build_evaluator(model), trials=8, seed=0)
+    assert f"at time index {horizon - 1} is not finite" in str(caught.value)
+
+
+def test_fuzzers_sweep_nothing_without_an_effective_trial(monkeypatch):
+    batches, swept = _recorded_batches(monkeypatch)
+    ev = bs.build_evaluator(bs.random_scenario(seed=3, n=3, m=4, K=5, r=2))
+    assert bs.fuzz_monotonicity(ev, trials=0, seed=0).effective_trials == 0
+    # No slot has budget room, so every trial is skipped.
+    ev = bs.build_evaluator(bs.random_scenario(seed=37, n=2, m=3, K=2, r=0))
+    assert bs.fuzz_supermodularity(ev, trials=50, seed=6).effective_trials == 0
+    assert batches == [] and swept == []
+
+
+@pytest.mark.parametrize("p1, v", [(1e10, 1e-8), (1e6, 1e-12)])
+def test_precise_sensors_evaluate_through_the_single_path_fallbacks(monkeypatch, p1, v):
+    # The stacked sweep gives NaN for a measured schedule here, so the search
+    # steps its pairs, and the fuzzer sweeps its batches, on the single path.
+    ev = bs.build_evaluator(precise_sensor_model(p1, v))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(objective.stacked_values(ev, [bs.Schedule(((0,),) * 4)])).all()
+    schedule, value = bs.brute_force_opt(ev)
+    oracle = oracle_objective(ev, schedule)
+    assert abs(value - oracle) <= 1e-9 * abs(oracle)
+    assert bs.certify_ratio(ev).ratio <= 0.5
+    batches, swept = _recorded_batches(monkeypatch)
+    report = bs.fuzz_monotonicity(ev, trials=40, seed=0)
+    assert report.effective_trials == 40 and report.max_excess <= analysis.PROPERTY_TOL
+    assert swept == [schedule for batch in batches for schedule in batch]
+
+
+def test_the_precise_sensor_counterexample_has_equal_gains_by_the_oracle():
+    # The counterexample that the supermodularity fuzzer reports below: by the
+    # information form, the sensor's gain is the same on both schedules.
+    for p1, v in [(1e10, 1e-8), (1e14, 1e-6)]:
+        ev = bs.build_evaluator(precise_sensor_model(p1, v))
+        small, big = schedule_of([[], [], [0], []]), schedule_of([[0], [0], [0], []])
+        gains = [oracle_objective(ev, s) - oracle_objective(ev, s.with_added(3, 2)) for s in (small, big)]
+        assert abs(gains[0] - gains[1]) <= 1e-12 * abs(gains[0])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=bs.PropertyViolated,
+    reason="the single path's gains differ by roundoff the tolerance does not allow when the prior "
+    "variance dwarfs the sensors' noise: excess 1.0e-8 at (1e10, 1e-8) and 0.0157 at (1e14, 1e-6) "
+    "(CHANGES.md FOUND line 200); the square-root core of ROADMAP item 1 flips this",
+)
+@pytest.mark.parametrize("p1, v", [(1e10, 1e-8), (1e14, 1e-6)])
+def test_supermodularity_fuzz_on_precise_sensors(p1, v):
+    bs.fuzz_supermodularity(bs.build_evaluator(precise_sensor_model(p1, v)), trials=40, seed=0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=bs.PropertyViolated,
+    reason="objective_logdet cancels where the predicted variance dwarfs the noise, so the fuzzer "
+    "reports an increase of 54.57 when sensors were added (CHANGES.md FOUND line 199); the "
+    "square-root core of ROADMAP item 1 flips this",
+)
+def test_monotonicity_fuzz_where_the_predicted_variance_dwarfs_the_noise():
+    bs.fuzz_monotonicity(bs.build_evaluator(exploding_scalar_model(6, 1e12)), trials=8, seed=0)
 
 
 def test_search_matches_plain_enumeration_when_every_stacked_step_fails(monkeypatch):

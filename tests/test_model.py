@@ -132,6 +132,30 @@ def test_input_signal_is_kept_as_a_copy_the_caller_cannot_change():
     # given the unchanged lists again is the same.
     again = dataclasses.replace(model, input_signal=[1.0, 2.0, [3.0, {"u": [4.0]}], {"w": [3.0, {"u": [4.0]}]}])
     assert bs.model_fingerprint(again) == fingerprint
+    # An object is stored as a read-only mapping, and model_to_dict hands out
+    # new plain dicts and lists: changing either moves no fingerprint.
+    m = dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal={"u": [1.0]})
+    fingerprint = bs.model_fingerprint(m)
+    assert fingerprint.startswith("747f6bf0d6ce")
+    with pytest.raises(TypeError):
+        m.input_signal["v"] = 2.0
+    data = bs.model_to_dict(m)
+    assert type(data["input_signal"]) is dict and type(data["input_signal"]["u"]) is list
+    data["input_signal"]["w"] = 3.0
+    data["input_signal"]["u"].append(2.0)
+    assert m.input_signal == {"u": (1.0,)}
+    assert bs.model_fingerprint(m) == fingerprint
+    # The model pickles, alone and inside an evaluator, and survives
+    # dataclasses.replace, each time with the same read-only signal.
+    for copy in (
+        pickle.loads(pickle.dumps(m)),
+        pickle.loads(pickle.dumps(bs.build_evaluator(m))).model,
+        dataclasses.replace(m, budgets=(1, 1, 1)),
+    ):
+        assert copy.input_signal == {"u": (1.0,)}
+        with pytest.raises(TypeError):
+            copy.input_signal["v"] = 2.0
+        assert bs.model_fingerprint(copy) == fingerprint
 
 
 def _reachable_arrays(value, seen):

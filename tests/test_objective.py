@@ -509,6 +509,28 @@ def test_error_trace_where_the_predicted_variance_dwarfs_the_noise_over_64_slots
     _assert_the_trace_of_every_measured_slot_is_exact(64, growth)
 
 
+# FOUND line 199: the covariance-form sweep returns a wrong objective, with
+# no error, once the predicted variance dwarfs the noise.
+LINE_199 = pytest.mark.xfail(
+    strict=True,
+    reason="objective_logdet cancels where the predicted variance dwarfs the noise: -147.37 where "
+    "the truth is -184.21 at K=6, growth 1e8 (CHANGES.md FOUND line 199); the square-root core of "
+    "ROADMAP item 1 flips this",
+)
+
+
+@pytest.mark.parametrize("K, growth", [
+    (6, 1e6), pytest.param(6, 1e8, marks=LINE_199), pytest.param(6, 1e12, marks=LINE_199),
+    pytest.param(64, 1e8, marks=LINE_199),
+])
+def test_objective_of_every_measured_slot_where_the_predicted_variance_dwarfs_the_noise(K, growth):
+    # At growth 1e6 both give -138.1551055797 at K=6.
+    ev = bs.build_evaluator(exploding_scalar_model(K, growth))
+    schedule = bs.Schedule(((0,),) * K)
+    oracle = oracle_objective(ev, schedule)
+    assert abs(bs.objective_logdet(ev, schedule) - oracle) <= 1e-9 * abs(oracle)
+
+
 def test_assemble_rejects_wrong_horizon():
     ev = bs.build_evaluator(scalar_model())
     with pytest.raises(bs.InvalidArgument):
@@ -554,7 +576,7 @@ def test_prior_logdet_matches_information_form_oracle():
         assert abs(ev.prior_logdet - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
 
-# values_in_order against objective_logdet, absolute. The two sum the same
+# stacked_values against objective_logdet, absolute. The two sum the same
 # slot terms and differ only in roundoff, which the unstable models carry
 # forward through the covariance: over a K = 1024 sweep of n = 6 states,
 # where values reach 7e3, the largest difference seen is 2.8e-11 (12 models,
@@ -584,10 +606,10 @@ def _value_cases():
 
 
 def _values(ev, schedules):
-    """Every value ``values_in_order`` yields, with numpy's overflow warnings
-    silenced as its consumers silence them."""
+    """``stacked_values`` as a list, with numpy's overflow warnings silenced
+    as its callers silence them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return list(objective.values_in_order(ev, schedules))
+        return objective.stacked_values(ev, schedules).tolist()
 
 
 def _assert_values_match_the_oracle(ev, schedules, values):
@@ -596,87 +618,25 @@ def _assert_values_match_the_oracle(ev, schedules, values):
     assert np.abs(np.asarray(values) - oracle).max(initial=0.0) <= VALUES_ATOL
 
 
-def test_values_in_order_match_objective_logdet_on_the_criterion_streams():
+def test_stacked_values_match_objective_logdet_on_the_criterion_streams():
     for model, schedules in _value_cases():
         ev = bs.build_evaluator(model)
-        # The stacked sweep itself, not a fallback to the oracle.
-        _assert_values_match_the_oracle(ev, schedules, objective._stacked_sweep(ev, schedules))
         _assert_values_match_the_oracle(ev, schedules, _values(ev, schedules))
         for schedule in schedules:
             _assert_values_match_the_oracle(ev, [schedule], _values(ev, [schedule]))
 
 
-def test_values_in_order_of_the_empty_schedule_and_of_none():
+def test_stacked_values_of_the_empty_schedule():
     model = bs.random_scenario(seed=3, n=3, m=4, K=5, r=2)
     ev = bs.build_evaluator(model)
     assert _values(ev, [bs.Schedule.empty(5)]) == [-ev.prior_logdet]
-    assert _values(ev, []) == []
-
-
-def test_values_in_order_span_several_chunks():
-    model = bs.random_scenario(seed=4, n=3, m=5, K=8, r=2, kind="continuous-variant")
-    ev = bs.build_evaluator(model)
-    rng = np.random.default_rng(9)
-    schedules = [_random_feasible(rng, model) for _ in range(2 * objective.VALUES_CHUNK + 3)]
-    _assert_values_match_the_oracle(ev, schedules, _values(ev, schedules))
 
 
 @pytest.mark.parametrize("K", [128, 256, 1024])
 @pytest.mark.parametrize("kind", list(bs.ModelKind))
-def test_values_in_order_match_objective_logdet_on_long_generated_models(kind, K):
+def test_stacked_values_match_objective_logdet_on_long_generated_models(kind, K):
     model = bs.random_scenario(seed=K, n=6, m=10, K=K, r=3, kind=kind)
     ev = bs.build_evaluator(model)
     rng = np.random.default_rng(K)
     schedules = [_random_feasible(rng, model) for _ in range(8)]
-    _assert_values_match_the_oracle(ev, schedules, objective._stacked_sweep(ev, schedules))
-
-
-def test_values_in_order_evaluate_a_failed_chunk_one_schedule_at_a_time(monkeypatch):
-    model = bs.random_scenario(seed=5, n=3, m=4, K=6, r=2)
-    ev = bs.build_evaluator(model)
-    rng = np.random.default_rng(10)
-    schedules = [_random_feasible(rng, model) for _ in range(5)]
-
-    def failing(ev, schedules):
-        # A stacked factorization failed for one schedule.
-        values = np.zeros(len(schedules))
-        values[2] = np.nan
-        return values
-
-    monkeypatch.setattr(objective, "_stacked_sweep", failing)
-    oracle = [bs.objective_logdet(ev, schedule) for schedule in schedules]
-    assert _values(ev, schedules) == oracle
-
-
-def test_values_in_order_raise_the_oracles_error_for_the_first_failing_schedule():
-    # Measurements only at slots 0, 128 and 255 of an unstable model: the
-    # stacked factorization fails like objective_logdet's, and the error is
-    # the one objective_logdet raises for the first failing schedule.
-    model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
-    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
-    model = dataclasses.replace(model, budgets=budgets)
-    ev = bs.build_evaluator(model)
-    rng = np.random.default_rng(1)
-    schedules = [_random_feasible(rng, model) for _ in range(6)]
-    errors = []
-    for schedule in schedules:
-        try:
-            bs.objective_logdet(ev, schedule)
-        except bs.NotPositiveDefinite as exc:
-            errors.append(str(exc))
-    assert errors
-    with pytest.raises(bs.NotPositiveDefinite) as caught:
-        _values(ev, schedules)
-    assert str(caught.value) == errors[0]
-
-
-def test_values_in_order_report_an_overflowing_gain_without_a_warning():
-    horizon = overflow_index() + 2
-    model = exploding_scalar_model(horizon)
-    ev = bs.build_evaluator(model)
-    late = bs.Schedule(((),) * (horizon - 1) + ((0,),))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(bs.NumericOverflow) as caught:
-            _values(ev, [bs.Schedule.empty(horizon), late])
-    assert f"at time index {horizon - 1} is not finite" in str(caught.value)
+    _assert_values_match_the_oracle(ev, schedules, _values(ev, schedules))

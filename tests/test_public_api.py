@@ -77,6 +77,8 @@ def test_the_information_form_oracle_and_test_only_helpers_are_not_in_the_packag
         (bs.Schedule, ("from_sets", "contains")),
         (scheduler, ("greedy_step", "_greedy_step")),
         (objective, ("objective_values", "SingletonScorer", "SCORER_GROUP_ROWS")),
+        (objective, ("values_in_order", "VALUES_CHUNK", "_stacked_sweep")),
+        (prior, ("_THETAS", "_PADE_TERMS")),
         (analysis, ("iter_feasible_schedules",)),
         (model, ("require_integer",)),
     ):
