@@ -434,8 +434,11 @@ def _fuzz(
         per_trial = len(first[1])
         batch = [first, *islice(drawn, VALUES_CHUNK // per_trial - 1)]
         schedules = [s for _, trial in batch for s in trial]
-        values = stacked_values(ev, schedules)
-        values = iter(values.tolist()) if np.isfinite(values).all() else (objective_logdet(ev, s) for s in schedules)
+        swept = stacked_values(ev, schedules)
+        if np.isfinite(swept).all():
+            values = iter(swept.tolist())
+        else:
+            values = (objective_logdet(ev, s) for s in schedules)
         for fields, _ in batch:
             effective += 1
             excess, value_fields = judge(list(islice(values, per_trial)))

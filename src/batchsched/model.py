@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
 from types import MappingProxyType
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -143,7 +143,7 @@ class SystemModel(ReadOnlyArrays):
     # A read-only mapping does not pickle: input_signal travels as plain
     # lists and dicts and is copied back on arrival.
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "input_signal": _plain_signal(self.input_signal)}
+        return {**self.__dict__, "input_signal": _copied_signal(self.input_signal, dict, list)}
 
     def __setstate__(self, state: dict) -> None:
         super().__setstate__({**state, "input_signal": _copied_signal(state["input_signal"])})
@@ -381,12 +381,14 @@ def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], n
     return stacks
 
 
-def _copied_signal(signal: Any) -> Any:
-    """``signal`` copied with each list or tuple a new tuple and each object a
-    read-only mapping of a new dict, level by level without recursion, so
-    that the model keeps no container its caller holds and hands out none
-    it can change. Raises InvalidArgument if lists and objects nest deeper
-    than INPUT_SIGNAL_MAX_DEPTH."""
+def _copied_signal(signal: Any, mapping: Callable = MappingProxyType, sequence: Callable = tuple) -> Any:
+    """``signal`` copied with each list or tuple a new ``sequence`` and each
+    object a ``mapping`` of a new dict, level by level without recursion, so
+    that the model keeps no container its caller holds. By default these are
+    tuples and read-only mappings, which nobody can change; with ``dict`` and
+    ``list`` they are the plain containers JSON writers take. Raises
+    InvalidArgument if lists and objects nest deeper than
+    INPUT_SIGNAL_MAX_DEPTH."""
     levels = [[signal]]
     while below := [
         child
@@ -400,23 +402,13 @@ def _copied_signal(signal: Any) -> Any:
     for level in reversed(levels):
         children = iter(copies)  # the level below's copies, in the order its items were listed
         copies = [
-            MappingProxyType(dict(zip(item, islice(children, len(item)))))
+            mapping(dict(zip(item, islice(children, len(item)))))
             if isinstance(item, (dict, MappingProxyType))
-            else tuple(islice(children, len(item))) if isinstance(item, (list, tuple))
+            else sequence(islice(children, len(item))) if isinstance(item, (list, tuple))
             else item
             for item in level
         ]
     return copies[0]
-
-
-def _plain_signal(signal: Any) -> Any:
-    """A stored ``input_signal`` as new plain lists and dicts, which JSON
-    writers take; it nests at most INPUT_SIGNAL_MAX_DEPTH deep."""
-    if isinstance(signal, tuple):
-        return [_plain_signal(item) for item in signal]
-    if isinstance(signal, MappingProxyType):
-        return {key: _plain_signal(item) for key, item in signal.items()}
-    return signal
 
 
 def _model_kind(value: Any) -> ModelKind:
@@ -650,7 +642,7 @@ def model_to_dict(model: SystemModel) -> dict:
     if model.input_matrix is not None:
         data["input_matrix"] = model.input_matrix.tolist()
     if model.input_signal is not None:
-        data["input_signal"] = _plain_signal(model.input_signal)
+        data["input_signal"] = _copied_signal(model.input_signal, dict, list)
     return data
 
 

@@ -64,7 +64,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     count, p = len(a), a.shape[-1]
     norms = np.abs(a).sum(axis=1).max(axis=1)
     finite = np.isfinite(norms)
-    squarings = np.ceil(np.log2(np.maximum(np.where(finite, norms, 0.0) / PADE_THETA, 1.0))).astype(int)
+    norms = np.where(finite, norms, 0.0)
+    squarings = np.ceil(np.log2(np.maximum(norms / PADE_THETA, 1.0))).astype(int)
     a = np.ldexp(a, -squarings[:, None, None])
     powers = np.empty((count, 4, p, p))
     powers[:, 0] = np.eye(p)

@@ -606,10 +606,9 @@ def _value_cases():
 
 
 def _values(ev, schedules):
-    """``stacked_values`` as a list, with numpy's overflow warnings silenced
-    as its callers silence them."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return objective.stacked_values(ev, schedules).tolist()
+    """``stacked_values`` as a list. No numpy error state is set, so an
+    overflow or invalid-value warning in the sweep fails the test."""
+    return objective.stacked_values(ev, schedules).tolist()
 
 
 def _assert_values_match_the_oracle(ev, schedules, values):
