@@ -20,9 +20,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
-from types import MappingProxyType
-from typing import Any, Callable, Sequence
+from itertools import chain
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -50,8 +49,8 @@ SCENARIO_KEYS = (
 # covariance computation (known inputs shift the estimate mean only).
 OPTIONAL_SCENARIO_KEYS = ("input_matrix", "input_signal")
 # The deepest nesting of lists and objects accepted in input_signal, far
-# below the interpreter's recursion limit, which the JSON encoder behind
-# model_fingerprint and save_scenario must stay under.
+# below the interpreter's recursion limit, which the JSON decoder behind
+# model_to_dict must stay under however deep the stack it is called from.
 INPUT_SIGNAL_MAX_DEPTH = 32
 
 
@@ -106,9 +105,9 @@ class SystemModel(ReadOnlyArrays):
     (K-1 of them) for time-variant kinds. Construction checks every
     invariant and stores each as one (J, rows, cols) array, J = 1 or K-1,
     or as a tuple of J matrices when the noise widths differ between
-    intervals. ``input_signal`` is stored as a copy whose lists are tuples
-    and whose objects are read-only mappings. So every model is valid;
-    models are immutable and safe to share across workers.
+    intervals. ``input_signal`` is stored as its canonical JSON text (a
+    ``str``), or None. So every model is valid; models are immutable and
+    safe to share across workers.
     """
 
     kind: ModelKind
@@ -121,7 +120,7 @@ class SystemModel(ReadOnlyArrays):
     sensors: tuple[Sensor, ...]
     budgets: tuple[int, ...]
     input_matrix: np.ndarray | None = None
-    input_signal: Any = None
+    input_signal: Any = None  # any JSON value on input; its canonical text once built
     # Kept from construction for build_evaluator: P_1's lower Cholesky factor and,
     # per row count d, the sensors' indices and (len, d, n) C, (len, d, d) V and V-factor stacks.
     _initial_factor: np.ndarray = field(init=False, repr=False)
@@ -139,14 +138,6 @@ class SystemModel(ReadOnlyArrays):
         """Check every model invariant and normalize the fields in place."""
         for name, value in _normalized_fields(self).items():
             object.__setattr__(self, name, value)
-
-    # A read-only mapping does not pickle: input_signal travels as plain
-    # lists and dicts and is copied back on arrival.
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "input_signal": _copied_signal(self.input_signal, dict, list)}
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__({**state, "input_signal": _copied_signal(state["input_signal"])})
 
 
 @dataclass(frozen=True)
@@ -381,34 +372,9 @@ def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], n
     return stacks
 
 
-def _copied_signal(signal: Any, mapping: Callable = MappingProxyType, sequence: Callable = tuple) -> Any:
-    """``signal`` copied with each list or tuple a new ``sequence`` and each
-    object a ``mapping`` of a new dict, level by level without recursion, so
-    that the model keeps no container its caller holds. By default these are
-    tuples and read-only mappings, which nobody can change; with ``dict`` and
-    ``list`` they are the plain containers JSON writers take. Raises
-    InvalidArgument if lists and objects nest deeper than
-    INPUT_SIGNAL_MAX_DEPTH."""
-    levels = [[signal]]
-    while below := [
-        child
-        for item in levels[-1] if isinstance(item, (list, tuple, dict, MappingProxyType))
-        for child in (item.values() if isinstance(item, (dict, MappingProxyType)) else item)
-    ]:
-        if len(levels) == INPUT_SIGNAL_MAX_DEPTH:
-            raise InvalidArgument(f"input_signal must nest lists and objects at most {INPUT_SIGNAL_MAX_DEPTH} deep")
-        levels.append(below)
-    copies: list = []
-    for level in reversed(levels):
-        children = iter(copies)  # the level below's copies, in the order its items were listed
-        copies = [
-            mapping(dict(zip(item, islice(children, len(item)))))
-            if isinstance(item, (dict, MappingProxyType))
-            else sequence(islice(children, len(item))) if isinstance(item, (list, tuple))
-            else item
-            for item in level
-        ]
-    return copies[0]
+class _SignalText(str):
+    """A stored input_signal's text, which intake keeps as it is (as from
+    ``dataclasses.replace``): a plain str is a JSON signal and would be encoded again."""
 
 
 def _model_kind(value: Any) -> ModelKind:
@@ -420,7 +386,8 @@ def _model_kind(value: Any) -> ModelKind:
 
 def _normalized_fields(model: SystemModel) -> dict[str, Any]:
     """The model's fields checked and converted: frozen float arrays, plain
-    ints and floats, a ModelKind and tuples.
+    ints and floats, a ModelKind, tuples and input_signal's canonical JSON
+    text, keys in the caller's order (the fingerprint sorts them).
 
     Raises DimensionMismatch, NotPositiveDefinite, NonIncreasingTimes,
     BudgetOutOfRange or InvalidArgument with a message naming the offending
@@ -504,6 +471,22 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         if input_matrix.shape[0] != n:
             raise DimensionMismatch(f"input_matrix must have {n} rows, got {input_matrix.shape[0]}")
 
+    signal = model.input_signal
+    if signal is not None and not isinstance(signal, _SignalText):
+        level = [signal]
+        for _ in range(INPUT_SIGNAL_MAX_DEPTH):
+            level = [
+                child
+                for item in level if isinstance(item, (list, tuple, dict))
+                for child in (item.values() if isinstance(item, dict) else item)
+            ]
+        if level:
+            raise InvalidArgument(f"input_signal must nest lists and objects at most {INPUT_SIGNAL_MAX_DEPTH} deep")
+        try:
+            signal = _SignalText(json.dumps(signal, separators=(",", ":"), allow_nan=False))
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise InvalidArgument(f"input_signal must be JSON with finite numbers: {exc}") from None
+
     fields = {
         "kind": kind,
         "state_dim": n,
@@ -515,7 +498,7 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         "sensors": tuple(sensors),
         "budgets": tuple(budgets),
         "input_matrix": input_matrix,
-        "input_signal": _copied_signal(model.input_signal),
+        "input_signal": signal,
         "_initial_factor": factors[len(w_stacks)][0],
         "_sensor_groups": groups,
     }
@@ -642,7 +625,7 @@ def model_to_dict(model: SystemModel) -> dict:
     if model.input_matrix is not None:
         data["input_matrix"] = model.input_matrix.tolist()
     if model.input_signal is not None:
-        data["input_signal"] = _copied_signal(model.input_signal, dict, list)
+        data["input_signal"] = json.loads(model.input_signal)
     return data
 
 

@@ -817,6 +817,22 @@ def test_input_signal_nested_past_its_bound_exits_2_naming_it(tmp_path, excess):
             assert json.loads(out.read_text())["fingerprint"]
 
 
+def test_input_signal_beyond_the_double_range_exits_2_naming_it(tmp_path, capsys):
+    # JSON reads 1e400 as infinity, which no saved scenario file may hold.
+    scenario = tmp_path / "s.json"
+    run(gen_args(scenario, seed=0, n=2, m=3, K=3, r=1))
+    data = json.loads(scenario.read_text())
+    data["input_signal"] = 0
+    scenario.write_text(json.dumps(data).replace('"input_signal": 0', '"input_signal": {"u": 1e400}'))
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    code = run(["schedule", "--config", str(scenario), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: input_signal must be JSON with finite numbers: ")
+    assert not out.exists()
+
+
 def test_greedy_error_names_the_time_index_where_the_filter_lost_precision(tmp_path, capsys):
     # Measurements only at slots 0, 128 and 255 of an unstable model: the
     # covariance form loses precision over the unmeasured stretches.

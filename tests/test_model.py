@@ -113,27 +113,28 @@ def test_validated_model_is_immutable():
 
 
 def test_input_signal_is_kept_as_a_copy_the_caller_cannot_change():
-    # Lists become tuples and objects new dicts, at every level; appending
-    # to the caller's lists afterwards changes neither the stored signal nor
-    # the fingerprint.
+    # The signal is stored as its canonical JSON text, written at intake;
+    # appending to the caller's lists afterwards changes neither the stored
+    # signal nor the fingerprint.
     inner = [3.0, {"u": [4.0]}]
     signal = [1.0, 2.0, inner, {"w": inner}]
     model = dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal=signal)
     fingerprint = bs.model_fingerprint(model)
-    assert model.input_signal == (1.0, 2.0, (3.0, {"u": (4.0,)}), {"w": (3.0, {"u": (4.0,)})})
+    text = '[1.0,2.0,[3.0,{"u":[4.0]}],{"w":[3.0,{"u":[4.0]}]}]'
+    assert model.input_signal == text
     signal.append(9.0)
     inner.append(5.0)
     inner[1]["u"].append(6.0)
     inner[1]["v"] = 7.0
-    assert isinstance(model.input_signal, tuple)
-    assert model.input_signal == (1.0, 2.0, (3.0, {"u": (4.0,)}), {"w": (3.0, {"u": (4.0,)})})
+    assert isinstance(model.input_signal, str)
+    assert model.input_signal == text
     assert bs.model_fingerprint(model) == fingerprint
-    # The copy serializes as the signal did: the fingerprint of a model
+    # The text serializes as the signal did: the fingerprint of a model
     # given the unchanged lists again is the same.
     again = dataclasses.replace(model, input_signal=[1.0, 2.0, [3.0, {"u": [4.0]}], {"w": [3.0, {"u": [4.0]}]}])
     assert bs.model_fingerprint(again) == fingerprint
-    # An object is stored as a read-only mapping, and model_to_dict hands out
-    # new plain dicts and lists: changing either moves no fingerprint.
+    # A string cannot be changed, and model_to_dict hands out new plain
+    # dicts and lists parsed from it: changing those moves no fingerprint.
     m = dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal={"u": [1.0]})
     fingerprint = bs.model_fingerprint(m)
     assert fingerprint.startswith("747f6bf0d6ce")
@@ -143,19 +144,46 @@ def test_input_signal_is_kept_as_a_copy_the_caller_cannot_change():
     assert type(data["input_signal"]) is dict and type(data["input_signal"]["u"]) is list
     data["input_signal"]["w"] = 3.0
     data["input_signal"]["u"].append(2.0)
-    assert m.input_signal == {"u": (1.0,)}
+    assert m.input_signal == '{"u":[1.0]}'
     assert bs.model_fingerprint(m) == fingerprint
     # The model pickles, alone and inside an evaluator, and survives
-    # dataclasses.replace, each time with the same read-only signal.
+    # dataclasses.replace, which hands the text back to intake and must not
+    # encode it a second time: each time the same signal and fingerprint.
     for copy in (
         pickle.loads(pickle.dumps(m)),
         pickle.loads(pickle.dumps(bs.build_evaluator(m))).model,
         dataclasses.replace(m, budgets=(1, 1, 1)),
     ):
-        assert copy.input_signal == {"u": (1.0,)}
+        assert copy.input_signal == '{"u":[1.0]}'
         with pytest.raises(TypeError):
             copy.input_signal["v"] = 2.0
         assert bs.model_fingerprint(copy) == fingerprint
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [[1.0, float("nan")], {"u": -math.inf}, np.arange(3), {1, 2}, np.int64(3)],
+    ids=["nan", "infinity", "ndarray", "set", "numpy-integer"],
+)
+def test_input_signal_that_is_not_finite_json_is_rejected_naming_it(signal):
+    # Each once built a model whose saved file did not load, or whose
+    # fingerprint raised a raw TypeError.
+    with pytest.raises(bs.InvalidArgument, match="^input_signal must be JSON with finite numbers: "):
+        dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal=signal)
+
+
+def test_input_signal_with_mixed_key_types_fingerprints_and_round_trips(tmp_path):
+    # JSON names every key with a string, so an int key is "1" in the
+    # fingerprint as in the saved file; sorting 1 against "a" once raised.
+    model = dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal={1: 0, "a": 0})
+    assert model.input_signal == '{"1":0,"a":0}'
+    fingerprint = bs.model_fingerprint(model)
+    path = tmp_path / "scenario.json"
+    bs.save_scenario(model, str(path))
+    assert bs.model_fingerprint(bs.load_scenario(str(path))) == fingerprint
+    ev = bs.build_evaluator(model)
+    assert bs.certify_ratio(ev).fingerprint == fingerprint
+    assert bs.fuzz_monotonicity(ev, 4, 0).fingerprint == fingerprint
 
 
 def _reachable_arrays(value, seen):
@@ -278,6 +306,16 @@ def _with_input(model):
             lambda: bs.random_scenario(seed=17, n=2, m=3, K=2, r=2, kind="discrete-invariant"),
             "260f03e987bce6307ba1f781b00cface335e8a24a779d8a973ab23e92e6fc8cc",
             "a42f7050ebb5e514bebea733544f61ab562313665a5ac7425da8fbca239ed6f0",
+        ),
+        (
+            # Unsorted keys: the saved file keeps the caller's order, and the
+            # fingerprint sorts them.
+            lambda: dataclasses.replace(
+                bs.random_scenario(seed=0, n=2, m=3, K=3, r=1),
+                input_signal={"b": [1.0, 2], "a": {"z": True, "c": None}},
+            ),
+            "6f2033a6bec508d83bdb90bf74af0508d865e21cd568fcfd0c9016a4c01aa9a2",
+            "4bdb142ded60b22522dead90dd942b23fac8c152569b1031281b39d1c4862924",
         ),
     ],
 )
