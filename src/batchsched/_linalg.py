@@ -6,13 +6,12 @@ import math
 from typing import Iterable
 
 import numpy as np
-# The LAPACK gufuncs that np.linalg.cholesky and np.linalg.solve wrap, called
-# directly on the filter's hot paths: there every matrix is a few rows square,
-# and the public wrappers' checks cost 6-11 us a call against 1.5-3 us for the
-# kernel. A factorization that fails returns its factor filled with NaN and
-# sets the floating-point invalid flag instead of raising, so a caller
-# silences that flag and tests the factor.
-from numpy.linalg._umath_linalg import cholesky_lo as lapack_cholesky, solve as lapack_solve
+# The LAPACK gufuncs behind np.linalg.cholesky, solve and qr, called directly
+# on the hot paths, where every matrix is a few rows square and the wrappers'
+# checks cost 6-11 us a call against 1.5-3 us for the kernel. A failed
+# Cholesky factorization gives NaN and sets the invalid flag instead of
+# raising. lapack_qr(a) overwrites a with R and, below it, the reflectors.
+from numpy.linalg._umath_linalg import cholesky_lo as lapack_cholesky, qr_r_raw as lapack_qr, solve as lapack_solve
 
 from .errors import NotPositiveDefinite
 
@@ -98,4 +97,3 @@ def pd_factors(stacks: list[np.ndarray], named: Iterable[tuple[str, np.ndarray]]
 def logdet_from_cholesky(lower: np.ndarray) -> float:
     """Log-determinant of L L.T from the lower factor L."""
     return 2.0 * sum(map(math.log, lower.diagonal().tolist()))
-

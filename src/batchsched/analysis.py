@@ -34,11 +34,12 @@ from .model import (
 )
 from .objective import (
     ObjectiveEvaluator,
+    _not_finite,
+    carry,
     objective_logdet,
-    predict_through,
-    singleton_gains,
-    stacked_step,
     stacked_values,
+    sweep_step,
+    sweep_terms,
 )
 # Called nowhere in this module: bench/tracing.py lists these names as its
 # wrap points, and bench/test_bench.py requires every wrap point to exist.
@@ -173,31 +174,36 @@ def _subset_table(m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarr
     return subsets, members, incidence
 
 
-def _child_bounds(ev: ObjectiveEvaluator, levels: list[int], cov: np.ndarray, value: np.ndarray) -> np.ndarray:
+def _child_bounds(
+    ev: ObjectiveEvaluator, levels: list[int], roots: np.ndarray, swept: np.ndarray, value: np.ndarray
+) -> np.ndarray:
     """Lower bound on the objective of every schedule through each prefix
     that selects subset S at slot k = ``levels[0]``, shape (prefixes,
     subsets); ``levels`` are the branching slots from k on. Prefix p enters
-    slot k with covariance ``cov[p]`` and objective ``value[p]``.
+    slot k with the factor ``roots[p]`` and the sweep ``swept[p]``, and has
+    objective ``value[p]`` with every later slot empty.
 
     A slot's gain never exceeds the sum of its sensors' singleton gains, and
     a gain only shrinks as earlier slots measure more. So slot k adds at
-    most the sum over S of the singleton gains g at ``cov[p]``, and each
-    later branching slot j at most the top r_j singleton gains at the
-    covariance predicted from ``cov[p]`` with slots k..j-1 left empty. One
-    ``singleton_gains`` call over the stack of every prefix and slot gives
-    these singleton gains, and one product with the subsets' incidence
-    matrix sums them for every S. Returns -inf throughout, which prunes
-    nothing, if any singleton factorization fails.
+    most the sum over S of the singleton gains at ``roots[p]``, and each
+    later branching slot j at most its top r_j at the factor carried there
+    with the slots between empty. A singleton gain is ``value[p]`` less the
+    objective with that sensor measured last: one ``sweep_step`` over every
+    prefix, slot and sensor. A gain that is not finite gives a bound of -inf
+    or NaN, which prunes nothing.
     """
     model = ev.model
     incidence = _subset_table(model.sensor_count, model.budgets[levels[0]])[2]
-    covs = [cov]
+    stack, sweeps = [roots], [swept]
     for start, stop in zip(levels, levels[1:]):
-        covs.append(predict_through(ev, covs[-1], start, stop))
-    with np.errstate(invalid="ignore"):  # a failed factorization is NaN
-        gains = singleton_gains(ev, np.concatenate(covs)).reshape(len(covs), len(value), model.sensor_count)
-    if np.isnan(gains).any():
-        return np.full((len(value), len(incidence)), -math.inf)
+        ahead, skipped = carry(ev, stack[-1], start, stop)
+        stack.append(ahead)
+        sweeps.append(sweeps[-1] + skipped)
+    stack = np.stack(stack)[:, :, None]
+    sensors = np.broadcast_to(ev.padded[:-1], stack.shape[:2] + ev.padded[:-1].shape)
+    closing = sweep_terms(sweep_step(ev, stack, sensors, levels[0], False)[0])
+    bases = np.stack(sweeps) + ev.trailing_logdet[levels][:, None]
+    gains = (value - bases)[:, :, None] - closing
     ranked = np.sort(gains[1:], axis=2)
     rest = sum(ranked[l, :, -model.budgets[j]:].sum(axis=1) for l, j in enumerate(levels[1:]))
     return (value - rest)[:, None] - gains[0] @ incidence.T
@@ -212,24 +218,24 @@ def _near_minimal_leaves(
     ``slack`` are skipped.
 
     ``descend`` takes the prefixes entering one branching slot, stacked:
-    ``picks[p]`` holds prefix p's subset indices so far, ``cov[p]`` its
-    filter covariance and ``value[p]`` its objective, to roundoff. It bounds
-    every (prefix, subset) pair, then steps the survivors in chunks of at
-    most ``VALUES_CHUNK``, in order, each filtered again against the ceiling,
-    and recurses with each chunk into the next branching slot. Each
-    branching slot offers at least two subsets, so the enumeration cap,
+    their subset indices ``picks``, factors, sweeps and objectives. It
+    bounds every (prefix, subset) pair, then steps the survivors in chunks
+    of at most ``VALUES_CHUNK``, in order, each filtered again against the
+    ceiling, and recurses with each chunk into the next branching slot. A
+    pair's objective comes from the QR of [[R~], [W]], as at a sweep's last
+    slot, or is its prefix's if it measures nothing. The enumeration cap,
     checked first, keeps the depth at most log2(cap): 20 at the default;
     the interpreter's 1,000-frame limit needs a cap above about 2^990.
     """
     best = math.inf
     near: list[tuple[tuple[int, ...], float]] = []
 
-    def descend(level: int, picks: np.ndarray, cov: np.ndarray, value: np.ndarray) -> None:
+    def descend(level: int, picks: np.ndarray, roots: np.ndarray, swept: np.ndarray, value: np.ndarray) -> None:
         nonlocal best, ceiling, near
         k = levels[level]
         leaf = level == len(levels) - 1
         members = _subset_table(ev.sensor_count, ev.model.budgets[k])[1]
-        bounds = _child_bounds(ev, levels[level:], cov, value)
+        bounds = _child_bounds(ev, levels[level:], roots, swept, value)
         # Written so that a NaN bound prunes nothing.
         pairs = np.argwhere(~(bounds > ceiling + slack))
         for first in range(0, len(pairs), VALUES_CHUNK):
@@ -238,12 +244,18 @@ def _near_minimal_leaves(
             rows, subsets = rows[keep], subsets[keep]
             if not len(rows):
                 continue
-            gains, stepped = stacked_step(ev, cov[rows], members[subsets], k, not leaf)
-            values = value[rows] - gains
+            white = ev.padded[members[subsets]].reshape(len(rows), -1, ev.state_dim)
+            closing = sweep_terms(sweep_step(ev, roots[rows], white, k, False)[0])
+            # Subset 0 is the empty one.
+            values = np.where(subsets == 0, value[rows], swept[rows] + closing + ev.trailing_logdet[k])
             chosen = np.column_stack((picks[rows], subsets))
             if not leaf:
-                descend(level + 1, chosen, predict_through(ev, stepped, k + 1, levels[level + 1]), values)
+                diagonal, stepped = sweep_step(ev, roots[rows], white, k, True)
+                stepped, skipped = carry(ev, stepped, k + 1, levels[level + 1])
+                descend(level + 1, chosen, stepped, swept[rows] + sweep_terms(diagonal) + skipped, values)
                 continue
+            if not np.isfinite(values).all():
+                raise _not_finite("objective term", k)
             lowest = float(values.min())
             if lowest < best:
                 best = lowest
@@ -252,22 +264,21 @@ def _near_minimal_leaves(
             for row in np.flatnonzero(values <= best + slack).tolist():
                 near.append((tuple(chosen[row].tolist()), float(values[row])))
 
-    root_cov = predict_through(ev, ev.initial_cov[None], 0, levels[0])
-    descend(0, np.zeros((1, 0), dtype=int), root_cov, np.array([-ev.prior_logdet]))
+    roots, swept = carry(ev, ev.initial_root[None], 0, levels[0])
+    descend(0, np.zeros((1, 0), dtype=int), roots, swept, np.array([-ev.prior_logdet]))
     return [p for p, _ in near]
 
 
 @lru_cache(maxsize=1)
 def _incumbent_value(ev: ObjectiveEvaluator, incumbent: Schedule) -> float:
-    """The exact objective of a search's incumbent. ``certify_ratio`` reads
-    the greedy value back from here after the search has swept the greedy
-    schedule, so that it is swept once and no caller-supplied value can
-    reach the search's bound. Only the last (evaluator, schedule) pair is
-    kept; a miss sweeps again, to the same value."""
+    """The exact objective of a search's incumbent, which ``certify_ratio``
+    reads back after the search, so that the greedy schedule is swept once
+    and no caller-supplied value reaches the bound. Only the last
+    (evaluator, schedule) pair is kept; a miss sweeps again."""
     return objective_logdet(ev, incumbent)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -> tuple[Schedule, float]:
     """Exhaustive minimizer over all feasible schedules of ``ev.model``, by
     branch and bound over the slots with a nonzero budget; the others are
@@ -277,23 +288,21 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
     pair in one stacked computation, and a pair is skipped when its bound
     exceeds the best value known by more than ``BOUND_SLACK_RTOL`` of the
     values' scale, which roundoff cannot bridge. The best value starts at
-    the objective of ``incumbent`` (the greedy schedule's, from its trace,
-    when None), which ``Schedule.validate_for`` must accept for the model.
-    ``_near_minimal_leaves`` steps the surviving pairs in one stacked
-    bordered Cholesky factorization and time update per chunk.
+    the objective of ``incumbent`` (the greedy schedule when None), which
+    ``Schedule.validate_for`` must accept for the model.
 
-    At the last branching slot this gives each surviving schedule's value to
-    roundoff. Only the schedules within the slack of the least such value
-    are scored exactly, in lexicographic order, each by a plain
-    ``objective_logdet`` sweep. A schedule replaces the best only if
-    strictly lower, so the result is the lexicographically first exact
-    minimizer, the one plain enumeration would return.
+    The surviving schedules' values are exact to roundoff. Only those within
+    the slack of the least are scored exactly, in lexicographic order, each
+    by ``objective_logdet``; a schedule replaces the best only if strictly
+    lower, so the result is the lexicographically first exact minimizer, as
+    plain enumeration returns it. If roundoff keeps every scored schedule
+    above the incumbent, the incumbent is the result.
     """
     model = ev.model
     _check_enumeration_cap(model)
     if incumbent is None:
-        _, trace = greedy_schedule(ev)
-        ceiling = trace.entries[-1].objective if trace.entries else trace.start_objective
+        incumbent = greedy_schedule(ev)[0]
+        ceiling = objective_logdet(ev, incumbent)
     else:
         incumbent = incumbent.validate_for(model)
         ceiling = _incumbent_value(ev, incumbent)
@@ -316,7 +325,7 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
         if value < best_value:
             best_value = value
             best_schedule = schedule
-    return best_schedule, best_value
+    return (best_schedule, best_value) if best_value <= ceiling else (incumbent, ceiling)
 
 
 def worst_value(ev: ObjectiveEvaluator) -> float:
@@ -404,7 +413,6 @@ def _random_subschedule(rng: np.random.Generator, schedule: Schedule) -> Schedul
     return Schedule([[i for i in slot if next(keep)] for slot in schedule.selections])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _fuzz(
     ev: ObjectiveEvaluator, trials: int, seed: int,
     draw: Callable, judge: Callable, property_name: str, message: str,
@@ -419,10 +427,7 @@ def _fuzz(
     excess, on the first trial in draw order whose excess exceeds
     ``PROPERTY_TOL``; otherwise reports the largest excess observed (at most
     roundoff). Trials are drawn in batches that fill one ``VALUES_CHUNK``,
-    each swept by ``stacked_values``. A batch with a value that is not
-    finite, as when a stacked factorization fails, is swept with
-    ``objective_logdet`` one schedule at a time as each trial is reached, so
-    the first failing schedule in draw order raises its error.
+    each one ``stacked_values`` call.
     """
     require_int("trials", trials, 0)
     rng = seeded_rng(seed)
@@ -434,11 +439,7 @@ def _fuzz(
         per_trial = len(first[1])
         batch = [first, *islice(drawn, VALUES_CHUNK // per_trial - 1)]
         schedules = [s for _, trial in batch for s in trial]
-        swept = stacked_values(ev, schedules)
-        if np.isfinite(swept).all():
-            values = iter(swept.tolist())
-        else:
-            values = (objective_logdet(ev, s) for s in schedules)
+        values = iter(stacked_values(ev, schedules).tolist())
         for fields, _ in batch:
             effective += 1
             excess, value_fields = judge(list(islice(values, per_trial)))
@@ -510,23 +511,17 @@ def bound_inputs(ev: ObjectiveEvaluator) -> BoundInputs:
         diag_K = Q_{K-1}^-1
 
     With M = L L.T, diag(M^-1) is the column sums of squares of L^-1, and
-    diag(Phi.T M^-1 Phi) that of L^-1 Phi. Solves against the factor of P_1
-    that the model kept and one stacked solve against the evaluator's kept Q_j
-    factors give them all, so no covariance is factored again, no interval is
-    discretized again and no block is formed.
+    diag(Phi.T M^-1 Phi) that of L^-1 Phi. The evaluator's whitened prior,
+    L_P^-1 and the time rows [-L_j^-1 Phi_j, L_j^-1], gives them all, so no
+    covariance is factored again, no interval is discretized again and no
+    block is formed.
     """
     model = ev.model
     n = model.state_dim
-    eye = np.eye(n)
     # Row k: the diagonal of block k.
-    diagonals = np.square(np.linalg.solve(model._initial_factor, eye)).sum(axis=0)[None]
-    if len(ev.transitions):
-        # Per interval j, the solve gives [L_j^-1, L_j^-1 Phi_j] for the kept
-        # factor L_j of Q_j = L_j L_j.T.
-        rhs = np.concatenate((np.broadcast_to(eye, ev.transitions.shape), ev.transitions), axis=2)
-        sums = np.square(np.linalg.solve(ev.noise_factors, rhs)).sum(axis=1)
-        diagonals = np.concatenate((diagonals, sums[:, :n]))
-        diagonals[:-1] += sums[:, n:]
+    sums = np.square(ev.time_rows).sum(axis=1)
+    diagonals = np.concatenate((np.square(ev.initial_root).sum(axis=0)[None], sums[:, n:]))
+    diagonals[:-1] += sums[:, :n]
     sigma_w_inv = float(diagonals.max())
     if model.sensor_count:
         sigma_v_inv = max(

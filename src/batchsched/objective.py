@@ -1,27 +1,28 @@
-"""Objective and error trace from one Kalman-filter sweep.
+"""Objective and error trace.
 
-The quantity being minimized is the log-determinant of the batch
-estimation-error covariance. By the prediction-error decomposition
-(Schweppe, IEEE Trans. IT 1965), with W_i = L_i^-1 C_i for V_i = L_i L_i.T
-and P the filter covariance just before each sequential update,
+The objective is the log-determinant of the batch estimation-error
+covariance, -logdet J for the information matrix J of the stacked state: the
+Gram matrix of the whitened rows L_P^-1 x_1, L_Q^-1 (x_{k+1} - Phi_k x_k)
+and W_i x_k for i in S_k (P_1 = L_P L_P.T, Q_k = L_Q L_Q.T, W_i = L_i^-1 C_i
+for V_i = L_i L_i.T). A square-root information sweep (Paige & Saunders,
+SIAM J. Numer. Anal. 1977; Bierman, Factorization Methods for Discrete
+Sequential Estimation, 1977) factors J a slot at a time: with R~_k the
+triangular factor of the information on x_k from slots 1..k-1
+(R~_1 = L_P^-1), one QR of [[R~_k, 0], [W_k, 0], [-L_Q^-1 Phi_k, L_Q^-1]]
+gives J's block row [R_kk, R_k,k+1] and, as its trailing block, R~_{k+1};
+the objective is -2 sum_k log|det R_kk|. The sweep stops at the last
+measured slot l, whose QR is that of [[R~_l], [W_l]], and adds
+sum_{j >= l} logdet Q_j; the empty schedule's value is the closed form.
 
-    objective(S) = logdet P_1 + sum_j logdet Q_j
-                   - sum_k sum_{i in S_k} logdet(I + W_i P W_i.T),
-
-so an evaluation is one forward sweep of measurement and time updates, and
-a sensor's gain with later slots empty is a single small log-determinant;
-``singleton_gains`` computes every sensor's at once, at one covariance for
-the greedy or at a stack of them for the exhaustive search's bound.
-Schedules evaluated together, as by the fuzzers, take ``stacked_values``:
-one sweep stacked over them, with ``objective_logdet`` as its oracle; the
-exhaustive search steps its prefixes with ``stacked_step``. When a stacked
-factorization fails, ``stacked_step`` steps its members again on the single
-path here, and the fuzzers sweep their batch one schedule at a time with
-``objective_logdet``. The error trace adds one backward pass to the same
-sweep; the tests check the sweeps against the information form.
-The stacked kernels mark a failed factorization with NaN, the single path
-raises, naming the time index, and neither silences numpy: the public
-sweeps and entry points do, around their whole run.
+Every path calls ``sweep_step``: the sweeps of ``stacked_values`` and
+``objective_logdet``, and the greedy and the search, which score a sensor
+at R~ by the objective with it measured last. A gain is the difference of
+two such objectives, never read off R~'s determinant, whose small entries
+keep only absolute accuracy after a long unmeasured unstable stretch. No
+factorization can fail; a value or gain that is not finite raises
+NumericOverflow naming the time index. The error trace is a covariance-form
+Kalman sweep with a backward pass; the tests check both against the
+information form.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import lapack_cholesky, lapack_solve, logdet_from_cholesky, sym
+from ._linalg import lapack_cholesky, lapack_qr, lapack_solve, logdet_from_cholesky, sym
 from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
 from .model import Schedule, SystemModel, freeze_arrays, require_int
-# Nothing here uses the information form: build_prior_information stays
+# Nothing here uses the information matrix: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
 # wrap point and bench/test_bench.py requires every wrap point to exist.
 from .prior import build_prior_information, discretize_intervals  # noqa: F401
@@ -49,6 +50,13 @@ def _lost_precision(what: str, k: int) -> NotPositiveDefinite:
     )
 
 
+def _not_finite(what: str, k: int) -> NumericOverflow:
+    return NumericOverflow(
+        f"{what} at time index {k} is not finite: a whitened sensor row or transition left "
+        "the double range (measurement matrix or dynamics too large for its noise covariance?)"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ObjectiveEvaluator:
     """Immutable per-model cache: the discretized prior and whitened sensors.
@@ -56,17 +64,17 @@ class ObjectiveEvaluator:
     Built once per model and shared by every schedule evaluation; safe to use
     from concurrent workers. ``model`` is the model it was built for, whose
     budgets and fingerprint every entry point reads from here. ``transitions``,
-    ``noise_covs`` and ``noise_factors`` are the (K-1, n, n) stacks of ``discretize_intervals``:
-    Phi_j, Q_j and Q_j's lower Cholesky factor. ``prior_logdet`` is the
-    log-determinant of the prior information matrix, so the empty
-    schedule's objective is its negation. ``padded[i]`` holds sensor i's
-    whitened rows and then zero rows up to the widest sensor's count;
-    ``padded[sensor_count]`` is all zero. The stacked sweeps gather slots
-    from it, and a zero row changes no gain and no covariance.
-    ``whitened[i]`` is the read-only view of sensor i's rows in ``padded``.
-    For ``singleton_gains``, ``sensor_rows`` views every sensor's padded rows
-    as one matrix, ``sensor_rows_t`` each sensor's block transposed, and
-    ``block_identity`` is the identity of one block.
+    ``noise_covs`` and ``noise_factors`` are the (K-1, n, n) stacks of
+    ``discretize_intervals``: Phi_j, Q_j and Q_j's lower Cholesky factor. The
+    empty schedule's objective is -``prior_logdet``. ``padded[i]`` holds
+    sensor i's whitened rows, then zero rows up to the widest sensor's count,
+    which change no factor; ``padded[sensor_count]`` is all zero, and
+    ``whitened[i]`` views sensor i's rows. ``initial_root`` is R~_1 = L_P^-1,
+    ``time_rows[j]`` the rows [-L_Q^-1 Phi_j, L_Q^-1] (zero-stride for the
+    discrete-invariant kind), and ``trailing_logdet[l]`` the sum of logdet Q_j
+    over the intervals j >= l. ``upper`` is 1 on and above the diagonal of an
+    n x n block and 0 below: a product with it keeps the R that a QR wrote
+    there and clears its reflectors.
     """
 
     model: SystemModel
@@ -77,9 +85,10 @@ class ObjectiveEvaluator:
     whitened: tuple[np.ndarray, ...]
     prior_logdet: float
     padded: np.ndarray
-    sensor_rows: np.ndarray
-    sensor_rows_t: np.ndarray
-    block_identity: np.ndarray
+    initial_root: np.ndarray
+    time_rows: np.ndarray
+    trailing_logdet: np.ndarray
+    upper: np.ndarray
 
     def __reduce__(self):
         # Pickled as its model, far smaller: the rebuild restores each stack's layout and flags.
@@ -100,23 +109,38 @@ class ObjectiveEvaluator:
 
 def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     """Discretize every interval once and whiten every sensor, W_i = L_i^-1 C_i
-    for V_i = L_i L_i.T, with one stacked solve per row count against the
-    V_i factors that the model kept, as it did P_1's, when it checked them."""
+    for V_i = L_i L_i.T, and the prior, against the V_i, P_1 and Q_j factors
+    that the model and the discretization kept when they checked them."""
     transitions, noise_covs, noise_factors = discretize_intervals(model)
     cov_logdet = logdet_from_cholesky(model._initial_factor)
     for lower in noise_factors:
         cov_logdet += logdet_from_cholesky(lower)
+    n = model.state_dim
     width = max((len(sensor.C) for sensor in model.sensors), default=0)
-    padded = np.zeros((model.sensor_count + 1, width, model.state_dim))
+    padded = np.zeros((model.sensor_count + 1, width, n))
     for group, measurement, _, noise_factor in model._sensor_groups:
         padded[list(group), :measurement.shape[1]] = np.linalg.solve(noise_factor, measurement)
+    # A row whose squared norm leaves the double range takes the QR past it
+    # too: stored as inf, it makes a value that measures it raise.
+    with np.errstate(over="ignore"):
+        padded[~np.isfinite(np.square(padded).sum(axis=2))] = np.inf
     padded.setflags(write=False)
     # Views taken after the freeze are read-only; each is row-major, like
     # the stacked matrix of a multi-sensor slot.
     whitened = tuple(padded[i, :len(sensor.C)] for i, sensor in enumerate(model.sensors))
+    # One interval's time rows serve a zero-stride (discrete-invariant) stack.
+    # An entry past the double range is kept; the sweep names its time index.
+    shared = len(transitions) > 1 and transitions.strides[0] == 0
+    phi, lower = (transitions[:1], noise_factors[:1]) if shared else (transitions, noise_factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        time_rows = lapack_solve(lower, np.concatenate((-phi, np.broadcast_to(np.eye(n), phi.shape)), axis=2))
+        initial_root = lapack_solve(model._initial_factor, np.eye(n))
+    time_rows = np.broadcast_to(time_rows, (len(transitions), n, 2 * n))
+    interval_logdets = 2.0 * np.log(noise_factors.diagonal(0, 1, 2)).sum(axis=1)
+    trailing_logdet = np.append(np.cumsum(interval_logdets[::-1])[::-1], 0.0)
     initial_cov = sym(model.initial_state_cov)
-    block_identity = np.eye(width)
-    freeze_arrays([initial_cov, block_identity])
+    upper = np.triu(np.ones((n, n)))
+    freeze_arrays([initial_cov, time_rows, trailing_logdet, initial_root, upper])
     return ObjectiveEvaluator(
         model=model,
         initial_cov=initial_cov,
@@ -126,31 +150,136 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
         whitened=whitened,
         prior_logdet=-cov_logdet,
         padded=padded,
-        sensor_rows=padded[:-1].reshape(-1, model.state_dim),
-        sensor_rows_t=padded[:-1].transpose(0, 2, 1),
-        block_identity=block_identity,
+        initial_root=initial_root,
+        time_rows=time_rows,
+        trailing_logdet=trailing_logdet,
+        upper=upper,
     )
 
 
-def singleton_gains(ev: ObjectiveEvaluator, cov: np.ndarray) -> np.ndarray:
-    """Every sensor's gain logdet(I + W_i P W_i.T) alone at the covariance P
-    (n, n), shape (sensors,), or at each of a stack (..., n, n), shape
-    (..., sensors): one product of P with every sensor's padded rows, one
-    with each sensor's own, and one Cholesky factorization of each sensor's
-    padded block, whose zero rows add pivots of 1. The cost is linear in
-    the sensor count, each sensor costing as much as the widest. A sensor
-    whose factorization fails has the gain NaN."""
-    rows_t = ev.sensor_rows_t
-    m, n, w = rows_t.shape
-    inner = (ev.sensor_rows @ cov).reshape(cov.shape[:-2] + (m, w, n)) @ rows_t
-    inner += ev.block_identity
-    return 2.0 * np.add.reduce(np.log(lapack_cholesky(inner).diagonal(0, -2, -1)), axis=-1)
+def sweep_step(
+    ev: ObjectiveEvaluator, roots: np.ndarray, white: np.ndarray, k: int, propagate: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slot k of the sweep for a stack of members, the one kernel.
+
+    Member p enters with the factor ``roots[p]`` (n, n), which broadcasts,
+    and measures the whitened rows ``white[p]`` (d, n; d may be 0, and zero
+    rows pad). With ``propagate``, one QR of [[R~, 0], [W, 0],
+    [-L_Q^-1 Phi_k, L_Q^-1]] gives R_kk and R~_{k+1}; without, as at a last
+    measured slot, the QR of [[R~], [W]] gives R_kk, the factor conditioned
+    on W. Returns the diagonals of the R_kk and R~_{k+1}, or R_kk itself as
+    the QR left it: its strict lower triangle holds reflectors, which a
+    product with ``ev.upper`` clears.
+    """
+    n, d = white.shape[-1], white.shape[-2]
+    if propagate:
+        rows = np.zeros(white.shape[:-2] + (2 * n + d, 2 * n))
+        rows[..., n + d:, :] = ev.time_rows[k]
+    else:
+        rows = np.empty(white.shape[:-2] + (n + d, n))
+    rows[..., :n, :n] = roots
+    rows[..., n:n + d, :n] = white
+    lapack_qr(rows)
+    if not propagate:
+        return rows.diagonal(0, -2, -1), rows[..., :n, :]
+    ahead = rows[..., n:2 * n, n:]
+    ahead *= ev.upper
+    return rows.diagonal(0, -2, -1)[..., :n], ahead
+
+
+def sweep_terms(diagonal: np.ndarray) -> np.ndarray:
+    """The sweep's terms -2 log|det R_kk| from the diagonals of a stack of R_kk."""
+    return -2.0 * np.log(np.abs(diagonal)).sum(axis=-1)
+
+
+def carry(ev: ObjectiveEvaluator, roots: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of factors carried from slot ``start`` to ``stop`` with the
+    slots between empty, and the sum of their terms for each member."""
+    swept = np.zeros(len(roots))
+    for k in range(start, stop):
+        diagonal, roots = sweep_step(ev, roots, np.empty((len(roots), 0, ev.state_dim)), k, True)
+        swept += sweep_terms(diagonal)
+    return roots, swept
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
+    """Each schedule's objective from one sweep stacked over them, with one
+    more ``sweep_step`` at a slot that some measure last. Takes at least one
+    schedule and checks no shape; raises NumericOverflow, naming the first
+    time index, if a value is not finite."""
+    sizes = np.array([list(map(len, s.selections)) for s in schedules])
+    widths = sizes.max(axis=0)
+    index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
+    index[np.arange(widths.max()) < sizes[..., None]] = list(
+        chain.from_iterable(chain.from_iterable(s.selections for s in schedules))
+    )
+    # Members in descending order of their last measured slot (-1 for none):
+    # at slot k, those swept on come first, then those measured last there.
+    lasts = np.where(sizes.any(axis=1), len(widths) - 1 - np.argmax(sizes[:, ::-1] > 0, axis=1), -1)
+    order = np.argsort(-lasts, kind="stable")
+    lasts, index = lasts[order], index[order]
+    slots = np.arange(lasts[0] + 1)[:, None]
+    going, active = np.count_nonzero(lasts > slots, axis=1).tolist(), np.count_nonzero(lasts >= slots, axis=1).tolist()
+    diagonals = np.ones((len(slots), len(schedules), ev.state_dim))
+    roots = np.broadcast_to(ev.initial_root, (np.count_nonzero(lasts >= 0),) + ev.initial_root.shape)
+    for k, (on, stop) in enumerate(zip(going, active)):
+        white = ev.padded[index[:stop, k, :widths[k]]].reshape(stop, -1, ev.state_dim)
+        if on < stop:
+            diagonals[k, on:stop] = sweep_step(ev, roots[on:], white[on:], k, False)[0]
+        if on:
+            diagonals[k, :on], roots = sweep_step(ev, roots[:on], white[:on], k, True)
+    terms = sweep_terms(diagonals)
+    values = np.where(lasts >= 0, ev.trailing_logdet[lasts] + terms.sum(axis=0), -ev.prior_logdet)
+    if not np.isfinite(values).all():
+        raise _not_finite("objective term", int(np.argmin(np.isfinite(terms).all(axis=1))))
+    return values[np.argsort(order)]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
+    """Log-determinant of the batch error covariance under ``schedule``: the
+    sweep of ``stacked_values`` over a stack of this one schedule, entered
+    without gathering the stack."""
+    schedule.check_shape(ev.horizon, ev.sensor_count)
+    slots = schedule.selections
+    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
+    if last < 0:
+        return -ev.prior_logdet
+    root, diagonals = ev.initial_root[None], []
+    for k in range(last + 1):
+        diagonal, root = sweep_step(ev, root, ev.padded[list(slots[k])].reshape(1, -1, ev.state_dim), k, k < last)
+        diagonals.append(diagonal)
+    terms = sweep_terms(np.concatenate(diagonals))
+    value = float(ev.trailing_logdet[last] + terms.sum())
+    if not math.isfinite(value):
+        raise _not_finite("objective term", int(np.argmin(np.isfinite(terms))))
+    return value
+
+
+def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
+    """Objective decrease from adding sensor i at time index k.
+
+    Nonnegative up to roundoff: activating a sensor never hurts. Computed as
+    the difference of two full sweeps, so it holds for any schedule,
+    including ones with measurements after slot k.
+    """
+    require_int("time index", k, 0)
+    require_int("sensor index", i, 0)
+    if k >= ev.horizon:
+        raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
+    if i >= ev.sensor_count:
+        raise InvalidArgument(f"sensor index {i} out of range")
+    schedule.check_shape(ev.horizon, ev.sensor_count)
+    added = schedule.with_added(k, i)
+    return objective_logdet(ev, schedule) - objective_logdet(ev, added)
 
 
 def _measure(
     ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measurement update of the filter covariance P by a nonempty slot.
+    """Covariance-form measurement update of the filter covariance P by a
+    nonempty slot, for the error trace.
 
     Returns W, the sensors' stacked whitened matrices; the lower Cholesky
     factor L of the innovation covariance I + W P W.T; and the conditioned
@@ -177,173 +306,10 @@ def _measure(
     return white, lower, cov - factor.T @ factor
 
 
-def slot_step(
-    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int
-) -> tuple[float, np.ndarray]:
-    """Measurement update of the filter covariance P by every sensor of one slot.
-
-    Returns the slot's gain logdet(I + W P W.T), with W the sensors' stacked
-    whitened matrices, and the conditioned covariance. The gain equals the
-    sum of the sensors' sequential gains. Every evaluation path (sweep,
-    greedy candidate, exhaustive search, error trace) conditions through
-    ``_measure``, so equal calls give bit-identical values. Raises
-    NumericOverflow if the gain is not finite; its hint blames the sensors'
-    scale if W W.T alone overflows, and the covariance otherwise. ``k``, the
-    slot's time index, only names the slot in an error.
-    """
-    if not sensors:
-        return 0.0, cov
-    white, lower, cov = _measure(ev, cov, sensors, k)
-    gain = logdet_from_cholesky(lower)
-    if not math.isfinite(gain):
-        # Callers silence overflow warnings, as the update above needs too.
-        if np.isfinite(white @ white.T).all():
-            cause = ("the predicted covariance left the double range (unstable dynamics over a "
-                     "long stretch without measurements?)")
-        else:
-            cause = ("the sensors' whitened rows left the double range (measurement matrix too "
-                     "large for its noise covariance?)")
-        raise NumericOverflow(f"gain of sensors {list(sensors)} at time index {k} is not finite: {cause}")
-    return gain, cov
-
-
 def predict(ev: ObjectiveEvaluator, cov: np.ndarray, k: int) -> np.ndarray:
     """Filter covariance at time index k+1 from the conditioned one at k."""
     phi = ev.transitions[k]
     return sym(phi @ cov @ phi.T + ev.noise_covs[k])
-
-
-def advance(
-    ev: ObjectiveEvaluator, slots: tuple[tuple[int, ...], ...], stop: int
-) -> tuple[np.ndarray, float]:
-    """The filter covariance entering slot ``stop``, and the objective with
-    only slots 0..stop-1 selected: from time index 0, a measurement update
-    by ``slots[k]`` and a time update for each slot before ``stop``.
-
-    Sensor indices are not checked; ``Schedule.check_shape`` does that.
-    """
-    cov, value = ev.initial_cov, -ev.prior_logdet
-    for k in range(stop):
-        gain, cov = slot_step(ev, cov, slots[k], k)
-        cov = predict(ev, cov, k)
-        value -= gain
-    return cov, value
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
-    """Log-determinant of the batch error covariance under ``schedule``.
-
-    One filter sweep; it stops at the last slot with a measurement, since
-    later time updates change no term.
-    """
-    schedule.check_shape(ev.horizon, ev.sensor_count)
-    slots = schedule.selections
-    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
-    if last < 0:
-        return -ev.prior_logdet
-    cov, value = advance(ev, slots, last)
-    return value - slot_step(ev, cov, slots[last], last)[0]
-
-
-def predict_through(ev: ObjectiveEvaluator, cov: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """A stack of covariances entering slot ``start``, carried to slot
-    ``stop`` with the slots in between left empty."""
-    for k in range(start, stop):
-        phi = ev.transitions[k]
-        cov = phi @ cov @ phi.T + ev.noise_covs[k]
-    return cov
-
-
-def _bordered_step(
-    ev: ObjectiveEvaluator, cov: np.ndarray, members: np.ndarray, k: int, propagate: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Measurement update at slot k of a stack of covariances, one per member.
-
-    Row p of ``members`` lists member p's sensors, padded with
-    ``ev.sensor_count``, whose rows in ``ev.padded`` are zero. With W the
-    member's gathered whitened rows (d of them) and P its covariance, one
-    stacked Cholesky factorization of [[I + W P W.T, W P], [P W.T, P]] gives
-    [[L, 0], [F.T, R]]: L factors the innovation covariance, and R R.T is the
-    conditioned covariance P - F.T F. Returns the pivots diag L, shape
-    (members, d), whose logs sum to half the slot's gain, and, if
-    ``propagate``, the covariances entering slot k+1, (Phi R)(Phi R).T + Q.
-    A member whose factorization fails has NaN pivots and covariance.
-    """
-    n = ev.state_dim
-    white = ev.padded[members].reshape(len(members), -1, n)
-    d = white.shape[1]
-    rows = np.empty((len(white), d + n, n))
-    rows[:, :d] = white
-    rows[:, d:] = np.eye(n)
-    bordered = rows @ cov @ rows.transpose(0, 2, 1)
-    bordered[:, :d, :d] += np.eye(d)
-    lower = lapack_cholesky(bordered)
-    pivots = np.diagonal(lower, axis1=1, axis2=2)[:, :d]
-    if not propagate:
-        return pivots, None
-    root = ev.transitions[k] @ lower[:, d:, d:]
-    return pivots, root @ root.transpose(0, 2, 1) + ev.noise_covs[k]
-
-
-def stacked_step(
-    ev: ObjectiveEvaluator, cov: np.ndarray, members: np.ndarray, k: int, propagate: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Slot k's gain for each member, at covariance ``cov[p]`` with the
-    sensors of row p of ``members`` (padded with ``ev.sensor_count``), and,
-    if ``propagate``, the covariances entering slot k+1.
-
-    One ``_bordered_step`` serves every member. If a gain is not finite, as
-    when a factorization fails, the members are stepped again one at a time
-    through ``slot_step`` and ``predict``, which raise their usual errors
-    naming the time index.
-    """
-    pivots, ahead = _bordered_step(ev, cov, members, k, propagate)
-    gains = 2.0 * np.log(pivots).sum(axis=1)
-    if np.isfinite(gains).all():
-        return gains, ahead
-    m = ev.sensor_count
-    steps = [slot_step(ev, c, tuple(i for i in row if i != m), k) for c, row in zip(cov, members.tolist())]
-    gains = np.array([gain for gain, _ in steps])
-    return gains, np.stack([predict(ev, c, k) for _, c in steps]) if propagate else None
-
-
-def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
-    """Each schedule's objective, to roundoff, from one sweep stacked over
-    them, one ``_bordered_step`` per slot; NaN for a schedule whose stacked
-    factorization fails. Takes at least one schedule and checks no shape."""
-    sizes = np.array([list(map(len, s.selections)) for s in schedules])
-    widths = sizes.max(axis=0)
-    index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
-    index[np.arange(widths.max()) < sizes[..., None]] = list(
-        chain.from_iterable(chain.from_iterable(s.selections for s in schedules))
-    )
-    last = int(np.flatnonzero(widths)[-1]) if widths.any() else -1
-    pivots = np.ones((last + 1, len(schedules), index.shape[2] * ev.padded.shape[1]))
-    cov = np.broadcast_to(ev.initial_cov, (len(schedules), ev.state_dim, ev.state_dim))
-    for k in range(last + 1):
-        step_pivots, cov = _bordered_step(ev, cov, index[:, k, :widths[k]], k, k < last)
-        pivots[k, :, :step_pivots.shape[1]] = step_pivots
-    return -ev.prior_logdet - 2.0 * np.log(pivots).sum(axis=(0, 2))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
-    """Objective decrease from adding sensor i at time index k.
-
-    Nonnegative up to roundoff: activating a sensor never hurts. Computed as
-    the difference of two full sweeps, so it holds for any schedule,
-    including ones with measurements after slot k.
-    """
-    require_int("time index", k, 0)
-    require_int("sensor index", i, 0)
-    if k >= ev.horizon:
-        raise InvalidArgument(f"time index {k} out of range for horizon {ev.horizon}")
-    if i >= ev.sensor_count:
-        raise InvalidArgument(f"sensor index {i} out of range")
-    schedule.check_shape(ev.horizon, ev.sensor_count)
-    added = schedule.with_added(k, i)
-    return objective_logdet(ev, schedule) - objective_logdet(ev, added)
 
 
 # Overflow shows as a non-finite covariance, reported below as an error.

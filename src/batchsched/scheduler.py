@@ -1,13 +1,12 @@
 """Greedy sensor scheduling.
 
 A per-time outer loop fills the slot at each measurement time in order,
-carrying the filter covariance conditioned on all earlier selections; each
-slot is filled by a single-step greedy that repeatedly accepts the candidate
-with the largest marginal gain. With later slots still empty, a candidate's
-gain is the log-determinant of one measurement update of that covariance:
-each round reads every candidate's from one ``singleton_gains`` call and
-conditions on the winner alone, so a whole schedule costs time linear in the
-horizon and in the sensor count.
+carrying the square-root information factor conditioned on all earlier
+selections; each slot is filled by a single-step greedy that repeatedly
+accepts the candidate with the largest marginal gain, the objective's
+decrease with it measured last. Each round reads every candidate's, and the
+winner's conditioned factor, from one ``sweep_step`` call, so a whole
+schedule costs time linear in the horizon and in the sensor count.
 """
 
 from __future__ import annotations
@@ -17,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import logdet_from_cholesky
 from .model import Schedule
-from .objective import ObjectiveEvaluator, _lost_precision, objective_logdet, predict, singleton_gains, slot_step
+from .objective import ObjectiveEvaluator, _not_finite, carry, objective_logdet, sweep_step, sweep_terms
 
 # Gains within this absolute distance of the round's best gain count as
 # tied; ties resolve to the smallest sensor index, so runs are reproducible
@@ -43,42 +43,47 @@ class GreedyTrace:
     gain_evaluations: int = 0
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def greedy_schedule(ev: ObjectiveEvaluator) -> tuple[Schedule, GreedyTrace]:
     """Greedy schedule over the whole horizon, within ``ev.model``'s budgets.
 
     Fills each time slot in order with the single-step greedy; the result is
     always feasible, and two runs on equal inputs are bit-identical. The
-    covariance is carried only to the last slot with a nonzero budget; later
-    slots stay empty. Raises NotPositiveDefinite, naming the first sensor
-    and the time index, if roundoff breaks a sensor's factorization.
+    factor is carried only to the last slot with a nonzero budget. Raises
+    NumericOverflow, naming the time index, if a gain is not finite.
     """
     value = objective_logdet(ev, Schedule.empty(ev.horizon))
     trace = GreedyTrace(start_objective=value)
     last = max((k for k, r in enumerate(ev.model.budgets) if r), default=-1)
-    cov = ev.initial_cov
+    root = ev.initial_root
+    # The objective so far less the swept terms before slot k and the trailing
+    # logdet Q_j, kept apart from those large sums so gains lose nothing to
+    # their cancellation: logdet P_1 at slot 0.
+    offset = float(sweep_terms(root.diagonal()))
     slots: list[tuple[int, ...]] = [()] * ev.horizon
     for k in range(last + 1):
         if k:
-            cov = predict(ev, cov, k - 1)
+            ahead, skipped = carry(ev, root[None], k - 1, k)
+            root, offset = ahead[0], offset - float(skipped[0]) + logdet_from_cholesky(ev.noise_factors[k - 1])
         remaining = list(range(ev.sensor_count))  # candidates, in index order
         accepted: list[int] = []
         while remaining and len(accepted) < ev.model.budgets[k]:
-            # One call gives every sensor's gain at the covariance conditioned
-            # on the sensors accepted so far; each candidate's counts as one
-            # evaluation. The winner is the first candidate within the tie band
-            # of the round's best gain. Plain lists: at the sensor counts in use,
-            # numpy's per-call overhead would cost more than the selection.
-            gains = singleton_gains(ev, cov).tolist()
-            if any(map(math.isnan, gains)):
-                raise _lost_precision(f"sensor {next(i for i, g in enumerate(gains) if math.isnan(g))}", k)
+            # One step gives every sensor's conditioned factor and closing term;
+            # its gain, one evaluation, is the offset less that term. The winner
+            # is the first candidate within the tie band of the best gain. Plain
+            # lists: numpy's per-call overhead would cost more here.
+            diagonal, factors = sweep_step(ev, root, ev.padded[:-1], k, False)
+            closing = sweep_terms(diagonal)
+            gains = (offset - closing).tolist()
+            if not math.isfinite(sum(gains)):
+                raise _not_finite("gain", k)
             trace.gain_evaluations += len(remaining)
             best = max([gains[i] for i in remaining])
             winner = next(i for i in remaining if gains[i] >= best - GAIN_TIE_TOL)
             remaining.remove(winner)
             accepted.append(winner)
-            gain, cov = slot_step(ev, cov, (winner,), k)
-            value -= gain
-            trace.entries.append(TraceEntry(time_index=k, sensor=winner, gain=gain, objective=value))
+            root, offset = factors[winner] * ev.upper, float(closing[winner])
+            value -= gains[winner]
+            trace.entries.append(TraceEntry(time_index=k, sensor=winner, gain=gains[winner], objective=value))
         slots[k] = tuple(sorted(accepted))
     return Schedule(slots), trace

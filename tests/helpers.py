@@ -467,18 +467,21 @@ def per_candidate_greedy(ev, model, lazy):
     """Greedy that scores each candidate by its own measurement update.
 
     The heap and refresh rules of ``two_pass_greedy`` and the tie-break of
-    ``greedy_schedule``, with one ``slot_step`` per candidate instead of
-    the batched scorer, and the winner's covariance taken from its own
-    update. Returns the schedule, the trace as (time index, sensor, gain,
-    objective after) tuples, and the number of gain evaluations.
+    ``greedy_schedule``, with one ``sweep_step`` measurement update per
+    candidate instead of one for every sensor, and the winner's factor taken
+    from its own update. Returns the schedule, the trace as (time index,
+    sensor, gain, objective after) tuples, and the number of gain
+    evaluations.
     """
     tol = bs.scheduler.GAIN_TIE_TOL
     value = -ev.prior_logdet
-    cov = ev.initial_cov
+    root = ev.initial_root
+    offset = float(bs.objective.sweep_terms(root.diagonal()))
     slots, trace, evaluations = [], [], 0
     for k, budget in enumerate(model.budgets):
         if k:
-            cov = bs.objective.predict(ev, cov, k - 1)
+            ahead, skipped = bs.objective.carry(ev, root[None], k - 1, k)
+            root, offset = ahead[0], offset - float(skipped[0]) + logdet_from_cholesky(ev.noise_factors[k - 1])
         heap = [(-math.inf, i) for i in range(model.sensor_count)]
         accepted = []
         while heap and len(accepted) < budget:
@@ -486,13 +489,15 @@ def per_candidate_greedy(ev, model, lazy):
             best = -math.inf
             while heap and (not lazy or not pool or -heap[0][0] >= best - tol):
                 _, i = heapq.heappop(heap)
-                gain, with_cov = bs.objective.slot_step(ev, cov, (i,), k)
+                diagonal, factors = bs.objective.sweep_step(ev, root, ev.padded[i:i + 1], k, False)
+                closing = float(bs.objective.sweep_terms(diagonal)[0])
+                gain = offset - closing
                 evaluations += 1
-                pool.append((gain, i, with_cov))
+                pool.append((gain, i, factors[0] * ev.upper, closing))
                 best = max(best, gain)
             pool.sort(key=lambda entry: entry[1])
-            gain, winner, cov = next(e for e in pool if e[0] >= best - tol)
-            for other_gain, other, _ in pool:
+            gain, winner, root, offset = next(e for e in pool if e[0] >= best - tol)
+            for other_gain, other, _, _ in pool:
                 if other != winner:
                     heapq.heappush(heap, (-other_gain, other))
             value -= gain
@@ -500,6 +505,19 @@ def per_candidate_greedy(ev, model, lazy):
             trace.append((k, winner, gain, value))
         slots.append(tuple(sorted(accepted)))
     return bs.Schedule(selections=tuple(slots)), trace, evaluations
+
+
+def root_entering(ev, slots, stop):
+    """The square-root information factor entering slot ``stop``, swept one
+    slot at a time through ``sweep_step`` with ``slots[k]`` measured at each
+    slot k before it, and the sweep's sum of terms -2 log|det R_kk| over
+    those slots."""
+    root, swept = ev.initial_root[None], 0.0
+    for k in range(stop):
+        white = ev.padded[list(slots[k])].reshape(1, -1, ev.state_dim)
+        diagonal, root = bs.objective.sweep_step(ev, root, white, k, True)
+        swept += float(bs.objective.sweep_terms(diagonal)[0])
+    return root[0], swept
 
 
 def per_trial_monotonicity(model, trials, seed):

@@ -17,6 +17,7 @@ from batchsched import analysis, cli, prior
 from batchsched.cli import main
 from helpers import (
     exploding_scalar_model,
+    oracle_objective,
     overflow_index,
     per_trial_monotonicity,
     per_trial_supermodularity,
@@ -636,27 +637,44 @@ def test_bounds_exits_1_naming_where_the_covariance_overflows(tmp_path, capsys):
     ["schedule", "--algorithm", "random", "--seed", "1"],
     ["schedule", "--algorithm", "brute"],
     ["certify"],
-    ["bounds"],
     ["fuzz", "--property", "super", "--trials", "4", "--seed", "0"],
     ["fuzz", "--property", "mono", "--trials", "4", "--seed", "0"],
 ])
-def test_non_finite_gain_exits_1_naming_the_time_index(tmp_path, capsys, command):
+def test_a_budget_past_the_overflowing_unmeasured_variance_evaluates(tmp_path, capsys, command):
     # Only the last slot has a budget, one past the index where the
-    # unmeasured variance overflows: its gain is not finite, and no report
-    # may carry the value (JSON has no infinity or NaN). Every trial of the
-    # supermodularity fuzzer adds the sensor at the last slot; the
-    # monotonicity fuzzer's first trial selects it there with this seed.
-    # Tier-1 turns a RuntimeWarning into an error, so the sweep past the
-    # overflow must print none.
+    # unmeasured variance leaves the double range. The covariance form's
+    # gain was not finite there, and every command exited 1; the information
+    # only underflows. Tier-1 turns a RuntimeWarning into an error, so the
+    # sweep must print none. A schedule that measures the last slot reports
+    # the information form's value.
     horizon = overflow_index() + 2
     model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * (horizon - 1) + (1,))
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
     bs.save_scenario(model, str(scenario))
-    assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
+    assert run([*command, "--config", str(scenario), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    schedule = report.get("schedule") or report.get("opt_schedule")
+    if schedule is not None:
+        assert schedule[-1] == [0]
+        ev = bs.build_evaluator(model)
+        oracle = oracle_objective(ev, bs.Schedule(schedule))
+        value = report.get("objective", report.get("opt_value"))
+        assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_bounds_past_the_overflowing_unmeasured_variance_exits_1_naming_the_time_index(tmp_path, capsys):
+    # The error trace still sweeps the covariance, which leaves the double
+    # range before the last slot.
+    horizon = overflow_index() + 2
+    model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * (horizon - 1) + (1,))
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "r.json"
+    bs.save_scenario(model, str(scenario))
+    assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: gain of sensors [0] at time index {horizon - 1} is not finite")
-    assert "(unstable dynamics over a long stretch without measurements?)" in line
+    assert line.startswith(f"error: predicted covariance at time index {overflow_index()} is not finite")
     assert not out.exists()
 
 
@@ -676,8 +694,8 @@ def test_sensor_entries_near_the_double_range_exit_1_with_one_line(tmp_path, cap
     (line,) = capsys.readouterr().err.splitlines()
     # Nothing was predicted before slot 0: the sensor's scale overflowed.
     assert line == (
-        "error: gain of sensors [0] at time index 0 is not finite: the sensors' whitened rows "
-        "left the double range (measurement matrix too large for its noise covariance?)"
+        "error: gain at time index 0 is not finite: a whitened sensor row or transition left the "
+        "double range (measurement matrix or dynamics too large for its noise covariance?)"
     )
     assert not out.exists()
 
@@ -833,37 +851,53 @@ def test_input_signal_beyond_the_double_range_exits_2_naming_it(tmp_path, capsys
     assert not out.exists()
 
 
-def test_greedy_error_names_the_time_index_where_the_filter_lost_precision(tmp_path, capsys):
-    # Measurements only at slots 0, 128 and 255 of an unstable model: the
-    # covariance form loses precision over the unmeasured stretches.
+def _long_unmeasured_stretch_scenario(path):
+    """Measurements only at slots 0, 128 and 255 of an unstable model (CHANGES.md line 7)."""
     model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
-    budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
+    model = dataclasses.replace(model, budgets=tuple(3 if k in (0, 128, 255) else 0 for k in range(256)))
+    bs.save_scenario(model, str(path))
+    return model
+
+
+@pytest.mark.parametrize("algorithm", [["greedy"], ["random", "--seed", "1"]])
+def test_schedules_evaluate_a_long_unmeasured_unstable_stretch(tmp_path, capsys, algorithm):
+    # The covariance form lost precision over the unmeasured stretches, and
+    # both exited 1 with NotPositiveDefinite.
     scenario = tmp_path / "s.json"
-    bs.save_scenario(dataclasses.replace(model, budgets=budgets), str(scenario))
+    model = _long_unmeasured_stretch_scenario(scenario)
     out = tmp_path / "r.json"
-    assert run(["schedule", "--config", str(scenario), "--algorithm", "greedy", "--out", str(out)]) == 1
+    assert run(["schedule", "--config", str(scenario), "--algorithm", *algorithm, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    ev = bs.build_evaluator(model)
+    assert report["objective"] == bs.objective_logdet(ev, bs.Schedule(report["schedule"]))
+
+
+def test_bounds_error_names_the_time_index_where_the_filter_lost_precision(tmp_path, capsys):
+    # The error trace still runs the covariance form, which loses precision
+    # over the unmeasured stretch before slot 128.
+    scenario = tmp_path / "s.json"
+    _long_unmeasured_stretch_scenario(scenario)
+    out = tmp_path / "r.json"
+    assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: innovation covariance of sensor")
-    assert " at time index " in line
+    assert line == (
+        "error: innovation covariance of sensors [1, 3, 7] at time index 128: the filter covariance "
+        "lost precision (unstable dynamics over a long stretch without measurements?)"
+    )
     assert not out.exists()
 
 
 @pytest.mark.parametrize("prop, per_trial", [("mono", per_trial_monotonicity), ("super", per_trial_supermodularity)])
-def test_fuzz_error_where_the_filter_lost_precision_is_unchanged(tmp_path, capsys, prop, per_trial):
-    # The input of the greedy test above. The expected line is the error the
-    # fuzzer raises when every trial is evaluated on its own: the stacked
-    # evaluation must raise the same error for the same first failing trial.
-    model = dataclasses.replace(
-        bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant"),
-        budgets=tuple(3 if k in (0, 128, 255) else 0 for k in range(256)),
-    )
-    with pytest.raises(bs.NotPositiveDefinite, match=" at time index ") as expected:
-        per_trial(model, 8, 1)
-    line = f"error: {expected.value}"
+def test_fuzz_evaluates_a_long_unmeasured_unstable_stretch(tmp_path, capsys, prop, per_trial):
+    # The covariance form raised NotPositiveDefinite for a trial here, and
+    # the fuzzer exited 1.
     scenario = tmp_path / "s.json"
-    bs.save_scenario(model, str(scenario))
+    model = _long_unmeasured_stretch_scenario(scenario)
     out = tmp_path / "r.json"
     argv = ["fuzz", "--config", str(scenario), "--property", prop, "--trials", "8", "--seed", "1"]
-    assert run([*argv, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [line]
-    assert not out.exists()
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["violations"] == 0
+    assert report["effective_trials"] == per_trial(model, 8, 1)[0]

@@ -26,6 +26,7 @@ from helpers import (
     oracle_objective,
     prior_information,
     random_block_tridiagonal_pd,
+    root_entering,
     schedule_of,
     scenario_stream,
     selected_inversion_trace,
@@ -260,7 +261,8 @@ def test_an_evaluator_pickles_as_its_model(kind):
     blob = pickle.dumps(ev)
     assert len(blob) < len(pickle.dumps(ev.model)) + 500
     copy = pickle.loads(blob)
-    for name in ("initial_cov", "transitions", "noise_covs", "noise_factors", "padded"):
+    for name in ("initial_cov", "transitions", "noise_covs", "noise_factors", "padded", "initial_root",
+                 "time_rows", "trailing_logdet", "upper"):
         original, copied = getattr(ev, name), getattr(copy, name)
         assert copied.strides == original.strides, name
         assert copied.flags.f_contiguous == original.flags.f_contiguous, name
@@ -289,23 +291,37 @@ def axis_sensor_model(n):
     )
 
 
-def test_singleton_scorer_matches_one_slot_step_per_sensor(monkeypatch):
-    # singleton_gains against the sweep's own update: 1- and 2-row sensors,
-    # covariances conditioned by earlier slots, and a 60-sensor model. Every
-    # factorization is one sensor's block, as wide as the widest sensor, so
-    # the cost stays linear in the sensor count.
+def _update(ev, roots, white):
+    """The sweep's measurement update: the closing terms -2 log|det R+| and
+    the factors R+ as the QR left them, reflectors below the diagonal."""
+    diagonal, factors = objective.sweep_step(ev, roots, white, 0, False)
+    return objective.sweep_terms(diagonal), factors
+
+
+def _covariance_form_gain(root, white):
+    """logdet(I + W P W.T) for P = (R~.T R~)^-1, through the dense inverse."""
+    cov = np.linalg.inv(root.T @ root)
+    return dense_logdet(np.eye(len(white)) + white @ cov @ white.T)
+
+
+def test_one_update_of_every_sensor_equals_one_update_per_sensor(monkeypatch):
+    # The greedy's step against the per-candidate one: 1- and 2-row sensors,
+    # factors conditioned by earlier slots, and a 60-sensor model. The gains
+    # and factors are bit for bit those of one call per sensor, and each
+    # gain is the covariance form's to roundoff. Every sensor is one QR of
+    # its padded block under the factor, so the cost stays linear in the
+    # sensor count.
     rng = np.random.default_rng(8)
     models = scenario_stream(40, seed0=5, n_max=4, m_max=5, k_max=3)
     models.append(bs.random_scenario(seed=6, n=6, m=60, K=3, r=3))
-    original = objective.lapack_cholesky
+    original = objective.lapack_qr
 
     for model in models:
         ev = bs.build_evaluator(model)
-        widest = max(len(w) for w in ev.whitened)
+        m, widest, n = ev.padded[:-1].shape
         slots = _random_feasible(rng, model).selections
-        swept, _ = objective.advance(ev, slots, model.horizon - 1)
-        for k, cov in ((0, ev.initial_cov), (model.horizon - 1, swept)):
-            reference = [objective.slot_step(ev, cov, (i,), k)[0] for i in range(model.sensor_count)]
+        swept, _ = root_entering(ev, slots, model.horizon - 1)
+        for root in (ev.initial_root, swept):
             factored = []
 
             def counted(a):
@@ -313,47 +329,58 @@ def test_singleton_scorer_matches_one_slot_step_per_sensor(monkeypatch):
                 return original(a)
 
             with monkeypatch.context() as patch:
-                patch.setattr(objective, "lapack_cholesky", counted)
-                gains = objective.singleton_gains(ev, cov)
-            np.testing.assert_allclose(gains, reference, rtol=1e-12, atol=1e-14)
-            assert factored == [(model.sensor_count, widest, widest)]
+                patch.setattr(objective, "lapack_qr", counted)
+                closing, factors = _update(ev, root, ev.padded[:-1])
+            assert factored == [(m, n + widest, n)]
+            before = float(objective.sweep_terms(root.diagonal()))
+            for i in range(m):
+                one, factor = _update(ev, root, ev.padded[i:i + 1])
+                assert closing[i] == one[0]
+                np.testing.assert_array_equal(factors[i], factor[0])
+                conditioned = np.triu(factors[i])
+                np.testing.assert_allclose(conditioned.T @ conditioned, root.T @ root + ev.whitened[i].T @ ev.whitened[i],
+                                           rtol=1e-9, atol=1e-9)
+                reference = _covariance_form_gain(root, ev.whitened[i])
+                assert abs(before - closing[i] - reference) <= 1e-9 * max(1.0, abs(reference))
 
 
-def test_singleton_scorer_names_the_sensor_whose_factorization_fails():
-    # A covariance negative along sensor 35's axis breaks its innovation
-    # covariance and no other sensor's: its gain alone is NaN.
+def test_the_update_where_the_information_along_one_axis_is_tiny():
+    # A factor whose information along axis 35 is 1e-600, a variance past
+    # the double range: the covariance form cannot hold it, and the update
+    # still gives the gain of the sensor on that axis, log(1 + 1e600), and
+    # log 2 for every other sensor.
     ev = bs.build_evaluator(axis_sensor_model(40))
-    cov = np.eye(40)
-    cov[35, 35] = -2.0
-    with np.errstate(invalid="ignore"):
-        gains = objective.singleton_gains(ev, cov)
-        with pytest.raises(bs.NotPositiveDefinite, match=r"^innovation covariance of sensors \[35\] at"):
-            objective.slot_step(ev, cov, (35,), 1)
-    assert np.isnan(gains[35])
-    assert np.isfinite(np.delete(gains, 35)).all()
+    root = np.eye(40)
+    root[35, 35] = 1e-300
+    closing, factors = _update(ev, root, ev.padded[:-1])
+    # -2 log|det R~| is 600 log 10 here: each sensor's gain is that less its closing term.
+    gains = 600 * math.log(10) - closing
+    assert abs(gains[35] - 600 * math.log(10)) <= 1e-12 * gains[35]
+    assert np.allclose(np.delete(gains, 35), math.log(2), rtol=1e-12)
+    assert np.allclose(np.abs(factors[35].diagonal()), 1.0, rtol=1e-12)
 
 
 STACKING_MODELS = dict(stacking_models())
 
 
 @pytest.mark.parametrize("label", [*sorted(STACKING_MODELS), "m60"])
-def test_singleton_gains_on_a_stack_equal_the_one_covariance_calls(label):
+def test_the_update_on_a_stack_of_factors_equals_the_one_factor_calls(label):
     # Sensors of 1, 2 and 3 rows in mixed order and a 60-sensor model: the
-    # gains at a (schedules, slots, n, n) stack of filter covariances equal,
-    # bit for bit, the one-covariance call at each member, and each sensor's
-    # gain is slot_step's to roundoff.
+    # closing terms and factors at a (schedules, slots, n, n) stack of
+    # factors equal, bit for bit, the one-factor call at each member.
     model = STACKING_MODELS.get(label) or bs.random_scenario(seed=6, n=6, m=60, K=3, r=3)
     ev = bs.build_evaluator(model)
     rng = np.random.default_rng(12)
     slots = [_random_feasible(rng, model).selections for _ in range(3)]
-    covs = np.array([[objective.advance(ev, s, k)[0] for k in range(model.horizon)] for s in slots])
-    stacked = objective.singleton_gains(ev, covs)
-    assert stacked.shape == covs.shape[:2] + (model.sensor_count,)
+    roots = np.array([[root_entering(ev, s, k)[0] for k in range(model.horizon)] for s in slots])
+    stacked, factors = _update(ev, roots[:, :, None], np.broadcast_to(ev.padded[:-1], roots.shape[:2] + ev.padded[:-1].shape))
+    assert stacked.shape == roots.shape[:2] + (model.sensor_count,)
+    assert factors.shape == roots.shape[:2] + (model.sensor_count,) + roots.shape[2:]
     for p in range(len(slots)):
         for k in range(model.horizon):
-            np.testing.assert_array_equal(stacked[p, k], objective.singleton_gains(ev, covs[p, k]))
-            reference = [objective.slot_step(ev, covs[p, k], (i,), k)[0] for i in range(model.sensor_count)]
-            np.testing.assert_allclose(stacked[p, k], reference, rtol=1e-12, atol=1e-14)
+            gains, one = _update(ev, roots[p, k], ev.padded[:-1])
+            np.testing.assert_array_equal(stacked[p, k], gains)
+            np.testing.assert_array_equal(factors[p, k], one)
 
 
 @pytest.mark.parametrize("label", sorted(STACKING_MODELS))
@@ -489,8 +516,9 @@ def _assert_the_trace_of_every_measured_slot_is_exact(horizon, growth):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the covariance-form measurement update cancels when the predicted variance dwarfs the "
-    "noise (CHANGES.md FOUND line 22); the square-root core of ROADMAP item 1 flips this",
+    reason="the error trace's covariance-form measurement update cancels when the predicted variance "
+    "dwarfs the noise (CHANGES.md FOUND line 22); ROADMAP item 19, the trace from the square-root "
+    "information sweep, flips this",
 )
 @pytest.mark.parametrize("growth", [1e6, 1e8, 1e12])
 def test_error_trace_where_the_predicted_variance_dwarfs_the_noise(growth):
@@ -501,34 +529,59 @@ def test_error_trace_where_the_predicted_variance_dwarfs_the_noise(growth):
     strict=True,
     raises=(AssertionError, bs.NumericOverflow),
     reason="the cancellation of FOUND line 22 grows with the horizon: 1.0148 and 21.5 where the "
-    "truth is 1.0, and NumericOverflow at growth 1e12 (CHANGES.md FOUND line 165); the square-root "
-    "core of ROADMAP item 1 flips this",
+    "truth is 1.0, and NumericOverflow at growth 1e12 (CHANGES.md FOUND line 165); ROADMAP item 19, "
+    "the trace from the square-root information sweep, flips this",
 )
 @pytest.mark.parametrize("growth", [1e6, 1e8, 1e12])
 def test_error_trace_where_the_predicted_variance_dwarfs_the_noise_over_64_slots(growth):
     _assert_the_trace_of_every_measured_slot_is_exact(64, growth)
 
 
-# FOUND line 199: the covariance-form sweep returns a wrong objective, with
-# no error, once the predicted variance dwarfs the noise.
-LINE_199 = pytest.mark.xfail(
-    strict=True,
-    reason="objective_logdet cancels where the predicted variance dwarfs the noise: -147.37 where "
-    "the truth is -184.21 at K=6, growth 1e8 (CHANGES.md FOUND line 199); the square-root core of "
-    "ROADMAP item 1 flips this",
-)
-
-
-@pytest.mark.parametrize("K, growth", [
-    (6, 1e6), pytest.param(6, 1e8, marks=LINE_199), pytest.param(6, 1e12, marks=LINE_199),
-    pytest.param(64, 1e8, marks=LINE_199),
+@pytest.mark.parametrize("K, growth, expected", [
+    (6, 1e6, -138.1551055797), (6, 1e8, -184.206807439524), (6, 1e12, -276.310211159285),
+    (64, 1e8, -2321.005773737998),
 ])
-def test_objective_of_every_measured_slot_where_the_predicted_variance_dwarfs_the_noise(K, growth):
-    # At growth 1e6 both give -138.1551055797 at K=6.
+def test_objective_of_every_measured_slot_where_the_predicted_variance_dwarfs_the_noise(K, growth, expected):
+    # CHANGES.md line 199: the covariance form gave -147.37, -165.79 and
+    # -1548.03 for the last three, with no error.
     ev = bs.build_evaluator(exploding_scalar_model(K, growth))
     schedule = bs.Schedule(((0,),) * K)
     oracle = oracle_objective(ev, schedule)
-    assert abs(bs.objective_logdet(ev, schedule) - oracle) <= 1e-9 * abs(oracle)
+    assert abs(oracle - expected) <= 1e-12 * abs(expected)
+    assert abs(bs.objective_logdet(ev, schedule) - oracle) <= 1e-12 * abs(oracle)
+    assert abs(objective.stacked_values(ev, [schedule])[0] - oracle) <= 1e-12 * abs(oracle)
+
+
+def _truncated(model, horizon):
+    """The model's first ``horizon`` slots."""
+    data = bs.model_to_dict(model)
+    data["measurement_times"] = data["measurement_times"][:horizon]
+    data["budgets"] = data["budgets"][:horizon]
+    if model.kind.variant:
+        for key in ("dynamics", "noise_input", "process_noise_cov"):
+            data[key] = data[key][:horizon - 1]
+    return bs.model_from_dict(data)
+
+
+@pytest.mark.parametrize("last", [0, 10, 40])
+@pytest.mark.parametrize("kind", list(bs.ModelKind))
+def test_the_sweep_stops_at_the_last_measured_slot(kind, last):
+    # At K=1024 the information form fails on the whole model (D_1024), so
+    # the oracle runs on the slots up to the last measured one; each later
+    # interval adds logdet Q_j to the objective.
+    model = bs.random_scenario(seed=5, n=6, m=10, K=1024, r=3, kind=kind)
+    ev = bs.build_evaluator(model)
+    rng = np.random.default_rng(last)
+    head = _random_feasible(rng, model).selections[:last] + ((0, 2),)
+    schedule = bs.Schedule(head + ((),) * (1023 - last))
+    short = _truncated(model, last + 1)
+    tail = sum(dense_logdet(q) for q in ev.noise_covs[last:])
+    expected = oracle_objective(bs.build_evaluator(short), bs.Schedule(head)) + tail
+    empty = bs.Schedule.empty(1024)
+    values = objective.stacked_values(ev, [schedule, empty, schedule])
+    for value in (bs.objective_logdet(ev, schedule), values[0], values[2]):
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+    assert bs.objective_logdet(ev, empty) == values[1] == -ev.prior_logdet
 
 
 def test_assemble_rejects_wrong_horizon():

@@ -12,6 +12,7 @@ import pytest
 import batchsched as bs
 from helpers import (
     exploding_scalar_model,
+    oracle_objective,
     overflow_index,
     per_candidate_greedy,
     schedule_of,
@@ -201,10 +202,11 @@ def test_greedy_matches_two_pass_information_form_greedy():
 
 def test_batched_scoring_matches_one_update_per_candidate():
     # Bit for bit against the loop that scores each candidate by its own
-    # slot_step, under the eager and the lazy refresh rule alike: the
-    # criterion-1 and criterion-6 streams, the benchmark's greedy shapes for
-    # every kind, and 60 sensors whose rows fill several scorer groups. Only
-    # the eager rule's evaluation count is compared.
+    # measurement update through sweep_step, under the eager and the lazy
+    # refresh rule alike: the criterion-1 and criterion-6 streams, the
+    # benchmark's greedy shapes for every kind, and 60 sensors whose rows
+    # fill several scorer groups. Only the eager rule's evaluation count is
+    # compared.
     models = scenario_stream(200, seed0=1234, n_max=3, m_max=4, k_max=3, r_max=2)
     models += scenario_stream(200, seed0=4242, m_max=4, r_max=3)
     models += [
@@ -262,16 +264,14 @@ def test_greedy_time_linear_in_horizon():
     assert exponent <= 1.3, f"fitted exponent {exponent} with fastest runs {fastest}"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=bs.NotPositiveDefinite,
-    reason="the covariance-form sweep loses the covariance's small directions over a long "
-    "unmeasured unstable stretch (CHANGES.md FOUND line 7); the square-root core of ROADMAP item 1 flips this",
-)
 def test_greedy_survives_a_long_unmeasured_unstable_stretch():
+    # CHANGES.md line 7: the covariance form lost the covariance's small
+    # directions over the unmeasured stretches and raised here.
     model = bs.random_scenario(seed=0, n=6, m=10, K=256, r=3, kind="discrete-invariant")
     budgets = tuple(3 if k in (0, 128, 255) else 0 for k in range(256))
     model = dataclasses.replace(model, budgets=budgets)
     ev = bs.build_evaluator(model)
     schedule, _ = bs.greedy_schedule(ev)
-    assert [len(slot) for slot in schedule.selections] == list(budgets)
+    assert schedule.selections == tuple((1, 3, 7) if k in (0, 128, 255) else () for k in range(256))
+    oracle = oracle_objective(ev, schedule)
+    assert abs(bs.objective_logdet(ev, schedule) - oracle) <= 1e-12 * abs(oracle)
