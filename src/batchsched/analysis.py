@@ -288,21 +288,20 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
     pair in one stacked computation, and a pair is skipped when its bound
     exceeds the best value known by more than ``BOUND_SLACK_RTOL`` of the
     values' scale, which roundoff cannot bridge. The best value starts at
-    the objective of ``incumbent`` (the greedy schedule when None), which
-    ``Schedule.validate_for`` must accept for the model.
+    the objective of ``incumbent`` (the greedy schedule's, from its trace,
+    when None), which ``Schedule.validate_for`` must accept for the model.
 
     The surviving schedules' values are exact to roundoff. Only those within
     the slack of the least are scored exactly, in lexicographic order, each
     by ``objective_logdet``; a schedule replaces the best only if strictly
     lower, so the result is the lexicographically first exact minimizer, as
-    plain enumeration returns it. If roundoff keeps every scored schedule
-    above the incumbent, the incumbent is the result.
+    plain enumeration returns it.
     """
     model = ev.model
     _check_enumeration_cap(model)
     if incumbent is None:
-        incumbent = greedy_schedule(ev)[0]
-        ceiling = objective_logdet(ev, incumbent)
+        _, trace = greedy_schedule(ev)
+        ceiling = trace.entries[-1].objective if trace.entries else trace.start_objective
     else:
         incumbent = incumbent.validate_for(model)
         ceiling = _incumbent_value(ev, incumbent)
@@ -325,7 +324,7 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
         if value < best_value:
             best_value = value
             best_schedule = schedule
-    return (best_schedule, best_value) if best_value <= ceiling else (incumbent, ceiling)
+    return best_schedule, best_value
 
 
 def worst_value(ev: ObjectiveEvaluator) -> float:

@@ -43,13 +43,6 @@ from .model import Schedule, SystemModel, freeze_arrays, require_int
 from .prior import build_prior_information, discretize_intervals  # noqa: F401
 
 
-def _lost_precision(what: str, k: int) -> NotPositiveDefinite:
-    return NotPositiveDefinite(
-        f"innovation covariance of {what} at time index {k}: the filter covariance lost precision "
-        "(unstable dynamics over a long stretch without measurements?)"
-    )
-
-
 def _not_finite(what: str, k: int) -> NumericOverflow:
     return NumericOverflow(
         f"{what} at time index {k} is not finite: a whitened sensor row or transition left "
@@ -205,11 +198,13 @@ def carry(ev: ObjectiveEvaluator, roots: np.ndarray, start: int, stop: int) -> t
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
     """Each schedule's objective from one sweep stacked over them, with one
-    more ``sweep_step`` at a slot that some measure last. Takes at least one
-    schedule and checks no shape; raises NumericOverflow, naming the first
-    time index, if a value is not finite."""
+    more ``sweep_step`` at a slot that some measure last. Zero rows pad a slot
+    to its budget or its widest member, so a schedule within the budgets
+    gets ``objective_logdet``'s rows and value. Takes at least one schedule
+    and checks no shape; raises NumericOverflow, naming the first time
+    index, if a value is not finite."""
     sizes = np.array([list(map(len, s.selections)) for s in schedules])
-    widths = sizes.max(axis=0)
+    widths = np.maximum(sizes.max(axis=0), ev.model.budgets)
     index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
     index[np.arange(widths.max()) < sizes[..., None]] = list(
         chain.from_iterable(chain.from_iterable(s.selections for s in schedules))
@@ -240,7 +235,7 @@ def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.
 def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """Log-determinant of the batch error covariance under ``schedule``: the
     sweep of ``stacked_values`` over a stack of this one schedule, entered
-    without gathering the stack."""
+    without gathering the stack; a slot's rows are padded to its budget."""
     schedule.check_shape(ev.horizon, ev.sensor_count)
     slots = schedule.selections
     last = max((k for k, slot in enumerate(slots) if slot), default=-1)
@@ -248,7 +243,8 @@ def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
         return -ev.prior_logdet
     root, diagonals = ev.initial_root[None], []
     for k in range(last + 1):
-        diagonal, root = sweep_step(ev, root, ev.padded[list(slots[k])].reshape(1, -1, ev.state_dim), k, k < last)
+        sensors = [*slots[k], *[ev.sensor_count] * (ev.model.budgets[k] - len(slots[k]))]
+        diagonal, root = sweep_step(ev, root, ev.padded[sensors].reshape(1, -1, ev.state_dim), k, k < last)
         diagonals.append(diagonal)
     terms = sweep_terms(np.concatenate(diagonals))
     value = float(ev.trailing_logdet[last] + terms.sum())
@@ -299,7 +295,10 @@ def _measure(
     # has lost its precision.
     lower = lapack_cholesky(innovation)
     if lower[0, 0] != lower[0, 0]:  # NaN: the factorization failed
-        raise _lost_precision(f"sensors {list(sensors)}", k)
+        raise NotPositiveDefinite(
+            f"innovation covariance of sensors {list(sensors)} at time index {k}: the filter covariance "
+            "lost precision (unstable dynamics over a long stretch without measurements?)"
+        )
     factor = lapack_solve(lower, projected)
     # factor.T @ factor is computed as a symmetric rank-d product, so the
     # covariance stays exactly symmetric.

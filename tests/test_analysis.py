@@ -796,24 +796,40 @@ def _long_unmeasured_stretch_model():
 ])
 def test_fuzzers_evaluate_a_long_unmeasured_unstable_stretch(monkeypatch, fuzzer, oracle):
     # The covariance form raised NotPositiveDefinite here. Each batch is one
-    # stacked sweep, and no schedule is swept alone. With every excess
-    # counted as a violation, the first trial in draw order raises it, as
-    # the per-trial oracle does. The excesses themselves are not compared:
-    # a schedule whose last measurement is slot 128 has a value that the
-    # sweep gives to about 1e-5 relative only (CHANGES.md), and the stack's
-    # padding rows change its roundoff.
+    # stacked sweep, and no schedule is swept alone. The stack gives each
+    # schedule its one-schedule value, so the report is the per-trial
+    # oracle's; with every excess counted as a violation, the first trial
+    # in draw order raises it, as the oracle does.
     model = _long_unmeasured_stretch_model()
     ev = bs.build_evaluator(model)
     batches, swept = _recorded_batches(monkeypatch)
     report = fuzzer(ev, trials=8, seed=2)
     assert swept == [] and len(batches) == 1
-    assert report.effective_trials == oracle(model, 8, 2)[0]
+    effective, max_excess = oracle(model, 8, 2)
+    assert report.effective_trials == effective
+    assert abs(report.max_excess - max_excess) <= FUZZ_ATOL
     monkeypatch.setattr(analysis, "PROPERTY_TOL", -math.inf)
     with pytest.raises(bs.PropertyViolated) as violated:
         fuzzer(ev, trials=8, seed=2)
     with pytest.raises(bs.PropertyViolated) as oracle_violated:
         oracle(model, 8, 2)
     assert str(violated.value).split(" by ")[0] == str(oracle_violated.value).split(" by ")[0]
+
+
+def test_a_stack_gives_each_schedule_its_one_schedule_value_after_a_long_unmeasured_unstable_stretch(monkeypatch):
+    # Here the factor's small entries keep only absolute accuracy, so any
+    # change of a schedule's rows, such as zero rows that pad it to a wider
+    # member of the stack, changed its value by up to 1e-5 relative. Both
+    # sweeps pad each slot to its budget, so they agree to roundoff,
+    # whichever slot a schedule measures last.
+    ev = bs.build_evaluator(_long_unmeasured_stretch_model())
+    batches, _ = _recorded_batches(monkeypatch)
+    bs.fuzz_monotonicity(ev, trials=8, seed=2)
+    schedules = batches[0]
+    lasts = {max((k for k, slot in enumerate(s.selections) if slot), default=-1) for s in schedules}
+    assert {128, 255} <= lasts
+    single = np.array([bs.objective_logdet(ev, s) for s in schedules])
+    np.testing.assert_allclose(objective.stacked_values(ev, schedules), single, rtol=1e-12, atol=0)
 
 
 def _recorded_batches(monkeypatch):

@@ -862,7 +862,8 @@ def _long_unmeasured_stretch_scenario(path):
 @pytest.mark.parametrize("algorithm", [["greedy"], ["random", "--seed", "1"]])
 def test_schedules_evaluate_a_long_unmeasured_unstable_stretch(tmp_path, capsys, algorithm):
     # The covariance form lost precision over the unmeasured stretches, and
-    # both exited 1 with NotPositiveDefinite.
+    # both exited 1 with NotPositiveDefinite. Both schedules fill every
+    # budget, where the information-form oracle still evaluates.
     scenario = tmp_path / "s.json"
     model = _long_unmeasured_stretch_scenario(scenario)
     out = tmp_path / "r.json"
@@ -870,7 +871,9 @@ def test_schedules_evaluate_a_long_unmeasured_unstable_stretch(tmp_path, capsys,
     assert capsys.readouterr().err == ""
     report = json.loads(out.read_text())
     ev = bs.build_evaluator(model)
-    assert report["objective"] == bs.objective_logdet(ev, bs.Schedule(report["schedule"]))
+    schedule = bs.Schedule(report["schedule"])
+    assert report["objective"] == bs.objective_logdet(ev, schedule)
+    assert report["objective"] == pytest.approx(oracle_objective(ev, schedule), rel=1e-12, abs=0)
 
 
 def test_bounds_error_names_the_time_index_where_the_filter_lost_precision(tmp_path, capsys):
