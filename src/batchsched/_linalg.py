@@ -6,12 +6,12 @@ import math
 from typing import Iterable
 
 import numpy as np
-# The LAPACK gufuncs behind np.linalg.cholesky, solve and qr, called directly
-# on the hot paths, where every matrix is a few rows square and the wrappers'
-# checks cost 6-11 us a call against 1.5-3 us for the kernel. A failed
-# Cholesky factorization gives NaN and sets the invalid flag instead of
-# raising. lapack_qr(a) overwrites a with R and, below it, the reflectors.
-from numpy.linalg._umath_linalg import cholesky_lo as lapack_cholesky, qr_r_raw as lapack_qr, solve as lapack_solve
+# The LAPACK gufuncs behind np.linalg.solve and qr, called directly on the
+# hot paths, where every matrix is a few rows square and the wrappers' checks
+# cost 6-11 us a call against 1.5-3 us for the kernel. A singular solve gives
+# NaN and sets the invalid flag instead of raising. lapack_qr(a) overwrites a
+# with R and, below it, the reflectors.
+from numpy.linalg._umath_linalg import qr_r_raw as lapack_qr, solve as lapack_solve
 
 from .errors import NotPositiveDefinite
 

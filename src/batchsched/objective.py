@@ -20,9 +20,9 @@ at R~ by the objective with it measured last. A gain is the difference of
 two such objectives, never read off R~'s determinant, whose small entries
 keep only absolute accuracy after a long unmeasured unstable stretch. No
 factorization can fail; a value or gain that is not finite raises
-NumericOverflow naming the time index. The error trace is a covariance-form
-Kalman sweep with a backward pass; the tests check both against the
-information form.
+NumericOverflow naming the time index. The error trace runs the sweep of
+``objective_logdet``, keeps its block rows and inverts the factor they form
+selectively; the tests check it against a selected inversion of J.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import lapack_cholesky, lapack_qr, lapack_solve, logdet_from_cholesky, sym
-from .errors import InvalidArgument, NotPositiveDefinite, NumericOverflow
+from ._linalg import lapack_qr, lapack_solve, logdet_from_cholesky, sym
+from .errors import InvalidArgument, NumericOverflow
 from .model import Schedule, SystemModel, freeze_arrays, require_int
 # Nothing here uses the information matrix: build_prior_information stays
 # importable from this module only because bench/tracing.py lists it as a
@@ -47,6 +47,13 @@ def _not_finite(what: str, k: int) -> NumericOverflow:
     return NumericOverflow(
         f"{what} at time index {k} is not finite: a whitened sensor row or transition left "
         "the double range (measurement matrix or dynamics too large for its noise covariance?)"
+    )
+
+
+def _variance_overflow(what: str, k: int) -> NumericOverflow:
+    return NumericOverflow(
+        f"{what} covariance at time index {k} is not finite: the error variance exceeds the double "
+        "range (unstable dynamics over a long stretch without measurements?)"
     )
 
 
@@ -105,9 +112,6 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     for V_i = L_i L_i.T, and the prior, against the V_i, P_1 and Q_j factors
     that the model and the discretization kept when they checked them."""
     transitions, noise_covs, noise_factors = discretize_intervals(model)
-    cov_logdet = logdet_from_cholesky(model._initial_factor)
-    for lower in noise_factors:
-        cov_logdet += logdet_from_cholesky(lower)
     n = model.state_dim
     width = max((len(sensor.C) for sensor in model.sensors), default=0)
     padded = np.zeros((model.sensor_count + 1, width, n))
@@ -141,7 +145,7 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
         noise_covs=noise_covs,
         noise_factors=noise_factors,
         whitened=whitened,
-        prior_logdet=-cov_logdet,
+        prior_logdet=-(logdet_from_cholesky(model._initial_factor) + float(trailing_logdet[0])),
         padded=padded,
         initial_root=initial_root,
         time_rows=time_rows,
@@ -162,7 +166,9 @@ def sweep_step(
     measured slot, the QR of [[R~], [W]] gives R_kk, the factor conditioned
     on W. Returns the diagonals of the R_kk and R~_{k+1}, or R_kk itself as
     the QR left it: its strict lower triangle holds reflectors, which a
-    product with ``ev.upper`` clears.
+    product with ``ev.upper`` clears. Either factor returned is a view of the
+    triangularized rows, whose ``base[..., :n, :]`` is the block row
+    [R_kk, R_k,k+1], or R_kk alone without ``propagate``.
     """
     n, d = white.shape[-1], white.shape[-2]
     if propagate:
@@ -231,26 +237,38 @@ def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.
     return values[np.argsort(order)]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
-    """Log-determinant of the batch error covariance under ``schedule``: the
-    sweep of ``stacked_values`` over a stack of this one schedule, entered
-    without gathering the stack; a slot's rows are padded to its budget."""
-    schedule.check_shape(ev.horizon, ev.sensor_count)
+def _sweep(ev: ObjectiveEvaluator, schedule: Schedule, rows: list | None = None) -> tuple[float, int]:
+    """``objective_logdet``'s value and the last measured slot l, -1 if none.
+
+    The sweep of ``stacked_values`` over a stack of this one schedule,
+    entered without gathering the stack: through slot l, a slot's rows
+    padded to its budget, plus sum_{j >= l} logdet Q_j. If ``rows`` is a
+    list, appends each slot's block row [R_kk, R_k,k+1], R_ll alone at l, as
+    ``sweep_step`` left it: reflectors below R_kk's diagonal.
+    """
     slots = schedule.selections
     last = max((k for k, slot in enumerate(slots) if slot), default=-1)
     if last < 0:
-        return -ev.prior_logdet
+        return -ev.prior_logdet, last
     root, diagonals = ev.initial_root[None], []
     for k in range(last + 1):
         sensors = [*slots[k], *[ev.sensor_count] * (ev.model.budgets[k] - len(slots[k]))]
         diagonal, root = sweep_step(ev, root, ev.padded[sensors].reshape(1, -1, ev.state_dim), k, k < last)
         diagonals.append(diagonal)
+        if rows is not None:
+            rows.append(root.base[0, :ev.state_dim])
     terms = sweep_terms(np.concatenate(diagonals))
     value = float(ev.trailing_logdet[last] + terms.sum())
     if not math.isfinite(value):
         raise _not_finite("objective term", int(np.argmin(np.isfinite(terms))))
-    return value
+    return value, last
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
+    """Log-determinant of the batch error covariance under ``schedule``."""
+    schedule.check_shape(ev.horizon, ev.sensor_count)
+    return _sweep(ev, schedule)[0]
 
 
 def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
@@ -271,102 +289,43 @@ def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) ->
     return objective_logdet(ev, schedule) - objective_logdet(ev, added)
 
 
-def _measure(
-    ev: ObjectiveEvaluator, cov: np.ndarray, sensors: tuple[int, ...], k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariance-form measurement update of the filter covariance P by a
-    nonempty slot, for the error trace.
-
-    Returns W, the sensors' stacked whitened matrices; the lower Cholesky
-    factor L of the innovation covariance I + W P W.T; and the conditioned
-    covariance P - (L^-1 W P).T (L^-1 W P). ``k``, the slot's time index,
-    only names the slot in an error.
-    """
-    if len(sensors) == 1:
-        white = ev.whitened[sensors[0]]
-    else:
-        white = np.concatenate([ev.whitened[i] for i in sensors])
-    projected = white @ cov
-    innovation = projected @ white.T
-    for j in range(len(innovation)):
-        innovation[j, j] += 1.0
-    # I plus a PSD matrix has pivots of at least 1 in exact arithmetic, so
-    # no pivot ratio test applies; this fails only once the filter covariance
-    # has lost its precision.
-    lower = lapack_cholesky(innovation)
-    if lower[0, 0] != lower[0, 0]:  # NaN: the factorization failed
-        raise NotPositiveDefinite(
-            f"innovation covariance of sensors {list(sensors)} at time index {k}: the filter covariance "
-            "lost precision (unstable dynamics over a long stretch without measurements?)"
-        )
-    factor = lapack_solve(lower, projected)
-    # factor.T @ factor is computed as a symmetric rank-d product, so the
-    # covariance stays exactly symmetric.
-    return white, lower, cov - factor.T @ factor
-
-
-def predict(ev: ObjectiveEvaluator, cov: np.ndarray, k: int) -> np.ndarray:
-    """Filter covariance at time index k+1 from the conditioned one at k."""
-    phi = ev.transitions[k]
-    return sym(phi @ cov @ phi.T + ev.noise_covs[k])
-
-
-# Overflow shows as a non-finite covariance, reported below as an error.
-@np.errstate(over="ignore", invalid="ignore")
+# A variance past the double range is reported below as an error.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """Trace of the batch error covariance, i.e. the total error variance.
 
-    The forward sweep keeps each slot's predicted covariance P and, for a
-    measured slot, G = L^-1 W from the innovation factor. A modified
-    Bryson-Frazier backward pass (Bierman, Factorization Methods for
-    Discrete Sequential Estimation, 1977) then carries the adjoint
-    covariance Lambda, zero after the last measured slot:
+    Selected inversion of the sweep's block-bidiagonal factor R, J = R.T R,
+    from the block rows that ``_sweep`` keeps: with X_k = R_kk^-1, all from
+    one stacked solve, Sigma_ll = X_l X_l.T at the last measured slot l and,
+    going back,
 
-        Lambda <- G.T G + (I - P G.T G).T Lambda (I - P G.T G)   at a measured slot,
-        tr Sigma_kk = tr P - tr(P Lambda P),
-        Lambda <- Phi.T Lambda Phi                                between slots.
+        Sigma_kk = X_k (I + R_k,k+1 Sigma_{k+1,k+1} R_k,k+1.T) X_k.T.
 
-    No covariance is inverted. The cost is O(K n^3), like one sweep. Raises
-    NumericOverflow, naming the time index, once the predicted covariance
-    leaves the double range, and if the backward pass does.
+    After slot l the smoothed covariance is the predicted one, summed forward
+    from Sigma_ll, or from P_1 with nothing measured. The cost is O(K n^3),
+    like one sweep. Raises NumericOverflow, naming the time index, once a
+    smoothed or predicted covariance leaves the double range.
     """
     schedule.check_shape(ev.horizon, ev.sensor_count)
-    slots = schedule.selections
-    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
-    steps = []  # (P, G or None) for each slot up to the last measured one
-    cov = ev.initial_cov
-    total = 0.0
-    for k in range(ev.horizon):
-        if k > last:
-            # No later measurement: the smoothed covariance is the predicted one.
-            total += float(np.trace(cov))
-        elif slots[k]:
-            white, lower, conditioned = _measure(ev, cov, slots[k], k)
-            steps.append((cov, lapack_solve(lower, white)))
-            cov = conditioned
-        else:
-            steps.append((cov, None))
-        if k + 1 < ev.horizon:
-            cov = predict(ev, cov, k)
-            if not np.isfinite(cov).all():
-                raise NumericOverflow(
-                    f"predicted covariance at time index {k + 1} is not finite: the error "
-                    "variance exceeds the double range (unstable dynamics over a long stretch "
-                    "without measurements?)"
-                )
-    adjoint = np.zeros((ev.state_dim, ev.state_dim))
-    for k in range(last, -1, -1):
-        cov, g = steps[k]
-        if g is not None:
-            info = g.T @ g
-            keep = np.eye(ev.state_dim) - cov @ info
-            adjoint = sym(info + keep.T @ adjoint @ keep)
-        total += float(np.trace(cov)) - float(np.sum((cov @ adjoint) * cov))
+    rows: list[np.ndarray] = []
+    last = _sweep(ev, schedule, rows)[1]
+    n = ev.state_dim
+    total, cov = 0.0, ev.initial_cov
+    if last >= 0:
+        inverses = lapack_solve(np.stack([row[:, :n] for row in rows]) * ev.upper, np.eye(n))
+        cov = sigma = inverses[last] @ inverses[last].T
+        for k in range(last, -1, -1):
+            if k < last:
+                gain = inverses[k] @ rows[k][:, n:]
+                sigma = inverses[k] @ inverses[k].T + gain @ sigma @ gain.T
+            total += float(np.trace(sigma))
+            if not math.isfinite(total):
+                raise _variance_overflow("smoothed", k)
+    for k in range(last + 1, ev.horizon):
         if k:
             phi = ev.transitions[k - 1]
-            adjoint = phi.T @ adjoint @ phi
-    if not math.isfinite(total):
-        raise NumericOverflow(
-            "total error variance is not finite: the backward pass left the double range"
-        )
+            cov = sym(phi @ cov @ phi.T + ev.noise_covs[k - 1])
+        total += float(np.trace(cov))
+        if not math.isfinite(total):
+            raise _variance_overflow("predicted", k)
     return total

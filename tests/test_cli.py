@@ -16,12 +16,15 @@ import batchsched as bs
 from batchsched import analysis, cli, prior
 from batchsched.cli import main
 from helpers import (
+    MPMATH_TRACE_RTOL,
     exploding_scalar_model,
+    mpmath_error_trace,
     oracle_objective,
     overflow_index,
     per_trial_monotonicity,
     per_trial_supermodularity,
     schedule_of,
+    selected_inversion_trace,
 )
 
 
@@ -665,10 +668,17 @@ def test_a_budget_past_the_overflowing_unmeasured_variance_evaluates(tmp_path, c
 
 
 def test_bounds_past_the_overflowing_unmeasured_variance_exits_1_naming_the_time_index(tmp_path, capsys):
-    # The error trace still sweeps the covariance, which leaves the double
-    # range before the last slot.
+    # The greedy measures the last slot, and its trace is finite: the
+    # covariance form's forward sweep left the double range before that slot.
+    # The empty schedule's total does leave the double range, so bounds,
+    # which reports both, exits 1 naming where.
     horizon = overflow_index() + 2
     model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * (horizon - 1) + (1,))
+    ev = bs.build_evaluator(model)
+    greedy, _ = bs.greedy_schedule(ev)
+    reference = mpmath_error_trace(ev, greedy, digits=60)
+    assert abs(reference - 172.11111111111111) <= 1e-15 * reference
+    assert abs(bs.batch_error_trace(ev, greedy) - reference) <= MPMATH_TRACE_RTOL * reference
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
     bs.save_scenario(model, str(scenario))
@@ -876,19 +886,26 @@ def test_schedules_evaluate_a_long_unmeasured_unstable_stretch(tmp_path, capsys,
     assert report["objective"] == pytest.approx(oracle_objective(ev, schedule), rel=1e-12, abs=0)
 
 
-def test_bounds_error_names_the_time_index_where_the_filter_lost_precision(tmp_path, capsys):
-    # The error trace still runs the covariance form, which loses precision
-    # over the unmeasured stretch before slot 128.
+# bounds' greedy trace on line 7's input against selected_inversion_trace,
+# relative. A 50-digit mpmath_error_trace (1.6 s, too slow for this suite)
+# put batch_error_trace within 3.4e-15 of it and the oracle within 8.9e-13:
+# the tolerance is the oracle's.
+LINE_7_TRACE_RTOL = 1e-11
+
+
+def test_bounds_evaluates_a_long_unmeasured_unstable_stretch(tmp_path, capsys):
+    # The covariance form lost precision over the unmeasured stretch before
+    # slot 128, and bounds exited 1 with NotPositiveDefinite.
     scenario = tmp_path / "s.json"
-    _long_unmeasured_stretch_scenario(scenario)
+    model = _long_unmeasured_stretch_scenario(scenario)
     out = tmp_path / "r.json"
-    assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line == (
-        "error: innovation covariance of sensors [1, 3, 7] at time index 128: the filter covariance "
-        "lost precision (unstable dynamics over a long stretch without measurements?)"
-    )
-    assert not out.exists()
+    assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    ev = bs.build_evaluator(model)
+    greedy, _ = bs.greedy_schedule(ev)
+    oracle = selected_inversion_trace(ev, greedy)
+    assert abs(report["trace_greedy"] - oracle) <= LINE_7_TRACE_RTOL * oracle
 
 
 @pytest.mark.parametrize("prop, per_trial", [("mono", per_trial_monotonicity), ("super", per_trial_supermodularity)])

@@ -12,8 +12,9 @@ from scipy.linalg import solve_triangular
 
 import batchsched as bs
 from batchsched import objective
-from batchsched.analysis import _random_feasible
+from batchsched.analysis import _random_feasible, random_schedule
 from helpers import (
+    MPMATH_TRACE_RTOL,
     assemble_information,
     block_tridiag_logdet,
     dense_error_trace,
@@ -22,6 +23,7 @@ from helpers import (
     exploding_scalar_model,
     generated_case,
     measurement_form_covariance,
+    mpmath_error_trace,
     overflow_index,
     oracle_objective,
     prior_information,
@@ -30,6 +32,7 @@ from helpers import (
     schedule_of,
     scenario_stream,
     selected_inversion_trace,
+    sparse_unstable_model,
     stable_model,
     stacking_models,
     to_dense,
@@ -475,10 +478,11 @@ def test_batch_error_trace_names_the_time_index_where_the_covariance_overflows()
             bs.batch_error_trace(ev, bs.Schedule.empty(model.horizon))
         greedy, _ = bs.greedy_schedule(ev)
         assert math.isfinite(bs.batch_error_trace(ev, greedy))
-        # The forward sweep stays finite; P Lambda P overflows going back.
+        # Every slot measured: each variance is 1/growth^2 but the last's, 1.
+        # The covariance form's backward pass overflowed here.
         steep = exploding_scalar_model(horizon=3, growth=1e100)
-        with pytest.raises(bs.NumericOverflow, match="total error variance is not finite"):
-            bs.batch_error_trace(bs.build_evaluator(steep), bs.Schedule(((0,),) * 3))
+        variance = bs.batch_error_trace(bs.build_evaluator(steep), bs.Schedule(((0,),) * 3))
+        assert variance == pytest.approx(1.0 + 2 / 1e100**2, rel=1e-12, abs=0)
 
 
 def test_measurement_form_equivalence_sample():
@@ -514,27 +518,26 @@ def _assert_the_trace_of_every_measured_slot_is_exact(horizon, growth):
     assert abs(bs.batch_error_trace(ev, every_slot) - exact) <= 1e-12 * abs(exact)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the error trace's covariance-form measurement update cancels when the predicted variance "
-    "dwarfs the noise (CHANGES.md FOUND line 22); ROADMAP item 19, the trace from the square-root "
-    "information sweep, flips this",
-)
 @pytest.mark.parametrize("growth", [1e6, 1e8, 1e12])
 def test_error_trace_where_the_predicted_variance_dwarfs_the_noise(growth):
     _assert_the_trace_of_every_measured_slot_is_exact(6, growth)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(AssertionError, bs.NumericOverflow),
-    reason="the cancellation of FOUND line 22 grows with the horizon: 1.0148 and 21.5 where the "
-    "truth is 1.0, and NumericOverflow at growth 1e12 (CHANGES.md FOUND line 165); ROADMAP item 19, "
-    "the trace from the square-root information sweep, flips this",
-)
 @pytest.mark.parametrize("growth", [1e6, 1e8, 1e12])
 def test_error_trace_where_the_predicted_variance_dwarfs_the_noise_over_64_slots(growth):
     _assert_the_trace_of_every_measured_slot_is_exact(64, growth)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_both_traces_match_the_mpmath_reference_after_long_unmeasured_unstable_stretches(seed):
+    model = sparse_unstable_model(seed)
+    ev = bs.build_evaluator(model)
+    greedy, _ = bs.greedy_schedule(ev)
+    random = random_schedule(np.random.default_rng(seed), model.sensor_count, model.budgets)
+    for schedule in (greedy, random):
+        reference = mpmath_error_trace(ev, schedule)
+        assert abs(bs.batch_error_trace(ev, schedule) - reference) <= MPMATH_TRACE_RTOL * reference
+        assert abs(selected_inversion_trace(ev, schedule) - reference) <= MPMATH_TRACE_RTOL * reference
 
 
 @pytest.mark.parametrize("K, growth, expected", [

@@ -72,13 +72,14 @@ def test_the_information_form_oracle_and_test_only_helpers_are_not_in_the_packag
         (bs, ("BlockTridiagonal", "assemble_information", "block_tridiag_logdet", "pd_inverse")),
         (prior, ("BlockTridiagonal", "assemble_information", "block_tridiag_logdet", "pd_inverse")),
         (objective, ("assemble_information", "block_tridiag_logdet")),
-        (_linalg, ("pd_inverse",)),
+        (_linalg, ("pd_inverse", "lapack_cholesky")),
         (bs.SystemModel, ("interval_dynamics", "interval_noise_input", "interval_process_noise", "interval_length")),
         (bs.Schedule, ("from_sets", "contains")),
         (scheduler, ("greedy_step", "_greedy_step")),
         (objective, ("objective_values", "SingletonScorer", "SCORER_GROUP_ROWS")),
         (objective, ("values_in_order", "VALUES_CHUNK", "_stacked_sweep")),
         (objective, ("_bordered_step", "stacked_step", "slot_step", "advance", "predict_through", "singleton_gains")),
+        (objective, ("_measure", "predict", "lapack_cholesky")),
         (bs.ObjectiveEvaluator, ("sensor_rows", "sensor_rows_t", "block_identity")),
         (prior, ("_THETAS", "_PADE_TERMS")),
         (analysis, ("iter_feasible_schedules",)),
