@@ -22,8 +22,9 @@ PD_PIVOT_RTOL = 1e-12
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part (a + a.T) / 2 of a matrix, or of each matrix of a stack."""
-    return (a + a.swapaxes(-1, -2)) / 2.0
+    """Symmetric part a/2 + a.T/2 of a matrix, or of each matrix of a stack: halved
+    first, it is finite for any finite ``a``, and (a + a.T)/2 unless a half is subnormal."""
+    return a / 2.0 + a.swapaxes(-1, -2) / 2.0
 
 
 def chol_pd(a: np.ndarray, name: str) -> np.ndarray:

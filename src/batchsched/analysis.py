@@ -269,13 +269,13 @@ def _near_minimal_leaves(
     return [p for p, _ in near]
 
 
-@lru_cache(maxsize=1)
-def _incumbent_value(ev: ObjectiveEvaluator, incumbent: Schedule) -> float:
-    """The exact objective of a search's incumbent, which ``certify_ratio``
-    reads back after the search, so that the greedy schedule is swept once
-    and no caller-supplied value reaches the bound. Only the last
-    (evaluator, schedule) pair is kept; a miss sweeps again."""
-    return objective_logdet(ev, incumbent)
+class _Incumbent(Schedule):
+    """``certify_ratio``'s greedy schedule as the search's incumbent: the
+    search sets ``value`` to the exact objective it sweeps it for, which the
+    certificate reads, so the schedule is swept once and no state outlives
+    the call."""
+
+    value: float
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -304,7 +304,9 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
         ceiling = trace.entries[-1].objective if trace.entries else trace.start_objective
     else:
         incumbent = incumbent.validate_for(model)
-        ceiling = _incumbent_value(ev, incumbent)
+        ceiling = objective_logdet(ev, incumbent)
+        if isinstance(incumbent, _Incumbent):
+            incumbent.value = ceiling
     # ceiling: the least objective known to be reachable. A subset whose
     # bound exceeds it by more than the slack cannot hold the optimum.
     slack = BOUND_SLACK_RTOL * max(1.0, abs(ev.prior_logdet), abs(ceiling))
@@ -320,7 +322,8 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
             slots[k] = subsets[pick]
         schedule = Schedule(slots)
         # The incumbent is swept already: the ceiling is its exact value.
-        value = ceiling if schedule == incumbent else objective_logdet(ev, schedule)
+        swept = incumbent is not None and schedule.selections == incumbent.selections
+        value = ceiling if swept else objective_logdet(ev, schedule)
         if value < best_value:
             best_value = value
             best_schedule = schedule
@@ -340,17 +343,18 @@ def worst_value(ev: ObjectiveEvaluator) -> float:
 def certify_ratio(ev: ObjectiveEvaluator) -> RatioCertificate:
     """Certify (greedy - opt) / (max - opt) <= 1/2 by exhaustive search.
 
-    The enumeration cap is checked before any work. The greedy runs once:
-    its schedule is the certificate's and the search's incumbent, and its
-    value is the one the search swept it for. Raises GuaranteeViolated,
-    carrying the full instance, if the bound fails; that signals a bug in
-    this library, not a tight instance.
+    The enumeration cap is checked before any work. The greedy runs once
+    and its schedule is swept once: it is the certificate's and the
+    search's incumbent, and its value the search's ceiling. Raises
+    GuaranteeViolated, carrying the full instance, if the bound fails; that
+    signals a bug in this library, not a tight instance.
     """
     model = ev.model
     _check_enumeration_cap(model)
     greedy, _ = greedy_schedule(ev)
-    opt_schedule, opt_value = brute_force_opt(ev, incumbent=greedy)
-    greedy_value = _incumbent_value(ev, greedy)
+    incumbent = _Incumbent(greedy.selections)
+    opt_schedule, opt_value = brute_force_opt(ev, incumbent=incumbent)
+    greedy_value = incumbent.value
     max_value = worst_value(ev)
     fingerprint = model_fingerprint(model)
 

@@ -204,57 +204,39 @@ def _is_sequence(value: Any) -> bool:
 _NON_NUMBER_KINDS = {"b": "booleans", "U": "strings", "S": "strings"}
 
 
-def _non_numbers(value: Any, ndim: int = 2) -> str | None:
-    """What a matrix (``ndim`` 2) or a sequence of matrices (``ndim`` 3) holds
-    that NumPy would read as numbers although it is none: "booleans" (as 1.0
-    and 0.0) or "strings" (numeric text such as "2.0"). These are bool, str or
-    bytes entries, the entries of a boolean or string ndarray among its rows
-    or matrices, or boolean or string ndarray entries of any dimension, as in
-    an object array. None if it holds neither, or if the value, one of its
-    rows or (for ``ndim`` 3) one of its matrices is not a list, tuple or
-    ndarray; the conversion and the shape checks reject it."""
-    if isinstance(value, np.ndarray):
-        if value.dtype != object:
-            return _NON_NUMBER_KINDS.get(value.dtype.kind)
-        value = value.tolist()  # the entries themselves, not float copies
-    elif not _is_sequence(value):
-        return None  # a string or a mapping is no matrix, whatever it holds
-    entries = value
+def _floats(value: Any, ndim: int) -> np.ndarray | str:
+    """A matrix (``ndim`` 2) or a sequence of matrices (``ndim`` 3) as a float
+    array, converted once, or why not: "booleans" or "strings" if it holds
+    what NumPy would read as numbers although it is none (True as 1.0, numeric
+    text such as "2.0" as its value), "" if it does not convert. Those are
+    bool, str or bytes entries, ndarray entries (0-d ones too, as in an object
+    array) of boolean or string dtype, or a whole boolean or string ndarray.
+    Entries are read only if the value has ``ndim`` levels: a string, a
+    mapping or a ragged list is no matrix, whatever it holds."""
+    found = None
     try:
-        for _ in range(ndim - 1):
-            entries = chain.from_iterable(entries)
-        entries = list(entries)
-    except TypeError:
-        return None
-    types = set(map(type, entries))
-    if bool in types or np.bool_ in types:
-        found = "booleans"
-    elif any(issubclass(t, (str, bytes)) for t in types):
-        found = "strings"
-    elif any(issubclass(t, np.ndarray) for t in types):
-        kinds = {e.dtype.kind for e in entries if isinstance(e, np.ndarray)}
-        found = "booleans" if "b" in kinds else "strings" if kinds & {"U", "S"} else None
-    else:
-        return None
-    # Checked only now, so valid input pays nothing: a row or matrix that is
-    # no sequence (a mapping gives its keys as entries) makes no matrix.
-    level = [value]
-    for _ in range(ndim - 1):
-        level = list(chain.from_iterable(level))
-        if not all(map(_is_sequence, level)):
-            return None
-    return found
+        if isinstance(value, np.ndarray) and value.dtype != object:
+            array, found = np.asarray(value), _NON_NUMBER_KINDS.get(value.dtype.kind)  # a plain array, not np.matrix
+        elif (array := np.array(value, dtype=object)).ndim == ndim:
+            entries = array.ravel().tolist()  # the entries themselves, not float copies
+            types = set(map(type, entries))
+            if bool in types or np.bool_ in types:
+                found = "booleans"
+            elif any(issubclass(t, (str, bytes)) for t in types):
+                found = "strings"
+            elif any(issubclass(t, np.ndarray) for t in types):
+                kinds = {e.dtype.kind for e in entries if isinstance(e, np.ndarray)}
+                found = "booleans" if "b" in kinds else "strings" if kinds & {"U", "S"} else None
+        return found or array.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        return ""
 
 
 def _as_matrix(value: Any, name: str) -> np.ndarray:
-    non_numbers = _non_numbers(value)
-    if non_numbers:
-        raise DimensionMismatch(f"{name} must contain numbers, not {non_numbers}")
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DimensionMismatch(f"{name} is not a numeric matrix") from None
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+    arr = _floats(value, 2)
+    if isinstance(arr, str):
+        raise DimensionMismatch(f"{name} must contain numbers, not {arr}" if arr else f"{name} is not a numeric matrix")
+    if arr.ndim != 2 or 0 in arr.shape:
         raise DimensionMismatch(f"{name} must be a non-empty 2-D matrix")
     if not np.all(np.isfinite(arr)):
         raise DimensionMismatch(f"{name} must contain only finite entries")
@@ -270,13 +252,8 @@ def _lists_matrices(value: Sequence) -> bool:
 def _float_stack(mats: Any) -> np.ndarray | None:
     """A sequence of matrices as one read-only float array (len, rows, cols), in one
     conversion; None unless they convert into nonempty, finite matrices of one shape, with no booleans or strings."""
-    if _non_numbers(mats, 3):
-        return None
-    try:
-        stack = np.array(mats, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if stack.ndim != 3 or 0 in stack.shape or not np.isfinite(stack).all():
+    stack = _floats(mats, 3)
+    if isinstance(stack, str) or stack.ndim != 3 or 0 in stack.shape or not np.isfinite(stack).all():
         return None
     stack.setflags(write=False)
     return stack

@@ -243,6 +243,32 @@ def exploding_scalar_model(horizon, growth=2.0):
     )
 
 
+def halving_scalar_model(p1=1.0, w=1.0):
+    """Scalar model x_{k+1} = x_k / 2 + w_k over K = 3 slots, with initial
+    variance p1 and process noise variance w, watched by one sensor C = V = 1
+    with budget 1 per slot."""
+    return bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=1,
+        dynamics=np.array([[0.5]]),
+        noise_input=np.eye(1),
+        process_noise_cov=np.array([[w]]),
+        initial_state_cov=np.array([[p1]]),
+        measurement_times=(1.0, 2.0, 3.0),
+        sensors=(bs.Sensor(C=np.eye(1), V=np.eye(1)),),
+        budgets=(1,) * 3,
+    )
+
+
+def huge_sensor_model(r):
+    """``random_scenario(seed=0, n=2, m=3, K=3, r)`` with sensor 0 reading
+    C = [[1e308, 1e308]]: valid doubles whose squared norm, once whitened,
+    leaves the double range."""
+    data = bs.model_to_dict(bs.random_scenario(seed=0, n=2, m=3, K=3, r=r))
+    data["sensors"][0]["C"] = [[1e308, 1e308]]
+    return bs.model_from_dict(data)
+
+
 def sparse_unstable_model(seed, horizon=48, radius=1.2):
     """The shape of CHANGES.md line 7's input at a size mpmath evaluates:
     ``random_scenario(seed, n=2, m=3, horizon, r=2)`` of the

@@ -1,9 +1,11 @@
 """Exhaustive certification, property fuzzers, and error-variance limits."""
 
 import dataclasses
+import gc
 import math
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from batchsched.analysis import _random_feasible, _random_subschedule, random_sc
 from helpers import (
     ALL_KINDS,
     exploding_scalar_model,
+    huge_sensor_model,
     iter_feasible_schedules,
     oracle_objective,
     overflow_index,
@@ -552,6 +555,26 @@ def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
     assert 0 < len(visited) < count
 
 
+def test_no_search_keeps_its_evaluator_or_model_alive():
+    model = bs.random_scenario(seed=2, n=2, m=3, K=2, r=1)
+    ev = bs.build_evaluator(model)
+    refs = [weakref.ref(ev), weakref.ref(model)]
+    bs.certify_ratio(ev)
+    bs.brute_force_opt(ev, incumbent=bs.Schedule.empty(2))
+    del ev, model
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_the_search_names_the_slot_where_a_leaf_value_overflows():
+    # Every schedule that measures sensor 0, whose whitened row's squared
+    # norm passes the double range, has no finite value; the search meets
+    # them among its leaves, at the last branching slot.
+    ev = bs.build_evaluator(huge_sensor_model(r=1))
+    with pytest.raises(bs.NumericOverflow, match="^objective term at time index 2 is not finite"):
+        bs.brute_force_opt(ev, incumbent=schedule_of([[1], [1], [1]]))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_search_reaches_the_depth_the_default_cap_allows(monkeypatch, n):
     # 20 branching slots of two subsets each: 2^20 feasible schedules, under
@@ -626,7 +649,8 @@ def test_certify_sweeps_the_greedy_schedule_once(monkeypatch):
         greedy, _ = bs.greedy_schedule(ev)
         visited.clear()
         cert = bs.certify_ratio(ev)
-        assert visited.count(greedy) == 1
+        # The search's incumbent is a private Schedule subclass, equal to no plain schedule.
+        assert [s.selections for s in visited].count(greedy.selections) == 1
         assert cert.greedy_value == bs.objective_logdet(ev, greedy)
 
 

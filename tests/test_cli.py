@@ -18,6 +18,8 @@ from batchsched.cli import main
 from helpers import (
     MPMATH_TRACE_RTOL,
     exploding_scalar_model,
+    halving_scalar_model,
+    huge_sensor_model,
     mpmath_error_trace,
     oracle_objective,
     overflow_index,
@@ -688,18 +690,11 @@ def test_bounds_past_the_overflowing_unmeasured_variance_exits_1_naming_the_time
     assert not out.exists()
 
 
-def _huge_sensor_scenario(path, r):
-    # Valid doubles whose squared norm leaves the double range.
-    data = bs.model_to_dict(bs.random_scenario(seed=0, n=2, m=3, K=3, r=r))
-    data["sensors"][0]["C"] = [[1e308, 1e308]]
-    bs.save_scenario(bs.model_from_dict(data), str(path))
-
-
 @pytest.mark.parametrize("command", [["schedule"], ["certify"], ["bounds", "--alpha", "0.5"]])
 def test_sensor_entries_near_the_double_range_exit_1_with_one_line(tmp_path, capsys, command):
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
-    _huge_sensor_scenario(scenario, r=1)
+    bs.save_scenario(huge_sensor_model(r=1), str(scenario))
     assert run([*command, "--config", str(scenario), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     # Nothing was predicted before slot 0: the sensor's scale overflowed.
@@ -734,11 +729,30 @@ def test_a_discretization_that_overflows_exits_1_with_one_line(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_an_initial_variance_past_half_the_double_range_runs_every_command(tmp_path, capsys):
+    # P_1 = 1e308: its symmetric part, taken as (P_1 + P_1.T) / 2, overflowed,
+    # so every command warned and bounds exited 1. The empty schedule's trace
+    # is 1e308 (1 + 1/4 + 1/16) plus a few units.
+    scenario = tmp_path / "s.json"
+    out = tmp_path / "r.json"
+    bs.save_scenario(halving_scalar_model(p1=1e308), str(scenario))
+    for command in (
+        ["schedule"],
+        ["schedule", "--algorithm", "random", "--seed", "1"],
+        ["certify"],
+        ["fuzz", "--property", "super", "--trials", "5", "--seed", "1"],
+        ["bounds"],
+    ):
+        assert run([*command, "--config", str(scenario), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["trace_empty"] == pytest.approx(1.3125e308, rel=1e-15)
+
+
 def test_bounds_with_no_budget_ignore_the_sensors_scale(tmp_path):
     # Nothing is measured, so the lower bound is the prior's however large C is.
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
-    _huge_sensor_scenario(scenario, r=0)
+    bs.save_scenario(huge_sensor_model(r=0), str(scenario))
     assert run(["bounds", "--config", str(scenario), "--alpha", "0.5", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     model = bs.load_scenario(str(scenario))

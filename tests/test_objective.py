@@ -22,6 +22,7 @@ from helpers import (
     dense_prior_covariance,
     exploding_scalar_model,
     generated_case,
+    huge_sensor_model,
     measurement_form_covariance,
     mpmath_error_trace,
     overflow_index,
@@ -483,6 +484,39 @@ def test_batch_error_trace_names_the_time_index_where_the_covariance_overflows()
         steep = exploding_scalar_model(horizon=3, growth=1e100)
         variance = bs.batch_error_trace(bs.build_evaluator(steep), bs.Schedule(((0,),) * 3))
         assert variance == pytest.approx(1.0 + 2 / 1e100**2, rel=1e-12, abs=0)
+
+
+def test_a_measured_sensor_past_the_double_range_names_its_time_index():
+    # Sensor 0's whitened row has a squared norm past the double range, so
+    # the first objective term is not finite; the trace sweeps it the same way.
+    ev = bs.build_evaluator(huge_sensor_model(r=1))
+    schedule = schedule_of([[0], [], []])
+    for evaluate in (bs.objective_logdet, bs.batch_error_trace):
+        with pytest.raises(bs.NumericOverflow, match="^objective term at time index 0 is not finite"):
+            evaluate(ev, schedule)
+
+
+def test_batch_error_trace_names_the_time_index_where_the_smoothed_covariance_overflows():
+    # Phi = 1e-200 I decouples the slots, so Sigma_00 is about P_1 = 1e308 I
+    # and the trace, about 2e308, passes the double range at slot 0, while
+    # the value of the schedule that measures slot 1 is finite.
+    eye = np.eye(2)
+    model = bs.SystemModel(
+        kind="discrete-invariant",
+        state_dim=2,
+        dynamics=1e-200 * eye,
+        noise_input=eye,
+        process_noise_cov=eye,
+        initial_state_cov=1e308 * eye,
+        measurement_times=(1.0, 2.0),
+        sensors=(bs.Sensor(C=eye, V=eye),),
+        budgets=(0, 1),
+    )
+    ev = bs.build_evaluator(model)
+    schedule = schedule_of([[], [0]])
+    assert math.isfinite(bs.objective_logdet(ev, schedule))
+    with pytest.raises(bs.NumericOverflow, match="^smoothed covariance at time index 0 is not finite"):
+        bs.batch_error_trace(ev, schedule)
 
 
 def test_measurement_form_equivalence_sample():

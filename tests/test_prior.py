@@ -15,6 +15,7 @@ from helpers import (
     ALL_KINDS,
     block_tridiag_logdet,
     dense_prior_covariance,
+    halving_scalar_model,
     interval_matrices,
     per_block_prior_information,
     per_interval_discretization,
@@ -428,3 +429,13 @@ def test_van_loan_against_40_digits_however_large_the_noise(a_norm, ratio):
     want = [mp_van_loan(*pair) for pair in zip(a, noise)]
     assert norm_gap(phi, np.array([p for p, _ in want])).max() <= 2e-15
     assert norm_gap(q, np.array([q for _, q in want])).max() <= 2e-15
+
+
+def test_a_noise_variance_past_half_the_double_range_discretizes():
+    # W = 1e308: Q_1's symmetric part, taken as (Q + Q.T) / 2, overflowed, and
+    # the interval was reported as leaving the double range.
+    model = halving_scalar_model(w=1e308)
+    _, noise_covs, _ = prior.discretize_intervals(model)
+    assert noise_covs.tolist() == [[[1e308]], [[1e308]]]
+    ev = bs.build_evaluator(model)
+    assert math.isfinite(bs.objective_logdet(ev, bs.greedy_schedule(ev)[0]))

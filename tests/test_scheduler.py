@@ -248,17 +248,21 @@ def test_greedy_carries_the_covariance_only_to_the_last_slot_with_a_budget(first
 def test_greedy_time_linear_in_horizon():
     # Each gain is one measurement update, so a run grows like K; two
     # full objective passes per gain would grow like K^2.
-    # Host noise only ever adds time, so each horizon keeps its fastest run;
-    # the rounds interleave the horizons, so a slow spell of the host falls
-    # on all of them alike. The first round doubles as the warm-up.
+    # Host noise only ever adds time, so each horizon keeps its fastest
+    # sample. Every sample repeats the greedy 512 / K times, so all span
+    # about the same wall time and a short fast spell of the host cannot
+    # favour the small horizons; the fit is on the time per run. The rounds
+    # interleave the horizons, so a slow spell falls on all of them alike.
+    # The first round doubles as the warm-up.
     horizons = [64, 128, 256, 512]
-    cases = [(model, bs.build_evaluator(model)) for model in map(stable_model, horizons)]
+    cases = [(512 // K, bs.build_evaluator(stable_model(K))) for K in horizons]
     samples = [[] for _ in horizons]
     for _ in range(7):
-        for (model, ev), times in zip(cases, samples):
+        for (repeats, ev), times in zip(cases, samples):
             start = time.perf_counter()
-            bs.greedy_schedule(ev)
-            times.append(time.perf_counter() - start)
+            for _ in range(repeats):
+                bs.greedy_schedule(ev)
+            times.append((time.perf_counter() - start) / repeats)
     fastest = [min(times) for times in samples]
     exponent = float(np.polyfit(np.log(horizons), np.log(fastest), 1)[0])
     assert exponent <= 1.3, f"fitted exponent {exponent} with fastest runs {fastest}"
