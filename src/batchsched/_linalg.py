@@ -49,11 +49,13 @@ def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
 
 def _symmetric(stack: np.ndarray) -> bool:
     """Whether every matrix of a (J, p, p) stack is symmetric to 1e-9 of its largest
-    entry (at least 1); Cholesky only reads the lower triangle."""
+    entry (at least 1); Cholesky only reads the lower triangle. The halves are
+    compared, as ``sym`` halves, so mirrored entries near the double range of
+    opposite sign do not overflow."""
     if (stack == stack.swapaxes(1, 2)).all():
         return True
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    return bool((np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-9 * scale).all())
+    return bool((np.abs(stack / 2.0 - stack.swapaxes(1, 2) / 2.0).max(axis=(1, 2)) <= 0.5e-9 * scale).all())
 
 
 def pd_factors(stacks: list[np.ndarray], named: Iterable[tuple[str, np.ndarray]]) -> list[np.ndarray]:

@@ -218,24 +218,34 @@ def _near_minimal_leaves(
     ``slack`` are skipped.
 
     ``descend`` takes the prefixes entering one branching slot, stacked:
-    their subset indices ``picks``, factors, sweeps and objectives. It
-    bounds every (prefix, subset) pair, then steps the survivors in chunks
-    of at most ``VALUES_CHUNK``, in order, each filtered again against the
-    ceiling, and recurses with each chunk into the next branching slot. A
-    pair's objective comes from the QR of [[R~], [W]], as at a sweep's last
-    slot, or is its prefix's if it measures nothing. The enumeration cap,
-    checked first, keeps the depth at most log2(cap): 20 at the default;
-    the interpreter's 1,000-frame limit needs a cap above about 2^990.
+    their subset indices ``picks``, factors, sweeps and objectives. When
+    more than ``VALUES_CHUNK`` leaves lie below them, it bounds every
+    (prefix, subset) pair; otherwise one stacked step already scores every
+    leaf, at this slot and each later one, and nothing is bounded or
+    pruned: a leaf a bound would skip lies above the least value by more
+    than ``slack`` and never enters the result. It steps the survivors in
+    chunks of at most ``VALUES_CHUNK``, in order, each filtered again
+    against the ceiling, and recurses with each chunk into the next
+    branching slot. A pair's objective comes from the QR of [[R~], [W]], as
+    at a sweep's last slot, or is its prefix's if it measures nothing. The
+    enumeration cap, checked first, keeps the depth at most log2(cap): 20
+    at the default; the interpreter's 1,000-frame limit needs a cap above
+    about 2^990.
     """
     best = math.inf
     near: list[tuple[tuple[int, ...], float]] = []
+    sizes = [len(_subset_table(ev.sensor_count, ev.model.budgets[k])[0]) for k in levels]
 
     def descend(level: int, picks: np.ndarray, roots: np.ndarray, swept: np.ndarray, value: np.ndarray) -> None:
         nonlocal best, ceiling, near
         k = levels[level]
         leaf = level == len(levels) - 1
         members = _subset_table(ev.sensor_count, ev.model.budgets[k])[1]
-        bounds = _child_bounds(ev, levels[level:], roots, swept, value)
+        # When one stacked step scores every leaf below, bounds cost more than they prune.
+        if len(roots) * math.prod(sizes[level:]) > VALUES_CHUNK:
+            bounds = _child_bounds(ev, levels[level:], roots, swept, value)
+        else:
+            bounds = np.full((len(roots), len(members)), -math.inf)
         # Written so that a NaN bound prunes nothing.
         pairs = np.argwhere(~(bounds > ceiling + slack))
         for first in range(0, len(pairs), VALUES_CHUNK):
@@ -284,12 +294,16 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
     branch and bound over the slots with a nonzero budget; the others are
     empty in every feasible schedule.
 
-    At each branching slot, ``_child_bounds`` bounds every (prefix, subset)
-    pair in one stacked computation, and a pair is skipped when its bound
-    exceeds the best value known by more than ``BOUND_SLACK_RTOL`` of the
-    values' scale, which roundoff cannot bridge. The best value starts at
-    the objective of ``incumbent`` (the greedy schedule's, from its trace,
-    when None), which ``Schedule.validate_for`` must accept for the model.
+    The enumeration cap is checked first, unless the incumbent comes from
+    ``certify_ratio``, which checked it. At each branching slot with more
+    than ``VALUES_CHUNK`` schedules below it, ``_child_bounds`` bounds every
+    (prefix, subset) pair in one stacked computation, and a pair is skipped
+    when its bound exceeds the best value known by more than
+    ``BOUND_SLACK_RTOL`` of the values' scale, which roundoff cannot bridge;
+    fewer schedules are all stepped, unbounded, as one stacked step holds
+    them. The best value starts at the objective of ``incumbent`` (the
+    greedy schedule's, from its trace, when None), which
+    ``Schedule.validate_for`` must accept for the model.
 
     The surviving schedules' values are exact to roundoff. Only those within
     the slack of the least are scored exactly, in lexicographic order, each
@@ -298,7 +312,8 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
     plain enumeration returns it.
     """
     model = ev.model
-    _check_enumeration_cap(model)
+    if not isinstance(incumbent, _Incumbent):
+        _check_enumeration_cap(model)
     if incumbent is None:
         _, trace = greedy_schedule(ev)
         ceiling = trace.entries[-1].objective if trace.entries else trace.start_objective

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import logdet_from_cholesky
 from .model import Schedule
-from .objective import ObjectiveEvaluator, _not_finite, carry, objective_logdet, sweep_step, sweep_terms
+from .objective import ObjectiveEvaluator, _not_finite, objective_logdet, sweep_step, sweep_terms
 
 # Gains within this absolute distance of the round's best gain count as
 # tied; ties resolve to the smallest sensor index, so runs are reproducible
@@ -63,27 +63,27 @@ def greedy_schedule(ev: ObjectiveEvaluator) -> tuple[Schedule, GreedyTrace]:
     slots: list[tuple[int, ...]] = [()] * ev.horizon
     for k in range(last + 1):
         if k:
-            ahead, skipped = carry(ev, root[None], k - 1, k)
-            root, offset = ahead[0], offset - float(skipped[0]) + logdet_from_cholesky(ev.noise_factors[k - 1])
+            diagonal, root = sweep_step(ev, root, ev.padded[-1, :0], k - 1, True)
+            offset = offset - float(sweep_terms(diagonal)) + logdet_from_cholesky(ev.noise_factors[k - 1])
         remaining = list(range(ev.sensor_count))  # candidates, in index order
         accepted: list[int] = []
         while remaining and len(accepted) < ev.model.budgets[k]:
-            # One step gives every sensor's conditioned factor and closing term;
-            # its gain, one evaluation, is the offset less that term. The winner
-            # is the first candidate within the tie band of the best gain. Plain
-            # lists: numpy's per-call overhead would cost more here.
-            diagonal, factors = sweep_step(ev, root, ev.padded[:-1], k, False)
+            # One step gives every candidate's conditioned factor and closing
+            # term; its gain, one evaluation, is the offset less that term. The
+            # winner is the first candidate within the tie band of the best
+            # gain. Plain lists: numpy's per-call overhead would cost more here.
+            diagonal, factors = sweep_step(ev, root, ev.padded[remaining], k, False)
             closing = sweep_terms(diagonal)
             gains = (offset - closing).tolist()
             if not math.isfinite(sum(gains)):
                 raise _not_finite("gain", k)
-            trace.gain_evaluations += len(remaining)
-            best = max([gains[i] for i in remaining])
-            winner = next(i for i in remaining if gains[i] >= best - GAIN_TIE_TOL)
-            remaining.remove(winner)
+            trace.gain_evaluations += len(gains)
+            best = max(gains)
+            position = next(p for p, gain in enumerate(gains) if gain >= best - GAIN_TIE_TOL)
+            winner = remaining.pop(position)
             accepted.append(winner)
-            root, offset = factors[winner] * ev.upper, float(closing[winner])
-            value -= gains[winner]
-            trace.entries.append(TraceEntry(time_index=k, sensor=winner, gain=gains[winner], objective=value))
+            root, offset = factors[position] * ev.upper, float(closing[position])
+            value -= gains[position]
+            trace.entries.append(TraceEntry(time_index=k, sensor=winner, gain=gains[position], objective=value))
         slots[k] = tuple(sorted(accepted))
     return Schedule(slots), trace

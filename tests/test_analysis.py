@@ -509,6 +509,53 @@ def test_search_scores_a_handful_of_schedules_exactly(monkeypatch):
             assert 0 < len(visited) <= 2
 
 
+def _recorded_calls(monkeypatch, name):
+    """The arguments of each call made to ``analysis.<name>``."""
+    calls = []
+    original = getattr(analysis, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, name, recorded)
+    return calls
+
+
+def _certify_box():
+    """Models of every shape the certify-exhaustive benchmark certifies: m
+    1-4, K 1-3, r in {1, 2} with r <= m, n cycling 1-3, each kind."""
+    shapes = [(m, K, r) for m in range(1, 5) for K in range(1, 4) for r in (1, 2) if r <= m]
+    return [
+        bs.random_scenario(seed=index, n=1 + index % 3, m=m, K=K, r=r, kind=kind)
+        for kind in bs.ModelKind
+        for index, (m, K, r) in enumerate(shapes)
+    ]
+
+
+def test_search_bounds_only_spaces_wider_than_one_stacked_step(monkeypatch):
+    # One stacked step scores every schedule of a small space, so bounding
+    # them would cost more than it prunes.
+    calls = _recorded_calls(monkeypatch, "_child_bounds")
+    small = [model for model in _certify_box() if bs.feasible_schedule_count(model) <= analysis.VALUES_CHUNK]
+    # The count depends on m, K and r alone.
+    assert len(small) == 68
+    for model in small:
+        bs.brute_force_opt(bs.build_evaluator(model))
+    assert calls == []
+    for seed, kind in enumerate(bs.ModelKind):
+        model = bs.random_scenario(seed=seed, n=3, m=5, K=3, r=2, kind=kind)
+        calls.clear()
+        bs.brute_force_opt(bs.build_evaluator(model))
+        assert calls
+
+
+def test_search_matches_plain_enumeration_over_the_certify_box():
+    for model in _certify_box():
+        ev = bs.build_evaluator(model)
+        assert bs.brute_force_opt(ev) == _plain_minimum(ev, model)
+
+
 def test_search_is_iterative_and_linear_along_zero_budget_slots(monkeypatch):
     # One branching slot at the end of a long chain: a walk that recursed
     # per slot would overflow the stack, and bounding every chain node would
@@ -553,6 +600,17 @@ def test_cap_counts_feasible_schedules_and_raises_before_any_work(monkeypatch):
     monkeypatch.setenv(analysis.CAP_ENV_VAR, str(count))
     bs.brute_force_opt(ev)
     assert 0 < len(visited) < count
+
+
+def test_certify_checks_the_cap_once(monkeypatch):
+    checked = _recorded_calls(monkeypatch, "_check_enumeration_cap")
+    ev = bs.build_evaluator(bs.random_scenario(seed=0, n=3, m=5, K=3, r=2))
+    bs.certify_ratio(ev)
+    assert checked == [(ev.model,)]
+    # A direct call checks it itself, with or without an incumbent.
+    bs.brute_force_opt(ev)
+    bs.brute_force_opt(ev, incumbent=bs.greedy_schedule(ev)[0])
+    assert len(checked) == 3
 
 
 def test_no_search_keeps_its_evaluator_or_model_alive():

@@ -608,6 +608,19 @@ def test_a_numeric_string_in_a_matrix_exits_2_naming_the_field(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_mirrored_near_max_entries_of_opposite_sign_exit_2_naming_w(tmp_path, capsys):
+    # Their difference leaves the double range; their halves' does not.
+    scenario, out = tmp_path / "s.json", tmp_path / "r.json"
+    data = bs.model_to_dict(bs.random_scenario(seed=0, n=2, m=2, K=2, r=1))
+    data["process_noise_cov"] = [[1e308, 1e308], [-1e308, 1e308]]
+    scenario.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["schedule", "--config", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: W must be symmetric\n"
+    assert not out.exists()
+
+
 def test_non_positive_definite_sensor_noise_exits_2_with_its_pivot_ratio(tmp_path, capsys):
     scenario = tmp_path / "s.json"
     run(gen_args(scenario, seed=4))
