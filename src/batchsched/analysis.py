@@ -196,9 +196,9 @@ def _child_bounds(
     incidence = _subset_table(model.sensor_count, model.budgets[levels[0]])[2]
     stack, sweeps = [roots], [swept]
     for start, stop in zip(levels, levels[1:]):
-        ahead, skipped = carry(ev, stack[-1], start, stop)
+        ahead, carried = carry(ev, stack[-1], sweeps[-1], start, stop)
         stack.append(ahead)
-        sweeps.append(sweeps[-1] + skipped)
+        sweeps.append(carried)
     stack = np.stack(stack)[:, :, None]
     sensors = np.broadcast_to(ev.padded[:-1], stack.shape[:2] + ev.padded[:-1].shape)
     closing = sweep_terms(sweep_step(ev, stack, sensors, levels[0], False)[0])
@@ -209,13 +209,13 @@ def _child_bounds(
     return (value - rest)[:, None] - gains[0] @ incidence.T
 
 
-def _near_minimal_leaves(
+def _least_leaf(
     ev: ObjectiveEvaluator, levels: list[int], ceiling: float, slack: float
-) -> list[tuple[int, ...]]:
-    """Subset indices at ``levels`` of every schedule whose stacked value is
-    within ``slack`` of the least one, in lexicographic order; schedules
-    whose bound exceeds ``ceiling``, or the least value found, by more than
-    ``slack`` are skipped.
+) -> tuple[tuple[int, ...], float]:
+    """Subset indices at ``levels`` of the lexicographically first schedule
+    with the least value, and that value; schedules whose bound exceeds
+    ``ceiling``, or the least value found, by more than ``slack`` are
+    skipped.
 
     ``descend`` takes the prefixes entering one branching slot, stacked:
     their subset indices ``picks``, factors, sweeps and objectives. When
@@ -223,21 +223,22 @@ def _near_minimal_leaves(
     (prefix, subset) pair; otherwise one stacked step already scores every
     leaf, at this slot and each later one, and nothing is bounded or
     pruned: a leaf a bound would skip lies above the least value by more
-    than ``slack`` and never enters the result. It steps the survivors in
-    chunks of at most ``VALUES_CHUNK``, in order, each filtered again
-    against the ceiling, and recurses with each chunk into the next
-    branching slot. A pair's objective comes from the QR of [[R~], [W]], as
-    at a sweep's last slot, or is its prefix's if it measures nothing. The
-    enumeration cap, checked first, keeps the depth at most log2(cap): 20
-    at the default; the interpreter's 1,000-frame limit needs a cap above
-    about 2^990.
+    than ``slack``. It steps the survivors in chunks of at most
+    ``VALUES_CHUNK``, in order, each filtered again against the ceiling,
+    and recurses with each chunk into the next branching slot, so leaves
+    are met in lexicographic order and a later one replaces the least only
+    if strictly lower. A pair's objective comes from the QR of [[R~], [W]],
+    as at a sweep's last slot, or is its prefix's if it measures nothing.
+    Each sweep adds its terms in slot order, as ``objective_logdet`` does,
+    so a leaf's value is that function's bit for bit. The enumeration cap,
+    checked first, keeps the depth at most log2(cap): 20 at the default;
+    the interpreter's 1,000-frame limit needs a cap above about 2^990.
     """
-    best = math.inf
-    near: list[tuple[tuple[int, ...], float]] = []
+    best, least = math.inf, ()
     sizes = [len(_subset_table(ev.sensor_count, ev.model.budgets[k])[0]) for k in levels]
 
     def descend(level: int, picks: np.ndarray, roots: np.ndarray, swept: np.ndarray, value: np.ndarray) -> None:
-        nonlocal best, ceiling, near
+        nonlocal best, ceiling, least
         k = levels[level]
         leaf = level == len(levels) - 1
         members = _subset_table(ev.sensor_count, ev.model.budgets[k])[1]
@@ -261,22 +262,19 @@ def _near_minimal_leaves(
             chosen = np.column_stack((picks[rows], subsets))
             if not leaf:
                 diagonal, stepped = sweep_step(ev, roots[rows], white, k, True)
-                stepped, skipped = carry(ev, stepped, k + 1, levels[level + 1])
-                descend(level + 1, chosen, stepped, swept[rows] + sweep_terms(diagonal) + skipped, values)
+                stepped, carried = carry(ev, stepped, swept[rows] + sweep_terms(diagonal), k + 1, levels[level + 1])
+                descend(level + 1, chosen, stepped, carried, values)
                 continue
             if not np.isfinite(values).all():
                 raise _not_finite("objective term", k)
-            lowest = float(values.min())
-            if lowest < best:
-                best = lowest
+            row = int(np.argmin(values))
+            if values[row] < best:
+                best, least = float(values[row]), tuple(chosen[row].tolist())
                 ceiling = min(ceiling, best)
-                near = [(p, v) for p, v in near if v <= best + slack]
-            for row in np.flatnonzero(values <= best + slack).tolist():
-                near.append((tuple(chosen[row].tolist()), float(values[row])))
 
-    roots, swept = carry(ev, ev.initial_root[None], 0, levels[0])
+    roots, swept = carry(ev, ev.initial_root[None], np.zeros(1), 0, levels[0])
     descend(0, np.zeros((1, 0), dtype=int), roots, swept, np.array([-ev.prior_logdet]))
-    return [p for p, _ in near]
+    return least, best
 
 
 class _Incumbent(Schedule):
@@ -305,11 +303,10 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
     greedy schedule's, from its trace, when None), which
     ``Schedule.validate_for`` must accept for the model.
 
-    The surviving schedules' values are exact to roundoff. Only those within
-    the slack of the least are scored exactly, in lexicographic order, each
-    by ``objective_logdet``; a schedule replaces the best only if strictly
-    lower, so the result is the lexicographically first exact minimizer, as
-    plain enumeration returns it.
+    Every sweep adds its terms in slot order, so the least value the
+    search meets is ``objective_logdet`` of its schedule bit for bit; ties
+    go to the lexicographically first schedule, as plain enumeration
+    returns it. Only an incumbent is swept alone.
     """
     model = ev.model
     if not isinstance(incumbent, _Incumbent):
@@ -328,21 +325,11 @@ def brute_force_opt(ev: ObjectiveEvaluator, incumbent: Schedule | None = None) -
     # The branching slots; with no budget anywhere, slot 0 stands in, with
     # the empty subset as its only choice.
     levels = [k for k, r in enumerate(model.budgets) if r] or [0]
-    choices = [_subset_table(model.sensor_count, model.budgets[k])[0] for k in levels]
-    best_schedule = None
-    best_value = math.inf
-    for picks in _near_minimal_leaves(ev, levels, ceiling, slack):
-        slots = [()] * model.horizon
-        for k, subsets, pick in zip(levels, choices, picks):
-            slots[k] = subsets[pick]
-        schedule = Schedule(slots)
-        # The incumbent is swept already: the ceiling is its exact value.
-        swept = incumbent is not None and schedule.selections == incumbent.selections
-        value = ceiling if swept else objective_logdet(ev, schedule)
-        if value < best_value:
-            best_value = value
-            best_schedule = schedule
-    return best_schedule, best_value
+    picks, value = _least_leaf(ev, levels, ceiling, slack)
+    slots = [()] * model.horizon
+    for k, pick in zip(levels, picks):
+        slots[k] = _subset_table(model.sensor_count, model.budgets[k])[0][pick]
+    return Schedule(slots), value
 
 
 def worst_value(ev: ObjectiveEvaluator) -> float:

@@ -18,11 +18,14 @@ Every path calls ``sweep_step``: the sweeps of ``stacked_values`` and
 ``objective_logdet``, and the greedy and the search, which score a sensor
 at R~ by the objective with it measured last. A gain is the difference of
 two such objectives, never read off R~'s determinant, whose small entries
-keep only absolute accuracy after a long unmeasured unstable stretch. No
-factorization can fail; a value or gain that is not finite raises
-NumericOverflow naming the time index. The error trace runs the sweep of
-``objective_logdet``, keeps its block rows and inverts the factor they form
-selectively; the tests check it against a selected inversion of J.
+keep only absolute accuracy after a long unmeasured unstable stretch. Each
+sweep adds its terms one slot at a time in slot order, from 0.0, then the
+trailing sum, never by a numpy reduction, so a schedule's value has the
+same bits alone, in a stack and in the search. No factorization can fail;
+a value or gain that is not finite raises NumericOverflow naming the time
+index. The error trace runs the sweep of ``objective_logdet``, keeps its
+block rows and inverts the factor they form selectively; the tests check
+it against a selected inversion of J.
 """
 
 from __future__ import annotations
@@ -191,13 +194,15 @@ def sweep_terms(diagonal: np.ndarray) -> np.ndarray:
     return -2.0 * np.log(np.abs(diagonal)).sum(axis=-1)
 
 
-def carry(ev: ObjectiveEvaluator, roots: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+def carry(
+    ev: ObjectiveEvaluator, roots: np.ndarray, swept: np.ndarray, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
     """A stack of factors carried from slot ``start`` to ``stop`` with the
-    slots between empty, and the sum of their terms for each member."""
-    swept = np.zeros(len(roots))
+    slots between empty, and each member's sweep ``swept`` with their terms
+    added to it in slot order."""
     for k in range(start, stop):
         diagonal, roots = sweep_step(ev, roots, np.empty((len(roots), 0, ev.state_dim)), k, True)
-        swept += sweep_terms(diagonal)
+        swept = swept + sweep_terms(diagonal)
     return roots, swept
 
 
@@ -206,9 +211,10 @@ def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.
     """Each schedule's objective from one sweep stacked over them, with one
     more ``sweep_step`` at a slot that some measure last. Zero rows pad a slot
     to its budget or its widest member, so a schedule within the budgets
-    gets ``objective_logdet``'s rows and value. Takes at least one schedule
-    and checks no shape; raises NumericOverflow, naming the first time
-    index, if a value is not finite."""
+    gets ``objective_logdet``'s rows and, since both add the terms in slot
+    order, its value bit for bit. Takes at least one schedule and checks no
+    shape; raises NumericOverflow, naming the first time index, if a value
+    is not finite."""
     sizes = np.array([list(map(len, s.selections)) for s in schedules])
     widths = np.maximum(sizes.max(axis=0), ev.model.budgets)
     index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
@@ -231,7 +237,8 @@ def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.
         if on:
             diagonals[k, :on], roots = sweep_step(ev, roots[:on], white[:on], k, True)
     terms = sweep_terms(diagonals)
-    values = np.where(lasts >= 0, ev.trailing_logdet[lasts] + terms.sum(axis=0), -ev.prior_logdet)
+    # Slot by slot from 0.0: a reduction would add a lone member's terms pairwise.
+    values = np.where(lasts >= 0, ev.trailing_logdet[lasts] + sum(terms, np.zeros(len(schedules))), -ev.prior_logdet)
     if not np.isfinite(values).all():
         raise _not_finite("objective term", int(np.argmin(np.isfinite(terms).all(axis=1))))
     return values[np.argsort(order)]
@@ -258,7 +265,7 @@ def _sweep(ev: ObjectiveEvaluator, schedule: Schedule, rows: list | None = None)
         if rows is not None:
             rows.append(root.base[0, :ev.state_dim])
     terms = sweep_terms(np.concatenate(diagonals))
-    value = float(ev.trailing_logdet[last] + terms.sum())
+    value = float(ev.trailing_logdet[last] + np.add.accumulate(terms)[-1])
     if not math.isfinite(value):
         raise _not_finite("objective term", int(np.argmin(np.isfinite(terms))))
     return value, last

@@ -562,7 +562,7 @@ def per_candidate_greedy(ev, model, lazy):
     slots, trace, evaluations = [], [], 0
     for k, budget in enumerate(model.budgets):
         if k:
-            ahead, skipped = bs.objective.carry(ev, root[None], k - 1, k)
+            ahead, skipped = bs.objective.carry(ev, root[None], np.zeros(1), k - 1, k)
             root, offset = ahead[0], offset - float(skipped[0]) + logdet_from_cholesky(ev.noise_factors[k - 1])
         heap = [(-math.inf, i) for i in range(model.sensor_count)]
         accepted = []

@@ -633,13 +633,25 @@ def test_non_positive_definite_sensor_noise_exits_2_with_its_pivot_ratio(tmp_pat
     assert "PD_PIVOT_RTOL = 1e-12" in err
 
 
-def test_bounds_exits_1_naming_where_the_covariance_overflows(tmp_path, capsys):
+def test_bounds_reports_a_null_empty_trace_unless_the_greedy_trace_overflows(tmp_path, capsys):
+    # The empty schedule's variance leaves the double range at the last slot,
+    # which the greedy measures: bounds reports its trace as null, as JSON
+    # has no infinity. With no budget the greedy measures nothing either,
+    # and bounds exits 1 naming where.
     scenario = tmp_path / "s.json"
     out = tmp_path / "b.json"
     index = overflow_index()
-    bs.save_scenario(exploding_scalar_model(horizon=index + 1), str(scenario))
+    model = exploding_scalar_model(horizon=index + 1)
+    bs.save_scenario(model, str(scenario))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["trace_empty"] is None
+        assert math.isfinite(report["trace_greedy"]) and report["lower_bound"] <= report["trace_greedy"]
+        out.unlink()
+        bs.save_scenario(dataclasses.replace(model, budgets=(0,) * (index + 1)), str(scenario))
         assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [
@@ -682,11 +694,11 @@ def test_a_budget_past_the_overflowing_unmeasured_variance_evaluates(tmp_path, c
         assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
 
-def test_bounds_past_the_overflowing_unmeasured_variance_exits_1_naming_the_time_index(tmp_path, capsys):
+def test_bounds_past_the_overflowing_unmeasured_variance_reports_a_null_empty_trace(tmp_path, capsys):
     # The greedy measures the last slot, and its trace is finite: the
     # covariance form's forward sweep left the double range before that slot.
-    # The empty schedule's total does leave the double range, so bounds,
-    # which reports both, exits 1 naming where.
+    # The empty schedule's total does leave the double range, so bounds
+    # reports it as null and the greedy's trace as computed.
     horizon = overflow_index() + 2
     model = dataclasses.replace(exploding_scalar_model(horizon), budgets=(0,) * (horizon - 1) + (1,))
     ev = bs.build_evaluator(model)
@@ -697,10 +709,11 @@ def test_bounds_past_the_overflowing_unmeasured_variance_exits_1_naming_the_time
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
     bs.save_scenario(model, str(scenario))
-    assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: predicted covariance at time index {overflow_index()} is not finite")
-    assert not out.exists()
+    assert run(["bounds", "--config", str(scenario), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["trace_empty"] is None
+    assert report["trace_greedy"] == bs.batch_error_trace(ev, greedy)
 
 
 @pytest.mark.parametrize("command", [["schedule"], ["certify"], ["bounds", "--alpha", "0.5"]])
