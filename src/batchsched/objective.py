@@ -14,18 +14,19 @@ the objective is -2 sum_k log|det R_kk|. The sweep stops at the last
 measured slot l, whose QR is that of [[R~_l], [W_l]], and adds
 sum_{j >= l} logdet Q_j; the empty schedule's value is the closed form.
 
-Every path calls ``sweep_step``: the sweeps of ``stacked_values`` and
-``objective_logdet``, and the greedy and the search, which score a sensor
-at R~ by the objective with it measured last. A gain is the difference of
-two such objectives, never read off R~'s determinant, whose small entries
-keep only absolute accuracy after a long unmeasured unstable stretch. Each
-sweep adds its terms one slot at a time in slot order, from 0.0, then the
+Every path calls ``sweep_step``: ``stacked_values``, the one function that
+turns schedules into values (``objective_logdet``, the error trace and the
+fuzzers run it), and the greedy and the search, which score a sensor at R~
+by the objective with it measured last. A gain is the difference of two
+such objectives, never read off R~'s determinant, whose small entries keep
+only absolute accuracy after a long unmeasured unstable stretch. Each sweep
+adds its terms one slot at a time in slot order, from the first, then the
 trailing sum, never by a numpy reduction, so a schedule's value has the
 same bits alone, in a stack and in the search. No factorization can fail;
 a value or gain that is not finite raises NumericOverflow naming the time
-index. The error trace runs the sweep of ``objective_logdet``, keeps its
-block rows and inverts the factor they form selectively; the tests check
-it against a selected inversion of J.
+index. The error trace runs ``stacked_values`` on a one-member stack, takes
+the block rows it keeps and inverts the factor they form selectively; the
+tests check it against a selected inversion of J.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -118,11 +120,11 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     n = model.state_dim
     width = max((len(sensor.C) for sensor in model.sensors), default=0)
     padded = np.zeros((model.sensor_count + 1, width, n))
-    for group, measurement, _, noise_factor in model._sensor_groups:
-        padded[list(group), :measurement.shape[1]] = np.linalg.solve(noise_factor, measurement)
     # A row whose squared norm leaves the double range takes the QR past it
     # too: stored as inf, it makes a value that measures it raise.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group, measurement, _, noise_factor in model._sensor_groups:
+            padded[list(group), :measurement.shape[1]] = lapack_solve(noise_factor, measurement)
         padded[~np.isfinite(np.square(padded).sum(axis=2))] = np.inf
     padded.setflags(write=False)
     # Views taken after the freeze are read-only; each is row-major, like
@@ -133,13 +135,13 @@ def build_evaluator(model: SystemModel) -> ObjectiveEvaluator:
     shared = len(transitions) > 1 and transitions.strides[0] == 0
     phi, lower = (transitions[:1], noise_factors[:1]) if shared else (transitions, noise_factors)
     with np.errstate(over="ignore", invalid="ignore"):
-        time_rows = lapack_solve(lower, np.concatenate((-phi, np.broadcast_to(np.eye(n), phi.shape)), axis=2))
+        time_rows = lapack_solve(lower, np.concatenate((-phi, np.eye(n)[None].repeat(len(phi), axis=0)), axis=2))
         initial_root = lapack_solve(model._initial_factor, np.eye(n))
     time_rows = np.broadcast_to(time_rows, (len(transitions), n, 2 * n))
     interval_logdets = 2.0 * np.log(noise_factors.diagonal(0, 1, 2)).sum(axis=1)
     trailing_logdet = np.append(np.cumsum(interval_logdets[::-1])[::-1], 0.0)
     initial_cov = sym(model.initial_state_cov)
-    upper = np.triu(np.ones((n, n)))
+    upper = np.tri(n).T
     freeze_arrays([initial_cov, time_rows, trailing_logdet, initial_root, upper])
     return ObjectiveEvaluator(
         model=model,
@@ -207,75 +209,69 @@ def carry(
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule]) -> np.ndarray:
-    """Each schedule's objective from one sweep stacked over them, with one
-    more ``sweep_step`` at a slot that some measure last. Zero rows pad a slot
-    to its budget or its widest member, so a schedule within the budgets
-    gets ``objective_logdet``'s rows and, since both add the terms in slot
-    order, its value bit for bit. Takes at least one schedule and checks no
-    shape; raises NumericOverflow, naming the first time index, if a value
-    is not finite."""
-    sizes = np.array([list(map(len, s.selections)) for s in schedules])
-    widths = np.maximum(sizes.max(axis=0), ev.model.budgets)
-    index = np.full(sizes.shape + (widths.max(),), ev.sensor_count)
-    index[np.arange(widths.max()) < sizes[..., None]] = list(
-        chain.from_iterable(chain.from_iterable(s.selections for s in schedules))
-    )
-    # Members in descending order of their last measured slot (-1 for none):
-    # at slot k, those swept on come first, then those measured last there.
-    lasts = np.where(sizes.any(axis=1), len(widths) - 1 - np.argmax(sizes[:, ::-1] > 0, axis=1), -1)
-    order = np.argsort(-lasts, kind="stable")
-    lasts, index = lasts[order], index[order]
-    slots = np.arange(lasts[0] + 1)[:, None]
-    going, active = np.count_nonzero(lasts > slots, axis=1).tolist(), np.count_nonzero(lasts >= slots, axis=1).tolist()
-    diagonals = np.ones((len(slots), len(schedules), ev.state_dim))
-    roots = np.broadcast_to(ev.initial_root, (np.count_nonzero(lasts >= 0),) + ev.initial_root.shape)
-    for k, (on, stop) in enumerate(zip(going, active)):
-        white = ev.padded[index[:stop, k, :widths[k]]].reshape(stop, -1, ev.state_dim)
+def stacked_values(ev: ObjectiveEvaluator, schedules: Sequence[Schedule], rows: list | None = None) -> np.ndarray:
+    """Each schedule's objective from one sweep stacked over them: the one
+    function that turns schedules into values.
+
+    Through each member's last measured slot l, the members swept on take
+    one ``sweep_step`` at a slot and those measured last there one more. A
+    member's slot is padded with zero rows to the larger of its budget and
+    its size, and its value is its terms added one slot at a time in slot
+    order, then sum_{j >= l} logdet Q_j, or the closed form if it measures
+    nothing: a schedule gets the same bits alone and in any stack.
+    For a one-member stack, a list ``rows`` receives each slot's block row
+    [R_kk, R_k,k+1], R_ll alone at l, as ``sweep_step`` left it: reflectors
+    below R_kk's diagonal. Takes at least one schedule and checks no shape;
+    raises NumericOverflow, naming the first time index, if a value is not
+    finite.
+    """
+    # Each member's slot sizes and last measured slot, -1 if none.
+    sizes = [list(map(len, s.selections)) for s in schedules]
+    lasts = [next(filter(size.__getitem__, range(len(size) - 1, -1, -1)), -1) for size in sizes]
+    values = np.array([-ev.prior_logdet] * len(schedules))
+    if max(lasts) < 0:
+        return values
+    # The members that measure, in descending order of their last measured
+    # slot: at slot k, those swept on come first, then those measured last there.
+    order = sorted((p for p, last in enumerate(lasts) if last >= 0), key=lasts.__getitem__, reverse=True)
+    ends = [lasts[p] for p in order]
+    widths = list(map(max, ev.model.budgets[:ends[0] + 1], *sizes))
+    if len(order) > 1 and widths != list(ev.model.budgets[:len(widths)]):
+        # A member over a slot's budget would widen the slot for every
+        # member, and zero rows above the time rows move the last bits.
+        return np.array([stacked_values(ev, [schedule])[0] for schedule in schedules])
+    # Each member's slots through the last, padded with the blank sensor to the widest.
+    blanks = [(ev.sensor_count,) * (max(widths) - size) for size in range(max(widths) + 1)]
+    padded = (map(add, schedules[p].selections, map(blanks.__getitem__, sizes[p][:len(widths)])) for p in order)
+    index = np.fromiter(chain.from_iterable(chain.from_iterable(padded)), int).reshape(len(order), len(widths), -1)
+    diagonals = np.ones((len(widths), len(order), ev.state_dim))
+    roots, stop = ev.initial_root[None], len(order)
+    for k, width in enumerate(widths):
+        on = stop - ends.count(k)
+        white = ev.padded[index[:stop, k, :width]].reshape(stop, -1, ev.state_dim)
         if on < stop:
-            diagonals[k, on:stop] = sweep_step(ev, roots[on:], white[on:], k, False)[0]
+            # The last stop - on factors; at slot 0 the one initial factor broadcasts.
+            diagonals[k, on:stop], factors = sweep_step(ev, roots[on - stop:], white[on:], k, False)
+            if rows is not None:
+                rows.append(factors.base[0, :ev.state_dim])
         if on:
             diagonals[k, :on], roots = sweep_step(ev, roots[:on], white[:on], k, True)
+            if rows is not None:
+                rows.append(roots.base[0, :ev.state_dim])
+        stop = on
     terms = sweep_terms(diagonals)
-    # Slot by slot from 0.0: a reduction would add a lone member's terms pairwise.
-    values = np.where(lasts >= 0, ev.trailing_logdet[lasts] + sum(terms, np.zeros(len(schedules))), -ev.prior_logdet)
-    if not np.isfinite(values).all():
-        raise _not_finite("objective term", int(np.argmin(np.isfinite(terms).all(axis=1))))
-    return values[np.argsort(order)]
+    # Slot by slot from the first: a reduction would add a lone member's terms pairwise.
+    for p, last, swept in zip(order, ends, np.add.accumulate(terms)[-1].tolist()):
+        values[p] = ev.trailing_logdet[last] + swept
+        if not math.isfinite(values[p]):
+            raise _not_finite("objective term", int(np.argmin(np.isfinite(terms).all(axis=1))))
+    return values
 
 
-def _sweep(ev: ObjectiveEvaluator, schedule: Schedule, rows: list | None = None) -> tuple[float, int]:
-    """``objective_logdet``'s value and the last measured slot l, -1 if none.
-
-    The sweep of ``stacked_values`` over a stack of this one schedule,
-    entered without gathering the stack: through slot l, a slot's rows
-    padded to its budget, plus sum_{j >= l} logdet Q_j. If ``rows`` is a
-    list, appends each slot's block row [R_kk, R_k,k+1], R_ll alone at l, as
-    ``sweep_step`` left it: reflectors below R_kk's diagonal.
-    """
-    slots = schedule.selections
-    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
-    if last < 0:
-        return -ev.prior_logdet, last
-    root, diagonals = ev.initial_root[None], []
-    for k in range(last + 1):
-        sensors = [*slots[k], *[ev.sensor_count] * (ev.model.budgets[k] - len(slots[k]))]
-        diagonal, root = sweep_step(ev, root, ev.padded[sensors].reshape(1, -1, ev.state_dim), k, k < last)
-        diagonals.append(diagonal)
-        if rows is not None:
-            rows.append(root.base[0, :ev.state_dim])
-    terms = sweep_terms(np.concatenate(diagonals))
-    value = float(ev.trailing_logdet[last] + np.add.accumulate(terms)[-1])
-    if not math.isfinite(value):
-        raise _not_finite("objective term", int(np.argmin(np.isfinite(terms))))
-    return value, last
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def objective_logdet(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """Log-determinant of the batch error covariance under ``schedule``."""
     schedule.check_shape(ev.horizon, ev.sensor_count)
-    return _sweep(ev, schedule)[0]
+    return float(stacked_values(ev, [schedule])[0])
 
 
 def marginal_gain(ev: ObjectiveEvaluator, schedule: Schedule, k: int, i: int) -> float:
@@ -302,9 +298,9 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """Trace of the batch error covariance, i.e. the total error variance.
 
     Selected inversion of the sweep's block-bidiagonal factor R, J = R.T R,
-    from the block rows that ``_sweep`` keeps: with X_k = R_kk^-1, all from
-    one stacked solve, Sigma_ll = X_l X_l.T at the last measured slot l and,
-    going back,
+    from the block rows that ``stacked_values`` keeps for a one-member
+    stack: with X_k = R_kk^-1, all from one stacked solve, Sigma_ll =
+    X_l X_l.T at the last measured slot l and, going back,
 
         Sigma_kk = X_k (I + R_k,k+1 Sigma_{k+1,k+1} R_k,k+1.T) X_k.T.
 
@@ -315,8 +311,8 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
     """
     schedule.check_shape(ev.horizon, ev.sensor_count)
     rows: list[np.ndarray] = []
-    last = _sweep(ev, schedule, rows)[1]
-    n = ev.state_dim
+    stacked_values(ev, [schedule], rows)
+    n, last = ev.state_dim, len(rows) - 1
     total, cov = 0.0, ev.initial_cov
     if last >= 0:
         inverses = lapack_solve(np.stack([row[:, :n] for row in rows]) * ev.upper, np.eye(n))
@@ -325,14 +321,14 @@ def batch_error_trace(ev: ObjectiveEvaluator, schedule: Schedule) -> float:
             if k < last:
                 gain = inverses[k] @ rows[k][:, n:]
                 sigma = inverses[k] @ inverses[k].T + gain @ sigma @ gain.T
-            total += float(np.trace(sigma))
+            total += float(sigma.trace())
             if not math.isfinite(total):
                 raise _variance_overflow("smoothed", k)
     for k in range(last + 1, ev.horizon):
         if k:
             phi = ev.transitions[k - 1]
             cov = sym(phi @ cov @ phi.T + ev.noise_covs[k - 1])
-        total += float(np.trace(cov))
+        total += float(cov.trace())
         if not math.isfinite(total):
             raise _variance_overflow("predicted", k)
     return total

@@ -386,39 +386,55 @@ def selected_inversion_trace(ev, schedule):
 MPMATH_TRACE_RTOL = 1e-13
 
 
+def _mpmath_schur(ev, schedule):
+    """The forward block Schur recursion of J, in the current mpmath
+    precision, on the evaluator's P_1, Phi_j, Q_j and whitened rows, each
+    read as exact: every S_k^-1, every G_k = S_k^-1 U_k, and log det J, the
+    sum of the log det S_k."""
+    schedule.check_shape(ev.horizon, ev.sensor_count)
+    exact = lambda a: mpmath.matrix(np.asarray(a).tolist())
+    diag = [exact(ev.initial_cov) ** -1]
+    upper = []
+    for phi, noise in zip(ev.transitions, ev.noise_covs):
+        phi, noise_inv = exact(phi), exact(noise) ** -1
+        diag[-1] += phi.T * noise_inv * phi
+        upper.append(-phi.T * noise_inv)
+        diag.append(noise_inv)
+    for k, slot in enumerate(schedule.selections):
+        for i in slot:
+            white = exact(ev.whitened[i])
+            diag[k] += white.T * white
+    inverses, gains, logdet = [], [], mpmath.mpf(0)
+    schur = diag[0]
+    for k in range(len(diag)):
+        inverses.append(schur**-1)
+        logdet += mpmath.log(mpmath.det(schur))
+        if k + 1 < len(diag):
+            gains.append(inverses[k] * upper[k])
+            schur = diag[k + 1] - upper[k].T * gains[k]
+    return inverses, gains, logdet
+
+
 def mpmath_error_trace(ev, schedule, digits=50):
     """Trace of the batch error covariance in ``digits``-digit arithmetic:
-    the selected inversion of ``selected_inversion_trace`` on the
-    information matrix J of the evaluator's P_1, Phi_j, Q_j and whitened
-    rows, each read as exact. No step rounds to a double, so it checks both
-    float traces where the covariance loses precision."""
-    schedule.check_shape(ev.horizon, ev.sensor_count)
+    the selected inversion of ``selected_inversion_trace`` after the Schur
+    recursion of ``_mpmath_schur``. No step rounds to a double, so it checks
+    both float traces where the covariance loses precision."""
     with mpmath.workdps(digits):
-        exact = lambda a: mpmath.matrix(np.asarray(a).tolist())
-        diag = [exact(ev.initial_cov) ** -1]
-        upper = []
-        for phi, noise in zip(ev.transitions, ev.noise_covs):
-            phi, noise_inv = exact(phi), exact(noise) ** -1
-            diag[-1] += phi.T * noise_inv * phi
-            upper.append(-phi.T * noise_inv)
-            diag.append(noise_inv)
-        for k, slot in enumerate(schedule.selections):
-            for i in slot:
-                white = exact(ev.whitened[i])
-                diag[k] += white.T * white
-        inverses, gains = [], []
-        schur = diag[0]
-        for k in range(len(diag)):
-            inverses.append(schur**-1)
-            if k + 1 < len(diag):
-                gains.append(inverses[k] * upper[k])
-                schur = diag[k + 1] - upper[k].T * gains[k]
+        inverses, gains, _ = _mpmath_schur(ev, schedule)
         sigma = inverses[-1]
         total = sum(sigma[j, j] for j in range(sigma.rows))
-        for k in range(len(diag) - 2, -1, -1):
+        for k in range(len(inverses) - 2, -1, -1):
             sigma = inverses[k] + gains[k] * sigma * gains[k].T
             total += sum(sigma[j, j] for j in range(sigma.rows))
         return float(total)
+
+
+def mpmath_objective(ev, schedule, digits=60):
+    """The objective -log det J in ``digits``-digit arithmetic, from the
+    Schur recursion of ``_mpmath_schur``."""
+    with mpmath.workdps(digits):
+        return float(-_mpmath_schur(ev, schedule)[2])
 
 
 def refactoring_bound_inputs(ev, model):
@@ -589,17 +605,42 @@ def per_candidate_greedy(ev, model, lazy):
     return bs.Schedule(selections=tuple(slots)), trace, evaluations
 
 
-def root_entering(ev, slots, stop):
+def _padded_rows(ev, slot, k):
+    """Slot k's whitened rows for the sensors ``slot``, then zero rows up to its budget."""
+    return ev.padded[[*slot, *[ev.sensor_count] * (ev.model.budgets[k] - len(slot))]].reshape(1, -1, ev.state_dim)
+
+
+def root_entering(ev, slots, stop, rows=None):
     """The square-root information factor entering slot ``stop``, swept one
     slot at a time through ``sweep_step`` with ``slots[k]`` measured at each
-    slot k before it, and the sweep's sum of terms -2 log|det R_kk| over
-    those slots."""
+    slot k before it, padded to its budget, and the sweep's sum of terms
+    -2 log|det R_kk| over those slots, added from 0.0 in slot order. A list
+    ``rows`` receives each slot's block row [R_kk, R_k,k+1]."""
     root, swept = ev.initial_root[None], 0.0
     for k in range(stop):
-        white = ev.padded[list(slots[k])].reshape(1, -1, ev.state_dim)
-        diagonal, root = bs.objective.sweep_step(ev, root, white, k, True)
+        diagonal, root = bs.objective.sweep_step(ev, root, _padded_rows(ev, slots[k], k), k, True)
         swept += float(bs.objective.sweep_terms(diagonal)[0])
+        if rows is not None:
+            rows.append(root.base[0, :ev.state_dim])
     return root[0], swept
+
+
+def slot_by_slot_value(ev, schedule, rows=None):
+    """The objective from ``sweep_step`` and ``sweep_terms`` alone, one slot
+    at a time: each slot padded to the larger of its budget and its size,
+    the terms added from 0.0 in slot order through the last measured slot
+    l, then sum_{j >= l} logdet Q_j. A list ``rows`` receives the block rows
+    that ``stacked_values`` keeps for a one-member stack: [R_kk, R_k,k+1]
+    before l and R_ll at l, reflectors below R_kk's diagonal."""
+    slots = schedule.selections
+    last = max((k for k, slot in enumerate(slots) if slot), default=-1)
+    if last < 0:
+        return -ev.prior_logdet
+    root, swept = root_entering(ev, slots, last, rows)
+    diagonal, factor = bs.objective.sweep_step(ev, root[None], _padded_rows(ev, slots[last], last), last, False)
+    if rows is not None:
+        rows.append(factor.base[0, :ev.state_dim])
+    return swept + float(bs.objective.sweep_terms(diagonal)[0]) + float(ev.trailing_logdet[last])
 
 
 def per_trial_monotonicity(model, trials, seed):

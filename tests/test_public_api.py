@@ -79,7 +79,7 @@ def test_the_information_form_oracle_and_test_only_helpers_are_not_in_the_packag
         (objective, ("objective_values", "SingletonScorer", "SCORER_GROUP_ROWS")),
         (objective, ("values_in_order", "VALUES_CHUNK", "_stacked_sweep")),
         (objective, ("_bordered_step", "stacked_step", "slot_step", "advance", "predict_through", "singleton_gains")),
-        (objective, ("_measure", "predict", "lapack_cholesky")),
+        (objective, ("_measure", "predict", "lapack_cholesky", "_sweep")),
         (bs.ObjectiveEvaluator, ("sensor_rows", "sensor_rows_t", "block_identity")),
         (prior, ("_THETAS", "_PADE_TERMS")),
         (analysis, ("iter_feasible_schedules",)),
