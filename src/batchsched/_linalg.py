@@ -6,12 +6,12 @@ import math
 from typing import Iterable
 
 import numpy as np
-# The LAPACK gufuncs behind np.linalg.solve and qr, called directly on the
-# hot paths, where every matrix is a few rows square and the wrappers' checks
-# cost 6-11 us a call against 1.5-3 us for the kernel. A singular solve gives
-# NaN and sets the invalid flag instead of raising. lapack_qr(a) overwrites a
-# with R and, below it, the reflectors.
-from numpy.linalg._umath_linalg import qr_r_raw as lapack_qr, solve as lapack_solve
+# The LAPACK gufuncs behind np.linalg.cholesky, solve and qr, called directly:
+# every matrix is a few rows square and the wrappers' checks cost 6-11 us a
+# call against 1.5-3 us for the kernel. None of them raises: a Cholesky
+# factorization that stops or a singular solve gives NaN and sets the invalid
+# flag. lapack_qr(a) overwrites a with R and, below it, the reflectors.
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky, qr_r_raw as lapack_qr, solve as lapack_solve
 
 from .errors import NotPositiveDefinite
 
@@ -27,22 +27,30 @@ def sym(a: np.ndarray) -> np.ndarray:
     return a / 2.0 + a.swapaxes(-1, -2) / 2.0
 
 
+def _pd_cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factors of a (J, p, p) stack, or of one matrix, in one
+    LAPACK call, and per matrix whether PD_PIVOT_RTOL's rule holds (a
+    factorization that stops comes back as NaN, and fails it)."""
+    with np.errstate(invalid="ignore"):
+        lower = _cholesky(stack)
+    pivots = np.square(lower.diagonal(0, -2, -1))
+    scale = stack.diagonal(0, -2, -1).max(axis=-1)[..., None]
+    return lower, (pivots > PD_PIVOT_RTOL * scale).all(axis=-1)
+
+
 def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
     """Lower Cholesky factor of ``a``; raises NotPositiveDefinite naming ``name``."""
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+    lower, positive = _pd_cholesky(a)
+    if np.isnan(lower).any():
         raise NotPositiveDefinite(
             f"{name} is not positive definite: its Cholesky factorization meets a pivot <= 0 "
             f"(pivot ratio <= 0, PD_PIVOT_RTOL = {PD_PIVOT_RTOL:g})"
-        ) from None
-    pivots = np.diagonal(lower) ** 2
-    # The factorization succeeded, so every diagonal entry is positive.
-    scale = float(np.diagonal(a).max())
-    if not np.all(pivots > PD_PIVOT_RTOL * scale):
+        )
+    if not positive:
+        ratio = float(np.square(lower.diagonal()).min()) / float(a.diagonal().max())
         raise NotPositiveDefinite(
             f"{name} is not positive definite: smallest Cholesky pivot ratio "
-            f"{float(pivots.min()) / scale:.3g} <= PD_PIVOT_RTOL = {PD_PIVOT_RTOL:g}"
+            f"{ratio:.3g} <= PD_PIVOT_RTOL = {PD_PIVOT_RTOL:g}"
         )
     return lower
 
@@ -61,39 +69,25 @@ def _symmetric(stack: np.ndarray) -> bool:
 def pd_factors(stacks: list[np.ndarray], named: Iterable[tuple[str, np.ndarray]]) -> list[np.ndarray]:
     """The read-only lower Cholesky factors of each (J, p, p) stack, the one gate
     every covariance passes: each matrix must be symmetric (``_symmetric``) and
-    positive definite (``chol_pd``).
+    positive definite (``_pd_cholesky``).
 
-    The stacks of one size are checked and factored as one, each matrix alone,
-    so each factor is the one ``chol_pd`` gives. ``named`` lists the same
-    matrices as (name, matrix) pairs in naming order; it is read only if some
-    matrix fails, to raise NotPositiveDefinite naming the first that does.
+    Each stack is factored in one LAPACK call, each matrix alone, so each factor
+    is the one ``np.linalg.cholesky`` gives, in memory of its stack's own.
+    ``named`` lists the same matrices as (name, matrix) pairs in naming order;
+    it is read only if some matrix fails, to raise NotPositiveDefinite naming the
+    first that does, with ``chol_pd``'s message.
     """
-    by_size: dict[int, list[int]] = {}
-    for index, stack in enumerate(stacks):
-        by_size.setdefault(stack.shape[1], []).append(index)
-    factors = [None] * len(stacks)
-    for members in by_size.values():
-        merged = np.concatenate([stacks[i] for i in members]) if len(members) > 1 else stacks[members[0]]
-        try:
-            lower = np.linalg.cholesky(merged) if _symmetric(merged) else None
-        except np.linalg.LinAlgError:
-            lower = None
-        # chol_pd's pivot-ratio rule, matrix by matrix.
-        if lower is None or not (
-            np.square(lower.diagonal(0, 1, 2)) > PD_PIVOT_RTOL * merged.diagonal(0, 1, 2).max(axis=1)[:, None]
-        ).all():
+    factors = []
+    for stack in stacks:
+        lower, positive = _pd_cholesky(stack)
+        if not (_symmetric(stack) and positive.all()):
             for name, matrix in named:
                 if not _symmetric(matrix[None]):
                     raise NotPositiveDefinite(f"{name} must be symmetric")
                 chol_pd(matrix, name)
             raise AssertionError("a stacked check failed where every matrix passes alone")
-        start = 0
-        for i in members:
-            factor = lower[start:start + len(stacks[i])]
-            # A copy, so that a factor kept does not keep the others' memory.
-            factors[i] = factor.copy() if len(members) > 1 else factor
-            factors[i].setflags(write=False)
-            start += len(stacks[i])
+        lower.setflags(write=False)
+        factors.append(lower)
     return factors
 
 

@@ -420,7 +420,10 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         for i, c, v in zip(indices, measurement, noise):
             sensors[i] = Sensor(C=c, V=v)
     m = len(sensors)
-    w_stacks = [process] if isinstance(process, np.ndarray) else [w[None] for w in process]
+    # One stack per noise width: the W_j are only checked, so their order does not matter.
+    w_stacks = [process] if isinstance(process, np.ndarray) else [
+        np.stack([w for w in process if len(w) == p]) for p in dict.fromkeys(map(len, process))
+    ]
     names = chain(
         (_interval_label("W", j, kind.variant) for j in range(len(process))), ["P_1"], (f"V_{i + 1}" for i in range(m))
     )

@@ -204,7 +204,7 @@ def build_prior_information(
     """
     covs = np.concatenate((initial_cov[None], noise_covs))
     lower = pd_factors([covs], ((f"Q_{j}" if j else "P_1", cov) for j, cov in enumerate(covs)))[0]
-    inv_lower = np.linalg.solve(lower, np.broadcast_to(np.eye(len(initial_cov)), covs.shape))
+    inv_lower = lapack_solve(lower, np.eye(len(initial_cov)))
     inverses = inv_lower.swapaxes(1, 2) @ inv_lower
     inverses = sym(inverses)
     upper = -(transitions.swapaxes(1, 2) @ inverses[1:])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import batchsched as bs
-from batchsched import analysis, objective
+from batchsched import _linalg, analysis, objective
 from batchsched.analysis import _random_feasible, _random_subschedule, random_schedule
 from helpers import (
     ALL_KINDS,
@@ -285,14 +285,18 @@ def test_bound_inputs_factor_no_noise_covariance(monkeypatch, kind, K):
     if K > 2:
         # The discrete-invariant kind keeps one factor for every interval.
         assert (ev.noise_factors.strides[0] == 0) == (kind == "discrete-invariant")
-    cholesky = np.linalg.cholesky
     shapes = []
 
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return cholesky(a, *args, **kwargs)
+    def recording(cholesky):
+        def record(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return cholesky(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recording)
+        return record
+
+    # numpy's Cholesky and the LAPACK kernel of the positive-definiteness gate.
+    monkeypatch.setattr(np.linalg, "cholesky", recording(np.linalg.cholesky))
+    monkeypatch.setattr(_linalg, "_cholesky", recording(_linalg._cholesky))
     want = refactoring_bound_inputs(ev, model)
     oracle_shapes, shapes[:] = shapes[:], []
     got = bs.bound_inputs(ev)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import batchsched as bs
+from batchsched import _linalg, prior
+from batchsched import model as model_module
 
 
 def _spd(rng, d):
@@ -21,9 +23,8 @@ SENSOR_ROWS = (2, 1, 2, 1, 2)
 
 def fault_scenario(mixed_widths):
     """A discrete-variant scenario with n = 2, K = 3 and sensors of 2, 1, 2,
-    1 and 2 rows. W_1, W_2, P_1 and the 2-row V_i have one size and form
-    one stack; with ``mixed_widths``, W_1 is 1x1 and stacks with the 1-row
-    V_i instead."""
+    1 and 2 rows. W_1, W_2, P_1 and the 2-row V_i have one size; with
+    ``mixed_widths``, W_1 is 1x1, the size of the 1-row V_i."""
     rng = np.random.default_rng(3)
     widths = (1, 2) if mixed_widths else (2, 2)
     return {
@@ -202,16 +203,30 @@ def test_the_fault_scenarios_are_valid():
 
 
 def _recording_cholesky(patch):
-    """Patch ``np.linalg.cholesky`` to record, per call, the matrices it factors."""
+    """Patch the gate's LAPACK Cholesky kernel to record, per call, the matrices
+    it factors."""
     calls = []
-    cholesky = np.linalg.cholesky
+    cholesky = _linalg._cholesky
 
     def recording(a, *args, **kwargs):
-        a = np.asarray(a)
         calls.append([matrix.copy() for matrix in a.reshape(-1, *a.shape[-2:])])
         return cholesky(a, *args, **kwargs)
 
-    patch.setattr(np.linalg, "cholesky", recording)
+    patch.setattr(_linalg, "_cholesky", recording)
+    return calls
+
+
+def _recording_gate(patch):
+    """Patch the gate where model intake and ``prior`` call it, to record each
+    call's stacks and the factors it returns."""
+    calls = []
+    for owner in (model_module, prior):
+        def recording(stacks, named, gate=owner.pd_factors):
+            factors = gate(stacks, named)
+            calls.append((stacks, factors))
+            return factors
+
+        patch.setattr(owner, "pd_factors", recording)
     return calls
 
 
@@ -222,6 +237,7 @@ def test_model_and_evaluator_factor_p1_and_each_v_once(monkeypatch, kind):
         data = bs.model_to_dict(bs.random_scenario(seed=1, n=3, m=m, K=4, r=1, kind=kind))
         with monkeypatch.context() as patch:
             calls = _recording_cholesky(patch)
+            gate_calls = _recording_gate(patch)
             model = bs.model_from_dict(data)
             bs.build_evaluator(model)
         factored = list(chain.from_iterable(calls))
@@ -232,5 +248,66 @@ def test_model_and_evaluator_factor_p1_and_each_v_once(monkeypatch, kind):
         assert {len(s.C) for s in model.sensors} == {1, 2}
         assert times_factored(model.initial_state_cov) == 1
         assert [times_factored(s.V) for s in model.sensors] == [1] * m
+        assert len(calls) == sum(len(stacks) for stacks, _ in gate_calls)
         call_counts[m] = len(calls)
     assert call_counts[3] == call_counts[60]
+
+
+def ragged_scenario(kind):
+    """A variant scenario with n = 2, K = 6 and noise widths alternating 2 and
+    3, so that the W_j of each width form one stack."""
+    rng = np.random.default_rng(5)
+    widths = (2, 3, 2, 3, 2)
+    return {
+        "kind": kind,
+        "state_dim": 2,
+        "dynamics": [(0.5 * rng.standard_normal((2, 2))).tolist() for _ in widths],
+        "noise_input": [rng.standard_normal((2, p)).tolist() for p in widths],
+        "process_noise_cov": [_spd(rng, p) for p in widths],
+        "initial_state_cov": _spd(rng, 2),
+        "measurement_times": [1.0, 1.5, 2.5, 3.0, 4.0, 4.5],
+        "sensors": [{"C": rng.standard_normal((d, 2)).tolist(), "V": _spd(rng, d)} for d in SENSOR_ROWS],
+        "budgets": [1] * 6,
+    }
+
+
+# Each scenario, whether it evaluates, and the stacks intake hands the gate:
+# one per noise width, P_1, and one per sensor row count.
+GATED = {
+    "stacked": (fault_scenario(False), True, 4),
+    "mixed": (fault_scenario(True), False, 5),
+    "ragged-discrete": (ragged_scenario("discrete-variant"), True, 5),
+    "ragged-continuous": (ragged_scenario("continuous-variant"), True, 5),
+}
+
+
+@pytest.mark.parametrize("case", GATED)
+def test_every_factor_of_the_gate_is_numpys_cholesky_bit_for_bit(monkeypatch, case):
+    data, evaluate, intake_stacks = GATED[case]
+    with monkeypatch.context() as patch:
+        gate_calls = _recording_gate(patch)
+        model = bs.model_from_dict(data)
+        if evaluate:  # the mixed scenario's 1x1 W_1 makes Q_1 singular
+            transitions, noise_covs, _ = prior.discretize_intervals(model)
+            prior.build_prior_information(model.initial_state_cov, transitions, noise_covs)
+    # Intake, then the Q stack, then [P_1, Q_1, ..., Q_{K-1}].
+    assert len(gate_calls) == (3 if evaluate else 1)
+    assert len(gate_calls[0][0]) == intake_stacks
+    for stacks, factors in gate_calls:
+        assert len(factors) == len(stacks)
+        for stack, factor in zip(stacks, factors):
+            assert factor.dtype == np.float64 and not factor.flags.writeable
+            assert factor.tobytes() == np.linalg.cholesky(stack).tobytes()
+
+
+@pytest.mark.parametrize("case", GATED)
+def test_kept_factors_share_no_memory_with_other_stacks(monkeypatch, case):
+    data, _, _ = GATED[case]
+    with monkeypatch.context() as patch:
+        gate_calls = _recording_gate(patch)
+        model = bs.model_from_dict(data)
+    kept = [model._initial_factor] + [group[-1] for group in model._sensor_groups]
+    ((_, factors),) = gate_calls
+    for own in kept:
+        others = [factor for factor in factors if not np.shares_memory(own, factor)]
+        assert len(others) == len(factors) - 1

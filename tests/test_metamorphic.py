@@ -71,7 +71,7 @@ import pytest
 
 import batchsched as bs
 from batchsched.analysis import _random_feasible
-from helpers import generated_case
+from helpers import assemble_information, block_tridiag_logdet, generated_case
 
 MARGIN = 10
 GAIN_RTOL = {"rotation": MARGIN * 1.46e-12, "rewhitening": MARGIN * 4.1e-14, "scaling": MARGIN * 6.5e-12}
@@ -240,3 +240,20 @@ def test_an_invariant_kind_written_as_its_variant_kind_gives_the_same_values(kin
     assert schedule_new == schedule
     assert trace_new.entries == trace.entries
     assert (bs.objective_logdet(ev_new, fixed), bs.batch_error_trace(ev_new, fixed)) == _fixed_values(kind, K, seed)
+
+
+@pytest.mark.parametrize("kind, K", [(kind.value, K) for K in (8, 256) for kind in bs.ModelKind])
+def test_time_reversal_gives_the_same_objective(kind, K):
+    """The block Schur recursion run backward, on the information matrix's
+    blocks in reverse order, gives the sweep's objective to the 1e-12 relative
+    that the forward recursion is held to (tests/test_analysis.py), on the
+    greedy schedule and on a random feasible one; the largest gap seen was
+    1.1e-15. The empty schedule is left out: at K=256 both recursions meet a
+    D_k that is not positive definite for every kind but continuous-variant
+    (forward D_256; backward D_151, D_91 and D_237 for continuous-invariant,
+    discrete-invariant and discrete-variant)."""
+    model, ev, greedy, _ = generated_case(kind, K, K)
+    for schedule in (greedy, _random_feasible(np.random.default_rng(K), model)):
+        diag, upper = assemble_information(ev, schedule)
+        reversed_value = -block_tridiag_logdet(diag[::-1], upper[::-1].swapaxes(1, 2))
+        assert abs(bs.objective_logdet(ev, schedule) - reversed_value) <= 1e-12 * abs(reversed_value)
