@@ -45,13 +45,6 @@ SCENARIO_KEYS = (
     "sensors",
     "budgets",
 )
-# Accepted for fidelity to the full system description; never used by any
-# covariance computation (known inputs shift the estimate mean only).
-OPTIONAL_SCENARIO_KEYS = ("input_matrix", "input_signal")
-# The deepest nesting of lists and objects accepted in input_signal, far
-# below the interpreter's recursion limit, which the JSON decoder behind
-# model_to_dict must stay under however deep the stack it is called from.
-INPUT_SIGNAL_MAX_DEPTH = 32
 
 
 class ModelKind(str, Enum):
@@ -105,9 +98,9 @@ class SystemModel(ReadOnlyArrays):
     (K-1 of them) for time-variant kinds. Construction checks every
     invariant and stores each as one (J, rows, cols) array, J = 1 or K-1,
     or as a tuple of J matrices when the noise widths differ between
-    intervals. ``input_signal`` is stored as its canonical JSON text (a
-    ``str``), or None. So every model is valid; models are immutable and
-    safe to share across workers.
+    intervals. So every model is valid; models are immutable and safe to
+    share across workers. Known inputs shift only the estimate's mean, so a
+    model holds none.
     """
 
     kind: ModelKind
@@ -119,8 +112,6 @@ class SystemModel(ReadOnlyArrays):
     measurement_times: tuple[float, ...]
     sensors: tuple[Sensor, ...]
     budgets: tuple[int, ...]
-    input_matrix: np.ndarray | None = None
-    input_signal: Any = None  # any JSON value on input; its canonical text once built
     # Kept from construction for build_evaluator: P_1's lower Cholesky factor and,
     # per row count d, the sensors' indices and (len, d, n) C, (len, d, d) V and V-factor stacks.
     _initial_factor: np.ndarray = field(init=False, repr=False)
@@ -349,11 +340,6 @@ def _grouped_sensors(sensors: Sequence, n: int) -> list[tuple[tuple[int, ...], n
     return stacks
 
 
-class _SignalText(str):
-    """A stored input_signal's text, which intake keeps as it is (as from
-    ``dataclasses.replace``): a plain str is a JSON signal and would be encoded again."""
-
-
 def _model_kind(value: Any) -> ModelKind:
     try:
         return ModelKind(value)
@@ -363,8 +349,7 @@ def _model_kind(value: Any) -> ModelKind:
 
 def _normalized_fields(model: SystemModel) -> dict[str, Any]:
     """The model's fields checked and converted: frozen float arrays, plain
-    ints and floats, a ModelKind, tuples and input_signal's canonical JSON
-    text, keys in the caller's order (the fingerprint sorts them).
+    ints and floats, a ModelKind and tuples.
 
     Raises DimensionMismatch, NotPositiveDefinite, NonIncreasingTimes,
     BudgetOutOfRange or InvalidArgument with a message naming the offending
@@ -445,28 +430,6 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
             raise BudgetOutOfRange(f"budgets[{k}] = {r} outside [0, {m}]")
         budgets.append(r)
 
-    input_matrix = None
-    if model.input_matrix is not None:
-        input_matrix = _as_matrix(model.input_matrix, "input_matrix")
-        if input_matrix.shape[0] != n:
-            raise DimensionMismatch(f"input_matrix must have {n} rows, got {input_matrix.shape[0]}")
-
-    signal = model.input_signal
-    if signal is not None and not isinstance(signal, _SignalText):
-        level = [signal]
-        for _ in range(INPUT_SIGNAL_MAX_DEPTH):
-            level = [
-                child
-                for item in level if isinstance(item, (list, tuple, dict))
-                for child in (item.values() if isinstance(item, dict) else item)
-            ]
-        if level:
-            raise InvalidArgument(f"input_signal must nest lists and objects at most {INPUT_SIGNAL_MAX_DEPTH} deep")
-        try:
-            signal = _SignalText(json.dumps(signal, separators=(",", ":"), allow_nan=False))
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise InvalidArgument(f"input_signal must be JSON with finite numbers: {exc}") from None
-
     fields = {
         "kind": kind,
         "state_dim": n,
@@ -477,13 +440,11 @@ def _normalized_fields(model: SystemModel) -> dict[str, Any]:
         "measurement_times": tuple(times),
         "sensors": tuple(sensors),
         "budgets": tuple(budgets),
-        "input_matrix": input_matrix,
-        "input_signal": signal,
         "_initial_factor": factors[len(w_stacks)][0],
         "_sensor_groups": groups,
     }
     # The sensors, their groups and the factors are read-only already.
-    freeze_arrays([dynamics, noise_input, process, p1, input_matrix])
+    freeze_arrays([dynamics, noise_input, process, p1])
     return fields
 
 
@@ -591,7 +552,7 @@ def _interval_field_to_json(field: np.ndarray | tuple[np.ndarray, ...], variant:
 def model_to_dict(model: SystemModel) -> dict:
     """Scenario-file representation; inverse of model_from_dict."""
     kind = ModelKind(model.kind)
-    data: dict[str, Any] = {
+    return {
         "kind": kind.value,
         "state_dim": int(model.state_dim),
         "dynamics": _interval_field_to_json(model.dynamics, kind.variant),
@@ -602,11 +563,6 @@ def model_to_dict(model: SystemModel) -> dict:
         "sensors": [{"C": s.C.tolist(), "V": s.V.tolist()} for s in model.sensors],
         "budgets": [int(r) for r in model.budgets],
     }
-    if model.input_matrix is not None:
-        data["input_matrix"] = model.input_matrix.tolist()
-    if model.input_signal is not None:
-        data["input_signal"] = json.loads(model.input_signal)
-    return data
 
 
 def model_from_dict(data: dict) -> SystemModel:
@@ -617,14 +573,13 @@ def model_from_dict(data: dict) -> SystemModel:
     """
     if not isinstance(data, dict):
         raise InvalidArgument("scenario must be a JSON object")
-    allowed = set(SCENARIO_KEYS) | set(OPTIONAL_SCENARIO_KEYS)
     for key in data:
-        if key not in allowed:
+        if key not in SCENARIO_KEYS:
             raise InvalidArgument(f"unexpected key {key!r} in scenario")
     for key in SCENARIO_KEYS:
         if key not in data:
             raise InvalidArgument(f"missing required key {key!r} in scenario")
-    # The keys are exactly SystemModel's fields; a missing optional one takes its default.
+    # The keys are exactly SystemModel's fields.
     return SystemModel(**data)
 
 

@@ -152,6 +152,34 @@ def test_schedule_invalid_config_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("input_matrix", "[[0.5], [0.0]]"),
+        ("input_signal", "[1.0, 2.0]"),
+        ("input_matrix", "[[0.5, 1.0, 2.0]]"),
+        ("input_signal", '{"u": 1e400}'),
+        ("input_signal", "[" * 200 + "]" * 200),
+        ("input_signal", '{"b": [1.0, 2], "a": {"z": true, "c": null}}'),
+        ("input_signal", "null"),
+    ],
+    ids=["matrix", "signal", "matrix-wrong-shape", "signal-beyond-double", "signal-deep", "signal-unsorted", "signal-null"],
+)
+def test_a_scenario_carrying_known_inputs_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    # Known inputs shift only the estimate's mean, so scenarios do not carry
+    # them. The key alone is the fault, whatever its value.
+    scenario, out = tmp_path / "s.json", tmp_path / "r.json"
+    data = bs.model_to_dict(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1))
+    with pytest.raises(bs.InvalidArgument, match=f"^unexpected key '{key}' in scenario$"):
+        bs.model_from_dict({**data, key: json.loads(value)})
+    scenario.write_text(json.dumps(data)[:-1] + f', "{key}": {value}}}')
+    for command in (["schedule"], ["fuzz", "--property", "super", "--trials", "4", "--seed", "0"]):
+        capsys.readouterr()
+        assert run([*command, "--config", str(scenario), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unexpected key '{key}' in scenario\n"
+        assert not out.exists()
+
+
 def test_schedule_csv_trace(tmp_path):
     scenario = tmp_path / "s.json"
     out = tmp_path / "r.json"
@@ -443,7 +471,7 @@ def test_schedule_non_utf8_config_exits_2(tmp_path, capsys):
     assert str(scenario) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nesting", ["brackets", "input_signal"])
+@pytest.mark.parametrize("nesting", ["brackets", "dynamics"])
 def test_a_deeply_nested_config_exits_2_with_one_error_line(tmp_path, capsys, nesting):
     # Past the interpreter's recursion limit the JSON decoder raises
     # RecursionError, which is a load failure like any malformed file.
@@ -453,8 +481,8 @@ def test_a_deeply_nested_config_exits_2_with_one_error_line(tmp_path, capsys, ne
     else:
         run(gen_args(scenario))
         data = json.loads(scenario.read_text())
-        data["input_signal"] = 0
-        scenario.write_text(json.dumps(data).replace('"input_signal": 0', '"input_signal": ' + "[" * 1000 + "]" * 1000))
+        data["dynamics"] = 0
+        scenario.write_text(json.dumps(data).replace('"dynamics": 0', '"dynamics": ' + "[" * 1000 + "]" * 1000))
     capsys.readouterr()
     out = tmp_path / "r.json"
     code = run(["schedule", "--config", str(scenario), "--out", str(out)])
@@ -859,47 +887,6 @@ def test_importing_the_cli_loads_no_scipy_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]"]
-
-
-@pytest.mark.parametrize("excess", [0, 1])
-def test_input_signal_nested_past_its_bound_exits_2_naming_it(tmp_path, excess):
-    # Intake bounds the nesting far below the recursion limit, which the
-    # fuzzers' fingerprint used to meet a few frames after the load passed.
-    depth = bs.model.INPUT_SIGNAL_MAX_DEPTH + excess
-    signal = []
-    for _ in range(depth - 1):
-        signal = [signal, 0.5]
-    scenario = tmp_path / "s.json"
-    run(gen_args(scenario, seed=0, n=2, m=3, K=3, r=1))
-    scenario.write_text(json.dumps({**json.loads(scenario.read_text()), "input_signal": signal}))
-    out = tmp_path / "r.json"
-    for command in (["schedule"], ["fuzz", "--property", "super", "--trials", "4", "--seed", "0"]):
-        result = fresh_interpreter(["-m", "batchsched.cli", *command, "--config", str(scenario), "--out", str(out)])
-        if excess:
-            assert result.returncode == 2, result.stderr
-            assert result.stderr.splitlines() == [
-                f"error: input_signal must nest lists and objects at most {depth - 1} deep"
-            ]
-            assert not out.exists()
-        else:
-            assert result.returncode == 0, result.stderr
-            assert json.loads(out.read_text())["fingerprint"]
-
-
-def test_input_signal_beyond_the_double_range_exits_2_naming_it(tmp_path, capsys):
-    # JSON reads 1e400 as infinity, which no saved scenario file may hold.
-    scenario = tmp_path / "s.json"
-    run(gen_args(scenario, seed=0, n=2, m=3, K=3, r=1))
-    data = json.loads(scenario.read_text())
-    data["input_signal"] = 0
-    scenario.write_text(json.dumps(data).replace('"input_signal": 0', '"input_signal": {"u": 1e400}'))
-    capsys.readouterr()
-    out = tmp_path / "r.json"
-    code = run(["schedule", "--config", str(scenario), "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: input_signal must be JSON with finite numbers: ")
-    assert not out.exists()
 
 
 def _long_unmeasured_stretch_scenario(path):

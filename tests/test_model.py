@@ -95,95 +95,41 @@ def test_bad_kind_rejected():
         tiny_model(kind="weekly")
 
 
-def test_input_matrix_accepted_and_ignored():
-    with_b = tiny_model(input_matrix=np.ones((2, 1)))
-    without_b = tiny_model()
-    ev_b = bs.build_evaluator(with_b)
-    ev = bs.build_evaluator(without_b)
-    s = schedule_of([[0]])
-    assert bs.objective_logdet(ev_b, s) == bs.objective_logdet(ev, s)
-    with pytest.raises(bs.DimensionMismatch, match="input_matrix"):
-        tiny_model(input_matrix=np.ones((3, 1)))
-
-
 def test_validated_model_is_immutable():
     model = tiny_model()
     with pytest.raises(ValueError):
         model.initial_state_cov[0, 0] = 5.0
 
 
-def test_input_signal_is_kept_as_a_copy_the_caller_cannot_change():
-    # The signal is stored as its canonical JSON text, written at intake;
-    # appending to the caller's lists afterwards changes neither the stored
-    # signal nor the fingerprint.
-    inner = [3.0, {"u": [4.0]}]
-    signal = [1.0, 2.0, inner, {"w": inner}]
-    model = dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal=signal)
-    fingerprint = bs.model_fingerprint(model)
-    text = '[1.0,2.0,[3.0,{"u":[4.0]}],{"w":[3.0,{"u":[4.0]}]}]'
-    assert model.input_signal == text
-    signal.append(9.0)
-    inner.append(5.0)
-    inner[1]["u"].append(6.0)
-    inner[1]["v"] = 7.0
-    assert isinstance(model.input_signal, str)
-    assert model.input_signal == text
-    assert bs.model_fingerprint(model) == fingerprint
-    # The text serializes as the signal did: the fingerprint of a model
-    # given the unchanged lists again is the same.
-    again = dataclasses.replace(model, input_signal=[1.0, 2.0, [3.0, {"u": [4.0]}], {"w": [3.0, {"u": [4.0]}]}])
-    assert bs.model_fingerprint(again) == fingerprint
-    # A string cannot be changed, and model_to_dict hands out new plain
-    # dicts and lists parsed from it: changing those moves no fingerprint.
-    m = dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal={"u": [1.0]})
-    fingerprint = bs.model_fingerprint(m)
-    assert fingerprint.startswith("747f6bf0d6ce")
-    with pytest.raises(TypeError):
-        m.input_signal["v"] = 2.0
-    data = bs.model_to_dict(m)
-    assert type(data["input_signal"]) is dict and type(data["input_signal"]["u"]) is list
-    data["input_signal"]["w"] = 3.0
-    data["input_signal"]["u"].append(2.0)
-    assert m.input_signal == '{"u":[1.0]}'
-    assert bs.model_fingerprint(m) == fingerprint
-    # The model pickles, alone and inside an evaluator, and survives
-    # dataclasses.replace, which hands the text back to intake and must not
-    # encode it a second time: each time the same signal and fingerprint.
-    for copy in (
-        pickle.loads(pickle.dumps(m)),
-        pickle.loads(pickle.dumps(bs.build_evaluator(m))).model,
-        dataclasses.replace(m, budgets=(1, 1, 1)),
-    ):
-        assert copy.input_signal == '{"u":[1.0]}'
-        with pytest.raises(TypeError):
-            copy.input_signal["v"] = 2.0
-        assert bs.model_fingerprint(copy) == fingerprint
-
-
 @pytest.mark.parametrize(
-    "signal",
-    [[1.0, float("nan")], {"u": -math.inf}, np.arange(3), {1, 2}, np.int64(3)],
-    ids=["nan", "infinity", "ndarray", "set", "numpy-integer"],
+    "key, value",
+    [
+        ("input_signal", [1.0, math.nan]),
+        ("input_signal", {"u": -math.inf}),
+        ("input_signal", np.arange(3)),
+        ("input_signal", {1, 2}),
+        ("input_signal", np.int64(3)),
+        ("input_signal", {1: 0, "a": 0}),
+        ("input_matrix", np.ones((3, 1))),
+        ("input_matrix", [np.array([True, False]), [0.0, 1.0]]),
+        ("input_matrix", None),
+    ],
+    ids=["nan", "infinity", "ndarray", "set", "numpy-integer", "mixed-keys", "wrong-shape", "boolean-row", "none"],
 )
-def test_input_signal_that_is_not_finite_json_is_rejected_naming_it(signal):
-    # Each once built a model whose saved file did not load, or whose
-    # fingerprint raised a raw TypeError.
-    with pytest.raises(bs.InvalidArgument, match="^input_signal must be JSON with finite numbers: "):
-        dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal=signal)
+def test_a_known_input_key_is_rejected_whatever_its_value(key, value):
+    # Known inputs shift only the estimate's mean, so scenarios do not carry
+    # them: the key alone is the fault, and no value is read or encoded.
+    data = bs.model_to_dict(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1))
+    with pytest.raises(bs.InvalidArgument, match=f"^unexpected key '{key}' in scenario$"):
+        bs.model_from_dict({**data, key: value})
 
 
-def test_input_signal_with_mixed_key_types_fingerprints_and_round_trips(tmp_path):
-    # JSON names every key with a string, so an int key is "1" in the
-    # fingerprint as in the saved file; sorting 1 against "a" once raised.
-    model = dataclasses.replace(bs.random_scenario(seed=0, n=2, m=3, K=3, r=1), input_signal={1: 0, "a": 0})
-    assert model.input_signal == '{"1":0,"a":0}'
-    fingerprint = bs.model_fingerprint(model)
-    path = tmp_path / "scenario.json"
-    bs.save_scenario(model, str(path))
-    assert bs.model_fingerprint(bs.load_scenario(str(path))) == fingerprint
-    ev = bs.build_evaluator(model)
-    assert bs.certify_ratio(ev).fingerprint == fingerprint
-    assert bs.fuzz_monotonicity(ev, 4, 0).fingerprint == fingerprint
+@pytest.mark.parametrize("key", ["input_matrix", "input_signal"])
+def test_a_model_has_no_known_input_field(key):
+    model = bs.random_scenario(seed=0, n=2, m=3, K=3, r=1)
+    assert key not in {f.name for f in dataclasses.fields(model)}
+    with pytest.raises(TypeError, match=key):
+        dataclasses.replace(model, **{key: [1.0]})
 
 
 def _reachable_arrays(value, seen):
@@ -205,9 +151,7 @@ def _reachable_arrays(value, seen):
 
 def test_every_array_stays_read_only_through_a_pickle_round_trip():
     # NumPy does not pickle the write flag.
-    model = dataclasses.replace(
-        bs.random_scenario(seed=1, n=2, m=3, K=3, r=1, kind="continuous-variant"), input_matrix=np.ones((2, 1))
-    )
+    model = bs.random_scenario(seed=1, n=2, m=3, K=3, r=1, kind="continuous-variant")
     ev = bs.build_evaluator(model)
     for original in (model, ev):
         arrays = list(_reachable_arrays(original, set()))
@@ -283,39 +227,25 @@ def test_scenario_file_round_trip(tmp_path):
     model = bs.random_scenario(seed=5, n=2, m=3, K=2, r=1, kind="continuous-variant")
     path = tmp_path / "scenario.json"
     bs.save_scenario(model, str(path))
-    loaded = bs.load_scenario(str(path))
-    assert bs.model_fingerprint(loaded) == bs.model_fingerprint(model)
-
-
-def _with_input(model):
-    data = bs.model_to_dict(model)
-    data["input_matrix"] = [[0.5], [-0.0], [1e-300]]
-    data["input_signal"] = [1.0, 2.0]
-    return bs.model_from_dict(data)
+    fingerprint = bs.model_fingerprint(model)
+    assert bs.model_fingerprint(bs.load_scenario(str(path))) == fingerprint
+    ev = bs.build_evaluator(model)
+    assert bs.certify_ratio(ev).fingerprint == fingerprint
+    assert bs.fuzz_monotonicity(ev, 4, 0).fingerprint == fingerprint
 
 
 @pytest.mark.parametrize(
     "model_of, fingerprint, file_sha256",
     [
         (
-            lambda: _with_input(bs.random_scenario(seed=17, n=3, m=2, K=3, r=1, kind="continuous-variant")),
-            "16ce1ae86da910e49909a22738b259d5edc68ec4666479ea240f7a7ac8db7aed",
-            "53b40111cc154c0463e1f9ad43b3745264b0e9842af99156bb5b8b401834d02e",
+            lambda: bs.random_scenario(seed=17, n=3, m=2, K=3, r=1, kind="continuous-variant"),
+            "a7298dcf804cea20eacec3a20a60e6a56db22870ec6482419c736f8b8f096457",
+            "690d29279203e6e27915affe38abfee477dd16d59b869ac467fe5bf9432d473f",
         ),
         (
             lambda: bs.random_scenario(seed=17, n=2, m=3, K=2, r=2, kind="discrete-invariant"),
             "260f03e987bce6307ba1f781b00cface335e8a24a779d8a973ab23e92e6fc8cc",
             "a42f7050ebb5e514bebea733544f61ab562313665a5ac7425da8fbca239ed6f0",
-        ),
-        (
-            # Unsorted keys: the saved file keeps the caller's order, and the
-            # fingerprint sorts them.
-            lambda: dataclasses.replace(
-                bs.random_scenario(seed=0, n=2, m=3, K=3, r=1),
-                input_signal={"b": [1.0, 2], "a": {"z": True, "c": None}},
-            ),
-            "6f2033a6bec508d83bdb90bf74af0508d865e21cd568fcfd0c9016a4c01aa9a2",
-            "4bdb142ded60b22522dead90dd942b23fac8c152569b1031281b39d1c4862924",
         ),
     ],
 )
@@ -360,6 +290,10 @@ def test_loader_rejects_numbers_out_of_range(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(bs.DimensionMismatch, match="P_1"):
         bs.load_scenario(str(path))
+    # A float beyond the double range, which JSON reads as infinity.
+    path.write_text(json.dumps(data).replace(str(10**400), "1e400"))
+    with pytest.raises(bs.DimensionMismatch, match="^P_1 must contain only finite entries$"):
+        bs.load_scenario(str(path))
     # Beyond the JSON parser's integer digit limit.
     path.write_text(json.dumps(data).replace(str(10**400), "1" * 5000))
     with pytest.raises(bs.InvalidArgument, match="invalid JSON"):
@@ -390,7 +324,7 @@ def _bool_row_first(matrix):
     return [np.array([bool(x) for x in rows[0]])] + rows[1:]
 
 
-@pytest.mark.parametrize("where", ["P_1", "C", "dynamics", "input_matrix"])
+@pytest.mark.parametrize("where", ["P_1", "C", "dynamics"])
 def test_a_boolean_ndarray_row_is_rejected_naming_the_field(where):
     # NumPy would read the row as 1.0 and 0.0; only Python callers can pass
     # one. INTERVAL_FAULTS["boolean_row"] puts one in a time-variant list.
@@ -402,7 +336,7 @@ def test_a_boolean_ndarray_row_is_rejected_naming_the_field(where):
         data["sensors"][1]["C"] = _bool_row_first(data["sensors"][1]["C"])
         error, message = bs.InvalidArgument, r"^sensors\[1\]\.C must contain numbers, not booleans$"
     else:
-        data[where] = _bool_row_first(np.eye(2) if where == "input_matrix" else data[where])
+        data[where] = _bool_row_first(data[where])
     with pytest.raises(error, match=message):
         bs.model_from_dict(data)
 
